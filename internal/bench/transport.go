@@ -16,8 +16,9 @@ import (
 )
 
 // TransportBenchConfig parameterizes the validation-transport A/B: the
-// same workloads with the legacy per-request channel transport and the
-// batched ring transport.
+// same workloads over the legacy per-request channel transport (a link: the
+// engine's loop goroutine answers) and over the ring with the committers
+// combining (fpga.Engine.Validate runs the pipeline in the caller).
 type TransportBenchConfig struct {
 	// Threads is the worker count for the counter microbenchmark;
 	// default 4.
@@ -103,7 +104,7 @@ func RunTransportBench(cfg TransportBenchConfig) (*TransportReport, error) {
 		t    fpga.Transport
 	}{
 		{"channel (legacy)", fpga.TransportChannel},
-		{"ring (batched)", fpga.TransportRing},
+		{"ring (combining)", fpga.TransportRing},
 	} {
 		arm := TransportArm{Name: tr.name, Transport: tr.t}
 		if err := runRoundTrip(cfg, &arm); err != nil {
@@ -125,8 +126,9 @@ func RunTransportBench(cfg TransportBenchConfig) (*TransportReport, error) {
 // runRoundTrip measures the raw engine round trip: one committer issuing
 // synchronous validations with an always-conflicting footprint (every
 // request probes the full history window — the 4.9µs baseline shape).
-// The channel arm allocates a reply channel per request, reproducing the
-// legacy transport's cost; the ring arm uses the pooled verdict slot.
+// The channel arm allocates a reply channel per request and hands off to the
+// loop goroutine, reproducing the legacy transport's cost; the ring arm
+// validates in the caller on a pooled verdict slot.
 func runRoundTrip(cfg TransportBenchConfig, arm *TransportArm) error {
 	e, err := fpga.Start(fpga.Config{Transport: arm.Transport})
 	if err != nil {
@@ -270,7 +272,7 @@ func (r *TransportReport) String() string {
 			a.BatchMean, a.BatchMax, a.AppWallUs, a.AppSpeedS)
 	}
 	if len(r.Arms) == 2 && r.Arms[1].RoundTripNs > 0 {
-		fmt.Fprintf(&sb, "(round-trip speedup %.2fx; the ring arm batches up to %d verdicts per drain and holds the commit hot path at zero steady-state allocations.\n app µs sums concurrent waiters' wall time — batching raises it even as end-to-end app s falls)\n",
+		fmt.Fprintf(&sb, "(round-trip speedup %.2fx; the combining arm runs the pipeline in the committer — no goroutine hand-off — drains up to %d requests per lock acquisition and holds the commit hot path at zero steady-state allocations.\n app µs sums concurrent waiters' wall time)\n",
 			r.Arms[0].RoundTripNs/r.Arms[1].RoundTripNs, r.Arms[1].BatchMax)
 	}
 	return sb.String()

@@ -13,7 +13,6 @@
 package bitmat
 
 import (
-	"fmt"
 	"math/bits"
 	"strings"
 )
@@ -58,9 +57,12 @@ func (v Vec) Set(i int, b bool) {
 	}
 }
 
+// check and sameLen panic with constant messages: both inline into the
+// wide-window validator, which the //tm:hotpath allocation gate covers, and
+// a formatted message would box its operands on every call site.
 func (v Vec) check(i int) {
 	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("bitmat: index %d out of range [0,%d)", i, v.n))
+		panic("bitmat: index out of range")
 	}
 }
 
@@ -171,7 +173,7 @@ func (v Vec) String() string {
 
 func (v Vec) sameLen(u Vec) {
 	if v.n != u.n {
-		panic(fmt.Sprintf("bitmat: length mismatch %d != %d", v.n, u.n))
+		panic("bitmat: vector length mismatch")
 	}
 }
 

@@ -18,6 +18,7 @@ type BigWindow struct {
 	base  Seq
 	next  Seq
 	m     *bitmat.Mat // w×w reachability; row i bit j = r[i][j]
+	p, s  bitmat.Vec  // Insert scratch: the engine commit path stays allocation-free
 	stats Stats
 }
 
@@ -26,7 +27,7 @@ func NewBigWindow(w int) *BigWindow {
 	if w < 1 {
 		panic(fmt.Sprintf("core: window size %d out of range", w))
 	}
-	return &BigWindow{w: w, m: bitmat.NewMat(w)}
+	return &BigWindow{w: w, m: bitmat.NewMat(w), p: bitmat.NewVec(w), s: bitmat.NewVec(w)}
 }
 
 // W returns the window capacity.
@@ -75,9 +76,14 @@ func (w *BigWindow) ResetAt(next Seq) {
 // Count(); longer vectors have their tail ignored) and reports whether the
 // transaction is acyclic against the window. f and b are not modified.
 func (w *BigWindow) Validate(f, b bitmat.Vec) (p, s bitmat.Vec, ok bool) {
-	w.stats.Validated++
 	p = bitmat.NewVec(w.w)
 	s = bitmat.NewVec(w.w)
+	return p, s, w.validate(f, b, p, s)
+}
+
+// validate is Validate into caller-supplied zeroed vectors.
+func (w *BigWindow) validate(f, b, p, s bitmat.Vec) bool {
+	w.stats.Validated++
 	for i := 0; i < w.n; i++ {
 		if i < f.Len() && f.Get(i) {
 			p.Set(i, true)
@@ -104,18 +110,19 @@ func (w *BigWindow) Validate(f, b bitmat.Vec) (p, s bitmat.Vec, ok bool) {
 	}
 	if p.Intersects(s) {
 		w.stats.Cycles++
-		return p, s, false
+		return false
 	}
-	return p, s, true
+	return true
 }
 
 // Insert validates and, if acyclic, commits the transaction.
 func (w *BigWindow) Insert(f, b bitmat.Vec) (seq Seq, ok bool) {
-	p, s, ok := w.Validate(f, b)
-	if !ok {
+	w.p.Clear()
+	w.s.Clear()
+	if !w.validate(f, b, w.p, w.s) {
 		return 0, false
 	}
-	w.commit(p, s)
+	w.commit(w.p, w.s)
 	w.stats.Commits++
 	seq = w.next
 	w.next++

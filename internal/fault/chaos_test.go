@@ -206,8 +206,14 @@ func TestChaosRecoveryRoundTrip(t *testing.T) {
 				CrashAfter: 25,
 				DownFor:    500 * time.Microsecond,
 			}
+			// The injected crash refuses its casualty and answers everything
+			// outstanding with terminal verdicts, so degradation needs no
+			// deadline to fire — and with the shared 1.5 ms one, a host stall
+			// trips it before the 25th submission and the crash never comes.
+			cfg := chaosConfig(sched, &link)
+			cfg.ValidateDeadline = 10 * time.Second
 			h := mem.NewHeap(1 << 10)
-			m := rococotm.New(h, chaosConfig(sched, &link))
+			m := rococotm.New(h, cfg)
 			a := h.MustAlloc(1)
 
 			inc := func() {

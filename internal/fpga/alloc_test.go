@@ -8,32 +8,55 @@ package fpga
 
 import "testing"
 
-// TestValidateSlotPathZeroAllocs pins the transport's core guarantee: a
-// warmed commit round trip — arm slot, submit into the ring, wait for the
-// group-published verdict — performs no heap allocation.
+// TestValidateSlotPathZeroAllocs pins the transport's core guarantee on
+// both of its shapes: a warmed commit round trip on the committer's own
+// slot — arm it, then either submit into the ring and wait for the loop's
+// group-published verdict (link), or enqueue and run the pipeline in the
+// caller (combine) — performs no heap allocation.
 func TestValidateSlotPathZeroAllocs(t *testing.T) {
-	e := startTest(t, Config{})
-	var slot VerdictSlot
-	reads := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	writes := []uint64{11, 12, 13, 14}
-	ts := uint64(0)
-	roundTrip := func() {
-		r := req(ts, reads, writes)
-		r.Slot = &slot
-		r.Gen = slot.Prepare()
+	link := func(e *Engine, r Request) error {
 		if err := e.Submit(r); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		slot.Wait(r.Gen)
-		ts++
+		r.Slot.Wait(r.Gen)
+		return nil
 	}
-	// Warm: first Prepare lazily builds the wake channel, the engine loop
-	// touches its batch scratch.
-	for i := 0; i < 64; i++ {
-		roundTrip()
+	combine := func(e *Engine, r Request) error {
+		_, err := e.Validate(r)
+		return err
 	}
-	if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
-		t.Fatalf("slot round trip allocates %.2f objects/op, want 0", avg)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		trip func(*Engine, Request) error
+	}{
+		{"link", Config{}, link},
+		{"combine", Config{}, combine},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := startTest(t, tc.cfg)
+			var slot VerdictSlot
+			reads := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+			writes := []uint64{11, 12, 13, 14}
+			ts := uint64(0)
+			roundTrip := func() {
+				r := req(ts, reads, writes)
+				r.Slot = &slot
+				r.Gen = slot.Prepare()
+				if err := tc.trip(e, r); err != nil {
+					t.Fatal(err)
+				}
+				ts++
+			}
+			// Warm: first Prepare lazily builds the wake channel, the engine
+			// loop touches its batch scratch.
+			for i := 0; i < 200; i++ {
+				roundTrip()
+			}
+			if avg := testing.AllocsPerRun(200, roundTrip); avg != 0 {
+				t.Fatalf("slot round trip allocates %.2f objects/op, want 0", avg)
+			}
+		})
 	}
 }
 

@@ -17,26 +17,44 @@
 //     p∧s ≠ 0), then commits the transaction into the window;
 //   - the push queue returns the verdict.
 //
-// Verdicts are issued strictly in commit order by a single goroutine, which
-// is the software equivalent of the hardware's one-commit-broadcast-per-
-// cycle atomicity. A latency/occupancy model (see model.go) accounts the
-// cycles a real 200 MHz pipeline and the ~600 ns CCI round trip would cost,
-// so the timing harness can charge them without the host actually sleeping.
+// Verdicts are issued strictly in commit order, one Pipeline.Process at a
+// time under Engine.mu, which is the software equivalent of the hardware's
+// one-commit-broadcast-per-cycle atomicity. A latency/occupancy model (see
+// model.go) accounts the cycles a real 200 MHz pipeline and the ~600 ns CCI
+// round trip would cost, so the timing harness can charge them without the
+// host actually sleeping.
 //
-// # Transport
+// # Who runs the pipeline: combine vs the modelled link
 //
-// The host↔engine transport exists in two shapes, selected by
-// Config.Transport:
+// The paper hides the CCI round trip behind asynchronous queues because its
+// validator is a separate device. Here the validator is a function, and a
+// hand-off to a helper goroutine costs more than the validation, so the two
+// ways in differ in who executes Process:
 //
-//   - TransportRing (the default) is the batched, allocation-free path
-//     modeled on the paper's §5.3 async pull/push queues: submissions land
-//     in a fixed-size atomic ring (ring.go), the engine loop drains them
-//     in groups, validates the whole batch under one pipeline acquisition,
-//     and publishes the verdicts in bulk to the committers' VerdictSlots
-//     (slot.go). Nothing on this path allocates in steady state.
-//   - TransportChannel is the legacy per-request Go channel path (one
-//     buffered Reply channel per validation), kept as the measurable
-//     baseline for the `-exp transport` A/B experiment.
+//   - Combine (Engine.Validate on the serial behavioural backend, the
+//     default commit path). The committer pushes its request into the
+//     submission ring (ring.go), then TryLocks Engine.mu. Whoever holds the
+//     lock drains the ring — at most QueueDepth requests per acquisition,
+//     one Stats.Batches tick per drain — and posts every verdict to its
+//     owner's VerdictSlot (slot.go); losers poll their own slot, yield, and
+//     park only behind the no-stranding handshake documented on combine.
+//     No goroutine switch sits between a committer and its verdict, no
+//     goroutine is started, and nothing on the path allocates in steady
+//     state. Batching is what concurrency leaves in the ring, not queueing
+//     delay: a lone committer drains batches of one.
+//   - The modelled link (Submit/TrySubmit). Submissions land in the same
+//     ring; a loop goroutine, started on the first asynchronous submission,
+//     drains them in groups under one pipeline acquisition and publishes
+//     the verdicts in bulk. This is the configuration that has a link to
+//     stall, drop and crash: the fault-tolerant host (deadline-bounded
+//     TrySubmit, rococotm.Link wrappers, internal/fault), the cycle-level
+//     RTL backend (rtl.go, where Validate is submit-and-wait as well) and
+//     TransportChannel — the legacy per-request Go channel path kept as the
+//     measurable baseline of the `-exp transport` A/B — all use it.
+//
+// Both feed the same window under the same lock, so a stream may mix them;
+// the modelled clock (Verdict.ModelNanos plus Model.RoundTripNanos) is
+// charged identically either way.
 //
 // # Failure semantics
 //
@@ -45,7 +63,8 @@
 //
 //   - Close/Crash stop the engine and deliver a terminal ReasonClosed
 //     verdict to every request already accepted into the pull queue — no
-//     submitted request is ever silently stranded;
+//     submitted request is ever silently stranded, and a combiner that
+//     finds its port stopped sweeps the queue instead of validating it;
 //   - Restart brings a crashed engine back with an *empty* window rebased
 //     at a caller-supplied sequence (crash loses window state; the host
 //     supplies its commit count so verdicts re-align with the global commit
@@ -88,9 +107,10 @@ var (
 type Transport int
 
 const (
-	// TransportRing is the batched path: an atomic MPMC submission ring
-	// drained in groups by the engine loop, verdicts published to
-	// per-committer VerdictSlots. The default.
+	// TransportRing is the allocation-free path: an atomic MPMC submission
+	// ring drained in groups — by the committers themselves under Validate,
+	// by the loop goroutine under Submit/TrySubmit — with verdicts published
+	// to per-committer VerdictSlots. The default.
 	TransportRing Transport = iota
 	// TransportChannel is the legacy path: a Go channel pull queue and one
 	// buffered Reply channel per request.
@@ -275,7 +295,8 @@ type Stats struct {
 	// Restarts counts crash/recover cycles (Engine only; a Restart resets
 	// the window but keeps cumulative counters).
 	Restarts uint64
-	// Batches counts drain groups on the ring transport; Requests+Probes
+	// Batches counts drain groups on the ring transport (one per combiner
+	// lock acquisition or loop pass that validated anything); Requests+Probes
 	// over Batches is the mean batch occupancy. MaxBatch is the largest
 	// single group. Zero on the channel transport.
 	Batches  uint64
@@ -297,6 +318,12 @@ type port struct {
 	done   chan struct{}
 	exited chan struct{} // closed when the loop goroutine has returned
 
+	// start launches the loop goroutine on the first Submit/TrySubmit —
+	// or, if the port stops without ever carrying an asynchronous
+	// submission, closes exited directly. Combined validations never start
+	// it.
+	start sync.Once
+
 	// sleeping/wakeup implement the ring consumer's spin-then-park: the
 	// loop raises sleeping before blocking on wakeup, producers that see
 	// it raised drop a token in. One-token capacity suffices — a wakeup is
@@ -317,6 +344,16 @@ func newPort(depth int, tr Transport) *port {
 		p.ring = newRing(depth)
 	}
 	return p
+}
+
+// stopped reports whether the port's incarnation has been crashed or closed.
+func (p *port) stopped() bool {
+	select {
+	case <-p.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // tryRecv takes one request without blocking.
@@ -406,8 +443,9 @@ type Engine struct {
 	rtlBase  core.Seq // window base for the next RTL incarnation
 }
 
-// Start launches the engine goroutine. It fails if the configuration is
-// invalid (see Config.Validate).
+// Start builds the engine. It fails if the configuration is invalid (see
+// Config.Validate). No goroutine runs until the first asynchronous
+// submission: the link's loop starts lazily (see port.start).
 func Start(cfg Config) (*Engine, error) {
 	pl, err := NewPipeline(cfg)
 	if err != nil {
@@ -418,9 +456,7 @@ func Start(cfg Config) (*Engine, error) {
 		hasher: pl.Hasher(),
 		pl:     pl,
 	}
-	p := newPort(e.cfg.QueueDepth, e.cfg.Transport)
-	e.port.Store(p)
-	go e.loop(p)
+	e.port.Store(newPort(e.cfg.QueueDepth, e.cfg.Transport))
 	return e, nil
 }
 
@@ -431,35 +467,29 @@ func (e *Engine) Config() Config { return e.cfg }
 // sides compute identical signatures.
 func (e *Engine) Hasher() *sig.Hasher { return e.hasher }
 
-// Submit enqueues a validation request (the pull queue). It blocks only
-// when the queue is full, which models back pressure on the CCI channel.
+// Submit enqueues a validation request on the modelled link (the pull
+// queue) for the engine loop to answer. It blocks only when the queue is
+// full, which models back pressure on the CCI channel.
 func (e *Engine) Submit(r Request) error {
-	return e.submitOn(e.port.Load(), r)
-}
-
-func (e *Engine) submitOn(p *port, r Request) error {
 	if err := r.checkSink(); err != nil {
 		return err
 	}
+	return e.submitOn(e.port.Load(), r)
+}
+
+// submitOn is the asynchronous admission path: it makes sure the loop
+// goroutine exists, enqueues, and wakes the loop if it parked.
+func (e *Engine) submitOn(p *port, r Request) error {
+	p.start.Do(func() { go e.loop(p) })
 	if p.ring != nil {
-		for {
-			select {
-			case <-p.done:
-				return ErrClosed
-			default:
-			}
-			if p.ring.tryPush(r) {
-				p.wake()
-				e.recheck(p)
-				return nil
-			}
-			runtime.Gosched() // full: wait out the consumer
+		if err := e.enqueue(p, r); err != nil {
+			return err
 		}
+		p.wake()
+		return nil
 	}
-	select {
-	case <-p.done:
+	if p.stopped() {
 		return ErrClosed
-	default:
 	}
 	select {
 	case <-p.done:
@@ -470,26 +500,42 @@ func (e *Engine) submitOn(p *port, r Request) error {
 	}
 }
 
-// TrySubmit offers a request without blocking: ErrFull models a saturated
-// (or stalled) pull queue, ErrClosed a stopped engine. Hosts that enforce
-// validation deadlines poll TrySubmit so backpressure cannot exceed the
-// deadline.
+// enqueue pushes r onto a ring port, yielding while the ring is full. Some
+// consumer always exists for a non-empty ring — the loop goroutine for
+// Submit's requests, the pushing committers themselves for Validate's — so
+// the wait is bounded.
+func (e *Engine) enqueue(p *port, r Request) error {
+	for {
+		if p.stopped() {
+			return ErrClosed
+		}
+		if p.ring.tryPush(r) {
+			e.recheck(p)
+			return nil
+		}
+		runtime.Gosched()
+	}
+}
+
+// TrySubmit offers a request to the modelled link without blocking:
+// ErrFull models a saturated (or stalled) pull queue, ErrClosed a stopped
+// engine. Hosts that enforce validation deadlines poll TrySubmit so
+// backpressure cannot exceed the deadline.
 func (e *Engine) TrySubmit(r Request) error {
 	if err := r.checkSink(); err != nil {
 		return err
 	}
 	p := e.port.Load()
-	select {
-	case <-p.done:
+	if p.stopped() {
 		return ErrClosed
-	default:
 	}
+	p.start.Do(func() { go e.loop(p) })
 	if p.ring != nil {
 		if !p.ring.tryPush(r) {
 			return ErrFull
 		}
-		p.wake()
 		e.recheck(p)
+		p.wake()
 		return nil
 	}
 	select {
@@ -507,10 +553,8 @@ func (e *Engine) TrySubmit(r Request) error {
 // deliveries, and the ring dequeue is CAS-based, so concurrent sweeps are
 // safe.
 func (e *Engine) recheck(p *port) {
-	select {
-	case <-p.done:
+	if p.stopped() {
 		sweep(p)
-	default:
 	}
 }
 
@@ -526,31 +570,51 @@ func sweep(p *port) {
 	}
 }
 
-// Validate is the synchronous convenience wrapper: submit and wait. A
-// request without a sink borrows a pooled VerdictSlot, so the wrapper is
-// allocation-free in steady state. If the engine stops before answering,
-// the request's terminal ReasonClosed verdict is returned; ErrClosed is
-// returned only when the request was never accepted.
+// Validate answers one request synchronously. On the serial behavioural
+// backend it is a flat-combining validator: the caller enqueues its request,
+// then competes for the pipeline lock; whoever holds the lock validates
+// everything queued and posts each verdict to its owner's slot, so no
+// goroutine switch sits between a committer and its verdict and the loop
+// goroutine is neither started nor woken. The cycle-level backend and the
+// channel transport have no serial pipeline to run in the caller, so there
+// Validate is submit-and-wait over the modelled link.
+//
+// A request without a slot borrows a pooled one (a Reply channel is not
+// needed and is ignored unless the transport is the channel one), so the
+// call is allocation-free in steady state. If the engine stops before
+// answering, the request's terminal ReasonClosed verdict is returned;
+// ErrClosed is returned only when the request was never accepted.
 func (e *Engine) Validate(r Request) (Verdict, error) {
-	if r.Slot != nil {
-		if err := e.submitOn(e.port.Load(), r); err != nil {
-			return Verdict{}, err
-		}
-		return r.Slot.Wait(r.Gen), nil
-	}
-	if r.Reply == nil {
-		s := slotPool.Get().(*VerdictSlot)
-		r.Slot = s
-		r.Gen = s.Prepare()
-		if err := e.submitOn(e.port.Load(), r); err != nil {
-			slotPool.Put(s)
-			return Verdict{}, err
-		}
-		v := s.Wait(r.Gen)
-		slotPool.Put(s)
-		return v, nil
-	}
 	p := e.port.Load()
+	if r.Slot == nil && r.Reply != nil && p.ring == nil {
+		return e.validateReply(p, r)
+	}
+	var pooled *VerdictSlot
+	if r.Slot == nil {
+		pooled = slotPool.Get().(*VerdictSlot)
+		r.Slot, r.Gen = pooled, pooled.Prepare()
+	}
+	var v Verdict
+	var err error
+	if p.ring == nil || e.cfg.CycleLevel {
+		if err = e.submitOn(p, r); err == nil {
+			v = r.Slot.Wait(r.Gen)
+		}
+	} else if err = e.enqueue(p, r); err == nil {
+		v = e.combine(p, r.Slot, r.Gen)
+	}
+	if pooled != nil {
+		slotPool.Put(pooled)
+	}
+	return v, err
+}
+
+// validateReply is Validate for a Reply-channel request on the channel
+// transport.
+func (e *Engine) validateReply(p *port, r Request) (Verdict, error) {
+	if err := r.checkSink(); err != nil {
+		return Verdict{}, err
+	}
 	if err := e.submitOn(p, r); err != nil {
 		return Verdict{}, err
 	}
@@ -566,6 +630,96 @@ func (e *Engine) Validate(r Request) (Verdict, error) {
 			return Verdict{}, ErrClosed
 		}
 	}
+}
+
+// combine waits for generation gen's verdict on s, running the pipeline
+// itself whenever the lock is free. The caller has already enqueued its
+// request on p.
+//
+// No request is stranded. A waiter that loses TryLock observed a holder;
+// every holder re-checks the ring after unlocking (unlock), and the
+// waiter's push precedes its failed TryLock, so that re-check sees the
+// request. A waiter that wins the lock and finds the ring empty has had its
+// request popped by a consumer that has not delivered yet — the link's loop
+// pops its batch before it takes the lock — and must give that consumer the
+// processor rather than spin on the free lock. Either way a waiter parks
+// only after raising s.parked and coming up empty once more: whoever holds
+// its request publishes the verdict and — the slot's Dekker handshake —
+// either the waiter's TryTake sees it or the publisher sees parked and
+// wakes the waiter.
+//
+//tm:hotpath
+func (e *Engine) combine(p *port, s *VerdictSlot, gen uint64) Verdict {
+	for spin := 0; ; spin++ {
+		if v, ok := s.TryTake(gen); ok {
+			return v
+		}
+		park := spin >= slotSpin
+		if park {
+			s.parked.Store(1)
+		}
+		idle := true
+		if e.mu.TryLock() {
+			idle = e.drain(p) == 0
+			e.unlock()
+		}
+		switch {
+		case !idle: // validated something, maybe our own: poll again
+		case park:
+			if _, ok := s.TryTake(gen); !ok {
+				<-s.wake // tokens can be stale; the loop re-checks
+			}
+		case spin > 32:
+			runtime.Gosched()
+		}
+		if park {
+			s.parked.Store(0)
+		}
+	}
+}
+
+// unlock releases the pipeline lock and keeps the combiner's no-stranding
+// rule on behalf of every holder, combining or not: a committer may have
+// enqueued and lost TryLock while the lock was held, so the ring is
+// re-checked after the release and drained if anything is there.
+//
+//tm:hotpath
+func (e *Engine) unlock() {
+	e.mu.Unlock()
+	if e.cfg.CycleLevel {
+		return // the RTL loop is the ring's only consumer
+	}
+	p := e.port.Load()
+	for p.ring != nil && p.ring.size() > 0 && e.mu.TryLock() {
+		e.drain(p)
+		e.mu.Unlock()
+	}
+}
+
+// drain validates up to QueueDepth queued requests and posts their
+// verdicts, returning how many it answered; the caller holds e.mu. On a
+// stopped port it answers with terminal verdicts instead — the window
+// belongs to the next incarnation.
+//
+//tm:hotpath
+func (e *Engine) drain(p *port) int {
+	n := 0
+	for ; n < e.cfg.QueueDepth; n++ {
+		r, ok := p.ring.tryPop()
+		if !ok {
+			break
+		}
+		if p.stopped() {
+			r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed, Probe: r.Probe})
+			sweep(p)
+			return n + 1
+		}
+		r.Deliver(e.pl.Process(r))
+	}
+	if n > 0 {
+		e.pl.noteBatch(n, n+p.ring.size())
+	}
+	return n
 }
 
 // Close stops the engine. Every request already accepted into the pull
@@ -590,9 +744,14 @@ func (e *Engine) crashLocked() {
 	default:
 		close(p.done)
 	}
-	p.wake()   // unpark a sleeping ring consumer so it can exit
+	p.wake() // unpark a sleeping ring consumer so it can exit
+	p.start.Do(func() { close(p.exited) })
 	<-p.exited // the loop swept its in-flight work on the way out
-	sweep(p)   // catch requests that raced past the loop's final sweep
+	// A combiner that popped a request before done closed still answers it
+	// with a real verdict; wait it out so nothing is in flight on return.
+	e.mu.Lock()
+	e.mu.Unlock()
+	sweep(p) // catch requests that raced past the final drains
 }
 
 // Restart brings the engine (back) up with an empty window rebased at
@@ -616,7 +775,7 @@ func (e *Engine) Restart(next uint64) error {
 			e.mu.Lock()
 			clean := e.pl.BaseSeq() == e.pl.NextSeq() &&
 				uint64(e.pl.NextSeq()) == next
-			e.mu.Unlock()
+			e.unlock()
 			if clean {
 				return nil
 			}
@@ -630,9 +789,7 @@ func (e *Engine) Restart(next uint64) error {
 	e.restarts++
 	e.mu.Unlock()
 
-	p = newPort(e.cfg.QueueDepth, e.cfg.Transport)
-	e.port.Store(p)
-	go e.loop(p)
+	e.port.Store(newPort(e.cfg.QueueDepth, e.cfg.Transport))
 	return nil
 }
 
@@ -643,7 +800,7 @@ func (e *Engine) Done() <-chan struct{} { return e.port.Load().done }
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	st := e.pl.Stats()
 	st.Restarts = e.restarts
 	return st
@@ -652,14 +809,14 @@ func (e *Engine) Stats() Stats {
 // BaseSeq returns the oldest tracked commit sequence (for tests).
 func (e *Engine) BaseSeq() core.Seq {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.pl.BaseSeq()
 }
 
 // NextSeq returns the sequence the next commit will receive.
 func (e *Engine) NextSeq() core.Seq {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.pl.NextSeq()
 }
 
@@ -684,8 +841,8 @@ func (e *Engine) loop(p *port) {
 	}
 }
 
-// loopRing is the batched drain loop: grab everything queued, validate the
-// whole group under one pipeline acquisition (the hardware equivalent: the
+// loopRing is the link's batched drain loop: grab everything queued, validate
+// the whole group under one pipeline acquisition (the hardware equivalent: the
 // pipeline ingests back-to-back beats without re-arbitrating the link per
 // request), then publish all verdicts. Publishing happens outside the
 // pipeline lock so woken committers never contend with the next batch.
@@ -711,13 +868,7 @@ func (e *Engine) loopRing(p *port) {
 		for i := range batch {
 			verdicts = append(verdicts, e.pl.Process(batch[i]))
 		}
-		e.pl.stats.Batches++
-		if n := uint64(len(batch)); n > e.pl.stats.MaxBatch {
-			e.pl.stats.MaxBatch = n
-		}
-		if occ := uint64(len(batch) + p.ring.size()); occ > e.pl.stats.QueuePeak {
-			e.pl.stats.QueuePeak = occ
-		}
+		e.pl.noteBatch(len(batch), len(batch)+p.ring.size())
 		e.mu.Unlock()
 		for i := range batch {
 			batch[i].Deliver(verdicts[i])
@@ -726,12 +877,12 @@ func (e *Engine) loopRing(p *port) {
 	}
 }
 
-// Process validates one request against the window synchronously. It is
-// exported for deterministic unit tests; the runtime path goes through
-// Submit and the engine goroutine.
+// Process validates one request against the window synchronously, with no
+// queue or slot around it: the pipeline's bare cost, and the reference the
+// combiner's verdict stream is tested against.
 func (e *Engine) Process(r Request) Verdict {
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	return e.pl.Process(r)
 }
 
@@ -764,7 +915,7 @@ func (e *Engine) RecordFast(token uint64, readAddrs, writeAddrs []uint64) (Verdi
 	default:
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
+	defer e.unlock()
 	v := e.pl.Process(Request{
 		Token:      token,
 		ValidTS:    uint64(e.pl.NextSeq()),

@@ -11,11 +11,12 @@ import (
 // Pipeline is the serial behavioral model of the Detector/Manager dataflow:
 // the window, the per-slot signature bookkeeping and the ROCoCo validation,
 // with no queues or goroutines around it. It exists as a standalone type so
-// the same validator can run in two places — inside Engine behind the
-// asynchronous pull/push queues (the normal deployment), and directly under
-// a host-side mutex as the software fallback path when the engine is
-// unhealthy (rococotm's graceful-degradation mode validates against an
-// identical Pipeline so verdicts keep the exact hardware semantics).
+// the same validator can run in two places — inside Engine, under its lock,
+// driven by a combining committer or by the link's loop goroutine, and
+// directly under a host-side mutex as the software fallback path when the
+// engine is unhealthy (rococotm's graceful-degradation mode validates
+// against an identical Pipeline so verdicts keep the exact hardware
+// semantics).
 //
 // All state is preallocated at construction — the history is a ring of W
 // entries with resident signatures, and per-request signatures are scratch
@@ -125,6 +126,18 @@ func (p *Pipeline) Hasher() *sig.Hasher { return p.hasher }
 
 // Stats returns a copy of the counters.
 func (p *Pipeline) Stats() Stats { return p.stats }
+
+// noteBatch records one drain group of n requests taken from a submission
+// queue that held occ (the group included) at drain time.
+func (p *Pipeline) noteBatch(n, occ int) {
+	p.stats.Batches++
+	if uint64(n) > p.stats.MaxBatch {
+		p.stats.MaxBatch = uint64(n)
+	}
+	if uint64(occ) > p.stats.QueuePeak {
+		p.stats.QueuePeak = uint64(occ)
+	}
+}
 
 // BaseSeq returns the oldest tracked commit sequence.
 func (p *Pipeline) BaseSeq() core.Seq {

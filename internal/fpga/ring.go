@@ -7,10 +7,11 @@ import (
 
 // ring is the submission side of the batched transport: a bounded MPMC
 // queue of Requests in the style of Vyukov's array queue. Producers are
-// the committers (many), the consumer is normally the engine loop (one) —
-// but dequeue is also CAS-based because crash/close sweeps run concurrently
-// with the loop's final drain, and both sides must be able to drain the
-// same ring without double-delivering a terminal verdict.
+// the committers (many); consumers are whoever holds the pipeline at the
+// moment — a combining committer, the link's loop goroutine — plus the
+// crash/close sweeps that run concurrently with their final drains, so
+// dequeue is CAS-based too and every party can drain the same ring without
+// double-delivering a verdict.
 //
 // Each cell carries a sequence word: seq == pos means the cell is free for
 // the producer of ticket pos, seq == pos+1 means it holds that ticket's

@@ -135,22 +135,29 @@ func (r *TM) loadAggSig(lvl int, lo uint64, dst sig.Sig) bool {
 }
 
 // extendFold folds the write signatures of every commit in
-// [localTS, GlobalTS) into the TempSet — the shared body of the extension
+// [localTS, upto) into the TempSet — the shared body of the extension
 // loops in Read and Commit (Algorithm 1 lines 9-13). tempAny reports
 // whether anything was folded; overlap whether any folded commit's write
 // signature may intersect the read set (the per-commit-precise verdict
 // that decides extension vs miss-set accumulation); ok=false a window
 // overflow (the snapshot fell out of the commit-queue ring).
 //
+// upto must not exceed GlobalTS, and must not pass any value the caller
+// holds that is not yet in the read set: a folded commit that wrote such an
+// address would leave overlap false and let validTS advance past a write
+// the transaction never saw. Read therefore bounds the fold at the
+// GlobalTS its value was loaded under; callers whose reads are all recorded
+// pass the live GlobalTS.
+//
 // Aligned segments covered by the aggregate ring fold with one union; the
 // segment's commits are probed individually only when the aggregate hits
 // the read set and the overlap verdict is still open.
 //
 //tm:hotpath
-func (x *txn) extendFold() (tempAny, overlap, ok bool) {
+func (x *txn) extendFold(upto uint64) (tempAny, overlap, ok bool) {
 	r := x.r
-	for g := r.globalTS.Load(); x.localTS < g; g = r.globalTS.Load() {
-		if lvl := sig.SegLevel(x.localTS, g, r.aggMax); lvl > 0 {
+	for x.localTS < upto {
+		if lvl := sig.SegLevel(x.localTS, upto, r.aggMax); lvl > 0 {
 			if r.loadAggSig(lvl, x.localTS, x.aggSig) {
 				end := x.localTS + 1<<uint(lvl)
 				x.tempSig.Union(x.aggSig)

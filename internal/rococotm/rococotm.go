@@ -780,14 +780,26 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if v, ok := x.redo[a]; ok {
 		return v, nil
 	}
-	r := x.r
-	addr := uint64(a)
 	// Hash once: the spin's update-set probes, the MissSet query, and a
 	// re-read all reuse the same indices.
 	var idxBuf [16]int
-	idx := r.hasher.Indices(addr, idxBuf[:])
+	idx := x.r.hasher.Indices(uint64(a), idxBuf[:])
+	v, g1, err := x.load(a, idx)
+	if err != nil {
+		return 0, err
+	}
+	if err := x.admit(a, idx, g1); err != nil {
+		return 0, err
+	}
+	return v, nil
+}
 
-	var v mem.Word
+// load is Algorithm 1 lines 5-8: it waits out committers and fast owners
+// that may be writing a, then loads it. g1 is the GlobalTS that bracketed
+// the accepted load — v is a's value as of every commit below g1, and says
+// nothing about commits from g1 on.
+func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
+	r := x.r
 	lt := r.lt
 	line := mem.LineOf(a)
 	spins := 0
@@ -798,9 +810,9 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 		// when the exclusive gate was taken, and a fast line owner is
 		// doomed below and rolls back promptly.
 		if spins++; spins > r.cfg.ReadSpinLimit && !x.irrevocable {
-			return 0, x.abort(tm.ReasonConflict)
+			return 0, 0, x.abort(tm.ReasonConflict)
 		}
-		g1 := r.globalTS.Load()
+		g1 = r.globalTS.Load()
 		// Line 5-7: commit-time locking — wait out committers that may be
 		// writing this address back (with the decoupled pipeline, a
 		// committer's entry stays active past its timestamp release, until
@@ -808,7 +820,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 		// non-empty), waiting cannot help: abort (line 6).
 		if r.updateSetHits(idx, x.thread) {
 			if x.missAny {
-				return 0, x.abort(tm.ReasonConflict)
+				return 0, 0, x.abort(tm.ReasonConflict)
 			}
 			runtime.Gosched()
 			continue
@@ -844,17 +856,26 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 		if lt != nil && lt.Version(line) != lv {
 			continue
 		}
-		break
+		return v, g1, nil
 	}
+}
 
+// admit is Algorithm 1 lines 9-20 for a value of a that load accepted under
+// g1: extend the snapshot or grow the miss set, then record the read.
+func (x *txn) admit(a mem.Addr, idx []int, g1 uint64) error {
 	// Lines 9-13: fold the write signatures published since LocalTS into
 	// the TempSet (extendFold, agg.go: whole aligned segments fold through
 	// the aggregate ring; the overlap verdict stays per-commit precise).
+	// The fold stops at g1, not at the live GlobalTS: a is not in the read
+	// set yet, so a commit in [g1, GlobalTS) that wrote a would fold without
+	// an overlap and validTS would pass a write the loaded value does not
+	// reflect. Such a commit is folded by the next Read or by Commit, with
+	// a recorded.
 	x.tempSig.Reset()
-	tempAny, overlap, ok := x.extendFold()
+	tempAny, overlap, ok := x.extendFold(g1)
 	if !ok {
 		// Snapshot fell out of the commit-queue ring.
-		return 0, x.abort(tm.ReasonWindow)
+		return x.abort(tm.ReasonWindow)
 	}
 
 	// Lines 14-19: snapshot extension or miss-set accumulation.
@@ -864,7 +885,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 			x.missAny = true
 		}
 		if x.missAny && x.missSig.QueryIdx(idx) {
-			return 0, x.abort(tm.ReasonConflict) // line 17: torn snapshot
+			return x.abort(tm.ReasonConflict) // line 17: torn snapshot
 		}
 	} else if tempAny {
 		// All reads so far remain consistent at the new snapshot.
@@ -875,6 +896,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	// attempts: subUsed counts the live ones, spares beyond it are reset
 	// in place instead of reallocated.
 	if !x.readSeen[a] {
+		addr := uint64(a)
 		x.readSeen[a] = true
 		x.readAddrs = append(x.readAddrs, addr)
 		x.readSig.Insert(x.r.hasher, addr)
@@ -890,7 +912,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 		x.subSigs[x.subUsed-1].Insert(x.r.hasher, addr)
 		x.subCount++
 	}
-	return v, nil
+	return nil
 }
 
 // readSetOverlaps implements the layered intersection of §5.3 against one
@@ -989,7 +1011,7 @@ func (r *TM) Commit(t tm.Txn) error {
 	// merely sat descheduled behind many unrelated commits would carry a
 	// stale ValidTS into the engine and risk a spurious window abort.
 	x.tempSig.Reset()
-	tempAny, overlap, ok := x.extendFold()
+	tempAny, overlap, ok := x.extendFold(r.globalTS.Load())
 	if !ok {
 		return x.abort(tm.ReasonWindow)
 	}

@@ -183,6 +183,71 @@ func TestMissSetAbortsTornSnapshot(t *testing.T) {
 	}
 }
 
+// TestReadFoldStopsAtLoadSnapshot pins the stale-read interleaving behind
+// the multi-core lost updates, deterministically, on two TM threads. Read
+// is load then admit, with nothing between them; the test runs thread 0's
+// two halves itself and lands thread 1's conflicting commit in the gap:
+// thread 0 loads a under GlobalTS g1 and accepts the value, thread 1
+// commits a write to a and moves GlobalTS to g1+1, then thread 0 folds the
+// commit queue. A fold to the live GlobalTS would take that commit in while
+// a is not yet in the read set, advance validTS past a write the loaded
+// value does not reflect, and let thread 0's own read-modify-write of a
+// validate as if it had seen it. With the fold bounded at g1 the commit is
+// folded at Commit, with a recorded, and the engine sees the RW edge and
+// refuses the cycle.
+//
+// The other read/extend pairs were audited against the same shape and need
+// no bound: the final extension in Commit and both cross-shard folds
+// (shard.go phases 1 and 3) run after every value the transaction holds is
+// in its read set (sub-transactions read through txn.Read), so a folded
+// commit that wrote any of them trips overlap; PublishFast and
+// ValidateFastReadOnly extend nothing — they certify every recorded read
+// line by version equality at one serialization point, after the drain scan.
+func TestReadFoldStopsAtLoadSnapshot(t *testing.T) {
+	m := New(mem.NewHeap(1<<12), Config{})
+	defer m.Close()
+	a := m.Heap().MustAlloc(1)
+	incr := func(x tm.Txn) error {
+		v, err := x.Read(a)
+		if err != nil {
+			return err
+		}
+		return x.Write(a, v+1)
+	}
+
+	t0, _ := m.Begin(0)
+	x := t0.(*txn)
+	var idxBuf [16]int
+	idx := m.hasher.Indices(uint64(a), idxBuf[:])
+	v, g1, err := x.load(a, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tm.Run(m, 1, incr); err != nil {
+		t.Fatalf("conflicting commit: %v", err)
+	}
+	if g := m.globalTS.Load(); g != g1+1 {
+		t.Fatalf("GlobalTS = %d after the conflicting commit, want g1+1 = %d", g, g1+1)
+	}
+	if err = x.admit(a, idx, g1); err == nil {
+		if x.validTS > g1 {
+			t.Errorf("validTS = %d passed g1 = %d with a stale value of a in hand", x.validTS, g1)
+		}
+		if err = x.Write(a, v+1); err == nil {
+			err = m.Commit(x)
+		}
+	}
+	if _, ok := tm.IsAbort(err); !ok {
+		t.Fatalf("read-modify-write over a stale value: err = %v, want an abort (a = %d)", err, m.Heap().Load(a))
+	}
+	if err := tm.Run(m, 0, incr); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Heap().Load(a); got != 2 {
+		t.Fatalf("a = %d after two increments, want 2", got)
+	}
+}
+
 func TestSnapshotExtensionOnDisjointCommits(t *testing.T) {
 	// Commits that do not touch t1's read set must extend the snapshot,
 	// letting t1 read their values and still commit cleanly.

@@ -634,7 +634,7 @@ func (s *Sharded) commitCross(x *stxn) error {
 	for _, i := range x.order {
 		sb := x.subs[i]
 		sb.tempSig.Reset()
-		_, overlap, ok := sb.extendFold()
+		_, overlap, ok := sb.extendFold(s.shards[i].globalTS.Load())
 		if !ok {
 			return s.crossFail(x, tm.ReasonWindow)
 		}
@@ -719,7 +719,7 @@ func (s *Sharded) commitCross(x *stxn) error {
 			}
 		}
 		sb.tempSig.Reset()
-		_, overlap, ok := sb.extendFold()
+		_, overlap, ok := sb.extendFold(sh.globalTS.Load())
 		if !ok {
 			return s.crossFail(x, tm.ReasonWindow)
 		}

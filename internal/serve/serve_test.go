@@ -73,28 +73,39 @@ func TestServeCommitsAndAccounting(t *testing.T) {
 
 // TestServeOverloadSheds: far more concurrent offers than the concurrency
 // limit admits — the excess is shed at the door, nothing deadlocks, and
-// the accounting identity still balances.
+// the accounting identity still balances. Admitted requests wait inside Fn
+// until the rest have been turned away, so the overload does not depend on
+// a commit yielding the processor to the other clients: with the single
+// worker held, at most one executing plus QueueCap queued requests fit.
 func TestServeOverloadSheds(t *testing.T) {
 	h := mem.NewHeap(1 << 10)
 	m := rococotm.New(h, rococotm.Config{MaxThreads: 8})
 	defer m.Close()
 	a := h.MustAlloc(1)
+	const (
+		clients  = 64
+		queueCap = 2
+	)
 	s := serve.New(m, serve.Config{
 		Workers:     1,
 		MaxInflight: 2,
-		QueueCap:    2,
+		QueueCap:    queueCap,
 		// Keep the limit pinned: no signals, generous SLO.
 		TargetP99: time.Second,
 	})
 
-	const clients = 64
+	release := make(chan struct{})
+	held := func(x tm.Txn) error {
+		<-release
+		return incrFn(a)(x)
+	}
 	var wg sync.WaitGroup
 	var shed, committed atomic.Uint64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, _ := s.Do(serve.Request{Class: serve.High, Fn: incrFn(a)})
+			out, _ := s.Do(serve.Request{Class: serve.High, Budget: time.Minute, Fn: held})
 			switch out {
 			case serve.Shed:
 				shed.Add(1)
@@ -103,6 +114,13 @@ func TestServeOverloadSheds(t *testing.T) {
 			}
 		}()
 	}
+	for deadline := time.Now().Add(10 * time.Second); s.Stats().Shed < clients-1-queueCap; {
+		if time.Now().After(deadline) {
+			t.Fatalf("held server shed only %d of %d clients: %+v", s.Stats().Shed, clients, s.Stats())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(release)
 	wg.Wait()
 	s.Close()
 	st := mustAccounting(t, s)
@@ -111,6 +129,9 @@ func TestServeOverloadSheds(t *testing.T) {
 	}
 	if shed.Load() == 0 {
 		t.Errorf("no request shed with limit 2 and %d concurrent clients: %+v", clients, st)
+	}
+	if got := shed.Load() + committed.Load(); got != clients {
+		t.Errorf("shed %d + committed %d = %d, want %d: %+v", shed.Load(), committed.Load(), got, clients, st)
 	}
 	if st.ShedLimit == 0 {
 		t.Errorf("expected limit sheds, got %+v", st)

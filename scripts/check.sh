@@ -57,15 +57,25 @@
 #                    fast-publication protocol unit tests, the chaos
 #                    mass-fallback scenario, then a bounded
 #                    `rococobench -exp hybrid` crossover smoke      (~20s)
-#  12. go test -race ./internal/...
+#  12. oracle lane — the lost-update oracles (counter hammers, bank
+#                    conservation, soaks, value-reconstructed history
+#                    checks, torn-read probes, the hybrid mixed-path pair)
+#                    ten times each under GOMAXPROCS=1 and GOMAXPROCS=2:
+#                    serializability has to hold on two processors, and a
+#                    protocol hole there is silent under -race      (~10s)
+#  13. go test -race ./internal/...
 #                  — the runtime and analyzer packages under the race
 #                    detector; OCC code is concurrency code, so the race
-#                    lane is not optional                          (~2min)
-#  13. bench smoke — every benchmark compiles and survives one iteration
+#                    lane is not optional. Includes the combining
+#                    validator's no-stranding hammer (internal/fpga
+#                    TestCombine*: committers ≫ processors mixing Validate,
+#                    Submit and RecordFast, pinned to GOMAXPROCS 1 and 2
+#                    by the test itself)                           (~2min)
+#  14. bench smoke — every benchmark compiles and survives one iteration
 #                    (benchtime=1x), so perf lanes cannot silently rot;
 #                    the non-race run also picks up the AllocsPerRun
-#                    zero-allocation tests excluded from lane 12   (~30s)
-#  14. bench gate  — cmd/benchgate re-measures the optimization-sensitive
+#                    zero-allocation tests excluded from lane 13   (~30s)
+#  15. bench gate  — cmd/benchgate re-measures the optimization-sensitive
 #                    microbenchmarks (pipelined/ordered counter throughput,
 #                    aggregate/per-commit extension folds, WAL append,
 #                    snapshot read, sharded-plane throughput, serve-stack
@@ -125,6 +135,13 @@ echo "== hybrid lane: mixed-path oracles + fast-publication protocol + crossover
 go test -race -run 'TestHybrid|PublishFast|LineTable' -count=1 \
     ./internal/hybrid/... ./internal/rococotm/... ./internal/mem/...
 go run ./cmd/rococobench -exp hybrid -dur 40ms >/dev/null
+
+echo "== oracle lane: lost-update oracles x GOMAXPROCS {1,2} x -count=10"
+for procs in 1 2; do
+    GOMAXPROCS=$procs go test -count=10 \
+        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestOrderedWritebackBaselineStillSound|TestHybridLostUpdate|TestHybridHistorySerializable' \
+        ./internal/rococotm/... ./internal/hybrid/...
+done
 
 echo "== go test -race ./internal/..."
 go test -race ./internal/...
