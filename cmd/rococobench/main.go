@@ -9,13 +9,13 @@
 // The experiment names — the authoritative list is the experiments table
 // below, which also drives the -exp usage string, the unknown-experiment
 // listing, and the "all" order — are: fig6, fig7, fig9, fig10, fig11,
-// resources, fault, soak, recover, transport, commitphase, shard, serve,
-// hybrid, ablation-window, ablation-sig, ablation-contention.
+// resources, fault, soak, recover, commitphase, shard, serve, hybrid,
+// ablation-window, ablation-sig, ablation-contention.
 //
 // Each experiment prints a paper-style text table; EXPERIMENTS.md records
 // the paper-vs-measured comparison. The profile flags capture pprof data
-// over whichever experiments run — the workflow behind the transport
-// optimization (profile, fix the hot allocation/probe, re-measure).
+// over whichever experiments run (profile, fix the hot allocation or probe,
+// re-measure).
 package main
 
 import (
@@ -130,18 +130,7 @@ var experiments = []struct {
 			}
 		}
 	}},
-	{"transport", "host-engine transport latency breakdown", func(c benchCtx) {
-		cfg := bench.TransportBenchConfig{Scale: c.scale}
-		if c.app != "" {
-			cfg.App = c.app
-		}
-		if len(c.threads) > 0 {
-			cfg.Threads = c.threads[0]
-		}
-		rep, err := bench.RunTransportBench(cfg)
-		c.emit(rep, err)
-	}},
-	{"commitphase", "commit pipeline phase timing and ordered-vs-pipelined", func(c benchCtx) {
+	{"commitphase", "commit pipeline phase timing, thread sweep and extension micro", func(c benchCtx) {
 		cfg := bench.CommitPhaseConfig{}
 		if len(c.threads) > 0 {
 			cfg.Threads = c.threads

@@ -12,12 +12,12 @@ import (
 	"rococotm/internal/tm"
 )
 
-// CommitPhaseConfig parameterizes the decoupled-commit-pipeline experiment:
-// a per-phase latency breakdown of Commit, an ordered-vs-pipelined
-// write-back A/B across a thread sweep, and the aggregate-ring extension
-// microbenchmark (O(K) per-commit folds vs O(log K) segment folds).
+// CommitPhaseConfig parameterizes the commit-pipeline experiment: a
+// per-phase latency breakdown of Commit, counter throughput across a thread
+// sweep, and the aggregate-ring extension microbenchmark (O(K) per-commit
+// folds vs O(log K) segment folds).
 type CommitPhaseConfig struct {
-	// Threads is the thread sweep for the A/B; default {1, 2, 4, 8, 16}.
+	// Threads is the thread sweep; default {1, 2, 4, 8, 16}.
 	Threads []int
 	// Duration is the wall-clock length of each counter run; default 200ms.
 	Duration time.Duration
@@ -54,12 +54,11 @@ func (c *CommitPhaseConfig) fill() {
 	}
 }
 
-// CommitPhaseRow is one cell of the ordered-vs-pipelined sweep.
+// CommitPhaseRow is one cell of the thread sweep.
 type CommitPhaseRow struct {
 	Threads      int
-	OrderedK     float64 // ktxn/s, ordered write-back (pre-pipeline protocol)
-	PipelinedK   float64 // ktxn/s, decoupled pipeline
-	PipelinePeak uint64  // high-water concurrent write-backs (pipelined arm)
+	KTxn         float64 // ktxn/s
+	PipelinePeak uint64  // high-water concurrent write-backs
 }
 
 // PhaseBreakdown is the mean per-commit cost of each pipeline phase.
@@ -92,20 +91,11 @@ func RunCommitPhase(cfg CommitPhaseConfig) (*CommitPhaseReport, error) {
 		return nil, err
 	}
 	for _, th := range cfg.Threads {
-		row := CommitPhaseRow{Threads: th}
-		for _, ordered := range []bool{true, false} {
-			k, peak, err := runPipelineCounter(cfg, th, ordered)
-			if err != nil {
-				return nil, err
-			}
-			if ordered {
-				row.OrderedK = k
-			} else {
-				row.PipelinedK = k
-				row.PipelinePeak = peak
-			}
+		k, peak, err := runPipelineCounter(cfg, th)
+		if err != nil {
+			return nil, err
 		}
-		rep.Sweep = append(rep.Sweep, row)
+		rep.Sweep = append(rep.Sweep, CommitPhaseRow{Threads: th, KTxn: k, PipelinePeak: peak})
 	}
 	for _, lag := range cfg.Lags {
 		cell := ExtensionCell{Lag: lag}
@@ -152,16 +142,11 @@ func runPhaseBreakdown(cfg CommitPhaseConfig, rep *CommitPhaseReport) error {
 	return nil
 }
 
-// runPipelineCounter runs one A/B cell: the counter workload with the
-// write-back either ordered (drained before timestamp release) or
-// decoupled.
-func runPipelineCounter(cfg CommitPhaseConfig, threads int, ordered bool) (ktxn float64, peak uint64, err error) {
+// runPipelineCounter runs one sweep cell of the counter workload.
+func runPipelineCounter(cfg CommitPhaseConfig, threads int) (ktxn float64, peak uint64, err error) {
 	h := mem.NewHeap(1 << 12)
 	base := h.MustAlloc(cfg.Addresses)
-	m := rococotm.New(h, rococotm.Config{
-		MaxThreads:       threads + 1,
-		OrderedWriteback: ordered,
-	})
+	m := rococotm.New(h, rococotm.Config{MaxThreads: threads + 1})
 	defer m.Close()
 	commits, st, err := counterRun(m, base, threads, cfg.Addresses, cfg.Duration)
 	if err != nil {
@@ -286,14 +271,10 @@ func (r *CommitPhaseReport) String() string {
 	fmt.Fprintf(&sb, "Commit pipeline: phase breakdown at %d threads (%d commits, mean ns/commit)\n", p.Threads, p.Commits)
 	fmt.Fprintf(&sb, "%-12s %10s %10s %10s %10s %10s\n", "", "extend", "validate", "await", "publish", "writeback")
 	fmt.Fprintf(&sb, "%-12s %10.0f %10.0f %10.0f %10.0f %10.0f\n", "ns/commit", p.ExtendNs, p.ValidateNs, p.AwaitNs, p.PublishNs, p.WritebackNs)
-	fmt.Fprintf(&sb, "\nOrdered vs pipelined write-back (counter RMW, %v per cell)\n", r.Duration)
-	fmt.Fprintf(&sb, "%8s %12s %13s %9s %9s\n", "threads", "ordered k/s", "pipelined k/s", "speedup", "wb peak")
+	fmt.Fprintf(&sb, "\nCounter RMW throughput by goroutine count (%v per cell)\n", r.Duration)
+	fmt.Fprintf(&sb, "%8s %10s %9s\n", "threads", "k/s", "wb peak")
 	for _, row := range r.Sweep {
-		speed := 0.0
-		if row.OrderedK > 0 {
-			speed = row.PipelinedK / row.OrderedK
-		}
-		fmt.Fprintf(&sb, "%8d %12.1f %13.1f %8.2fx %9d\n", row.Threads, row.OrderedK, row.PipelinedK, speed, row.PipelinePeak)
+		fmt.Fprintf(&sb, "%8d %10.1f %9d\n", row.Threads, row.KTxn, row.PipelinePeak)
 	}
 	fmt.Fprintf(&sb, "\nSnapshot-extension micro: fold a K-commit backlog (ns per extension)\n")
 	fmt.Fprintf(&sb, "%8s %14s %14s %9s\n", "K", "per-commit", "aggregate", "speedup")

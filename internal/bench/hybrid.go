@@ -199,55 +199,3 @@ func (r *HybridBenchReport) String() string {
 	sb.WriteString("(ratio > 1: the fast path wins; the router's job is keeping the contended cells near 1)\n")
 	return sb.String()
 }
-
-// measureHybridFastCommitNs times the uncontended single-thread fast-path
-// RMW — the latency the hybrid runtime exists to buy.
-func measureHybridFastCommitNs() (float64, error) {
-	const iters = 1 << 16
-	heap := mem.NewHeap(1 << 10)
-	base := heap.MustAlloc(8)
-	h := hybrid.New(heap, hybrid.Config{Slow: rococotm.Config{MaxThreads: 2}})
-	defer h.Close()
-	body := func(x tm.Txn) error {
-		v, err := x.Read(base)
-		if err != nil {
-			return err
-		}
-		return x.Write(base, v+1)
-	}
-	for i := 0; i < 500; i++ { // warmup: route the site, park the descriptor
-		if err := tm.Run(h, 0, body); err != nil {
-			return 0, err
-		}
-	}
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		if err := tm.Run(h, 0, body); err != nil {
-			return 0, err
-		}
-	}
-	elapsed := time.Since(start)
-	if st := h.Stats(); st.FastCommits < iters {
-		return 0, fmt.Errorf("bench: fast-commit micro left the fast path (%d fast of %d commits)",
-			st.FastCommits, st.Commits)
-	}
-	return float64(elapsed.Nanoseconds()) / iters, nil
-}
-
-// bestHybridCounterK is the regression-gate throughput metric: best-of-3
-// uncontended 4-thread hybrid counter runs.
-func bestHybridCounterK() (float64, error) {
-	cfg := HybridBenchConfig{Duration: 150 * time.Millisecond}
-	cfg.fill()
-	var b float64
-	for i := 0; i < 3; i++ {
-		k, _, err := runHybridCell(cfg, 1, 0, true)
-		if err != nil {
-			return 0, err
-		}
-		if k > b {
-			b = k
-		}
-	}
-	return b, nil
-}

@@ -497,43 +497,3 @@ func (r *ServeReport) String() string {
 	}
 	return sb.String()
 }
-
-// measureServeP99Us is the regression-gate probe: the p99 sojourn of a
-// light closed-loop load through the serve front end, in microseconds.
-// Light load keeps the number a measure of the serving stack's overhead
-// (admission, queue hand-off, histogram) rather than of queueing delay.
-func measureServeP99Us() (float64, error) {
-	best := 0.0
-	for run := 0; run < 3; run++ {
-		heap := mem.NewHeap(1 << 12)
-		m := rococotm.New(heap, rococotm.Config{MaxThreads: 6})
-		bank, err := tmds.NewSmallBank(heap, 64, 10_000)
-		if err != nil {
-			m.Close()
-			return 0, err
-		}
-		s := serve.New(m, serve.Config{Workers: 4, DefaultBudget: time.Second})
-		var wg sync.WaitGroup
-		for d := 0; d < 2; d++ {
-			wg.Add(1)
-			go func(d int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(d) + 5))
-				for i := 0; i < 400; i++ {
-					s.Do(smallbankRequest(bank, 64, rng, serve.High))
-				}
-			}(d)
-		}
-		wg.Wait()
-		s.Close()
-		p99 := float64(s.Latency().P99()) / 1e3
-		m.Close()
-		if err := s.Stats().CheckAccounting(); err != nil {
-			return 0, err
-		}
-		if best == 0 || p99 < best {
-			best = p99
-		}
-	}
-	return best, nil
-}

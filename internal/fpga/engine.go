@@ -47,10 +47,9 @@
 //     drains them in groups under one pipeline acquisition and publishes
 //     the verdicts in bulk. This is the configuration that has a link to
 //     stall, drop and crash: the fault-tolerant host (deadline-bounded
-//     TrySubmit, rococotm.Link wrappers, internal/fault), the cycle-level
-//     RTL backend (rtl.go, where Validate is submit-and-wait as well) and
-//     TransportChannel — the legacy per-request Go channel path kept as the
-//     measurable baseline of the `-exp transport` A/B — all use it.
+//     TrySubmit, rococotm.Link wrappers, internal/fault) and the
+//     cycle-level RTL backend (rtl.go, where Validate is submit-and-wait as
+//     well) use it.
 //
 // Both feed the same window under the same lock, so a stream may mix them;
 // the modelled clock (Verdict.ModelNanos plus Model.RoundTripNanos) is
@@ -103,28 +102,6 @@ var (
 	ErrFull = errors.New("fpga: pull queue full")
 )
 
-// Transport selects the host↔engine queue implementation.
-type Transport int
-
-const (
-	// TransportRing is the allocation-free path: an atomic MPMC submission
-	// ring drained in groups — by the committers themselves under Validate,
-	// by the loop goroutine under Submit/TrySubmit — with verdicts published
-	// to per-committer VerdictSlots. The default.
-	TransportRing Transport = iota
-	// TransportChannel is the legacy path: a Go channel pull queue and one
-	// buffered Reply channel per request.
-	TransportChannel
-)
-
-// String implements fmt.Stringer.
-func (t Transport) String() string {
-	if t == TransportChannel {
-		return "channel"
-	}
-	return "ring"
-}
-
 // MaxW is the largest supported sliding-window capacity. Windows up to 64
 // run on the word-packed fast path (one machine word per matrix row, the
 // hardware deployment); larger windows — the W=128/256 ablation — run on
@@ -149,9 +126,6 @@ type Config struct {
 	// explicitly: a pull queue shallower than the window cannot keep a
 	// full window of validations outstanding.
 	QueueDepth int
-	// Transport selects the submission/verdict path; the zero value is
-	// TransportRing.
-	Transport Transport
 	// CycleLevel selects the cycle-accurate RTL pipeline (rtl.go) as the
 	// engine backend instead of the serial behavioral validator. Verdicts
 	// are identical (rtl_test.go proves equivalence); the RTL backend
@@ -191,9 +165,6 @@ func (c Config) Validate() error {
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("fpga: QueueDepth %d is negative", c.QueueDepth)
 	}
-	if c.Transport != TransportRing && c.Transport != TransportChannel {
-		return fmt.Errorf("fpga: unknown transport %d", c.Transport)
-	}
 	w := c.W
 	if w == 0 {
 		w = core.DefaultW
@@ -231,8 +202,9 @@ type Request struct {
 	// allocation-free push-queue path.
 	Slot *VerdictSlot
 	Gen  uint64
-	// Reply receives exactly one verdict when Slot is nil. Must have
-	// capacity ≥ 1.
+	// Reply receives exactly one verdict when Slot is nil — how a layer
+	// between host and pipeline (internal/fault, the RTL backend) interposes
+	// on a verdict. Must have capacity ≥ 1.
 	Reply chan Verdict
 }
 
@@ -295,25 +267,22 @@ type Stats struct {
 	// Restarts counts crash/recover cycles (Engine only; a Restart resets
 	// the window but keeps cumulative counters).
 	Restarts uint64
-	// Batches counts drain groups on the ring transport (one per combiner
-	// lock acquisition or loop pass that validated anything); Requests+Probes
-	// over Batches is the mean batch occupancy. MaxBatch is the largest
-	// single group. Zero on the channel transport.
+	// Batches counts drain groups (one per combiner lock acquisition or loop
+	// pass that validated anything); Requests+Probes over Batches is the mean
+	// batch occupancy. MaxBatch is the largest single group.
 	Batches  uint64
 	MaxBatch uint64
 	// QueuePeak is the high-water submission-queue occupancy observed at
 	// drain time (batch taken plus what was still queued behind it) — the
-	// host-side view of pipeline pressure. Zero on the channel transport.
+	// host-side view of pipeline pressure.
 	QueuePeak uint64
 }
 
-// port is one incarnation of the engine's queue pair. Exactly one of ring
-// and pull is non-nil, per Config.Transport. Crash closes done and drains
-// the queue; Restart installs a fresh port, so verdict waiters from a
+// port is one incarnation of the engine's queue pair. Crash closes done and
+// drains the queue; Restart installs a fresh port, so verdict waiters from a
 // previous incarnation are never confused with the new one.
 type port struct {
-	ring *ring        // TransportRing
-	pull chan Request // TransportChannel
+	ring *ring
 
 	done   chan struct{}
 	exited chan struct{} // closed when the loop goroutine has returned
@@ -332,18 +301,13 @@ type port struct {
 	wakeup   chan struct{}
 }
 
-func newPort(depth int, tr Transport) *port {
-	p := &port{
+func newPort(depth int) *port {
+	return &port{
+		ring:   newRing(depth),
 		done:   make(chan struct{}),
 		exited: make(chan struct{}),
 		wakeup: make(chan struct{}, 1),
 	}
-	if tr == TransportChannel {
-		p.pull = make(chan Request, depth)
-	} else {
-		p.ring = newRing(depth)
-	}
-	return p
 }
 
 // stopped reports whether the port's incarnation has been crashed or closed.
@@ -356,19 +320,6 @@ func (p *port) stopped() bool {
 	}
 }
 
-// tryRecv takes one request without blocking.
-func (p *port) tryRecv() (Request, bool) {
-	if p.ring != nil {
-		return p.ring.tryPop()
-	}
-	select {
-	case r := <-p.pull:
-		return r, true
-	default:
-		return Request{}, false
-	}
-}
-
 // recvSpin is how many empty scans the ring consumer burns (yielding each
 // time) before parking.
 const recvSpin = 128
@@ -376,14 +327,6 @@ const recvSpin = 128
 // recvBlock takes one request, blocking until one arrives or the port
 // stops (ok=false).
 func (p *port) recvBlock() (Request, bool) {
-	if p.pull != nil {
-		select {
-		case <-p.done:
-			return Request{}, false
-		case r := <-p.pull:
-			return r, true
-		}
-	}
 	for spin := 0; ; spin++ {
 		if r, ok := p.ring.tryPop(); ok {
 			return r, true
@@ -420,7 +363,7 @@ func (p *port) recvBlock() (Request, bool) {
 
 // wake unparks the ring consumer if it is (or is about to be) sleeping.
 func (p *port) wake() {
-	if p.ring != nil && p.sleeping.Load() != 0 {
+	if p.sleeping.Load() != 0 {
 		select {
 		case p.wakeup <- struct{}{}:
 		default:
@@ -456,7 +399,7 @@ func Start(cfg Config) (*Engine, error) {
 		hasher: pl.Hasher(),
 		pl:     pl,
 	}
-	e.port.Store(newPort(e.cfg.QueueDepth, e.cfg.Transport))
+	e.port.Store(newPort(e.cfg.QueueDepth))
 	return e, nil
 }
 
@@ -481,26 +424,14 @@ func (e *Engine) Submit(r Request) error {
 // goroutine exists, enqueues, and wakes the loop if it parked.
 func (e *Engine) submitOn(p *port, r Request) error {
 	p.start.Do(func() { go e.loop(p) })
-	if p.ring != nil {
-		if err := e.enqueue(p, r); err != nil {
-			return err
-		}
-		p.wake()
-		return nil
+	if err := e.enqueue(p, r); err != nil {
+		return err
 	}
-	if p.stopped() {
-		return ErrClosed
-	}
-	select {
-	case <-p.done:
-		return ErrClosed
-	case p.pull <- r:
-		e.recheck(p)
-		return nil
-	}
+	p.wake()
+	return nil
 }
 
-// enqueue pushes r onto a ring port, yielding while the ring is full. Some
+// enqueue pushes r onto the port's ring, yielding while the ring is full. Some
 // consumer always exists for a non-empty ring — the loop goroutine for
 // Submit's requests, the pushing committers themselves for Validate's — so
 // the wait is bounded.
@@ -530,21 +461,12 @@ func (e *Engine) TrySubmit(r Request) error {
 		return ErrClosed
 	}
 	p.start.Do(func() { go e.loop(p) })
-	if p.ring != nil {
-		if !p.ring.tryPush(r) {
-			return ErrFull
-		}
-		e.recheck(p)
-		p.wake()
-		return nil
-	}
-	select {
-	case p.pull <- r:
-		e.recheck(p)
-		return nil
-	default:
+	if !p.ring.tryPush(r) {
 		return ErrFull
 	}
+	e.recheck(p)
+	p.wake()
+	return nil
 }
 
 // recheck covers the submit/stop race: if the port stopped while (or right
@@ -562,7 +484,7 @@ func (e *Engine) recheck(p *port) {
 // request with a terminal closed verdict.
 func sweep(p *port) {
 	for {
-		r, ok := p.tryRecv()
+		r, ok := p.ring.tryPop()
 		if !ok {
 			return
 		}
@@ -575,20 +497,16 @@ func sweep(p *port) {
 // then competes for the pipeline lock; whoever holds the lock validates
 // everything queued and posts each verdict to its owner's slot, so no
 // goroutine switch sits between a committer and its verdict and the loop
-// goroutine is neither started nor woken. The cycle-level backend and the
-// channel transport have no serial pipeline to run in the caller, so there
-// Validate is submit-and-wait over the modelled link.
+// goroutine is neither started nor woken. The cycle-level backend has no
+// serial pipeline to run in the caller, so there Validate is submit-and-wait
+// over the modelled link.
 //
 // A request without a slot borrows a pooled one (a Reply channel is not
-// needed and is ignored unless the transport is the channel one), so the
-// call is allocation-free in steady state. If the engine stops before
+// needed and is ignored), so the call is allocation-free in steady state. If the engine stops before
 // answering, the request's terminal ReasonClosed verdict is returned;
 // ErrClosed is returned only when the request was never accepted.
 func (e *Engine) Validate(r Request) (Verdict, error) {
 	p := e.port.Load()
-	if r.Slot == nil && r.Reply != nil && p.ring == nil {
-		return e.validateReply(p, r)
-	}
 	var pooled *VerdictSlot
 	if r.Slot == nil {
 		pooled = slotPool.Get().(*VerdictSlot)
@@ -596,7 +514,7 @@ func (e *Engine) Validate(r Request) (Verdict, error) {
 	}
 	var v Verdict
 	var err error
-	if p.ring == nil || e.cfg.CycleLevel {
+	if e.cfg.CycleLevel {
 		if err = e.submitOn(p, r); err == nil {
 			v = r.Slot.Wait(r.Gen)
 		}
@@ -607,29 +525,6 @@ func (e *Engine) Validate(r Request) (Verdict, error) {
 		slotPool.Put(pooled)
 	}
 	return v, err
-}
-
-// validateReply is Validate for a Reply-channel request on the channel
-// transport.
-func (e *Engine) validateReply(p *port, r Request) (Verdict, error) {
-	if err := r.checkSink(); err != nil {
-		return Verdict{}, err
-	}
-	if err := e.submitOn(p, r); err != nil {
-		return Verdict{}, err
-	}
-	select {
-	case v := <-r.Reply:
-		return v, nil
-	case <-p.done:
-		// Prefer a verdict that raced with the shutdown.
-		select {
-		case v := <-r.Reply:
-			return v, nil
-		default:
-			return Verdict{}, ErrClosed
-		}
-	}
 }
 
 // combine waits for generation gen's verdict on s, running the pipeline
@@ -690,7 +585,7 @@ func (e *Engine) unlock() {
 		return // the RTL loop is the ring's only consumer
 	}
 	p := e.port.Load()
-	for p.ring != nil && p.ring.size() > 0 && e.mu.TryLock() {
+	for p.ring.size() > 0 && e.mu.TryLock() {
 		e.drain(p)
 		e.mu.Unlock()
 	}
@@ -789,7 +684,7 @@ func (e *Engine) Restart(next uint64) error {
 	e.restarts++
 	e.mu.Unlock()
 
-	e.port.Store(newPort(e.cfg.QueueDepth, e.cfg.Transport))
+	e.port.Store(newPort(e.cfg.QueueDepth))
 	return nil
 }
 
@@ -826,19 +721,7 @@ func (e *Engine) loop(p *port) {
 		e.loopRTL(p)
 		return
 	}
-	if p.ring != nil {
-		e.loopRing(p)
-		return
-	}
-	for {
-		r, ok := p.recvBlock()
-		if !ok {
-			sweep(p)
-			return
-		}
-		v := e.Process(r)
-		r.Deliver(v)
-	}
+	e.loopRing(p)
 }
 
 // loopRing is the link's batched drain loop: grab everything queued, validate
@@ -950,7 +833,7 @@ func (e *Engine) loopRTL(p *port) {
 		// Absorb any further queued requests without blocking, then
 		// advance the pipeline one cycle.
 		for {
-			r, ok := p.tryRecv()
+			r, ok := p.ring.tryPop()
 			if !ok {
 				break
 			}

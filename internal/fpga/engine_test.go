@@ -252,13 +252,12 @@ func TestResourceModelMatchesPaperDesignPoint(t *testing.T) {
 	}
 }
 
-// benchValidate measures the host round trip through a started engine.
-// The same 8-read/4-write footprint every iteration is the conflict-heavy
-// worst case: the committed window fills with identical write sets, so
-// every validation WAW-overlaps all W history entries.
-func benchValidate(b *testing.B, tr Transport) {
-	b.Helper()
-	e, err := Start(Config{Transport: tr})
+// BenchmarkEngineValidate measures the host round trip through a started
+// engine. The same 8-read/4-write footprint every iteration is the
+// conflict-heavy worst case: the committed window fills with identical write
+// sets, so every validation WAW-overlaps all W history entries.
+func BenchmarkEngineValidate(b *testing.B) {
+	e, err := Start(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -272,15 +271,11 @@ func benchValidate(b *testing.B, tr Transport) {
 	}
 }
 
-func BenchmarkEngineValidate(b *testing.B)        { benchValidate(b, TransportRing) }
-func BenchmarkEngineValidateChannel(b *testing.B) { benchValidate(b, TransportChannel) }
-
-// benchValidateDisjoint is the low-conflict shape real workloads mostly
-// hit: every transaction touches fresh addresses, so the detector scan
+// BenchmarkEngineValidateDisjoint is the low-conflict shape real workloads
+// mostly hit: every transaction touches fresh addresses, so the detector scan
 // short-circuits on signature intersection for nearly every entry.
-func benchValidateDisjoint(b *testing.B, tr Transport) {
-	b.Helper()
-	e, err := Start(Config{Transport: tr})
+func BenchmarkEngineValidateDisjoint(b *testing.B) {
+	e, err := Start(Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -299,11 +294,6 @@ func benchValidateDisjoint(b *testing.B, tr Transport) {
 		}
 		_, _ = e.Validate(req(uint64(i), reads[:], writes[:]))
 	}
-}
-
-func BenchmarkEngineValidateDisjoint(b *testing.B) { benchValidateDisjoint(b, TransportRing) }
-func BenchmarkEngineValidateDisjointChannel(b *testing.B) {
-	benchValidateDisjoint(b, TransportChannel)
 }
 
 func TestCycleLevelBackendMatchesBehavioral(t *testing.T) {

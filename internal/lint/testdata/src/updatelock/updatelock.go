@@ -162,3 +162,33 @@ func otherAtomicsAreNotLocks(u *slot, fail bool) error {
 	}
 	return nil
 }
+
+// armHelper arms an entry and returns holding it: an acquiring helper (the
+// publication stage's arm). Falling off its end is not a leak — its callers
+// own the release.
+func armHelper(r *runtimeT, th int) {
+	r.updates[th].seq.Store(7)
+	r.updates[th].active.Store(1)
+}
+
+// leakViaArmHelper: calling the helper is an acquire, so the error-path
+// return leaks exactly as after a literal Store(1).
+func leakViaArmHelper(r *runtimeT, th int, fail bool) error {
+	armHelper(r, th)
+	if fail {
+		return errBad // want `\[updatelock\] return while the update-set entry`
+	}
+	r.updates[th].active.Store(0)
+	return nil
+}
+
+// armHelperReleased is correct: every path after the helper call releases,
+// one of them through a releasing helper.
+func armHelperReleased(r *runtimeT, th int, fail bool) error {
+	armHelper(r, th)
+	if fail {
+		return releaseHelper(r, th)
+	}
+	r.updates[th].active.Store(0)
+	return nil
+}

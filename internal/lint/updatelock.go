@@ -6,12 +6,14 @@ import (
 )
 
 // runUpdateLock enforces the commit-time locking discipline of the
-// decoupled commit pipeline (internal/rococotm): `u.active.Store(1)`
-// publishes a per-thread update-set entry that doubles as the commit-time
-// lock on the transaction's write set, and every path out of the function
-// must release it — directly (`u.active.Store(0)`), via a defer of that
-// store, or by calling a function that transitively performs the release
-// (awaitTurn's error path hands the entry to abandonCommit, for example).
+// commit pipeline (internal/rococotm): `u.active.Store(1)` publishes a
+// per-thread update-set entry that doubles as the commit-time lock on the
+// transaction's write set — directly, or by calling a helper that arms an
+// entry and returns holding it (the publication stage's arm) — and every
+// path out of the function must release it: directly (`u.active.Store(0)`),
+// via a defer of that store, or by calling a function that transitively
+// performs the release (the stage's await retracts the entry when it
+// abandons a sequence, for example).
 // A `return` reached while the entry is still held leaves the write set
 // locked forever: readers of any overlapping address spin until their
 // spin limit and abort, and the thread's slot is poisoned.
@@ -44,7 +46,7 @@ func runUpdateLock(p *Package) []Finding {
 	// closed under "calls a releasing function".
 	releasing := map[*types.Func]bool{}
 	for fn, fd := range decls {
-		if containsDirectActiveRelease(fd.Body) {
+		if containsActiveStore(fd.Body, "0") {
 			releasing[fn] = true
 		}
 	}
@@ -73,6 +75,17 @@ func runUpdateLock(p *Package) []Finding {
 		}
 	}
 
+	// Acquiring set: helpers that store 1 and never release, so they return
+	// holding the entry; a call to one is an acquire in the caller. Not
+	// closed transitively — a caller that returns while armed is a finding,
+	// not a second helper.
+	acquiring := map[*types.Func]bool{}
+	for fn, fd := range decls {
+		if !releasing[fn] && containsActiveStore(fd.Body, "1") {
+			acquiring[fn] = true
+		}
+	}
+
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -80,7 +93,7 @@ func runUpdateLock(p *Package) []Finding {
 			if body == nil {
 				return true
 			}
-			s := &updateLock{p: p, releasing: releasing}
+			s := &updateLock{p: p, releasing: releasing, acquiring: acquiring}
 			s.scan(body.List)
 			out = append(out, s.findings...)
 			return true // nested literals are scanned as their own functions
@@ -92,6 +105,7 @@ func runUpdateLock(p *Package) []Finding {
 type updateLock struct {
 	p         *Package
 	releasing map[*types.Func]bool
+	acquiring map[*types.Func]bool
 	findings  []Finding
 
 	// Acquire site being tracked: root object and dotted path of the
@@ -118,16 +132,16 @@ func activeStore(call *ast.CallExpr) (recv ast.Expr, val string, ok bool) {
 	return inner.X, lit.Value, true
 }
 
-// containsDirectActiveRelease reports whether the body stores 0 to any
-// update-set entry's active flag.
-func containsDirectActiveRelease(body *ast.BlockStmt) bool {
+// containsActiveStore reports whether the body stores val ("0" or "1") to
+// any update-set entry's active flag.
+func containsActiveStore(body *ast.BlockStmt, val string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if found {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			if _, val, ok := activeStore(call); ok && val == "0" {
+			if _, v, ok := activeStore(call); ok && v == val {
 				found = true
 			}
 		}
@@ -200,8 +214,9 @@ func (s *updateLock) scan(stmts []ast.Stmt) {
 	}
 }
 
-// acquireIn reports an `.active.Store(1)` directly inside st (not in a
-// nested function literal).
+// acquireIn reports an `.active.Store(1)`, or a call to an acquiring helper
+// (recv nil: the entry is the helper's business), directly inside st (not in
+// a nested function literal).
 func (s *updateLock) acquireIn(st ast.Stmt) (recv ast.Expr, ok bool) {
 	ast.Inspect(st, func(n ast.Node) bool {
 		if ok {
@@ -213,6 +228,8 @@ func (s *updateLock) acquireIn(st ast.Stmt) (recv ast.Expr, ok bool) {
 		if call, isCall := n.(*ast.CallExpr); isCall {
 			if r, val, match := activeStore(call); match && val == "1" {
 				recv, ok = r, true
+			} else if callee := calleeFunc(s.p.Info, call); callee != nil && s.acquiring[callee] {
+				ok = true
 			}
 		}
 		return true

@@ -7,7 +7,6 @@ import (
 
 	"rococotm/internal/core"
 	"rococotm/internal/fpga"
-	"rococotm/internal/tm"
 )
 
 // This file is the graceful-degradation half of the runtime: everything
@@ -23,7 +22,7 @@ import (
 //
 //   - healthy: write transactions validate on the engine, bounded by
 //     Config.ValidateDeadline at every blocking point (queue admission,
-//     verdict wait, commit-order turn).
+//     verdict wait, and the commit-order turn — pipeline.go await).
 //   - draining: a miss or error tripped degradation. The engine is
 //     crashed (so every outstanding request gets a terminal verdict
 //     instead of a maybe-someday one), and the runtime waits until no
@@ -132,18 +131,11 @@ func (r *TM) FaultStats() FaultStats {
 	return st
 }
 
-// armSink attaches the thread's verdict sink to req: the per-thread
-// verdict slot on the batched transport (allocation-free), or a fresh
-// buffered Reply channel on the legacy channel transport.
+// armSink attaches the thread's verdict slot to req (allocation-free).
 func (r *TM) armSink(x *txn, req *fpga.Request) *fpga.VerdictSlot {
-	if r.useSlots {
-		s := &r.slots[x.thread]
-		req.Slot = s
-		req.Gen = s.Prepare()
-		return s
-	}
-	req.Reply = make(chan fpga.Verdict, 1)
-	return nil
+	s := &r.slots[x.thread]
+	req.Slot, req.Gen = s, s.Prepare()
+	return s
 }
 
 // validate obtains a verdict for req, routing by health state. viaEngine
@@ -221,29 +213,14 @@ func (r *TM) engineValidate(x *txn, req fpga.Request) (fpga.Verdict, bool) {
 	// Verdict wait, bounded by the remainder of the deadline. A timeout
 	// after admission orphans the descriptor: the engine (or the fault
 	// layer) may still hold the request, so its footprint slices must not
-	// be reused until the slot generation (or reply channel) retires it.
-	var v fpga.Verdict
-	if slot != nil {
-		var ok bool
-		if v, ok = slot.WaitUntil(req.Gen, deadline); !ok {
-			x.orphaned = true
-			r.fc.deadlineMisses.Add(1)
-			r.engineInflight.Add(-1)
-			r.maybeDegrade()
-			return fpga.Verdict{}, false
-		}
-	} else {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		select {
-		case v = <-req.Reply:
-		case <-timer.C:
-			x.orphaned = true
-			r.fc.deadlineMisses.Add(1)
-			r.engineInflight.Add(-1)
-			r.maybeDegrade()
-			return fpga.Verdict{}, false
-		}
+	// be reused until the slot generation retires it.
+	v, ok := slot.WaitUntil(req.Gen, deadline)
+	if !ok {
+		x.orphaned = true
+		r.fc.deadlineMisses.Add(1)
+		r.engineInflight.Add(-1)
+		r.maybeDegrade()
+		return fpga.Verdict{}, false
 	}
 	if v.Reason == fpga.ReasonClosed {
 		r.fc.engineErrors.Add(1)
@@ -352,15 +329,9 @@ func (r *TM) recoverLoop() {
 // all answered OK within the deadline.
 func (r *TM) probeHealthy() bool {
 	for i := 0; i < r.cfg.ProbeCount; i++ {
-		preq := fpga.Request{Probe: true}
-		if r.useSlots {
-			// The prober is a single goroutine, so one dedicated slot
-			// serves every probe allocation-free.
-			preq.Slot = &r.probeSlot
-			preq.Gen = r.probeSlot.Prepare()
-		} else {
-			preq.Reply = make(chan fpga.Verdict, 1)
-		}
+		// The prober is a single goroutine, so one dedicated slot serves
+		// every probe allocation-free.
+		preq := fpga.Request{Probe: true, Slot: &r.probeSlot, Gen: r.probeSlot.Prepare()}
 		deadline := time.Now().Add(r.cfg.ValidateDeadline)
 		for {
 			err := r.link.TrySubmit(preq)
@@ -372,21 +343,7 @@ func (r *TM) probeHealthy() bool {
 			}
 			runtime.Gosched()
 		}
-		if r.useSlots {
-			v, ok := r.probeSlot.WaitUntil(preq.Gen, deadline)
-			if !ok || !v.OK {
-				return false
-			}
-			continue
-		}
-		timer := time.NewTimer(time.Until(deadline))
-		select {
-		case v := <-preq.Reply:
-			timer.Stop()
-			if !v.OK {
-				return false
-			}
-		case <-timer.C:
+		if v, ok := r.probeSlot.WaitUntil(preq.Gen, deadline); !ok || !v.OK {
 			return false
 		}
 	}
@@ -418,45 +375,4 @@ func (r *TM) promote() bool {
 	r.fc.fallbackExits.Add(1)
 	r.state.Store(stateHealthy)
 	return true
-}
-
-// awaitTurn waits for the transaction's turn in the global commit order.
-// In fault-tolerant mode an engine-validated commit bounds the wait: a
-// hole below us (a verdict the link lost) would otherwise park every later
-// committer forever, so on a state change or a deadline the commit
-// abandons its sequence and retries through the degradation machinery.
-func (r *TM) awaitTurn(x *txn, seq uint64, viaEngine bool) error {
-	if !r.ftEnabled || !viaEngine {
-		for r.globalTS.Load() != seq {
-			runtime.Gosched()
-		}
-		return nil
-	}
-	deadline := time.Now().Add(r.cfg.ValidateDeadline)
-	for i := 0; r.globalTS.Load() != seq; i++ {
-		if r.state.Load() != stateHealthy {
-			return r.abandonCommit(x, false)
-		}
-		if i&63 == 63 && time.Now().After(deadline) {
-			// The commit order stopped advancing below our sequence: a
-			// verdict was lost in flight. Only degradation clears it.
-			r.fc.deadlineMisses.Add(1)
-			return r.abandonCommit(x, true)
-		}
-		runtime.Gosched()
-	}
-	return nil
-}
-
-// abandonCommit gives up an engine-issued sequence before publication:
-// retract the update-set entry, release the inflight reference, optionally
-// trip degradation, and abort so the retry loop re-executes.
-func (r *TM) abandonCommit(x *txn, triggerDegrade bool) error {
-	r.updates[x.thread].active.Store(0)
-	r.engineInflight.Add(-1)
-	r.fc.abandoned.Add(1)
-	if triggerDegrade {
-		r.degrade()
-	}
-	return x.abort(tm.ReasonEngine)
 }

@@ -14,20 +14,15 @@ import (
 // transaction is drained, at its ordered publication point, into a
 // group-commit write-ahead log and a multi-version store.
 //
-// The hook sits in the ordered arm of Commit, immediately after the
-// CommitObserver call: GlobalTS still reads seq there, so exactly one
-// committer executes it at a time and sequences arrive contiguously in
-// publication order. That makes the WAL publication-ordered by
-// construction — recovery is a single forward replay, no sorting, no
-// holes (degradation reissues abandoned sequences before they ever reach
-// publication, so the stream the hook sees has no gaps). The multi-version
-// store is fed in the same breath, before the commit's own write-back
-// touches the heap, which is what makes its base-value capture sound (see
-// the mvstore package comment).
-//
-// Configuring durability disables the fastTurn commit chain for the same
-// reason an Observer does: the hook must see commits strictly one at a
-// time at their serialization point.
+// The hook is a sink of the publication stage (pipeline.go publish), right
+// after the CommitObserver call: the stage runs one commit at a time, in
+// sequence order, before GlobalTS passes it. That makes the WAL
+// publication-ordered by construction — recovery is a single forward replay,
+// no sorting, no holes (degradation reissues abandoned sequences before they
+// ever reach publication, so the stream the hook sees has no gaps). The
+// multi-version store is fed in the same breath, before the commit's own
+// write-back touches the heap, which is what makes its base-value capture
+// sound (see the mvstore package comment).
 
 // Durable binds a runtime to its durability backends. Build one by hand
 // over empty backends, or with RecoverDurable to resume from an existing
@@ -55,37 +50,33 @@ type Durable struct {
 var ErrNotDurable = errors.New("rococotm: commit published but durability unconfirmed")
 
 // durableState is the runtime-side binding: the shared scratch is safe
-// because the hook runs only inside the ordered publication section.
+// because the publication stage runs one commit at a time.
 type durableState struct {
 	d      *Durable
 	rec    wal.Record
-	vals   []mem.Word // parallel to txn.writeOrder, for the store
+	vals   []mem.Word // parallel to the publication's write order, for the store
 	vals64 []uint64   // same values, for the WAL record
 }
 
-// durableAppend drains one committed write-set into the log and the store.
-// Called with GlobalTS == seq (ordered publication section), before the
-// transaction's own write-back.
-func (r *TM) durableAppend(x *txn, seq uint64) {
+// durableAppend drains one publication into the log and the store — an
+// ordinary commit, one shard's half of a cross-shard commit (xid and touched
+// mask set, so recovery can tell a torn one) or an empty no-op fill.
+func (r *TM) durableAppend(seq uint64, p *publication) {
 	ds := r.dur
-	ds.vals = ds.vals[:0]
-	ds.vals64 = ds.vals64[:0]
-	for _, a := range x.writeOrder {
-		v := x.redo[a]
+	ds.vals, ds.vals64 = ds.vals[:0], ds.vals64[:0]
+	for _, a := range p.order {
+		v := p.redo[a]
 		ds.vals = append(ds.vals, v)
 		ds.vals64 = append(ds.vals64, uint64(v))
 	}
-	ds.rec.Seq = seq
-	ds.rec.ValidTS = x.validTS
-	ds.rec.Reads = x.readAddrs
-	ds.rec.WriteAddrs = x.writeAddrs
-	ds.rec.WriteVals = ds.vals64
+	ds.rec = wal.Record{Seq: seq, ValidTS: p.validTS, XID: p.xid, XShards: p.xshards,
+		Reads: p.reads, WriteAddrs: p.writes, WriteVals: ds.vals64}
 	// The log copies the record into its buffer synchronously, so the
 	// scratch slices are free for reuse when Append returns. A sticky log
 	// failure is surfaced to SyncCommit waiters via WaitDurable; the
 	// in-memory commit proceeds regardless — it is already published.
 	_ = ds.d.Log.Append(&ds.rec)
-	ds.d.Store.ApplyUpdates(seq, x.writeOrder, ds.vals)
+	ds.d.Store.ApplyUpdates(seq, p.order, ds.vals)
 }
 
 // DurableStats reports the durability backends' counters; ok is false when

@@ -3,11 +3,10 @@ package rococotm
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"time"
 
 	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
+	"rococotm/internal/sig"
 	"rococotm/internal/tm"
 )
 
@@ -30,9 +29,9 @@ import (
 //  2. installs the thread's update-set entry, the same commit-time lock
 //     slow committers use, so later write-backs order WAW against it and
 //     slow readers keep spinning on the footprint;
-//  3. waits for its exact turn (GlobalTS == seq). Group advance cannot
-//     pass it: the commit-queue slot stays unpublished until the turn is
-//     taken;
+//  3. awaits its exact turn (GlobalTS == seq). It does not pre-publish, so
+//     no predecessor's group advance can pass it: the commit-queue slot
+//     stays unpublished until the turn is taken;
 //  4. at the turn, scans for still-active earlier write-backs that may
 //     overlap its footprint (they could still be storing, with version
 //     bumps in flight) and fails conservatively on any hit — the scan
@@ -41,13 +40,13 @@ import (
 //  5. validates every recorded read-line version by equality — any slow
 //     write-back or fast commit that touched a read line since the read
 //     moved the version and fails us;
-//  6. publishes: the real write signature into the commit queue on
-//     success, the empty signature on failure (the sequence is consumed
-//     either way — the engine window already holds the footprint, which is
-//     conservative-safe), then the observer record and the GlobalTS
-//     advance. On failure the undo values are restored first, while the
-//     lines are still owned and the update-set entry still held, so the
-//     rollback is invisible to every other path.
+//  6. publishes and releases through the stage every commit uses
+//     (pipeline.go): the real write signature and footprint on success, the
+//     empty ones on failure (the sequence is consumed either way — the
+//     engine window already holds the footprint, which is
+//     conservative-safe). On failure the undo values are restored first,
+//     while the lines are still owned and the update-set entry still held,
+//     so the rollback is invisible to every other path.
 //
 // PublishFast always finalizes the heap: on a nil return the eager stores
 // are the committed values; on any error return the undo values have been
@@ -114,119 +113,89 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	// Install the update-set entry — the same commit-time lock a slow
 	// committer holds from verdict to write-back completion. From here on,
 	// later-sequence write-backs WAW-order behind us and slow readers
-	// probing our footprint keep spinning. Order matters: sequence, then
-	// words, then active (see Commit).
+	// probing our footprint keep spinning.
 	ws := r.fastSigs[f.Thread]
 	ws.Reset()
 	for _, a := range f.WriteAddrs64 {
 		ws.Insert(r.hasher, a)
 	}
-	u := &r.updates[f.Thread]
-	u.seq.Store(seq)
-	for i, w := range ws.Words() {
-		u.words[i].Store(w)
-	}
-	u.active.Store(1)
+	r.arm(f.Thread, seq, ws)
 
-	// Wait for the exact turn. An engine-issued sequence in FT mode bounds
-	// the wait exactly like awaitTurn: a hole below us needs degradation to
-	// clear, and the quiesce needs us to let go. A fallback-issued sequence
-	// must ALWAYS reach publication — promote() waits for the fallback
-	// window to drain to GlobalTS — so it spins unboundedly and publishes
-	// the empty signature even when doomed.
-	if r.ftEnabled && viaEngine {
-		deadline := time.Now().Add(r.cfg.ValidateDeadline)
-		for i := 0; r.globalTS.Load() != seq; i++ {
-			if r.state.Load() != stateHealthy {
-				return r.abandonFast(f, false)
-			}
-			if i&63 == 63 && time.Now().After(deadline) {
-				r.fc.deadlineMisses.Add(1)
-				return r.abandonFast(f, true)
-			}
-			runtime.Gosched()
-		}
-	} else {
-		for spin := 0; r.globalTS.Load() != seq; spin++ {
-			if spin > 8 {
-				runtime.Gosched()
-			}
-		}
+	// Await the exact turn. An engine-issued sequence in FT mode bounds the
+	// wait. A fallback-issued sequence must ALWAYS reach publication —
+	// promote() waits for the fallback window to drain to GlobalTS — so it
+	// waits unboundedly and publishes the empty signature even when doomed.
+	bounded := r.ftEnabled && viaEngine
+	if r.await(f.Thread, seq, nil, bounded) == turnAbandoned {
+		r.restoreFastHeap(f)
+		return tm.AbortCode(tm.CodeEngine)
 	}
 
-	// Serialization point: GlobalTS == seq until we store seq+1.
-	failed := r.fastDoomed[f.Thread].Load() != 0
+	// Serialization point: GlobalTS == seq until release. Reads validated
+	// here are consistent at this very sequence, so the snapshot the sinks
+	// record is the commit's own position.
+	p := publication{validTS: seq, ws: ws, reads: f.ReadAddrs, writes: f.WriteAddrs64}
+	failed := !r.fastValid(f, seq, ws)
+	if failed {
+		// The lines are still owned and the update-set entry still active,
+		// so no other path can observe the rollback in flight.
+		r.restoreFastHeap(f)
+		p = publication{validTS: seq, ws: r.zeroSig}
+	}
+	r.publish(seq, &p)
+	if !failed {
+		r.lt.BumpClock()
+	}
+	r.release(seq)
+	r.updates[f.Thread].active.Store(0)
+	if bounded {
+		r.engineInflight.Add(-1)
+	}
+	if failed {
+		return tm.AbortCode(tm.CodeConflict)
+	}
+	return nil
+}
 
+// fastValid is the fast committer's validation at its turn: not doomed, no
+// earlier write-back still in flight over its footprint, every read line
+// unmoved.
+func (r *TM) fastValid(f *FastFootprint, seq uint64, ws sig.Sig) bool {
+	if r.fastDoomed[f.Thread].Load() != 0 {
+		return false
+	}
 	// Drain scan: an earlier-sequence write-back still active may have
 	// stores or version bumps in flight. One that may touch our read lines
 	// could invalidate them after we check; one that may touch our write
 	// lines is (or will be) waiting out our ownership. Either way we fail
 	// conservatively instead of waiting — waiting could deadlock against a
 	// write-back that is itself doom-spinning on one of our lines.
-	if !failed {
-		rs := r.fastReadSigs[f.Thread]
-		rs.Reset()
-		for _, a := range f.ReadAddrs {
-			rs.Insert(r.hasher, a)
+	rs := r.fastReadSigs[f.Thread]
+	rs.Reset()
+	for _, a := range f.ReadAddrs {
+		rs.Insert(r.hasher, a)
+	}
+	for i := range r.updates {
+		if i == f.Thread {
+			continue
 		}
-		for i := range r.updates {
-			if i == f.Thread {
-				continue
-			}
-			u2 := &r.updates[i]
-			if u2.active.Load() != 1 || u2.seq.Load() >= seq {
-				continue
-			}
-			if r.writerMayOverlap(u2, ws) || r.writerMayOverlap(u2, rs) {
-				failed = true
-				break
-			}
+		u := &r.updates[i]
+		if u.active.Load() != 1 || u.seq.Load() >= seq {
+			continue
+		}
+		if r.writerMayOverlap(u, ws) || r.writerMayOverlap(u, rs) {
+			return false
 		}
 	}
-
 	// Read validation: every recorded line version must be exactly what
 	// the read saw. Completed write-backs bumped by 2, fast commits by 2
 	// (BeginApply+EndApply) — any movement is a conflict.
-	if !failed {
-		for i, l := range f.ReadLines {
-			if r.lt.Version(l) != f.ReadVers[i] {
-				failed = true
-				break
-			}
+	for i, l := range f.ReadLines {
+		if r.lt.Version(l) != f.ReadVers[i] {
+			return false
 		}
 	}
-
-	if failed {
-		// The lines are still owned and the update-set entry still active,
-		// so no other path can observe the rollback in flight.
-		r.restoreFastHeap(f)
-		r.publishSlot(seq, r.emptyFastSig)
-		r.publishAggregates(seq)
-		if r.cfg.Observer != nil {
-			r.cfg.Observer.ObserveCommit(seq, seq, nil, nil)
-		}
-		r.globalTS.Store(seq + 1)
-		u.active.Store(0)
-		if r.ftEnabled && viaEngine {
-			r.engineInflight.Add(-1)
-		}
-		return tm.AbortCode(tm.CodeConflict)
-	}
-
-	r.publishSlot(seq, ws)
-	r.publishAggregates(seq)
-	if r.cfg.Observer != nil {
-		// Reads were validated consistent at this very sequence, so the
-		// snapshot the observer records is the commit's own position.
-		r.cfg.Observer.ObserveCommit(seq, seq, f.ReadAddrs, f.WriteAddrs64)
-	}
-	r.lt.BumpClock()
-	r.globalTS.Store(seq + 1)
-	u.active.Store(0)
-	if r.ftEnabled && viaEngine {
-		r.engineInflight.Add(-1)
-	}
-	return nil
+	return true
 }
 
 // claimFastSeq claims the next commit sequence for a fast footprint,
@@ -277,20 +246,6 @@ func (r *TM) claimFastSeq(f *FastFootprint) (uint64, bool, error) {
 			return uint64(v.Seq), false, nil
 		}
 	}
-}
-
-// abandonFast gives up an engine-issued fast sequence before publication,
-// mirroring abandonCommit: restore the heap, retract the update-set entry,
-// release the inflight reference, optionally trip degradation.
-func (r *TM) abandonFast(f *FastFootprint, triggerDegrade bool) error {
-	r.restoreFastHeap(f)
-	r.updates[f.Thread].active.Store(0)
-	r.engineInflight.Add(-1)
-	r.fc.abandoned.Add(1)
-	if triggerDegrade {
-		r.degrade()
-	}
-	return tm.AbortCode(tm.CodeEngine)
 }
 
 // restoreFastHeap rolls the footprint's eager stores back to the undo

@@ -90,6 +90,54 @@ func TestPanicInsideEscalatedTurnReleasesGate(t *testing.T) {
 	}
 }
 
+// An irrevocable commit that dies on a hard engine error (the engine was
+// crashed under it, no fault-tolerant mode) must still release the exclusive
+// gate: every later commit takes it shared and would block forever.
+func TestIrrevocableEngineErrorReleasesGate(t *testing.T) {
+	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 4})
+	defer m.Close()
+	a := m.Heap().MustAlloc(2)
+
+	m.Escalate(0)
+	x, err := m.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Write(a, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.Engine().Crash()
+	err = m.Commit(x)
+	if _, isAbort := tm.IsAbort(err); err == nil || isAbort {
+		t.Fatalf("commit on a crashed engine returned %v, want a hard error", err)
+	}
+
+	done := make(chan error, 1)
+	go func() {
+		y, err := m.Begin(1)
+		if err == nil {
+			if err = y.Write(a+1, 2); err == nil {
+				err = m.Commit(y)
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("commit on a crashed engine succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit gate still held after a hard engine error in an irrevocable commit")
+	}
+	if m.IrrevocablePending() {
+		t.Error("irrevPending still raised")
+	}
+	if live, _ := m.PoolCheck(); live != 0 {
+		t.Errorf("PoolCheck reports %d live transactions", live)
+	}
+}
+
 func TestEscalateGrantsOneIrrevocableTurn(t *testing.T) {
 	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 4})
 	defer m.Close()

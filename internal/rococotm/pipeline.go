@@ -2,47 +2,105 @@ package rococotm
 
 import (
 	"runtime"
+	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
 )
 
-// This file is the decoupled commit pipeline: publication helpers shared
-// by both commit arms, the batched non-FT turn wait, and the out-of-order
-// write-back phase with its WAW ordering wait.
+// This file is the commit pipeline after the verdict: the ordered-
+// publication stage every producer of a commit sequence enters — TM.Commit,
+// PublishFast, the cross-shard commit and its no-op fills — and the
+// out-of-order write-back phase with its WAW ordering wait.
 //
-// The ordered protocol serialized an entire redo-log drain per commit:
-// committer seq+1 spun in awaitTurn until committer seq had stored its
-// whole redo log and released GlobalTS, so commit throughput was bounded
-// by one write-back at a time regardless of thread count. The pipeline
-// splits Commit at the timestamp release:
+// The stage is the paper's §5.3 protocol as four functions, one
+// implementation each:
 //
-//	publication (ordered)    commit-queue signature + aggregate blocks +
-//	                         GlobalTS advance, in strict verdict-seq order;
-//	write-back (unordered)   the redo-log drain, concurrent across
-//	                         committers, guarded by the update-set entry.
+//	arm      install the thread's update-set entry (seq, words, active);
+//	await    wait for the turn in commit-sequence order;
+//	publish  commit-queue signature, aggregate blocks, then the sinks
+//	         (CommitObserver, WAL + multi-version store);
+//	release  advance GlobalTS — the only store to it after construction.
 //
-// Safety rests on the update-set entry acting as a commit-time lock that
-// outlives the timestamp release: active=1 is set before the commit-queue
-// slot is published and cleared only after write-back completes, so a
-// reader that could observe a pre-write-back heap word for a commit ≤ its
-// snapshot necessarily sees the active signature (or a changed GlobalTS)
-// in its line-5-7 probe and retries — exactly the spin it always ran.
-// Write-after-write ordering between concurrent write-backs is restored
-// by awaitWriters: a committer drains its redo log only after every
-// active update-set entry with an earlier sequence and a possibly
-// overlapping write signature has released.
+// Publication is strictly ordered; the redo-log drain is not. The
+// update-set entry is a commit-time lock that outlives the timestamp
+// release: active=1 is set before the commit-queue slot is published and
+// cleared only after write-back completes, so a reader that could observe a
+// pre-write-back heap word for a commit ≤ its snapshot necessarily sees the
+// active signature (or a changed GlobalTS) in its line-5-7 probe and retries
+// — exactly the spin it always ran. Write-after-write ordering between
+// concurrent write-backs is restored by awaitWriters: a committer drains its
+// redo log only after every active update-set entry with an earlier sequence
+// and a possibly overlapping write signature has released.
+//
+// The turn hand-off is batched. A committer whose sequence can never be
+// abandoned pre-publishes its queue slot together with a handle to its
+// publication record before it waits; the turn-holder publishes itself, then
+// runs publish for every contiguously pre-published successor in sequence
+// order and passes GlobalTS over the whole group with one store, so K
+// waiters are released by one writer instead of K serialized hand-offs.
+// Sinks therefore still see gapless, strictly increasing sequences one at a
+// time with GlobalTS ≤ seq — possibly on a predecessor's goroutine — and the
+// multi-version store still captures base values before that commit's
+// write-back can start (its owner moves on only after GlobalTS passes seq).
+// Entry points that must act at their exact turn (PublishFast, the
+// cross-shard commit) and fault-tolerant mode (a claimed sequence may be
+// abandoned, and a published slot cannot be retracted) do not pre-publish,
+// which is what stops a group at them.
 
-// publishSlot publishes ws as commit seq's write signature in the
-// commit-queue ring (seqlock: ver 2seq+1 while writing, 2seq+2 final).
+// publication is one commit as the stage sees it: what goes into the commit
+// queue and what the sinks record. A pre-published record is read by the
+// releasing predecessor, so its owner must not touch what it references
+// (validTS, the footprint, the redo log) until GlobalTS has passed its
+// sequence.
+type publication struct {
+	validTS       uint64                // snapshot the reads were validated at
+	ws            sig.Sig               // write signature for the commit queue
+	reads, writes []uint64              // footprint, for the sinks
+	order         []mem.Addr            // written addresses in first-write order and
+	redo          map[mem.Addr]mem.Word // their values, for the durable sink
+	xid, xshards  uint64                // cross-shard id and touched mask (0: none)
+}
+
+// turn is await's outcome.
+type turn int
+
+const (
+	turnHeld      turn = iota // GlobalTS == seq: the caller publishes and releases
+	turnReleased              // a predecessor published this commit with its group
+	turnAbandoned             // the sequence was given up; the entry is disarmed
+)
+
+// arm installs thread's update-set entry — the commit-time lock on the write
+// set ws, held until the caller's write-back completes. Order matters:
+// sequence, then words, then active, so awaitWriters on other threads can
+// key WAW ordering off a consistent entry.
 //
 //tm:hotpath
-func (r *TM) publishSlot(seq uint64, ws sig.Sig) {
-	slot := &r.commitQ[seq&uint64(r.cfg.CommitQueueSlots-1)]
+func (r *TM) arm(thread int, seq uint64, ws sig.Sig) {
+	u := &r.updates[thread]
+	u.seq.Store(seq)
+	for i, w := range ws.Words() {
+		u.words[i].Store(w)
+	}
+	u.active.Store(1)
+}
+
+// publishSlot publishes ws as commit seq's write signature in the
+// commit-queue ring (seqlock: ver 2seq+1 while writing, 2seq+2 final). pre
+// is the handle a pre-publishing committer leaves for its releaser (nil at
+// an exact turn); it is stored before the final version and loaded only
+// after observing it.
+//
+//tm:hotpath
+func (r *TM) publishSlot(seq uint64, ws sig.Sig, pre *publication) {
+	at := seq & uint64(r.cfg.CommitQueueSlots-1)
+	slot := &r.commitQ[at]
 	slot.ver.Store(2*seq + 1)
 	for i, w := range ws.Words() {
 		slot.words[i].Store(w)
 	}
+	r.preQ[at].Store(pre)
 	slot.ver.Store(2*seq + 2)
 }
 
@@ -54,43 +112,83 @@ func (r *TM) slotPublished(seq uint64) bool {
 	return r.commitQ[seq&uint64(r.cfg.CommitQueueSlots-1)].ver.Load() == 2*seq+2
 }
 
+// await waits for commit seq's turn in the publication order. A non-nil pre
+// is pre-published first, after which a predecessor may publish the commit
+// with its group (turnReleased). bounded marks an engine-issued sequence in
+// fault-tolerant mode: a verdict the link lost below it leaves a hole only
+// degradation can clear, and the quiesce needs the sequence let go, so on a
+// state change or after ValidateDeadline the wait retracts the update-set
+// entry, releases the inflight reference and returns turnAbandoned.
+func (r *TM) await(thread int, seq uint64, pre *publication, bounded bool) turn {
+	if pre != nil {
+		r.publishSlot(seq, pre.ws, pre)
+	}
+	var deadline time.Time
+	if bounded {
+		deadline = time.Now().Add(r.cfg.ValidateDeadline)
+	}
+	for spin := 0; ; spin++ {
+		switch ts := r.globalTS.Load(); {
+		case ts == seq:
+			return turnHeld
+		case ts > seq:
+			return turnReleased
+		}
+		if bounded {
+			missed := spin&63 == 63 && time.Now().After(deadline)
+			if missed || r.state.Load() != stateHealthy {
+				r.updates[thread].active.Store(0)
+				r.engineInflight.Add(-1)
+				r.fc.abandoned.Add(1)
+				if missed {
+					r.fc.deadlineMisses.Add(1)
+					r.degrade()
+				}
+				return turnAbandoned
+			}
+		}
+		if spin > 8 {
+			runtime.Gosched()
+		}
+	}
+}
+
+// publish makes commit seq part of the committed history: its commit-queue
+// slot (unless pre-published), the aggregate blocks it completes, then the
+// sinks. The caller holds the turn — GlobalTS == seq, or ≤ seq for a group
+// member published by its predecessor — so calls are serial and in sequence
+// order, which is the whole contract the sinks rely on: the WAL is
+// publication-ordered and gapless by construction, and the store is fed
+// before the commit's own write-back can touch the heap.
+func (r *TM) publish(seq uint64, p *publication) {
+	if !r.slotPublished(seq) {
+		r.publishSlot(seq, p.ws, nil)
+	}
+	r.publishAggregates(seq)
+	if r.cfg.Observer != nil {
+		r.cfg.Observer.ObserveCommit(seq, p.validTS, p.reads, p.writes)
+	}
+	if r.dur != nil {
+		r.durableAppend(seq, p)
+	}
+}
+
 // advanceMax bounds how many successors one turn-holder publishes in a
 // single group: the cap keeps the holder's time at the head of the chain
 // bounded, so its own write-back is not starved by an endless stream of
 // pre-published peers.
 const advanceMax = 128
 
-// awaitTurnFast is the publication wait of the decoupled pipeline (non-FT,
-// no observer): the commit-queue slot is already pre-published, so the
-// committer only needs GlobalTS to reach — or pass — its sequence. The
-// exact turn-holder extends the release over every contiguously
-// pre-published successor, builds the aggregate blocks the group
-// completes, and advances GlobalTS past the whole group with one store: K
-// waiting committers are released by one writer instead of K serialized
-// handoffs.
-//
-//tm:hotpath
-func (r *TM) awaitTurnFast(seq uint64) {
-	for spin := 0; ; spin++ {
-		ts := r.globalTS.Load()
-		if ts > seq {
-			return // a predecessor published our commit with its group
-		}
-		if ts == seq {
-			end := seq
-			for end-seq < advanceMax && r.slotPublished(end+1) {
-				end++
-			}
-			for q := seq; q <= end; q++ {
-				r.publishAggregates(q)
-			}
-			r.globalTS.Store(end + 1)
-			return
-		}
-		if spin > 8 {
-			runtime.Gosched()
-		}
+// release passes GlobalTS over commit seq, which the caller has published,
+// and over every contiguously pre-published successor, publishing each on
+// its owner's behalf first.
+func (r *TM) release(seq uint64) {
+	end := seq
+	for end-seq < advanceMax && r.slotPublished(end+1) {
+		end++
+		r.publish(end, r.preQ[end&uint64(r.cfg.CommitQueueSlots-1)].Load())
 	}
+	r.globalTS.Store(end + 1)
 }
 
 // writeBack drains x's redo log into the heap — the unordered phase of the

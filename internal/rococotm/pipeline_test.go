@@ -94,52 +94,6 @@ func TestPipelinedWritebackNoTornReads(t *testing.T) {
 	}
 }
 
-// TestOrderedWritebackBaselineStillSound runs the same invariant stress on
-// the OrderedWriteback arm (the pre-pipeline protocol kept for the
-// commitphase A/B): semantics must be identical, only the overlap differs.
-func TestOrderedWritebackBaselineStillSound(t *testing.T) {
-	m := New(mem.NewHeap(1<<12), Config{
-		CommitQueueSlots: 64,
-		OrderedWriteback: true,
-	})
-	defer m.Close()
-	base := m.Heap().MustAlloc(4)
-	var wg sync.WaitGroup
-	var torn atomic.Int64
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				v := mem.Word(w*1000 + i)
-				//lint:ignore tmlint/aborterr stress loop: a failed attempt is retried by the next iteration
-				_ = tm.Run(m, w, func(x tm.Txn) error {
-					if err := x.Write(base, v); err != nil {
-						return err
-					}
-					return x.Write(base+1, v)
-				})
-				var a, b mem.Word
-				//lint:ignore tmlint/aborterr stress loop: a failed attempt is retried by the next iteration
-				if err := tm.Run(m, w, func(x tm.Txn) error {
-					var err error
-					if a, err = x.Read(base); err != nil {
-						return err
-					}
-					b, err = x.Read(base + 1)
-					return err
-				}); err == nil && a != b {
-					torn.Add(1)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := torn.Load(); n != 0 {
-		t.Fatalf("%d torn pair reads on the ordered baseline", n)
-	}
-}
-
 // TestPinnedWritebackBlocksConflictingReader pins one committer's
 // write-back on a gate while its timestamp is already released, and checks
 // the two sides of the early-release contract directly: a reader of the

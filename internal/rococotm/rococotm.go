@@ -19,13 +19,16 @@
 //     writing back; reads spin past them (commit-time locking, line 5);
 //   - a read-only transaction commits immediately; a write transaction
 //     ships its read/write addresses and ValidTS to the FPGA and, on an
-//     OK verdict with commit sequence s, publishes its update-set entry,
-//     appends its write signature to the commit queue at s, waits for
-//     GlobalTS ≥ s, and releases GlobalTS past s. The redo-log write-back
-//     is decoupled from that ordered publication: it runs out of order
-//     across committers, with the update-set entry held active until the
-//     last word lands (pipeline.go), so readers spin past unfinished
-//     write-backs exactly as they spin past unreleased committers.
+//     OK verdict with commit sequence s, enters the ordered-publication
+//     stage (pipeline.go): arm the update-set entry, await the turn at s,
+//     publish the write signature into the commit queue at s (and the
+//     commit into the observer and durability sinks), release GlobalTS past
+//     s. Every other producer of a sequence — the hybrid fast publication,
+//     the cross-shard commit — enters the same stage. The redo-log
+//     write-back is decoupled from it: it runs out of order across
+//     committers, with the update-set entry held active until the last word
+//     lands, so readers spin past unfinished write-backs exactly as they
+//     spin past unreleased committers.
 //   - snapshot extension folds lagged commits through an aggregate
 //     signature ring (agg.go): power-of-two segment unions over the
 //     commit queue turn a K-commit extension into O(log K) folds.
@@ -54,14 +57,15 @@ import (
 )
 
 // CommitObserver receives every committed write transaction at its
-// serialization point: ObserveCommit(seq) calls arrive in strictly
-// increasing seq order (the committer for seq holds the global timestamp
-// at seq until it returns). validTS is the snapshot the engine validated
-// the read set against; reads and writes are the transaction's footprint.
-// The slices are the runtime's recycled scratch — an observer must copy
-// what it keeps and must be fast (it runs inside the commit critical
-// section, serializing all committers behind it). The audit recorder in
-// internal/audit is the intended implementation.
+// serialization point: calls arrive in strictly increasing seq order, one
+// at a time, before GlobalTS passes seq; the call may run on a
+// predecessor's goroutine (the turn-holder publishes the group waiting
+// behind it). validTS is the snapshot the engine validated the read set
+// against; reads and writes are the transaction's footprint. The slices are
+// the runtime's recycled scratch — an observer must copy what it keeps and
+// must be fast (it runs inside the ordered publication stage, serializing
+// all committers behind it). The audit recorder in internal/audit is the
+// intended implementation.
 type CommitObserver interface {
 	ObserveCommit(seq, validTS uint64, reads, writes []uint64)
 }
@@ -90,11 +94,6 @@ type Config struct {
 	// (extension / validate / await / publish / write-back) behind
 	// tm.Stats.CommitPhase*. It implies the validation timer.
 	MeasurePhases bool
-	// OrderedWriteback disables the decoupled commit pipeline: a committer
-	// drains its redo log before releasing the global timestamp, so
-	// write-backs serialize in commit order. This is the pre-pipeline
-	// protocol, kept as the baseline arm of the commitphase experiment.
-	OrderedWriteback bool
 	// MaxAggLevel caps the aggregate signature ring (agg.go): level L
 	// holds unions of 2^L consecutive commit signatures. 0 selects the
 	// default (min(8, log2(CommitQueueSlots)-1)); negative disables the
@@ -162,7 +161,6 @@ type Config struct {
 	// write-ahead log and multi-version store at its publication point
 	// (durable.go). The Log and Store must agree on their height; a
 	// non-zero height reseeds GlobalTS and the engine window (recovery).
-	// Like Observer, it disables the fastTurn commit chain.
 	Durable *Durable
 	// LineTable, when set, enables hybrid fast-path coexistence
 	// (fastpub.go): uninstrumented fast transactions own lines and bump
@@ -246,6 +244,10 @@ type TM struct {
 	globalTS atomic.Uint64
 	commitQ  []commitSlot
 	updates  []updateSlot
+	// preQ parallels commitQ: the handle a pre-publishing committer leaves
+	// for its releaser (pipeline.go publishSlot). Kept out of commitSlot so
+	// the slots readers scan stay two to a cache line.
+	preQ []atomic.Pointer[publication]
 
 	// Aggregate signature ring (agg.go): agg[L] unions 2^L consecutive
 	// commit signatures per slot; aggMax is the top level (0 = disabled).
@@ -255,12 +257,10 @@ type TM struct {
 	aggMax int
 	sigPW  int
 
-	// fastTurn selects the pre-publish + batched-turn-advance wait of the
-	// decoupled pipeline. It requires strict publication to be private to
-	// the runtime: FT mode may abandon a claimed sequence (a pre-published
-	// slot could not be retracted) and an Observer must see commits
-	// strictly one at a time at their serialization point.
-	fastTurn bool
+	// zeroSig is the empty write signature published for a sequence that
+	// was claimed but commits nothing (a failed fast publication, a
+	// cross-shard no-op fill). Read-only after construction.
+	zeroSig sig.Sig
 
 	// Write-back pipeline occupancy (pipeline.go): current and high-water
 	// count of commits inside the write-back phase.
@@ -295,14 +295,10 @@ type TM struct {
 	// Transport hot-path reuse. scratch holds each thread's recycled
 	// transaction descriptor (owner-only: nil while the thread's txn is
 	// live); slots are the per-thread verdict mailboxes of the push-queue
-	// transport; probeSlot serves the single recovery prober. useSlots is
-	// false on the legacy channel transport, which allocates a Reply
-	// channel per validation (the measurable baseline for the transport
-	// A/B experiment).
+	// transport; probeSlot serves the single recovery prober.
 	scratch   []*txn
 	slots     []fpga.VerdictSlot
 	probeSlot fpga.VerdictSlot
-	useSlots  bool
 
 	cnt tm.Counters
 
@@ -315,7 +311,6 @@ type TM struct {
 	lt           *mem.LineTable
 	fastSigs     []sig.Sig       // per-thread write-sig scratch for PublishFast
 	fastReadSigs []sig.Sig       // per-thread read-sig scratch for the drain scan
-	emptyFastSig sig.Sig         // published as a failed fast sequence's signature
 	fastDoomed   []atomic.Uint32 // write-back found this thread's fast txn in its way
 
 	// Fault-tolerant mode state (degrade.go). link is the possibly-wrapped
@@ -363,6 +358,7 @@ func New(heap *mem.Heap, cfg Config) *TM {
 		eng:     eng,
 		hasher:  eng.Hasher(),
 		commitQ: make([]commitSlot, cfg.CommitQueueSlots),
+		preQ:    make([]atomic.Pointer[publication], cfg.CommitQueueSlots),
 		updates: make([]updateSlot, cfg.MaxThreads),
 	}
 	sigWords := eng.Config().Sig.Words()
@@ -373,6 +369,7 @@ func New(heap *mem.Heap, cfg Config) *TM {
 		r.updates[i].words = make([]atomic.Uint64, sigWords)
 	}
 	r.sigPW = eng.Config().Sig.PartitionBits() / 64
+	r.zeroSig = sig.New(eng.Config().Sig)
 	r.initAgg(sigWords)
 	r.consec = make([]int32, cfg.MaxThreads)
 	r.escalated = make([]bool, cfg.MaxThreads)
@@ -380,12 +377,9 @@ func New(heap *mem.Heap, cfg Config) *TM {
 	r.doomed = make([]atomic.Int64, cfg.MaxThreads)
 	r.scratch = make([]*txn, cfg.MaxThreads)
 	r.slots = make([]fpga.VerdictSlot, cfg.MaxThreads)
-	r.useSlots = eng.Config().Transport != fpga.TransportChannel
 	r.stop = make(chan struct{})
 	r.link = eng
 	r.ftEnabled = cfg.ValidateDeadline > 0
-	r.fastTurn = !r.ftEnabled && cfg.Observer == nil && !cfg.OrderedWriteback &&
-		cfg.Durable == nil
 	if cfg.Durable != nil {
 		d := cfg.Durable
 		if d.Log == nil || d.Store == nil {
@@ -413,11 +407,6 @@ func New(heap *mem.Heap, cfg Config) *TM {
 		if cfg.Engine.CycleLevel {
 			panic("rococotm: Config.LineTable is incompatible with a cycle-level engine")
 		}
-		if cfg.OrderedWriteback {
-			// The doom-and-wait write-back would sit inside the ordered
-			// section and stall the global commit order behind a fast owner.
-			panic("rococotm: Config.LineTable is incompatible with OrderedWriteback")
-		}
 		if cfg.Durable != nil {
 			// The multi-version store captures chain base values from the
 			// live heap at first touch; a fast transaction's uncommitted
@@ -435,7 +424,6 @@ func New(heap *mem.Heap, cfg Config) *TM {
 			r.fastSigs[i] = sig.New(eng.Config().Sig)
 			r.fastReadSigs[i] = sig.New(eng.Config().Sig)
 		}
-		r.emptyFastSig = sig.New(eng.Config().Sig)
 		r.fastDoomed = make([]atomic.Uint32, cfg.MaxThreads)
 	}
 	if r.ftEnabled {
@@ -582,6 +570,10 @@ type txn struct {
 	writeOrder []mem.Addr
 	writeAddrs []uint64 // scratch for the shipped write footprint
 
+	// pub is this commit as the publication stage sees it, filled once the
+	// verdict is in; a releasing predecessor may read it (pipeline.go).
+	pub publication
+
 	missSig sig.Sig // MissSet
 	missAny bool
 	tempSig sig.Sig // scratch TempSet
@@ -621,13 +613,34 @@ func (x *txn) reset(ts uint64) {
 	x.writeOrder = x.writeOrder[:0]
 }
 
-// recycle parks a dead descriptor for reuse by the thread's next Begin.
+// finish is the one epilogue of an attempt, whatever ended it: reason is ""
+// for a commit, else why it aborted. It releases the exclusive gate of an
+// irrevocable attempt, settles the thread's escalation streak, retires the
+// watchdog stamp (the attempt is over, nothing is stuck) and parks the
+// descriptor for the thread's next Begin — unless drop, for an attempt ended
+// by a hard engine error, whose footprint the engine may still reference.
 // Only the owning thread calls it (txns are single-goroutine), so the
-// scratch slot needs no synchronization. It also retires the thread's
-// watchdog stamp: the attempt is over, nothing is stuck.
-func (r *TM) recycle(x *txn) {
+// scratch slot needs no synchronization.
+func (x *txn) finish(reason string, drop bool) {
+	r := x.r
+	x.dead = true
+	switch {
+	case reason == "":
+		r.consec[x.thread] = 0
+	case x.irrevocable, reason == tm.ReasonExplicit, reason == tm.ReasonEngine, reason == tm.ReasonWatchdog:
+		// Engine-unavailability and watchdog aborts say nothing about
+		// contention, so they must not escalate a thread toward
+		// irrevocability — an irrevocable transaction would freeze all
+		// commits while itself waiting out the outage.
+	default:
+		r.consec[x.thread]++
+	}
+	if x.irrevocable {
+		r.gate.Unlock()
+		r.irrevPending.Add(-1)
+	}
 	r.began[x.thread].Store(0)
-	if r.scratch[x.thread] == nil {
+	if !drop && r.scratch[x.thread] == nil {
 		r.scratch[x.thread] = x
 	}
 }
@@ -684,22 +697,8 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 }
 
 func (x *txn) abort(reason string) error {
-	x.dead = true
-	if x.irrevocable {
-		// Only reachable through pathological paths (e.g. commit-queue
-		// overflow with a tiny ring); release the gate.
-		x.r.gate.Unlock()
-		x.r.irrevPending.Add(-1)
-	} else if reason != tm.ReasonExplicit && reason != tm.ReasonEngine &&
-		reason != tm.ReasonWatchdog {
-		// Engine-unavailability and watchdog aborts say nothing about
-		// contention, so they must not escalate a thread toward
-		// irrevocability — an irrevocable transaction would freeze all
-		// commits while itself waiting out the outage.
-		x.r.consec[x.thread]++
-	}
+	x.finish(reason, false)
 	x.r.cnt.OnAbort(reason)
-	x.r.recycle(x)
 	return tm.Abort(reason)
 }
 
@@ -967,10 +966,10 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	return nil
 }
 
-// Commit implements tm.TM (§5.3 commit protocol), split into an ordered
-// publication phase (signature + timestamp, strict verdict-seq order) and
-// a decoupled write-back phase that runs out of order across committers
-// under the update-set lock (pipeline.go).
+// Commit implements tm.TM (§5.3 commit protocol): final extension, engine
+// validation, the ordered-publication stage (signature + timestamp, strict
+// verdict-seq order) and a decoupled write-back phase that runs out of order
+// across committers under the update-set lock (pipeline.go).
 func (r *TM) Commit(t tm.Txn) error {
 	x := t.(*txn)
 	if x.dead {
@@ -982,14 +981,8 @@ func (r *TM) Commit(t tm.Txn) error {
 	}
 	if len(x.redo) == 0 {
 		// Read-only fast path: consistent at validTS, commits on CPU.
-		x.dead = true
-		if x.irrevocable {
-			r.gate.Unlock()
-			r.irrevPending.Add(-1)
-		}
-		r.consec[x.thread] = 0
+		x.finish("", false)
 		r.cnt.OnCommit(true)
-		r.recycle(x)
 		return nil
 	}
 	if !x.irrevocable {
@@ -1057,141 +1050,77 @@ func (r *TM) Commit(t tm.Txn) error {
 		// hardware component.
 		r.cnt.AddModelValidation(r.eng.Config().Model.RoundTripNanos + verdict.ModelNanos)
 	}
+	if err == nil && !verdict.OK && verdict.Reason == fpga.ReasonClosed {
+		// Non-FT mode only (engineValidate turns it into a degradation
+		// trigger): a terminal verdict from a dying engine is a hard
+		// runtime error, matching Validate's ErrClosed.
+		err = fpga.ErrClosed
+	}
 	if err != nil {
 		if errors.Is(err, errUnavailable) {
 			return x.abort(tm.ReasonEngine)
 		}
-		x.dead = true
-		r.began[x.thread].Store(0)
+		x.finish(tm.ReasonEngine, true)
 		return fmt.Errorf("rococotm: engine: %w", err)
 	}
 	if !verdict.OK {
 		// In FT mode engineValidate already released the inflight
-		// reference for !OK verdicts and converted ReasonClosed into a
-		// degradation trigger, so only window/cycle verdicts arrive here.
-		switch verdict.Reason {
-		case fpga.ReasonWindow:
+		// reference for !OK verdicts.
+		if verdict.Reason == fpga.ReasonWindow {
 			return x.abort(tm.ReasonWindow)
-		case fpga.ReasonClosed:
-			// Legacy (non-FT) mode only: a terminal verdict from a dying
-			// engine is a hard runtime error, matching Validate's ErrClosed.
-			x.dead = true
-			r.began[x.thread].Store(0)
-			return fmt.Errorf("rococotm: engine: %w", fpga.ErrClosed)
-		default:
-			return x.abort(tm.ReasonCycle)
 		}
+		return x.abort(tm.ReasonCycle)
 	}
 	seq := uint64(verdict.Seq)
 
-	// Publish the update-set entry — the commit-time lock on our write
-	// set, held from here until the write-back phase completes. Order
-	// matters: sequence, then words, then active, so awaitWriters on
-	// other threads can key WAW ordering off a consistent entry.
-	u := &r.updates[x.thread]
-	u.seq.Store(seq)
-	for i, w := range x.writeSig.Words() {
-		u.words[i].Store(w)
+	// Ordered publication. Outside fault-tolerant mode the sequence can no
+	// longer be given up, so the commit pre-publishes and may be released by
+	// the group advance of a predecessor.
+	x.pub = publication{validTS: x.validTS, ws: x.writeSig, reads: x.readAddrs,
+		writes: x.writeAddrs, order: x.writeOrder, redo: x.redo}
+	r.arm(x.thread, seq, x.writeSig)
+	var pre *publication
+	if !r.ftEnabled {
+		pre = &x.pub
 	}
-	u.active.Store(1)
-
-	var dAwait, dPublish, dWriteback time.Duration
-	wroteBack := false
-	if r.fastTurn {
-		// Decoupled pipeline, non-FT fast chain: pre-publish the commit-
-		// queue slot, then wait for GlobalTS to reach or pass seq. The
-		// turn-holder releases every contiguously pre-published successor
-		// with one store (pipeline.go).
-		if measure {
-			pStart = time.Now()
-		}
-		r.publishSlot(seq, x.writeSig)
-		if measure {
-			dPublish = time.Since(pStart)
-			pStart = time.Now()
-		}
-		r.awaitTurnFast(seq)
-		if measure {
-			dAwait = time.Since(pStart)
-		}
-	} else {
-		// Ordered publication: wait for our exact turn in the global
-		// commit order (bounded in FT mode: a lost verdict below us
-		// leaves a permanent hole only degradation can clear).
-		if measure {
-			pStart = time.Now()
-		}
-		if err := r.awaitTurn(x, seq, viaEngine); err != nil {
-			return err
-		}
-		if measure {
-			dAwait = time.Since(pStart)
-			pStart = time.Now()
-		}
-		r.publishSlot(seq, x.writeSig)
-		r.publishAggregates(seq)
-		if r.cfg.Observer != nil {
-			// Serialization point: GlobalTS still reads seq, so observer
-			// calls arrive in strictly increasing seq order across all
-			// committers.
-			r.cfg.Observer.ObserveCommit(seq, x.validTS, x.readAddrs, x.writeAddrs)
-		}
-		if r.dur != nil {
-			// Same serialization point: the WAL record and the
-			// multi-version store entry land in publication order, before
-			// this commit's own write-back can touch the heap.
-			r.durableAppend(x, seq)
-		}
-		if r.cfg.OrderedWriteback {
-			// Baseline arm: drain the redo log before releasing the
-			// timestamp, serializing write-backs in commit order — the
-			// pre-pipeline protocol, kept for the commitphase A/B.
-			var wb0 time.Time
-			if measure {
-				wb0 = time.Now()
-			}
-			r.writeBack(x, seq)
-			if measure {
-				dWriteback = time.Since(wb0)
-			}
-			wroteBack = true
-		}
-		r.globalTS.Store(seq + 1)
-		if measure {
-			dPublish = time.Since(pStart) - dWriteback
-		}
+	if measure {
+		pStart = time.Now()
 	}
-	if r.ftEnabled && viaEngine {
+	bounded := r.ftEnabled && viaEngine
+	outcome := r.await(x.thread, seq, pre, bounded)
+	if outcome == turnAbandoned {
+		return x.abort(tm.ReasonEngine)
+	}
+	var dAwait, dPublish time.Duration
+	if measure {
+		dAwait = time.Since(pStart)
+		pStart = time.Now()
+	}
+	if outcome == turnHeld {
+		r.publish(seq, &x.pub)
+		r.release(seq)
+	}
+	if bounded {
 		// The sequence is published: degradation's quiesce-and-reseed
 		// rebases at GlobalTS, which now covers it, write-back or not.
 		r.engineInflight.Add(-1)
+	}
+	if measure {
+		dPublish = time.Since(pStart)
+		pStart = time.Now()
 	}
 
 	// Out-of-order write-back phase: the update-set entry keeps the write
 	// set locked while the redo log drains concurrently with other
 	// committers' write-backs (WAW pairs excepted — pipeline.go).
-	if !wroteBack {
-		if measure {
-			pStart = time.Now()
-		}
-		r.writeBack(x, seq)
-		if measure {
-			dWriteback = time.Since(pStart)
-		}
-	}
-	u.active.Store(0)
+	r.writeBack(x, seq)
+	r.updates[x.thread].active.Store(0)
 	if measure {
-		r.cnt.AddCommitPhases(dExtend, dAwait, dPublish, dWriteback)
+		r.cnt.AddCommitPhases(dExtend, dAwait, dPublish, time.Since(pStart))
 	}
 
-	x.dead = true
-	if x.irrevocable {
-		r.gate.Unlock()
-		r.irrevPending.Add(-1)
-	}
-	r.consec[x.thread] = 0
+	x.finish("", false)
 	r.cnt.OnCommit(false)
-	r.recycle(x)
 	if r.dur != nil && r.dur.d.SyncCommit {
 		// Group-commit wait, outside the ordered section so committers
 		// overlap on one fsync. A failure here does NOT undo the commit —
@@ -1207,15 +1136,9 @@ func (r *TM) Commit(t tm.Txn) error {
 // Abort implements tm.TM: execution is fully buffered, so rollback drops
 // the private logs.
 func (r *TM) Abort(t tm.Txn) {
-	x := t.(*txn)
-	if !x.dead {
-		x.dead = true
-		if x.irrevocable {
-			r.gate.Unlock()
-			r.irrevPending.Add(-1)
-		}
+	if x := t.(*txn); !x.dead {
+		x.finish(tm.ReasonExplicit, false)
 		r.cnt.OnAbort(tm.ReasonExplicit)
-		r.recycle(x)
 	}
 }
 

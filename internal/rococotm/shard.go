@@ -10,9 +10,7 @@ import (
 	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
-	"rococotm/internal/sig"
 	"rococotm/internal/tm"
-	"rococotm/internal/wal"
 )
 
 // This file is the sharded validation plane: N independent ROCoCoTM
@@ -48,15 +46,15 @@ import (
 //     the transaction into every touched shard's publication order —
 //     the hook the consistent-cut argument below hangs off.
 //  3. turn capture + fold re-check — for each touched shard in
-//     ascending order, wait until the shard's GlobalTS reaches s_i and
-//     hold it there (the slot stays unpublished, so single-shard
-//     turn-holders cannot advance past it), then re-fold the commits
-//     that landed between phase 1 and the claim. Only after ALL shards
+//     ascending order, await the exact turn at s_i and hold it (nothing
+//     is pre-published, so a single-shard turn-holder's group advance
+//     cannot pass it), then re-fold the commits that landed between
+//     phase 1 and the claim. Only after ALL shards
 //     pass does anything publish: a cross-shard transaction is never
 //     half-committed.
-//  4. publication — publish the real write signatures, aggregates,
-//     observer calls and durable records on every shard, then advance
-//     every shard's GlobalTS. If any touched shard is durable, all
+//  4. publication — publish on every shard through the stage every
+//     commit uses (pipeline.go: signature, aggregates, observer and
+//     durable record), then release every shard's GlobalTS. If any touched shard is durable, all
 //     touched logs are group-commit-flushed *before* any GlobalTS
 //     advances (the cross-log atomicity barrier: nothing later can be
 //     acknowledged on any touched shard until this transaction is
@@ -151,10 +149,6 @@ type Sharded struct {
 	// to take cuts that never split a cross-shard commit.
 	xPubVer atomic.Uint64
 
-	// zeroSig is the shared empty write signature published into no-op
-	// slots. Read-only after construction.
-	zeroSig sig.Sig
-
 	consec    []int32
 	escalated []bool
 	scratch   []*stxn
@@ -224,7 +218,6 @@ func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
 		}
 		s.shards[i] = New(heap, sc)
 	}
-	s.zeroSig = sig.New(s.shards[0].eng.Config().Sig)
 	return s
 }
 
@@ -329,13 +322,6 @@ type stxn struct {
 	order   []int    // touched shard indices, ascending
 	seqs    []uint64 // claimed commit sequence per order entry
 	claimed []bool   // seqs[k] valid (engine verdict OK on order[k])
-
-	// Durable-record scratch for cross-shard appends (the token
-	// serializes cross-shard publication, and each stxn is
-	// single-goroutine, so per-stxn scratch suffices).
-	rec    wal.Record
-	vals   []mem.Word
-	vals64 []uint64
 }
 
 // shardMask returns the touched-shard bitmask stamped into every shard's
@@ -348,39 +334,6 @@ func (x *stxn) shardMask() uint64 {
 		m |= 1 << uint(i)
 	}
 	return m
-}
-
-// appendCrossRecord drains one sub-commit into its shard's log and
-// store, tagged with the cross-shard id and touched mask. Called inside
-// the shard's ordered section (its GlobalTS is pinned at seq).
-func (x *stxn) appendCrossRecord(sh *TM, sb *txn, seq, xid uint64) {
-	x.vals = x.vals[:0]
-	x.vals64 = x.vals64[:0]
-	for _, a := range sb.writeOrder {
-		v := sb.redo[a]
-		x.vals = append(x.vals, v)
-		x.vals64 = append(x.vals64, uint64(v))
-	}
-	x.rec = wal.Record{
-		Seq:        seq,
-		ValidTS:    seq,
-		XID:        xid,
-		XShards:    x.shardMask(),
-		Reads:      sb.readAddrs,
-		WriteAddrs: sb.writeAddrs,
-		WriteVals:  x.vals64,
-	}
-	_ = sh.dur.d.Log.Append(&x.rec)
-	sh.dur.d.Store.ApplyUpdates(seq, sb.writeOrder, x.vals)
-}
-
-// appendNoopRecord fills a claimed-then-aborted sequence in the shard's
-// durable history: an empty commit with XID=0 (no cross-log coupling —
-// see fillClaimed).
-func (x *stxn) appendNoopRecord(sh *TM, seq uint64) {
-	x.rec = wal.Record{Seq: seq, ValidTS: seq}
-	_ = sh.dur.d.Log.Append(&x.rec)
-	sh.dur.d.Store.ApplyUpdates(seq, nil, nil)
 }
 
 func (x *stxn) reset() {
@@ -690,34 +643,21 @@ func (s *Sharded) commitCross(x *stxn) error {
 	// Phase 2.5: arm the update-set entries (commit-time locks) on every
 	// shard we will write, before anything publishes.
 	for k, i := range x.order {
-		sb := x.subs[i]
-		if len(sb.writeOrder) == 0 {
-			continue
+		if sb := x.subs[i]; len(sb.writeOrder) > 0 {
+			s.shards[i].arm(x.thread, x.seqs[k], sb.writeSig)
 		}
-		u := &s.shards[i].updates[x.thread]
-		u.seq.Store(x.seqs[k])
-		for wi, w := range sb.writeSig.Words() {
-			u.words[wi].Store(w)
-		}
-		u.active.Store(1)
 	}
 
 	// Phase 3: capture every touched shard's publication turn, ascending,
 	// and re-fold the commits that landed since phase 1. Our unpublished
-	// slot pins the shard's GlobalTS at s_i (a fastTurn turn-holder's
-	// batch advance stops exactly there), so by the end of this loop
-	// every touched shard is stalled at our sequence and every fold
-	// verdict is final — nothing has published yet, so an abort here
-	// leaves no half-commit.
+	// slot pins the shard's GlobalTS at s_i (a turn-holder's group advance
+	// stops exactly there), so by the end of this loop every touched shard
+	// is stalled at our sequence and every fold verdict is final — nothing
+	// has published yet, so an abort here leaves no half-commit.
 	for k, i := range x.order {
 		sb := x.subs[i]
 		sh := s.shards[i]
-		seq := x.seqs[k]
-		for spin := 0; sh.globalTS.Load() != seq; spin++ {
-			if spin > 8 {
-				runtime.Gosched()
-			}
-		}
+		sh.await(x.thread, x.seqs[k], nil, false)
 		sb.tempSig.Reset()
 		_, overlap, ok := sb.extendFold(sh.globalTS.Load())
 		if !ok {
@@ -731,40 +671,29 @@ func (s *Sharded) commitCross(x *stxn) error {
 	// Phase 4: publish everywhere. The xPubVer seqlock brackets the
 	// whole multi-shard publication so vector cuts never split it.
 	s.xPubVer.Add(1)
-	anyDur := false
+	mask := x.shardMask()
 	for k, i := range x.order {
 		sb := x.subs[i]
-		sh := s.shards[i]
 		seq := x.seqs[k]
-		sh.publishSlot(seq, sb.writeSig)
-		sh.publishAggregates(seq)
-		if sh.cfg.Observer != nil {
-			// The fold re-check proved the reads valid through seq.
-			sh.cfg.Observer.ObserveCommit(seq, seq, sb.readAddrs, sb.writeAddrs)
-		}
-		if sh.dur != nil {
-			anyDur = true
-			x.appendCrossRecord(sh, sb, seq, xid)
-		}
+		// The fold re-check proved the reads valid through seq.
+		p := publication{validTS: seq, ws: sb.writeSig, reads: sb.readAddrs, writes: sb.writeAddrs,
+			order: sb.writeOrder, redo: sb.redo, xid: xid, xshards: mask}
+		s.shards[i].publish(seq, &p)
 	}
 	// Cross-log atomicity barrier: every touched log is durable before
 	// any shard's timestamp advances (see the package comment). Sticky
 	// log failures do not undo the commit — it is published — they only
 	// leave durability unconfirmed.
 	var derr error
-	if anyDur {
-		for k, i := range x.order {
-			sh := s.shards[i]
-			if sh.dur == nil {
-				continue
-			}
+	for k, i := range x.order {
+		if sh := s.shards[i]; sh.dur != nil {
 			if err := sh.dur.d.Log.WaitDurable(x.seqs[k] + 1); err != nil && derr == nil {
 				derr = err
 			}
 		}
 	}
 	for k, i := range x.order {
-		s.shards[i].globalTS.Store(x.seqs[k] + 1)
+		s.shards[i].release(x.seqs[k])
 	}
 	s.xPubVer.Add(1)
 	s.crossCommits.Add(1)
@@ -777,11 +706,8 @@ func (s *Sharded) commitCross(x *stxn) error {
 	x.releaseGates()
 	for _, i := range x.order {
 		sb := x.subs[i]
-		sb.dead = true
-		sh := s.shards[i]
-		sh.consec[x.thread] = 0
-		sh.cnt.OnCommit(len(sb.redo) == 0)
-		sh.recycle(sb)
+		sb.finish("", false)
+		s.shards[i].cnt.OnCommit(len(sb.redo) == 0)
 	}
 	x.dead = true
 	s.consec[x.thread] = 0
@@ -844,8 +770,7 @@ func (s *Sharded) crossHardFail(x *stxn, err error) error {
 	x.releaseGates()
 	for _, i := range x.order {
 		if sb := x.subs[i]; sb != nil && !sb.dead {
-			sb.dead = true
-			s.shards[i].began[x.thread].Store(0)
+			sb.finish(tm.ReasonEngine, true)
 		}
 	}
 	x.dead = true
@@ -853,9 +778,9 @@ func (s *Sharded) crossHardFail(x *stxn, err error) error {
 }
 
 // fillClaimed publishes a no-op into every sequence the aborting
-// transaction claimed: empty signature, empty footprint, an observer
-// call (observers treat sequence gaps as errors) and a durable record
-// with XID=0 — an aborted cross-shard transaction has no cross-log
+// transaction claimed: empty signature, empty footprint, so the observer
+// still gets its call (observers treat sequence gaps as errors) and the
+// log a record with XID=0 — an aborted cross-shard transaction has no cross-log
 // atomicity to preserve, so its fills are plain empty commits on each
 // shard and recovery needs no reconciliation for them.
 func (s *Sharded) fillClaimed(x *stxn) {
@@ -876,24 +801,13 @@ func (s *Sharded) fillClaimed(x *stxn) {
 		}
 		sh := s.shards[i]
 		seq := x.seqs[k]
-		for spin := 0; sh.globalTS.Load() != seq; spin++ {
-			if spin > 8 {
-				runtime.Gosched()
-			}
-		}
-		sh.publishSlot(seq, s.zeroSig)
-		sh.publishAggregates(seq)
-		if sh.cfg.Observer != nil {
-			sh.cfg.Observer.ObserveCommit(seq, seq, nil, nil)
-		}
-		if sh.dur != nil {
-			x.appendNoopRecord(sh, seq)
-		}
+		sh.await(x.thread, seq, nil, false)
+		sh.publish(seq, &publication{validTS: seq, ws: sh.zeroSig})
 		if len(x.subs[i].writeOrder) > 0 {
 			// Disarm the commit-time lock without writing back.
 			sh.updates[x.thread].active.Store(0)
 		}
-		sh.globalTS.Store(seq + 1)
+		sh.release(seq)
 		s.noopFills.Add(1)
 	}
 	s.xPubVer.Add(1)

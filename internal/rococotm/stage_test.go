@@ -1,0 +1,265 @@
+package rococotm
+
+import (
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"rococotm/internal/fpga"
+	"rococotm/internal/mem"
+	"rococotm/internal/mvstore"
+	"rococotm/internal/sig"
+	"rococotm/internal/stamp"
+	"rococotm/internal/tm"
+	"rococotm/internal/wal"
+)
+
+// White-box tests of the ordered-publication stage (pipeline.go): they
+// drive arm/await/publish/release directly, the way Commit, PublishFast and
+// the cross-shard commit do.
+
+// obsCall is one ObserveCommit call, with the footprint copied.
+type obsCall struct {
+	seq, validTS  uint64
+	reads, writes []uint64
+}
+
+type recObserver struct{ calls []obsCall }
+
+func (o *recObserver) ObserveCommit(seq, validTS uint64, reads, writes []uint64) {
+	o.calls = append(o.calls, obsCall{seq, validTS,
+		append([]uint64(nil), reads...), append([]uint64(nil), writes...)})
+}
+
+// stagePub builds the publication of a transaction that read `read` and
+// wrote val to `write`.
+func stagePub(r *TM, validTS uint64, read, write mem.Addr, val mem.Word) *publication {
+	ws := sig.New(r.eng.Config().Sig)
+	ws.Insert(r.hasher, uint64(write))
+	return &publication{validTS: validTS, ws: ws,
+		reads: []uint64{uint64(read)}, writes: []uint64{uint64(write)},
+		order: []mem.Addr{write}, redo: map[mem.Addr]mem.Word{write: val}}
+}
+
+// TestGroupReleaseFeedsSinks: a pre-published successor is published — slot,
+// observer, WAL, store — by the turn-holder, in sequence order, before the
+// one GlobalTS store that releases both.
+func TestGroupReleaseFeedsSinks(t *testing.T) {
+	heap := mem.NewHeap(1 << 10)
+	dev := wal.NewMemDevice(nil)
+	d, _, err := RecoverDurable(dev, heap, wal.Options{}, mvstore.Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &recObserver{}
+	r := New(heap, Config{MaxThreads: 2, Observer: obs, Durable: d})
+	base := heap.MustAlloc(4)
+	s := r.GlobalTS()
+	p0 := stagePub(r, s, base, base+1, 10)
+	p1 := stagePub(r, s+1, base+2, base+3, 11)
+
+	// Thread 1 holds seq s+1: it arms, pre-publishes and waits.
+	waiter := make(chan turn, 1)
+	go func() {
+		r.arm(1, s+1, p1.ws)
+		waiter <- r.await(1, s+1, p1, false)
+	}()
+	for !r.slotPublished(s + 1) {
+		runtime.Gosched()
+	}
+	if got := r.GlobalTS(); got != s {
+		t.Fatalf("GlobalTS = %d before the holder of %d released", got, s)
+	}
+
+	// Thread 0 takes the turn at s and releases once.
+	r.arm(0, s, p0.ws)
+	if got := r.await(0, s, p0, false); got != turnHeld {
+		t.Fatalf("await(%d) = %v, want turnHeld", s, got)
+	}
+	r.publish(s, p0)
+	r.release(s)
+	if got := r.GlobalTS(); got != s+2 {
+		t.Fatalf("GlobalTS = %d after one release, want %d", got, s+2)
+	}
+	if got := <-waiter; got != turnReleased {
+		t.Fatalf("successor's await = %v, want turnReleased", got)
+	}
+	r.updates[0].active.Store(0)
+	r.updates[1].active.Store(0)
+
+	want := []obsCall{
+		{s, p0.validTS, p0.reads, p0.writes},
+		{s + 1, p1.validTS, p1.reads, p1.writes},
+	}
+	if !reflect.DeepEqual(obs.calls, want) {
+		t.Fatalf("observer saw %+v, want %+v", obs.calls, want)
+	}
+	if h := d.Store.Height(); h != s+2 {
+		t.Fatalf("store height %d, want %d", h, s+2)
+	}
+	r.Close()
+	res, err := wal.Recover(dev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 2 {
+		t.Fatalf("WAL holds %d records, want 2", len(res.Records))
+	}
+	for i, p := range []*publication{p0, p1} {
+		rec := res.Records[i]
+		if rec.Seq != s+uint64(i) || rec.ValidTS != p.validTS ||
+			!reflect.DeepEqual(rec.Reads, p.reads) || !reflect.DeepEqual(rec.WriteAddrs, p.writes) ||
+			rec.WriteVals[0] != uint64(p.redo[p.order[0]]) {
+			t.Fatalf("WAL record %d = %+v, want publication %+v", i, rec, p)
+		}
+	}
+}
+
+// runSeeded drives a seeded interleaving of four threads' transactions from
+// one goroutine — deterministic: every commit holds its turn at once — and
+// returns what the run left behind.
+func runSeeded(t *testing.T, cfg Config, heap *mem.Heap) (words []mem.Word, st tm.Stats, ts uint64) {
+	t.Helper()
+	const threads, addrs, steps = 4, 8, 4000
+	cfg.MaxThreads = threads
+	r := New(heap, cfg)
+	defer r.Close()
+	base := heap.MustAlloc(addrs)
+	rng := stamp.NewRNG(7)
+	live := make([]*txn, threads)
+	ops := make([]int, threads)
+	for i := 0; i < steps; i++ {
+		th := rng.Intn(threads)
+		if live[th] == nil {
+			x, err := r.Begin(th)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[th], ops[th] = x.(*txn), 0
+		}
+		x := live[th]
+		a := base + mem.Addr(rng.Intn(addrs))
+		var err error
+		switch ops[th]++; {
+		case ops[th] > 4:
+			err = r.Commit(x)
+			live[th] = nil
+		case rng.Intn(2) == 0:
+			_, err = x.Read(a)
+		default:
+			err = x.Write(a, mem.Word(i))
+		}
+		if err != nil {
+			if _, ok := tm.IsAbort(err); !ok {
+				t.Fatal(err)
+			}
+			live[th] = nil
+		}
+	}
+	for _, x := range live {
+		if x != nil {
+			r.Abort(x)
+		}
+	}
+	for i := 0; i < addrs; i++ {
+		words = append(words, heap.Load(base+mem.Addr(i)))
+	}
+	return words, r.Stats(), r.GlobalTS()
+}
+
+// TestSinkInvariance: attaching the observer and the WAL changes nothing the
+// stage does — the same seeded workload ends with the same heap, the same
+// commit/abort counts and the same GlobalTS with and without them.
+func TestSinkInvariance(t *testing.T) {
+	bareWords, bareSt, bareTS := runSeeded(t, Config{}, mem.NewHeap(1<<10))
+
+	heap := mem.NewHeap(1 << 10)
+	d, _, err := RecoverDurable(wal.NewMemDevice(nil), heap, wal.Options{}, mvstore.Config{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &recObserver{}
+	words, st, ts := runSeeded(t, Config{Observer: obs, Durable: d}, heap)
+
+	if !reflect.DeepEqual(words, bareWords) {
+		t.Errorf("heap with sinks %v, without %v", words, bareWords)
+	}
+	if st.Commits != bareSt.Commits || st.Aborts != bareSt.Aborts || st.ReadOnly != bareSt.ReadOnly {
+		t.Errorf("with sinks commits/aborts/read-only = %d/%d/%d, without %d/%d/%d",
+			st.Commits, st.Aborts, st.ReadOnly, bareSt.Commits, bareSt.Aborts, bareSt.ReadOnly)
+	}
+	if ts != bareTS {
+		t.Errorf("GlobalTS with sinks %d, without %d", ts, bareTS)
+	}
+	if bareTS == 0 || bareSt.Aborts == 0 {
+		t.Fatalf("workload too tame to compare: GlobalTS %d, %d aborts", bareTS, bareSt.Aborts)
+	}
+	if uint64(len(obs.calls)) != ts {
+		t.Errorf("observer saw %d commits, GlobalTS %d", len(obs.calls), ts)
+	}
+}
+
+// TestAbandonLeavesNothingBehind: in fault-tolerant mode a commit whose turn
+// never comes (a sequence below it was lost) gives its sequence up at the
+// deadline with no pre-published slot and no armed update-set entry, from
+// Commit and from PublishFast.
+func TestAbandonLeavesNothingBehind(t *testing.T) {
+	for _, fast := range []bool{false, true} {
+		name := "Commit"
+		if fast {
+			name = "PublishFast"
+		}
+		t.Run(name, func(t *testing.T) {
+			heap := mem.NewHeap(1 << 10)
+			lt := mem.NewLineTable(heap.Cap())
+			r := New(heap, Config{MaxThreads: 2, LineTable: lt,
+				ValidateDeadline: 2 * time.Millisecond, ProbeInterval: time.Hour})
+			defer r.Close()
+			base := heap.MustAlloc(16)
+			// The engine hands out seq 0 to nobody: the hole every later
+			// sequence waits behind.
+			if v := r.Engine().Process(fpga.Request{}); !v.OK || v.Seq != 0 {
+				t.Fatalf("hole verdict %+v", v)
+			}
+			var err error
+			if fast {
+				fh := &fastHarness{r: r, lt: lt, heap: heap}
+				err = fh.publish(t, base, base+8, 42)
+				if code, ok := tm.CodeOf(err); !ok || code != tm.CodeEngine {
+					t.Fatalf("abandoned publish err = %v, want CodeEngine", err)
+				}
+				if got := heap.Load(base); got != 0 {
+					t.Fatalf("heap[a] = %d after an abandoned publish, want 0 (restored)", got)
+				}
+			} else {
+				x, berr := r.Begin(0)
+				if berr != nil {
+					t.Fatal(berr)
+				}
+				if err := x.Write(base, 42); err != nil {
+					t.Fatal(err)
+				}
+				err = r.Commit(x)
+				if reason, ok := tm.IsAbort(err); !ok || reason != tm.ReasonEngine {
+					t.Fatalf("abandoned commit err = %v, want a %s abort", err, tm.ReasonEngine)
+				}
+			}
+			if r.slotPublished(1) {
+				t.Error("the abandoned sequence's commit-queue slot is published")
+			}
+			if r.updates[0].active.Load() != 0 {
+				t.Error("the update-set entry is still armed")
+			}
+			if got := r.GlobalTS(); got != 0 {
+				t.Errorf("GlobalTS = %d, want 0", got)
+			}
+			if fs := r.FaultStats(); fs.Abandoned != 1 {
+				t.Errorf("Abandoned = %d, want 1", fs.Abandoned)
+			}
+			if r.engineInflight.Load() != 0 {
+				t.Error("engineInflight reference leaked")
+			}
+		})
+	}
+}

@@ -75,14 +75,11 @@
 #                    (benchtime=1x), so perf lanes cannot silently rot;
 #                    the non-race run also picks up the AllocsPerRun
 #                    zero-allocation tests excluded from lane 13   (~30s)
-#  15. bench gate  — cmd/benchgate re-measures the optimization-sensitive
-#                    microbenchmarks (pipelined/ordered counter throughput,
-#                    aggregate/per-commit extension folds, WAL append,
-#                    snapshot read, sharded-plane throughput, serve-stack
-#                    p99 overhead, hybrid fast-commit latency and
-#                    throughput) and fails on a >20% regression vs
-#                    internal/bench/baseline.json; re-record an
-#                    intentional move with `benchgate -record`     (~3min)
+#
+# Performance regressions are not gated here: that is BENCHMARK.json +
+# benchmark/, run by the driver against the parent commit. The script ends
+# by printing the size of the code (non-test Go lines of the root module),
+# so size sits next to the speed it buys.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -139,7 +136,7 @@ go run ./cmd/rococobench -exp hybrid -dur 40ms >/dev/null
 echo "== oracle lane: lost-update oracles x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
-        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestOrderedWritebackBaselineStillSound|TestHybridLostUpdate|TestHybridHistorySerializable' \
+        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable' \
         ./internal/rococotm/... ./internal/hybrid/...
 done
 
@@ -149,7 +146,11 @@ go test -race ./internal/...
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./internal/..."
 go test -run='ZeroAllocs' -bench=. -benchtime=1x ./internal/...
 
-echo "== bench gate: go run ./cmd/benchgate"
-go run ./cmd/benchgate
-
 echo "== all checks passed"
+
+# Non-test Go lines of the root module (benchmark/ is its own module).
+loc() {
+    find "$1" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+        ! -path '*/testdata/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
+}
+echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/fpga $(loc internal/fpga)"
