@@ -187,7 +187,7 @@ func (x *txn) abortSpec(code tm.Code) error {
 	x.dead = true
 	x.h.active.Add(-1)
 	x.h.consec[x.thread]++
-	x.h.cnt.OnAbort(code.Reason())
+	x.h.cnt.OnAbort(code)
 	return tm.AbortCode(code)
 }
 
@@ -340,7 +340,7 @@ func (h *TM) Abort(t tm.Txn) {
 		h.consec[x.thread] = 0
 		h.fallbackHeld.Store(false)
 		h.fallbackMu.Unlock()
-		h.cnt.OnAbort(tm.ReasonExplicit)
+		h.cnt.OnAbort(tm.CodeExplicit)
 		return
 	}
 	for i := len(x.undo) - 1; i >= 0; i-- {
@@ -350,7 +350,7 @@ func (h *TM) Abort(t tm.Txn) {
 	x.dead = true
 	h.active.Add(-1)
 	// An explicit abort is not a conflict: do not escalate to fallback.
-	h.cnt.OnAbort(tm.ReasonExplicit)
+	h.cnt.OnAbort(tm.CodeExplicit)
 }
 
 var _ tm.TM = (*TM)(nil)

@@ -43,9 +43,9 @@ func newFastTxn(h *TM, thread int) *fastTxn {
 	return &fastTxn{
 		h:            h,
 		thread:       thread,
-		readAddrs:    make([]uint64, 0, h.cfg.MaxFastReads),
-		readLines:    make([]uint64, 0, h.cfg.MaxFastReads),
-		readVers:     make([]uint64, 0, h.cfg.MaxFastReads),
+		readAddrs:    make([]uint64, 0, maxFastReads),
+		readLines:    make([]uint64, 0, maxFastReads),
+		readVers:     make([]uint64, 0, maxFastReads),
 		writeOrder:   make([]mem.Addr, 0, h.cfg.MaxFastWrites),
 		oldVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
 		newVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
@@ -112,7 +112,7 @@ func (x *fastTxn) Read(a mem.Addr) (mem.Word, error) {
 	if h.slow.IrrevocablePending() {
 		return 0, x.fail(tm.CodeFallback)
 	}
-	if len(x.readAddrs) >= h.cfg.MaxFastReads {
+	if len(x.readAddrs) >= maxFastReads {
 		return 0, x.fail(tm.CodeCapacity)
 	}
 	line := mem.LineOf(a)
@@ -126,7 +126,7 @@ func (x *fastTxn) Read(a mem.Addr) (mem.Word, error) {
 		return h.heap.Load(a), nil
 	}
 	for spin := 0; ; spin++ {
-		if spin > h.cfg.OwnSpin || h.slow.FastDoomed(x.thread) {
+		if spin > ownSpin || h.slow.FastDoomed(x.thread) {
 			return 0, x.fail(tm.CodeConflict) // requester loses
 		}
 		v1 := h.lt.Version(line)
@@ -210,7 +210,7 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 				if own.CompareAndSwap(s, mem.LineWithWriter(s, x.thread)) {
 					break
 				}
-			} else if spin > h.cfg.OwnSpin || h.slow.FastDoomed(x.thread) {
+			} else if spin > ownSpin || h.slow.FastDoomed(x.thread) {
 				return x.fail(tm.CodeConflict) // requester loses
 			} else {
 				runtime.Gosched()
@@ -305,18 +305,15 @@ func (x *fastTxn) commit() error {
 	err := h.slow.PublishFast(fp)
 	x.releaseLines()
 	if err != nil {
-		code, ok := tm.CodeOf(err)
-		if !ok {
+		code, abort := tm.CodeOf(err)
+		if !abort {
 			// Hard runtime fault (engine closed outside FT mode): the
-			// rollback already happened; surface the error as-is.
-			x.dead = true
-			h.cnt.OnAbort(tm.ReasonEngine)
-			h.cnt.OnFastAbort()
-			h.onFastOutcome(x, false, true)
-			h.recycle(x)
-			return err
+			// rollback already happened; the attempt counts as an engine
+			// abort and the error surfaces as-is.
+			code = tm.CodeEngine
 		}
-		return x.finish(code)
+		_ = x.finish(code)
+		return err
 	}
 	x.dead = true
 	h.cnt.OnCommit(false)
@@ -369,7 +366,7 @@ func (x *fastTxn) fail(code tm.Code) error {
 //tm:hotpath
 func (x *fastTxn) finish(code tm.Code) error {
 	x.dead = true
-	x.h.cnt.OnAbort(code.Reason())
+	x.h.cnt.OnAbort(code)
 	x.h.cnt.OnFastAbort()
 	x.h.onFastOutcome(x, false, code.Structural())
 	x.h.recycle(x)

@@ -60,21 +60,10 @@ type Config struct {
 	// lines) of one fast attempt; beyond it the attempt takes a capacity
 	// abort and falls back. Default 64.
 	MaxFastWrites int
-	// MaxFastReads bounds the read-address log of one fast attempt.
-	// Repeated reads of one address append repeatedly — the fast path
-	// keeps no map — so this also caps total reads. Default 512.
-	MaxFastReads int
-
-	// OwnSpin is how many times a fast operation re-probes an owned line
-	// (or an odd seqlock) before aborting — requester loses. Default 64.
-	OwnSpin int
 
 	// ConsecAborts is the per-thread consecutive fast-conflict-abort count
 	// that demotes the next attempt to the slow path. Default 3.
 	ConsecAborts int
-	// DemoteEWMA is the per-mille fast-abort EWMA above which a site
-	// leaves try-fast. Default 500 (half the attempts aborting).
-	DemoteEWMA int
 	// ProbeAfter is how many slow-routed attempts a demoted site waits
 	// before granting a probing fast attempt; each failed probe doubles
 	// the wait (capped at 64× the base). Default 32.
@@ -85,22 +74,26 @@ func (c *Config) fill() {
 	if c.MaxFastWrites == 0 {
 		c.MaxFastWrites = 64
 	}
-	if c.MaxFastReads == 0 {
-		c.MaxFastReads = 512
-	}
-	if c.OwnSpin == 0 {
-		c.OwnSpin = 64
-	}
 	if c.ConsecAborts == 0 {
 		c.ConsecAborts = 3
-	}
-	if c.DemoteEWMA == 0 {
-		c.DemoteEWMA = 500
 	}
 	if c.ProbeAfter == 0 {
 		c.ProbeAfter = 32
 	}
 }
+
+const (
+	// maxFastReads bounds the read-address log of one fast attempt. Repeated
+	// reads of one address append repeatedly — the fast path keeps no map —
+	// so this also caps total reads.
+	maxFastReads = 512
+	// ownSpin is how many times a fast operation re-probes an owned line (or
+	// an odd seqlock) before aborting — requester loses.
+	ownSpin = 64
+	// demoteEWMA is the per-mille fast-abort EWMA above which a site leaves
+	// try-fast: half the attempts aborting.
+	demoteEWMA = 500
+)
 
 // Site policy states.
 const (
@@ -206,9 +199,6 @@ func (h *TM) Stats() tm.Stats {
 	s.Aborts += f.Aborts
 	s.ReadOnly += f.ReadOnly
 	for reason, n := range f.Reasons {
-		if s.Reasons == nil {
-			s.Reasons = map[string]uint64{}
-		}
 		s.Reasons[reason] += n
 	}
 	s.FastCommits = f.FastCommits
@@ -313,7 +303,7 @@ func (h *TM) onFastOutcome(x *fastTxn, committed, structural bool) {
 		h.consec[x.thread] = 0
 		h.forceSlow[x.thread]++
 	}
-	if st.state.Load() == siteFast && st.ewma.Load() > uint64(h.cfg.DemoteEWMA) {
+	if st.state.Load() == siteFast && st.ewma.Load() > demoteEWMA {
 		st.state.Store(siteSlow)
 		st.sinceSlow.Store(0)
 	}

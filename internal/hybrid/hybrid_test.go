@@ -611,3 +611,35 @@ func TestHybridFastWriteCapacityPreCheck(t *testing.T) {
 		t.Errorf("over-capacity line version moved %d → %d: line was acquired before the capacity check", before, got)
 	}
 }
+
+// TestHybridHardEngineErrorIsCounted: a fast commit that finds the engine
+// dead is a hard error to the caller and an engine abort in the accounting —
+// Starts == Commits + Aborts survives it, the eager store is rolled back and
+// nothing is left live.
+func TestHybridHardEngineErrorIsCounted(t *testing.T) {
+	h, heap := newHybrid(t, hybrid.Config{})
+	a := heap.MustAlloc(1)
+	x, err := h.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Write(a, 7); err != nil {
+		t.Fatal(err)
+	}
+	h.Slow().Engine().Crash()
+	err = h.Commit(x)
+	if _, abort := tm.IsAbort(err); err == nil || abort {
+		t.Fatalf("commit on a dead engine: err = %v, want a hard error", err)
+	}
+	st := h.Stats()
+	if st.Starts != 1 || st.Commits != 0 || st.Aborts != 1 || st.Reasons[tm.ReasonEngine] != 1 {
+		t.Errorf("Starts/Commits/Aborts = %d/%d/%d, reasons %v; want 1/0/1 with one %s abort",
+			st.Starts, st.Commits, st.Aborts, st.Reasons, tm.ReasonEngine)
+	}
+	if got := heap.Load(a); got != 0 {
+		t.Errorf("heap = %d, want 0 (rolled back)", got)
+	}
+	if live, _ := h.PoolCheck(); live != 0 {
+		t.Errorf("PoolCheck live = %d, want 0", live)
+	}
+}

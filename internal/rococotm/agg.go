@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"rococotm/internal/sig"
+	"rococotm/internal/tm"
 )
 
 // This file is the aggregate signature ring: a flat segment tree over the
@@ -29,7 +30,7 @@ import (
 // past the block, so any range a reader folds below GlobalTS has its
 // aligned blocks available.
 //
-// Extension (txn.extendFold) decomposes the lagged range greedily into
+// Extension (txn.extend, through extendFold) decomposes the lagged range greedily into
 // aligned power-of-two segments. A segment whose aggregate does not
 // intersect the read set is folded with one union — exact, because a union
 // disjoint from the read signature implies every member is. A segment
@@ -134,41 +135,79 @@ func (r *TM) loadAggSig(lvl int, lo uint64, dst sig.Sig) bool {
 	return slot.ver.Load() == want
 }
 
-// extendFold folds the write signatures of every commit in
-// [localTS, upto) into the TempSet — the shared body of the extension
-// loops in Read and Commit (Algorithm 1 lines 9-13). tempAny reports
-// whether anything was folded; overlap whether any folded commit's write
-// signature may intersect the read set (the per-commit-precise verdict
-// that decides extension vs miss-set accumulation); ok=false a window
-// overflow (the snapshot fell out of the commit-queue ring).
+// extend is Algorithm 1 lines 9-19, the one snapshot-extension step every
+// entry point takes: fold the commits in [localTS, upto) into the TempSet,
+// then either advance validTS to the new localTS (the read set is untouched
+// and nothing was missed before) or union the TempSet into the MissSet.
+// ok=false is a window overflow: the snapshot fell out of the commit-queue
+// ring. Callers differ only in what they make of missAny afterwards: a read
+// aborts if its address is in the MissSet, a commit ships regardless (the
+// engine may serialize it before its invalidators), a cross-shard commit
+// treats any staleness as a conflict (extendStrict).
 //
 // upto must not exceed GlobalTS, and must not pass any value the caller
 // holds that is not yet in the read set: a folded commit that wrote such an
-// address would leave overlap false and let validTS advance past a write
-// the transaction never saw. Read therefore bounds the fold at the
+// address would leave the overlap unseen and let validTS advance past a
+// write the transaction never saw. Read therefore bounds the fold at the
 // GlobalTS its value was loaded under; callers whose reads are all recorded
 // pass the live GlobalTS.
+//
+//tm:hotpath
+func (x *txn) extend(upto uint64) (ok bool) {
+	if x.localTS >= upto {
+		return true
+	}
+	x.tempSig.Reset()
+	overlap, ok := x.extendFold(upto)
+	if !ok {
+		return false
+	}
+	if x.missAny || overlap {
+		x.missSig.Union(x.tempSig)
+		x.missAny = true
+	} else {
+		// All reads so far remain consistent at the new snapshot.
+		x.validTS = x.localTS
+	}
+	return true
+}
+
+// extendStrict is extend under the cross-shard policy, returning the abort.
+func (x *txn) extendStrict(upto uint64) error {
+	switch {
+	case !x.extend(upto):
+		return tm.AbortCode(tm.CodeWindow)
+	case x.missAny:
+		return tm.AbortCode(tm.CodeConflict)
+	}
+	return nil
+}
+
+// extendFold folds the write signatures of every commit in [localTS, upto),
+// which is not empty, into the TempSet. overlap reports whether any folded
+// commit's write signature may intersect the read set (the
+// per-commit-precise verdict that decides extension vs miss-set
+// accumulation); ok=false a window overflow.
 //
 // Aligned segments covered by the aggregate ring fold with one union; the
 // segment's commits are probed individually only when the aggregate hits
 // the read set and the overlap verdict is still open.
 //
 //tm:hotpath
-func (x *txn) extendFold(upto uint64) (tempAny, overlap, ok bool) {
+func (x *txn) extendFold(upto uint64) (overlap, ok bool) {
 	r := x.r
 	for x.localTS < upto {
 		if lvl := sig.SegLevel(x.localTS, upto, r.aggMax); lvl > 0 {
 			if r.loadAggSig(lvl, x.localTS, x.aggSig) {
 				end := x.localTS + 1<<uint(lvl)
 				x.tempSig.Union(x.aggSig)
-				tempAny = true
 				if !overlap && x.readSetOverlaps(x.aggSig) {
 					// The union may hit where no member does; re-probe per
 					// commit so aggregate saturation cannot manufacture a
 					// conflict.
 					for ts := x.localTS; ts < end; ts++ {
 						if !r.loadCommitSig(ts, x.oneSig) {
-							return tempAny, overlap, false
+							return overlap, false
 						}
 						if x.readSetOverlaps(x.oneSig) {
 							overlap = true
@@ -181,14 +220,13 @@ func (x *txn) extendFold(upto uint64) (tempAny, overlap, ok bool) {
 			}
 		}
 		if !r.loadCommitSig(x.localTS, x.oneSig) {
-			return tempAny, overlap, false
+			return overlap, false
 		}
 		if !overlap && x.readSetOverlaps(x.oneSig) {
 			overlap = true
 		}
 		x.tempSig.Union(x.oneSig)
-		tempAny = true
 		x.localTS++
 	}
-	return tempAny, overlap, true
+	return overlap, true
 }

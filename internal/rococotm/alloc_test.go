@@ -68,6 +68,44 @@ func TestCommitPathZeroAllocsFaultTolerant(t *testing.T) {
 	runAllocProbe(t, m)
 }
 
+// TestAbortingCommitZeroAllocs: an engine-path abort hands back a preallocated
+// error and counts itself in an array slot, so a commit the engine rejects —
+// here one half of a write skew, a cycle — allocates nothing either.
+func TestAbortingCommitZeroAllocs(t *testing.T) {
+	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 2})
+	defer m.Close()
+	a := m.Heap().MustAlloc(4)
+	b := m.Heap().MustAlloc(4)
+	begin := func(thread int, read, write mem.Addr) tm.Txn {
+		x, err := m.Begin(thread)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Read(read); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Write(write, 1); err != nil {
+			t.Fatal(err)
+		}
+		return x
+	}
+	cycle := func() {
+		x0, x1 := begin(0, a, b), begin(1, b, a)
+		if err := m.Commit(x1); err != nil {
+			t.Fatal(err)
+		}
+		if code, ok := tm.CodeOf(m.Commit(x0)); !ok || code != tm.CodeCycle {
+			t.Fatalf("the skewed commit ended with %v/%v, want a cycle abort", code, ok)
+		}
+	}
+	for i := 0; i < 128; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("aborting commit cycle allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestReadOnlyPathZeroAllocs: read-only transactions never touch the
 // engine; their whole lifecycle must be allocation-free once warm.
 func TestReadOnlyPathZeroAllocs(t *testing.T) {
@@ -104,13 +142,13 @@ func TestGroupReleaseZeroAllocs(t *testing.T) {
 		m.arm(1, s+1, p1.ws)
 		m.publishSlot(s+1, p1.ws, p1) // what await does before it waits
 		m.arm(0, s, p0.ws)
-		if m.await(0, s, p0, false) != turnHeld {
+		if m.await(0, claim{seq: s}, p0) != turnHeld {
 			t.Fatal("holder did not get its turn")
 		}
 		m.publish(s, p0)
 		m.release(s)
-		m.updates[0].active.Store(0)
-		m.updates[1].active.Store(0)
+		m.disarm(0)
+		m.disarm(1)
 		if m.GlobalTS() != s+2 {
 			t.Fatal("group was not released")
 		}

@@ -1,0 +1,167 @@
+package rococotm
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"rococotm/internal/fpga"
+	"rococotm/internal/mem"
+	"rococotm/internal/mvstore"
+	"rococotm/internal/tm"
+	"rococotm/internal/wal"
+)
+
+// feature is one axis of the pairwise composition table. Its name is the
+// token a Validate error must carry when it rejects a pair with the feature.
+type feature string
+
+const (
+	fObserver    feature = "Observer"
+	fDurable     feature = "Durable"
+	fLineTable   feature = "LineTable"
+	fFaultTol    feature = "ValidateDeadline"
+	fIrrevocable feature = "IrrevocableAfter"
+	fWatchdog    feature = "WatchdogAge"
+	fCycleLevel  feature = "CycleLevel"
+	fSharded     feature = "sharded"
+)
+
+// cell is one configuration of the table: validate is its legality function,
+// start its constructor.
+type cell struct {
+	validate func() error
+	start    func() tm.TM
+}
+
+// newCell turns a feature set on over a fresh heap — on a TM, or on a
+// two-shard Sharded when the set has fSharded, where each feature goes
+// wherever the front end takes it (per-shard observers and durables, its own
+// IrrevocableAfter, the shard template for the rest).
+func newCell(t *testing.T, on ...feature) cell {
+	t.Helper()
+	heap := mem.NewHeap(1 << 10)
+	durable := func() *Durable {
+		d, _, err := RecoverDurable(wal.NewMemDevice(nil), heap, wal.Options{}, mvstore.Config{}, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	scfg := ShardedConfig{Shards: 2, MaxThreads: 2}
+	cfg := &scfg.Shard
+	sharded := false
+	for _, f := range on {
+		sharded = sharded || f == fSharded
+	}
+	for _, f := range on {
+		switch f {
+		case fObserver:
+			cfg.Observer = &recObserver{}
+			scfg.Observers = []CommitObserver{&recObserver{}, &recObserver{}}
+		case fDurable:
+			if sharded {
+				scfg.Durables = []*Durable{durable(), durable()}
+			} else {
+				cfg.Durable = durable()
+			}
+		case fLineTable:
+			cfg.LineTable = mem.NewLineTable(heap.Cap())
+		case fFaultTol:
+			cfg.ValidateDeadline = 10 * time.Second
+		case fIrrevocable:
+			cfg.IrrevocableAfter = 3
+			scfg.IrrevocableAfter = 3
+		case fWatchdog:
+			cfg.WatchdogAge = time.Minute
+		case fCycleLevel:
+			cfg.Engine = fpga.Config{CycleLevel: true}
+		}
+	}
+	if sharded {
+		cfg.Observer, cfg.IrrevocableAfter = nil, 0 // the front end's own fields carry them
+		return cell{func() error { return scfg.Validate(heap) },
+			func() tm.TM { return NewSharded(heap, scfg) }}
+	}
+	cfg.MaxThreads = 2
+	return cell{func() error { return cfg.Validate(heap) },
+		func() tm.TM { return New(heap, *cfg) }}
+}
+
+// mustReject checks that c is rejected by its Validate with an error naming
+// every given feature, and that its constructor panics with that error and
+// nothing else.
+func mustReject(t *testing.T, c cell, names ...feature) {
+	t.Helper()
+	err := c.validate()
+	if err == nil {
+		t.Fatal("Validate accepted the configuration")
+	}
+	for _, f := range names {
+		if !strings.Contains(err.Error(), string(f)) {
+			t.Errorf("Validate error %q does not name %s", err, f)
+		}
+	}
+	defer func() {
+		if got := recover(); got == nil || fmt.Sprint(got) != err.Error() {
+			t.Errorf("constructor panicked with %v, want Validate's error %q", got, err)
+		}
+	}()
+	c.start().Close()
+}
+
+// TestConfigPairwise: every pair of features either composes — the runtime
+// builds and commits an update transaction — or is rejected by Validate with
+// an error naming both features; the constructors panic with that error and
+// from nowhere else. The rejected set is pinned, so a pair that silently
+// changes side shows up here.
+func TestConfigPairwise(t *testing.T) {
+	features := []feature{fObserver, fDurable, fLineTable, fFaultTol,
+		fIrrevocable, fWatchdog, fCycleLevel, fSharded}
+	rejected := map[[2]feature]bool{
+		{fDurable, fLineTable}:    true,
+		{fLineTable, fCycleLevel}: true,
+		{fLineTable, fSharded}:    true,
+		{fFaultTol, fSharded}:     true,
+	}
+	for i, a := range features {
+		for _, b := range features[i+1:] {
+			t.Run(string(a)+"+"+string(b), func(t *testing.T) {
+				c := newCell(t, a, b)
+				if rejected[[2]feature{a, b}] {
+					mustReject(t, c, a, b)
+					return
+				}
+				if err := c.validate(); err != nil {
+					t.Fatalf("Validate: %v", err)
+				}
+				m := c.start()
+				defer m.Close()
+				addr := m.Heap().MustAlloc(1)
+				if err := tm.Run(m, 0, func(x tm.Txn) error {
+					v, err := x.Read(addr)
+					if err != nil {
+						return err
+					}
+					return x.Write(addr, v+1)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got := m.Heap().Load(addr); got != 1 {
+					t.Fatalf("heap = %d after one increment", got)
+				}
+				if st := m.Stats(); st.Commits != 1 || st.Starts != st.Commits+st.Aborts {
+					t.Fatalf("stats after one commit: %+v", st)
+				}
+			})
+		}
+	}
+	// The one gate on a single feature: a line table must cover the heap.
+	t.Run("LineTable too short", func(t *testing.T) {
+		heap := mem.NewHeap(1 << 10)
+		cfg := Config{LineTable: mem.NewLineTable(8)}
+		mustReject(t, cell{func() error { return cfg.Validate(heap) },
+			func() tm.TM { return New(heap, cfg) }}, fLineTable)
+	})
+}

@@ -2,19 +2,27 @@ package rococotm
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"rococotm/internal/core"
 	"rococotm/internal/fpga"
+	"rococotm/internal/tm"
 )
 
-// This file is the graceful-degradation half of the runtime: everything
-// that keeps the commit path alive when the validation engine at the far
-// end of the CCI link stalls, drops verdicts, or is reset out from under
-// the host.
+// This file is how a verdict is obtained: the one health dispatch (verdict)
+// behind every sequence claim, and the fault model it dispatches on —
+// everything that keeps the commit path alive when the validation engine at
+// the far end of the CCI link stalls, drops verdicts, or is reset out from
+// under the host. A trusting runtime (Config.ValidateDeadline == 0) has no
+// fault model (TM.ft == nil): its dispatch is a call to the engine, and
+// nothing below the dispatch exists for it.
 //
-// The runtime moves through a three-state machine:
+// In fault-tolerant mode a faultModel owns the link, the inflight count, the
+// software fallback and a three-state machine:
 //
 //	healthy ──deadline miss / engine error──▶ draining ──quiesced──▶ degraded
 //	   ▲                                                                │
@@ -22,7 +30,8 @@ import (
 //
 //   - healthy: write transactions validate on the engine, bounded by
 //     Config.ValidateDeadline at every blocking point (queue admission,
-//     verdict wait, and the commit-order turn — pipeline.go await).
+//     verdict wait — submit — and the commit-order turn — lapsed, polled by
+//     pipeline.go await).
 //   - draining: a miss or error tripped degradation. The engine is
 //     crashed (so every outstanding request gets a terminal verdict
 //     instead of a maybe-someday one), and the runtime waits until no
@@ -37,7 +46,7 @@ import (
 //     verdict, exactly like a hardware window overflow, which is what
 //     keeps the committed history serializable across the gap. A prober
 //     goroutine meanwhile restarts the engine and sends probe requests;
-//     once ProbeCount probes answer within the deadline, the fallback is
+//     once probeCount probes answer within the deadline, the fallback is
 //     drained (all issued sequences committed), the engine window is
 //     re-synchronized at the drained commit count, and the state returns
 //     to healthy.
@@ -59,6 +68,10 @@ const (
 	stateDegraded
 )
 
+// probeCount is how many consecutive probe verdicts must arrive in deadline
+// before the runtime promotes back to the engine.
+const probeCount = 3
+
 // Link is the runtime's connection to the validation engine. *fpga.Engine
 // implements it directly; fault-injection layers (internal/fault) wrap it.
 type Link interface {
@@ -76,11 +89,49 @@ type Link interface {
 	Close()
 }
 
-// errUnavailable classifies a validation attempt that failed because the
-// engine is unreachable or out of deadline; the commit path converts it to
-// a tm.ReasonEngine abort so the application retry loop backs off and
-// retries (into the fallback once degradation completes).
-var errUnavailable = errors.New("rococotm: validation engine unavailable")
+// faultModel is the fault-tolerant runtime's view of its engine.
+type faultModel struct {
+	r *TM
+	// link is the engine connection, wrapped by Config.WrapLink if set.
+	link  Link
+	state atomic.Uint32
+	// inflight counts committers that may still claim or hold an
+	// engine-issued commit sequence — degradation quiesces on it before the
+	// fallback reissues sequence numbers.
+	inflight atomic.Int64
+	// fbMu serializes the software fallback validator (and promotion).
+	fbMu sync.Mutex
+	fbPl *fpga.Pipeline
+	// probeSlot serves the single recovery prober.
+	probeSlot fpga.VerdictSlot
+
+	deadlineMisses, engineErrors, abandoned             atomic.Uint64
+	fallbackEntries, fallbackExits, fallbackValidations atomic.Uint64
+	probes, probeFailures                               atomic.Uint64
+}
+
+func newFaultModel(r *TM) (*faultModel, error) {
+	// The fallback validator shares the engine's exact configuration
+	// (window, signature geometry, hash seed), so software verdicts are
+	// bit-identical to hardware ones.
+	fb, err := fpga.NewPipeline(r.eng.Config())
+	if err != nil {
+		return nil, fmt.Errorf("rococotm: %w", err)
+	}
+	ft := &faultModel{r: r, link: r.eng, fbPl: fb}
+	if r.cfg.WrapLink != nil {
+		ft.link = r.cfg.WrapLink(ft.link)
+	}
+	return ft, nil
+}
+
+// errDeadline and errStale are submit's ways of coming back without a
+// verdict: ValidateDeadline passed, or the runtime left the state the
+// request was meant for.
+var (
+	errDeadline = errors.New("rococotm: validation deadline missed")
+	errStale    = errors.New("rococotm: degradation state changed")
+)
 
 // FaultStats is a snapshot of the degradation counters — the observability
 // surface the chaos harness and benchmarks assert against.
@@ -108,178 +159,200 @@ type FaultStats struct {
 	State string
 }
 
-// FaultStats returns a snapshot of the degradation counters.
+// FaultStats returns a snapshot of the degradation counters; all zero and
+// "healthy" on a trusting runtime.
 func (r *TM) FaultStats() FaultStats {
-	st := FaultStats{
-		DeadlineMisses:      r.fc.deadlineMisses.Load(),
-		EngineErrors:        r.fc.engineErrors.Load(),
-		Abandoned:           r.fc.abandoned.Load(),
-		FallbackEntries:     r.fc.fallbackEntries.Load(),
-		FallbackExits:       r.fc.fallbackExits.Load(),
-		FallbackValidations: r.fc.fallbackValidations.Load(),
-		Probes:              r.fc.probes.Load(),
-		ProbeFailures:       r.fc.probeFailures.Load(),
+	ft := r.ft
+	if ft == nil {
+		return FaultStats{State: "healthy"}
 	}
-	switch r.state.Load() {
+	st := FaultStats{
+		DeadlineMisses:      ft.deadlineMisses.Load(),
+		EngineErrors:        ft.engineErrors.Load(),
+		Abandoned:           ft.abandoned.Load(),
+		FallbackEntries:     ft.fallbackEntries.Load(),
+		FallbackExits:       ft.fallbackExits.Load(),
+		FallbackValidations: ft.fallbackValidations.Load(),
+		Probes:              ft.probes.Load(),
+		ProbeFailures:       ft.probeFailures.Load(),
+		State:               "healthy",
+	}
+	switch ft.state.Load() {
 	case stateDraining:
 		st.State = "draining"
 	case stateDegraded:
 		st.State = "degraded"
-	default:
-		st.State = "healthy"
 	}
 	return st
 }
 
-// armSink attaches the thread's verdict slot to req (allocation-free).
-func (r *TM) armSink(x *txn, req *fpga.Request) *fpga.VerdictSlot {
-	s := &r.slots[x.thread]
-	req.Slot, req.Gen = s, s.Prepare()
-	return s
-}
-
-// validate obtains a verdict for req, routing by health state. viaEngine
-// reports which path answered; when true and the verdict is OK, the caller
-// owns one engineInflight reference and must release it after committing
-// or abandoning.
-func (r *TM) validate(x *txn, req fpga.Request) (v fpga.Verdict, viaEngine bool, err error) {
-	if !r.ftEnabled {
-		r.armSink(x, &req)
-		v, err := r.eng.Validate(req)
+// verdict is the one health dispatch: it obtains req's verdict from whichever
+// validator owns the sequence space right now. x is the committing
+// transaction; nil marks a fast publication, whose footprint is recorded at
+// the validator's current position rather than validated. engine reports that
+// the engine answered. The error is what the attempt ends on: a hard engine
+// error, or — fault-tolerant mode only — the engine abort of an attempt that
+// found the engine unreachable and no fallback open yet, so the retry loop
+// backs off instead of hammering a struggling engine from inside one commit.
+//
+// In fault-tolerant mode an OK verdict from the engine leaves the caller
+// holding an inflight reference, released by settle once the sequence is
+// published or given up.
+func (r *TM) verdict(req fpga.Request, x *txn) (v fpga.Verdict, engine bool, err error) {
+	ft := r.ft
+	if ft == nil {
+		if v, err = r.ask(req, x); err != nil {
+			err = fmt.Errorf("rococotm: engine: %w", err)
+		}
 		return v, true, err
 	}
 	for {
-		switch r.state.Load() {
+		switch ft.state.Load() {
 		case stateHealthy:
-			if v, ok := r.engineValidate(x, req); ok {
+			// Reference before the claim, so degradation's quiesce cannot
+			// rebase the window while we hold an unpublished sequence.
+			ft.inflight.Add(1)
+			if v, err = r.ask(req, x); err == nil && v.OK {
 				return v, true, nil
 			}
-			if r.state.Load() == stateHealthy {
-				// Miss without (or before) degradation: give the
-				// sequence back to the retry loop rather than hammering
-				// a struggling engine from inside one commit.
-				return fpga.Verdict{}, false, errUnavailable
+			ft.inflight.Add(-1) // no sequence claimed
+			switch {
+			case err == nil:
+				return v, true, nil
+			case err == errStale:
+				continue
+			case err == errDeadline:
+				ft.deadlineMisses.Add(1)
+			case x == nil && !errors.Is(err, fpga.ErrClosed):
+				return v, true, fmt.Errorf("rococotm: engine: %w", err)
+			default:
+				// Closed or refused: not a timing blip.
+				ft.engineErrors.Add(1)
 			}
-			// Degradation is in flight; re-dispatch into it.
+			ft.degrade()
+			if ft.state.Load() == stateHealthy {
+				return v, false, tm.AbortCode(tm.CodeEngine) // DisableFallback
+			}
 		case stateDraining:
+			if x == nil {
+				// A fast committer holds line ownership; it retries from the
+				// top rather than wait out the quiesce.
+				return v, false, tm.AbortCode(tm.CodeEngine)
+			}
 			runtime.Gosched()
 		case stateDegraded:
-			if v, ok := r.fallbackValidate(req); ok {
+			ft.fbMu.Lock()
+			if ft.state.Load() == stateDegraded {
+				if x == nil {
+					req.ValidTS = uint64(ft.fbPl.NextSeq())
+				}
+				ft.fallbackValidations.Add(1)
+				v = ft.fbPl.Process(req)
+				ft.fbMu.Unlock()
 				return v, false, nil
 			}
-			// Raced with a promotion back to healthy; re-dispatch.
+			ft.fbMu.Unlock() // raced with a promotion back to healthy
 		}
 	}
 }
 
-// engineValidate runs one deadline-bounded validation against the engine.
-// ok=false means no usable verdict (deadline missed, engine closed, or
-// degradation observed); counters and degradation triggers have already
-// been recorded. On ok verdicts that are !OK the inflight reference is
-// already released; on OK verdicts the caller holds it.
-func (r *TM) engineValidate(x *txn, req fpga.Request) (fpga.Verdict, bool) {
-	slot := r.armSink(x, &req)
-	r.engineInflight.Add(1)
-	deadline := time.Now().Add(r.cfg.ValidateDeadline)
-
-	// Admission: poll past backpressure, bounded by the deadline. The
-	// request has not been accepted yet, so a miss here leaves no
-	// reference to the transaction's footprint behind.
-	for {
-		if r.state.Load() != stateHealthy {
-			r.engineInflight.Add(-1)
-			return fpga.Verdict{}, false
-		}
-		err := r.link.TrySubmit(req)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, fpga.ErrFull) {
-			// Closed or refused: not a timing blip — fail over.
-			r.fc.engineErrors.Add(1)
-			r.engineInflight.Add(-1)
-			r.degrade()
-			return fpga.Verdict{}, false
-		}
-		if time.Now().After(deadline) {
-			r.fc.deadlineMisses.Add(1)
-			r.engineInflight.Add(-1)
-			r.maybeDegrade()
-			return fpga.Verdict{}, false
-		}
-		runtime.Gosched()
+// ask puts req to the engine once: a fast publication's footprint (x == nil)
+// is recorded; a transaction's is validated — by calling the engine on a
+// trusting runtime, over the deadline-bounded link in fault-tolerant mode. A
+// terminal verdict from a dying engine comes back as the error it stands
+// for.
+func (r *TM) ask(req fpga.Request, x *txn) (v fpga.Verdict, err error) {
+	if x == nil {
+		return r.eng.RecordFast(req.Token, req.ReadAddrs, req.WriteAddrs)
 	}
-
-	// Verdict wait, bounded by the remainder of the deadline. A timeout
-	// after admission orphans the descriptor: the engine (or the fault
-	// layer) may still hold the request, so its footprint slices must not
-	// be reused until the slot generation retires it.
-	v, ok := slot.WaitUntil(req.Gen, deadline)
-	if !ok {
+	s := &r.slots[x.thread]
+	req.Slot, req.Gen = s, s.Prepare()
+	if r.ft == nil {
+		v, err = r.eng.Validate(req)
+	} else if v, err = r.ft.submit(req, stateHealthy); err == errDeadline {
+		// The engine (or the fault layer) may still hold the request — not
+		// after a miss during admission, where dropping them only costs a
+		// reallocation — so reset must not reuse the footprint slices.
 		x.orphaned = true
-		r.fc.deadlineMisses.Add(1)
-		r.engineInflight.Add(-1)
-		r.maybeDegrade()
-		return fpga.Verdict{}, false
 	}
-	if v.Reason == fpga.ReasonClosed {
-		r.fc.engineErrors.Add(1)
-		r.engineInflight.Add(-1)
-		r.degrade()
-		return fpga.Verdict{}, false
+	if err == nil && !v.OK && v.Reason == fpga.ReasonClosed {
+		err = fpga.ErrClosed
 	}
-	r.missStreak.Store(0)
-	if !v.OK {
-		r.engineInflight.Add(-1) // no sequence claimed
-	}
-	return v, true
+	return v, err
 }
 
-// fallbackValidate issues one verdict from the serialized software
-// validator. ok=false means the runtime promoted back to healthy while we
-// waited for the mutex; the caller re-dispatches.
-func (r *TM) fallbackValidate(req fpga.Request) (fpga.Verdict, bool) {
-	r.fbMu.Lock()
-	defer r.fbMu.Unlock()
-	if r.state.Load() != stateDegraded {
-		return fpga.Verdict{}, false
+// submit is one round trip over the link, every blocking step bounded by
+// ValidateDeadline, for as long as the runtime stays in state during.
+func (ft *faultModel) submit(req fpga.Request, during uint32) (fpga.Verdict, error) {
+	deadline := time.Now().Add(ft.r.cfg.ValidateDeadline)
+	for ft.state.Load() == during {
+		err := ft.link.TrySubmit(req)
+		switch {
+		case err == nil:
+			if v, ok := req.Slot.WaitUntil(req.Gen, deadline); ok {
+				return v, nil
+			}
+			return fpga.Verdict{}, errDeadline
+		case !errors.Is(err, fpga.ErrFull):
+			return fpga.Verdict{}, err
+		case time.Now().After(deadline):
+			return fpga.Verdict{}, errDeadline
+		}
+		runtime.Gosched() // admission: poll past backpressure
 	}
-	r.fc.fallbackValidations.Add(1)
-	return r.fbPl.Process(req), true
+	return fpga.Verdict{}, errStale
 }
 
-// maybeDegrade trips degradation after FallbackAfter consecutive deadline
-// misses.
-func (r *TM) maybeDegrade() {
-	if int(r.missStreak.Add(1)) >= r.cfg.FallbackAfter {
-		r.degrade()
+// settle releases the inflight reference of an engine-issued claim: its
+// sequence is published — degradation's quiesce-and-reseed rebases at
+// GlobalTS, which now covers it, write-back or not — or was given up.
+func (r *TM) settle(c claim) {
+	if c.engine {
+		r.ft.inflight.Add(-1)
 	}
+}
+
+// lapsed reports whether a committer waiting for the turn of an
+// engine-issued sequence must give the sequence up: the runtime left the
+// healthy state, or (checked every 64th spin) the wait outlived the
+// deadline, which is itself a reason to degrade.
+func (ft *faultModel) lapsed(spin int, deadline time.Time) bool {
+	missed := spin&63 == 63 && time.Now().After(deadline)
+	if !missed && ft.state.Load() == stateHealthy {
+		return false
+	}
+	ft.abandoned.Add(1)
+	if missed {
+		ft.deadlineMisses.Add(1)
+		ft.degrade()
+	}
+	return true
 }
 
 // degrade starts the healthy→draining→degraded transition (at most one in
 // flight; losers of the CAS return immediately). The heavy lifting runs in
 // a background goroutine so the committer that tripped the transition can
 // proceed into the fallback as soon as it opens.
-func (r *TM) degrade() {
+func (ft *faultModel) degrade() {
+	r := ft.r
 	if r.cfg.DisableFallback {
 		return
 	}
-	if !r.state.CompareAndSwap(stateHealthy, stateDraining) {
+	if !ft.state.CompareAndSwap(stateHealthy, stateDraining) {
 		return
 	}
-	r.fc.fallbackEntries.Add(1)
-	r.missStreak.Store(0)
+	ft.fallbackEntries.Add(1)
 	r.bg.Add(1)
 	go func() {
 		defer r.bg.Done()
 		// Make the outage crisp: every outstanding request gets a
 		// terminal verdict now, not a maybe-later one, and nothing new is
 		// accepted.
-		r.link.Crash()
+		ft.link.Crash()
 		// Quiesce: wait until no committer can still claim an
 		// engine-issued sequence (they all observe the state change, get
 		// a closed verdict, or hit their deadline — all bounded).
-		for r.engineInflight.Load() != 0 {
+		for ft.inflight.Load() != 0 {
 			select {
 			case <-r.stop:
 				return
@@ -291,59 +364,47 @@ func (r *TM) degrade() {
 		// the host's actual commit count. Engine sequences issued but
 		// never committed are reissued from here — safe, their holders
 		// abandoned without publishing.
-		r.fbMu.Lock()
-		r.fbPl.ResetAt(core.Seq(r.globalTS.Load()))
-		r.fbMu.Unlock()
-		r.state.Store(stateDegraded)
-		r.recoverLoop()
+		ft.fbMu.Lock()
+		ft.fbPl.ResetAt(core.Seq(r.globalTS.Load()))
+		ft.fbMu.Unlock()
+		ft.state.Store(stateDegraded)
+		ft.recoverLoop()
 	}()
 }
 
 // recoverLoop probes the engine until it answers again, then promotes the
 // runtime back to healthy. Runs in the degradation goroutine; exits on
 // promotion or Close.
-func (r *TM) recoverLoop() {
+func (ft *faultModel) recoverLoop() {
 	for {
 		select {
-		case <-r.stop:
+		case <-ft.r.stop:
 			return
-		case <-time.After(r.cfg.ProbeInterval):
+		case <-time.After(ft.r.cfg.ProbeInterval):
 		}
-		r.fc.probes.Add(1)
-		if err := r.link.Restart(r.globalTS.Load()); err != nil {
-			r.fc.probeFailures.Add(1)
+		ft.probes.Add(1)
+		if err := ft.link.Restart(ft.r.globalTS.Load()); err != nil {
+			ft.probeFailures.Add(1)
 			continue
 		}
-		if !r.probeHealthy() {
-			r.fc.probeFailures.Add(1)
+		if !ft.probeHealthy() {
+			ft.probeFailures.Add(1)
 			continue
 		}
-		if r.promote() {
+		if ft.promote() {
 			return
 		}
 	}
 }
 
-// probeHealthy sends ProbeCount probe requests through the link (probes
+// probeHealthy sends probeCount probe requests through the link (probes
 // traverse the queues and pipeline but commit nothing) and reports whether
-// all answered OK within the deadline.
-func (r *TM) probeHealthy() bool {
-	for i := 0; i < r.cfg.ProbeCount; i++ {
-		// The prober is a single goroutine, so one dedicated slot serves
-		// every probe allocation-free.
-		preq := fpga.Request{Probe: true, Slot: &r.probeSlot, Gen: r.probeSlot.Prepare()}
-		deadline := time.Now().Add(r.cfg.ValidateDeadline)
-		for {
-			err := r.link.TrySubmit(preq)
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, fpga.ErrFull) || time.Now().After(deadline) {
-				return false
-			}
-			runtime.Gosched()
-		}
-		if v, ok := r.probeSlot.WaitUntil(preq.Gen, deadline); !ok || !v.OK {
+// all answered OK within the deadline. The prober is a single goroutine, so
+// one dedicated slot serves every probe allocation-free.
+func (ft *faultModel) probeHealthy() bool {
+	for i := 0; i < probeCount; i++ {
+		preq := fpga.Request{Probe: true, Slot: &ft.probeSlot, Gen: ft.probeSlot.Prepare()}
+		if v, err := ft.submit(preq, stateDegraded); err != nil || !v.OK {
 			return false
 		}
 	}
@@ -354,10 +415,11 @@ func (r *TM) probeHealthy() bool {
 // commits — the software path has no loss modes), re-synchronize the
 // engine window at the drained commit count, and reopen the engine path.
 // Holding fbMu the whole time keeps new fallback validations out.
-func (r *TM) promote() bool {
-	r.fbMu.Lock()
-	defer r.fbMu.Unlock()
-	next := uint64(r.fbPl.NextSeq())
+func (ft *faultModel) promote() bool {
+	r := ft.r
+	ft.fbMu.Lock()
+	defer ft.fbMu.Unlock()
+	next := uint64(ft.fbPl.NextSeq())
 	for r.globalTS.Load() != next {
 		select {
 		case <-r.stop:
@@ -366,13 +428,13 @@ func (r *TM) promote() bool {
 		}
 		runtime.Gosched()
 	}
-	if err := r.link.Restart(r.globalTS.Load()); err != nil {
+	if err := ft.link.Restart(r.globalTS.Load()); err != nil {
 		// The engine disappeared again between probe and promotion; stay
 		// degraded and keep probing.
-		r.fc.probeFailures.Add(1)
+		ft.probeFailures.Add(1)
 		return false
 	}
-	r.fc.fallbackExits.Add(1)
-	r.state.Store(stateHealthy)
+	ft.fallbackExits.Add(1)
+	ft.state.Store(stateHealthy)
 	return true
 }

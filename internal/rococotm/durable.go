@@ -147,9 +147,19 @@ func RecoverDurable(dev wal.Device, heap *mem.Heap, opts wal.Options, storeCfg m
 		return nil, nil, fmt.Errorf("rococotm: recover: log starts at seq %d, not 0 (checkpointing unsupported)",
 			res.Records[0].Seq)
 	}
+	d, err := replay(dev, res, heap, opts, storeCfg, syncCommit)
+	return d, res, err
+}
+
+// replay rebuilds one durability binding from the recovered records res of
+// dev: each record goes into a fresh multi-version store and then into the
+// heap, in publication order, and the log reopens at the next sequence.
+// Store before heap, record by record: ApplyUpdates captures the pre-write
+// base from the heap, the same ordering the live commit path guarantees.
+func replay(dev wal.Device, res *wal.ReplayResult, heap *mem.Heap, opts wal.Options, storeCfg mvstore.Config, syncCommit bool) (*Durable, error) {
 	store, err := mvstore.New(heap, storeCfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var addrs []mem.Addr
 	var vals []mem.Word
@@ -161,15 +171,12 @@ func RecoverDurable(dev wal.Device, heap *mem.Heap, opts wal.Options, storeCfg m
 			addrs = append(addrs, mem.Addr(a))
 			vals = append(vals, mem.Word(rec.WriteVals[j]))
 		}
-		// Store before heap: ApplyUpdates captures the pre-write base from
-		// the heap, the same ordering the live commit path guarantees.
 		store.ApplyUpdates(rec.Seq, addrs, vals)
 		for j, a := range addrs {
 			heap.Store(a, vals[j])
 		}
 	}
-	log := wal.Open(dev, res.NextSeq, opts)
-	return &Durable{Log: log, Store: store, SyncCommit: syncCommit}, res, nil
+	return &Durable{Log: wal.Open(dev, res.NextSeq, opts), Store: store, SyncCommit: syncCommit}, nil
 }
 
 var _ tm.Snapshotter = (*TM)(nil)

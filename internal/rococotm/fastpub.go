@@ -1,10 +1,6 @@
 package rococotm
 
 import (
-	"errors"
-	"fmt"
-
-	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
 	"rococotm/internal/tm"
@@ -21,14 +17,13 @@ import (
 // eagerly with an undo log, and records the seqlock version of every line
 // it reads. At commit it calls PublishFast, which
 //
-//  1. claims the next commit sequence — by recording the footprint in the
-//     engine's sliding window (Engine.RecordFast), so later slow
-//     validations see the fast commit's read and write sets and cross-path
-//     write skew is caught; in degraded mode the software fallback window
-//     records it instead;
-//  2. installs the thread's update-set entry, the same commit-time lock
-//     slow committers use, so later write-backs order WAW against it and
-//     slow readers keep spinning on the footprint;
+//  1. claims the next commit sequence (pipeline.go fastClaim: the footprint
+//     is recorded in whichever validation window owns the sequence space,
+//     so later slow validations see the fast commit's read and write sets
+//     and cross-path write skew is caught);
+//  2. arms the thread's update-set entry, the same commit-time lock slow
+//     committers use, so later write-backs order WAW against it and slow
+//     readers keep spinning on the footprint;
 //  3. awaits its exact turn (GlobalTS == seq). It does not pre-publish, so
 //     no predecessor's group advance can pass it: the commit-queue slot
 //     stays unpublished until the turn is taken;
@@ -101,14 +96,12 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	}
 	defer r.gate.RUnlock()
 
-	seq, viaEngine, err := r.claimFastSeq(f)
+	c, err := r.fastClaim(f)
 	if err != nil {
 		r.restoreFastHeap(f)
-		if errors.Is(err, errUnavailable) {
-			return tm.AbortCode(tm.CodeEngine)
-		}
-		return fmt.Errorf("rococotm: fast sequence claim: %w", err)
+		return err
 	}
+	seq := c.seq
 
 	// Install the update-set entry — the same commit-time lock a slow
 	// committer holds from verdict to write-back completion. From here on,
@@ -121,12 +114,12 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	}
 	r.arm(f.Thread, seq, ws)
 
-	// Await the exact turn. An engine-issued sequence in FT mode bounds the
-	// wait. A fallback-issued sequence must ALWAYS reach publication —
-	// promote() waits for the fallback window to drain to GlobalTS — so it
-	// waits unboundedly and publishes the empty signature even when doomed.
-	bounded := r.ftEnabled && viaEngine
-	if r.await(f.Thread, seq, nil, bounded) == turnAbandoned {
+	// Await the exact turn. Only an engine-issued sequence in fault-tolerant
+	// mode can be given up. A fallback-issued sequence must ALWAYS reach
+	// publication — promote() waits for the fallback window to drain to
+	// GlobalTS — so it waits unboundedly and publishes the empty signature
+	// even when doomed.
+	if r.await(f.Thread, c, nil) == turnAbandoned {
 		r.restoreFastHeap(f)
 		return tm.AbortCode(tm.CodeEngine)
 	}
@@ -147,10 +140,8 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 		r.lt.BumpClock()
 	}
 	r.release(seq)
-	r.updates[f.Thread].active.Store(0)
-	if bounded {
-		r.engineInflight.Add(-1)
-	}
+	r.disarm(f.Thread)
+	r.settle(c)
 	if failed {
 		return tm.AbortCode(tm.CodeConflict)
 	}
@@ -196,56 +187,6 @@ func (r *TM) fastValid(f *FastFootprint, seq uint64, ws sig.Sig) bool {
 		}
 	}
 	return true
-}
-
-// claimFastSeq claims the next commit sequence for a fast footprint,
-// recording the footprint in whichever validation window currently owns
-// the sequence space. viaEngine reports that the claim holds an
-// engineInflight reference (FT mode, healthy state).
-func (r *TM) claimFastSeq(f *FastFootprint) (uint64, bool, error) {
-	if !r.ftEnabled {
-		v, err := r.eng.RecordFast(uint64(f.Thread), f.ReadAddrs, f.WriteAddrs64)
-		if err != nil {
-			return 0, false, err
-		}
-		return uint64(v.Seq), false, nil
-	}
-	for {
-		switch r.state.Load() {
-		case stateHealthy:
-			// Reference before the claim, so degradation's quiesce cannot
-			// rebase the window while we hold an unpublished sequence.
-			r.engineInflight.Add(1)
-			v, err := r.eng.RecordFast(uint64(f.Thread), f.ReadAddrs, f.WriteAddrs64)
-			if err != nil {
-				r.engineInflight.Add(-1)
-				if errors.Is(err, fpga.ErrClosed) {
-					r.fc.engineErrors.Add(1)
-					r.degrade()
-					continue
-				}
-				return 0, false, err
-			}
-			return uint64(v.Seq), true, nil
-		case stateDraining:
-			return 0, false, errUnavailable
-		case stateDegraded:
-			r.fbMu.Lock()
-			if r.state.Load() != stateDegraded {
-				r.fbMu.Unlock()
-				continue
-			}
-			r.fc.fallbackValidations.Add(1)
-			v := r.fbPl.Process(fpga.Request{
-				Token:      uint64(f.Thread),
-				ValidTS:    uint64(r.fbPl.NextSeq()),
-				ReadAddrs:  f.ReadAddrs,
-				WriteAddrs: f.WriteAddrs64,
-			})
-			r.fbMu.Unlock()
-			return uint64(v.Seq), false, nil
-		}
-	}
 }
 
 // restoreFastHeap rolls the footprint's eager stores back to the undo

@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"rococotm/internal/audit"
-	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
-	"rococotm/internal/mvstore"
 	"rococotm/internal/tm"
-	"rococotm/internal/wal"
 )
 
 // fastHarness drives PublishFast by hand, playing the hybrid fast path's
@@ -212,35 +209,6 @@ func TestPublishFastDoom(t *testing.T) {
 	r.ClearFastDoom(0)
 	if r.FastDoomed(0) {
 		t.Fatal("doom flag survived ClearFastDoom")
-	}
-}
-
-// TestLineTableConfigGates pins the unsupported-combination panics.
-func TestLineTableConfigGates(t *testing.T) {
-	heap := mem.NewHeap(1 << 10)
-	store, err := mvstore.New(heap, mvstore.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := wal.Open(wal.NewMemDevice(nil), 0, wal.Options{})
-	defer log.Close()
-	full := mem.NewLineTable(heap.Cap())
-	for _, tc := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"durable", Config{LineTable: full, Durable: &Durable{Log: log, Store: store}}},
-		{"cycle-level", Config{LineTable: full, Engine: fpga.Config{CycleLevel: true}}},
-		{"short", Config{LineTable: mem.NewLineTable(8)}}, // too few lines
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: New did not panic", tc.name)
-				}
-			}()
-			New(heap, tc.cfg).Close()
-		}()
 	}
 }
 

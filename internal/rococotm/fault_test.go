@@ -19,7 +19,8 @@ import (
 //	stubSwallow — accept every request and never answer (a silent link);
 //	stubClosed  — refuse everything with ErrClosed and fail restarts;
 //	stubServe   — answer synchronously from a private Pipeline, like a
-//	              zero-latency healthy engine.
+//	              zero-latency healthy engine;
+//	stubFull    — refuse everything with ErrFull (a stalled link).
 type stubLink struct {
 	inner Link // the real engine, kept only so Close tears it down
 	mode  atomic.Int32
@@ -32,6 +33,7 @@ const (
 	stubSwallow int32 = iota
 	stubClosed
 	stubServe
+	stubFull
 )
 
 func newStub(inner Link, cfg fpga.Config, mode int32) *stubLink {
@@ -50,6 +52,8 @@ func (s *stubLink) TrySubmit(r fpga.Request) error {
 		return nil
 	case stubClosed:
 		return fpga.ErrClosed
+	case stubFull:
+		return fpga.ErrFull
 	default:
 		// Serve synchronously. Single-threaded tests only; no locking.
 		r.Deliver(s.pl.Process(r))
@@ -137,9 +141,9 @@ func TestFallbackOnSilentEngine(t *testing.T) {
 }
 
 // TestFallbackOnClosedEngine: ErrClosed from the link is an engine error
-// that degrades immediately, regardless of FallbackAfter.
+// that degrades immediately.
 func TestFallbackOnClosedEngine(t *testing.T) {
-	m, _ := newFaultTM(t, stubClosed, func(c *Config) { c.FallbackAfter = 100 })
+	m, _ := newFaultTM(t, stubClosed, nil)
 	a := m.Heap().MustAlloc(1)
 	for i := 0; i < 5; i++ {
 		runWrite(t, m, a)

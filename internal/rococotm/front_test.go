@@ -1,0 +1,393 @@
+package rococotm
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"rococotm/internal/fpga"
+	"rococotm/internal/mem"
+	"rococotm/internal/tm"
+)
+
+// White-box tests of the front half of the commit: extend (agg.go), the claim
+// and its health dispatch (pipeline.go, degrade.go), and the one epilogue's
+// accounting.
+
+// The ref* functions are the extension decisions as the four call sites
+// wrote them out before extend existed (admit, Commit, commitCross phases 1
+// and 3), kept as the reference extend's callers are compared against. abort
+// is the reason the site aborted with, "" if it did not.
+
+func refFold(x *txn, upto uint64) (tempAny, overlap, ok bool) {
+	before := x.localTS
+	x.tempSig.Reset()
+	overlap, ok = x.extendFold(upto)
+	return x.localTS > before, overlap, ok
+}
+
+func refRead(x *txn, idx []int, g1 uint64) (abort string) {
+	tempAny, overlap, ok := refFold(x, g1)
+	if !ok {
+		return tm.ReasonWindow
+	}
+	if x.missAny || overlap {
+		if tempAny {
+			x.missSig.Union(x.tempSig)
+			x.missAny = true
+		}
+		if x.missAny && x.missSig.QueryIdx(idx) {
+			return tm.ReasonConflict
+		}
+	} else if tempAny {
+		x.validTS = x.localTS
+	}
+	return ""
+}
+
+func refCommit(x *txn, g uint64) (abort string) {
+	tempAny, overlap, ok := refFold(x, g)
+	if !ok {
+		return tm.ReasonWindow
+	}
+	if tempAny {
+		if x.missAny || overlap {
+			x.missSig.Union(x.tempSig)
+			x.missAny = true
+		} else {
+			x.validTS = x.localTS
+		}
+	} else if !x.missAny {
+		x.validTS = x.localTS
+	}
+	return ""
+}
+
+func refStrict(x *txn, g uint64, phase3 bool) (abort string) {
+	_, overlap, ok := refFold(x, g)
+	if !ok {
+		return tm.ReasonWindow
+	}
+	if overlap || (!phase3 && x.missAny) {
+		return tm.ReasonConflict
+	}
+	if !phase3 {
+		x.validTS = x.localTS
+	}
+	return ""
+}
+
+// TestExtendCallerPolicies drives one commit history through the three
+// policies extend's callers apply — a read aborts only on a missed address,
+// a commit never aborts on staleness, a cross-shard commit aborts on any —
+// and checks validTS, localTS, missAny and the abort reason against what the
+// hand-written copies produce from the same starting state.
+func TestExtendCallerPolicies(t *testing.T) {
+	const readers = 3 // addresses each transaction under test reads first
+	histories := []struct {
+		name    string
+		slots   int
+		miss    bool  // the transaction is already stale before the history
+		commits []int // address index each later commit writes
+	}{
+		{name: "nothing committed"},
+		{name: "disjoint commits", commits: []int{5, 6, 7, 5, 6}},
+		{name: "overlapping commit", commits: []int{5, 1, 6}},
+		{name: "stale then disjoint", miss: true, commits: []int{5, 6}},
+		{name: "ring lapped", slots: 4, commits: []int{5, 6, 7, 5, 6, 7}},
+	}
+	policies := []struct {
+		name string
+		got  func(x *txn, a mem.Addr, idx []int, g uint64) error
+		ref  func(x *txn, idx []int, g uint64) string
+	}{
+		{"read missed address",
+			func(x *txn, a mem.Addr, idx []int, g uint64) error { return x.admit(a, idx, g) },
+			refRead},
+		{"commit",
+			func(x *txn, _ mem.Addr, _ []int, g uint64) error {
+				if !x.extend(g) {
+					return x.abort(tm.CodeWindow)
+				}
+				return nil
+			},
+			func(x *txn, _ []int, g uint64) string { return refCommit(x, g) }},
+		{"strict",
+			func(x *txn, _ mem.Addr, _ []int, g uint64) error { return x.extendStrict(g) },
+			func(x *txn, _ []int, g uint64) string { return refStrict(x, g, false) }},
+		{"strict re-extension",
+			func(x *txn, _ mem.Addr, _ []int, g uint64) error { return x.extendStrict(g) },
+			func(x *txn, _ []int, g uint64) string { return refStrict(x, g, true) }},
+	}
+	for _, h := range histories {
+		for _, p := range policies {
+			if h.miss && p.name == "strict re-extension" {
+				continue // phase 3 runs only after phase 1 found nothing missed
+			}
+			t.Run(h.name+"/"+p.name, func(t *testing.T) {
+				r := New(mem.NewHeap(1<<10), Config{MaxThreads: 3, CommitQueueSlots: h.slots, MaxAggLevel: -1})
+				defer r.Close()
+				base := r.Heap().MustAlloc(8)
+				write := func(i int) {
+					if err := tm.Run(r, 2, func(x tm.Txn) error { return x.Write(base+mem.Addr(i), 1) }); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Thread 0 takes the policy under test, thread 1 the
+				// reference; both start from the same reads.
+				var xs [2]*txn
+				for th := range xs {
+					x, _ := r.Begin(th)
+					xs[th] = x.(*txn)
+				}
+				for th := range xs {
+					for i := 0; i < readers; i++ {
+						if _, err := xs[th].Read(base + mem.Addr(i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if h.miss {
+					write(2)
+					for th := range xs {
+						if _, err := xs[th].Read(base + 4); err != nil { // folds the overlap: missAny
+							t.Fatal(err)
+						}
+					}
+					if !xs[0].missAny {
+						t.Fatal("setup: transaction not stale")
+					}
+				}
+				for _, i := range h.commits {
+					write(i)
+				}
+				// The address a read policy admits: the last one the history
+				// wrote (missed, if the transaction is stale by then).
+				a := base + 5
+				if n := len(h.commits); n > 0 {
+					a = base + mem.Addr(h.commits[n-1])
+				}
+				var idxBuf [16]int
+				idx := r.hasher.Indices(uint64(a), idxBuf[:])
+				g := r.GlobalTS()
+
+				want := p.ref(xs[1], idx, g)
+				got := ""
+				if err := p.got(xs[0], a, idx, g); err != nil {
+					got, _ = tm.IsAbort(err)
+				}
+				if got != want {
+					t.Fatalf("abort = %q, reference %q", got, want)
+				}
+				// The re-extension site never used validTS again (it
+				// publishes at its sequence); everywhere else it must match.
+				if xs[0].validTS != xs[1].validTS && p.name != "strict re-extension" && got == "" {
+					t.Errorf("validTS = %d, reference %d", xs[0].validTS, xs[1].validTS)
+				}
+				if got == "" && (xs[0].localTS != xs[1].localTS || xs[0].missAny != xs[1].missAny) {
+					t.Errorf("localTS/missAny = %d/%v, reference %d/%v",
+						xs[0].localTS, xs[0].missAny, xs[1].localTS, xs[1].missAny)
+				}
+				if got == "" && xs[0].missAny && !xs[0].missSig.Equal(xs[1].missSig) {
+					t.Error("MissSet differs from the reference")
+				}
+				for th, x := range xs {
+					if !x.dead {
+						r.Abort(xs[th])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestTrustingRuntimeCarriesNoFaultState: without ValidateDeadline there is
+// no fault model at all, and FaultStats reads as a healthy zero.
+func TestTrustingRuntimeCarriesNoFaultState(t *testing.T) {
+	r := New(mem.NewHeap(1<<10), Config{MaxThreads: 1})
+	defer r.Close()
+	if r.ft != nil {
+		t.Fatal("trusting runtime carries a fault model")
+	}
+	runWrite(t, r, r.Heap().MustAlloc(1))
+	if fs := r.FaultStats(); fs != (FaultStats{State: "healthy"}) {
+		t.Fatalf("FaultStats = %+v, want zero and healthy", fs)
+	}
+}
+
+// TestClaimEndsLeaveNothingBehind: in fault-tolerant mode, every way a claim
+// can end without publishing leaves no inflight reference and no armed
+// update-set entry (TestAbandonLeavesNothingBehind covers the turn-wait
+// deadline).
+func TestClaimEndsLeaveNothingBehind(t *testing.T) {
+	commit := func(t *testing.T, r *TM) error {
+		x, err := r.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Write(r.Heap().MustAlloc(1), 1); err != nil {
+			t.Fatal(err)
+		}
+		return r.Commit(x)
+	}
+	stub := func(mode int32) func(*Config) {
+		return func(c *Config) {
+			c.DisableFallback = true // the claim ends in an abort, not in the fallback
+			c.WrapLink = func(inner Link) Link { return newStub(inner, fpga.Config{}, mode) }
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		tweak func(*Config)
+		end   func(t *testing.T, r *TM) error
+		check func(t *testing.T, fs FaultStats)
+	}{
+		{"admission deadline", stub(stubFull), commit, func(t *testing.T, fs FaultStats) {
+			if fs.DeadlineMisses != 1 || fs.EngineErrors != 0 {
+				t.Errorf("%+v, want one deadline miss", fs)
+			}
+		}},
+		{"verdict deadline", stub(stubSwallow), commit, func(t *testing.T, fs FaultStats) {
+			if fs.DeadlineMisses != 1 || fs.EngineErrors != 0 {
+				t.Errorf("%+v, want one deadline miss", fs)
+			}
+		}},
+		{"closed link", stub(stubClosed), commit, func(t *testing.T, fs FaultStats) {
+			if fs.EngineErrors != 1 || fs.DeadlineMisses != 0 {
+				t.Errorf("%+v, want one engine error", fs)
+			}
+		}},
+		{"state change at the turn wait", func(c *Config) {
+			c.ValidateDeadline = time.Minute // only the state change can end the wait
+		}, func(t *testing.T, r *TM) error {
+			// Seq 0 goes to nobody, so the commit waits for a turn that
+			// never comes; degradation starts once it is armed.
+			if v := r.Engine().Process(fpga.Request{}); !v.OK || v.Seq != 0 {
+				t.Fatalf("hole verdict %+v", v)
+			}
+			tripped := make(chan struct{})
+			go func() {
+				defer close(tripped)
+				for r.updates[0].active.Load() == 0 {
+					time.Sleep(50 * time.Microsecond)
+				}
+				r.ft.degrade()
+			}()
+			err := commit(t, r)
+			<-tripped
+			return err
+		}, func(t *testing.T, fs FaultStats) {
+			if fs.Abandoned != 1 || fs.DeadlineMisses != 0 {
+				t.Errorf("%+v, want one abandoned sequence and no miss", fs)
+			}
+		}},
+		{"PublishFast during draining", nil, func(t *testing.T, r *TM) error {
+			r.ft.state.Store(stateDraining)
+			defer r.ft.state.Store(stateHealthy)
+			base := r.Heap().MustAlloc(16)
+			fh := &fastHarness{r: r, lt: r.lt, heap: r.Heap()}
+			err := fh.publish(t, base, base+8, 42)
+			if got := r.Heap().Load(base); got != 0 {
+				t.Errorf("heap = %d after a refused publish, want 0 (restored)", got)
+			}
+			return err
+		}, func(t *testing.T, fs FaultStats) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			heap := mem.NewHeap(1 << 10)
+			cfg := Config{MaxThreads: 2, LineTable: mem.NewLineTable(heap.Cap()),
+				ValidateDeadline: 2 * time.Millisecond, ProbeInterval: time.Hour}
+			if tc.tweak != nil {
+				tc.tweak(&cfg)
+			}
+			r := New(heap, cfg)
+			defer r.Close()
+			err := tc.end(t, r)
+			if code, ok := tm.CodeOf(err); !ok || code != tm.CodeEngine {
+				t.Fatalf("err = %v, want an engine abort", err)
+			}
+			tc.check(t, r.FaultStats())
+			if n := r.ft.inflight.Load(); n != 0 {
+				t.Errorf("inflight = %d, want 0", n)
+			}
+			if r.updates[0].active.Load() != 0 {
+				t.Error("the update-set entry is still armed")
+			}
+			if got := r.GlobalTS(); got != 0 {
+				t.Errorf("GlobalTS = %d, want 0 (nothing published)", got)
+			}
+			if st := r.Stats(); st.Starts != st.Commits+st.Aborts {
+				t.Errorf("Starts %d != Commits %d + Aborts %d", st.Starts, st.Commits, st.Aborts)
+			}
+		})
+	}
+}
+
+// TestHardEngineErrorIsCounted: an attempt ended by a hard engine error is an
+// engine abort — Starts == Commits + Aborts survives it — on the runtime, on
+// the sharded front end's single-shard path and on its cross-shard path,
+// which also fills what it had claimed so the surviving shard stays live.
+func TestHardEngineErrorIsCounted(t *testing.T) {
+	check := func(t *testing.T, m tm.TM, err error, live int) {
+		t.Helper()
+		if err == nil || !errors.Is(err, fpga.ErrClosed) {
+			t.Fatalf("commit on a dead engine: err = %v, want a hard fpga.ErrClosed", err)
+		}
+		if _, abort := tm.IsAbort(err); abort {
+			t.Fatalf("hard error %v reads as an abort", err)
+		}
+		st := m.Stats()
+		if st.Starts != 1 || st.Commits != 0 || st.Aborts != 1 || st.Reasons[tm.ReasonEngine] != 1 {
+			t.Errorf("Starts/Commits/Aborts = %d/%d/%d, reasons %v; want 1/0/1 with one %s abort",
+				st.Starts, st.Commits, st.Aborts, st.Reasons, tm.ReasonEngine)
+		}
+		if live != 0 {
+			t.Errorf("PoolCheck live = %d, want 0", live)
+		}
+	}
+	t.Run("TM", func(t *testing.T) {
+		r := New(mem.NewHeap(1<<10), Config{MaxThreads: 1})
+		defer r.Close()
+		x, _ := r.Begin(0)
+		if err := x.Write(r.Heap().MustAlloc(1), 1); err != nil {
+			t.Fatal(err)
+		}
+		r.Engine().Crash()
+		err := r.Commit(x)
+		live, _ := r.PoolCheck()
+		check(t, r, err, live)
+	})
+	for _, cross := range []bool{false, true} {
+		name := "Sharded single"
+		if cross {
+			name = "Sharded cross"
+		}
+		t.Run(name, func(t *testing.T) {
+			s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, MaxThreads: 1})
+			defer s.Close()
+			addrs := shardAddrs(t, s, 1) // one address per shard
+			x, _ := s.Begin(0)
+			if err := x.Write(addrs[1], 1); err != nil {
+				t.Fatal(err)
+			}
+			if cross {
+				if err := x.Write(addrs[0], 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s.Shard(1).Engine().Crash()
+			err := s.Commit(x)
+			live, _ := s.PoolCheck()
+			check(t, s, err, live)
+			if !cross {
+				return
+			}
+			if cs := s.CrossStats(); cs.CrossAborts != 1 || cs.NoopFills != 1 {
+				t.Errorf("CrossStats = %+v, want one cross abort and one no-op fill", cs)
+			}
+			if err := tm.Run(s, 0, func(x tm.Txn) error { return x.Write(addrs[0], 2) }); err != nil {
+				t.Fatalf("surviving shard: %v", err)
+			}
+		})
+	}
+}

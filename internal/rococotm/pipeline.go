@@ -4,17 +4,21 @@ import (
 	"runtime"
 	"time"
 
+	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
+	"rococotm/internal/tm"
 )
 
-// This file is the commit pipeline after the verdict: the ordered-
-// publication stage every producer of a commit sequence enters — TM.Commit,
+// This file is the commit pipeline from the claim on: claim and fastClaim,
+// the second step of the front half every commit shares (extend, agg.go, is
+// the first; both claims go through the health dispatch in degrade.go), then
+// the ordered-publication stage every holder of a claim enters — TM.Commit,
 // PublishFast, the cross-shard commit and its no-op fills — and the
 // out-of-order write-back phase with its WAW ordering wait.
 //
-// The stage is the paper's §5.3 protocol as four functions, one
-// implementation each:
+// The stage is the paper's §5.3 protocol after the verdict as four
+// functions, one implementation each:
 //
 //	arm      install the thread's update-set entry (seq, words, active);
 //	await    wait for the turn in commit-sequence order;
@@ -47,6 +51,61 @@ import (
 // cross-shard commit) and fault-tolerant mode (a claimed sequence may be
 // abandoned, and a published slot cannot be retracted) do not pre-publish,
 // which is what stops a group at them.
+
+// claim is a commit sequence as its holder obtained it. engine marks a
+// sequence the engine issued in fault-tolerant mode: degradation's quiesce
+// waits for it (it holds an inflight reference until settle) and await may
+// give it up. Every other sequence must reach publication.
+type claim struct {
+	seq    uint64
+	engine bool
+}
+
+// claim ships x's snapshot and footprint to the validator (§5.3) and returns
+// the commit sequence it issued. The error is an abort — window, cycle, or
+// engine when the engine is unreachable mid-degradation — or a hard engine
+// error. The write footprint reuses the descriptor's scratch slice; the
+// engine releases its references once the verdict is delivered, and the
+// orphaning rule in reset covers requests that outlive a deadline.
+func (r *TM) claim(x *txn) (claim, error) {
+	x.writeAddrs = x.writeAddrs[:0]
+	for _, a := range x.writeOrder {
+		x.writeAddrs = append(x.writeAddrs, uint64(a))
+	}
+	timed := r.cfg.MeasureValidation || r.cfg.MeasurePhases
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	v, engine, err := r.verdict(fpga.Request{Token: uint64(x.thread), ValidTS: x.validTS,
+		ReadAddrs: x.readAddrs, WriteAddrs: x.writeAddrs}, x)
+	if timed {
+		r.cnt.AddValidation(time.Since(t0))
+	}
+	if engine {
+		// Modeled latency as the CPU would see it: CCI round trip + pipeline
+		// residency. The software fallback has no modeled hardware component.
+		r.cnt.AddModelValidation(r.eng.Config().Model.RoundTripNanos + v.ModelNanos)
+	}
+	switch {
+	case err != nil:
+		return claim{}, err
+	case v.OK:
+		return claim{uint64(v.Seq), engine && r.ft != nil}, nil
+	case v.Reason == fpga.ReasonWindow:
+		return claim{}, tm.AbortCode(tm.CodeWindow)
+	}
+	return claim{}, tm.AbortCode(tm.CodeCycle)
+}
+
+// fastClaim claims the next commit sequence for a fast publication by
+// recording its footprint in whichever validation window owns the sequence
+// space, so later slow validations see the fast commit.
+func (r *TM) fastClaim(f *FastFootprint) (claim, error) {
+	v, engine, err := r.verdict(fpga.Request{Token: uint64(f.Thread),
+		ReadAddrs: f.ReadAddrs, WriteAddrs: f.WriteAddrs64}, nil)
+	return claim{uint64(v.Seq), engine && r.ft != nil}, err
+}
 
 // publication is one commit as the stage sees it: what goes into the commit
 // queue and what the sinks record. A pre-published record is read by the
@@ -86,6 +145,13 @@ func (r *TM) arm(thread int, seq uint64, ws sig.Sig) {
 	u.active.Store(1)
 }
 
+// disarm releases thread's update-set entry: the write-back has landed, or
+// the sequence was given up or filled with a no-op and nothing will be
+// written.
+//
+//tm:hotpath
+func (r *TM) disarm(thread int) { r.updates[thread].active.Store(0) }
+
 // publishSlot publishes ws as commit seq's write signature in the
 // commit-queue ring (seqlock: ver 2seq+1 while writing, 2seq+2 final). pre
 // is the handle a pre-publishing committer leaves for its releaser (nil at
@@ -112,40 +178,32 @@ func (r *TM) slotPublished(seq uint64) bool {
 	return r.commitQ[seq&uint64(r.cfg.CommitQueueSlots-1)].ver.Load() == 2*seq+2
 }
 
-// await waits for commit seq's turn in the publication order. A non-nil pre
-// is pre-published first, after which a predecessor may publish the commit
-// with its group (turnReleased). bounded marks an engine-issued sequence in
-// fault-tolerant mode: a verdict the link lost below it leaves a hole only
-// degradation can clear, and the quiesce needs the sequence let go, so on a
-// state change or after ValidateDeadline the wait retracts the update-set
-// entry, releases the inflight reference and returns turnAbandoned.
-func (r *TM) await(thread int, seq uint64, pre *publication, bounded bool) turn {
+// await waits for the turn of c's sequence in the publication order. A
+// non-nil pre is pre-published first, after which a predecessor may publish
+// the commit with its group (turnReleased). An engine-issued sequence in
+// fault-tolerant mode is bounded: a verdict the link lost below it leaves a
+// hole only degradation can clear, and the quiesce needs the sequence let
+// go, so on a state change or after ValidateDeadline the wait disarms the
+// update-set entry, settles the claim and returns turnAbandoned.
+func (r *TM) await(thread int, c claim, pre *publication) turn {
 	if pre != nil {
-		r.publishSlot(seq, pre.ws, pre)
+		r.publishSlot(c.seq, pre.ws, pre)
 	}
 	var deadline time.Time
-	if bounded {
+	if c.engine {
 		deadline = time.Now().Add(r.cfg.ValidateDeadline)
 	}
 	for spin := 0; ; spin++ {
 		switch ts := r.globalTS.Load(); {
-		case ts == seq:
+		case ts == c.seq:
 			return turnHeld
-		case ts > seq:
+		case ts > c.seq:
 			return turnReleased
 		}
-		if bounded {
-			missed := spin&63 == 63 && time.Now().After(deadline)
-			if missed || r.state.Load() != stateHealthy {
-				r.updates[thread].active.Store(0)
-				r.engineInflight.Add(-1)
-				r.fc.abandoned.Add(1)
-				if missed {
-					r.fc.deadlineMisses.Add(1)
-					r.degrade()
-				}
-				return turnAbandoned
-			}
+		if c.engine && r.ft.lapsed(spin, deadline) {
+			r.disarm(thread)
+			r.settle(c)
+			return turnAbandoned
 		}
 		if spin > 8 {
 			runtime.Gosched()

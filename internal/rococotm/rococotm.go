@@ -82,9 +82,6 @@ type Config struct {
 	// whose snapshot falls more than this many commits behind aborts.
 	// Must be a power of two; default 4096.
 	CommitQueueSlots int
-	// SubSigAddrs is the number of addresses per read-set sub-signature
-	// (paper: 8, matching the 512-bit cache line).
-	SubSigAddrs int
 	// ReadSpinLimit bounds how long a read waits on in-flight committers
 	// before aborting; default 64 rounds.
 	ReadSpinLimit int
@@ -115,17 +112,14 @@ type Config struct {
 
 	// ValidateDeadline, when > 0, enables fault-tolerant mode: every
 	// blocking step of an engine validation (queue admission, verdict
-	// wait, commit-turn wait) is bounded by this duration, and misses feed
-	// the degradation state machine in degrade.go. 0 (the default) keeps
-	// the original trusting commit path that blocks indefinitely on the
-	// engine. Choose a deadline comfortably above the modeled round trip
-	// (hundreds of microseconds to milliseconds), or healthy queueing
-	// will be misread as an outage.
+	// wait, commit-turn wait) is bounded by this duration, and a miss — like
+	// an engine error — trips the degradation state machine in degrade.go.
+	// 0 (the default) keeps the trusting commit path that blocks
+	// indefinitely on the engine and carries no fault state. Choose a
+	// deadline comfortably above the modeled round trip (hundreds of
+	// microseconds to milliseconds), or healthy queueing will be misread as
+	// an outage.
 	ValidateDeadline time.Duration
-	// FallbackAfter is the number of consecutive deadline misses that
-	// trips degradation to the software validator; default 1. Engine
-	// errors (a closed link) always trip it immediately.
-	FallbackAfter int
 	// DisableFallback keeps deadline enforcement but never degrades:
 	// commits that miss abort with tm.ReasonEngine and retry against the
 	// engine forever. This is the "hanging baseline" for experiments.
@@ -133,9 +127,6 @@ type Config struct {
 	// ProbeInterval is the recovery prober's period while degraded;
 	// default 500µs.
 	ProbeInterval time.Duration
-	// ProbeCount is how many consecutive probe verdicts must arrive in
-	// deadline before the runtime promotes back to the engine; default 3.
-	ProbeCount int
 	// WrapLink, when set, wraps the engine link before the runtime uses
 	// it — the hook the fault-injection layer (internal/fault) attaches
 	// to. It only takes effect in fault-tolerant mode.
@@ -180,23 +171,11 @@ func (c *Config) fill() {
 	if c.CommitQueueSlots == 0 {
 		c.CommitQueueSlots = 4096
 	}
-	if c.CommitQueueSlots&(c.CommitQueueSlots-1) != 0 {
-		panic(fmt.Sprintf("rococotm: CommitQueueSlots %d not a power of two", c.CommitQueueSlots))
-	}
-	if c.SubSigAddrs == 0 {
-		c.SubSigAddrs = 8
-	}
 	if c.ReadSpinLimit == 0 {
 		c.ReadSpinLimit = 64
 	}
-	if c.FallbackAfter == 0 {
-		c.FallbackAfter = 1
-	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Microsecond
-	}
-	if c.ProbeCount == 0 {
-		c.ProbeCount = 3
 	}
 	if c.WatchdogAge > 0 && c.WatchdogInterval == 0 {
 		c.WatchdogInterval = c.WatchdogAge / 4
@@ -207,6 +186,52 @@ func (c *Config) fill() {
 	if c.Logf == nil {
 		c.Logf = log.Printf
 	}
+}
+
+// subSigAddrs is the number of addresses per read-set sub-signature (paper:
+// 8, matching the 512-bit cache line).
+const subSigAddrs = 8
+
+// Validate reports why a runtime over heap cannot be built from c, or nil.
+// Every legality check of a configuration lives here — New makes none of its
+// own and panics with this error — so a feature pair either passes and
+// composes, or is rejected by a message naming both features. Zero fields
+// are legal (they select defaults).
+func (c Config) Validate(heap *mem.Heap) error {
+	if n := c.CommitQueueSlots; n < 0 || n&(n-1) != 0 {
+		return fmt.Errorf("rococotm: CommitQueueSlots %d not a power of two", n)
+	}
+	if err := c.Engine.Validate(); err != nil {
+		return fmt.Errorf("rococotm: Engine: %w", err)
+	}
+	if d := c.Durable; d != nil {
+		if d.Log == nil || d.Store == nil {
+			return errors.New("rococotm: Durable needs both Log and Store")
+		}
+		if d.Store.Heap() != heap {
+			return errors.New("rococotm: Durable.Store opened over a different heap")
+		}
+		if n, h := d.Log.NextSeq(), d.Store.Height(); n != h {
+			return fmt.Errorf("rococotm: Durable.Log at seq %d but Durable.Store at height %d", n, h)
+		}
+	}
+	if lt := c.LineTable; lt != nil {
+		if c.Engine.CycleLevel {
+			// The RTL model owns the sliding window, so the host has no
+			// sequence authority for direct fast inserts.
+			return errors.New("rococotm: LineTable is incompatible with a cycle-level engine (Engine.CycleLevel)")
+		}
+		if c.Durable != nil {
+			// The multi-version store captures chain base values from the
+			// live heap at first touch; a fast transaction's uncommitted
+			// eager store would be captured as committed pre-history.
+			return errors.New("rococotm: LineTable is incompatible with Durable")
+		}
+		if want := (uint64(heap.Cap()-1) >> mem.LineShift) + 1; uint64(lt.Lines()) < want {
+			return fmt.Errorf("rococotm: LineTable covers %d lines, heap needs %d", lt.Lines(), want)
+		}
+	}
+	return nil
 }
 
 // commitSlot is one seqlock-protected ring entry of the commit queue.
@@ -285,20 +310,18 @@ type TM struct {
 	// thread i's live transaction, 0 while idle; doomed[i] holds the
 	// stamp of the attempt the watchdog wants killed — matching on the
 	// stamp (not just a flag) means a kill can never hit a successor
-	// attempt that reused the thread slot. wdFires/wdKills back the
-	// Stats.Watchdog* counters.
+	// attempt that reused the thread slot. wdFires backs Stats.WatchdogFires
+	// (the kills are the aborts with tm.CodeWatchdog).
 	began   []atomic.Int64
 	doomed  []atomic.Int64
 	wdFires atomic.Uint64
-	wdKills atomic.Uint64
 
 	// Transport hot-path reuse. scratch holds each thread's recycled
 	// transaction descriptor (owner-only: nil while the thread's txn is
 	// live); slots are the per-thread verdict mailboxes of the push-queue
-	// transport; probeSlot serves the single recovery prober.
-	scratch   []*txn
-	slots     []fpga.VerdictSlot
-	probeSlot fpga.VerdictSlot
+	// transport.
+	scratch []*txn
+	slots   []fpga.VerdictSlot
 
 	cnt tm.Counters
 
@@ -313,44 +336,38 @@ type TM struct {
 	fastReadSigs []sig.Sig       // per-thread read-sig scratch for the drain scan
 	fastDoomed   []atomic.Uint32 // write-back found this thread's fast txn in its way
 
-	// Fault-tolerant mode state (degrade.go). link is the possibly-wrapped
-	// engine connection; ftEnabled caches ValidateDeadline > 0.
-	link      Link
-	ftEnabled bool
-	// state is the degradation state machine (stateHealthy/Draining/
-	// Degraded); missStreak counts consecutive deadline misses toward
-	// FallbackAfter; engineInflight counts committers that may still claim
-	// or hold an engine-issued commit sequence — degradation quiesces on
-	// it before the fallback reissues sequence numbers.
-	state          atomic.Uint32
-	missStreak     atomic.Int32
-	engineInflight atomic.Int64
-	// fbMu serializes the software fallback validator (and promotion).
-	fbMu sync.Mutex
-	fbPl *fpga.Pipeline
-	fc   faultCounters
+	// ft is the fault model (degrade.go): the link, the degradation state
+	// machine and the software fallback. nil on a trusting runtime
+	// (Config.ValidateDeadline == 0), which validates by calling the engine.
+	ft *faultModel
+
+	// stop ends the background goroutines (watchdog, degradation/recovery);
+	// bg tracks them so Close can join them before tearing the engine down.
 	stop chan struct{}
 	once sync.Once
-	// bg tracks the drain/recover goroutine so Close can join it before
-	// tearing the link down (its prober submits probes to the link).
-	bg sync.WaitGroup
+	bg   sync.WaitGroup
 }
 
-// faultCounters backs FaultStats.
-type faultCounters struct {
-	deadlineMisses, engineErrors, abandoned             atomic.Uint64
-	fallbackEntries, fallbackExits, fallbackValidations atomic.Uint64
-	probes, probeFailures                               atomic.Uint64
-}
-
-// New starts a ROCoCoTM runtime (including its FPGA engine) over heap.
-// Like fill, it panics on an invalid engine configuration — construction
-// problems are deployment bugs, not runtime conditions.
+// New starts a ROCoCoTM runtime (including its FPGA engine) over heap. It
+// panics with Config.Validate's error on an illegal configuration —
+// construction problems are deployment bugs, not runtime conditions.
 func New(heap *mem.Heap, cfg Config) *TM {
 	cfg.fill()
+	r, err := start(heap, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// start is New returning its error.
+func start(heap *mem.Heap, cfg Config) (*TM, error) {
+	if err := cfg.Validate(heap); err != nil {
+		return nil, err
+	}
 	eng, err := fpga.Start(cfg.Engine)
 	if err != nil {
-		panic("rococotm: " + err.Error())
+		return nil, fmt.Errorf("rococotm: %w", err)
 	}
 	r := &TM{
 		heap:    heap,
@@ -378,19 +395,7 @@ func New(heap *mem.Heap, cfg Config) *TM {
 	r.scratch = make([]*txn, cfg.MaxThreads)
 	r.slots = make([]fpga.VerdictSlot, cfg.MaxThreads)
 	r.stop = make(chan struct{})
-	r.link = eng
-	r.ftEnabled = cfg.ValidateDeadline > 0
-	if cfg.Durable != nil {
-		d := cfg.Durable
-		if d.Log == nil || d.Store == nil {
-			panic("rococotm: Config.Durable needs both Log and Store")
-		}
-		if d.Store.Heap() != heap {
-			panic("rococotm: Config.Durable.Store opened over a different heap")
-		}
-		if n, h := d.Log.NextSeq(), d.Store.Height(); n != h {
-			panic(fmt.Sprintf("rococotm: durable log at seq %d but store at height %d", n, h))
-		}
+	if d := cfg.Durable; d != nil {
 		r.dur = &durableState{d: d}
 		if h := d.Store.Height(); h > 0 {
 			// Recovery reseed: the commit count resumes where the durable
@@ -399,24 +404,11 @@ func New(heap *mem.Heap, cfg Config) *TM {
 			// pre-crash snapshots correctly read as out-of-window).
 			r.globalTS.Store(h)
 			if err := eng.Restart(h); err != nil {
-				panic("rococotm: reseed engine at recovered height: " + err.Error())
+				return nil, fmt.Errorf("rococotm: reseed engine at recovered height: %w", err)
 			}
 		}
 	}
 	if cfg.LineTable != nil {
-		if cfg.Engine.CycleLevel {
-			panic("rococotm: Config.LineTable is incompatible with a cycle-level engine")
-		}
-		if cfg.Durable != nil {
-			// The multi-version store captures chain base values from the
-			// live heap at first touch; a fast transaction's uncommitted
-			// eager store would be captured as committed pre-history.
-			panic("rococotm: Config.LineTable is incompatible with Durable")
-		}
-		if wantLines := (uint64(heap.Cap()-1) >> mem.LineShift) + 1; uint64(cfg.LineTable.Lines()) < wantLines {
-			panic(fmt.Sprintf("rococotm: Config.LineTable covers %d lines, heap needs %d",
-				cfg.LineTable.Lines(), wantLines))
-		}
 		r.lt = cfg.LineTable
 		r.fastSigs = make([]sig.Sig, cfg.MaxThreads)
 		r.fastReadSigs = make([]sig.Sig, cfg.MaxThreads)
@@ -426,24 +418,16 @@ func New(heap *mem.Heap, cfg Config) *TM {
 		}
 		r.fastDoomed = make([]atomic.Uint32, cfg.MaxThreads)
 	}
-	if r.ftEnabled {
-		if cfg.WrapLink != nil {
-			r.link = cfg.WrapLink(r.link)
+	if cfg.ValidateDeadline > 0 {
+		if r.ft, err = newFaultModel(r); err != nil {
+			return nil, err
 		}
-		// The fallback validator shares the engine's exact configuration
-		// (window, signature geometry, hash seed), so software verdicts
-		// are bit-identical to hardware ones.
-		fb, err := fpga.NewPipeline(eng.Config())
-		if err != nil {
-			panic("rococotm: " + err.Error())
-		}
-		r.fbPl = fb
 	}
 	if cfg.WatchdogAge > 0 {
 		r.bg.Add(1)
 		go r.watchdog()
 	}
-	return r
+	return r, nil
 }
 
 // watchdog periodically scans for transactions stuck past WatchdogAge and
@@ -520,7 +504,7 @@ func (r *TM) Stats() tm.Stats {
 	s.ValidationBatchMax = es.MaxBatch
 	s.ValidationQueuePeak = es.QueuePeak
 	s.WatchdogFires = r.wdFires.Load()
-	s.WatchdogKills = r.wdKills.Load()
+	s.WatchdogKills = s.Reasons[tm.ReasonWatchdog]
 	s.CommitPipelinePeak = r.wbPeak.Load()
 	return s
 }
@@ -540,7 +524,11 @@ func (r *TM) GlobalTS() uint64 { return r.globalTS.Load() }
 func (r *TM) Close() {
 	r.once.Do(func() { close(r.stop) })
 	r.bg.Wait()
-	r.link.Close()
+	if r.ft != nil {
+		r.ft.link.Close()
+	} else {
+		r.eng.Close()
+	}
 	if r.dur != nil {
 		if err := r.dur.d.Log.Close(); err != nil {
 			r.cfg.Logf("rococotm: wal close: %v", err)
@@ -559,7 +547,7 @@ type txn struct {
 	validTS uint64 // snapshot at which all reads are known consistent
 
 	readSig   sig.Sig   // whole-read-set signature
-	subSigs   []sig.Sig // one per SubSigAddrs reads, for precise re-checks
+	subSigs   []sig.Sig // one per subSigAddrs reads, for precise re-checks
 	subUsed   int       // sub-signatures live this attempt (rest are spares)
 	subCount  int       // addresses in the newest sub-signature
 	readAddrs []uint64
@@ -613,28 +601,41 @@ func (x *txn) reset(ts uint64) {
 	x.writeOrder = x.writeOrder[:0]
 }
 
-// finish is the one epilogue of an attempt, whatever ended it: reason is ""
-// for a commit, else why it aborted. It releases the exclusive gate of an
-// irrevocable attempt, settles the thread's escalation streak, retires the
-// watchdog stamp (the attempt is over, nothing is stuck) and parks the
-// descriptor for the thread's next Begin — unless drop, for an attempt ended
-// by a hard engine error, whose footprint the engine may still reference.
-// Only the owning thread calls it (txns are single-goroutine), so the
-// scratch slot needs no synchronization.
-func (x *txn) finish(reason string, drop bool) {
-	r := x.r
-	x.dead = true
+// committed is the outcome finish takes for a commit; every other value is
+// the code the attempt aborted with.
+const committed = tm.Code(0xff)
+
+// tally records one attempt's outcome in cnt — so no path can end an attempt
+// uncounted and Starts == Commits + Aborts holds by construction — and
+// settles the thread's escalation streak.
+func tally(cnt *tm.Counters, consec *int32, c tm.Code, irrevocable, readOnly bool) {
 	switch {
-	case reason == "":
-		r.consec[x.thread] = 0
-	case x.irrevocable, reason == tm.ReasonExplicit, reason == tm.ReasonEngine, reason == tm.ReasonWatchdog:
+	case c == committed:
+		*consec = 0
+		cnt.OnCommit(readOnly)
+		return
+	case irrevocable, c == tm.CodeExplicit, c == tm.CodeEngine, c == tm.CodeWatchdog:
 		// Engine-unavailability and watchdog aborts say nothing about
 		// contention, so they must not escalate a thread toward
 		// irrevocability — an irrevocable transaction would freeze all
 		// commits while itself waiting out the outage.
 	default:
-		r.consec[x.thread]++
+		*consec++
 	}
+	cnt.OnAbort(c)
+}
+
+// finish is the one epilogue of an attempt, whatever ended it: c is committed
+// or the abort code. It counts the outcome, releases the exclusive gate of
+// an irrevocable attempt, retires the watchdog stamp (the attempt is over,
+// nothing is stuck) and parks the descriptor for the thread's next Begin —
+// unless drop, for an attempt ended by a hard engine error, whose footprint
+// the engine may still reference. Only the owning thread calls it (txns are
+// single-goroutine), so the scratch slot needs no synchronization.
+func (x *txn) finish(c tm.Code, drop bool) {
+	r := x.r
+	x.dead = true
+	tally(&r.cnt, &r.consec[x.thread], c, x.irrevocable, len(x.redo) == 0)
 	if x.irrevocable {
 		r.gate.Unlock()
 		r.irrevPending.Add(-1)
@@ -643,6 +644,21 @@ func (x *txn) finish(reason string, drop bool) {
 	if !drop && r.scratch[x.thread] == nil {
 		r.scratch[x.thread] = x
 	}
+}
+
+func (x *txn) abort(c tm.Code) error {
+	x.finish(c, false)
+	return tm.AbortCode(c)
+}
+
+// ending is finish's arguments for an attempt that ends on err: an abort's
+// code, or — anything else is a hard engine error — an engine abort whose
+// descriptor is dropped.
+func ending(err error) (c tm.Code, drop bool) {
+	if c, abort := tm.CodeOf(err); abort {
+		return c, false
+	}
+	return tm.CodeEngine, true
 }
 
 // Begin implements tm.TM.
@@ -694,12 +710,6 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 		readSeen:    map[mem.Addr]bool{},
 		sigCfg:      scfg,
 	}, nil
-}
-
-func (x *txn) abort(reason string) error {
-	x.finish(reason, false)
-	x.r.cnt.OnAbort(reason)
-	return tm.Abort(reason)
 }
 
 // updateSetHits reports whether any in-flight committer's write signature
@@ -769,11 +779,10 @@ func (x *txn) doomedNow() bool {
 // Read implements tm.Txn — Algorithm 1, TM_READ.
 func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if x.dead {
-		return 0, tm.Abort(tm.ReasonConflict)
+		return 0, tm.AbortCode(tm.CodeConflict)
 	}
 	if x.doomedNow() {
-		x.r.wdKills.Add(1)
-		return 0, x.abort(tm.ReasonWatchdog)
+		return 0, x.abort(tm.CodeWatchdog)
 	}
 	// Lines 1-4: read-your-writes from the redo log.
 	if v, ok := x.redo[a]; ok {
@@ -809,7 +818,7 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 		// when the exclusive gate was taken, and a fast line owner is
 		// doomed below and rolls back promptly.
 		if spins++; spins > r.cfg.ReadSpinLimit && !x.irrevocable {
-			return 0, 0, x.abort(tm.ReasonConflict)
+			return 0, 0, x.abort(tm.CodeConflict)
 		}
 		g1 = r.globalTS.Load()
 		// Line 5-7: commit-time locking — wait out committers that may be
@@ -819,7 +828,7 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 		// non-empty), waiting cannot help: abort (line 6).
 		if r.updateSetHits(idx, x.thread) {
 			if x.missAny {
-				return 0, 0, x.abort(tm.ReasonConflict)
+				return 0, 0, x.abort(tm.CodeConflict)
 			}
 			runtime.Gosched()
 			continue
@@ -862,33 +871,16 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 // admit is Algorithm 1 lines 9-20 for a value of a that load accepted under
 // g1: extend the snapshot or grow the miss set, then record the read.
 func (x *txn) admit(a mem.Addr, idx []int, g1 uint64) error {
-	// Lines 9-13: fold the write signatures published since LocalTS into
-	// the TempSet (extendFold, agg.go: whole aligned segments fold through
-	// the aggregate ring; the overlap verdict stays per-commit precise).
-	// The fold stops at g1, not at the live GlobalTS: a is not in the read
-	// set yet, so a commit in [g1, GlobalTS) that wrote a would fold without
-	// an overlap and validTS would pass a write the loaded value does not
-	// reflect. Such a commit is folded by the next Read or by Commit, with
-	// a recorded.
-	x.tempSig.Reset()
-	tempAny, overlap, ok := x.extendFold(g1)
-	if !ok {
-		// Snapshot fell out of the commit-queue ring.
-		return x.abort(tm.ReasonWindow)
+	// Lines 9-19, extend (agg.go). The fold stops at g1, not at the live
+	// GlobalTS: a is not in the read set yet, so a commit in [g1, GlobalTS)
+	// that wrote a would fold without an overlap and validTS would pass a
+	// write the loaded value does not reflect. Such a commit is folded by the
+	// next Read or by Commit, with a recorded.
+	if !x.extend(g1) {
+		return x.abort(tm.CodeWindow) // snapshot fell out of the commit-queue ring
 	}
-
-	// Lines 14-19: snapshot extension or miss-set accumulation.
-	if x.missAny || overlap {
-		if tempAny {
-			x.missSig.Union(x.tempSig)
-			x.missAny = true
-		}
-		if x.missAny && x.missSig.QueryIdx(idx) {
-			return x.abort(tm.ReasonConflict) // line 17: torn snapshot
-		}
-	} else if tempAny {
-		// All reads so far remain consistent at the new snapshot.
-		x.validTS = x.localTS
+	if x.missAny && x.missSig.QueryIdx(idx) {
+		return x.abort(tm.CodeConflict) // line 17: torn snapshot
 	}
 
 	// Line 20: record the read. Sub-signatures are recycled across
@@ -899,7 +891,7 @@ func (x *txn) admit(a mem.Addr, idx []int, g1 uint64) error {
 		x.readSeen[a] = true
 		x.readAddrs = append(x.readAddrs, addr)
 		x.readSig.Insert(x.r.hasher, addr)
-		if x.subCount == 0 || x.subCount == x.r.cfg.SubSigAddrs {
+		if x.subCount == 0 || x.subCount == subSigAddrs {
 			if x.subUsed < len(x.subSigs) {
 				x.subSigs[x.subUsed].Reset()
 			} else {
@@ -930,13 +922,12 @@ func (x *txn) readSetOverlaps(commit sig.Sig) bool {
 	if !x.readSig.Intersects(commit) {
 		return false
 	}
-	n := x.r.cfg.SubSigAddrs
 	for i, s := range x.subSigs[:x.subUsed] {
 		if !s.Intersects(commit) {
 			continue
 		}
-		lo := i * n
-		hi := lo + n
+		lo := i * subSigAddrs
+		hi := lo + subSigAddrs
 		if hi > len(x.readAddrs) {
 			hi = len(x.readAddrs)
 		}
@@ -952,11 +943,10 @@ func (x *txn) readSetOverlaps(commit sig.Sig) bool {
 // Write implements tm.Txn — Algorithm 1, TM_WRITE.
 func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
 	if x.doomedNow() {
-		x.r.wdKills.Add(1)
-		return x.abort(tm.ReasonWatchdog)
+		return x.abort(tm.CodeWatchdog)
 	}
 	if _, seen := x.redo[a]; !seen {
 		x.writeOrder = append(x.writeOrder, a)
@@ -966,23 +956,22 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	return nil
 }
 
-// Commit implements tm.TM (§5.3 commit protocol): final extension, engine
-// validation, the ordered-publication stage (signature + timestamp, strict
+// Commit implements tm.TM (§5.3 commit protocol): the front half every
+// commit shares — extend to the present, claim a sequence from the validator
+// — then the ordered-publication stage (signature + timestamp, strict
 // verdict-seq order) and a decoupled write-back phase that runs out of order
 // across committers under the update-set lock (pipeline.go).
 func (r *TM) Commit(t tm.Txn) error {
 	x := t.(*txn)
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
 	if x.doomedNow() {
-		r.wdKills.Add(1)
-		return x.abort(tm.ReasonWatchdog)
+		return x.abort(tm.CodeWatchdog)
 	}
 	if len(x.redo) == 0 {
 		// Read-only fast path: consistent at validTS, commits on CPU.
-		x.finish("", false)
-		r.cnt.OnCommit(true)
+		x.finish(committed, false)
 		return nil
 	}
 	if !x.irrevocable {
@@ -998,98 +987,41 @@ func (r *TM) Commit(t tm.Txn) error {
 		pStart = time.Now()
 	}
 
-	// Final snapshot extension before shipping: fold any commits since the
-	// last read into the TempSet and, if the read set is untouched,
-	// advance ValidTS to the present. Without this a transaction that
-	// merely sat descheduled behind many unrelated commits would carry a
-	// stale ValidTS into the engine and risk a spurious window abort.
-	x.tempSig.Reset()
-	tempAny, overlap, ok := x.extendFold(r.globalTS.Load())
-	if !ok {
-		return x.abort(tm.ReasonWindow)
-	}
-	if tempAny {
-		if x.missAny || overlap {
-			x.missSig.Union(x.tempSig)
-			x.missAny = true
-		} else {
-			x.validTS = x.localTS
-		}
-	} else if !x.missAny {
-		x.validTS = x.localTS
+	// Final snapshot extension before shipping. Without it a transaction
+	// that merely sat descheduled behind many unrelated commits would carry
+	// a stale ValidTS into the engine and risk a spurious window abort. A
+	// grown MissSet is not an abort here: the engine may still serialize the
+	// transaction before the writers that invalidated it.
+	if !x.extend(r.globalTS.Load()) {
+		return x.abort(tm.CodeWindow)
 	}
 	var dExtend time.Duration
 	if measure {
 		dExtend = time.Since(pStart)
 	}
 
-	// Ship the footprint and snapshot to the FPGA and wait for a verdict.
-	// The write footprint reuses the descriptor's scratch slice; the
-	// engine releases its references once the verdict is delivered, and
-	// the orphaning rule in reset covers requests that outlive a deadline.
-	x.writeAddrs = x.writeAddrs[:0]
-	for _, a := range x.writeOrder {
-		x.writeAddrs = append(x.writeAddrs, uint64(a))
-	}
-	var t0 time.Time
-	if r.cfg.MeasureValidation || measure {
-		t0 = time.Now()
-	}
-	verdict, viaEngine, err := r.validate(x, fpga.Request{
-		Token:      uint64(x.thread),
-		ValidTS:    x.validTS,
-		ReadAddrs:  x.readAddrs,
-		WriteAddrs: x.writeAddrs,
-	})
-	if r.cfg.MeasureValidation || measure {
-		r.cnt.AddValidation(time.Since(t0))
-	}
-	if viaEngine {
-		// Modeled latency as the CPU would see it: CCI round trip +
-		// pipeline residency. The software fallback has no modeled
-		// hardware component.
-		r.cnt.AddModelValidation(r.eng.Config().Model.RoundTripNanos + verdict.ModelNanos)
-	}
-	if err == nil && !verdict.OK && verdict.Reason == fpga.ReasonClosed {
-		// Non-FT mode only (engineValidate turns it into a degradation
-		// trigger): a terminal verdict from a dying engine is a hard
-		// runtime error, matching Validate's ErrClosed.
-		err = fpga.ErrClosed
-	}
+	c, err := r.claim(x)
 	if err != nil {
-		if errors.Is(err, errUnavailable) {
-			return x.abort(tm.ReasonEngine)
-		}
-		x.finish(tm.ReasonEngine, true)
-		return fmt.Errorf("rococotm: engine: %w", err)
+		x.finish(ending(err))
+		return err
 	}
-	if !verdict.OK {
-		// In FT mode engineValidate already released the inflight
-		// reference for !OK verdicts.
-		if verdict.Reason == fpga.ReasonWindow {
-			return x.abort(tm.ReasonWindow)
-		}
-		return x.abort(tm.ReasonCycle)
-	}
-	seq := uint64(verdict.Seq)
 
-	// Ordered publication. Outside fault-tolerant mode the sequence can no
-	// longer be given up, so the commit pre-publishes and may be released by
-	// the group advance of a predecessor.
+	// Ordered publication. On a trusting runtime the sequence can no longer
+	// be given up, so the commit pre-publishes and may be released by the
+	// group advance of a predecessor.
 	x.pub = publication{validTS: x.validTS, ws: x.writeSig, reads: x.readAddrs,
 		writes: x.writeAddrs, order: x.writeOrder, redo: x.redo}
-	r.arm(x.thread, seq, x.writeSig)
+	r.arm(x.thread, c.seq, x.writeSig)
 	var pre *publication
-	if !r.ftEnabled {
+	if r.ft == nil {
 		pre = &x.pub
 	}
 	if measure {
 		pStart = time.Now()
 	}
-	bounded := r.ftEnabled && viaEngine
-	outcome := r.await(x.thread, seq, pre, bounded)
+	outcome := r.await(x.thread, c, pre)
 	if outcome == turnAbandoned {
-		return x.abort(tm.ReasonEngine)
+		return x.abort(tm.CodeEngine)
 	}
 	var dAwait, dPublish time.Duration
 	if measure {
@@ -1097,14 +1029,10 @@ func (r *TM) Commit(t tm.Txn) error {
 		pStart = time.Now()
 	}
 	if outcome == turnHeld {
-		r.publish(seq, &x.pub)
-		r.release(seq)
+		r.publish(c.seq, &x.pub)
+		r.release(c.seq)
 	}
-	if bounded {
-		// The sequence is published: degradation's quiesce-and-reseed
-		// rebases at GlobalTS, which now covers it, write-back or not.
-		r.engineInflight.Add(-1)
-	}
+	r.settle(c)
 	if measure {
 		dPublish = time.Since(pStart)
 		pStart = time.Now()
@@ -1113,20 +1041,19 @@ func (r *TM) Commit(t tm.Txn) error {
 	// Out-of-order write-back phase: the update-set entry keeps the write
 	// set locked while the redo log drains concurrently with other
 	// committers' write-backs (WAW pairs excepted — pipeline.go).
-	r.writeBack(x, seq)
-	r.updates[x.thread].active.Store(0)
+	r.writeBack(x, c.seq)
+	r.disarm(x.thread)
 	if measure {
 		r.cnt.AddCommitPhases(dExtend, dAwait, dPublish, time.Since(pStart))
 	}
 
-	x.finish("", false)
-	r.cnt.OnCommit(false)
+	x.finish(committed, false)
 	if r.dur != nil && r.dur.d.SyncCommit {
 		// Group-commit wait, outside the ordered section so committers
 		// overlap on one fsync. A failure here does NOT undo the commit —
 		// it is published and visible — it only means durability could not
 		// be confirmed; callers must not retry the transaction.
-		if err := r.dur.d.Log.WaitDurable(seq + 1); err != nil {
+		if err := r.dur.d.Log.WaitDurable(c.seq + 1); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotDurable, err)
 		}
 	}
@@ -1137,8 +1064,7 @@ func (r *TM) Commit(t tm.Txn) error {
 // the private logs.
 func (r *TM) Abort(t tm.Txn) {
 	if x := t.(*txn); !x.dead {
-		x.finish(tm.ReasonExplicit, false)
-		r.cnt.OnAbort(tm.ReasonExplicit)
+		x.finish(tm.CodeExplicit, false)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
 	"rococotm/internal/tm"
@@ -33,24 +32,24 @@ import (
 // single global commit token (a mutex) that serializes cross-shard
 // committers through five phases:
 //
-//  1. strict extension — each sub-transaction folds its shard's commit
-//     queue to the present; any read-set overlap aborts. Cross-shard
+//  1. strict extension — each sub-transaction extends to its shard's
+//     present (extendStrict); any staleness aborts. Cross-shard
 //     transactions are forward-only: the single-shard runtime may let
 //     the engine serialize a stale-read transaction *before* its
 //     invalidators, but a reordering that is safe per shard is not
 //     provably safe across shards, so here staleness is simply a
 //     conflict.
-//  2. engine validation — every touched engine (even one only read
-//     from) validates the sub-footprint and claims that shard's next
-//     commit sequence s_i. Claiming on read-only shards is what puts
-//     the transaction into every touched shard's publication order —
-//     the hook the consistent-cut argument below hangs off.
-//  3. turn capture + fold re-check — for each touched shard in
-//     ascending order, await the exact turn at s_i and hold it (nothing
-//     is pre-published, so a single-shard turn-holder's group advance
-//     cannot pass it), then re-fold the commits that landed between
-//     phase 1 and the claim. Only after ALL shards
-//     pass does anything publish: a cross-shard transaction is never
+//  2. claim — every sub-transaction (even a read-only one) claims its
+//     shard's next commit sequence s_i through the shard's ordinary
+//     claim. Claiming on read-only shards is what puts the transaction
+//     into every touched shard's publication order — the hook the
+//     consistent-cut argument below hangs off.
+//  3. turn capture + re-extension — for each touched shard in ascending
+//     order, await the exact turn at s_i and hold it (nothing is
+//     pre-published, so a single-shard turn-holder's group advance
+//     cannot pass it), then extendStrict over the commits that landed
+//     between phase 1 and the claim. Only after ALL shards pass does
+//     anything publish: a cross-shard transaction is never
 //     half-committed.
 //  4. publication — publish on every shard through the stage every
 //     commit uses (pipeline.go: signature, aggregates, observer and
@@ -101,9 +100,10 @@ type ShardedConfig struct {
 	// be pure and total; the default is addr mod Shards.
 	Route func(mem.Addr) int
 	// Shard is the per-shard runtime template. Observer, Durable,
-	// IrrevocableAfter and ValidateDeadline must be zero: observers and
-	// durability are per-shard (below), escalation and fault tolerance
-	// are managed by the front end.
+	// IrrevocableAfter, ValidateDeadline and LineTable must be zero:
+	// observers and durability are per-shard (below), escalation is managed
+	// by the front end, and neither fault-tolerant mode nor the hybrid fast
+	// path is supported per shard.
 	Shard Config
 	// Observers, when non-nil, has one CommitObserver per shard (nil
 	// entries allowed). Each observes its shard's merged publication
@@ -161,38 +161,69 @@ type Sharded struct {
 	noopFills     atomic.Uint64
 }
 
+func (c *ShardedConfig) fill() {
+	if c.Shards == 0 {
+		c.Shards = 2
+	}
+	if c.MaxThreads == 0 {
+		c.MaxThreads = 32
+	}
+	if c.Shard.MaxThreads == 0 {
+		c.Shard.MaxThreads = c.MaxThreads
+	}
+}
+
+// shard returns shard i's runtime configuration: the template with the
+// shard's own observer and durability binding.
+func (c *ShardedConfig) shard(i int) Config {
+	sc := c.Shard
+	if c.Observers != nil {
+		sc.Observer = c.Observers[i]
+	}
+	if c.Durables != nil {
+		sc.Durable = c.Durables[i]
+	}
+	return sc
+}
+
+// Validate reports why a sharded runtime over heap cannot be built from c,
+// or nil — the one legality function of the front end (see Config.Validate),
+// covering every shard's own configuration.
+func (c ShardedConfig) Validate(heap *mem.Heap) error {
+	c.fill()
+	t := &c.Shard
+	switch {
+	case c.Shards < 1 || c.Shards > 64:
+		return fmt.Errorf("rococotm: sharded: Shards %d out of range [1,64]", c.Shards)
+	case t.Observer != nil || t.Durable != nil:
+		return errors.New("rococotm: sharded: set Observers/Durables, not Shard.Observer/Shard.Durable")
+	case t.IrrevocableAfter != 0:
+		return errors.New("rococotm: sharded: escalation is managed by the front end; set IrrevocableAfter, not Shard.IrrevocableAfter")
+	case t.ValidateDeadline != 0:
+		return errors.New("rococotm: sharded: fault-tolerant mode (Shard.ValidateDeadline) is not supported per shard")
+	case t.LineTable != nil:
+		return errors.New("rococotm: sharded: Shard.LineTable: fast publications are not routed by shard")
+	case c.Observers != nil && len(c.Observers) != c.Shards:
+		return errors.New("rococotm: sharded: len(Observers) must equal Shards")
+	case c.Durables != nil && len(c.Durables) != c.Shards:
+		return errors.New("rococotm: sharded: len(Durables) must equal Shards")
+	case t.MaxThreads != c.MaxThreads:
+		return errors.New("rococotm: sharded: Shard.MaxThreads must match MaxThreads")
+	}
+	for i := 0; i < c.Shards; i++ {
+		if err := c.shard(i).Validate(heap); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // NewSharded starts Shards independent runtimes (each with its own
-// engine) over heap. Construction problems panic, like New.
+// engine) over heap. Like New, it panics with Validate's error.
 func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Shards < 1 || cfg.Shards > 64 {
-		panic(fmt.Sprintf("rococotm: Shards %d out of range [1,64]", cfg.Shards))
-	}
-	if cfg.Shard.Observer != nil || cfg.Shard.Durable != nil {
-		panic("rococotm: sharded: set Observers/Durables, not the shard template's")
-	}
-	if cfg.Shard.IrrevocableAfter != 0 {
-		panic("rococotm: sharded: escalation is managed by the front end; leave Shard.IrrevocableAfter zero")
-	}
-	if cfg.Shard.ValidateDeadline != 0 {
-		panic("rococotm: sharded: fault-tolerant mode is not supported per shard")
-	}
-	if cfg.Observers != nil && len(cfg.Observers) != cfg.Shards {
-		panic("rococotm: sharded: len(Observers) must equal Shards")
-	}
-	if cfg.Durables != nil && len(cfg.Durables) != cfg.Shards {
-		panic("rococotm: sharded: len(Durables) must equal Shards")
-	}
-	if cfg.MaxThreads == 0 {
-		cfg.MaxThreads = 32
-	}
-	if cfg.Shard.MaxThreads == 0 {
-		cfg.Shard.MaxThreads = cfg.MaxThreads
-	}
-	if cfg.Shard.MaxThreads != cfg.MaxThreads {
-		panic("rococotm: sharded: Shard.MaxThreads must match MaxThreads")
+	cfg.fill()
+	if err := cfg.Validate(heap); err != nil {
+		panic(err)
 	}
 	n := cfg.Shards
 	if cfg.Route == nil {
@@ -208,15 +239,8 @@ func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
 		scratch:   make([]*stxn, cfg.MaxThreads),
 	}
 	s.xid.Store(cfg.NextXID)
-	for i := 0; i < n; i++ {
-		sc := cfg.Shard
-		if cfg.Observers != nil {
-			sc.Observer = cfg.Observers[i]
-		}
-		if cfg.Durables != nil {
-			sc.Durable = cfg.Durables[i]
-		}
-		s.shards[i] = New(heap, sc)
+	for i := range s.shards {
+		s.shards[i] = New(heap, cfg.shard(i))
 	}
 	return s
 }
@@ -318,10 +342,10 @@ type stxn struct {
 	dead        bool
 	irrevocable bool
 
-	subs    []*txn   // indexed by shard; nil = untouched
-	order   []int    // touched shard indices, ascending
-	seqs    []uint64 // claimed commit sequence per order entry
-	claimed []bool   // seqs[k] valid (engine verdict OK on order[k])
+	subs   []*txn   // indexed by shard; nil = untouched
+	order  []int    // touched shard indices, ascending
+	seqs   []uint64 // claimed commit sequence per order entry
+	nclaim int      // seqs[:nclaim] are claimed (claims are taken in order)
 }
 
 // shardMask returns the touched-shard bitmask stamped into every shard's
@@ -342,9 +366,7 @@ func (x *stxn) reset() {
 		x.subs[i] = nil
 	}
 	x.order = x.order[:0]
-	for i := range x.claimed {
-		x.claimed[i] = false
-	}
+	x.nclaim = 0
 }
 
 // sub returns the sub-transaction on shard i, beginning it on first
@@ -370,64 +392,39 @@ func (x *stxn) sub(i int) (*txn, error) {
 	return sb, nil
 }
 
-// failSub finishes an abort that one sub-transaction already started
-// (its shard aborted and recycled it): abort the remaining subs and do
-// the front-end accounting, preserving the shard's reason.
-func (x *stxn) failSub(failed int, err error) error {
-	reason, ok := tm.IsAbort(err)
-	if !ok {
-		// Hard runtime error from a shard: kill everything, no recycling.
-		x.dead = true
-		for _, i := range x.order {
-			if i == failed {
-				continue
-			}
-			if sb := x.subs[i]; sb != nil && !sb.dead {
-				x.s.shards[i].Abort(sb)
-			}
-		}
-		if x.irrevocable {
-			x.s.unlockAllGates()
-		}
-		return err
-	}
-	for _, i := range x.order {
-		if i == failed {
-			continue
-		}
-		if sb := x.subs[i]; sb != nil && !sb.dead {
-			x.s.shards[i].Abort(sb)
-		}
-	}
-	return x.finishAbort(reason)
-}
-
-// finishAbort does the front-end side of an abort whose subs are all
-// dead already.
-func (x *stxn) finishAbort(reason string) error {
+// finish is the one epilogue of a front-end attempt, whatever ended it — the
+// counterpart of txn.finish, taking the same outcome. Every sub-transaction
+// still live ends with it (one that started the abort itself, or committed
+// through its shard, is dead already); the outcome is counted; an irrevocable
+// attempt releases its exclusive gates; and the descriptor is parked for the
+// thread's next Begin unless drop (a hard engine error).
+func (x *stxn) finish(c tm.Code, drop bool) {
 	s := x.s
 	x.dead = true
+	ro := true
+	for _, i := range x.order {
+		sb := x.subs[i]
+		ro = ro && len(sb.redo) == 0
+		if !sb.dead {
+			sb.finish(c, drop)
+		}
+	}
+	tally(&s.cnt, &s.consec[x.thread], c, x.irrevocable, ro)
 	if x.irrevocable {
-		s.unlockAllGates()
-	} else if reason != tm.ReasonExplicit && reason != tm.ReasonEngine &&
-		reason != tm.ReasonWatchdog {
-		s.consec[x.thread]++
+		for _, sh := range s.shards {
+			sh.gate.Unlock()
+		}
 	}
-	s.cnt.OnAbort(reason)
-	s.recycle(x)
-	return tm.Abort(reason)
-}
-
-func (s *Sharded) unlockAllGates() {
-	for _, sh := range s.shards {
-		sh.gate.Unlock()
-	}
-}
-
-func (s *Sharded) recycle(x *stxn) {
-	if s.scratch[x.thread] == nil {
+	if !drop && s.scratch[x.thread] == nil {
 		s.scratch[x.thread] = x
 	}
+}
+
+// fail ends the attempt on err, an abort or a hard engine error, and returns
+// it.
+func (x *stxn) fail(err error) error {
+	x.finish(ending(err))
+	return err
 }
 
 // Begin implements tm.TM.
@@ -457,12 +454,11 @@ func (s *Sharded) Begin(thread int) (tm.Txn, error) {
 	} else {
 		n := len(s.shards)
 		x = &stxn{
-			s:       s,
-			thread:  thread,
-			subs:    make([]*txn, n),
-			order:   make([]int, 0, n),
-			seqs:    make([]uint64, n),
-			claimed: make([]bool, n),
+			s:      s,
+			thread: thread,
+			subs:   make([]*txn, n),
+			order:  make([]int, 0, n),
+			seqs:   make([]uint64, n),
 		}
 	}
 	x.irrevocable = irrevocable
@@ -475,16 +471,15 @@ func (s *Sharded) Begin(thread int) (tm.Txn, error) {
 // observed a split cross-shard state can only abort.
 func (x *stxn) Read(a mem.Addr) (mem.Word, error) {
 	if x.dead {
-		return 0, tm.Abort(tm.ReasonConflict)
+		return 0, tm.AbortCode(tm.CodeConflict)
 	}
-	i := x.s.route(a)
-	sb, err := x.sub(i)
+	sb, err := x.sub(x.s.route(a))
 	if err != nil {
 		return 0, err
 	}
 	v, err := sb.Read(a)
 	if err != nil {
-		return 0, x.failSub(i, err)
+		return 0, x.fail(err)
 	}
 	return v, nil
 }
@@ -492,36 +487,23 @@ func (x *stxn) Read(a mem.Addr) (mem.Word, error) {
 // Write implements tm.Txn.
 func (x *stxn) Write(a mem.Addr, v mem.Word) error {
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
-	i := x.s.route(a)
-	sb, err := x.sub(i)
+	sb, err := x.sub(x.s.route(a))
 	if err != nil {
 		return err
 	}
 	if err := sb.Write(a, v); err != nil {
-		return x.failSub(i, err)
+		return x.fail(err)
 	}
 	return nil
 }
 
 // Abort implements tm.TM.
 func (s *Sharded) Abort(t tm.Txn) {
-	x := t.(*stxn)
-	if x.dead {
-		return
+	if x := t.(*stxn); !x.dead {
+		x.finish(tm.CodeExplicit, false)
 	}
-	x.dead = true
-	for _, i := range x.order {
-		if sb := x.subs[i]; sb != nil && !sb.dead {
-			s.shards[i].Abort(sb)
-		}
-	}
-	if x.irrevocable {
-		s.unlockAllGates()
-	}
-	s.cnt.OnAbort(tm.ReasonExplicit)
-	s.recycle(x)
 }
 
 // Commit implements tm.TM: single-shard transactions delegate to their
@@ -529,40 +511,24 @@ func (s *Sharded) Abort(t tm.Txn) {
 // transactions run the cross-shard token protocol.
 func (s *Sharded) Commit(t tm.Txn) error {
 	x := t.(*stxn)
-	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
-	}
-	if len(x.order) == 0 {
-		// Touched nothing.
-		x.dead = true
-		if x.irrevocable {
-			s.unlockAllGates()
-		}
-		s.consec[x.thread] = 0
-		s.cnt.OnCommit(true)
-		s.recycle(x)
-		return nil
-	}
-	if len(x.order) == 1 && !x.irrevocable {
+	switch {
+	case x.dead:
+		return tm.AbortCode(tm.CodeConflict)
+	case len(x.order) == 1 && !x.irrevocable:
 		// Fast path: the whole footprint lives in one shard, so that
 		// shard's ordinary protocol is exactly correct — no token, no
 		// extra ordering, nothing global.
 		i := x.order[0]
-		sb := x.subs[i]
-		ro := len(sb.redo) == 0
-		err := s.shards[i].Commit(sb)
-		x.dead = true
-		if err == nil || errors.Is(err, ErrNotDurable) {
-			s.consec[x.thread] = 0
-			s.cnt.OnCommit(ro)
-			s.recycle(x)
-			s.singleCommits.Add(1)
-			return err
+		err := s.shards[i].Commit(x.subs[i])
+		if err != nil && !errors.Is(err, ErrNotDurable) {
+			return x.fail(err)
 		}
-		if reason, ok := tm.IsAbort(err); ok {
-			return x.finishAbort(reason)
-		}
-		return err // hard runtime error; descriptor dropped
+		s.singleCommits.Add(1)
+		x.finish(committed, false)
+		return err
+	case len(x.order) == 0: // touched nothing
+		x.finish(committed, false)
+		return nil
 	}
 	return s.commitCross(x)
 }
@@ -578,66 +544,26 @@ func (s *Sharded) commitCross(x *stxn) error {
 	}
 	s.token.Lock()
 	xid := s.xid.Add(1)
-	ro := true
 
 	// Phase 1: strict extension on every touched shard. Forward-only:
-	// any staleness (a committed overlap with the read set, or an
-	// accumulated miss set) is a conflict — cross-shard transactions are
-	// never reordered before their invalidators.
+	// cross-shard transactions are never reordered before their
+	// invalidators.
 	for _, i := range x.order {
-		sb := x.subs[i]
-		sb.tempSig.Reset()
-		_, overlap, ok := sb.extendFold(s.shards[i].globalTS.Load())
-		if !ok {
-			return s.crossFail(x, tm.ReasonWindow)
-		}
-		if overlap || sb.missAny {
-			return s.crossFail(x, tm.ReasonConflict)
-		}
-		sb.validTS = sb.localTS
-		sb.writeAddrs = sb.writeAddrs[:0]
-		for _, a := range sb.writeOrder {
-			sb.writeAddrs = append(sb.writeAddrs, uint64(a))
-		}
-		if len(sb.writeOrder) > 0 {
-			ro = false
+		if err := x.subs[i].extendStrict(s.shards[i].globalTS.Load()); err != nil {
+			return s.crossFail(x, err)
 		}
 	}
 
-	// Phase 2: validate on every touched engine, ascending, claiming
-	// each shard's next commit sequence — read-only subs included, so
-	// the transaction occupies a slot in every touched publication
-	// order.
-	for k, i := range x.order {
-		sb := x.subs[i]
-		sh := s.shards[i]
-		verdict, viaEngine, err := sh.validate(sb, fpga.Request{
-			Token:      uint64(sb.thread),
-			ValidTS:    sb.validTS,
-			ReadAddrs:  sb.readAddrs,
-			WriteAddrs: sb.writeAddrs,
-		})
-		if viaEngine {
-			sh.cnt.AddModelValidation(sh.eng.Config().Model.RoundTripNanos + verdict.ModelNanos)
-		}
+	// Phase 2: claim each touched shard's next commit sequence, ascending —
+	// read-only subs included, so the transaction occupies a slot in every
+	// touched publication order.
+	for _, i := range x.order {
+		c, err := s.shards[i].claim(x.subs[i])
 		if err != nil {
-			if errors.Is(err, errUnavailable) {
-				return s.crossFail(x, tm.ReasonEngine)
-			}
-			return s.crossHardFail(x, fmt.Errorf("rococotm: engine (shard %d): %w", i, err))
+			return s.crossFail(x, err)
 		}
-		if !verdict.OK {
-			switch verdict.Reason {
-			case fpga.ReasonWindow:
-				return s.crossFail(x, tm.ReasonWindow)
-			case fpga.ReasonClosed:
-				return s.crossHardFail(x, fmt.Errorf("rococotm: engine (shard %d): %w", i, fpga.ErrClosed))
-			default:
-				return s.crossFail(x, tm.ReasonCycle)
-			}
-		}
-		x.seqs[k] = uint64(verdict.Seq)
-		x.claimed[k] = true
+		x.seqs[x.nclaim] = c.seq
+		x.nclaim++
 	}
 
 	// Phase 2.5: arm the update-set entries (commit-time locks) on every
@@ -649,22 +575,17 @@ func (s *Sharded) commitCross(x *stxn) error {
 	}
 
 	// Phase 3: capture every touched shard's publication turn, ascending,
-	// and re-fold the commits that landed since phase 1. Our unpublished
-	// slot pins the shard's GlobalTS at s_i (a turn-holder's group advance
-	// stops exactly there), so by the end of this loop every touched shard
-	// is stalled at our sequence and every fold verdict is final — nothing
-	// has published yet, so an abort here leaves no half-commit.
+	// and re-extend over the commits that landed since phase 1. Our
+	// unpublished slot pins the shard's GlobalTS at s_i (a turn-holder's
+	// group advance stops exactly there), so by the end of this loop every
+	// touched shard is stalled at our sequence and every fold verdict is
+	// final — nothing has published yet, so an abort here leaves no
+	// half-commit.
 	for k, i := range x.order {
-		sb := x.subs[i]
 		sh := s.shards[i]
-		sh.await(x.thread, x.seqs[k], nil, false)
-		sb.tempSig.Reset()
-		_, overlap, ok := sb.extendFold(sh.globalTS.Load())
-		if !ok {
-			return s.crossFail(x, tm.ReasonWindow)
-		}
-		if overlap {
-			return s.crossFail(x, tm.ReasonConflict)
+		sh.await(x.thread, claim{seq: x.seqs[k]}, nil)
+		if err := x.subs[i].extendStrict(sh.globalTS.Load()); err != nil {
+			return s.crossFail(x, err)
 		}
 	}
 
@@ -675,7 +596,7 @@ func (s *Sharded) commitCross(x *stxn) error {
 	for k, i := range x.order {
 		sb := x.subs[i]
 		seq := x.seqs[k]
-		// The fold re-check proved the reads valid through seq.
+		// The re-extension proved the reads valid through seq.
 		p := publication{validTS: seq, ws: sb.writeSig, reads: sb.readAddrs, writes: sb.writeAddrs,
 			order: sb.writeOrder, redo: sb.redo, xid: xid, xshards: mask}
 		s.shards[i].publish(seq, &p)
@@ -700,19 +621,11 @@ func (s *Sharded) commitCross(x *stxn) error {
 
 	// Phase 5: release the token (publication is over; the armed
 	// update-set entries keep the write sets locked), drain the redo
-	// logs out of order, then release the gates.
+	// logs out of order and disarm, then release the gates.
 	s.token.Unlock()
 	s.drainWriteBacks(x)
-	x.releaseGates()
-	for _, i := range x.order {
-		sb := x.subs[i]
-		sb.finish("", false)
-		s.shards[i].cnt.OnCommit(len(sb.redo) == 0)
-	}
-	x.dead = true
-	s.consec[x.thread] = 0
-	s.cnt.OnCommit(ro)
-	s.recycle(x)
+	x.runlockGates()
+	x.finish(committed, false)
 	if derr != nil {
 		return fmt.Errorf("%w: %v", ErrNotDurable, derr)
 	}
@@ -720,61 +633,38 @@ func (s *Sharded) commitCross(x *stxn) error {
 }
 
 // drainWriteBacks drains every write sub's redo log out of order and
-// releases the armed update-set entries (the commit-time write locks).
+// disarms the update-set entries (the commit-time write locks).
 func (s *Sharded) drainWriteBacks(x *stxn) {
 	for k, i := range x.order {
-		sb := x.subs[i]
-		if len(sb.writeOrder) == 0 {
-			continue
+		if sb := x.subs[i]; len(sb.writeOrder) > 0 {
+			s.shards[i].writeBack(sb, x.seqs[k])
+			s.shards[i].disarm(x.thread)
 		}
-		sh := s.shards[i]
-		sh.writeBack(sb, x.seqs[k])
-		sh.updates[x.thread].active.Store(0)
 	}
 }
 
-func (x *stxn) releaseGates() {
-	if x.irrevocable {
-		x.s.unlockAllGates()
-		return
-	}
-	for _, i := range x.order {
-		x.s.shards[i].gate.RUnlock()
+// runlockGates releases the shared gates commitCross took (an irrevocable
+// attempt took none there: finish releases its exclusive ones).
+func (x *stxn) runlockGates() {
+	if !x.irrevocable {
+		for _, i := range x.order {
+			x.s.shards[i].gate.RUnlock()
+		}
 	}
 }
 
-// crossFail aborts a cross-shard attempt from inside the token: fill
-// every claimed sequence with a published no-op (the shard's
-// publication order must stay gapless for observers, the WAL and
-// waiting committers), disarm the update-set entries, release
-// token/gates, abort the subs and account at the front end.
-func (s *Sharded) crossFail(x *stxn, reason string) error {
+// crossFail ends a cross-shard attempt from inside the token on err, an
+// abort or a hard engine error: fill every claimed sequence with a
+// published no-op (the shard's publication order must stay gapless for
+// observers, the WAL and waiting committers — and surviving shards must
+// stay live when an engine died), release token and gates, then the
+// epilogue.
+func (s *Sharded) crossFail(x *stxn, err error) error {
 	s.fillClaimed(x)
 	s.token.Unlock()
-	x.releaseGates()
-	for _, i := range x.order {
-		if sb := x.subs[i]; sb != nil && !sb.dead {
-			_ = sb.abort(reason)
-		}
-	}
+	x.runlockGates()
 	s.crossAborts.Add(1)
-	return x.finishAbort(reason)
-}
-
-// crossHardFail is crossFail for non-abort runtime errors (a dying
-// engine): the claimed slots are still filled so surviving shards stay
-// live, but descriptors are dropped, not recycled.
-func (s *Sharded) crossHardFail(x *stxn, err error) error {
-	s.fillClaimed(x)
-	s.token.Unlock()
-	x.releaseGates()
-	for _, i := range x.order {
-		if sb := x.subs[i]; sb != nil && !sb.dead {
-			sb.finish(tm.ReasonEngine, true)
-		}
-	}
-	x.dead = true
-	return err
+	return x.fail(err)
 }
 
 // fillClaimed publishes a no-op into every sequence the aborting
@@ -784,29 +674,18 @@ func (s *Sharded) crossHardFail(x *stxn, err error) error {
 // atomicity to preserve, so its fills are plain empty commits on each
 // shard and recovery needs no reconciliation for them.
 func (s *Sharded) fillClaimed(x *stxn) {
-	any := false
-	for k := range x.order {
-		if x.claimed[k] {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if x.nclaim == 0 {
 		return
 	}
 	s.xPubVer.Add(1)
-	for k, i := range x.order {
-		if !x.claimed[k] {
-			continue
-		}
+	for k, i := range x.order[:x.nclaim] {
 		sh := s.shards[i]
 		seq := x.seqs[k]
-		sh.await(x.thread, seq, nil, false)
+		sh.await(x.thread, claim{seq: seq}, nil)
 		sh.publish(seq, &publication{validTS: seq, ws: sh.zeroSig})
-		if len(x.subs[i].writeOrder) > 0 {
-			// Disarm the commit-time lock without writing back.
-			sh.updates[x.thread].active.Store(0)
-		}
+		// Release the commit-time lock phase 2.5 may have armed, without
+		// writing back.
+		sh.disarm(x.thread)
 		sh.release(seq)
 		s.noopFills.Add(1)
 	}

@@ -158,35 +158,15 @@ func RecoverSharded(devs []wal.Device, heap *mem.Heap, opts wal.Options, storeCf
 		}
 	}
 
-	// Per-shard replay, store before heap — RecoverDurable's discipline
-	// over the now-consistent prefixes. Shards own disjoint addresses,
-	// so replay order across shards is irrelevant.
+	// Per-shard replay over the now-consistent prefixes. Shards own disjoint
+	// addresses, so replay order across shards is irrelevant.
 	durables := make([]*Durable, n)
 	for i, res := range results {
-		store, err := mvstore.New(heap, storeCfg)
+		d, err := replay(devs[i], res, heap, opts, storeCfg, syncCommit)
 		if err != nil {
 			return nil, err
 		}
-		var addrs []mem.Addr
-		var vals []mem.Word
-		for k := range res.Records {
-			rec := &res.Records[k]
-			addrs = addrs[:0]
-			vals = vals[:0]
-			for j, a := range rec.WriteAddrs {
-				addrs = append(addrs, mem.Addr(a))
-				vals = append(vals, mem.Word(rec.WriteVals[j]))
-			}
-			store.ApplyUpdates(rec.Seq, addrs, vals)
-			for j, a := range addrs {
-				heap.Store(a, vals[j])
-			}
-		}
-		durables[i] = &Durable{
-			Log:        wal.Open(devs[i], res.NextSeq, opts),
-			Store:      store,
-			SyncCommit: syncCommit,
-		}
+		durables[i] = d
 	}
 	return &ShardRecovery{
 		Durables:   durables,

@@ -63,7 +63,7 @@ func TestGroupReleaseFeedsSinks(t *testing.T) {
 	waiter := make(chan turn, 1)
 	go func() {
 		r.arm(1, s+1, p1.ws)
-		waiter <- r.await(1, s+1, p1, false)
+		waiter <- r.await(1, claim{seq: s + 1}, p1)
 	}()
 	for !r.slotPublished(s + 1) {
 		runtime.Gosched()
@@ -74,7 +74,7 @@ func TestGroupReleaseFeedsSinks(t *testing.T) {
 
 	// Thread 0 takes the turn at s and releases once.
 	r.arm(0, s, p0.ws)
-	if got := r.await(0, s, p0, false); got != turnHeld {
+	if got := r.await(0, claim{seq: s}, p0); got != turnHeld {
 		t.Fatalf("await(%d) = %v, want turnHeld", s, got)
 	}
 	r.publish(s, p0)
@@ -257,8 +257,8 @@ func TestAbandonLeavesNothingBehind(t *testing.T) {
 			if fs := r.FaultStats(); fs.Abandoned != 1 {
 				t.Errorf("Abandoned = %d, want 1", fs.Abandoned)
 			}
-			if r.engineInflight.Load() != 0 {
-				t.Error("engineInflight reference leaked")
+			if r.ft.inflight.Load() != 0 {
+				t.Error("inflight reference leaked")
 			}
 		})
 	}

@@ -67,7 +67,7 @@ func (s *TM) Abort(t tm.Txn) {
 	x := t.(*txn)
 	if !x.done {
 		x.done = true
-		x.s.cnt.OnAbort(tm.ReasonExplicit)
+		x.s.cnt.OnAbort(tm.CodeExplicit)
 		x.s.mu.Unlock()
 	}
 }

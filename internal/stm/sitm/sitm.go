@@ -92,7 +92,7 @@ func (s *TM) Begin(int) (tm.Txn, error) {
 // Read implements tm.Txn: newest version ≤ snapshot.
 func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if x.dead {
-		return 0, tm.Abort(tm.ReasonConflict)
+		return 0, tm.AbortCode(tm.CodeConflict)
 	}
 	if v, ok := x.redo[a]; ok {
 		return v, nil
@@ -112,8 +112,8 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if gcTruncated {
 		// The snapshot predates the retained chain: abort (GC window).
 		x.dead = true
-		x.s.cnt.OnAbort(tm.ReasonWindow)
-		return 0, tm.Abort(tm.ReasonWindow)
+		x.s.cnt.OnAbort(tm.CodeWindow)
+		return 0, tm.AbortCode(tm.CodeWindow)
 	}
 	// Never written transactionally: the heap value is the initial
 	// version (timestamp 0 ≤ any snapshot).
@@ -123,7 +123,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 // Write implements tm.Txn: buffered.
 func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
 	if _, seen := x.redo[a]; !seen {
 		x.worder = append(x.worder, a)
@@ -136,7 +136,7 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 func (s *TM) Commit(t tm.Txn) error {
 	x := t.(*txn)
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
 	x.dead = true
 	if len(x.redo) == 0 {
@@ -152,8 +152,8 @@ func (s *TM) Commit(t tm.Txn) error {
 		if len(chain) > 0 && chain[len(chain)-1].ts > x.snap {
 			s.chainsMu.RUnlock()
 			s.mu.Unlock()
-			s.cnt.OnAbort(tm.ReasonConflict)
-			return tm.Abort(tm.ReasonConflict)
+			s.cnt.OnAbort(tm.CodeConflict)
+			return tm.AbortCode(tm.CodeConflict)
 		}
 	}
 	s.chainsMu.RUnlock()
@@ -179,7 +179,7 @@ func (s *TM) Abort(t tm.Txn) {
 	x := t.(*txn)
 	if !x.dead {
 		x.dead = true
-		s.cnt.OnAbort(tm.ReasonExplicit)
+		s.cnt.OnAbort(tm.CodeExplicit)
 	}
 }
 

@@ -124,16 +124,16 @@ func (s *TM) Begin(thread int) (tm.Txn, error) {
 	}, nil
 }
 
-func (x *txn) abort(reason string) error {
+func (x *txn) abort(code tm.Code) error {
 	x.dead = true
-	x.s.cnt.OnAbort(reason)
-	return tm.Abort(reason)
+	x.s.cnt.OnAbort(code)
+	return tm.AbortCode(code)
 }
 
 // Read implements tm.Txn with the LSA read protocol.
 func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if x.dead {
-		return 0, tm.Abort(tm.ReasonConflict)
+		return 0, tm.AbortCode(tm.CodeConflict)
 	}
 	if v, ok := x.wmap[a]; ok {
 		return v, nil
@@ -154,14 +154,14 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 			// The stripe was written after our snapshot: try to extend
 			// the snapshot (LSA), then retry the read under the new one.
 			if !x.extend() {
-				return 0, x.abort(tm.ReasonConflict)
+				return 0, x.abort(tm.CodeConflict)
 			}
 			continue
 		}
 		x.reads = append(x.reads, readEntry{stripe: st, version: versionOf(l1)})
 		return v, nil
 	}
-	return 0, x.abort(tm.ReasonConflict)
+	return 0, x.abort(tm.CodeConflict)
 }
 
 // extend attempts to move the snapshot to the current clock: every stripe
@@ -181,7 +181,7 @@ func (x *txn) extend() bool {
 // Write implements tm.Txn: stores are buffered in the redo log.
 func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
 	if _, seen := x.wmap[a]; !seen {
 		x.worder = append(x.worder, a)
@@ -194,7 +194,7 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 func (s *TM) Commit(t tm.Txn) error {
 	x := t.(*txn)
 	if x.dead {
-		return tm.Abort(tm.ReasonConflict)
+		return tm.AbortCode(tm.CodeConflict)
 	}
 	if len(x.wmap) == 0 {
 		// Read-only fast path: the LSA invariant (all reads consistent at
@@ -229,7 +229,7 @@ func (s *TM) Commit(t tm.Txn) error {
 		l := s.locks[st].Load()
 		if isLocked(l) || !s.locks[st].CompareAndSwap(l, lockedWord(x.thread)) {
 			release()
-			return x.abort(tm.ReasonConflict)
+			return x.abort(tm.CodeConflict)
 		}
 		held = append(held, acquired{stripe: st, old: l})
 	}
@@ -255,7 +255,7 @@ func (s *TM) Commit(t tm.Txn) error {
 				if s.cfg.MeasureValidation {
 					s.cnt.AddValidation(time.Since(t0))
 				}
-				return x.abort(tm.ReasonConflict)
+				return x.abort(tm.CodeConflict)
 			}
 			ver = ownVersion[r.stripe]
 		} else {
@@ -266,7 +266,7 @@ func (s *TM) Commit(t tm.Txn) error {
 			if s.cfg.MeasureValidation {
 				s.cnt.AddValidation(time.Since(t0))
 			}
-			return x.abort(tm.ReasonConflict)
+			return x.abort(tm.CodeConflict)
 		}
 	}
 	if s.cfg.MeasureValidation {
@@ -291,7 +291,7 @@ func (s *TM) Abort(t tm.Txn) {
 	x := t.(*txn)
 	if !x.dead {
 		x.dead = true
-		s.cnt.OnAbort(tm.ReasonExplicit)
+		s.cnt.OnAbort(tm.CodeExplicit)
 	}
 }
 

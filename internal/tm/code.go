@@ -27,7 +27,7 @@ const (
 	numCodes
 )
 
-// codeReasons maps Code → legacy string reason; the inverse of reasonCode.
+// codeReasons maps Code → string reason, the report format.
 var codeReasons = [numCodes]string{
 	CodeConflict: ReasonConflict,
 	CodeCycle:    ReasonCycle,
@@ -40,7 +40,7 @@ var codeReasons = [numCodes]string{
 	CodeExplicit: ReasonExplicit,
 }
 
-// Reason returns the legacy string reason for the code.
+// Reason returns the string reason for the code.
 func (c Code) Reason() string {
 	if c < numCodes {
 		return codeReasons[c]
@@ -61,32 +61,15 @@ func (c Code) Structural() bool {
 	return false
 }
 
-// reasonCode maps a legacy string reason to its Code.
-func reasonCode(reason string) Code {
-	switch reason {
-	case ReasonConflict:
-		return CodeConflict
-	case ReasonCycle:
-		return CodeCycle
-	case ReasonWindow:
-		return CodeWindow
-	case ReasonCapacity:
-		return CodeCapacity
-	case ReasonSpurious:
-		return CodeSpurious
-	case ReasonFallback:
-		return CodeFallback
-	case ReasonEngine:
-		return CodeEngine
-	case ReasonWatchdog:
-		return CodeWatchdog
-	}
-	return CodeExplicit
-}
+// Hard reports whether the abort names a condition that an immediate retry
+// cannot improve: the transaction fell behind the sliding window or the
+// validation engine is unavailable, so the retry loop sleeps instead of
+// spinning.
+func (c Code) Hard() bool { return c == CodeWindow || c == CodeEngine }
 
-// abortErrs are the preallocated singleton aborts AbortCode returns: the
-// fast path aborts with zero heap allocations, which the hotalloc gate
-// enforces over the hybrid begin/read/write/commit functions.
+// abortErrs are the preallocated singleton aborts AbortCode returns — the
+// only AbortErrors a runtime hands out, so no abort allocates; the hotalloc
+// gate enforces that over the hybrid begin/read/write/commit functions.
 var abortErrs = func() [numCodes]*AbortError {
 	var a [numCodes]*AbortError
 	for c := Code(0); c < numCodes; c++ {
@@ -95,9 +78,8 @@ var abortErrs = func() [numCodes]*AbortError {
 	return a
 }()
 
-// AbortCode returns the preallocated AbortError for the code. Unlike
-// Abort(reason) it never allocates, so it is safe inside //tm:hotpath
-// functions.
+// AbortCode returns the preallocated AbortError for the code. It never
+// allocates, so it is safe inside //tm:hotpath functions.
 //
 //tm:hotpath
 func AbortCode(c Code) error {
@@ -110,6 +92,9 @@ func AbortCode(c Code) error {
 // CodeOf reports whether err is (or wraps) a transactional abort and
 // returns its structured code.
 func CodeOf(err error) (Code, bool) {
+	if ae, ok := err.(*AbortError); ok {
+		return ae.Code, true // the unwrapped singleton: no allocation
+	}
 	var ae *AbortError
 	if errors.As(err, &ae) {
 		return ae.Code, true

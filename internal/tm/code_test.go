@@ -6,20 +6,24 @@ import (
 	"testing"
 )
 
-// TestCodeReasonRoundTrip pins the Code ↔ Reason mapping both ways.
+// TestCodeReasonRoundTrip pins the Code → Reason mapping: every code has its
+// own reason string, and a code out of range reads as an explicit abort.
 func TestCodeReasonRoundTrip(t *testing.T) {
+	seen := map[string]Code{}
 	for c := Code(0); c < numCodes; c++ {
-		if got := reasonCode(c.Reason()); got != c {
-			t.Errorf("reasonCode(%q) = %d, want %d", c.Reason(), got, c)
+		r := c.Reason()
+		if prev, dup := seen[r]; dup || r == "" {
+			t.Errorf("Code(%d).Reason() = %q, already the reason of Code(%d)", c, r, prev)
 		}
+		seen[r] = c
 	}
-	if reasonCode("no-such-reason") != CodeExplicit {
-		t.Errorf("unknown reasons must map to CodeExplicit")
+	if numCodes.Reason() != ReasonExplicit {
+		t.Errorf("out-of-range codes must read as %q", ReasonExplicit)
 	}
 }
 
 // TestAbortCodeSingleton verifies AbortCode returns preallocated errors
-// carrying both forms, and that Abort agrees with it.
+// carrying both forms.
 func TestAbortCodeSingleton(t *testing.T) {
 	for c := Code(0); c < numCodes; c++ {
 		err := AbortCode(c)
@@ -34,12 +38,8 @@ func TestAbortCodeSingleton(t *testing.T) {
 		if !ok || code != c {
 			t.Fatalf("CodeOf(AbortCode(%d)) = %d,%v", c, code, ok)
 		}
-		legacy := Abort(c.Reason())
-		if lc, ok := CodeOf(legacy); !ok || lc != c {
-			t.Fatalf("CodeOf(Abort(%q)) = %d,%v, want %d", c.Reason(), lc, ok, c)
-		}
-		if legacy.Error() != err.Error() {
-			t.Fatalf("message drift: %q vs %q", legacy.Error(), err.Error())
+		if want := "tm: aborted (" + c.Reason() + ")"; err.Error() != want {
+			t.Fatalf("message drift: %q vs %q", err.Error(), want)
 		}
 	}
 	// Wrapped aborts still resolve.
@@ -97,7 +97,7 @@ func TestCountersPathIdentity(t *testing.T) {
 			}
 			continue
 		}
-		c.OnAbort(ReasonConflict)
+		c.OnAbort(CodeConflict)
 		if ev.fast {
 			c.OnFastAbort()
 		}

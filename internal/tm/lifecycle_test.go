@@ -177,7 +177,7 @@ func TestRunCtxCancelPostVerdict(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	m.onCommit = func() error {
 		cancel()
-		return Abort(ReasonConflict)
+		return AbortCode(CodeConflict)
 	}
 	err := RunCtx(ctx, m, 0, func(x Txn) error { return x.Write(0, 1) })
 	if !errors.Is(err, context.Canceled) {
@@ -215,7 +215,7 @@ func TestRunCtxDeadline(t *testing.T) {
 	failures := 0
 	m.onCommit = func() error {
 		failures++
-		return Abort(ReasonWindow) // hard reason: the loop sleeps between tries
+		return AbortCode(CodeWindow) // hard reason: the loop sleeps between tries
 	}
 	err := RunCtx(ctx, m, 0, func(x Txn) error { return x.Write(0, 1) })
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -234,7 +234,7 @@ func TestRunBackoffEscalatesStarvedThread(t *testing.T) {
 	m.onCommit = func() error {
 		if len(m.escalations) == 0 {
 			fails++
-			return Abort(ReasonConflict)
+			return AbortCode(CodeConflict)
 		}
 		return nil
 	}
@@ -256,7 +256,7 @@ func TestRunBackoffNegativeEscalateAfterDisables(t *testing.T) {
 	m.onCommit = func() error {
 		if left > 0 {
 			left--
-			return Abort(ReasonConflict)
+			return AbortCode(CodeConflict)
 		}
 		return nil
 	}

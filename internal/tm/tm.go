@@ -44,16 +44,11 @@ type AbortError struct {
 // Error implements error.
 func (e *AbortError) Error() string { return "tm: aborted (" + e.Reason + ")" }
 
-// Abort returns an AbortError with the given reason. It allocates; hot
-// paths use AbortCode, which returns a preallocated singleton.
-func Abort(reason string) error { return &AbortError{Reason: reason, Code: reasonCode(reason)} }
-
 // IsAbort reports whether err is (or wraps) a transactional abort, and
 // returns the reason.
 func IsAbort(err error) (string, bool) {
-	var ae *AbortError
-	if errors.As(err, &ae) {
-		return ae.Reason, true
+	if c, ok := CodeOf(err); ok {
+		return c.Reason(), true
 	}
 	return "", false
 }
@@ -226,10 +221,7 @@ func (s Stats) AbortRate() float64 {
 type Counters struct {
 	starts, commits, aborts, readOnly, valNanos atomic.Uint64
 	modelValNanos                               atomic.Uint64
-	reasonConflict, reasonCycle, reasonWindow   atomic.Uint64
-	reasonCapacity, reasonSpurious              atomic.Uint64
-	reasonFallback, reasonEngine                atomic.Uint64
-	reasonWatchdog, reasonExplicit              atomic.Uint64
+	reasons                                     [numCodes]atomic.Uint64
 	extendNanos, awaitNanos                     atomic.Uint64
 	publishNanos, writebackNanos                atomic.Uint64
 	fastCommits, fastAborts                     atomic.Uint64
@@ -247,29 +239,13 @@ func (c *Counters) OnCommit(readOnly bool) {
 	}
 }
 
-// OnAbort records an abort with its reason.
-func (c *Counters) OnAbort(reason string) {
-	c.aborts.Add(1)
-	switch reason {
-	case ReasonConflict:
-		c.reasonConflict.Add(1)
-	case ReasonCycle:
-		c.reasonCycle.Add(1)
-	case ReasonWindow:
-		c.reasonWindow.Add(1)
-	case ReasonCapacity:
-		c.reasonCapacity.Add(1)
-	case ReasonSpurious:
-		c.reasonSpurious.Add(1)
-	case ReasonFallback:
-		c.reasonFallback.Add(1)
-	case ReasonEngine:
-		c.reasonEngine.Add(1)
-	case ReasonWatchdog:
-		c.reasonWatchdog.Add(1)
-	default:
-		c.reasonExplicit.Add(1)
+// OnAbort records an abort with its code.
+func (c *Counters) OnAbort(code Code) {
+	if code >= numCodes {
+		code = CodeExplicit
 	}
+	c.aborts.Add(1)
+	c.reasons[code].Add(1)
 }
 
 // OnFastCommit records that a committed attempt ran on the uninstrumented
@@ -322,22 +298,16 @@ func (c *Counters) AddCommitPhases(extend, await, publish, writeback time.Durati
 
 // Snapshot materializes the counters as Stats.
 func (c *Counters) Snapshot() Stats {
+	reasons := make(map[string]uint64, numCodes)
+	for code := range c.reasons {
+		reasons[Code(code).Reason()] = c.reasons[code].Load()
+	}
 	return Stats{
-		Starts:   c.starts.Load(),
-		Commits:  c.commits.Load(),
-		Aborts:   c.aborts.Load(),
-		ReadOnly: c.readOnly.Load(),
-		Reasons: map[string]uint64{
-			ReasonConflict: c.reasonConflict.Load(),
-			ReasonCycle:    c.reasonCycle.Load(),
-			ReasonWindow:   c.reasonWindow.Load(),
-			ReasonCapacity: c.reasonCapacity.Load(),
-			ReasonSpurious: c.reasonSpurious.Load(),
-			ReasonFallback: c.reasonFallback.Load(),
-			ReasonEngine:   c.reasonEngine.Load(),
-			ReasonWatchdog: c.reasonWatchdog.Load(),
-			ReasonExplicit: c.reasonExplicit.Load(),
-		},
+		Starts:               c.starts.Load(),
+		Commits:              c.commits.Load(),
+		Aborts:               c.aborts.Load(),
+		ReadOnly:             c.readOnly.Load(),
+		Reasons:              reasons,
 		ValidationNanos:      c.valNanos.Load(),
 		ModelValidationNanos: c.modelValNanos.Load(),
 		CommitExtendNanos:    c.extendNanos.Load(),
@@ -419,12 +389,6 @@ type Escalator interface {
 	Escalate(thread int)
 }
 
-// hardReason reports whether an abort reason indicates a condition that
-// immediate retry cannot improve.
-func hardReason(reason string) bool {
-	return reason == ReasonWindow || reason == ReasonEngine
-}
-
 // rng is a per-retry-loop xorshift64* generator for backoff jitter. The
 // global math/rand source funnels every backing-off thread through one
 // locked state word — exactly the cross-thread coupling a contention
@@ -462,8 +426,8 @@ func (r *rng) int63n(n int64) int64 { return int64(r.next() % uint64(n)) }
 
 // wait blocks between attempt k (1-based count of consecutive aborts) and
 // the next try, drawing jitter from the loop-local generator.
-func (p BackoffPolicy) wait(rg *rng, reason string, attempt int) {
-	if hardReason(reason) {
+func (p BackoffPolicy) wait(rg *rng, code Code, attempt int) {
+	if code.Hard() {
 		d := p.SleepBase << uint(min(attempt-1, 16))
 		if d > p.SleepCap || d <= 0 {
 			d = p.SleepCap
@@ -579,7 +543,7 @@ func runLoop(ctx context.Context, m TM, thread int, site siteID, pol BackoffPoli
 				return nil
 			}
 		}
-		reason, ok := IsAbort(err)
+		code, ok := CodeOf(err)
 		if !ok {
 			// Application failure (including a cancellation error surfaced
 			// by a ctxTxn boundary): roll back and propagate.
@@ -596,7 +560,7 @@ func runLoop(ctx context.Context, m TM, thread int, site siteID, pol BackoffPoli
 		}
 		// Back off by reason class before retrying.
 		attempt++
-		pol.wait(&rg, reason, attempt)
+		pol.wait(&rg, code, attempt)
 	}
 }
 

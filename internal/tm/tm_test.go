@@ -10,7 +10,7 @@ import (
 )
 
 func TestAbortErrorRoundTrip(t *testing.T) {
-	err := Abort(ReasonCycle)
+	err := AbortCode(CodeCycle)
 	reason, ok := IsAbort(err)
 	if !ok || reason != ReasonCycle {
 		t.Fatalf("IsAbort = (%q, %v)", reason, ok)
@@ -38,7 +38,7 @@ func TestCountersSnapshot(t *testing.T) {
 	c.OnStart()
 	c.OnCommit(false)
 	c.OnCommit(true)
-	c.OnAbort(ReasonConflict)
+	c.OnAbort(CodeConflict)
 	c.AddValidation(100 * time.Nanosecond)
 	c.AddValidation(-5) // ignored
 	c.AddModelValidation(640)
@@ -62,9 +62,9 @@ func TestCountersSnapshot(t *testing.T) {
 
 func TestCountersAllReasons(t *testing.T) {
 	var c Counters
-	reasons := []string{ReasonConflict, ReasonCycle, ReasonWindow,
-		ReasonCapacity, ReasonSpurious, ReasonFallback, ReasonEngine,
-		ReasonExplicit, "other"}
+	reasons := []Code{CodeConflict, CodeCycle, CodeWindow,
+		CodeCapacity, CodeSpurious, CodeFallback, CodeEngine,
+		CodeExplicit, numCodes + 3}
 	for _, r := range reasons {
 		c.OnAbort(r)
 	}
@@ -75,20 +75,20 @@ func TestCountersAllReasons(t *testing.T) {
 	if s.Reasons[ReasonEngine] != 1 {
 		t.Fatalf("engine = %d", s.Reasons[ReasonEngine])
 	}
-	// "other" folds into explicit.
+	// An out-of-range code folds into explicit.
 	if s.Reasons[ReasonExplicit] != 2 {
 		t.Fatalf("explicit = %d", s.Reasons[ReasonExplicit])
 	}
 }
 
 func TestBackoffReasonClasses(t *testing.T) {
-	if !hardReason(ReasonWindow) || !hardReason(ReasonEngine) {
+	if !CodeWindow.Hard() || !CodeEngine.Hard() {
 		t.Fatal("window/engine must back off hard")
 	}
-	for _, r := range []string{ReasonConflict, ReasonCycle, ReasonCapacity,
-		ReasonSpurious, ReasonFallback} {
-		if hardReason(r) {
-			t.Fatalf("%s must not back off hard", r)
+	for _, r := range []Code{CodeConflict, CodeCycle, CodeCapacity,
+		CodeSpurious, CodeFallback} {
+		if r.Hard() {
+			t.Fatalf("%s must not back off hard", r.Reason())
 		}
 	}
 	// Hard-reason waits sleep a bounded, non-zero duration even at huge
@@ -98,7 +98,7 @@ func TestBackoffReasonClasses(t *testing.T) {
 	rg := newRNG()
 	for _, attempt := range []int{1, 5, 20, 63, 1000} {
 		start := time.Now()
-		p.wait(&rg, ReasonEngine, attempt)
+		p.wait(&rg, CodeEngine, attempt)
 		if d := time.Since(start); d > time.Second {
 			t.Fatalf("attempt %d slept %v, cap is %v", attempt, d, p.SleepCap)
 		}
@@ -106,7 +106,7 @@ func TestBackoffReasonClasses(t *testing.T) {
 	// Soft-reason waits never sleep; they spin at most SpinCap.
 	start := time.Now()
 	for attempt := 1; attempt <= 40; attempt++ {
-		p.wait(&rg, ReasonConflict, attempt)
+		p.wait(&rg, CodeConflict, attempt)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("soft backoff took %v", d)
@@ -148,7 +148,7 @@ func (m *flakyTM) Begin(int) (Txn, error) {
 func (m *flakyTM) Commit(Txn) error {
 	if m.failLeft > 0 {
 		m.failLeft--
-		return Abort(ReasonConflict)
+		return AbortCode(CodeConflict)
 	}
 	return nil
 }
@@ -193,7 +193,7 @@ func TestRunRetriesAbortFromBody(t *testing.T) {
 		//lint:ignore tmlint/retrypure counting re-executions is the point of this test
 		calls++
 		if calls < 3 {
-			return Abort(ReasonConflict) // e.g. a failed Read propagated
+			return AbortCode(CodeConflict) // e.g. a failed Read propagated
 		}
 		return nil
 	})

@@ -25,56 +25,37 @@
 #                    reorder/stall/crash-restart) over their fixed seed
 #                    matrix, repeated to shake out interleavings; asserts
 #                    the committed history stays serializable across
-#                    degrade/recover cycles                        (~40s)
-#   7. audit lane  — go test -race over the lifecycle/auditor surface: a
-#                    short chaos soak (cancellations, injected panics,
-#                    watchdog kills) whose committed history the runtime
-#                    serializability auditor must certify acyclic, gated
-#                    by the auditor's self-test (a seeded wrong verdict
-#                    must be flagged exactly once)                 (~30s)
-#   8. recovery lane — go test -race over the durability surface: the
-#                    crash/recovery chaos soak (repeated crash images off
-#                    a fault-injecting disk, zero lost committed writes),
-#                    the WAL torn-tail/corruption fuzz sweeps, and the
-#                    recover-bench acceptance smoke                (~30s)
-#   9. shard lane  — go test -race over the sharded validation plane:
-#                    cross-shard atomicity stress (overlapping write
-#                    sets spanning two engines must never both commit),
-#                    the mixed single/cross soak with per-shard auditors
-#                    plus merged-stream certification, sharded recovery
-#                    with torn-cross-record reconciliation, and a short
-#                    `rococobench -exp shard` smoke                (~30s)
-#  10. serve lane  — the TM-as-a-service overload smoke: the serve front
-#                    end's race-detected unit surface (admission, AIMD,
-#                    deadlines, degradation tiers, StallBurst chaos), then
-#                    a bounded `rococobench -exp serve` sweep through the
-#                    real driver — goodput must stay positive while
-#                    shedding, with the accounting identity, conservation
-#                    invariant, auditor and pool checks all certified (~15s)
-#  11. hybrid lane — go test -race over the adaptive hybrid runtime: the
-#                    mixed fast/slow path oracles (lost-update, cross-path
-#                    write skew, auditor-certified histories), the
-#                    fast-publication protocol unit tests, the chaos
-#                    mass-fallback scenario, then a bounded
-#                    `rococobench -exp hybrid` crossover smoke      (~20s)
-#  12. oracle lane — the lost-update oracles (counter hammers, bank
+#                    degrade/recover cycles — the one lane with
+#                    repetition under the race detector            (~40s)
+#   7. oracle lane — the lost-update oracles (counter hammers, bank
 #                    conservation, soaks, value-reconstructed history
 #                    checks, torn-read probes, the hybrid mixed-path pair)
 #                    ten times each under GOMAXPROCS=1 and GOMAXPROCS=2:
 #                    serializability has to hold on two processors, and a
 #                    protocol hole there is silent under -race      (~10s)
-#  13. go test -race ./internal/...
-#                  — the runtime and analyzer packages under the race
+#   8. go test -race -count=1 ./internal/...
+#                  — every runtime and analyzer package under the race
 #                    detector; OCC code is concurrency code, so the race
-#                    lane is not optional. Includes the combining
+#                    lane is not optional. It is where the lifecycle/
+#                    auditor soak, the crash-recovery chaos and WAL fuzz
+#                    sweeps, the sharded atomicity/recovery suites, the
+#                    serve overload surface and the hybrid mixed-path
+#                    oracles run (they used to be five -run lanes selecting
+#                    subsets of this one), and includes the combining
 #                    validator's no-stranding hammer (internal/fpga
 #                    TestCombine*: committers ≫ processors mixing Validate,
 #                    Submit and RecordFast, pinned to GOMAXPROCS 1 and 2
 #                    by the test itself)                           (~2min)
-#  14. bench smoke — every benchmark compiles and survives one iteration
+#   9. driver smokes — the experiment drivers through the real binary:
+#                    `rococobench -exp shard` and `-exp hybrid` bounded
+#                    runs, and go test ./cmd/... (the serve overload sweep
+#                    with its accounting/conservation/auditor/pool
+#                    certification footer, flag and exit-status tests)
+#                                                                  (~20s)
+#  10. bench smoke — every benchmark compiles and survives one iteration
 #                    (benchtime=1x), so perf lanes cannot silently rot;
 #                    the non-race run also picks up the AllocsPerRun
-#                    zero-allocation tests excluded from lane 13   (~30s)
+#                    zero-allocation tests excluded from lane 8    (~30s)
 #
 # Performance regressions are not gated here: that is BENCHMARK.json +
 # benchmark/, run by the driver against the parent commit. The script ends
@@ -110,29 +91,6 @@ go run ./cmd/tmlint -summary -hotalloc ./...
 echo "== chaos lane: go test -race -run Chaos -count=2 ./internal/fault/..."
 go test -race -run Chaos -count=2 ./internal/fault/...
 
-echo "== audit lane: go test -race -run 'ChaosAuditSoak|SelfTest|Lifecycle|Watchdog|RunCtx' ./internal/audit/... ./internal/fault/... ./internal/rococotm/... ./internal/tm/..."
-go test -race -run 'ChaosAuditSoak|SelfTest|Lifecycle|Watchdog|RunCtx' \
-    ./internal/audit/... ./internal/fault/... ./internal/rococotm/... ./internal/tm/...
-
-echo "== recovery lane: crash/recovery chaos + WAL fuzz + recover-bench smoke"
-go test -race -run 'ChaosRecoverDurable' -count=1 ./internal/fault/...
-go test -race -run 'TornTail|CorruptEveryByte|DiskWALRecovery|RecoverBenchSmoke' \
-    ./internal/wal/... ./internal/fault/... ./internal/bench/...
-
-echo "== shard lane: cross-shard atomicity + merged certification + sharded recovery + bench smoke"
-go test -race -run 'Sharded|RecoverSharded|FileRecover' -count=1 \
-    ./internal/rococotm/... ./internal/audit/... ./internal/fault/...
-go run ./cmd/rococobench -exp shard -dur 50ms >/dev/null
-
-echo "== serve lane: overload smoke — goodput under shedding, accounting/auditor certification"
-go test -race -run 'TestServe' -count=1 ./internal/serve/...
-go test -count=1 ./cmd/rococobench/
-
-echo "== hybrid lane: mixed-path oracles + fast-publication protocol + crossover smoke"
-go test -race -run 'TestHybrid|PublishFast|LineTable' -count=1 \
-    ./internal/hybrid/... ./internal/rococotm/... ./internal/mem/...
-go run ./cmd/rococobench -exp hybrid -dur 40ms >/dev/null
-
 echo "== oracle lane: lost-update oracles x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
@@ -140,8 +98,13 @@ for procs in 1 2; do
         ./internal/rococotm/... ./internal/hybrid/...
 done
 
-echo "== go test -race ./internal/..."
-go test -race ./internal/...
+echo "== go test -race -count=1 ./internal/..."
+go test -race -count=1 ./internal/...
+
+echo "== driver smokes: rococobench -exp shard, -exp hybrid, go test ./cmd/..."
+go run ./cmd/rococobench -exp shard -dur 50ms >/dev/null
+go run ./cmd/rococobench -exp hybrid -dur 40ms >/dev/null
+go test -count=1 ./cmd/...
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./internal/..."
 go test -run='ZeroAllocs' -bench=. -benchtime=1x ./internal/...
