@@ -112,7 +112,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		WrapLink:         fault.Wrapper(cfg.Schedule, &link),
 		Observer:         auditor,
 		WatchdogAge:      cfg.WatchdogAge,
-		WatchdogInterval: cfg.WatchdogAge / 4,
 		Logf:             func(string, ...any) {}, // fires are counted, not printed
 	})
 
@@ -159,7 +158,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 					if err := tm.Run(m, th, func(x tm.Txn) error {
 						if !stalled {
 							stalled = true
-							time.Sleep(cfg.WatchdogAge + cfg.WatchdogAge/2)
+							time.Sleep(2 * cfg.WatchdogAge) // the age runs from the watchdog's first sight, up to age/2 late
 						}
 						_, err := x.Read(base + mem.Addr(i%cfg.Addresses))
 						return err

@@ -308,7 +308,6 @@ func TestChaosAuditSoak(t *testing.T) {
 	}, &link)
 	cfg.Observer = auditor
 	cfg.WatchdogAge = 5 * time.Millisecond
-	cfg.WatchdogInterval = time.Millisecond
 	cfg.Logf = func(string, ...any) {}
 	h := mem.NewHeap(1 << 12)
 	m := rococotm.New(h, cfg)

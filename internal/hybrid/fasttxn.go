@@ -2,6 +2,7 @@ package hybrid
 
 import (
 	"runtime"
+	"slices"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/rococotm"
@@ -14,88 +15,62 @@ import (
 // seqlock versions plus the global publication clock. The descriptor is
 // recycled per thread, so a steady fast workload allocates nothing.
 //
-// Doom protocol: a slow write-back that needs one of our owned lines sets
-// our doom flag and waits. Every operation (and commit) polls the flag and
-// rolls back promptly — holding an owned line while ignoring the flag
-// would stall the write-back forever.
+// Doom protocol: the attempt lives in the slow runtime's liveness word for
+// its thread (transition table: DESIGN §8, "Concurrency contracts"). A slow
+// write-back that needs one of our owned lines dooms the word and waits;
+// every operation, every ownership wait and the commit poll it and
+// roll back promptly — holding an owned line while ignoring the doom would
+// stall the write-back forever.
 type fastTxn struct {
-	h      *TM
-	thread int
-	dead   bool
-	probe  bool
-	site   *siteStats
-	clock  uint64 // publication clock as of the last full revalidation
+	h          *TM
+	attempt    uint64 // this attempt's running word in the liveness word
+	probe      bool
+	site       *siteStats
+	clock      uint64   // publication clock as of the last full revalidation
+	ownedLines []uint64 // lines holding our write ownership
 
-	readAddrs []uint64 // every read word address (engine footprint)
-	readLines []uint64 // distinct read lines…
-	readVers  []uint64 // …and the even seqlock version each read saw
-
-	writeOrder   []mem.Addr // distinct written words, first-write order
-	oldVals      []mem.Word // undo values, parallel to writeOrder
-	newVals      []mem.Word // eager values, parallel to writeOrder
-	writeAddrs64 []uint64   // writeOrder as uint64 (engine footprint)
-	ownedLines   []uint64   // lines holding our write ownership
-
-	fp rococotm.FastFootprint
+	// The footprint is recorded in the form PublishFast takes: Thread is the
+	// owner; ReadLines/ReadVers hold each distinct read line once, with the
+	// even seqlock version the read saw (odd, our own, once we own it).
+	// Lookups in it are linear (slices.Index): fast attempts are short by
+	// construction, and a map would put an allocation-prone structure on the
+	// hot path.
+	rococotm.FastFootprint
 }
 
 func newFastTxn(h *TM, thread int) *fastTxn {
 	return &fastTxn{
-		h:            h,
-		thread:       thread,
-		readAddrs:    make([]uint64, 0, maxFastReads),
-		readLines:    make([]uint64, 0, maxFastReads),
-		readVers:     make([]uint64, 0, maxFastReads),
-		writeOrder:   make([]mem.Addr, 0, h.cfg.MaxFastWrites),
-		oldVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
-		newVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
-		writeAddrs64: make([]uint64, 0, h.cfg.MaxFastWrites),
-		ownedLines:   make([]uint64, 0, h.cfg.MaxFastWrites),
+		h:          h,
+		ownedLines: make([]uint64, 0, h.cfg.MaxFastWrites),
+		FastFootprint: rococotm.FastFootprint{
+			Thread:       thread,
+			ReadAddrs:    make([]uint64, 0, maxFastReads),
+			ReadLines:    make([]uint64, 0, maxFastReads),
+			ReadVers:     make([]uint64, 0, maxFastReads),
+			WriteOrder:   make([]mem.Addr, 0, h.cfg.MaxFastWrites),
+			OldVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
+			NewVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
+			WriteAddrs64: make([]uint64, 0, h.cfg.MaxFastWrites),
+		},
 	}
 }
 
 // reset rearms a recycled descriptor.
 //
 //tm:hotpath
-func (x *fastTxn) reset(site *siteStats, probe bool) {
-	x.dead = false
+func (x *fastTxn) reset(site *siteStats, probe bool, attempt uint64) {
+	x.attempt = attempt
 	x.probe = probe
 	x.site = site
 	x.clock = x.h.lt.Clock()
-	x.readAddrs = x.readAddrs[:0]
-	x.readLines = x.readLines[:0]
-	x.readVers = x.readVers[:0]
-	x.writeOrder = x.writeOrder[:0]
-	x.oldVals = x.oldVals[:0]
-	x.newVals = x.newVals[:0]
-	x.writeAddrs64 = x.writeAddrs64[:0]
+	x.ReadAddrs = x.ReadAddrs[:0]
+	x.ReadLines = x.ReadLines[:0]
+	x.ReadVers = x.ReadVers[:0]
+	x.WriteOrder = x.WriteOrder[:0]
+	x.OldVals = x.OldVals[:0]
+	x.NewVals = x.NewVals[:0]
+	x.WriteAddrs64 = x.WriteAddrs64[:0]
 	x.ownedLines = x.ownedLines[:0]
-}
-
-// lineIndex finds line in the recorded read lines (-1 if absent). Linear:
-// fast attempts are short by construction, and a map would put an
-// allocation-prone structure on the hot path.
-//
-//tm:hotpath
-func (x *fastTxn) lineIndex(line uint64) int {
-	for i, l := range x.readLines {
-		if l == line {
-			return i
-		}
-	}
-	return -1
-}
-
-// addrIndex finds a in the written words (-1 if absent).
-//
-//tm:hotpath
-func (x *fastTxn) addrIndex(a mem.Addr) int {
-	for i, w := range x.writeOrder {
-		if w == a {
-			return i
-		}
-	}
-	return -1
 }
 
 // Read implements tm.Txn.
@@ -103,35 +78,35 @@ func (x *fastTxn) addrIndex(a mem.Addr) int {
 //tm:hotpath
 func (x *fastTxn) Read(a mem.Addr) (mem.Word, error) {
 	h := x.h
-	if x.dead {
-		return 0, tm.AbortCode(tm.CodeConflict)
-	}
-	if h.slow.FastDoomed(x.thread) {
-		return 0, x.fail(tm.CodeConflict)
+	if c, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Live {
+		return 0, x.stop(c, st)
 	}
 	if h.slow.IrrevocablePending() {
 		return 0, x.fail(tm.CodeFallback)
 	}
-	if len(x.readAddrs) >= maxFastReads {
+	if len(x.ReadAddrs) >= maxFastReads {
 		return 0, x.fail(tm.CodeCapacity)
 	}
 	line := mem.LineOf(a)
-	if mem.LineWriterOf(h.lt.Own(line).Load()) == x.thread {
+	if mem.LineWriterOf(h.lt.Own(line).Load()) == x.Thread {
 		// Our own owned line: the heap word is either our eager store or
 		// the committed value, frozen under our ownership. The address
 		// still joins the read footprint — a not-yet-written word of an
 		// owned line carries a real inbound dependency, and the engine
 		// window plus PublishFast's drain scan are what detect it.
-		x.readAddrs = append(x.readAddrs, uint64(a))
+		x.ReadAddrs = append(x.ReadAddrs, uint64(a))
 		return h.heap.Load(a), nil
 	}
 	for spin := 0; ; spin++ {
-		if spin > ownSpin || h.slow.FastDoomed(x.thread) {
+		if spin > ownSpin {
 			return 0, x.fail(tm.CodeConflict) // requester loses
 		}
 		v1 := h.lt.Version(line)
 		if v1&1 != 0 {
 			// Odd: a fast owner or an engine write-back is applying.
+			if c, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Live {
+				return 0, x.stop(c, st)
+			}
 			runtime.Gosched()
 			continue
 		}
@@ -139,42 +114,32 @@ func (x *fastTxn) Read(a mem.Addr) (mem.Word, error) {
 		if h.lt.Version(line) != v1 {
 			continue // torn: a publication landed mid-read
 		}
-		if idx := x.lineIndex(line); idx >= 0 {
-			if x.readVers[idx] != v1 {
+		if idx := slices.Index(x.ReadLines, line); idx >= 0 {
+			if x.ReadVers[idx] != v1 {
 				// The line moved between two of our reads: the snapshot is
 				// broken beyond repair.
 				return 0, x.fail(tm.CodeConflict)
 			}
 		} else {
-			x.readLines = append(x.readLines, line)
-			x.readVers = append(x.readVers, v1)
+			x.ReadLines = append(x.ReadLines, line)
+			x.ReadVers = append(x.ReadVers, v1)
 		}
-		x.readAddrs = append(x.readAddrs, uint64(a))
+		x.ReadAddrs = append(x.ReadAddrs, uint64(a))
 		// Opacity: if anything published since our last check, every
 		// recorded line must still hold its recorded version — otherwise
-		// this read and an earlier one straddle a commit.
+		// this read and an earlier one straddle a commit. Owned lines pass
+		// vacuously: their versions are frozen by our ownership (ReadVers
+		// carries the post-BeginApply value once acquired).
 		if c := h.lt.Clock(); c != x.clock {
-			if !x.revalidate() {
-				return 0, x.fail(tm.CodeConflict)
+			for i, l := range x.ReadLines {
+				if h.lt.Version(l) != x.ReadVers[i] {
+					return 0, x.fail(tm.CodeConflict)
+				}
 			}
 			x.clock = c
 		}
 		return val, nil
 	}
-}
-
-// revalidate re-checks every recorded read line against its recorded
-// version. Owned lines pass vacuously: their versions are frozen by our
-// ownership (readVers carries the post-BeginApply value once acquired).
-//
-//tm:hotpath
-func (x *fastTxn) revalidate() bool {
-	for i, l := range x.readLines {
-		if x.h.lt.Version(l) != x.readVers[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Write implements tm.Txn: encounter-time line ownership, eager store,
@@ -183,11 +148,8 @@ func (x *fastTxn) revalidate() bool {
 //tm:hotpath
 func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 	h := x.h
-	if x.dead {
-		return tm.AbortCode(tm.CodeConflict)
-	}
-	if h.slow.FastDoomed(x.thread) {
-		return x.fail(tm.CodeConflict)
+	if c, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Live {
+		return x.stop(c, st)
 	}
 	if h.slow.IrrevocablePending() {
 		return x.fail(tm.CodeFallback)
@@ -195,8 +157,8 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 	line := mem.LineOf(a)
 	own := h.lt.Own(line)
 	s := own.Load()
-	if mem.LineWriterOf(s) != x.thread {
-		if len(x.writeOrder) >= h.cfg.MaxFastWrites {
+	if mem.LineWriterOf(s) != x.Thread {
+		if len(x.WriteOrder) >= h.cfg.MaxFastWrites {
 			// Capacity check before acquisition: a full write set means this
 			// new line's ownership would never be used, and appending it
 			// would push ownedLines past its MaxFastWrites capacity — a heap
@@ -207,11 +169,13 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 		}
 		for spin := 0; ; spin++ {
 			if w := mem.LineWriterOf(s); w < 0 {
-				if own.CompareAndSwap(s, mem.LineWithWriter(s, x.thread)) {
+				if own.CompareAndSwap(s, mem.LineWithWriter(s, x.Thread)) {
 					break
 				}
-			} else if spin > ownSpin || h.slow.FastDoomed(x.thread) {
+			} else if spin > ownSpin {
 				return x.fail(tm.CodeConflict) // requester loses
+			} else if c, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Live {
+				return x.stop(c, st)
 			} else {
 				runtime.Gosched()
 			}
@@ -221,8 +185,8 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 		// sentinel, which our ownership excludes), so it is even here and
 		// stays frozen until we release.
 		ver := h.lt.Version(line)
-		idx := x.lineIndex(line)
-		if idx >= 0 && x.readVers[idx] != ver {
+		idx := slices.Index(x.ReadLines, line)
+		if idx >= 0 && x.ReadVers[idx] != ver {
 			// A commit slipped between our read of this line and this
 			// write-acquisition: lost-update shape, abort now. BeginApply
 			// first so the uniform rollback releases this line too.
@@ -234,22 +198,22 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 		x.ownedLines = append(x.ownedLines, line)
 		if idx >= 0 {
 			// Keep the recorded version equal to the live (now odd) one so
-			// revalidate and PublishFast's equality check pass vacuously.
-			x.readVers[idx] = ver + 1
+			// Read's revalidation and PublishFast's equality check pass vacuously.
+			x.ReadVers[idx] = ver + 1
 		}
 	}
-	if idx := x.addrIndex(a); idx >= 0 {
-		x.newVals[idx] = v
+	if idx := slices.Index(x.WriteOrder, a); idx >= 0 {
+		x.NewVals[idx] = v
 		h.heap.Store(a, v)
 		return nil
 	}
-	if len(x.writeOrder) >= h.cfg.MaxFastWrites {
+	if len(x.WriteOrder) >= h.cfg.MaxFastWrites {
 		return x.fail(tm.CodeCapacity)
 	}
-	x.writeOrder = append(x.writeOrder, a)
-	x.oldVals = append(x.oldVals, h.heap.Load(a))
-	x.newVals = append(x.newVals, v)
-	x.writeAddrs64 = append(x.writeAddrs64, uint64(a))
+	x.WriteOrder = append(x.WriteOrder, a)
+	x.OldVals = append(x.OldVals, h.heap.Load(a))
+	x.NewVals = append(x.NewVals, v)
+	x.WriteAddrs64 = append(x.WriteAddrs64, uint64(a))
 	h.heap.Store(a, v)
 	return nil
 }
@@ -266,10 +230,10 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 // Begin/Read/Write/Commit cycle.
 func (x *fastTxn) commit() error {
 	h := x.h
-	if x.dead {
-		return tm.AbortCode(tm.CodeConflict)
+	if c, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Live {
+		return x.stop(c, st)
 	}
-	if len(x.writeOrder) == 0 {
+	if len(x.WriteOrder) == 0 {
 		// Read-only: nothing to publish (slow read-only commits skip the
 		// engine the same way), but the snapshot must still be certified at
 		// commit time. The per-read clock check alone is not enough: a slow
@@ -280,59 +244,25 @@ func (x *fastTxn) commit() error {
 		// runs for updaters — is the serialization point: on success every
 		// read belongs to one consistent snapshot between two published
 		// commits.
-		if !h.slow.ValidateFastReadOnly(x.thread, x.readAddrs, x.readLines, x.readVers) {
+		if !h.slow.ValidateFastReadOnly(&x.FastFootprint) {
 			return x.finish(tm.CodeConflict) // owns no lines: nothing to roll back
 		}
-		x.dead = true
-		h.cnt.OnCommit(true)
-		h.cnt.OnFastCommit()
-		h.onFastOutcome(x, true, false)
-		h.recycle(x)
-		return nil
+		return x.finish(committed)
 	}
-	if h.slow.FastDoomed(x.thread) {
-		return x.fail(tm.CodeConflict)
-	}
-	fp := &x.fp
-	fp.Thread = x.thread
-	fp.ReadAddrs = x.readAddrs
-	fp.WriteAddrs64 = x.writeAddrs64
-	fp.WriteOrder = x.writeOrder
-	fp.NewVals = x.newVals
-	fp.OldVals = x.oldVals
-	fp.ReadLines = x.readLines
-	fp.ReadVers = x.readVers
-	err := h.slow.PublishFast(fp)
+	err := h.slow.PublishFast(&x.FastFootprint)
 	x.releaseLines()
-	if err != nil {
-		code, abort := tm.CodeOf(err)
-		if !abort {
-			// Hard runtime fault (engine closed outside FT mode): the
-			// rollback already happened; the attempt counts as an engine
-			// abort and the error surfaces as-is.
-			code = tm.CodeEngine
-		}
-		_ = x.finish(code)
-		return err
+	if err == nil {
+		return x.finish(committed)
 	}
-	x.dead = true
-	h.cnt.OnCommit(false)
-	h.cnt.OnFastCommit()
-	h.onFastOutcome(x, true, false)
-	h.recycle(x)
-	return nil
-}
-
-// rollback restores the undo log and releases every owned line. Only
-// called while the stores are still ours to undo (never after
-// PublishFast, which finalizes the heap itself).
-//
-//tm:hotpath
-func (x *fastTxn) rollback() {
-	for i := len(x.writeOrder) - 1; i >= 0; i-- {
-		x.h.heap.Store(x.writeOrder[i], x.oldVals[i])
+	code, abort := tm.CodeOf(err)
+	if !abort {
+		// Hard runtime fault (engine closed outside FT mode): the rollback
+		// already happened; the attempt counts as an engine abort and the
+		// error surfaces as-is.
+		code = tm.CodeEngine
 	}
-	x.releaseLines()
+	_ = x.finish(code)
+	return err
 }
 
 // releaseLines completes each owned line's seqlock (EndApply strictly
@@ -343,32 +273,61 @@ func (x *fastTxn) rollback() {
 func (x *fastTxn) releaseLines() {
 	for _, l := range x.ownedLines {
 		x.h.lt.EndApply(l)
-		own := x.h.lt.Own(l)
-		for {
-			s := own.Load()
-			if own.CompareAndSwap(s, mem.LineWithWriter(s, -1)) {
-				break
-			}
-		}
+		x.h.lt.Release(l)
 	}
 }
 
-// fail rolls the attempt back and settles it as aborted with code.
+// stop ends the attempt at a safe point whose Poll did not read Live: a
+// doomed attempt rolls back and ends with its doom's code, one that already
+// ended gets the dead answer.
+//
+//tm:hotpath
+func (x *fastTxn) stop(c tm.Code, st rococotm.Liveness) error {
+	if st == rococotm.Doomed {
+		return x.fail(c)
+	}
+	return tm.AbortCode(c)
+}
+
+// fail restores the undo log, releases every owned line and settles the
+// attempt as aborted with code. Only called while the stores are still ours
+// to undo (never after PublishFast, which finalizes the heap itself).
 //
 //tm:hotpath
 func (x *fastTxn) fail(code tm.Code) error {
-	x.rollback()
+	for i := len(x.WriteOrder) - 1; i >= 0; i-- {
+		x.h.heap.Store(x.WriteOrder[i], x.OldVals[i])
+	}
+	x.releaseLines()
 	return x.finish(code)
 }
 
-// finish settles an already-rolled-back attempt as aborted with code.
+// committed is the outcome finish takes for a commit; every other value is
+// the code the attempt aborted with.
+const committed = tm.Code(0xff)
+
+// finish is the one epilogue of a fast attempt, whatever ended it: c is
+// committed or the abort code, and the heap is final (published, or rolled
+// back with the lines released). It counts the outcome, feeds the routing
+// policy, ends the attempt in the liveness word and parks the descriptor.
 //
 //tm:hotpath
-func (x *fastTxn) finish(code tm.Code) error {
-	x.dead = true
-	x.h.cnt.OnAbort(code)
-	x.h.cnt.OnFastAbort()
-	x.h.onFastOutcome(x, false, code.Structural())
-	x.h.recycle(x)
-	return tm.AbortCode(code)
+func (x *fastTxn) finish(c tm.Code) error {
+	h := x.h
+	if c == committed {
+		h.cnt.OnCommit(len(x.WriteOrder) == 0)
+		h.cnt.OnFastCommit()
+	} else {
+		h.cnt.OnAbort(c)
+		h.cnt.OnFastAbort()
+	}
+	h.onFastOutcome(x, c == committed, c.Structural())
+	h.slow.EndFast(x.Thread)
+	if h.scratch[x.Thread] == nil {
+		h.scratch[x.Thread] = x
+	}
+	if c == committed {
+		return nil
+	}
+	return tm.AbortCode(c)
 }

@@ -127,8 +127,8 @@ type TM struct {
 	sites   sync.Map // site id (uint64) → *siteStats
 	defSite siteStats
 
-	// Per-thread fast-path state, owner-thread only except doom flags
-	// (which live in the slow runtime).
+	// Per-thread fast-path state, owner-thread only (an attempt's liveness
+	// is the slow runtime's liveness word for the thread).
 	scratch   []*fastTxn
 	consec    []int32 // consecutive fast conflict aborts
 	forceSlow []int32 // pending attempts to route slow unconditionally
@@ -201,6 +201,7 @@ func (h *TM) Stats() tm.Stats {
 	for reason, n := range f.Reasons {
 		s.Reasons[reason] += n
 	}
+	s.WatchdogKills += f.WatchdogKills
 	s.FastCommits = f.FastCommits
 	s.FastAborts = f.FastAborts
 	s.SlowFallbacks = f.SlowFallbacks
@@ -208,7 +209,9 @@ func (h *TM) Stats() tm.Stats {
 	return s
 }
 
-// PoolCheck reports descriptor pool health across both paths.
+// PoolCheck reports descriptor pool health across both paths; the slow
+// runtime's live count already includes fast attempts (they share its
+// liveness words).
 func (h *TM) PoolCheck() (live, parked int) {
 	live, parked = h.slow.PoolCheck()
 	for _, x := range h.scratch {
@@ -217,15 +220,6 @@ func (h *TM) PoolCheck() (live, parked int) {
 		}
 	}
 	return live, parked
-}
-
-// recycle parks a dead fast descriptor for the thread's next fast Begin.
-//
-//tm:hotpath
-func (h *TM) recycle(x *fastTxn) {
-	if h.scratch[x.thread] == nil {
-		h.scratch[x.thread] = x
-	}
 }
 
 // site returns the routing state for a site id, creating it on first use.
@@ -292,16 +286,16 @@ func (h *TM) onFastOutcome(x *fastTxn, committed, structural bool) {
 		return
 	}
 	if committed {
-		h.consec[x.thread] = 0
+		h.consec[x.Thread] = 0
 		return
 	}
 	if structural {
 		// Capacity, irrevocable gate, engine unavailability: retrying fast
 		// cannot help this attempt — route the retry to the slow path.
-		h.forceSlow[x.thread]++
-	} else if h.consec[x.thread]++; int(h.consec[x.thread]) >= h.cfg.ConsecAborts {
-		h.consec[x.thread] = 0
-		h.forceSlow[x.thread]++
+		h.forceSlow[x.Thread]++
+	} else if h.consec[x.Thread]++; int(h.consec[x.Thread]) >= h.cfg.ConsecAborts {
+		h.consec[x.Thread] = 0
+		h.forceSlow[x.Thread]++
 	}
 	if st.state.Load() == siteFast && st.ewma.Load() > demoteEWMA {
 		st.state.Store(siteSlow)
@@ -333,15 +327,18 @@ func (h *TM) BeginSite(thread int, site uint64) (tm.Txn, error) {
 	if !fast {
 		return h.slow.Begin(thread)
 	}
+	attempt, ok := h.slow.BeginFast(thread)
+	if !ok {
+		return nil, fmt.Errorf("hybrid: thread %d already runs an attempt", thread)
+	}
 	h.cnt.OnStart()
-	h.slow.ClearFastDoom(thread)
 	x := h.scratch[thread]
 	if x == nil {
 		x = newFastTxn(h, thread)
 	} else {
 		h.scratch[thread] = nil
 	}
-	x.reset(st, probe)
+	x.reset(st, probe, attempt)
 	return x, nil
 }
 
@@ -356,7 +353,7 @@ func (h *TM) Commit(t tm.Txn) error {
 // Abort implements tm.TM (explicit rollback).
 func (h *TM) Abort(t tm.Txn) {
 	if x, ok := t.(*fastTxn); ok {
-		if !x.dead {
+		if _, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Over {
 			_ = x.fail(tm.CodeExplicit)
 		}
 		return

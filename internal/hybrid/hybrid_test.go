@@ -558,7 +558,10 @@ func TestHybridIrrevocableReadSpinsOutFastOwner(t *testing.T) {
 	}()
 
 	deadline := time.Now().Add(5 * time.Second)
-	for !h.Slow().FastDoomed(0) {
+	for {
+		if _, st := h.Slow().Poll(0, hybrid.Attempt(fx)); st == rococotm.Doomed {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("irrevocable reader never doomed the fast line owner")
 		}
@@ -579,6 +582,79 @@ func TestHybridIrrevocableReadSpinsOutFastOwner(t *testing.T) {
 	}
 	if rv := <-vch; rv != 0 {
 		t.Fatalf("irrevocable Read = %d, want 0 (fast owner's store rolled back)", rv)
+	}
+}
+
+// TestHybridPoolCheckSeesFastAttempt: a live fast attempt is a live attempt
+// to PoolCheck, and is gone once it commits or aborts — so the leak
+// assertions of the other tests can catch a leaked fast attempt.
+func TestHybridPoolCheckSeesFastAttempt(t *testing.T) {
+	h, heap := newHybrid(t, hybrid.Config{})
+	a := heap.MustAlloc(1)
+	for _, commit := range []bool{true, false} {
+		x, err := h.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Write(a, 1); err != nil {
+			t.Fatal(err)
+		}
+		if live, _ := h.PoolCheck(); live != 1 {
+			t.Fatalf("PoolCheck live = %d with a fast attempt owning a line, want 1", live)
+		}
+		if commit {
+			err = h.Commit(x)
+		} else {
+			h.Abort(x)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live, _ := h.PoolCheck(); live != 0 {
+			t.Fatalf("PoolCheck live = %d after the fast attempt ended (commit %v), want 0", live, commit)
+		}
+	}
+	if s := h.Stats(); s.FastCommits != 1 || s.FastAborts != 1 {
+		t.Errorf("FastCommits/FastAborts = %d/%d, want 1/1: an attempt left the fast path", s.FastCommits, s.FastAborts)
+	}
+}
+
+// TestHybridWatchdogKillsFastAttempt: a fast attempt stuck past WatchdogAge is
+// counted in WatchdogFires and ends at its next operation with a watchdog
+// abort, its eager store rolled back; the merged Stats count the kill.
+func TestHybridWatchdogKillsFastAttempt(t *testing.T) {
+	h, heap := newHybrid(t, hybrid.Config{Slow: rococotm.Config{
+		MaxThreads:  4,
+		WatchdogAge: time.Millisecond,
+		Logf:        func(string, ...any) {},
+	}})
+	a := heap.MustAlloc(1)
+	x, err := h.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Write(a, 7); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); h.Stats().WatchdogFires == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("WatchdogFires = 0 after a fast attempt stuck past WatchdogAge")
+		}
+	}
+	_, err = x.Read(a)
+	if code, ok := tm.CodeOf(err); !ok || code != tm.CodeWatchdog {
+		t.Fatalf("stuck fast attempt's Read: err = %v, want a watchdog abort", err)
+	}
+	if got := heap.Load(a); got != 0 {
+		t.Errorf("heap = %d, want 0 (rolled back)", got)
+	}
+	st := h.Stats()
+	if st.WatchdogKills != 1 || st.Reasons[tm.ReasonWatchdog] != 1 || st.FastAborts != 1 {
+		t.Errorf("WatchdogKills/Reasons[watchdog]/FastAborts = %d/%d/%d, want 1/1/1",
+			st.WatchdogKills, st.Reasons[tm.ReasonWatchdog], st.FastAborts)
+	}
+	if live, _ := h.PoolCheck(); live != 0 {
+		t.Errorf("PoolCheck live = %d, want 0", live)
 	}
 }
 

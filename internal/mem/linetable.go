@@ -82,6 +82,18 @@ func (t *LineTable) Lines() int { return len(t.own) }
 //tm:hotpath
 func (t *LineTable) Own(l uint64) *atomic.Uint64 { return &t.own[l] }
 
+// Release clears line l's writer, preserving the reader bits.
+//
+//tm:hotpath
+func (t *LineTable) Release(l uint64) {
+	for {
+		s := t.own[l].Load()
+		if t.own[l].CompareAndSwap(s, LineWithWriter(s, -1)) {
+			return
+		}
+	}
+}
+
 // Version loads line l's seqlock version.
 //
 //tm:hotpath

@@ -1,6 +1,8 @@
 package rococotm
 
 import (
+	"math"
+
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
 	"rococotm/internal/tm"
@@ -126,9 +128,10 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 
 	// Serialization point: GlobalTS == seq until release. Reads validated
 	// here are consistent at this very sequence, so the snapshot the sinks
-	// record is the commit's own position.
+	// record is the commit's own position. A doomed attempt fails even when
+	// its reads hold.
 	p := publication{validTS: seq, ws: ws, reads: f.ReadAddrs, writes: f.WriteAddrs64}
-	failed := !r.fastValid(f, seq, ws)
+	failed := phaseOf(r.live[f.Thread].w.Load()) == phaseDoomed || !r.fastReadsHold(f, seq, ws)
 	if failed {
 		// The lines are still owned and the update-set entry still active,
 		// so no other path can observe the rollback in flight.
@@ -148,13 +151,12 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	return nil
 }
 
-// fastValid is the fast committer's validation at its turn: not doomed, no
-// earlier write-back still in flight over its footprint, every read line
+// fastReadsHold is a fast commit's validation at its serialization point: no
+// write-back below seq still in flight over ws or the reads, every read line
 // unmoved.
-func (r *TM) fastValid(f *FastFootprint, seq uint64, ws sig.Sig) bool {
-	if r.fastDoomed[f.Thread].Load() != 0 {
-		return false
-	}
+//
+//tm:hotpath
+func (r *TM) fastReadsHold(f *FastFootprint, seq uint64, ws sig.Sig) bool {
 	// Drain scan: an earlier-sequence write-back still active may have
 	// stores or version bumps in flight. One that may touch our read lines
 	// could invalidate them after we check; one that may touch our write
@@ -174,7 +176,7 @@ func (r *TM) fastValid(f *FastFootprint, seq uint64, ws sig.Sig) bool {
 		if u.active.Load() != 1 || u.seq.Load() >= seq {
 			continue
 		}
-		if r.writerMayOverlap(u, ws) || r.writerMayOverlap(u, rs) {
+		if r.writerMayOverlap(u, rs) || r.writerMayOverlap(u, ws) {
 			return false
 		}
 	}
@@ -223,68 +225,11 @@ func (r *TM) restoreFastHeap(f *FastFootprint) {
 //     (serializes after us).
 //
 //tm:hotpath
-func (r *TM) ValidateFastReadOnly(thread int, readAddrs, readLines, readVers []uint64) bool {
+func (r *TM) ValidateFastReadOnly(f *FastFootprint) bool {
 	if r.lt == nil {
 		panic("rococotm: ValidateFastReadOnly without Config.LineTable")
 	}
-	rs := r.fastReadSigs[thread]
-	rs.Reset()
-	for _, a := range readAddrs {
-		rs.Insert(r.hasher, a)
-	}
-	for i := range r.updates {
-		if i == thread {
-			continue
-		}
-		u := &r.updates[i]
-		if u.active.Load() != 1 {
-			continue
-		}
-		if r.writerMayOverlap(u, rs) {
-			return false
-		}
-	}
-	for i, l := range readLines {
-		if r.lt.Version(l) != readVers[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// doomFastLineOwner sets the doom flag of the fast transaction currently
-// owning line, if any. Irrevocable readers use it: an irrevocable
-// transaction must never abort, but a fast owner stalled in user code
-// holds the line's seqlock odd without holding the gate, and
-// IrrevocablePending only reaches it at its next operation — which may not
-// come. Dooming it from the reader side makes the wait bounded by one fast
-// rollback; the owner could never publish anyway (the gate is held
-// exclusively, so PublishFast's TryRLock fails).
-//
-//tm:hotpath
-func (r *TM) doomFastLineOwner(line uint64) {
-	if w := mem.LineWriterOf(r.lt.Own(line).Load()); w >= 0 && w < len(r.fastDoomed) {
-		r.fastDoomed[w].Store(1)
-	}
-}
-
-// FastDoomed reports whether a slow write-back has doomed thread's current
-// fast transaction: it wants a line the transaction owns and is waiting
-// for the rollback. The fast path polls this at every operation and inside
-// its commit, and must abort promptly when set.
-//
-//tm:hotpath
-func (r *TM) FastDoomed(thread int) bool {
-	return r.fastDoomed[thread].Load() != 0
-}
-
-// ClearFastDoom resets thread's doom flag; the fast path calls it when a
-// new transaction begins (it owns no lines yet, so a doom arriving from a
-// stale observation can only cause one spurious abort).
-//
-//tm:hotpath
-func (r *TM) ClearFastDoom(thread int) {
-	r.fastDoomed[thread].Store(0)
+	return r.fastReadsHold(f, math.MaxUint64, r.zeroSig)
 }
 
 // IrrevocablePending reports that a thread is waiting for (or holding) the

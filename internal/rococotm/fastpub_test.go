@@ -44,12 +44,7 @@ func (fh *fastHarness) publish(t *testing.T, a, b mem.Addr, val mem.Word) error 
 		ReadVers:     []uint64{vb},
 	})
 	fh.lt.EndApply(la)
-	for {
-		s := own.Load()
-		if own.CompareAndSwap(s, mem.LineWithWriter(s, -1)) {
-			break
-		}
-	}
+	fh.lt.Release(la)
 	return err
 }
 
@@ -145,12 +140,7 @@ func (fh *fastHarness) publishStale(t *testing.T, a, b mem.Addr, val mem.Word) e
 		ReadVers:     []uint64{fh.lt.Version(lb) - 2}, // stale by one cycle
 	})
 	fh.lt.EndApply(la)
-	for {
-		s := own.Load()
-		if own.CompareAndSwap(s, mem.LineWithWriter(s, -1)) {
-			break
-		}
-	}
+	fh.lt.Release(la)
 	return err
 }
 
@@ -195,7 +185,10 @@ func TestPublishFastDoom(t *testing.T) {
 	a, b := base, base+8
 	fh := &fastHarness{r: r, lt: lt, heap: heap}
 
-	r.fastDoomed[0].Store(1)
+	attempt, ok := r.BeginFast(0)
+	if !ok || !r.live[0].doom(attempt, tm.CodeConflict) {
+		t.Fatal("could not begin and doom a fast attempt")
+	}
 	err := fh.publish(t, a, b, 42)
 	if code, ok := tm.CodeOf(err); !ok || code != tm.CodeConflict {
 		t.Fatalf("doomed publish err = %v, want CodeConflict", err)
@@ -206,10 +199,12 @@ func TestPublishFastDoom(t *testing.T) {
 	if ts := r.GlobalTS(); ts != 1 {
 		t.Fatalf("GlobalTS = %d, want 1 (sequence consumed by empty record)", ts)
 	}
-	r.ClearFastDoom(0)
-	if r.FastDoomed(0) {
-		t.Fatal("doom flag survived ClearFastDoom")
+	r.EndFast(0)
+	next, ok := r.BeginFast(0)
+	if _, st := r.Poll(0, next); !ok || st != Live {
+		t.Fatalf("the next fast attempt reads %d, want Live: the doom outlived its attempt", st)
 	}
+	r.EndFast(0)
 }
 
 // TestPublishFastWithoutLineTable pins the misuse panic.

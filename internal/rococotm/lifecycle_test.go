@@ -168,9 +168,8 @@ func TestWatchdogKillsStuckTransaction(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
 	m := New(mem.NewHeap(1<<12), Config{
-		MaxThreads:       4,
-		WatchdogAge:      3 * time.Millisecond,
-		WatchdogInterval: 500 * time.Microsecond,
+		MaxThreads:  4,
+		WatchdogAge: 3 * time.Millisecond,
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logged = append(logged, fmt.Sprintf(format, args...))
@@ -187,7 +186,7 @@ func TestWatchdogKillsStuckTransaction(t *testing.T) {
 	if _, err := x.Read(a); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // well past WatchdogAge
+	awaitWatchdogFire(t, m)
 
 	_, err = x.Read(a + 1)
 	reason, ok := tm.IsAbort(err)
@@ -219,14 +218,25 @@ func TestWatchdogKillsStuckTransaction(t *testing.T) {
 	}
 }
 
+// awaitWatchdogFire blocks until m's watchdog has doomed a stuck attempt.
+// The age runs from the watchdog's first sight of the attempt, so a fixed
+// sleep is too short whenever the host stalls the process.
+func awaitWatchdogFire(t *testing.T, m tm.TM) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); m.Stats().WatchdogFires == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the watchdog never fired on a stuck attempt")
+		}
+	}
+}
+
 // Watchdog end-to-end through the retry loop: the first attempt stalls
 // past the age and is killed; the retry is prompt and commits.
 func TestWatchdogKillRetriesAndCommits(t *testing.T) {
 	m := New(mem.NewHeap(1<<12), Config{
-		MaxThreads:       4,
-		WatchdogAge:      2 * time.Millisecond,
-		WatchdogInterval: 500 * time.Microsecond,
-		Logf:             func(string, ...any) {},
+		MaxThreads:  4,
+		WatchdogAge: 2 * time.Millisecond,
+		Logf:        func(string, ...any) {},
 	})
 	defer m.Close()
 	a := m.Heap().MustAlloc(1)
@@ -235,7 +245,7 @@ func TestWatchdogKillRetriesAndCommits(t *testing.T) {
 	err := tm.Run(m, 0, func(x tm.Txn) error {
 		attempt++ //lint:ignore tmlint/retrypure counting attempts across retries is the point of this test
 		if attempt == 1 {
-			time.Sleep(15 * time.Millisecond) // simulate a wedged closure
+			awaitWatchdogFire(t, m) // simulate a wedged closure
 		}
 		if _, err := x.Read(a); err != nil {
 			return err
@@ -259,9 +269,8 @@ func TestWatchdogKillRetriesAndCommits(t *testing.T) {
 
 func TestWatchdogLeavesHealthyTransactionsAlone(t *testing.T) {
 	m := New(mem.NewHeap(1<<12), Config{
-		MaxThreads:       4,
-		WatchdogAge:      time.Second,
-		WatchdogInterval: time.Millisecond,
+		MaxThreads:  4,
+		WatchdogAge: time.Second,
 	})
 	defer m.Close()
 	a := m.Heap().MustAlloc(8)

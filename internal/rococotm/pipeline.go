@@ -298,7 +298,7 @@ func (r *TM) writeBack(x *txn, seq uint64) {
 		r.lockLineSlow(line)
 		r.heap.Store(a, x.redo[a])
 		lt.Bump(line)
-		r.unlockLineSlow(line)
+		lt.Release(line)
 	}
 	r.wbInflight.Add(-1)
 }
@@ -318,26 +318,11 @@ func (r *TM) lockLineSlow(line uint64) {
 	for {
 		s := own.Load()
 		if w := mem.LineWriterOf(s); w >= 0 {
-			if w < len(r.fastDoomed) {
-				r.fastDoomed[w].Store(1)
-			}
+			r.doomFastOwner(w)
 			runtime.Gosched()
 			continue
 		}
 		if own.CompareAndSwap(s, mem.LineWithWriter(s, mem.LineSlowWriter)) {
-			return
-		}
-	}
-}
-
-// unlockLineSlow releases a lockLineSlow hold, preserving reader bits.
-//
-//tm:hotpath
-func (r *TM) unlockLineSlow(line uint64) {
-	own := r.lt.Own(line)
-	for {
-		s := own.Load()
-		if own.CompareAndSwap(s, mem.LineWithWriter(s, -1)) {
 			return
 		}
 	}

@@ -132,16 +132,15 @@ type Config struct {
 	// to. It only takes effect in fault-tolerant mode.
 	WrapLink func(Link) Link
 
-	// WatchdogAge, when > 0, starts a per-TM watchdog goroutine that
-	// scans for transactions stuck past this age. A stuck transaction is
-	// logged (Logf), counted in Stats.WatchdogFires, and force-aborted
-	// with tm.ReasonWatchdog at its next safe point (the next Read,
-	// Write, or Commit entry), counted in Stats.WatchdogKills. 0 (the
-	// default) disables the watchdog.
+	// WatchdogAge, when > 0, starts a per-TM watchdog goroutine that scans
+	// the threads' liveness words (live.go) every WatchdogAge/4, at least
+	// 100µs, and dooms an attempt — slow or hybrid fast — whose word has
+	// not changed for this age, measured from the first scan that saw it.
+	// A doomed attempt is logged (Logf), counted in Stats.WatchdogFires,
+	// and aborts with tm.ReasonWatchdog at its next safe point (the next
+	// Read, Write, or Commit entry), counted in Stats.WatchdogKills. 0
+	// (the default) disables the watchdog.
 	WatchdogAge time.Duration
-	// WatchdogInterval is the watchdog's scan period; default
-	// WatchdogAge/4 (at least 100µs).
-	WatchdogInterval time.Duration
 	// Logf receives watchdog diagnostics; default log.Printf.
 	Logf func(format string, args ...any)
 	// Observer, when set, receives every committed write transaction at
@@ -176,12 +175,6 @@ func (c *Config) fill() {
 	}
 	if c.ProbeInterval == 0 {
 		c.ProbeInterval = 500 * time.Microsecond
-	}
-	if c.WatchdogAge > 0 && c.WatchdogInterval == 0 {
-		c.WatchdogInterval = c.WatchdogAge / 4
-		if c.WatchdogInterval < 100*time.Microsecond {
-			c.WatchdogInterval = 100 * time.Microsecond
-		}
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -300,20 +293,17 @@ type TM struct {
 	// because a fast line owner blocking an irrevocable read while itself
 	// blocked on the gate would deadlock (the fast commit only TryRLocks,
 	// so the deadlock is already impossible — the flag makes the drain
-	// prompt instead of commit-time).
+	// prompt instead of commit-time). It is a global admission count, not
+	// any attempt's liveness.
 	gate         sync.RWMutex
 	irrevPending atomic.Int32
-	consec       []int32 // consecutive conflict aborts per thread (owner-only)
-	escalated    []bool  // starvation escalation pending per thread (owner-only)
+	// consec and escalated are owner-only inputs to the thread's next Begin.
+	consec    []int32 // consecutive conflict aborts per thread
+	escalated []bool  // starvation escalation pending per thread
 
-	// Watchdog state. began[i] holds the wall-clock stamp (UnixNano) of
-	// thread i's live transaction, 0 while idle; doomed[i] holds the
-	// stamp of the attempt the watchdog wants killed — matching on the
-	// stamp (not just a flag) means a kill can never hit a successor
-	// attempt that reused the thread slot. wdFires backs Stats.WatchdogFires
-	// (the kills are the aborts with tm.CodeWatchdog).
-	began   []atomic.Int64
-	doomed  []atomic.Int64
+	// live holds each thread's liveness word (live.go). wdFires backs
+	// Stats.WatchdogFires (the kills are the aborts with tm.CodeWatchdog).
+	live    []liveWord
 	wdFires atomic.Uint64
 
 	// Transport hot-path reuse. scratch holds each thread's recycled
@@ -332,9 +322,8 @@ type TM struct {
 	// is set. fastSigs holds one recycled write signature per thread for
 	// fast publications.
 	lt           *mem.LineTable
-	fastSigs     []sig.Sig       // per-thread write-sig scratch for PublishFast
-	fastReadSigs []sig.Sig       // per-thread read-sig scratch for the drain scan
-	fastDoomed   []atomic.Uint32 // write-back found this thread's fast txn in its way
+	fastSigs     []sig.Sig // per-thread write-sig scratch for PublishFast
+	fastReadSigs []sig.Sig // per-thread read-sig scratch for the drain scan
 
 	// ft is the fault model (degrade.go): the link, the degradation state
 	// machine and the software fallback. nil on a trusting runtime
@@ -390,8 +379,7 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 	r.initAgg(sigWords)
 	r.consec = make([]int32, cfg.MaxThreads)
 	r.escalated = make([]bool, cfg.MaxThreads)
-	r.began = make([]atomic.Int64, cfg.MaxThreads)
-	r.doomed = make([]atomic.Int64, cfg.MaxThreads)
+	r.live = make([]liveWord, cfg.MaxThreads)
 	r.scratch = make([]*txn, cfg.MaxThreads)
 	r.slots = make([]fpga.VerdictSlot, cfg.MaxThreads)
 	r.stop = make(chan struct{})
@@ -416,7 +404,6 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 			r.fastSigs[i] = sig.New(eng.Config().Sig)
 			r.fastReadSigs[i] = sig.New(eng.Config().Sig)
 		}
-		r.fastDoomed = make([]atomic.Uint32, cfg.MaxThreads)
 	}
 	if cfg.ValidateDeadline > 0 {
 		if r.ft, err = newFaultModel(r); err != nil {
@@ -430,35 +417,33 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 	return r, nil
 }
 
-// watchdog periodically scans for transactions stuck past WatchdogAge and
-// schedules a force-abort at their next safe point (Read/Write/Commit
-// entry). It never touches transaction state from this goroutine — safety
-// comes from the owning thread consuming the doomed stamp itself, so a
-// kill lands only between transactional operations, never mid-publication.
+// watchdog scans the liveness words and dooms an attempt whose running word
+// has not changed for WatchdogAge. The age is measured here, from the first
+// tick that saw the word, so Begin reads no clock. The owner consumes the doom
+// at its next safe point, so a kill lands only between transactional
+// operations, never mid-publication.
 func (r *TM) watchdog() {
 	defer r.bg.Done()
-	tick := time.NewTicker(r.cfg.WatchdogInterval)
+	age := r.cfg.WatchdogAge
+	tick := time.NewTicker(max(age/4, 100*time.Microsecond))
 	defer tick.Stop()
+	seen := make([]uint64, len(r.live))
+	since := make([]time.Time, len(r.live))
 	for {
+		var now time.Time
 		select {
 		case <-r.stop:
 			return
-		case <-tick.C:
+		case now = <-tick.C:
 		}
-		now := time.Now().UnixNano()
-		age := int64(r.cfg.WatchdogAge)
-		for i := range r.began {
-			stamp := r.began[i].Load()
-			if stamp == 0 || now-stamp < age {
-				continue
+		for i := range r.live {
+			w := r.live[i].w.Load()
+			if w != seen[i] {
+				seen[i], since[i] = w, now
+			} else if stuck := now.Sub(since[i]); stuck >= age && r.live[i].doom(w, tm.CodeWatchdog) {
+				r.wdFires.Add(1)
+				r.cfg.Logf("rococotm: watchdog: thread %d transaction stuck %v; force-abort at next safe point", i, stuck)
 			}
-			if r.doomed[i].Load() == stamp {
-				continue // this attempt is already scheduled to die
-			}
-			r.doomed[i].Store(stamp)
-			r.wdFires.Add(1)
-			r.cfg.Logf("rococotm: watchdog: thread %d transaction stuck %v; force-abort at next safe point",
-				i, time.Duration(now-stamp))
 		}
 	}
 }
@@ -473,13 +458,13 @@ func (r *TM) Escalate(thread int) {
 }
 
 // PoolCheck reports lifecycle accounting for leak tests: live is the
-// number of threads with an in-flight transaction, parked the number of
-// recycled descriptors resting in the scratch pool. After every
-// application goroutine has joined, live must be 0 — anything else is a
-// leaked attempt (e.g. a panic that skipped rollback).
+// number of threads whose liveness word is not idle (slow and hybrid fast
+// attempts alike), parked the number of recycled descriptors resting in the
+// scratch pool. After every application goroutine has joined, live must be
+// 0 — anything else is a leaked attempt (e.g. a panic that skipped rollback).
 func (r *TM) PoolCheck() (live, parked int) {
 	for i := range r.scratch {
-		if r.began[i].Load() != 0 {
+		if phaseOf(r.live[i].w.Load()) != phaseIdle {
 			live++
 		}
 		if r.scratch[i] != nil {
@@ -504,7 +489,6 @@ func (r *TM) Stats() tm.Stats {
 	s.ValidationBatchMax = es.MaxBatch
 	s.ValidationQueuePeak = es.QueuePeak
 	s.WatchdogFires = r.wdFires.Load()
-	s.WatchdogKills = s.Reasons[tm.ReasonWatchdog]
 	s.CommitPipelinePeak = r.wbPeak.Load()
 	return s
 }
@@ -537,11 +521,11 @@ func (r *TM) Close() {
 }
 
 type txn struct {
-	r           *TM
-	thread      int
-	dead        bool
+	r       *TM
+	thread  int
+	attempt uint64 // this attempt's running word: live while r.live[thread] holds it
+	// irrevocable is the attempt's mode, fixed at Begin — not its liveness.
 	irrevocable bool
-	beganAt     int64 // watchdog stamp of this attempt (mirrors r.began)
 
 	localTS uint64 // commit-queue scan position
 	validTS uint64 // snapshot at which all reads are known consistent
@@ -572,15 +556,15 @@ type txn struct {
 	// orphaned marks a descriptor whose footprint slices may still be
 	// referenced by an engine request that timed out after admission; the
 	// next reset drops those slices instead of reusing their backing
-	// arrays, so a late validation never reads a recycled footprint.
+	// arrays, so a late validation never reads a recycled footprint. It is
+	// ownership of those slices, not liveness.
 	orphaned bool
 }
 
-// reset rearms a recycled descriptor for a new attempt at snapshot ts. All
-// signatures and logs are cleared in place; address slices keep their
-// backing arrays unless a previous engine request may still hold them.
+// reset arms a fresh or recycled descriptor for a new attempt at snapshot
+// ts. All signatures and logs are cleared in place; address slices keep
+// their backing arrays unless a previous engine request may still hold them.
 func (x *txn) reset(ts uint64) {
-	x.dead = false
 	x.localTS, x.validTS = ts, ts
 	x.readSig.Reset()
 	x.writeSig.Reset()
@@ -627,20 +611,19 @@ func tally(cnt *tm.Counters, consec *int32, c tm.Code, irrevocable, readOnly boo
 
 // finish is the one epilogue of an attempt, whatever ended it: c is committed
 // or the abort code. It counts the outcome, releases the exclusive gate of
-// an irrevocable attempt, retires the watchdog stamp (the attempt is over,
-// nothing is stuck) and parks the descriptor for the thread's next Begin —
-// unless drop, for an attempt ended by a hard engine error, whose footprint
-// the engine may still reference. Only the owning thread calls it (txns are
-// single-goroutine), so the scratch slot needs no synchronization.
+// an irrevocable attempt, ends the attempt in the thread's liveness word and
+// parks the descriptor for the thread's next Begin — unless drop, for an
+// attempt ended by a hard engine error, whose footprint the engine may still
+// reference. Only the owning thread calls it (txns are single-goroutine), so
+// the scratch slot needs no synchronization.
 func (x *txn) finish(c tm.Code, drop bool) {
 	r := x.r
-	x.dead = true
 	tally(&r.cnt, &r.consec[x.thread], c, x.irrevocable, len(x.redo) == 0)
 	if x.irrevocable {
 		r.gate.Unlock()
 		r.irrevPending.Add(-1)
 	}
-	r.began[x.thread].Store(0)
+	r.live[x.thread].end()
 	if !drop && r.scratch[x.thread] == nil {
 		r.scratch[x.thread] = x
 	}
@@ -648,6 +631,18 @@ func (x *txn) finish(c tm.Code, drop bool) {
 
 func (x *txn) abort(c tm.Code) error {
 	x.finish(c, false)
+	return tm.AbortCode(c)
+}
+
+// stop ends the attempt at a safe point (Read, Write and Commit entry) whose
+// Poll did not read Live: a doomed attempt ends with its doom's code, one
+// that already ended gets the dead answer.
+//
+//tm:hotpath
+func (x *txn) stop(c tm.Code, st Liveness) error {
+	if st == Doomed {
+		return x.abort(c)
+	}
 	return tm.AbortCode(c)
 }
 
@@ -666,6 +661,10 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 	if thread < 0 || thread >= r.cfg.MaxThreads {
 		return nil, fmt.Errorf("rococotm: thread %d out of range [0,%d)", thread, r.cfg.MaxThreads)
 	}
+	attempt, ok := r.live[thread].begin(phaseSlow)
+	if !ok {
+		return nil, fmt.Errorf("rococotm: thread %d already runs an attempt", thread)
+	}
 	r.cnt.OnStart()
 	escalate := r.escalated[thread]
 	if escalate {
@@ -682,34 +681,27 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 		r.irrevPending.Add(1)
 		r.gate.Lock()
 	}
-	now := time.Now().UnixNano()
-	r.began[thread].Store(now)
-	ts := r.globalTS.Load()
-	if x := r.scratch[thread]; x != nil {
-		r.scratch[thread] = nil
-		x.irrevocable = irrevocable
-		x.beganAt = now
-		x.reset(ts)
-		return x, nil
+	x := r.scratch[thread]
+	if x == nil {
+		scfg := r.eng.Config().Sig
+		x = &txn{
+			r:        r,
+			thread:   thread,
+			readSig:  sig.New(scfg),
+			writeSig: sig.New(scfg),
+			missSig:  sig.New(scfg),
+			tempSig:  sig.New(scfg),
+			oneSig:   sig.New(scfg),
+			aggSig:   sig.New(scfg),
+			redo:     map[mem.Addr]mem.Word{},
+			readSeen: map[mem.Addr]bool{},
+			sigCfg:   scfg,
+		}
 	}
-	scfg := r.eng.Config().Sig
-	return &txn{
-		r:           r,
-		irrevocable: irrevocable,
-		thread:      thread,
-		beganAt:     now,
-		localTS:     ts,
-		validTS:     ts,
-		readSig:     sig.New(scfg),
-		writeSig:    sig.New(scfg),
-		missSig:     sig.New(scfg),
-		tempSig:     sig.New(scfg),
-		oneSig:      sig.New(scfg),
-		aggSig:      sig.New(scfg),
-		redo:        map[mem.Addr]mem.Word{},
-		readSeen:    map[mem.Addr]bool{},
-		sigCfg:      scfg,
-	}, nil
+	r.scratch[thread] = nil
+	x.irrevocable, x.attempt = irrevocable, attempt
+	x.reset(r.globalTS.Load())
+	return x, nil
 }
 
 // updateSetHits reports whether any in-flight committer's write signature
@@ -768,21 +760,10 @@ func (r *TM) loadCommitSig(ts uint64, dst sig.Sig) bool {
 	}
 }
 
-// doomedNow reports whether the watchdog scheduled this attempt for a
-// force-abort; checked at every safe point (Read/Write/Commit entry). The
-// stamp comparison ties the verdict to this attempt: a successor that
-// reused the thread slot carries a fresh stamp and is immune.
-func (x *txn) doomedNow() bool {
-	return x.beganAt != 0 && x.r.doomed[x.thread].Load() == x.beganAt
-}
-
 // Read implements tm.Txn — Algorithm 1, TM_READ.
 func (x *txn) Read(a mem.Addr) (mem.Word, error) {
-	if x.dead {
-		return 0, tm.AbortCode(tm.CodeConflict)
-	}
-	if x.doomedNow() {
-		return 0, x.abort(tm.CodeWatchdog)
+	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
+		return 0, x.stop(c, st)
 	}
 	// Lines 1-4: read-your-writes from the redo log.
 	if v, ok := x.redo[a]; ok {
@@ -849,7 +830,7 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 					// while we hold the gate; doom it so the wait is bounded
 					// by one fast rollback instead of the owner's next
 					// operation, which may never come.
-					r.doomFastLineOwner(line)
+					r.doomFastOwner(mem.LineWriterOf(lt.Own(line).Load()))
 				}
 				runtime.Gosched()
 				continue
@@ -942,11 +923,8 @@ func (x *txn) readSetOverlaps(commit sig.Sig) bool {
 
 // Write implements tm.Txn — Algorithm 1, TM_WRITE.
 func (x *txn) Write(a mem.Addr, v mem.Word) error {
-	if x.dead {
-		return tm.AbortCode(tm.CodeConflict)
-	}
-	if x.doomedNow() {
-		return x.abort(tm.CodeWatchdog)
+	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
+		return x.stop(c, st)
 	}
 	if _, seen := x.redo[a]; !seen {
 		x.writeOrder = append(x.writeOrder, a)
@@ -963,11 +941,8 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 // across committers under the update-set lock (pipeline.go).
 func (r *TM) Commit(t tm.Txn) error {
 	x := t.(*txn)
-	if x.dead {
-		return tm.AbortCode(tm.CodeConflict)
-	}
-	if x.doomedNow() {
-		return x.abort(tm.CodeWatchdog)
+	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
+		return x.stop(c, st)
 	}
 	if len(x.redo) == 0 {
 		// Read-only fast path: consistent at validTS, commits on CPU.
@@ -1063,7 +1038,8 @@ func (r *TM) Commit(t tm.Txn) error {
 // Abort implements tm.TM: execution is fully buffered, so rollback drops
 // the private logs.
 func (r *TM) Abort(t tm.Txn) {
-	if x := t.(*txn); !x.dead {
+	x := t.(*txn)
+	if _, st := x.r.Poll(x.thread, x.attempt); st != Over {
 		x.finish(tm.CodeExplicit, false)
 	}
 }

@@ -259,8 +259,15 @@ func (s *Sharded) Shard(i int) *TM { return s.shards[i] }
 func (s *Sharded) Shards() int { return len(s.shards) }
 
 // Stats implements tm.TM: the front end's own transaction counters
-// (every Begin/Commit/Abort flows through it exactly once).
-func (s *Sharded) Stats() tm.Stats { return s.cnt.Snapshot() }
+// (every Begin/Commit/Abort flows through it exactly once) and the shards'
+// watchdog fires.
+func (s *Sharded) Stats() tm.Stats {
+	st := s.cnt.Snapshot()
+	for _, sh := range s.shards {
+		st.WatchdogFires += sh.wdFires.Load()
+	}
+	return st
+}
 
 // ShardStats returns each shard's runtime stats.
 func (s *Sharded) ShardStats() []tm.Stats {
@@ -337,8 +344,10 @@ func (s *Sharded) Close() {
 // stxn is a sharded transaction: a lazily-begun sub-transaction per
 // touched shard plus the cross-shard commit bookkeeping.
 type stxn struct {
-	s           *Sharded
-	thread      int
+	s      *Sharded
+	thread int
+	// dead is the front-end descriptor's own flag: nothing remote writes it
+	// (its subs' liveness is in their shards' words).
 	dead        bool
 	irrevocable bool
 
@@ -395,7 +404,7 @@ func (x *stxn) sub(i int) (*txn, error) {
 // finish is the one epilogue of a front-end attempt, whatever ended it — the
 // counterpart of txn.finish, taking the same outcome. Every sub-transaction
 // still live ends with it (one that started the abort itself, or committed
-// through its shard, is dead already); the outcome is counted; an irrevocable
+// through its shard, has ended already); the outcome is counted; an irrevocable
 // attempt releases its exclusive gates; and the descriptor is parked for the
 // thread's next Begin unless drop (a hard engine error).
 func (x *stxn) finish(c tm.Code, drop bool) {
@@ -405,7 +414,7 @@ func (x *stxn) finish(c tm.Code, drop bool) {
 	for _, i := range x.order {
 		sb := x.subs[i]
 		ro = ro && len(sb.redo) == 0
-		if !sb.dead {
+		if _, st := sb.r.Poll(sb.thread, sb.attempt); st != Over {
 			sb.finish(c, drop)
 		}
 	}

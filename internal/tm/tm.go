@@ -172,9 +172,9 @@ type Stats struct {
 	ValidationBatches  uint64
 	ValidationBatchMax uint64
 	// WatchdogFires counts transactions the runtime watchdog observed
-	// stuck past the configured age; WatchdogKills counts how many of
-	// those were force-aborted at their next safe point. Zero for
-	// runtimes without a watchdog.
+	// stuck past the configured age; WatchdogKills (Reasons["watchdog"])
+	// counts how many of those were force-aborted at their next safe
+	// point. Zero for runtimes without a watchdog.
 	WatchdogFires uint64
 	WatchdogKills uint64
 	// CommitPhase* break a write commit's wall-clock into the runtime's
@@ -308,6 +308,7 @@ func (c *Counters) Snapshot() Stats {
 		Aborts:               c.aborts.Load(),
 		ReadOnly:             c.readOnly.Load(),
 		Reasons:              reasons,
+		WatchdogKills:        reasons[ReasonWatchdog],
 		ValidationNanos:      c.valNanos.Load(),
 		ModelValidationNanos: c.modelValNanos.Load(),
 		CommitExtendNanos:    c.extendNanos.Load(),

@@ -30,9 +30,13 @@
 #   7. oracle lane — the lost-update oracles (counter hammers, bank
 #                    conservation, soaks, value-reconstructed history
 #                    checks, torn-read probes, the hybrid mixed-path pair)
-#                    ten times each under GOMAXPROCS=1 and GOMAXPROCS=2:
-#                    serializability has to hold on two processors, and a
-#                    protocol hole there is silent under -race      (~10s)
+#                    and the liveness-word tests (the transition table,
+#                    the doomer-vs-owner hammer, the watchdog and
+#                    PoolCheck tests: a remote doom CAS racing the
+#                    owner's end) ten times each under GOMAXPROCS=1 and
+#                    GOMAXPROCS=2: serializability has to hold on two
+#                    processors, and a protocol hole there is silent
+#                    under -race                                   (~15s)
 #   8. go test -race -count=1 ./internal/...
 #                  — every runtime and analyzer package under the race
 #                    detector; OCC code is concurrency code, so the race
@@ -91,10 +95,10 @@ go run ./cmd/tmlint -summary -hotalloc ./...
 echo "== chaos lane: go test -race -run Chaos -count=2 ./internal/fault/..."
 go test -race -run Chaos -count=2 ./internal/fault/...
 
-echo "== oracle lane: lost-update oracles x GOMAXPROCS {1,2} x -count=10"
+echo "== oracle lane: lost-update oracles + liveness word x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
-        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable' \
+        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
         ./internal/rococotm/... ./internal/hybrid/...
 done
 
@@ -116,4 +120,4 @@ loc() {
     find "$1" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
         ! -path '*/testdata/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 }
-echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/fpga $(loc internal/fpga)"
+echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga)"
