@@ -138,7 +138,9 @@ func (r *TM) loadAggSig(lvl int, lo uint64, dst sig.Sig) bool {
 // extend is Algorithm 1 lines 9-19, the one snapshot-extension step every
 // entry point takes: fold the commits in [localTS, upto) into the TempSet,
 // then either advance validTS to the new localTS (the read set is untouched
-// and nothing was missed before) or union the TempSet into the MissSet.
+// and nothing was missed before) or union the TempSet into the MissSet. An
+// empty range changes nothing (validTS == localTS while missAny is false);
+// admit, the one caller on the per-access path, skips the call for it.
 // ok=false is a window overflow: the snapshot fell out of the commit-queue
 // ring. Callers differ only in what they make of missAny afterwards: a read
 // aborts if its address is in the MissSet, a commit ships regardless (the
@@ -154,9 +156,6 @@ func (r *TM) loadAggSig(lvl int, lo uint64, dst sig.Sig) bool {
 //
 //tm:hotpath
 func (x *txn) extend(upto uint64) (ok bool) {
-	if x.localTS >= upto {
-		return true
-	}
 	x.tempSig.Reset()
 	overlap, ok := x.extendFold(upto)
 	if !ok {
@@ -183,11 +182,10 @@ func (x *txn) extendStrict(upto uint64) error {
 	return nil
 }
 
-// extendFold folds the write signatures of every commit in [localTS, upto),
-// which is not empty, into the TempSet. overlap reports whether any folded
-// commit's write signature may intersect the read set (the
-// per-commit-precise verdict that decides extension vs miss-set
-// accumulation); ok=false a window overflow.
+// extendFold folds the write signatures of every commit in [localTS, upto)
+// into the TempSet. overlap reports whether any folded commit's write
+// signature may intersect the read set (the per-commit-precise verdict that
+// decides extension vs miss-set accumulation); ok=false a window overflow.
 //
 // Aligned segments covered by the aggregate ring fold with one union; the
 // segment's commits are probed individually only when the aggregate hits
@@ -201,7 +199,7 @@ func (x *txn) extendFold(upto uint64) (overlap, ok bool) {
 			if r.loadAggSig(lvl, x.localTS, x.aggSig) {
 				end := x.localTS + 1<<uint(lvl)
 				x.tempSig.Union(x.aggSig)
-				if !overlap && x.readSetOverlaps(x.aggSig) {
+				if !overlap && x.reads.overlaps(r.hasher, x.aggSig) {
 					// The union may hit where no member does; re-probe per
 					// commit so aggregate saturation cannot manufacture a
 					// conflict.
@@ -209,7 +207,7 @@ func (x *txn) extendFold(upto uint64) (overlap, ok bool) {
 						if !r.loadCommitSig(ts, x.oneSig) {
 							return overlap, false
 						}
-						if x.readSetOverlaps(x.oneSig) {
+						if x.reads.overlaps(r.hasher, x.oneSig) {
 							overlap = true
 							break
 						}
@@ -222,7 +220,7 @@ func (x *txn) extendFold(upto uint64) (overlap, ok bool) {
 		if !r.loadCommitSig(x.localTS, x.oneSig) {
 			return overlap, false
 		}
-		if !overlap && x.readSetOverlaps(x.oneSig) {
+		if !overlap && x.reads.overlaps(r.hasher, x.oneSig) {
 			overlap = true
 		}
 		x.tempSig.Union(x.oneSig)

@@ -14,35 +14,87 @@ import (
 	"rococotm/internal/tm"
 )
 
-// runAllocProbe measures the warmed Begin/Read/Write/Commit cycle on the
-// given runtime and fails if it allocates.
+// treeReads is a tree descent's read shape: 40 reads over 24 addresses,
+// revisiting the top of the path the way a red-black tree operation
+// re-reads its root and parents.
+func treeReads(x tm.Txn, base mem.Addr) (mem.Word, error) {
+	var sum mem.Word
+	for i := 0; i < 40; i++ {
+		v, err := x.Read(base + mem.Addr(i%24))
+		if err != nil {
+			return 0, err
+		}
+		sum += v
+	}
+	return sum, nil
+}
+
+// rewrites is a 12-write shape over 8 addresses: four rewrites and, after
+// every third write, a read-your-writes read.
+func rewrites(x tm.Txn, base mem.Addr) error {
+	for i := 0; i < 12; i++ {
+		if err := x.Write(base+mem.Addr(i%8), mem.Word(i)); err != nil {
+			return err
+		}
+		if i%3 == 2 {
+			if _, err := x.Read(base + mem.Addr(i%8)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// runAllocProbe measures three warmed Begin/access/Commit cycles on the
+// given runtime — a read-modify-write of one word, a 40-read descent with
+// repeats and one write, and the 12-write shape with rewrites and
+// read-your-writes — and fails if any allocates.
 func runAllocProbe(t *testing.T, m *TM) {
 	t.Helper()
 	a := m.Heap().MustAlloc(4)
 	b := m.Heap().MustAlloc(4)
-	cycle := func() {
-		x, err := m.Begin(0)
-		if err != nil {
-			t.Fatal(err)
+	tree := m.Heap().MustAlloc(24)
+	w := m.Heap().MustAlloc(8)
+	for _, c := range []struct {
+		name string
+		body func(x tm.Txn) error
+	}{
+		{"read-modify-write", func(x tm.Txn) error {
+			v, err := x.Read(a)
+			if err != nil {
+				return err
+			}
+			return x.Write(b, v+1)
+		}},
+		{"40 reads with repeats", func(x tm.Txn) error {
+			v, err := treeReads(x, tree)
+			if err != nil {
+				return err
+			}
+			return x.Write(b, v)
+		}},
+		{"12 writes with rewrites", func(x tm.Txn) error { return rewrites(x, w) }},
+	} {
+		cycle := func() {
+			x, err := m.Begin(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.body(x); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Commit(x); err != nil {
+				t.Fatal(err)
+			}
 		}
-		v, err := x.Read(a)
-		if err != nil {
-			t.Fatal(err)
+		// Warm: first iterations grow the address sets, their indexes and
+		// sub-signature spares, the redo log and the engine's batch buffers.
+		for i := 0; i < 128; i++ {
+			cycle()
 		}
-		if err := x.Write(b, v+1); err != nil {
-			t.Fatal(err)
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Fatalf("%s commit cycle allocates %.2f objects/op, want 0", c.name, avg)
 		}
-		if err := m.Commit(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm: first iterations grow the redo map, sub-signature spares, the
-	// address scratch slices and the engine's batch buffers.
-	for i := 0; i < 128; i++ {
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Fatalf("commit cycle allocates %.2f objects/op, want 0", avg)
 	}
 }
 
@@ -107,24 +159,37 @@ func TestAbortingCommitZeroAllocs(t *testing.T) {
 }
 
 // TestReadOnlyPathZeroAllocs: read-only transactions never touch the
-// engine; their whole lifecycle must be allocation-free once warm.
+// engine; their whole lifecycle must be allocation-free once warm, for one
+// read and for a 40-read descent with repeats.
 func TestReadOnlyPathZeroAllocs(t *testing.T) {
 	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 2})
 	defer m.Close()
 	a := m.Heap().MustAlloc(1)
-	cycle := func() {
-		if err := tm.Run(m, 0, func(x tm.Txn) error {
+	tree := m.Heap().MustAlloc(24)
+	for _, c := range []struct {
+		name string
+		body func(x tm.Txn) error
+	}{
+		{"one read", func(x tm.Txn) error {
 			_, err := x.Read(a)
 			return err
-		}); err != nil {
-			t.Fatal(err)
+		}},
+		{"40 reads with repeats", func(x tm.Txn) error {
+			_, err := treeReads(x, tree)
+			return err
+		}},
+	} {
+		cycle := func() {
+			if err := tm.Run(m, 0, c.body); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	for i := 0; i < 64; i++ {
-		cycle()
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Fatalf("read-only cycle allocates %.2f objects/op, want 0", avg)
+		for i := 0; i < 64; i++ {
+			cycle()
+		}
+		if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+			t.Fatalf("%s read-only cycle allocates %.2f objects/op, want 0", c.name, avg)
+		}
 	}
 }
 

@@ -54,8 +54,8 @@ var ErrNotDurable = errors.New("rococotm: commit published but durability unconf
 type durableState struct {
 	d      *Durable
 	rec    wal.Record
-	vals   []mem.Word // parallel to the publication's write order, for the store
-	vals64 []uint64   // same values, for the WAL record
+	addrs  []mem.Addr // the publication's written addresses, for the store
+	vals64 []uint64   // their values, for the WAL record
 }
 
 // durableAppend drains one publication into the log and the store — an
@@ -63,11 +63,10 @@ type durableState struct {
 // mask set, so recovery can tell a torn one) or an empty no-op fill.
 func (r *TM) durableAppend(seq uint64, p *publication) {
 	ds := r.dur
-	ds.vals, ds.vals64 = ds.vals[:0], ds.vals64[:0]
-	for _, a := range p.order {
-		v := p.redo[a]
-		ds.vals = append(ds.vals, v)
-		ds.vals64 = append(ds.vals64, uint64(v))
+	ds.addrs, ds.vals64 = ds.addrs[:0], ds.vals64[:0]
+	for i, a := range p.writes {
+		ds.addrs = append(ds.addrs, mem.Addr(a))
+		ds.vals64 = append(ds.vals64, uint64(p.vals[i]))
 	}
 	ds.rec = wal.Record{Seq: seq, ValidTS: p.validTS, XID: p.xid, XShards: p.xshards,
 		Reads: p.reads, WriteAddrs: p.writes, WriteVals: ds.vals64}
@@ -76,7 +75,7 @@ func (r *TM) durableAppend(seq uint64, p *publication) {
 	// failure is surfaced to SyncCommit waiters via WaitDurable; the
 	// in-memory commit proceeds regardless — it is already published.
 	_ = ds.d.Log.Append(&ds.rec)
-	ds.d.Store.ApplyUpdates(seq, p.order, ds.vals)
+	ds.d.Store.ApplyUpdates(seq, ds.addrs, p.vals)
 }
 
 // DurableStats reports the durability backends' counters; ok is false when

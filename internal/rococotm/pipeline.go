@@ -64,21 +64,17 @@ type claim struct {
 // claim ships x's snapshot and footprint to the validator (§5.3) and returns
 // the commit sequence it issued. The error is an abort — window, cycle, or
 // engine when the engine is unreachable mid-degradation — or a hard engine
-// error. The write footprint reuses the descriptor's scratch slice; the
+// error. The footprint is the read and write sets' own address slices; the
 // engine releases its references once the verdict is delivered, and the
 // orphaning rule in reset covers requests that outlive a deadline.
 func (r *TM) claim(x *txn) (claim, error) {
-	x.writeAddrs = x.writeAddrs[:0]
-	for _, a := range x.writeOrder {
-		x.writeAddrs = append(x.writeAddrs, uint64(a))
-	}
 	timed := r.cfg.MeasureValidation || r.cfg.MeasurePhases
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
 	v, engine, err := r.verdict(fpga.Request{Token: uint64(x.thread), ValidTS: x.validTS,
-		ReadAddrs: x.readAddrs, WriteAddrs: x.writeAddrs}, x)
+		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs}, x)
 	if timed {
 		r.cnt.AddValidation(time.Since(t0))
 	}
@@ -113,12 +109,11 @@ func (r *TM) fastClaim(f *FastFootprint) (claim, error) {
 // (validTS, the footprint, the redo log) until GlobalTS has passed its
 // sequence.
 type publication struct {
-	validTS       uint64                // snapshot the reads were validated at
-	ws            sig.Sig               // write signature for the commit queue
-	reads, writes []uint64              // footprint, for the sinks
-	order         []mem.Addr            // written addresses in first-write order and
-	redo          map[mem.Addr]mem.Word // their values, for the durable sink
-	xid, xshards  uint64                // cross-shard id and touched mask (0: none)
+	validTS       uint64     // snapshot the reads were validated at
+	ws            sig.Sig    // write signature for the commit queue
+	reads, writes []uint64   // footprint in first-access order, for the sinks
+	vals          []mem.Word // vals[i] is the value written to writes[i], for the durable sink
+	xid, xshards  uint64     // cross-shard id and touched mask (0: none)
 }
 
 // turn is await's outcome.
@@ -278,12 +273,13 @@ func (r *TM) writeBack(x *txn, seq uint64) {
 		// keeps the half-applied state from ever committing.
 		lt.BumpClock()
 	}
-	for i, a := range x.writeOrder {
+	for i, wa := range x.writes.addrs {
 		if hook != nil {
 			hook(seq, i)
 		}
+		a := mem.Addr(wa)
 		if lt == nil {
-			r.heap.Store(a, x.redo[a])
+			r.heap.Store(a, x.vals[i])
 			continue
 		}
 		// Hybrid coexistence: never store over a line a fast transaction
@@ -296,7 +292,7 @@ func (r *TM) writeBack(x *txn, seq uint64) {
 		// acquisition from capturing a half-applied undo value.
 		line := mem.LineOf(a)
 		r.lockLineSlow(line)
-		r.heap.Store(a, x.redo[a])
+		r.heap.Store(a, x.vals[i])
 		lt.Bump(line)
 		lt.Release(line)
 	}
@@ -350,7 +346,7 @@ func (r *TM) awaitWriters(seq uint64, x *txn) {
 			if u.active.Load() != 1 || u.seq.Load() >= seq {
 				continue
 			}
-			if r.writerMayOverlap(u, x.writeSig) {
+			if r.writerMayOverlap(u, x.writes.sig) {
 				wait = true
 				break
 			}

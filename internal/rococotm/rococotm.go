@@ -181,10 +181,6 @@ func (c *Config) fill() {
 	}
 }
 
-// subSigAddrs is the number of addresses per read-set sub-signature (paper:
-// 8, matching the 512-bit cache line).
-const subSigAddrs = 8
-
 // Validate reports why a runtime over heap cannot be built from c, or nil.
 // Every legality check of a configuration lives here — New makes none of its
 // own and panics with this error — so a feature pair either passes and
@@ -530,17 +526,9 @@ type txn struct {
 	localTS uint64 // commit-queue scan position
 	validTS uint64 // snapshot at which all reads are known consistent
 
-	readSig   sig.Sig   // whole-read-set signature
-	subSigs   []sig.Sig // one per subSigAddrs reads, for precise re-checks
-	subUsed   int       // sub-signatures live this attempt (rest are spares)
-	subCount  int       // addresses in the newest sub-signature
-	readAddrs []uint64
-	readSeen  map[mem.Addr]bool
-
-	writeSig   sig.Sig
-	redo       map[mem.Addr]mem.Word
-	writeOrder []mem.Addr
-	writeAddrs []uint64 // scratch for the shipped write footprint
+	reads  addrSet    // the read set
+	writes addrSet    // the write set; its signature is the commit's
+	vals   []mem.Word // the redo log: vals[i] is the value for writes.addrs[i]
 
 	// pub is this commit as the publication stage sees it, filled once the
 	// verdict is in; a releasing predecessor may read it (pipeline.go).
@@ -551,38 +539,27 @@ type txn struct {
 	tempSig sig.Sig // scratch TempSet
 	oneSig  sig.Sig // scratch for one commit-queue entry
 	aggSig  sig.Sig // scratch for one aggregate-ring segment
-	sigCfg  sig.Config
 
-	// orphaned marks a descriptor whose footprint slices may still be
-	// referenced by an engine request that timed out after admission; the
-	// next reset drops those slices instead of reusing their backing
-	// arrays, so a late validation never reads a recycled footprint. It is
-	// ownership of those slices, not liveness.
+	// orphaned marks a descriptor whose footprint slices (reads.addrs,
+	// writes.addrs) may still be referenced by an engine request that timed
+	// out after admission; the next reset drops those slices instead of
+	// reusing their backing arrays, so a late validation never reads a
+	// recycled footprint. It is ownership of those slices, not liveness.
 	orphaned bool
 }
 
 // reset arms a fresh or recycled descriptor for a new attempt at snapshot
-// ts. All signatures and logs are cleared in place; address slices keep
-// their backing arrays unless a previous engine request may still hold them.
+// ts. Signatures, set indexes and the redo log are cleared in place; the
+// address slices keep their backing arrays unless a previous engine request
+// may still hold them.
 func (x *txn) reset(ts uint64) {
 	x.localTS, x.validTS = ts, ts
-	x.readSig.Reset()
-	x.writeSig.Reset()
 	x.missSig.Reset()
 	x.missAny = false
-	x.subUsed = 0
-	x.subCount = 0
-	if x.orphaned {
-		x.orphaned = false
-		x.readAddrs = nil
-		x.writeAddrs = nil
-	} else {
-		x.readAddrs = x.readAddrs[:0]
-		x.writeAddrs = x.writeAddrs[:0]
-	}
-	clear(x.readSeen)
-	clear(x.redo)
-	x.writeOrder = x.writeOrder[:0]
+	x.reads.reset(x.orphaned)
+	x.writes.reset(x.orphaned)
+	x.orphaned = false
+	x.vals = x.vals[:0]
 }
 
 // committed is the outcome finish takes for a commit; every other value is
@@ -618,7 +595,7 @@ func tally(cnt *tm.Counters, consec *int32, c tm.Code, irrevocable, readOnly boo
 // the scratch slot needs no synchronization.
 func (x *txn) finish(c tm.Code, drop bool) {
 	r := x.r
-	tally(&r.cnt, &r.consec[x.thread], c, x.irrevocable, len(x.redo) == 0)
+	tally(&r.cnt, &r.consec[x.thread], c, x.irrevocable, len(x.vals) == 0)
 	if x.irrevocable {
 		r.gate.Unlock()
 		r.irrevPending.Add(-1)
@@ -685,17 +662,14 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 	if x == nil {
 		scfg := r.eng.Config().Sig
 		x = &txn{
-			r:        r,
-			thread:   thread,
-			readSig:  sig.New(scfg),
-			writeSig: sig.New(scfg),
-			missSig:  sig.New(scfg),
-			tempSig:  sig.New(scfg),
-			oneSig:   sig.New(scfg),
-			aggSig:   sig.New(scfg),
-			redo:     map[mem.Addr]mem.Word{},
-			readSeen: map[mem.Addr]bool{},
-			sigCfg:   scfg,
+			r:       r,
+			thread:  thread,
+			reads:   newAddrSet(scfg),
+			writes:  newAddrSet(scfg),
+			missSig: sig.New(scfg),
+			tempSig: sig.New(scfg),
+			oneSig:  sig.New(scfg),
+			aggSig:  sig.New(scfg),
 		}
 	}
 	r.scratch[thread] = nil
@@ -765,14 +739,14 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return 0, x.stop(c, st)
 	}
-	// Lines 1-4: read-your-writes from the redo log.
-	if v, ok := x.redo[a]; ok {
-		return v, nil
-	}
-	// Hash once: the spin's update-set probes, the MissSet query, and a
-	// re-read all reuse the same indices.
+	// Hash once: read-your-writes, the spin's update-set probes, the
+	// MissSet query and the read-set insert all use the same indices.
 	var idxBuf [16]int
 	idx := x.r.hasher.Indices(uint64(a), idxBuf[:])
+	// Lines 1-4: read-your-writes from the redo log.
+	if i := x.writes.find(uint64(a), idx); i >= 0 {
+		return x.vals[i], nil
+	}
 	v, g1, err := x.load(a, idx)
 	if err != nil {
 		return 0, err
@@ -852,73 +826,20 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 // admit is Algorithm 1 lines 9-20 for a value of a that load accepted under
 // g1: extend the snapshot or grow the miss set, then record the read.
 func (x *txn) admit(a mem.Addr, idx []int, g1 uint64) error {
-	// Lines 9-19, extend (agg.go). The fold stops at g1, not at the live
-	// GlobalTS: a is not in the read set yet, so a commit in [g1, GlobalTS)
-	// that wrote a would fold without an overlap and validTS would pass a
-	// write the loaded value does not reflect. Such a commit is folded by the
-	// next Read or by Commit, with a recorded.
-	if !x.extend(g1) {
+	// Lines 9-19, extend (agg.go), unless nothing committed since localTS
+	// (one compare on the common path). The fold stops at g1, not at the
+	// live GlobalTS: a is not in the read set yet, so a commit in
+	// [g1, GlobalTS) that wrote a would fold without an overlap and validTS
+	// would pass a write the loaded value does not reflect. Such a commit is
+	// folded by the next Read or by Commit, with a recorded.
+	if x.localTS < g1 && !x.extend(g1) {
 		return x.abort(tm.CodeWindow) // snapshot fell out of the commit-queue ring
 	}
 	if x.missAny && x.missSig.QueryIdx(idx) {
 		return x.abort(tm.CodeConflict) // line 17: torn snapshot
 	}
-
-	// Line 20: record the read. Sub-signatures are recycled across
-	// attempts: subUsed counts the live ones, spares beyond it are reset
-	// in place instead of reallocated.
-	if !x.readSeen[a] {
-		addr := uint64(a)
-		x.readSeen[a] = true
-		x.readAddrs = append(x.readAddrs, addr)
-		x.readSig.Insert(x.r.hasher, addr)
-		if x.subCount == 0 || x.subCount == subSigAddrs {
-			if x.subUsed < len(x.subSigs) {
-				x.subSigs[x.subUsed].Reset()
-			} else {
-				x.subSigs = append(x.subSigs, sig.New(x.sigCfg))
-			}
-			x.subUsed++
-			x.subCount = 0
-		}
-		x.subSigs[x.subUsed-1].Insert(x.r.hasher, addr)
-		x.subCount++
-	}
+	x.reads.insert(uint64(a), idx) // line 20: record the read
 	return nil
-}
-
-// readSetOverlaps implements the layered intersection of §5.3 against one
-// committed write signature: the whole-read-set signature first (usually
-// disjoint → O(1)), the 8-address sub-signatures next, and finally — the
-// paper's "small chance of an O(r) overhead" — a per-address membership
-// query of the flagged sub-set against the commit signature, which reduces
-// the false-conflict rate to the query operation's (negligible for
-// cache-line-sized write sets) instead of the intersection's.
-//
-//tm:hotpath
-func (x *txn) readSetOverlaps(commit sig.Sig) bool {
-	if len(x.readAddrs) == 0 {
-		return false
-	}
-	if !x.readSig.Intersects(commit) {
-		return false
-	}
-	for i, s := range x.subSigs[:x.subUsed] {
-		if !s.Intersects(commit) {
-			continue
-		}
-		lo := i * subSigAddrs
-		hi := lo + subSigAddrs
-		if hi > len(x.readAddrs) {
-			hi = len(x.readAddrs)
-		}
-		for _, a := range x.readAddrs[lo:hi] {
-			if commit.Query(x.r.hasher, a) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // Write implements tm.Txn — Algorithm 1, TM_WRITE.
@@ -926,11 +847,13 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return x.stop(c, st)
 	}
-	if _, seen := x.redo[a]; !seen {
-		x.writeOrder = append(x.writeOrder, a)
-		x.writeSig.Insert(x.r.hasher, uint64(a))
+	var idxBuf [16]int
+	idx := x.r.hasher.Indices(uint64(a), idxBuf[:])
+	if i, fresh := x.writes.insert(uint64(a), idx); fresh {
+		x.vals = append(x.vals, v)
+	} else {
+		x.vals[i] = v
 	}
-	x.redo[a] = v
 	return nil
 }
 
@@ -944,7 +867,7 @@ func (r *TM) Commit(t tm.Txn) error {
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return x.stop(c, st)
 	}
-	if len(x.redo) == 0 {
+	if len(x.vals) == 0 {
 		// Read-only fast path: consistent at validTS, commits on CPU.
 		x.finish(committed, false)
 		return nil
@@ -984,9 +907,9 @@ func (r *TM) Commit(t tm.Txn) error {
 	// Ordered publication. On a trusting runtime the sequence can no longer
 	// be given up, so the commit pre-publishes and may be released by the
 	// group advance of a predecessor.
-	x.pub = publication{validTS: x.validTS, ws: x.writeSig, reads: x.readAddrs,
-		writes: x.writeAddrs, order: x.writeOrder, redo: x.redo}
-	r.arm(x.thread, c.seq, x.writeSig)
+	x.pub = publication{validTS: x.validTS, ws: x.writes.sig, reads: x.reads.addrs,
+		writes: x.writes.addrs, vals: x.vals}
+	r.arm(x.thread, c.seq, x.writes.sig)
 	var pre *publication
 	if r.ft == nil {
 		pre = &x.pub

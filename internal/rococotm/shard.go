@@ -413,7 +413,7 @@ func (x *stxn) finish(c tm.Code, drop bool) {
 	ro := true
 	for _, i := range x.order {
 		sb := x.subs[i]
-		ro = ro && len(sb.redo) == 0
+		ro = ro && len(sb.vals) == 0
 		if _, st := sb.r.Poll(sb.thread, sb.attempt); st != Over {
 			sb.finish(c, drop)
 		}
@@ -578,8 +578,8 @@ func (s *Sharded) commitCross(x *stxn) error {
 	// Phase 2.5: arm the update-set entries (commit-time locks) on every
 	// shard we will write, before anything publishes.
 	for k, i := range x.order {
-		if sb := x.subs[i]; len(sb.writeOrder) > 0 {
-			s.shards[i].arm(x.thread, x.seqs[k], sb.writeSig)
+		if sb := x.subs[i]; len(sb.vals) > 0 {
+			s.shards[i].arm(x.thread, x.seqs[k], sb.writes.sig)
 		}
 	}
 
@@ -606,8 +606,8 @@ func (s *Sharded) commitCross(x *stxn) error {
 		sb := x.subs[i]
 		seq := x.seqs[k]
 		// The re-extension proved the reads valid through seq.
-		p := publication{validTS: seq, ws: sb.writeSig, reads: sb.readAddrs, writes: sb.writeAddrs,
-			order: sb.writeOrder, redo: sb.redo, xid: xid, xshards: mask}
+		p := publication{validTS: seq, ws: sb.writes.sig, reads: sb.reads.addrs, writes: sb.writes.addrs,
+			vals: sb.vals, xid: xid, xshards: mask}
 		s.shards[i].publish(seq, &p)
 	}
 	// Cross-log atomicity barrier: every touched log is durable before
@@ -645,7 +645,7 @@ func (s *Sharded) commitCross(x *stxn) error {
 // disarms the update-set entries (the commit-time write locks).
 func (s *Sharded) drainWriteBacks(x *stxn) {
 	for k, i := range x.order {
-		if sb := x.subs[i]; len(sb.writeOrder) > 0 {
+		if sb := x.subs[i]; len(sb.vals) > 0 {
 			s.shards[i].writeBack(sb, x.seqs[k])
 			s.shards[i].disarm(x.thread)
 		}

@@ -38,8 +38,7 @@ func stagePub(r *TM, validTS uint64, read, write mem.Addr, val mem.Word) *public
 	ws := sig.New(r.eng.Config().Sig)
 	ws.Insert(r.hasher, uint64(write))
 	return &publication{validTS: validTS, ws: ws,
-		reads: []uint64{uint64(read)}, writes: []uint64{uint64(write)},
-		order: []mem.Addr{write}, redo: map[mem.Addr]mem.Word{write: val}}
+		reads: []uint64{uint64(read)}, writes: []uint64{uint64(write)}, vals: []mem.Word{val}}
 }
 
 // TestGroupReleaseFeedsSinks: a pre-published successor is published — slot,
@@ -110,7 +109,7 @@ func TestGroupReleaseFeedsSinks(t *testing.T) {
 		rec := res.Records[i]
 		if rec.Seq != s+uint64(i) || rec.ValidTS != p.validTS ||
 			!reflect.DeepEqual(rec.Reads, p.reads) || !reflect.DeepEqual(rec.WriteAddrs, p.writes) ||
-			rec.WriteVals[0] != uint64(p.redo[p.order[0]]) {
+			rec.WriteVals[0] != uint64(p.vals[0]) {
 			t.Fatalf("WAL record %d = %+v, want publication %+v", i, rec, p)
 		}
 	}
@@ -213,8 +212,11 @@ func TestAbandonLeavesNothingBehind(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			heap := mem.NewHeap(1 << 10)
 			lt := mem.NewLineTable(heap.Cap())
+			// The deadline also bounds the verdict wait, which must not
+			// miss under host load (the commit would then land through the
+			// fallback); only the turn wait behind the hole may expire.
 			r := New(heap, Config{MaxThreads: 2, LineTable: lt,
-				ValidateDeadline: 2 * time.Millisecond, ProbeInterval: time.Hour})
+				ValidateDeadline: 250 * time.Millisecond, ProbeInterval: time.Hour})
 			defer r.Close()
 			base := heap.MustAlloc(16)
 			// The engine hands out seq 0 to nobody: the hole every later
