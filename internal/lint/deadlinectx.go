@@ -22,17 +22,19 @@ import (
 // The fix is to capture and thread the RunCtx context (or one derived
 // from it with context.WithTimeout etc.). Nested function literals are
 // skipped: a goroutine spawned from the closure runs on its own schedule
-// and may legitimately want a detached context.
+// and may legitimately want a detached context. tm.RunUntil closures are
+// not checked: that loop takes a deadline, not a context, so there is no
+// caller context to thread.
 func runDeadlineCtx(p *Package) []Finding {
 	api := resolveTM(p)
-	if api == nil || (api.runCtx == nil && api.runCtxBackoff == nil) {
+	if api == nil || api.runCtx == nil {
 		return nil
 	}
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !api.isRunCtxCall(p.Info, call) || len(call.Args) == 0 {
+			if !ok || len(call.Args) == 0 || api.boundedRun(p.Info, call) != api.runCtx {
 				return true
 			}
 			lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)

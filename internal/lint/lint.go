@@ -22,11 +22,11 @@
 //   - deadtxn: a Txn method is invoked on a transaction after an abort
 //     was already observed on that same transaction; after the first
 //     AbortError the transaction is dead.
-//   - runctx: a closure passed to tm.RunCtx/tm.RunCtxBackoff spins in an
+//   - runctx: a closure passed to tm.RunCtx/tm.RunUntil spins in an
 //     unconditional loop that never crosses a transaction boundary or
 //     consults the context — cancellation (and the watchdog) can never
 //     reach it.
-//   - deadlinectx: a closure passed to tm.RunCtx/tm.RunCtxBackoff builds
+//   - deadlinectx: a closure passed to tm.RunCtx builds
 //     a fresh root context (context.Background/context.TODO), severing
 //     the caller's deadline and cancellation chain — sub-operations then
 //     outlive the per-request budget the context was meant to enforce.
@@ -122,7 +122,7 @@ var registry = []*Pass{
 	},
 	{
 		Name: "runctx",
-		Doc:  "tm.RunCtx closures must stay cancellable: no boundary-free unconditional loops",
+		Doc:  "tm.RunCtx/tm.RunUntil closures must stay cancellable: no boundary-free unconditional loops",
 		Run:  runRunCtx,
 	},
 	{

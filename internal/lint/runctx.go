@@ -6,46 +6,52 @@ import (
 	"go/types"
 )
 
-// runRunCtx enforces cancellation responsiveness of context-aware atomic
+// runRunCtx enforces cancellation responsiveness of cancellable atomic
 // blocks: tm.RunCtx observes cancellation at the transaction boundaries —
-// Txn.Read, Txn.Write and the commit points — so a closure that spins in
-// an unconditional loop without ever crossing one of those boundaries (or
-// consulting the context itself) can never be cancelled, and the watchdog
-// cannot kill it either (kills land at the same safe points). Flagged:
+// Txn.Read, Txn.Write and the commit points — and tm.RunUntil observes its
+// deadline when the closure returns, so a closure that spins in an
+// unconditional loop without ever crossing a transaction boundary (or
+// consulting a context itself) can never be cancelled, and the watchdog
+// cannot kill it either (kills land at the Txn boundaries). Flagged:
 //
 //	for { ... }   // no Txn call, no ctx.Done()/ctx.Err(), no way out
 //
-// inside a closure passed to tm.RunCtx or tm.RunCtxBackoff. A loop stays
+// inside a closure passed to tm.RunCtx or tm.RunUntil. A loop stays
 // silent when it calls a Txn method, touches a context.Context (checking
 // Done/Err or passing it to a helper), or can exit on its own (break,
 // return, goto, panic).
 func runRunCtx(p *Package) []Finding {
 	api := resolveTM(p)
-	if api == nil || (api.runCtx == nil && api.runCtxBackoff == nil) {
+	if api == nil || (api.runCtx == nil && api.runUntil == nil) {
 		return nil
 	}
 	var out []Finding
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok || !api.isRunCtxCall(p.Info, call) || len(call.Args) == 0 {
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			run := api.boundedRun(p.Info, call)
+			if run == nil {
 				return true
 			}
 			lit, ok := ast.Unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
 			if !ok {
 				return true
 			}
-			out = append(out, checkCtxClosure(p, api, lit)...)
+			out = append(out, checkCtxClosure(p, api, run.Name(), lit)...)
 			return true
 		})
 	}
 	return out
 }
 
-// checkCtxClosure flags unconditional loops in one RunCtx closure that can
-// neither observe cancellation nor terminate. Nested function literals are
-// skipped: they run on their own schedule (or not at all).
-func checkCtxClosure(p *Package, api *tmAPI, lit *ast.FuncLit) []Finding {
+// checkCtxClosure flags unconditional loops in one closure passed to
+// tm.<run> that can neither observe cancellation nor terminate. Nested
+// function literals are skipped: they run on their own schedule (or not
+// at all).
+func checkCtxClosure(p *Package, api *tmAPI, run string, lit *ast.FuncLit) []Finding {
 	var out []Finding
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
@@ -59,7 +65,7 @@ func checkCtxClosure(p *Package, api *tmAPI, lit *ast.FuncLit) []Finding {
 				out = append(out, Finding{
 					Pos:  p.Fset.Position(n.Pos()),
 					Pass: "runctx",
-					Message: "unconditional loop in a tm.RunCtx closure ignores cancellation: " +
+					Message: "unconditional loop in a tm." + run + " closure ignores cancellation: " +
 						"no Txn call, no ctx.Done()/ctx.Err() check and no exit — " +
 						"cross a transaction boundary or consult the context inside the loop",
 				})

@@ -3,6 +3,7 @@ package deadlinectx
 
 import (
 	"context"
+	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/tm"
@@ -19,9 +20,9 @@ func freshBackground(ctx context.Context, m tm.TM) error {
 	})
 }
 
-// freshTODO: same defect through context.TODO and RunCtxBackoff.
+// freshTODO: same defect through context.TODO.
 func freshTODO(ctx context.Context, m tm.TM) error {
-	return tm.RunCtxBackoff(ctx, m, 0, tm.BackoffPolicy{}, func(x tm.Txn) error {
+	return tm.RunCtx(ctx, m, 0, func(x tm.Txn) error {
 		c := context.TODO() // want `\[deadlinectx\] context\.TODO\(\) inside a tm\.RunCtx closure`
 		return helper(c)
 	})
@@ -55,6 +56,14 @@ func derivesFromCaller(ctx context.Context, m tm.TM) error {
 		c, cancel := context.WithCancel(ctx)
 		defer cancel()
 		return helper(c)
+	})
+}
+
+// runUntilIsNotChecked stays silent: RunUntil takes a deadline, not a
+// context, so there is no caller context the closure could thread.
+func runUntilIsNotChecked(dead time.Time, m tm.TM) error {
+	return tm.RunUntil(dead, m, 0, tm.BackoffPolicy{}, func(x tm.Txn) error {
+		return helper(context.Background())
 	})
 }
 

@@ -3,6 +3,7 @@ package runctx
 
 import (
 	"context"
+	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/tm"
@@ -19,11 +20,24 @@ func spinForever(ctx context.Context, m tm.TM) error {
 	})
 }
 
-// spinBackoff: same defect through RunCtxBackoff.
-func spinBackoff(ctx context.Context, m tm.TM) error {
-	return tm.RunCtxBackoff(ctx, m, 0, tm.BackoffPolicy{}, func(x tm.Txn) error {
-		for { // want `\[runctx\] unconditional loop in a tm.RunCtx closure ignores cancellation`
+// spinUntil: same defect through RunUntil, whose deadline is observed
+// only once the closure returns.
+func spinUntil(dead time.Time, m tm.TM) error {
+	return tm.RunUntil(dead, m, 0, tm.BackoffPolicy{}, func(x tm.Txn) error {
+		for { // want `\[runctx\] unconditional loop in a tm.RunUntil closure ignores cancellation`
 			busywork()
+		}
+	})
+}
+
+// pollUntilViaTxn stays silent: the Read boundary is where the watchdog's
+// kill lands, and the loop propagates it.
+func pollUntilViaTxn(dead time.Time, m tm.TM, a mem.Addr) error {
+	return tm.RunUntil(dead, m, 0, tm.BackoffPolicy{}, func(x tm.Txn) error {
+		for {
+			if _, err := x.Read(a); err != nil {
+				return err
+			}
 		}
 	})
 }

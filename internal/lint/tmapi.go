@@ -9,13 +9,13 @@ import (
 // tmAPI holds the contract-bearing objects of the tm package as resolved
 // for one linted package, or nil when the package never imports it.
 type tmAPI struct {
-	pkg           *types.Package
-	txn           types.Type   // the tm.Txn interface (named)
-	tm            types.Type   // the tm.TM interface (named)
-	run           types.Object // func tm.Run
-	runCtx        types.Object // func tm.RunCtx
-	runCtxBackoff types.Object // func tm.RunCtxBackoff
-	isAbort       types.Object // func tm.IsAbort
+	pkg      *types.Package
+	txn      types.Type   // the tm.Txn interface (named)
+	tm       types.Type   // the tm.TM interface (named)
+	run      types.Object // func tm.Run
+	runCtx   types.Object // func tm.RunCtx
+	runUntil types.Object // func tm.RunUntil
+	isAbort  types.Object // func tm.IsAbort
 }
 
 // resolveTM locates the tm package among p's imports (or p itself, when
@@ -44,7 +44,7 @@ func resolveTM(p *Package) *tmAPI {
 		}
 		a.run = scope.Lookup("Run")
 		a.runCtx = scope.Lookup("RunCtx")
-		a.runCtxBackoff = scope.Lookup("RunCtxBackoff")
+		a.runUntil = scope.Lookup("RunUntil")
 		a.isAbort = scope.Lookup("IsAbort")
 		return a
 	}
@@ -118,9 +118,9 @@ func (a *tmAPI) classify(info *types.Info, call *ast.CallExpr) (riskyKind, ast.E
 	return kindNone, nil
 }
 
-// isRunCtxCall reports whether call is tm.RunCtx(...) or
-// tm.RunCtxBackoff(...).
-func (a *tmAPI) isRunCtxCall(info *types.Info, call *ast.CallExpr) bool {
+// boundedRun returns the tm function call invokes when it is one of the
+// cancellable retry loops, tm.RunCtx or tm.RunUntil, else nil.
+func (a *tmAPI) boundedRun(info *types.Info, call *ast.CallExpr) types.Object {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -128,11 +128,10 @@ func (a *tmAPI) isRunCtxCall(info *types.Info, call *ast.CallExpr) bool {
 	case *ast.Ident:
 		obj = info.Uses[fun]
 	}
-	if obj == nil {
-		return false
+	if obj == nil || (obj != a.runCtx && obj != a.runUntil) {
+		return nil
 	}
-	return (a.runCtx != nil && obj == a.runCtx) ||
-		(a.runCtxBackoff != nil && obj == a.runCtxBackoff)
+	return obj
 }
 
 // isIsAbortCall reports whether call is tm.IsAbort(...).

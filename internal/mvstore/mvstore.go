@@ -10,28 +10,33 @@
 // # Version chains and the base value
 //
 // The store shards a map from heap address to a version chain. A chain
-// holds the address's pre-history value ("base") plus an ascending list of
-// (seq, value) versions. The base is captured from the live heap at the
-// moment the chain is created — i.e. at the first ApplyUpdates naming the
-// address. That read is sound because ApplyUpdates runs at publication
-// time, strictly before the publishing commit's own write-back touches the
-// heap (and every earlier commit writing the address would already have a
+// holds a base value plus an ascending list of (seq, value) versions newer
+// than it. The base is first captured from the live heap at the moment the
+// chain is created — i.e. at the first ApplyUpdates naming the address.
+// That read is sound because ApplyUpdates runs at publication time,
+// strictly before the publishing commit's own write-back touches the heap
+// (and every earlier commit writing the address would already have a
 // chain), so the heap still holds the value from before any versioned
-// write.
+// write. Later the fold (below) moves the base forward; a chain is never
+// removed from its shard map.
 //
 // Addresses never written since the store opened have no chain; Snapshot
 // reads fall back to the live heap with a miss → load → re-check-miss
 // double check (see Snapshot.Read) so a concurrent first write cannot leak
 // a future value into an older snapshot.
 //
-// # Applying and compacting
+// # Applying and folding
 //
 // ApplyUpdates must be called by a single goroutine at a time, in strictly
 // ascending sequence order — in this repository that caller is the ordered
 // publication arm of the commit pipeline (and, during recovery, the WAL
-// replay loop). Every CompactEvery applies the store folds versions below
-// the minimum pinned snapshot height into the chain bases, bounding memory
-// under long-running workloads while pinned snapshots stay readable.
+// replay loop). That goroutine also owns the dirty list: the chains that
+// hold at least one version. Every CompactEvery applies it folds the
+// versions below the minimum pinned snapshot height into the bases of the
+// dirty chains only, in place, and drops the chains left without versions
+// from the list. The fold's cost is the number of chains written since the
+// last fold, not the number of addresses ever written, and a steady-state
+// apply onto existing chains allocates nothing.
 package mvstore
 
 import (
@@ -47,8 +52,9 @@ type Config struct {
 	// Shards is the number of chain-map shards; it must be a power of two.
 	// 0 means 64.
 	Shards int
-	// CompactEvery is the number of ApplyUpdates calls between compaction
-	// sweeps. 0 means 4096; negative disables compaction.
+	// CompactEvery is the number of ApplyUpdates calls between folds of
+	// old versions into chain bases. 0 means 4096; negative disables
+	// folding.
 	CompactEvery int
 }
 
@@ -66,21 +72,23 @@ func (c *Config) withDefaults() (Config, error) {
 	return out, nil
 }
 
-// chain is one address's version history. base is immutable after the
-// chain is inserted into its shard map; seqs/vals are guarded by the shard
-// lock and kept in strictly ascending seq order.
+// chain is one address's version history: the value visible below the
+// oldest version (base) and the versions in strictly ascending seq order.
+// All three fields are guarded by the shard lock; the fold rewrites them
+// in place, so a reader must hold the lock for every field it reads. addr
+// locates the shard for the fold.
 type chain struct {
+	addr mem.Addr
 	base mem.Word
 	seqs []uint64
 	vals []mem.Word
 }
 
-// lookup returns the value visible at snapshot height h (the newest
-// version with seq < h, else base). Caller holds the shard lock (read or
-// write).
+// below returns the number of versions with seq < h. Caller holds the
+// shard lock (read or write).
 //
 //tm:hotpath
-func (c *chain) lookup(h uint64) mem.Word {
+func (c *chain) below(h uint64) int {
 	lo, hi := 0, len(c.seqs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -90,10 +98,33 @@ func (c *chain) lookup(h uint64) mem.Word {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return c.base
+	return lo
+}
+
+// lookup returns the value visible at snapshot height h (the newest
+// version with seq < h, else base). Caller holds the shard lock (read or
+// write).
+//
+//tm:hotpath
+func (c *chain) lookup(h uint64) mem.Word {
+	if n := c.below(h); n > 0 {
+		return c.vals[n-1]
 	}
-	return c.vals[lo-1]
+	return c.base
+}
+
+// fold makes the newest version below min the base and copies the newer
+// versions down in the same backing arrays. Caller holds the shard write
+// lock.
+func (c *chain) fold(min uint64) {
+	cut := c.below(min)
+	if cut == 0 {
+		return
+	}
+	c.base = c.vals[cut-1]
+	n := copy(c.seqs, c.seqs[cut:])
+	copy(c.vals, c.vals[cut:])
+	c.seqs, c.vals = c.seqs[:n], c.vals[:n]
 }
 
 type shard struct {
@@ -106,7 +137,7 @@ type shard struct {
 type Stats struct {
 	Height      uint64 // next sequence to apply
 	Applies     uint64 // ApplyUpdates calls
-	Compactions uint64 // compaction sweeps run
+	Compactions uint64 // folds run
 	Chains      int    // addresses with a version chain
 	Versions    int    // retained versions across all chains
 	Pins        int    // live snapshot pins
@@ -125,9 +156,12 @@ type Store struct {
 
 	cfg Config
 
-	pinMu        sync.Mutex
-	pins         map[uint64]int // snapshot height -> refcount
+	pinMu sync.Mutex
+	pins  map[uint64]int // snapshot height -> refcount
+
+	// Owned by the ApplyUpdates goroutine.
 	sinceCompact int
+	dirty        []*chain // chains holding at least one version
 }
 
 // New returns an empty store over heap. Reads of never-written addresses
@@ -199,13 +233,16 @@ func (s *Store) ApplyUpdates(seq uint64, addrs []mem.Addr, vals []mem.Word) {
 			// First versioned write to this address: the heap still holds
 			// the pre-history value (write-back for this very commit has
 			// not run yet — apply precedes it).
-			c = &chain{base: s.heap.Load(a)}
+			c = &chain{addr: a, base: s.heap.Load(a)}
 			sh.chains[a] = c
 		}
 		if n := len(c.seqs); n > 0 && c.seqs[n-1] == seq {
 			// Same commit wrote the address twice; last write wins.
 			c.vals[n-1] = vals[i]
 		} else {
+			if n == 0 {
+				s.dirty = append(s.dirty, c)
+			}
 			c.seqs = append(c.seqs, seq)
 			c.vals = append(c.vals, vals[i])
 		}
@@ -222,8 +259,9 @@ func (s *Store) ApplyUpdates(seq uint64, addrs []mem.Addr, vals []mem.Word) {
 	}
 }
 
-// compact folds versions below the minimum pinned height into chain
-// bases. Runs on the ApplyUpdates goroutine.
+// compact folds the versions below the minimum pinned height into the
+// bases of the dirty chains and keeps on the list only the chains that
+// still hold versions. Runs on the ApplyUpdates goroutine.
 func (s *Store) compact() {
 	s.pinMu.Lock()
 	min := s.height.Load()
@@ -233,26 +271,17 @@ func (s *Store) compact() {
 		}
 	}
 	s.pinMu.Unlock()
-	for i := range s.shards {
-		sh := &s.shards[i]
+	keep := s.dirty[:0]
+	for _, c := range s.dirty {
+		sh := &s.shards[uint64(c.addr)&s.mask]
 		sh.mu.Lock()
-		for a, c := range sh.chains {
-			// Count versions with seq < min; the newest of them becomes
-			// the base, the rest are history no live snapshot can see.
-			cut := 0
-			for cut < len(c.seqs) && c.seqs[cut] < min {
-				cut++
-			}
-			if cut == 0 {
-				continue
-			}
-			base := c.vals[cut-1]
-			nseqs := append(c.seqs[:0:0], c.seqs[cut:]...)
-			nvals := append(c.vals[:0:0], c.vals[cut:]...)
-			sh.chains[a] = &chain{base: base, seqs: nseqs, vals: nvals}
+		c.fold(min)
+		if len(c.seqs) > 0 {
+			keep = append(keep, c)
 		}
 		sh.mu.Unlock()
 	}
+	s.dirty = keep
 	s.compactions.Add(1)
 }
 
@@ -312,25 +341,25 @@ func (s *Store) ReleaseSnapshot(sn *Snapshot) {
 // load returned the pre-history value, which is correct at every height.
 // If a chain appeared between the checks, all its versions postdate this
 // snapshot's pin, so lookup falls through to the chain's base — the value
-// captured before that first write-back could race the heap load.
+// captured before that first write-back could race the heap load. Either
+// way the chain is read under the shard lock: the fold rewrites it in
+// place.
 //
 //tm:hotpath
 func (sn *Snapshot) Read(a mem.Addr) mem.Word {
 	sh := &sn.s.shards[uint64(a)&sn.s.mask]
 	sh.mu.RLock()
 	c := sh.chains[a]
-	if c != nil {
-		v := c.lookup(sn.h)
-		sh.mu.RUnlock()
-		return v
-	}
-	sh.mu.RUnlock()
-	v := sn.s.heap.Load(a)
-	sh.mu.RLock()
-	c = sh.chains[a]
-	sh.mu.RUnlock()
 	if c == nil {
-		return v
+		sh.mu.RUnlock()
+		v := sn.s.heap.Load(a)
+		sh.mu.RLock()
+		if c = sh.chains[a]; c == nil {
+			sh.mu.RUnlock()
+			return v
+		}
 	}
-	return c.base
+	v := c.lookup(sn.h)
+	sh.mu.RUnlock()
+	return v
 }

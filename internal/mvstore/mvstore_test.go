@@ -1,6 +1,7 @@
 package mvstore
 
 import (
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,186 @@ func TestConcurrentSnapshotReads(t *testing.T) {
 	if st := s.Stats(); st.Pins != 0 {
 		t.Fatalf("Pins=%d after all readers released", st.Pins)
 	}
+}
+
+// historyModel is the reference the fold is checked against: every
+// version of every address ever written, never folded.
+type historyModel struct {
+	initial []mem.Word
+	seqs    [][]uint64
+	vals    [][]mem.Word
+}
+
+// at returns word i's value at snapshot height h.
+func (m *historyModel) at(i int, h uint64) mem.Word {
+	v := m.initial[i]
+	for k, seq := range m.seqs[i] {
+		if seq >= h {
+			break
+		}
+		v = m.vals[i][k]
+	}
+	return v
+}
+
+// TestFoldMatchesFullHistoryModel drives a store that folds every four
+// applies against a model that keeps the full history. Applies write one
+// or several addresses, sometimes the same address twice in one seq; some
+// addresses are written once and then stay idle; snapshots are pinned and
+// released at random heights, and every open snapshot must read every
+// address exactly as the model does at its height. Once all pins are
+// gone and CompactEvery more applies have run, the store may hold no more
+// versions than were written since the last fold.
+func TestFoldMatchesFullHistoryModel(t *testing.T) {
+	const (
+		words        = 48 // 0..31 hot, 32..47 written once each
+		hot          = 32
+		compactEvery = 4
+	)
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, heap := newStore(t, 64, Config{Shards: 4, CompactEvery: compactEvery})
+		base := heap.MustAlloc(words)
+		m := &historyModel{initial: make([]mem.Word, words), seqs: make([][]uint64, words), vals: make([][]mem.Word, words)}
+		for i := range m.initial {
+			m.initial[i] = mem.Word(rng.Intn(1000))
+			heap.Store(base+mem.Addr(i), m.initial[i])
+		}
+		idle := rng.Perm(words - hot)
+		var open []*Snapshot
+		var addrs []mem.Addr
+		var vals []mem.Word
+		var idx []int
+		sinceFold := 0
+		seq := uint64(0)
+		apply := func() {
+			addrs, vals, idx = addrs[:0], vals[:0], idx[:0]
+			n := 1
+			if rng.Intn(3) == 0 {
+				n = 2 + rng.Intn(5)
+			}
+			for k := 0; k < n; k++ {
+				i := rng.Intn(hot)
+				if k > 0 && rng.Intn(4) == 0 {
+					i = idx[rng.Intn(len(idx))] // a second write in this seq
+				}
+				idx = append(idx, i)
+			}
+			if len(idle) > 0 && rng.Intn(8) == 0 {
+				idx = append(idx, hot+idle[0])
+				idle = idle[1:]
+			}
+			distinct := map[int]bool{}
+			for _, i := range idx {
+				v := mem.Word(rng.Int63())
+				addrs = append(addrs, base+mem.Addr(i))
+				vals = append(vals, v)
+				if n := len(m.seqs[i]); n > 0 && m.seqs[i][n-1] == seq {
+					m.vals[i][n-1] = v
+				} else {
+					m.seqs[i] = append(m.seqs[i], seq)
+					m.vals[i] = append(m.vals[i], v)
+				}
+				distinct[i] = true
+			}
+			folds := s.Stats().Compactions
+			s.ApplyUpdates(seq, addrs, vals)
+			for k, a := range addrs {
+				heap.Store(a, vals[k]) // write-back, after apply
+			}
+			seq++
+			sinceFold += len(distinct)
+			if s.Stats().Compactions != folds {
+				sinceFold = 0
+			}
+		}
+		check := func() {
+			for _, sn := range open {
+				for i := 0; i < words; i++ {
+					if got, want := sn.Read(base+mem.Addr(i)), m.at(i, sn.Height()); got != want {
+						t.Fatalf("seed %d seq %d: snapshot at %d reads word %d = %d, model %d",
+							seed, seq, sn.Height(), i, got, want)
+					}
+				}
+			}
+		}
+		for step := 0; step < 600; step++ {
+			apply()
+			if rng.Intn(5) == 0 {
+				open = append(open, s.RetrieveSnapshot())
+			}
+			if len(open) > 0 && rng.Intn(5) == 0 {
+				k := rng.Intn(len(open))
+				s.ReleaseSnapshot(open[k])
+				open = append(open[:k], open[k+1:]...)
+			}
+			check()
+		}
+		for _, sn := range open {
+			s.ReleaseSnapshot(sn)
+		}
+		open = open[:0]
+		for k := 0; k < compactEvery; k++ {
+			apply()
+		}
+		if st := s.Stats(); st.Versions > sinceFold {
+			t.Fatalf("seed %d: %d versions live with no pins, but only %d written since the last fold",
+				seed, st.Versions, sinceFold)
+		}
+		open = append(open, s.RetrieveSnapshot())
+		check()
+		s.ReleaseSnapshot(open[0])
+	}
+}
+
+// TestSnapshotReadsDuringFirstWritesAndFolds races snapshot readers
+// against a producer whose commits keep creating chains (first writes to
+// fresh addresses) while the store folds every four applies, so the
+// readers' miss → load → re-check path and the in-place fold run at once.
+// Each pair's sum is constant in every commit; under -race the test also
+// checks that every chain access is locked.
+func TestSnapshotReadsDuringFirstWritesAndFolds(t *testing.T) {
+	const pairs = 512
+	const total = 1000
+	s, heap := newStore(t, 4*pairs, Config{Shards: 4, CompactEvery: 4})
+	base := heap.MustAlloc(2 * pairs)
+	for i := 0; i < pairs; i++ {
+		heap.Store(base+mem.Addr(2*i), total)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				sn := s.RetrieveSnapshot()
+				for i := 0; i < pairs; i++ {
+					x := sn.Read(base + mem.Addr(2*i))
+					y := sn.Read(base + mem.Addr(2*i) + 1)
+					if x+y != total {
+						t.Errorf("height %d pair %d: %d+%d != %d", sn.Height(), i, x, y, total)
+						stop.Store(true)
+					}
+				}
+				s.ReleaseSnapshot(sn)
+			}
+		}()
+	}
+	addrs := make([]mem.Addr, 2)
+	vals := make([]mem.Word, 2)
+	for seq := uint64(0); seq < 3*pairs && !stop.Load(); seq++ {
+		i := int(seq) % pairs
+		x, y := base+mem.Addr(2*i), base+mem.Addr(2*i)+1
+		xv, yv := heap.Load(x), heap.Load(y)
+		addrs[0], addrs[1] = x, y
+		vals[0], vals[1] = xv-1, yv+1
+		s.ApplyUpdates(seq, addrs, vals)
+		heap.Store(x, xv-1)
+		heap.Store(y, yv+1)
+	}
+	stop.Store(true)
+	wg.Wait()
 }
 
 func TestStatsShape(t *testing.T) {

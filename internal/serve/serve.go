@@ -6,7 +6,8 @@
 // TM under 2× its capacity does not degrade gracefully on its own — retry
 // storms multiply the offered load, the validation ring backs up
 // (fpga.ErrFull), tail latency runs away, and goodput falls off a cliff.
-// The server interposes three mechanisms between clients and tm.RunCtx:
+// The server interposes three mechanisms between clients and the tm retry
+// loop:
 //
 //   - Admission control: a concurrency limit adapted by AIMD from live
 //     pressure signals (windowed p99 drift against the SLO, submission
@@ -15,10 +16,13 @@
 //     transactional state.
 //
 //   - Deadlines: every request carries a latency budget, mapped to a
-//     context deadline on tm.RunCtxBackoff. A request whose estimated
-//     queue wait already exceeds its remaining budget is shed at
-//     admission rather than admitted to time out; a request is never
-//     cancelled mid-commit (the runtime's commit-wins-cancel contract).
+//     deadline on tm.RunUntil, which observes it at attempt boundaries:
+//     before each attempt, after the closure returns but before
+//     validation, and after a lost validation. A closure is never
+//     interrupted mid-attempt, and a request is never cancelled
+//     mid-commit (the runtime's commit-wins-cancel contract). A request
+//     whose estimated queue wait already exceeds its remaining budget is
+//     shed at admission rather than admitted to time out.
 //
 //   - Graceful degradation tiers: under sustained pressure the server
 //     sheds the lowest-priority class first (Batch, then Normal writes);
@@ -512,11 +516,9 @@ func (s *Server) execute(thread int, p *pending) {
 // runTxn drives one request through the tm retry loop with its deadline
 // and retry bounds attached.
 func (s *Server) runTxn(thread int, p *pending) (Outcome, error) {
-	ctx, cancel := context.WithDeadline(context.Background(), p.dead)
-	defer cancel()
 	attempts := 0
 	budgetDry := false
-	err := tm.RunCtxBackoff(ctx, s.m, thread, s.cfg.Backoff, func(x tm.Txn) error {
+	err := tm.RunUntil(p.dead, s.m, thread, s.cfg.Backoff, func(x tm.Txn) error {
 		attempts++
 		if attempts > 1 {
 			s.retries.Add(1)
@@ -533,7 +535,7 @@ func (s *Server) runTxn(thread int, p *pending) (Outcome, error) {
 	switch {
 	case err == nil:
 		return Committed, nil
-	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+	case errors.Is(err, context.DeadlineExceeded):
 		return Expired, err
 	default:
 		if budgetDry {

@@ -160,6 +160,40 @@ func TestServeDeadlineExpiry(t *testing.T) {
 	}
 }
 
+// TestServeDeadlineOverrunRollsBack: a request whose closure writes and
+// then sleeps past its budget is caught at the pre-validation boundary —
+// it ends Expired with DeadlineExceeded and none of its writes reach the
+// heap.
+func TestServeDeadlineOverrunRollsBack(t *testing.T) {
+	h := mem.NewHeap(1 << 10)
+	m := rococotm.New(h, rococotm.Config{MaxThreads: 8})
+	defer m.Close()
+	a, b := h.MustAlloc(1), h.MustAlloc(1)
+	s := serve.New(m, serve.Config{Workers: 1})
+	defer s.Close()
+
+	out, err := s.Do(serve.Request{Class: serve.High, Budget: 5 * time.Millisecond,
+		Fn: func(x tm.Txn) error {
+			if err := x.Write(a, 1); err != nil {
+				return err
+			}
+			if err := x.Write(b, 2); err != nil {
+				return err
+			}
+			time.Sleep(20 * time.Millisecond)
+			return nil
+		}})
+	if out != serve.Expired || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("outcome = %v err %v, want Expired with DeadlineExceeded", out, err)
+	}
+	if va, vb := h.Load(a), h.Load(b); va != 0 || vb != 0 {
+		t.Fatalf("expired request's writes reached the heap: a=%d b=%d", va, vb)
+	}
+	if st := mustAccounting(t, s); st.Expired != 1 || st.Committed != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+}
+
 // conflictOnce returns a request body whose first attempt is guaranteed to
 // lose validation: between its read and its commit, a conflicting
 // transaction commits a write to the same word on a separate thread.
@@ -337,8 +371,11 @@ func TestServeStallBurstChaos(t *testing.T) {
 	auditor := audit.New(audit.Config{})
 	var link *fault.Link
 	m := rococotm.New(h, rococotm.Config{
-		MaxThreads:       workers + 2,
-		ValidateDeadline: 1500 * time.Microsecond,
+		MaxThreads: workers + 2,
+		// The bursts are ErrFull rejections and need no deadline. It sits
+		// above any host stall: a 1.5 ms one let a stall degrade the runtime
+		// to software validation, and with the link idle no burst opened.
+		ValidateDeadline: 250 * time.Millisecond,
 		ProbeInterval:    200 * time.Microsecond,
 		Observer:         auditor,
 		WrapLink: fault.Wrapper(fault.Schedule{

@@ -226,6 +226,38 @@ func TestRunCtxDeadline(t *testing.T) {
 	}
 }
 
+// RunUntil observes its deadline at the three attempt boundaries: a
+// deadline already past begins nothing; a closure that returns past it is
+// rolled back before validation; an attempt that lost validation past it
+// is not retried. Reads and writes inside the closure never see it.
+func TestRunUntilAttemptBoundaries(t *testing.T) {
+	m := newCtlTM()
+	err := RunUntil(time.Now().Add(-time.Second), m, 0, BackoffPolicy{}, func(x Txn) error { return nil })
+	if !errors.Is(err, context.DeadlineExceeded) || m.begins != 0 {
+		t.Fatalf("past deadline: err = %v begins = %d, want DeadlineExceeded and no Begin", err, m.begins)
+	}
+
+	m = newCtlTM()
+	err = RunUntil(time.Now().Add(time.Millisecond), m, 0, BackoffPolicy{}, func(x Txn) error {
+		time.Sleep(5 * time.Millisecond)
+		return x.Write(0, 1) // past the deadline, still accepted
+	})
+	if !errors.Is(err, context.DeadlineExceeded) || m.commits != 0 || m.aborts != 1 {
+		t.Fatalf("overrun: err = %v commits = %d aborts = %d, want DeadlineExceeded, 0, 1", err, m.commits, m.aborts)
+	}
+
+	m = newCtlTM()
+	failures := 0
+	m.onCommit = func() error {
+		failures++
+		return AbortCode(CodeWindow) // hard reason: the loop sleeps between tries
+	}
+	err = RunUntil(time.Now().Add(time.Millisecond), m, 0, BackoffPolicy{}, func(x Txn) error { return x.Write(0, 1) })
+	if !errors.Is(err, context.DeadlineExceeded) || failures == 0 {
+		t.Fatalf("retrying: err = %v after %d commit attempts, want DeadlineExceeded after at least one", err, failures)
+	}
+}
+
 // After EscalateAfter consecutive aborts the loop must request a
 // prioritized pessimistic turn from an Escalator runtime.
 func TestRunBackoffEscalatesStarvedThread(t *testing.T) {

@@ -459,12 +459,12 @@ func (p BackoffPolicy) wait(rg *rng, code Code, attempt int) {
 // txn/scratch/sub-signature recycled, any engine slot released — before
 // the panic continues unwinding.
 func Run(m TM, thread int, fn func(Txn) error) error {
-	return runLoop(nil, m, thread, autoSite(m, 2), DefaultBackoff, fn)
+	return runLoop(bound{}, m, thread, autoSite(m, 2), DefaultBackoff, fn)
 }
 
 // RunBackoff is Run with an explicit backoff policy.
 func RunBackoff(m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(nil, m, thread, autoSite(m, 2), pol, fn)
+	return runLoop(bound{}, m, thread, autoSite(m, 2), pol, fn)
 }
 
 // RunCtx is Run with cancellation: the context's deadline/cancel is
@@ -478,36 +478,60 @@ func RunCtx(ctx context.Context, m TM, thread int, fn func(Txn) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return runLoop(ctx, m, thread, autoSite(m, 2), DefaultBackoff, fn)
+	return runLoop(bound{ctx: ctx}, m, thread, autoSite(m, 2), DefaultBackoff, fn)
 }
 
-// RunCtxBackoff is RunCtx with an explicit backoff policy.
-func RunCtxBackoff(ctx context.Context, m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
-	if ctx == nil {
-		ctx = context.Background()
+// RunUntil is Run with a deadline and an explicit backoff policy. The
+// deadline is observed at the attempt boundaries only — before each
+// attempt begins, after fn returns but before validation, and after a lost
+// validation — never inside fn, so it costs two clock reads per attempt
+// and no timer. Past the deadline the in-flight attempt is rolled back and
+// context.DeadlineExceeded is returned; as with RunCtx, a committed
+// attempt is never undone.
+func RunUntil(dead time.Time, m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
+	return runLoop(bound{dead: dead}, m, thread, autoSite(m, 2), pol, fn)
+}
+
+// bound is what ends a retry loop early: a context (RunCtx, observed at
+// every boundary, Read and Write included) or a deadline (RunUntil,
+// observed at attempt boundaries). The zero bound never ends it.
+type bound struct {
+	ctx  context.Context
+	dead time.Time
+}
+
+// err returns the error that ends the loop now, or nil.
+func (b *bound) err() error {
+	if b.ctx != nil {
+		return b.ctx.Err()
 	}
-	return runLoop(ctx, m, thread, autoSite(m, 2), pol, fn)
+	if !b.dead.IsZero() && !time.Now().Before(b.dead) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
-// runLoop is the shared retry loop behind Run and RunCtx. ctx == nil means
-// no cancellation (plain Run): the hot path then carries no context checks.
-// site routes every attempt of this loop through SiteRunner.BeginSite when
-// both the site and the runtime support it, so per-site statistics see the
-// whole retry history of one logical transaction.
-func runLoop(ctx context.Context, m TM, thread int, site siteID, pol BackoffPolicy, fn func(Txn) error) error {
+// runLoop is the shared retry loop behind Run, RunCtx and RunUntil. The
+// zero bound means no cancellation (plain Run): the hot path then carries
+// no cancellation checks. site routes every attempt of this loop through
+// SiteRunner.BeginSite when both the site and the runtime support it, so
+// per-site statistics see the whole retry history of one logical
+// transaction.
+func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(Txn) error) error {
 	pol.fill()
 	attempt := 0
 	rg := newRNG()
 	esc, canEscalate := m.(Escalator)
 	sr, canSite := m.(SiteRunner)
 	useSite := site.ok && canSite
+	bounded := b.ctx != nil || !b.dead.IsZero()
 	var wrapper *ctxTxn
-	if ctx != nil {
-		wrapper = &ctxTxn{ctx: ctx, done: ctx.Done()}
+	if b.ctx != nil {
+		wrapper = &ctxTxn{ctx: b.ctx, done: b.ctx.Done()}
 	}
 	for {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
+		if bounded {
+			if err := b.err(); err != nil {
 				return err
 			}
 		}
@@ -531,10 +555,10 @@ func runLoop(ctx context.Context, m TM, thread int, site siteID, pol BackoffPoli
 		}
 		err = protect(m, t, fn, arg)
 		if err == nil {
-			if ctx != nil {
+			if bounded {
 				// Pre-validate boundary: the write set is complete but
 				// nothing is published; cancelling here rolls back.
-				if cerr := ctx.Err(); cerr != nil {
+				if cerr := b.err(); cerr != nil {
 					m.Abort(t)
 					return cerr
 				}
@@ -552,10 +576,10 @@ func runLoop(ctx context.Context, m TM, thread int, site siteID, pol BackoffPoli
 			return err
 		}
 		// Transactional abort: the runtime already rolled back.
-		if ctx != nil {
+		if bounded {
 			// Post-verdict boundary: the attempt lost validation and is
 			// gone; honor cancellation instead of retrying.
-			if cerr := ctx.Err(); cerr != nil {
+			if cerr := b.err(); cerr != nil {
 				return cerr
 			}
 		}

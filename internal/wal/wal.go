@@ -175,6 +175,8 @@ func decodeOne(data []byte, off int) (rec Record, next int, ok bool) {
 // returns nil.
 type Device interface {
 	// Append writes p at the end of the device. A short write is an error.
+	// The implementation must not retain p after it returns: the Log
+	// refills the same buffer with later records.
 	Append(p []byte) error
 	// Sync makes all previously appended bytes durable.
 	Sync() error
@@ -334,6 +336,7 @@ type Log struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	buf      []byte // encoded records not yet written to the device
+	spare    []byte // the last batch the device returned from; next buf
 	next     uint64 // next expected append sequence
 	buffered uint64 // sequences < buffered are encoded (in buf or appended)
 	appended uint64 // sequences < appended are written to the device
@@ -500,13 +503,19 @@ func (l *Log) flusher() {
 // append and the sync advance separate horizons: a failed fsync leaves
 // the bytes on the device un-durable and is retried on the next round
 // (durability is only claimed after a sync that returned nil).
+//
+// The log is double-buffered: Append fills buf while the device writes
+// the batch taken from it, and once the device has returned the batch
+// becomes the spare the next flush hands to Append, so a log at steady
+// state allocates no buffer. Only one flushOnce runs at a time (the
+// flusher, or Close after the flusher has exited).
 func (l *Log) flushOnce() {
 	l.mu.Lock()
 	var batch []byte
 	target := l.buffered
 	if len(l.buf) > 0 {
 		batch = l.buf
-		l.buf = nil
+		l.buf, l.spare = l.spare[:0], nil
 	}
 	syncTo := l.appended
 	l.mu.Unlock()
@@ -524,6 +533,7 @@ func (l *Log) flushOnce() {
 		syncTo = target
 		l.mu.Lock()
 		l.appended = target
+		l.spare = batch
 		l.mu.Unlock()
 	}
 	if syncTo > l.durable.Load() {
