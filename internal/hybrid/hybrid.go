@@ -24,7 +24,8 @@
 // # Routing
 //
 // Attempts are routed per site — a caller-supplied static transaction-site
-// id, or the caller's PC when entered through tm.Run (SiteRunner). Each
+// id, or the caller's PC when entered through tm.Run (SiteRunner); every
+// tm.RunReadOnly shares one site, the entry of RunReadOnly. Each
 // site keeps an EWMA of its fast-path abort rate and walks a three-state
 // policy: try-fast (route fast until the EWMA crosses the demotion
 // threshold), go-slow (route to the engine path, periodically granting

@@ -1,6 +1,7 @@
 package hybrid_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -438,6 +439,91 @@ func TestHybridZeroAllocFastPath(t *testing.T) {
 	}
 	if s := h.Stats(); s.FastCommits < 200 {
 		t.Errorf("alloc loop left the fast path (fast commits = %d)", s.FastCommits)
+	}
+}
+
+// TestHybridRunReadOnly: the hybrid serves no snapshots, so RunReadOnly
+// runs its closure as a transaction; on an idle runtime that is a fast
+// attempt whose empty write set commits without the slow runtime. A Write
+// inside it is refused before it reaches the runtime: no store, no line
+// owned, nothing left live.
+func TestHybridRunReadOnly(t *testing.T) {
+	h, heap := newHybrid(t, hybrid.Config{})
+	base := heap.MustAlloc(16)
+	a, b := base, base+8 // distinct lines
+	heap.Store(a, 3)
+	heap.Store(b, 4)
+	twoReads := func(x tm.Txn) error {
+		va, err := x.Read(a)
+		if err != nil {
+			return err
+		}
+		vb, err := x.Read(b)
+		if err != nil {
+			return err
+		}
+		if va+vb != 7 {
+			t.Errorf("read %d + %d, want 3 + 4", va, vb)
+		}
+		return nil
+	}
+
+	fastBefore, slowBefore := h.Stats().FastCommits, h.Slow().Stats().Starts
+	if err := tm.RunReadOnly(h, 0, twoReads); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Stats().FastCommits; got != fastBefore+1 {
+		t.Errorf("FastCommits %d → %d, want +1", fastBefore, got)
+	}
+	if got := h.Slow().Stats().Starts; got != slowBefore {
+		t.Errorf("slow runtime Starts %d → %d, want unchanged", slowBefore, got)
+	}
+
+	err := tm.RunReadOnly(h, 0, func(x tm.Txn) error { return x.Write(a, 99) })
+	if !errors.Is(err, tm.ErrReadOnlyWrite) {
+		t.Fatalf("Write inside RunReadOnly: err = %v, want ErrReadOnlyWrite", err)
+	}
+	if got := heap.Load(a); got != 3 {
+		t.Errorf("heap = %d after a refused write, want 3", got)
+	}
+	if w := mem.LineWriterOf(h.Slow().LineTable().Own(mem.LineOf(a)).Load()); w != -1 {
+		t.Errorf("line of a owned by thread %d after a refused write, want none", w)
+	}
+	if live, _ := h.PoolCheck(); live != 0 {
+		t.Errorf("PoolCheck live = %d, want 0", live)
+	}
+
+	// The steady state allocates one object per call: the write-rejecting
+	// Txn handed to the closure.
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := tm.RunReadOnly(h, 0, twoReads); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("RunReadOnly allocates %.1f objects per call, want 1", avg)
+	}
+}
+
+// BenchmarkRunReadOnly is the read-only entry on the hybrid runtime: two
+// reads on the fast path, through tm.RunReadOnly.
+func BenchmarkRunReadOnly(b *testing.B) {
+	heap := mem.NewHeap(1 << 12)
+	h := hybrid.New(heap, hybrid.Config{Slow: rococotm.Config{MaxThreads: 2}})
+	defer h.Close()
+	base := heap.MustAlloc(16)
+	twoReads := func(x tm.Txn) error {
+		if _, err := x.Read(base); err != nil {
+			return err
+		}
+		_, err := x.Read(base + 8)
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tm.RunReadOnly(h, 0, twoReads); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

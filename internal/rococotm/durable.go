@@ -49,6 +49,13 @@ type Durable struct {
 // survive a crash.
 var ErrNotDurable = errors.New("rococotm: commit published but durability unconfirmed")
 
+// errNoStore and errShardNoStore refuse a snapshot. They are built once:
+// every read-only transaction on a runtime without a store is refused.
+var (
+	errNoStore      = errors.New("rococotm: no durable store configured")
+	errShardNoStore = errors.New("rococotm: sharded: not every shard has a durable store")
+)
+
 // durableState is the runtime-side binding: the shared scratch is safe
 // because the publication stage runs one commit at a time.
 type durableState struct {
@@ -110,7 +117,7 @@ func (r *TM) Durable() *Durable {
 // read-only execution.
 func (r *TM) RetrieveSnapshot() (tm.Snapshot, error) {
 	if r.dur == nil {
-		return nil, errors.New("rococotm: no durable store configured")
+		return nil, errNoStore
 	}
 	return r.dur.d.Store.RetrieveSnapshot(), nil
 }

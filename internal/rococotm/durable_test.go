@@ -284,6 +284,60 @@ func TestRunReadOnlyFallbackWithoutSnapshots(t *testing.T) {
 	}); !errors.Is(err, tm.ErrReadOnlyWrite) {
 		t.Fatal("fallback path accepted a write")
 	}
+	// Refusing the snapshot allocates nothing; the one object left is the
+	// write-rejecting Txn handed to the closure.
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := tm.RunReadOnly(m, 0, twoReads(a, a)); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 1 {
+		t.Errorf("RunReadOnly without a store allocates %.1f objects per call, want 1", avg)
+	}
+}
+
+// TestRunReadOnlySnapshotAllocs pins what a read-only transaction served
+// from a durable store's snapshot allocates: the snapshot handle and the
+// Txn wrapping it.
+func TestRunReadOnlySnapshotAllocs(t *testing.T) {
+	m, _ := newDurableTM(t, 1<<10, false)
+	defer m.Close()
+	a := m.Heap().MustAlloc(16)
+	read := twoReads(a, a+8)
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := tm.RunReadOnly(m, 0, read); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 2 {
+		t.Errorf("RunReadOnly from a snapshot allocates %.1f objects per call, want 2", avg)
+	}
+}
+
+// twoReads is a read-only transaction body reading a and b.
+func twoReads(a, b mem.Addr) func(tm.Txn) error {
+	return func(x tm.Txn) error {
+		if _, err := x.Read(a); err != nil {
+			return err
+		}
+		_, err := x.Read(b)
+		return err
+	}
+}
+
+// BenchmarkRunReadOnly is the read-only entry on a runtime without a
+// durable store: the snapshot is refused and two reads run as a
+// transaction whose empty write set commits on the CPU.
+func BenchmarkRunReadOnly(b *testing.B) {
+	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 2})
+	defer m.Close()
+	a := m.Heap().MustAlloc(16)
+	read := twoReads(a, a+8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tm.RunReadOnly(m, 0, read); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func TestDurableConcurrentCommits(t *testing.T) {

@@ -737,7 +737,7 @@ func (sn *ShardedSnapshot) Heights() []uint64 {
 func (s *Sharded) RetrieveSnapshot() (tm.Snapshot, error) {
 	for _, sh := range s.shards {
 		if sh.dur == nil {
-			return nil, errors.New("rococotm: sharded: not every shard has a durable store")
+			return nil, errShardNoStore
 		}
 	}
 	for {

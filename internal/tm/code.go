@@ -121,16 +121,18 @@ type siteID struct {
 // autoSite derives a site from the caller's program counter when (and only
 // when) the runtime can use one. skip counts stack frames exactly as
 // runtime.Caller: autoSite's caller passes the depth of the application
-// frame above itself.
+// frame above itself. The site is the raw return address, read into a
+// one-element local array: no Frames are built, no file:line is decoded
+// and nothing is allocated — a call costs one short stack unwind.
 func autoSite(m TM, skip int) siteID {
 	if _, ok := m.(SiteRunner); !ok {
 		return siteID{}
 	}
-	pc, _, _, ok := runtime.Caller(skip)
-	if !ok {
+	var pc [1]uintptr
+	if runtime.Callers(skip+1, pc[:]) == 0 {
 		return siteID{}
 	}
-	return siteID{id: uint64(pc), ok: true}
+	return siteID{id: uint64(pc[0]), ok: true}
 }
 
 // RunSite is Run with an explicit site ID. On runtimes without SiteRunner

@@ -138,11 +138,14 @@ func (s *siteRecorder) BeginSite(thread int, site uint64) (Txn, error) {
 }
 
 // TestRunSitePlumbing verifies RunSite routes through BeginSite with the
-// explicit ID and that plain Run derives a stable caller-PC site.
+// explicit ID, that plain Run derives a caller-PC site per call site, that
+// every RunReadOnly fallback shares one site of its own, and that deriving
+// a site allocates nothing.
 func TestRunSitePlumbing(t *testing.T) {
 	base := &flakyTM{heap: nil}
 	rec := &siteRecorder{TM: base}
-	if err := RunSite(rec, 0, 42, func(Txn) error { return nil }); err != nil {
+	nop := func(Txn) error { return nil }
+	if err := RunSite(rec, 0, 42, nop); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.sites) != 1 || rec.sites[0] != 42 {
@@ -150,15 +153,60 @@ func TestRunSitePlumbing(t *testing.T) {
 	}
 	rec.sites = nil
 	for i := 0; i < 2; i++ {
-		if err := Run(rec, 0, func(Txn) error { return nil }); err != nil {
+		if err := Run(rec, 0, nop); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(rec.sites) != 2 || rec.sites[0] == 0 || rec.sites[0] != rec.sites[1] {
 		t.Fatalf("Run caller-PC sites = %v (want two equal nonzero)", rec.sites)
 	}
+	loopSite := rec.sites[0]
+
+	// Two call sites on two lines of one function: two sites.
+	rec.sites = nil
+	if err := Run(rec, 0, nop); err != nil {
+		t.Fatal(err)
+	}
+	if err := Run(rec, 0, nop); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.sites) != 2 || rec.sites[0] == 0 || rec.sites[1] == 0 ||
+		rec.sites[0] == rec.sites[1] || rec.sites[0] == loopSite {
+		t.Fatalf("Run sites from distinct lines = %v (loop site %#x), want distinct nonzero", rec.sites, loopSite)
+	}
+	callerSites := []uint64{loopSite, rec.sites[0], rec.sites[1]}
+
+	// RunReadOnly from two call sites: one shared site, roSite, distinct
+	// from every caller-PC site.
+	rec.sites = nil
+	if err := RunReadOnly(rec, 0, nop); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunReadOnly(rec, 0, nop); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.sites) != 2 || rec.sites[0] != roSite || rec.sites[1] != roSite || roSite == 0 {
+		t.Fatalf("RunReadOnly sites = %v, want two × roSite %#x", rec.sites, roSite)
+	}
+	for _, s := range callerSites {
+		if s == roSite {
+			t.Fatalf("RunReadOnly site %#x collides with a Run site", roSite)
+		}
+	}
+
+	// Deriving the caller-PC site allocates nothing: the stub's Begin and
+	// the recorder (capacity reserved) allocate nothing either.
+	rec.sites = make([]uint64, 0, 256)
+	if avg := testing.AllocsPerRun(100, func() {
+		if err := Run(rec, 0, nop); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Run over a SiteRunner allocates %.1f objects per call, want 0", avg)
+	}
+
 	// A runtime without SiteRunner ignores the site and still works.
-	if err := RunSite(base, 0, 7, func(Txn) error { return nil }); err != nil {
+	if err := RunSite(base, 0, 7, nop); err != nil {
 		t.Fatal(err)
 	}
 }

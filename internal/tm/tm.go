@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -116,9 +117,15 @@ var ErrReadOnlyWrite = errors.New("tm: write inside a read-only transaction")
 // implement Snapshotter, fn runs against a pinned snapshot: its reads can
 // never conflict, never spin on in-flight committers, and never abort, and
 // the execution never enters the validation engine — it returns exactly
-// fn's error, with no retry loop at all. Otherwise fn runs under Run as an
-// ordinary transaction (whose empty write set commits on the CPU fast
-// path). Either way, a Write inside fn fails the run with ErrReadOnlyWrite.
+// fn's error, with no retry loop at all. Otherwise fn runs in the retry
+// loop as an ordinary transaction (whose empty write set commits on the
+// CPU fast path). Either way, a Write inside fn fails the run with
+// ErrReadOnlyWrite.
+//
+// Cost beyond fn's reads and the runtime's own work: one allocation, the
+// Txn handed to fn, and no stack walk. On a SiteRunner every fallback
+// routes through one shared site, the entry PC of RunReadOnly;
+// applications that want read-only work routed per call site use RunSite.
 func RunReadOnly(m TM, thread int, fn func(Txn) error) error {
 	if sp, ok := m.(Snapshotter); ok {
 		if s, err := sp.RetrieveSnapshot(); err == nil {
@@ -127,10 +134,19 @@ func RunReadOnly(m TM, thread int, fn func(Txn) error) error {
 			return fn(&x)
 		}
 	}
-	return Run(m, thread, func(t Txn) error {
+	return runLoop(bound{}, m, thread, siteID{id: roSite, ok: true}, DefaultBackoff, func(t Txn) error {
 		return fn(roTxn{t})
 	})
 }
+
+// roSite is the site every RunReadOnly fallback routes through: the entry
+// PC of RunReadOnly. A function's entry is never a return address, so it
+// cannot collide with a caller-PC site from autoSite. It is set in init:
+// a package-level initialiser that mentions RunReadOnly would be an
+// initialisation cycle.
+var roSite uint64
+
+func init() { roSite = uint64(reflect.ValueOf(RunReadOnly).Pointer()) }
 
 // snapTxn adapts a Snapshot to the Txn interface for RunReadOnly closures.
 type snapTxn struct{ s Snapshot }
@@ -393,7 +409,9 @@ type Escalator interface {
 // rng is a per-retry-loop xorshift64* generator for backoff jitter. The
 // global math/rand source funnels every backing-off thread through one
 // locked state word — exactly the cross-thread coupling a contention
-// manager must not reintroduce — so each Run loop carries its own.
+// manager must not reintroduce — so each Run loop carries its own. A loop
+// starts it at zero and wait seeds it at the first abort, so a transaction
+// that commits first time touches no shared word here.
 type rng uint64
 
 // rngSeq spaces seeds; splitmix64's increment guarantees well-mixed,
@@ -426,8 +444,13 @@ func (r *rng) next() uint64 {
 func (r *rng) int63n(n int64) int64 { return int64(r.next() % uint64(n)) }
 
 // wait blocks between attempt k (1-based count of consecutive aborts) and
-// the next try, drawing jitter from the loop-local generator.
+// the next try, drawing jitter from the loop-local generator. It seeds a
+// zero generator before either branch: a zero xorshift state stays zero,
+// and every jitter drawn from it would be 0.
 func (p BackoffPolicy) wait(rg *rng, code Code, attempt int) {
+	if *rg == 0 {
+		*rg = newRNG()
+	}
 	if code.Hard() {
 		d := p.SleepBase << uint(min(attempt-1, 16))
 		if d > p.SleepCap || d <= 0 {
@@ -458,6 +481,10 @@ func (p BackoffPolicy) wait(rg *rng, code Code, attempt int) {
 // in-flight attempt is rolled back through TM.Abort — redo log discarded,
 // txn/scratch/sub-signature recycled, any engine slot released — before
 // the panic continues unwinding.
+//
+// Cost beyond fn and the runtime's Begin/Commit: nothing on a runtime
+// without SiteRunner; on one with it, a one-frame stack read for the
+// caller's PC (autoSite), which allocates nothing.
 func Run(m TM, thread int, fn func(Txn) error) error {
 	return runLoop(bound{}, m, thread, autoSite(m, 2), DefaultBackoff, fn)
 }
@@ -520,7 +547,7 @@ func (b *bound) err() error {
 func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(Txn) error) error {
 	pol.fill()
 	attempt := 0
-	rg := newRNG()
+	var rg rng // seeded by wait at the first abort
 	esc, canEscalate := m.(Escalator)
 	sr, canSite := m.(SiteRunner)
 	useSite := site.ok && canSite

@@ -111,6 +111,22 @@ func TestBackoffReasonClasses(t *testing.T) {
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("soft backoff took %v", d)
 	}
+
+	// A retry loop starts its generator at zero; the first wait seeds it
+	// whichever branch it takes. A zero xorshift state never leaves zero,
+	// so an unseeded loop would draw jitter 0 forever.
+	var hard, soft rng
+	p.wait(&hard, CodeEngine, 1)   // first abort is hard: the sleep branch
+	p.wait(&soft, CodeConflict, 2) // first wait is a soft one past attempt 1: the spin branch
+	if hard == 0 || soft == 0 {
+		t.Fatalf("generator after a first wait from zero: hard %#x, soft %#x; want both seeded", uint64(hard), uint64(soft))
+	}
+	// The two loops draw different streams: xorshift is a bijection on
+	// non-zero states, so equal states after one draw would mean equal
+	// seeds, and hence equal first jitters.
+	if hard == soft {
+		t.Fatalf("two loops drew from one stream (state %#x)", uint64(hard))
+	}
 }
 
 func TestRunBackoffCustomPolicy(t *testing.T) {
@@ -133,6 +149,7 @@ type flakyTM struct {
 	begins    int
 	abortCall int
 	cnt       Counters
+	txn       flakyTxn // the one descriptor Begin hands out: Begin allocates nothing
 }
 
 type flakyTxn struct{ m *flakyTM }
@@ -143,7 +160,8 @@ func (m *flakyTM) Stats() Stats    { return m.cnt.Snapshot() }
 func (m *flakyTM) Close()          {}
 func (m *flakyTM) Begin(int) (Txn, error) {
 	m.begins++
-	return &flakyTxn{m: m}, nil
+	m.txn.m = m
+	return &m.txn, nil
 }
 func (m *flakyTM) Commit(Txn) error {
 	if m.failLeft > 0 {
