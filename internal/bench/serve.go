@@ -31,7 +31,8 @@ import (
 
 // ServeBenchConfig parameterizes RunServeBench. Zero values take defaults.
 type ServeBenchConfig struct {
-	// Workers is the serve executor pool size. Default 4.
+	// Workers is the number of tm threads the server owns, and so the
+	// most requests executing at once. Default 4.
 	Workers int
 	// Clients are the simulated fleet sizes to sweep. Default
 	// {1000, 100000}.

@@ -15,10 +15,12 @@ import (
 	"rococotm/internal/tm"
 )
 
-// noopDoAllocs is what one admitted no-op Do allocates: the pending
-// record and its done channel. The request deadline costs nothing here —
-// tm.RunUntil checks it against the clock, with no context or timer.
-const noopDoAllocs = 2
+// noopDoAllocs is what one admitted no-op Do allocates: nothing. The
+// request runs on the caller's goroutine under a thread id from the
+// server's pool, so there is no record or channel to hand it off with,
+// and tm.RunUntil checks the deadline against the clock, with no context
+// or timer.
+const noopDoAllocs = 0
 
 func TestNoopDoAllocs(t *testing.T) {
 	h := mem.NewHeap(1 << 10)

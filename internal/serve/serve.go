@@ -30,6 +30,11 @@
 //     service via tm.RunReadOnly, which on a durable runtime can never
 //     abort or conflict. The service degrades by policy, never collapses.
 //
+// The server owns a pool of tm threads, not goroutines: an admitted
+// request runs on its caller's goroutine under a thread id from the pool,
+// waited for in arrival order when every id is busy, so nothing is handed
+// off or allocated per request. Close waits for the Do calls in flight.
+//
 // Every admitted request resolves to exactly one outcome — committed,
 // deadline-expired, or finally aborted — and every offered request is
 // either admitted or shed, so the accounting identity
@@ -157,9 +162,10 @@ type Signal struct {
 
 // Config parameterizes a Server. Zero values take the documented defaults.
 type Config struct {
-	// Workers is the executor pool size; worker i runs on tm thread
-	// ThreadBase+i, so the runtime's MaxThreads must cover
-	// ThreadBase+Workers. Default 4.
+	// Workers is the number of tm threads the server owns, and so the
+	// most requests executing at once. A request runs on its caller's
+	// goroutine under one of the ids ThreadBase … ThreadBase+Workers-1,
+	// so the runtime's MaxThreads must cover ThreadBase+Workers. Default 4.
 	Workers int
 	// ThreadBase is the first tm thread id the pool uses. Default 0.
 	ThreadBase int
@@ -169,8 +175,8 @@ type Config struct {
 	MaxInflight int
 	// MinInflight floors the AIMD decrease. Default 1.
 	MinInflight int
-	// QueueCap bounds the admitted-but-not-executing queue. Default
-	// 4×MaxInflight.
+	// QueueCap bounds the admitted requests waiting for a thread.
+	// Default 4×MaxInflight.
 	QueueCap int
 
 	// DefaultBudget applies to requests with a zero Budget. Default 50ms.
@@ -296,43 +302,34 @@ func (s Stats) String() string {
 		s.Expired, s.AbortedFinal, s.Retries, s.Limit, s.Tier)
 }
 
-// pending is one admitted request waiting for a worker.
-type pending struct {
-	req     Request
-	arrive  time.Time
-	dead    time.Time
-	outcome Outcome
-	err     error
-	done    chan struct{}
-}
-
 // Server is the TM-as-a-service front end. Construct with New, offer work
 // with Do, and Close to drain.
 type Server struct {
 	cfg Config
 	m   tm.TM
 
-	queue chan *pending
-	lat   *hist.Histogram
+	threads chan int // free tm thread ids
+	lat     *hist.Histogram
 
 	inflight atomic.Int64 // admitted, not yet resolved
+	waiting  atomic.Int64 // admitted, not yet holding a thread
 	limit    atomic.Int64 // current concurrency limit
 	tier     atomic.Int64 // degradation tier: 0 none, 1 shed Batch, 2 read-mostly
-	ewmaSvc  atomic.Int64 // EWMA of per-request service ns (worker-observed)
+	ewmaSvc  atomic.Int64 // EWMA of per-request service ns (thread held)
 
 	retryTokens atomic.Int64 // fixed-point (×1024) retry-token bucket
 
-	// admitMu serializes admission against Close: Do enqueues under the
-	// read lock, Close takes the write lock before closing the queue, so
-	// no enqueue can race the close.
+	// admitMu serializes admission against Close: Do admits under the
+	// read lock, Close takes the write lock after flipping closed, so
+	// every admitted request is counted in active before Close waits.
 	admitMu sync.RWMutex
 	closed  atomic.Bool
 	stopCtl chan struct{}
-	workers sync.WaitGroup
+	active  sync.WaitGroup // admitted requests not yet resolved
 	ctl     sync.WaitGroup
 
-	offered, shed                  atomic.Uint64
-	committed, expired, abortFinal atomic.Uint64
+	offered                        atomic.Uint64
+	outcomes                       [AbortedFinal + 1]atomic.Uint64 // indexed by Outcome
 	shedClass, shedLimit, shedDead atomic.Uint64
 	retries, budgetExhausts        atomic.Uint64
 	snapServed                     atomic.Uint64
@@ -351,45 +348,56 @@ func New(m tm.TM, cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		m:       m,
-		queue:   make(chan *pending, cfg.QueueCap),
+		threads: make(chan int, cfg.Workers),
 		lat:     hist.New(),
 		stopCtl: make(chan struct{}),
 	}
 	s.limit.Store(int64(cfg.MaxInflight))
 	s.retryTokens.Store(int64(cfg.RetryTokenCap * tokenScale))
 	for i := 0; i < cfg.Workers; i++ {
-		s.workers.Add(1)
-		go s.worker(cfg.ThreadBase + i)
+		s.threads <- cfg.ThreadBase + i
 	}
 	s.ctl.Add(1)
 	go s.controller()
 	return s
 }
 
-// Do offers one request and blocks until it resolves. The returned error
-// is nil for Committed; for Shed it wraps ErrShed, for Expired it is the
-// deadline error, for AbortedFinal the terminal failure.
+// Do offers one request and blocks until it resolves; an admitted request
+// executes on the calling goroutine. The returned error is nil for
+// Committed; for Shed it wraps ErrShed, for Expired it is the deadline
+// error, for AbortedFinal the terminal failure. A panic in r.Fn reaches
+// the caller after the request is counted AbortedFinal and its thread is
+// back in the pool.
 func (s *Server) Do(r Request) (Outcome, error) {
-	s.admitMu.RLock()
-	p, outcome, err := s.admit(r)
-	s.admitMu.RUnlock()
-	if p == nil {
-		return outcome, err
-	}
-	<-p.done
-	return p.outcome, p.err
-}
-
-// admit runs the admission pipeline under the read lock and either
-// enqueues (returning the pending) or resolves the request immediately.
-func (s *Server) admit(r Request) (*pending, Outcome, error) {
-	if s.closed.Load() {
-		return nil, Shed, ErrClosed
-	}
-	s.offered.Add(1)
 	if r.Budget <= 0 {
 		r.Budget = s.cfg.DefaultBudget
 	}
+	s.admitMu.RLock()
+	thread, err := s.admit(r)
+	s.admitMu.RUnlock()
+	if err != nil {
+		return Shed, err
+	}
+	arrive := time.Now()
+	start := arrive
+	if thread < 0 {
+		// A returned id goes straight to the longest-parked receiver, so
+		// waiters get threads in arrival order.
+		thread = <-s.threads
+		s.waiting.Add(-1)
+		start = time.Now()
+	}
+	return s.execute(thread, r, arrive, start)
+}
+
+// admit runs the admission pipeline under the read lock. It returns the
+// tm thread the request runs on, -1 if it must wait for one, or the
+// error it is shed with.
+func (s *Server) admit(r Request) (int, error) {
+	if s.closed.Load() {
+		return -1, ErrClosed
+	}
+	s.offered.Add(1)
 
 	// Tier policy: shed low classes before holding any state.
 	tier := s.tier.Load()
@@ -400,38 +408,42 @@ func (s *Server) admit(r Request) (*pending, Outcome, error) {
 		return s.reject(&s.shedClass, errShedTierWrite)
 	}
 
-	// Concurrency limit: admitted work (queued + executing) stays under
+	// Concurrency limit: admitted work (waiting + executing) stays under
 	// the adaptive limit.
 	limit := s.limit.Load()
 	if s.inflight.Load() >= limit {
 		return s.reject(&s.shedLimit, errShedLimit)
 	}
 
-	// Deadline-aware shedding: if the estimated queue wait alone exceeds
-	// the budget, admission would only manufacture a timeout.
+	// Deadline-aware shedding: if the estimated wait for a thread alone
+	// exceeds the budget, admission would only manufacture a timeout.
 	if svc := s.ewmaSvc.Load(); svc > 0 {
-		est := time.Duration(int64(len(s.queue)+1) * svc / int64(s.cfg.Workers))
+		est := time.Duration((s.waiting.Load() + 1) * svc / int64(s.cfg.Workers))
 		if est > r.Budget {
 			return s.reject(&s.shedDead, errShedWait)
 		}
 	}
 
-	now := time.Now()
-	p := &pending{req: r, arrive: now, dead: now.Add(r.Budget), done: make(chan struct{})}
+	// Take a free thread without blocking; without one the request waits,
+	// and at most QueueCap requests wait.
+	thread := -1
+	select {
+	case thread = <-s.threads:
+	default:
+		if s.waiting.Add(1) > int64(s.cfg.QueueCap) {
+			s.waiting.Add(-1)
+			return s.reject(&s.shedLimit, errShedQueue)
+		}
+	}
 	s.inflight.Add(1)
 	s.retryRefill()
-	select {
-	case s.queue <- p:
-	default:
-		s.inflight.Add(-1)
-		return s.reject(&s.shedLimit, errShedQueue)
-	}
-	return p, Committed, nil
+	s.active.Add(1)
+	return thread, nil
 }
 
 // Shed-path errors are prebuilt: under overload the reject path runs at
 // the full offered rate — orders of magnitude hotter than the serve path
-// — and must not allocate, or the act of shedding starves the workers it
+// — and must not allocate, or the act of shedding starves the requests it
 // is protecting. The per-cause counters carry the diagnostic detail.
 var (
 	errShedTier      = fmt.Errorf("%w: degradation tier sheds this class", ErrShed)
@@ -442,10 +454,10 @@ var (
 )
 
 // reject accounts one shed request against the given breakdown counter.
-func (s *Server) reject(c *atomic.Uint64, err error) (*pending, Outcome, error) {
+func (s *Server) reject(c *atomic.Uint64, err error) (int, error) {
 	c.Add(1)
-	s.shed.Add(1)
-	return nil, Shed, err
+	s.outcomes[Shed].Add(1)
+	return -1, err
 }
 
 // retryRefill credits the token bucket for one admission.
@@ -466,59 +478,46 @@ func (s *Server) retrySpend() bool {
 	return true
 }
 
-// worker executes admitted requests on one tm thread.
-func (s *Server) worker(thread int) {
-	defer s.workers.Done()
-	for p := range s.queue {
-		s.execute(thread, p)
-	}
-}
-
-// execute runs one admitted request to its terminal outcome.
-func (s *Server) execute(thread int, p *pending) {
-	start := time.Now()
-	var outcome Outcome
-	var err error
+// execute runs one admitted request to its terminal outcome on thread,
+// which it then hands back. The release is deferred, so a panicking Fn
+// (whose attempt tm rolls back) unwinds to the caller of Do with the
+// request counted AbortedFinal and the thread free for the next one.
+func (s *Server) execute(thread int, r Request, arrive, start time.Time) (outcome Outcome, err error) {
+	outcome = AbortedFinal
+	defer func() {
+		s.outcomes[outcome].Add(1)
+		end := time.Now()
+		s.lat.Record(end.Sub(arrive)) // sojourn: wait for a thread + service
+		s.observeService(end.Sub(start))
+		s.inflight.Add(-1)
+		s.threads <- thread
+		s.active.Done()
+	}()
+	dead := arrive.Add(r.Budget)
 	switch {
-	case !start.Before(p.dead):
-		// Expired while queued: resolve without touching the runtime.
-		outcome, err = Expired, context.DeadlineExceeded
-	case p.req.ReadOnly && s.tier.Load() >= 2:
+	case !start.Before(dead):
+		// Expired waiting for a thread: resolve without touching the runtime.
+		return Expired, context.DeadlineExceeded
+	case r.ReadOnly && s.tier.Load() >= 2:
 		// Deepest tier: read-only traffic is demoted to snapshot service —
 		// abort-free on a Snapshotter runtime, and never competing with
 		// the writes the tier is protecting.
 		s.snapServed.Add(1)
-		if err = tm.RunReadOnly(s.m, thread, p.req.Fn); err != nil {
-			outcome = AbortedFinal
-		} else {
-			outcome = Committed
+		if err = tm.RunReadOnly(s.m, thread, r.Fn); err != nil {
+			return AbortedFinal, err
 		}
+		return Committed, nil
 	default:
-		outcome, err = s.runTxn(thread, p)
+		return s.runTxn(thread, r.Fn, dead)
 	}
-
-	p.outcome = outcome
-	p.err = err
-	switch outcome {
-	case Committed:
-		s.committed.Add(1)
-	case Expired:
-		s.expired.Add(1)
-	case AbortedFinal:
-		s.abortFinal.Add(1)
-	}
-	s.lat.Record(time.Since(p.arrive)) // sojourn: queue wait + service
-	s.observeService(time.Since(start))
-	s.inflight.Add(-1)
-	close(p.done)
 }
 
 // runTxn drives one request through the tm retry loop with its deadline
 // and retry bounds attached.
-func (s *Server) runTxn(thread int, p *pending) (Outcome, error) {
+func (s *Server) runTxn(thread int, fn func(tm.Txn) error, dead time.Time) (Outcome, error) {
 	attempts := 0
 	budgetDry := false
-	err := tm.RunUntil(p.dead, s.m, thread, s.cfg.Backoff, func(x tm.Txn) error {
+	err := tm.RunUntil(dead, s.m, thread, s.cfg.Backoff, func(x tm.Txn) error {
 		attempts++
 		if attempts > 1 {
 			s.retries.Add(1)
@@ -530,7 +529,7 @@ func (s *Server) runTxn(thread int, p *pending) (Outcome, error) {
 				return errRetryBudget
 			}
 		}
-		return p.req.Fn(x)
+		return fn(x)
 	})
 	switch {
 	case err == nil:
@@ -645,10 +644,10 @@ func (s *Server) controller() {
 func (s *Server) Stats() Stats {
 	return Stats{
 		Offered:        s.offered.Load(),
-		Shed:           s.shed.Load(),
-		Committed:      s.committed.Load(),
-		Expired:        s.expired.Load(),
-		AbortedFinal:   s.abortFinal.Load(),
+		Shed:           s.outcomes[Shed].Load(),
+		Committed:      s.outcomes[Committed].Load(),
+		Expired:        s.outcomes[Expired].Load(),
+		AbortedFinal:   s.outcomes[AbortedFinal].Load(),
 		ShedClass:      s.shedClass.Load(),
 		ShedLimit:      s.shedLimit.Load(),
 		ShedDeadline:   s.shedDead.Load(),
@@ -662,7 +661,7 @@ func (s *Server) Stats() Stats {
 	}
 }
 
-// Latency snapshots the sojourn-time histogram (queue wait + service).
+// Latency snapshots the sojourn-time histogram (thread wait + service).
 func (s *Server) Latency() hist.Snapshot { return s.lat.Snapshot() }
 
 // Tier returns the current degradation tier (0 = full service).
@@ -671,19 +670,17 @@ func (s *Server) Tier() int { return int(s.tier.Load()) }
 // Limit returns the current concurrency limit.
 func (s *Server) Limit() int { return int(s.limit.Load()) }
 
-// Close rejects new work, drains admitted requests, and stops the pool
-// and controller. Safe to call more than once.
+// Close rejects new work, waits for the admitted requests' Do calls to
+// return, and stops the controller. Safe to call more than once.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
 	}
-	// Every in-flight admission holds the read lock while enqueueing;
-	// taking the write lock after flipping closed guarantees no further
-	// sends can race the close below.
+	// Admission holds the read lock from its closed check to active.Add,
+	// so past this write-lock barrier nothing more is admitted.
 	s.admitMu.Lock()
-	close(s.queue)
 	s.admitMu.Unlock()
-	s.workers.Wait()
+	s.active.Wait()
 	close(s.stopCtl)
 	s.ctl.Wait()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"rococotm/internal/audit"
 	"rococotm/internal/fault"
+	"rococotm/internal/hybrid"
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
 	"rococotm/internal/rococotm"
@@ -526,5 +528,276 @@ func TestServeLatencyRecorded(t *testing.T) {
 	}
 	if lat.P99() <= 0 {
 		t.Fatalf("p99 = %v, want > 0", lat.P99())
+	}
+}
+
+// TestServePanicReleasesThread: a request whose Fn panics re-panics in
+// the caller of Do, is counted AbortedFinal, and leaves its thread (the
+// only one) free and its attempt rolled back, so the next request commits.
+func TestServePanicReleasesThread(t *testing.T) {
+	h := mem.NewHeap(1 << 10)
+	m := rococotm.New(h, rococotm.Config{MaxThreads: 4})
+	defer m.Close()
+	a := h.MustAlloc(1)
+	s := serve.New(m, serve.Config{Workers: 1})
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Fn's panic did not reach the caller of Do")
+			}
+		}()
+		s.Do(serve.Request{Class: serve.High, Budget: time.Second, Fn: func(x tm.Txn) error {
+			if err := x.Write(a, 7); err != nil {
+				return err
+			}
+			panic("request bug")
+		}})
+	}()
+
+	done := make(chan serve.Outcome, 1)
+	go func() {
+		out, _ := s.Do(serve.Request{Class: serve.High, Budget: time.Second, Fn: incrFn(a)})
+		done <- out
+	}()
+	select {
+	case out := <-done:
+		if out != serve.Committed {
+			t.Fatalf("request after the panic = %v, want Committed", out)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("request after the panic never got the thread: %+v", s.Stats())
+	}
+	st := mustAccounting(t, s)
+	if st.AbortedFinal != 1 || st.Committed != 1 {
+		t.Errorf("stats: %+v, want 1 aborted (the panic) and 1 committed", st)
+	}
+	if got := h.Load(a); got != 1 {
+		t.Errorf("word = %d, want 1: the panicked attempt's write leaked", got)
+	}
+	s.Close()
+	if live, _ := m.PoolCheck(); live != 0 {
+		t.Errorf("pool leak: %d live txns after the panic", live)
+	}
+}
+
+// exclusiveTM wraps a runtime and records any tm thread begun while an
+// attempt of its own is still open, or any thread outside [lo, hi). An
+// attempt ends at Commit, at Abort, or at a Read or Write that aborts it.
+type exclusiveTM struct {
+	tm.TM
+	lo, hi int
+	busy   [8]atomic.Bool
+	bad    atomic.Uint64
+}
+
+type exclusiveTxn struct {
+	tm.Txn
+	busy *atomic.Bool
+}
+
+func (x *exclusiveTxn) Read(a mem.Addr) (mem.Word, error) {
+	v, err := x.Txn.Read(a)
+	x.ended(err)
+	return v, err
+}
+
+func (x *exclusiveTxn) Write(a mem.Addr, v mem.Word) error {
+	err := x.Txn.Write(a, v)
+	x.ended(err)
+	return err
+}
+
+// ended frees the thread if err aborted the attempt.
+func (x *exclusiveTxn) ended(err error) {
+	if _, ok := tm.CodeOf(err); ok {
+		x.busy.Store(false)
+	}
+}
+
+// claim marks thread busy before the runtime sees the Begin, so a
+// double use is caught even where the runtime would refuse it.
+func (e *exclusiveTM) claim(thread int) bool {
+	if thread < e.lo || thread >= e.hi || !e.busy[thread].CompareAndSwap(false, true) {
+		e.bad.Add(1)
+		return false
+	}
+	return true
+}
+
+func (e *exclusiveTM) wrap(thread int, claimed bool, x tm.Txn, err error) (tm.Txn, error) {
+	if err != nil {
+		if claimed {
+			e.busy[thread].Store(false)
+		}
+		return nil, err
+	}
+	return &exclusiveTxn{Txn: x, busy: &e.busy[thread]}, nil
+}
+
+func (e *exclusiveTM) Begin(thread int) (tm.Txn, error) {
+	claimed := e.claim(thread)
+	x, err := e.TM.Begin(thread)
+	return e.wrap(thread, claimed, x, err)
+}
+
+func (e *exclusiveTM) BeginSite(thread int, site uint64) (tm.Txn, error) {
+	claimed := e.claim(thread)
+	x, err := e.TM.(tm.SiteRunner).BeginSite(thread, site)
+	return e.wrap(thread, claimed, x, err)
+}
+
+func (e *exclusiveTM) Commit(t tm.Txn) error {
+	x := t.(*exclusiveTxn)
+	err := e.TM.Commit(x.Txn)
+	x.busy.Store(false)
+	return err
+}
+
+func (e *exclusiveTM) Abort(t tm.Txn) {
+	x := t.(*exclusiveTxn)
+	e.TM.Abort(x.Txn)
+	x.busy.Store(false)
+}
+
+// TestServeThreadsExclusive: many clients over a small thread pool never
+// run two attempts on one tm thread at once, and never use a thread
+// outside ThreadBase … ThreadBase+Workers-1.
+func TestServeThreadsExclusive(t *testing.T) {
+	const (
+		clients   = 16
+		perClient = 100
+	)
+	h := mem.NewHeap(1 << 10)
+	// The hybrid runtime is a tm.SiteRunner, so attempts begin through
+	// BeginSite as well as Begin.
+	inner := hybrid.New(h, hybrid.Config{Slow: rococotm.Config{MaxThreads: 8}})
+	defer inner.Close()
+	a, b := h.MustAlloc(1), h.MustAlloc(1)
+	m := &exclusiveTM{TM: inner, lo: 3, hi: 5}
+	s := serve.New(m, serve.Config{Workers: 2, ThreadBase: 3, MaxInflight: clients, DefaultBudget: time.Minute})
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			addr := a
+			if c%2 == 1 {
+				addr = b
+			}
+			for i := 0; i < perClient; i++ {
+				s.Do(serve.Request{Class: serve.High, Fn: func(x tm.Txn) error {
+					v, err := x.Read(addr)
+					if err != nil {
+						return err
+					}
+					runtime.Gosched()
+					return x.Write(addr, v+1)
+				}})
+			}
+		}(c)
+	}
+	wg.Wait()
+	s.Close()
+
+	st := mustAccounting(t, s)
+	if n := m.bad.Load(); n != 0 {
+		t.Fatalf("%d attempts began on a busy or foreign thread", n)
+	}
+	if st.Committed == 0 {
+		t.Fatalf("nothing committed: %+v", st)
+	}
+	if got := uint64(h.Load(a) + h.Load(b)); got != st.Committed {
+		t.Errorf("words sum to %d, server committed %d", got, st.Committed)
+	}
+	if live, _ := inner.PoolCheck(); live != 0 {
+		t.Errorf("pool leak: %d live txns", live)
+	}
+}
+
+// TestServeQueuedExpiry: with the one thread held, a request with a 2 ms
+// budget waits behind it; released after that deadline, it resolves
+// Expired without beginning an attempt on the runtime.
+func TestServeQueuedExpiry(t *testing.T) {
+	h := mem.NewHeap(1 << 10)
+	m := rococotm.New(h, rococotm.Config{MaxThreads: 4})
+	defer m.Close()
+	a := h.MustAlloc(1)
+	s := serve.New(m, serve.Config{Workers: 1})
+	defer s.Close()
+	starts := m.Stats().Starts
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var firstAttempts atomic.Uint64
+	first := make(chan serve.Outcome, 1)
+	go func() {
+		out, _ := s.Do(serve.Request{Class: serve.High, Budget: time.Minute, Fn: func(x tm.Txn) error {
+			if firstAttempts.Add(1) == 1 {
+				close(held)
+				<-release
+			}
+			return incrFn(a)(x)
+		}})
+		first <- out
+	}()
+	<-held
+
+	type result struct {
+		out serve.Outcome
+		err error
+	}
+	second := make(chan result, 1)
+	go func() {
+		out, err := s.Do(serve.Request{Class: serve.High, Budget: 2 * time.Millisecond, Fn: incrFn(a)})
+		second <- result{out, err}
+	}()
+	for s.Stats().Offered < 2 {
+		time.Sleep(50 * time.Microsecond)
+	}
+	time.Sleep(10 * time.Millisecond) // past the second request's deadline
+	close(release)
+
+	if out := <-first; out != serve.Committed {
+		t.Fatalf("held request = %v, want Committed", out)
+	}
+	r := <-second
+	if r.out != serve.Expired || !errors.Is(r.err, context.DeadlineExceeded) {
+		t.Fatalf("queued request = %v, %v; want Expired with DeadlineExceeded", r.out, r.err)
+	}
+	if got := m.Stats().Starts - starts; got != firstAttempts.Load() {
+		t.Errorf("runtime began %d attempts, the held request made %d: the expired one touched the runtime", got, firstAttempts.Load())
+	}
+	if st := mustAccounting(t, s); st.Expired != 1 || st.Committed != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestServeSyncCommitDurableOnReturn: with SyncCommit on, a Committed Do
+// returns only once every commit so far is durable — also at GOMAXPROCS 1,
+// where the request runs on the caller's goroutine and the WAL flusher
+// gets the processor only because WaitDurable kicks it and parks.
+func TestServeSyncCommitDurableOnReturn(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	heap := mem.NewHeap(1 << 10)
+	d, _, err := rococotm.RecoverDurable(wal.NewMemDevice(nil), heap,
+		wal.Options{FlushInterval: time.Hour}, mvstore.Config{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rococotm.New(heap, rococotm.Config{MaxThreads: 4, Durable: d})
+	defer m.Close()
+	a := heap.MustAlloc(1)
+	s := serve.New(m, serve.Config{Workers: 2})
+	defer s.Close()
+
+	for i := 1; i <= 50; i++ {
+		out, err := s.Do(serve.Request{Class: serve.High, Budget: 10 * time.Second, Fn: incrFn(a)})
+		if out != serve.Committed {
+			t.Fatalf("write %d = %v, %v", i, out, err)
+		}
+		if got, next := d.Log.DurableSeq(), d.Log.NextSeq(); got < uint64(i) || got < next {
+			t.Fatalf("after commit %d: durable horizon %d, appended through %d", i, got, next)
+		}
 	}
 }

@@ -33,10 +33,12 @@
 #                    and the liveness-word tests (the transition table,
 #                    the doomer-vs-owner hammer, the watchdog and
 #                    PoolCheck tests: a remote doom CAS racing the
-#                    owner's end) ten times each under GOMAXPROCS=1 and
+#                    owner's end), and the serve suite (requests run on
+#                    their callers' goroutines, one tm thread each),
+#                    ten times each under GOMAXPROCS=1 and
 #                    GOMAXPROCS=2: serializability has to hold on two
 #                    processors, and a protocol hole there is silent
-#                    under -race                                   (~15s)
+#                    under -race                                   (~20s)
 #   8. go test -race -count=1 ./internal/...
 #                  — every runtime and analyzer package under the race
 #                    detector; OCC code is concurrency code, so the race
@@ -95,11 +97,12 @@ go run ./cmd/tmlint -summary -hotalloc ./...
 echo "== chaos lane: go test -race -run Chaos -count=2 ./internal/fault/..."
 go test -race -run Chaos -count=2 ./internal/fault/...
 
-echo "== oracle lane: lost-update oracles + liveness word x GOMAXPROCS {1,2} x -count=10"
+echo "== oracle lane: lost-update oracles + liveness word + serve x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
         -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
         ./internal/rococotm/... ./internal/hybrid/...
+    GOMAXPROCS=$procs go test -count=10 -run 'TestServe' ./internal/serve/...
 done
 
 echo "== go test -race -count=1 ./internal/..."
