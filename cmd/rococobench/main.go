@@ -9,7 +9,7 @@
 // The experiment names — the authoritative list is the experiments table
 // below, which also drives the -exp usage string, the unknown-experiment
 // listing, and the "all" order — are: fig6, fig7, fig9, fig10, fig11,
-// resources, fault, soak, recover, commitphase, shard, serve, hybrid,
+// resources, soak, recover, commitphase, shard, serve, hybrid,
 // ablation-window, ablation-sig, ablation-contention.
 //
 // Each experiment prints a paper-style text table; EXPERIMENTS.md records
@@ -99,11 +99,7 @@ var experiments = []struct {
 		rep, err := bench.RunResources(nil)
 		c.emit(rep, err)
 	}},
-	{"fault", "fault-injection sweep: degraded-mode throughput", func(c benchCtx) {
-		rep, err := bench.RunFaultBench(bench.FaultBenchConfig{})
-		c.emit(rep, err)
-	}},
-	{"soak", "long-run mixed workload with serializability audit", func(c benchCtx) {
+	{"soak", "lifecycle soak: cancellations, panics, wedged closures, watchdog, audit", func(c benchCtx) {
 		d := c.dur
 		if d == 0 && c.exp == "all" {
 			d = 5 * time.Second // keep the full sweep tractable
@@ -114,7 +110,7 @@ var experiments = []struct {
 			fatal(rep.AuditErr)
 		}
 	}},
-	{"recover", "crash/recover cycles: WAL replay and re-serve", func(c benchCtx) {
+	{"recover", "crash/recover cycles on a faulty disk: WAL replay and re-serve", func(c benchCtx) {
 		cfg := bench.RecoverBenchConfig{SoakDuration: c.dur}
 		if c.exp == "all" {
 			cfg.Cycles = 10

@@ -46,7 +46,7 @@ type RecoverBenchConfig struct {
 	ConfirmPerCycle int
 	// SoakDuration is the phase-2 mixed snapshot soak length; default 60s.
 	SoakDuration time.Duration
-	// Seed drives the disk and link schedules; default 1.
+	// Seed drives the disk schedule; default 1.
 	Seed int64
 	// Disk is the injected disk fault scenario; the zero value selects the
 	// acceptance schedule (torn tails, drops, bit flips, sync faults).
@@ -178,19 +178,10 @@ func RunRecoverBench(cfg RecoverBenchConfig) (*RecoverReport, error) {
 			confirmed[th] = got
 			attempts[th] = got
 		}
-		var link *fault.Link
 		m := rococotm.New(heap, rococotm.Config{
-			MaxThreads:       writers + 2,
-			ValidateDeadline: 1500 * time.Microsecond,
-			ProbeInterval:    200 * time.Microsecond,
-			WrapLink: fault.Wrapper(fault.Schedule{
-				Seed:      cfg.Seed + int64(cycle),
-				DelayProb: 0.1,
-				DelayMin:  10 * time.Microsecond,
-				DelayMax:  300 * time.Microsecond,
-			}, &link),
-			Durable: d,
-			Logf:    func(string, ...any) {},
+			MaxThreads: writers + 2,
+			Durable:    d,
+			Logf:       func(string, ...any) {},
 		})
 		return m, disk, base, acct, nil
 	}
@@ -356,7 +347,7 @@ func RunRecoverBench(cfg RecoverBenchConfig) (*RecoverReport, error) {
 	rep.LiveAfterClose, _ = m.PoolCheck()
 	m.Close()
 
-	// Goroutine hygiene: let the flusher/prober/engine loops drain.
+	// Goroutine hygiene: let the WAL flushers drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

@@ -157,11 +157,10 @@ func newServeEnv(cfg ServeBenchConfig, runtime string) (*serveEnv, error) {
 		})
 		env.m = m
 		env.signals = func() serve.Signal {
-			fs := m.FaultStats()
+			st := m.Stats()
 			return serve.Signal{
-				ErrFull:       fs.DeadlineMisses,
-				EngineErrors:  fs.EngineErrors,
-				WatchdogFires: m.Stats().WatchdogFires,
+				EngineErrors:  st.Reasons[tm.ReasonEngine],
+				WatchdogFires: st.WatchdogFires,
 			}
 		}
 		env.poolCheck = func() int { live, _ := m.PoolCheck(); return live }

@@ -9,31 +9,24 @@ import (
 	"time"
 
 	"rococotm/internal/audit"
-	"rococotm/internal/fault"
 	"rococotm/internal/mem"
 	"rococotm/internal/rococotm"
 	"rococotm/internal/tm"
 )
 
-// SoakConfig parameterizes the lifecycle soak: a fault-heavy engine link
-// plus host-side chaos (cancellations, injected closure panics, wedged
-// closures) with the watchdog armed and the runtime serializability
-// auditor certifying the commit stream.
+// SoakConfig parameterizes the lifecycle soak: host-side chaos
+// (cancellations, injected closure panics, wedged closures) over contended
+// read-modify-write traffic, with the watchdog armed and the runtime
+// serializability auditor certifying the commit stream.
 type SoakConfig struct {
 	// Threads is the worker count; default 8.
 	Threads int
 	// Duration is the wall-clock run length; default 60s.
 	Duration time.Duration
-	// Deadline is the per-validation deadline; default 1.5ms.
-	Deadline time.Duration
 	// WatchdogAge is the stuck-transaction threshold; default 5ms.
 	WatchdogAge time.Duration
 	// Addresses is the shared working set; default 16.
 	Addresses int
-	// Schedule is the injected fault scenario; the zero value selects a
-	// kitchen-sink link (delays, drops, duplicates, reorders, repeating
-	// crash/restart cycles).
-	Schedule fault.Schedule
 }
 
 func (c *SoakConfig) fill() {
@@ -43,28 +36,11 @@ func (c *SoakConfig) fill() {
 	if c.Duration == 0 {
 		c.Duration = 60 * time.Second
 	}
-	if c.Deadline == 0 {
-		c.Deadline = 1500 * time.Microsecond
-	}
 	if c.WatchdogAge == 0 {
 		c.WatchdogAge = 5 * time.Millisecond
 	}
 	if c.Addresses == 0 {
 		c.Addresses = 16
-	}
-	if c.Schedule == (fault.Schedule{}) {
-		c.Schedule = fault.Schedule{
-			Seed:          42,
-			DelayProb:     0.15,
-			DelayMin:      10 * time.Microsecond,
-			DelayMax:      2 * time.Millisecond,
-			DropProb:      0.03,
-			DuplicateProb: 0.1,
-			ReorderProb:   0.1,
-			CrashAfter:    2000,
-			DownFor:       time.Millisecond,
-			CrashRepeat:   true,
-		}
 	}
 }
 
@@ -86,8 +62,6 @@ type SoakReport struct {
 	AuditErr   error // nil iff the committed history is certified acyclic
 
 	LiveAfterClose int // descriptors still live after Close (leak check)
-	Fault          rococotm.FaultStats
-	Link           fault.Stats
 }
 
 // RunSoak drives the lifecycle soak and returns its report. The auditor's
@@ -103,16 +77,12 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	h := mem.NewHeap(1 << 12)
 	base := h.MustAlloc(cfg.Addresses)
-	var link *fault.Link
 	auditor := audit.New(audit.Config{})
 	m := rococotm.New(h, rococotm.Config{
-		MaxThreads:       cfg.Threads + 1,
-		ValidateDeadline: cfg.Deadline,
-		ProbeInterval:    200 * time.Microsecond,
-		WrapLink:         fault.Wrapper(cfg.Schedule, &link),
-		Observer:         auditor,
-		WatchdogAge:      cfg.WatchdogAge,
-		Logf:             func(string, ...any) {}, // fires are counted, not printed
+		MaxThreads:  cfg.Threads + 1,
+		Observer:    auditor,
+		WatchdogAge: cfg.WatchdogAge,
+		Logf:        func(string, ...any) {}, // fires are counted, not printed
 	})
 
 	type tally struct{ commits, cancels, panics, stuck uint64 }
@@ -194,8 +164,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	rep.ThroughputK = float64(st.Commits) / cfg.Duration.Seconds() / 1e3
 	rep.Watchdog.Fires = st.WatchdogFires
 	rep.Watchdog.Kills = st.WatchdogKills
-	rep.Fault = m.FaultStats()
-	rep.Link = link.Stats()
 	rep.Audit = auditor.Stats()
 	rep.AuditErr = auditor.Err()
 
@@ -207,17 +175,13 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 // String renders the soak report.
 func (r *SoakReport) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Lifecycle soak: %d threads, %v, chaos link + cancellations + panics + wedged closures\n",
+	fmt.Fprintf(&sb, "Lifecycle soak: %d threads, %v, cancellations + panics + wedged closures\n",
 		r.Threads, r.Duration)
 	fmt.Fprintf(&sb, "  traffic:  %d commits (%.1f ktxn/s), %d aborts\n",
 		r.Commits, r.ThroughputK, r.Aborts)
 	fmt.Fprintf(&sb, "  chaos:    %d cancellations honored, %d panics unwound, %d wedged closures recovered\n",
 		r.Cancels, r.Panics, r.Stuck)
 	fmt.Fprintf(&sb, "  watchdog: %d fires, %d kills\n", r.Watchdog.Fires, r.Watchdog.Kills)
-	fmt.Fprintf(&sb, "  link:     %d submits, %d delayed, %d dropped, %d duplicated, %d reordered, %d crashes\n",
-		r.Link.Submits, r.Link.Delayed, r.Link.Dropped, r.Link.Duplicated, r.Link.Reordered, r.Link.Crashes)
-	fmt.Fprintf(&sb, "  degrade:  %d fallback entries, %d exits, final state %s\n",
-		r.Fault.FallbackEntries, r.Fault.FallbackExits, r.Fault.State)
 	verdict := "PASS: history certified acyclic"
 	if r.AuditErr != nil {
 		verdict = "FAIL: " + r.AuditErr.Error()

@@ -1,12 +1,12 @@
-// Disk-level fault injection for the durability layer: a wal.Device whose
-// crash behavior is adversarial but physically honest. Synced bytes are
-// stable; everything after the last successful Sync is fair game at crash
-// time — appends survive whole, as torn prefixes, or not at all, bit flips
-// land anywhere in the unsynced region, and Sync itself can stall or fail
-// (in which case durability must NOT advance; the WAL's group-commit
-// flusher is expected to retry). The one guarantee a real disk gives and
-// this model keeps: a record that was reported durable is never lost or
-// corrupted.
+// Package fault is deterministic disk-level fault injection for the
+// durability layer: a wal.Device whose crash behavior is adversarial but
+// physically honest. Synced bytes are stable; everything after the last
+// successful Sync is fair game at crash time — appends survive whole, as
+// torn prefixes, or not at all, bit flips land anywhere in the unsynced
+// region, and Sync itself can stall or fail (in which case durability must
+// NOT advance; the WAL's group-commit flusher is expected to retry). The one
+// guarantee a real disk gives and this model keeps: a record that was
+// reported durable is never lost or corrupted.
 package fault
 
 import (

@@ -16,7 +16,7 @@ import (
 // and fresh snapshots over a small address space, so cycle and window
 // verdicts occur — through Validate on one engine and through bare Process
 // on another: the verdict streams must be identical, sequence for sequence.
-// Validate must also do it without ever starting the loop goroutine.
+// Validate must also do it without starting a goroutine.
 func TestCombineMatchesSerialProcess(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	cfg := Config{W: 8}
@@ -43,7 +43,6 @@ func TestCombineMatchesSerialProcess(t *testing.T) {
 			ValidTS:    next - lag,
 			ReadAddrs:  addrs(rng.Intn(4)),
 			WriteAddrs: addrs(rng.Intn(3)),
-			Probe:      rng.Intn(50) == 0,
 		}
 		want := serial.Process(r)
 		got, err := combined.Validate(r)
@@ -67,12 +66,11 @@ func TestCombineMatchesSerialProcess(t *testing.T) {
 }
 
 // TestCombineNoStrandingHammer runs far more committers than processors
-// against one engine: combiners (Validate), link users (Submit + slot wait,
-// answered by the loop goroutine or by whichever combiner drains them
-// first) and holders that take the pipeline lock without combining
-// (RecordFast, Stats, NextSeq). Every request must get exactly one verdict
-// — a stranded waiter hangs the test — and the sequences handed out must
-// be gap-free. The batch counters must describe the run.
+// against one engine: combiners (Validate, on their own slot or a pooled
+// one) and holders that take the pipeline lock without combining (Process,
+// RecordFast, Stats, NextSeq). Every request must get exactly one verdict —
+// a stranded waiter hangs the test — and the sequences handed out must be
+// gap-free. The batch counters must describe the run.
 func TestCombineNoStrandingHammer(t *testing.T) {
 	for _, procs := range []int{1, 2} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -102,11 +100,8 @@ func TestCombineNoStrandingHammer(t *testing.T) {
 						var v Verdict
 						var err error
 						switch w % 4 {
-						case 0: // link: the caller's own slot
-							r.Slot, r.Gen = &slot, slot.Prepare()
-							if err = e.Submit(r); err == nil {
-								v = slot.Wait(r.Gen)
-							}
+						case 0: // the bare pipeline, under the same lock
+							v = e.Process(r)
 						case 1: // claim outside the ring, under the same lock
 							v, err = e.RecordFast(r.Token, reads, writes)
 							e.Stats()
@@ -154,7 +149,7 @@ func TestCombineNoStrandingHammer(t *testing.T) {
 			if st.Requests != workers*iters || st.Commits != workers*iters {
 				t.Fatalf("engine counted %d requests, %d commits, want %d: %+v", st.Requests, st.Commits, workers*iters, st)
 			}
-			queued := uint64(workers * iters * 3 / 4) // RecordFast bypasses the ring
+			queued := uint64(workers * iters / 2) // Process and RecordFast bypass the ring
 			if st.Batches == 0 || st.Batches > queued {
 				t.Fatalf("Batches = %d for %d queued requests", st.Batches, queued)
 			}
@@ -202,14 +197,14 @@ func TestCombineParkedWaiterIsServed(t *testing.T) {
 	}
 }
 
-// TestCombineYieldsToRequestHolder pins the mixed Validate/Submit corner at
-// GOMAXPROCS=1: the link's loop pops its batch before it takes the pipeline
-// lock, so a combiner can find the lock free and the ring empty while its
-// own request sits, unanswered, with a consumer that needs the processor to
-// deliver it. The test plays that consumer. A waiter that kept re-taking the
-// free lock would never yield, and every hand-back below would cost an
-// asynchronous preemption (~10 ms); a waiter that yields and then parks
-// makes them free.
+// TestCombineYieldsToRequestHolder pins the corner at GOMAXPROCS=1 where a
+// sweeper (Close, or a committer racing it) pops requests without the
+// pipeline lock, so a combiner can find the lock free and the ring empty
+// while its own request sits, unanswered, with a consumer that needs the
+// processor to deliver it. The test plays that consumer. A waiter that kept
+// re-taking the free lock would never yield, and every hand-back below would
+// cost an asynchronous preemption (~10 ms); a waiter that yields and then
+// parks makes them free.
 func TestCombineYieldsToRequestHolder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	e := startTest(t, Config{})
@@ -260,7 +255,7 @@ func TestCombineYieldsToRequestHolder(t *testing.T) {
 
 // TestCombineCrashAnswersQueued stops the engine under a full queue of
 // parked combiners: with the pipeline lock held, every Validate caller
-// enqueues, loses the lock and waits; Crash must answer each accepted
+// enqueues, loses the lock and waits; Close must answer each accepted
 // request with ReasonClosed, commit nothing, and a Restart must serve the
 // next Validate from the rebased window.
 func TestCombineCrashAnswersQueued(t *testing.T) {
@@ -285,13 +280,13 @@ func TestCombineCrashAnswersQueued(t *testing.T) {
 	for p.ring.size() < waiters {
 		runtime.Gosched()
 	}
-	crashed := make(chan struct{})
-	go func() { e.Crash(); close(crashed) }()
-	for !p.stopped() {
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	for !p.stopped.Load() {
 		runtime.Gosched()
 	}
-	e.mu.Unlock() // Crash waits out lock holders before its final sweep
-	<-crashed
+	e.mu.Unlock() // Close waits out lock holders before its final sweep
+	<-closed
 
 	seen := map[uint64]bool{}
 	for i := 0; i < waiters; i++ {
@@ -302,24 +297,22 @@ func TestCombineCrashAnswersQueued(t *testing.T) {
 			}
 			seen[v.Token] = true
 		case <-time.After(10 * time.Second):
-			t.Fatalf("only %d of %d queued requests answered after Crash", i, waiters)
+			t.Fatalf("only %d of %d queued requests answered after Close", i, waiters)
 		}
 	}
 	if got := e.NextSeq(); got != 1 {
-		t.Fatalf("NextSeq = %d after Crash: a queued request was validated", got)
+		t.Fatalf("NextSeq = %d after Close: a queued request was validated", got)
 	}
 	if _, err := e.Validate(req(1, nil, nil)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Validate on a crashed engine: err = %v, want ErrClosed", err)
+		t.Fatalf("Validate on a closed engine: err = %v, want ErrClosed", err)
 	}
-	if err := e.Restart(5); err != nil {
-		t.Fatal(err)
-	}
+	e.Restart(5)
 	if v, err := e.Validate(req(5, nil, []uint64{1})); err != nil || !v.OK || v.Seq != 5 {
 		t.Fatalf("Validate after Restart(5) = %+v, %v", v, err)
 	}
 }
 
-// TestCombineCrashRestartStress cycles Crash/Restart under running
+// TestCombineCrashRestartStress cycles Close/Restart under running
 // combiners: every Validate call resolves — a real verdict, a terminal
 // ReasonClosed one, or ErrClosed for a request that was never accepted —
 // and Close leaves nothing behind.
@@ -356,10 +349,8 @@ func TestCombineCrashRestartStress(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		time.Sleep(300 * time.Microsecond)
-		e.Crash()
-		if err := e.Restart(0); err != nil {
-			t.Fatal(err)
-		}
+		e.Close()
+		e.Restart(0)
 	}
 	for real.Load() == 0 {
 		runtime.Gosched()

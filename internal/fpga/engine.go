@@ -24,54 +24,32 @@
 // round trip would cost, so the timing harness can charge them without the
 // host actually sleeping.
 //
-// # Who runs the pipeline: combine vs the modelled link
+// # Who runs the pipeline: the committer
 //
 // The paper hides the CCI round trip behind asynchronous queues because its
 // validator is a separate device. Here the validator is a function, and a
-// hand-off to a helper goroutine costs more than the validation, so the two
-// ways in differ in who executes Process:
-//
-//   - Combine (Engine.Validate on the serial behavioural backend, the
-//     default commit path). The committer pushes its request into the
-//     submission ring (ring.go), then TryLocks Engine.mu. Whoever holds the
-//     lock drains the ring — at most QueueDepth requests per acquisition,
-//     one Stats.Batches tick per drain — and posts every verdict to its
-//     owner's VerdictSlot (slot.go); losers poll their own slot, yield, and
-//     park only behind the no-stranding handshake documented on combine.
-//     No goroutine switch sits between a committer and its verdict, no
-//     goroutine is started, and nothing on the path allocates in steady
-//     state. Batching is what concurrency leaves in the ring, not queueing
-//     delay: a lone committer drains batches of one.
-//   - The modelled link (Submit/TrySubmit). Submissions land in the same
-//     ring; a loop goroutine, started on the first asynchronous submission,
-//     drains them in groups under one pipeline acquisition and publishes
-//     the verdicts in bulk. This is the configuration that has a link to
-//     stall, drop and crash: the fault-tolerant host (deadline-bounded
-//     TrySubmit, rococotm.Link wrappers, internal/fault) and the
-//     cycle-level RTL backend (rtl.go, where Validate is submit-and-wait as
-//     well) use it.
-//
-// Both feed the same window under the same lock, so a stream may mix them;
-// the modelled clock (Verdict.ModelNanos plus Model.RoundTripNanos) is
-// charged identically either way.
+// hand-off to a helper goroutine costs more than the validation, so the
+// committer runs it. Engine.Validate pushes the request into the submission
+// ring (ring.go), then TryLocks Engine.mu. Whoever holds the lock drains the
+// ring — at most QueueDepth requests per acquisition, one Stats.Batches tick
+// per drain — and posts every verdict to its owner's VerdictSlot (slot.go);
+// losers poll their own slot, yield, and park only behind the no-stranding
+// handshake documented on combine. The package starts no goroutine, and
+// nothing on the path allocates in steady state. Batching is what
+// concurrency leaves in the ring, not queueing delay: a lone committer
+// drains batches of one. The modelled clock (Verdict.ModelNanos plus
+// Model.RoundTripNanos) is charged as if the request had crossed the link.
 //
 // # Failure semantics
 //
-// A production accelerator sits at the far end of a link that stalls, drops
-// packets and resets, so the engine models an explicit failure contract:
-//
-//   - Close/Crash stop the engine and deliver a terminal ReasonClosed
-//     verdict to every request already accepted into the pull queue — no
-//     submitted request is ever silently stranded, and a combiner that
-//     finds its port stopped sweeps the queue instead of validating it;
-//   - Restart brings a crashed engine back with an *empty* window rebased
-//     at a caller-supplied sequence (crash loses window state; the host
-//     supplies its commit count so verdicts re-align with the global commit
-//     order). Transactions whose snapshots predate the rebased window abort
-//     with a window verdict, which keeps serializability across the gap;
-//   - TrySubmit is the non-blocking admission path (ErrFull models CCI
-//     backpressure, ErrClosed a dead engine) that hosts with validation
-//     deadlines use instead of the blocking Submit.
+// Close stops the engine: every request already accepted into the ring
+// receives a terminal ReasonClosed verdict before Close returns — none is
+// silently stranded — and later calls fail with ErrClosed. Restart brings
+// the engine back with an *empty* window rebased at a caller-supplied
+// sequence (window state does not survive; the host supplies its commit
+// count so verdicts re-align with the global commit order). Transactions
+// whose snapshots predate the rebased window abort with a window verdict,
+// which keeps serializability across the gap.
 package fpga
 
 import (
@@ -87,20 +65,15 @@ import (
 
 // Verdict reasons. An engine verdict carries exactly one of these when
 // !OK; ReasonClosed additionally marks the terminal verdicts delivered to
-// requests stranded by Close/Crash.
+// requests stranded by Close.
 const (
 	ReasonCycle  = "cycle"  // ROCoCo validation found a dependency cycle
 	ReasonWindow = "window" // snapshot predates the tracked window (§4.2)
 	ReasonClosed = "closed" // engine stopped before validating the request
 )
 
-// Admission errors returned by Submit/TrySubmit.
-var (
-	// ErrClosed reports that the engine is not running.
-	ErrClosed = errors.New("fpga: engine closed")
-	// ErrFull reports pull-queue backpressure (TrySubmit only).
-	ErrFull = errors.New("fpga: pull queue full")
-)
+// ErrClosed reports that the engine is not running.
+var ErrClosed = errors.New("fpga: engine closed")
 
 // MaxW is the largest supported sliding-window capacity. Windows up to 64
 // run on the word-packed fast path (one machine word per matrix row, the
@@ -126,12 +99,6 @@ type Config struct {
 	// explicitly: a pull queue shallower than the window cannot keep a
 	// full window of validations outstanding.
 	QueueDepth int
-	// CycleLevel selects the cycle-accurate RTL pipeline (rtl.go) as the
-	// engine backend instead of the serial behavioral validator. Verdicts
-	// are identical (rtl_test.go proves equivalence); the RTL backend
-	// additionally exposes pipeline cycle counts and genuinely overlaps
-	// concurrent validations.
-	CycleLevel bool
 	// Model configures the latency/occupancy accounting; zero value uses
 	// the HARP2 calibration.
 	Model LatencyModel
@@ -159,9 +126,6 @@ func (c Config) Validate() error {
 	if c.W < 0 || c.W > MaxW {
 		return fmt.Errorf("fpga: window size W=%d out of range [1,%d] (0 selects the default %d)", c.W, MaxW, core.DefaultW)
 	}
-	if c.CycleLevel && c.W > 64 {
-		return fmt.Errorf("fpga: CycleLevel RTL backend models the word-packed hardware window and caps W at 64 (got %d)", c.W)
-	}
 	if c.QueueDepth < 0 {
 		return fmt.Errorf("fpga: QueueDepth %d is negative", c.QueueDepth)
 	}
@@ -187,33 +151,27 @@ type Request struct {
 	// sequence < ValidTS were visible to its reads.
 	ValidTS uint64
 	// ReadAddrs and WriteAddrs are the transaction's footprint. The engine
-	// only reads them; it releases its references once the verdict is
-	// delivered, so callers that reuse the backing arrays must not do so
-	// before then.
+	// only reads them and releases its references once the verdict is
+	// delivered, which is before Validate returns.
 	ReadAddrs  []uint64
 	WriteAddrs []uint64
-	// Probe marks a health-check request: it traverses the queues and the
-	// pipeline like any validation but commits nothing and consumes no
-	// sequence number. Hosts use probes to decide when a recovered engine
-	// is answering again.
-	Probe bool
 	// Slot, when non-nil, receives the verdict: the caller armed it with
 	// Prepare and carries the returned generation in Gen. This is the
-	// allocation-free push-queue path.
+	// allocation-free push-queue path; Validate borrows a pooled slot for
+	// a request without one.
 	Slot *VerdictSlot
 	Gen  uint64
-	// Reply receives exactly one verdict when Slot is nil — how a layer
-	// between host and pipeline (internal/fault, the RTL backend) interposes
-	// on a verdict. Must have capacity ≥ 1.
+	// Reply receives exactly one verdict when Slot is nil — how the
+	// standalone cycle-level model (rtl.go) answers. Must have capacity
+	// ≥ 1. Validate ignores it.
 	Reply chan Verdict
 }
 
 // Deliver routes v to the request's verdict sink — the armed slot
 // generation when Slot is set, the buffered Reply channel otherwise. It
 // reports whether the sink accepted the verdict; false means the verdict
-// is late or duplicated (the waiter already got one, or abandoned the
-// generation) and has been dropped, which is the transport's at-most-once
-// contract.
+// is a duplicate (the waiter already got one) and has been dropped, which
+// is the transport's at-most-once contract.
 func (r *Request) Deliver(v Verdict) bool {
 	if r.Slot != nil {
 		return r.Slot.publish(r.Gen, v)
@@ -228,17 +186,6 @@ func (r *Request) Deliver(v Verdict) bool {
 	return false
 }
 
-// checkSink validates the request's verdict sink at admission.
-func (r *Request) checkSink() error {
-	if r.Slot != nil {
-		return nil
-	}
-	if r.Reply == nil || cap(r.Reply) < 1 {
-		return fmt.Errorf("fpga: request needs a verdict slot or a buffered reply channel")
-	}
-	return nil
-}
-
 // Verdict is the engine's decision for one request.
 type Verdict struct {
 	Token uint64
@@ -247,8 +194,6 @@ type Verdict struct {
 	Seq core.Seq
 	// Reason is ReasonCycle, ReasonWindow or ReasonClosed when !OK.
 	Reason string
-	// Probe echoes Request.Probe.
-	Probe bool
 	// ModelNanos is the modeled FPGA residency of this request (pipeline
 	// cycles at the configured clock), excluding the CCI round trip.
 	ModelNanos uint64
@@ -260,16 +205,17 @@ type Stats struct {
 	Commits      uint64
 	CycleAborts  uint64
 	WindowAborts uint64
-	// Probes counts health-check requests answered.
+	// Probes counted health-check requests. The engine has none, so it
+	// stays 0; the field is kept for the readers of this struct.
 	Probes uint64
 	// ModelCycles is the total modeled pipeline occupancy.
 	ModelCycles uint64
-	// Restarts counts crash/recover cycles (Engine only; a Restart resets
-	// the window but keeps cumulative counters).
+	// Restarts counts Restart calls (Engine only; a Restart resets the
+	// window but keeps cumulative counters).
 	Restarts uint64
-	// Batches counts drain groups (one per combiner lock acquisition or loop
-	// pass that validated anything); Requests+Probes over Batches is the mean
-	// batch occupancy. MaxBatch is the largest single group.
+	// Batches counts drain groups (one per combiner lock acquisition that
+	// validated anything); Requests over Batches is the mean batch
+	// occupancy. MaxBatch is the largest single group.
 	Batches  uint64
 	MaxBatch uint64
 	// QueuePeak is the high-water submission-queue occupancy observed at
@@ -278,117 +224,32 @@ type Stats struct {
 	QueuePeak uint64
 }
 
-// port is one incarnation of the engine's queue pair. Crash closes done and
-// drains the queue; Restart installs a fresh port, so verdict waiters from a
-// previous incarnation are never confused with the new one.
+// port is one incarnation of the engine's submission ring. Close stops it;
+// Restart installs a fresh one, so a request accepted by a stopped
+// incarnation is never validated against the next one's window.
 type port struct {
-	ring *ring
-
-	done   chan struct{}
-	exited chan struct{} // closed when the loop goroutine has returned
-
-	// start launches the loop goroutine on the first Submit/TrySubmit —
-	// or, if the port stops without ever carrying an asynchronous
-	// submission, closes exited directly. Combined validations never start
-	// it.
-	start sync.Once
-
-	// sleeping/wakeup implement the ring consumer's spin-then-park: the
-	// loop raises sleeping before blocking on wakeup, producers that see
-	// it raised drop a token in. One-token capacity suffices — a wakeup is
-	// a hint to re-scan, not a message.
-	sleeping atomic.Uint32
-	wakeup   chan struct{}
+	ring    *ring
+	stopped atomic.Bool
 }
 
-func newPort(depth int) *port {
-	return &port{
-		ring:   newRing(depth),
-		done:   make(chan struct{}),
-		exited: make(chan struct{}),
-		wakeup: make(chan struct{}, 1),
-	}
-}
-
-// stopped reports whether the port's incarnation has been crashed or closed.
-func (p *port) stopped() bool {
-	select {
-	case <-p.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// recvSpin is how many empty scans the ring consumer burns (yielding each
-// time) before parking.
-const recvSpin = 128
-
-// recvBlock takes one request, blocking until one arrives or the port
-// stops (ok=false).
-func (p *port) recvBlock() (Request, bool) {
-	for spin := 0; ; spin++ {
-		if r, ok := p.ring.tryPop(); ok {
-			return r, true
-		}
-		select {
-		case <-p.done:
-			return Request{}, false
-		default:
-		}
-		if spin < recvSpin {
-			runtime.Gosched()
-			continue
-		}
-		// Park: publish intent, drain a stale token, re-check, sleep.
-		p.sleeping.Store(1)
-		select {
-		case <-p.wakeup:
-		default:
-		}
-		if r, ok := p.ring.tryPop(); ok {
-			p.sleeping.Store(0)
-			return r, true
-		}
-		select {
-		case <-p.wakeup:
-		case <-p.done:
-			p.sleeping.Store(0)
-			return Request{}, false
-		}
-		p.sleeping.Store(0)
-		spin = 0
-	}
-}
-
-// wake unparks the ring consumer if it is (or is about to be) sleeping.
-func (p *port) wake() {
-	if p.sleeping.Load() != 0 {
-		select {
-		case p.wakeup <- struct{}{}:
-		default:
-		}
-	}
-}
+func newPort(depth int) *port { return &port{ring: newRing(depth)} }
 
 // Engine is the running validation pipeline. Create with Start, stop with
-// Close or Crash, bring back with Restart.
+// Close, bring back with Restart.
 type Engine struct {
 	cfg    Config
 	hasher *sig.Hasher
 	port   atomic.Pointer[port]
 
-	life sync.Mutex // serializes Crash/Restart/Close transitions
+	life sync.Mutex // serializes Close/Restart transitions
 
 	mu       sync.Mutex // guards pl (and serializes direct Process calls)
 	pl       *Pipeline
 	restarts uint64
-	rtlBase  core.Seq // window base for the next RTL incarnation
 }
 
 // Start builds the engine. It fails if the configuration is invalid (see
-// Config.Validate). No goroutine runs until the first asynchronous
-// submission: the link's loop starts lazily (see port.start).
+// Config.Validate).
 func Start(cfg Config) (*Engine, error) {
 	pl, err := NewPipeline(cfg)
 	if err != nil {
@@ -410,73 +271,24 @@ func (e *Engine) Config() Config { return e.cfg }
 // sides compute identical signatures.
 func (e *Engine) Hasher() *sig.Hasher { return e.hasher }
 
-// Submit enqueues a validation request on the modelled link (the pull
-// queue) for the engine loop to answer. It blocks only when the queue is
-// full, which models back pressure on the CCI channel.
-func (e *Engine) Submit(r Request) error {
-	if err := r.checkSink(); err != nil {
-		return err
-	}
-	return e.submitOn(e.port.Load(), r)
-}
-
-// submitOn is the asynchronous admission path: it makes sure the loop
-// goroutine exists, enqueues, and wakes the loop if it parked.
-func (e *Engine) submitOn(p *port, r Request) error {
-	p.start.Do(func() { go e.loop(p) })
-	if err := e.enqueue(p, r); err != nil {
-		return err
-	}
-	p.wake()
-	return nil
-}
-
-// enqueue pushes r onto the port's ring, yielding while the ring is full. Some
-// consumer always exists for a non-empty ring — the loop goroutine for
-// Submit's requests, the pushing committers themselves for Validate's — so
-// the wait is bounded.
+// enqueue pushes r onto the port's ring, yielding while the ring is full.
+// The pushing committers themselves consume the ring, so the wait is
+// bounded. A push that lands after Close's final sweep is swept here, so
+// the request still receives its terminal verdict; sinks reject duplicate
+// deliveries and the ring dequeue is CAS-based, so concurrent sweeps are
+// safe.
 func (e *Engine) enqueue(p *port, r Request) error {
 	for {
-		if p.stopped() {
+		if p.stopped.Load() {
 			return ErrClosed
 		}
 		if p.ring.tryPush(r) {
-			e.recheck(p)
+			if p.stopped.Load() {
+				sweep(p)
+			}
 			return nil
 		}
 		runtime.Gosched()
-	}
-}
-
-// TrySubmit offers a request to the modelled link without blocking:
-// ErrFull models a saturated (or stalled) pull queue, ErrClosed a stopped
-// engine. Hosts that enforce validation deadlines poll TrySubmit so
-// backpressure cannot exceed the deadline.
-func (e *Engine) TrySubmit(r Request) error {
-	if err := r.checkSink(); err != nil {
-		return err
-	}
-	p := e.port.Load()
-	if p.stopped() {
-		return ErrClosed
-	}
-	p.start.Do(func() { go e.loop(p) })
-	if !p.ring.tryPush(r) {
-		return ErrFull
-	}
-	e.recheck(p)
-	p.wake()
-	return nil
-}
-
-// recheck covers the submit/stop race: if the port stopped while (or right
-// after) we enqueued, the loop may never see the request — sweep the queue
-// so it still receives its terminal verdict. Sinks reject duplicate
-// deliveries, and the ring dequeue is CAS-based, so concurrent sweeps are
-// safe.
-func (e *Engine) recheck(p *port) {
-	if p.stopped() {
-		sweep(p)
 	}
 }
 
@@ -488,23 +300,20 @@ func sweep(p *port) {
 		if !ok {
 			return
 		}
-		r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed, Probe: r.Probe})
+		r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed})
 	}
 }
 
-// Validate answers one request synchronously. On the serial behavioural
-// backend it is a flat-combining validator: the caller enqueues its request,
-// then competes for the pipeline lock; whoever holds the lock validates
-// everything queued and posts each verdict to its owner's slot, so no
-// goroutine switch sits between a committer and its verdict and the loop
-// goroutine is neither started nor woken. The cycle-level backend has no
-// serial pipeline to run in the caller, so there Validate is submit-and-wait
-// over the modelled link.
+// Validate answers one request synchronously. It is a flat-combining
+// validator: the caller enqueues its request, then competes for the
+// pipeline lock; whoever holds the lock validates everything queued and
+// posts each verdict to its owner's slot, so no goroutine switch sits
+// between a committer and its verdict.
 //
-// A request without a slot borrows a pooled one (a Reply channel is not
-// needed and is ignored), so the call is allocation-free in steady state. If the engine stops before
-// answering, the request's terminal ReasonClosed verdict is returned;
-// ErrClosed is returned only when the request was never accepted.
+// A request without a slot borrows a pooled one, so the call is
+// allocation-free in steady state. If the engine stops before answering,
+// the request's terminal ReasonClosed verdict is returned; ErrClosed is
+// returned only when the request was never accepted.
 func (e *Engine) Validate(r Request) (Verdict, error) {
 	p := e.port.Load()
 	var pooled *VerdictSlot
@@ -513,12 +322,8 @@ func (e *Engine) Validate(r Request) (Verdict, error) {
 		r.Slot, r.Gen = pooled, pooled.Prepare()
 	}
 	var v Verdict
-	var err error
-	if e.cfg.CycleLevel {
-		if err = e.submitOn(p, r); err == nil {
-			v = r.Slot.Wait(r.Gen)
-		}
-	} else if err = e.enqueue(p, r); err == nil {
+	err := e.enqueue(p, r)
+	if err == nil {
 		v = e.combine(p, r.Slot, r.Gen)
 	}
 	if pooled != nil {
@@ -535,8 +340,8 @@ func (e *Engine) Validate(r Request) (Verdict, error) {
 // every holder re-checks the ring after unlocking (unlock), and the
 // waiter's push precedes its failed TryLock, so that re-check sees the
 // request. A waiter that wins the lock and finds the ring empty has had its
-// request popped by a consumer that has not delivered yet — the link's loop
-// pops its batch before it takes the lock — and must give that consumer the
+// request popped by a sweep that has not delivered yet — Close and a
+// committer racing it pop without the lock — and must give that sweeper the
 // processor rather than spin on the free lock. Either way a waiter parks
 // only after raising s.parked and coming up empty once more: whoever holds
 // its request publishes the verdict and — the slot's Dekker handshake —
@@ -581,9 +386,6 @@ func (e *Engine) combine(p *port, s *VerdictSlot, gen uint64) Verdict {
 //tm:hotpath
 func (e *Engine) unlock() {
 	e.mu.Unlock()
-	if e.cfg.CycleLevel {
-		return // the RTL loop is the ring's only consumer
-	}
 	p := e.port.Load()
 	for p.ring.size() > 0 && e.mu.TryLock() {
 		e.drain(p)
@@ -604,8 +406,8 @@ func (e *Engine) drain(p *port) int {
 		if !ok {
 			break
 		}
-		if p.stopped() {
-			r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed, Probe: r.Probe})
+		if p.stopped.Load() {
+			r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed})
 			sweep(p)
 			return n + 1
 		}
@@ -617,32 +419,19 @@ func (e *Engine) drain(p *port) int {
 	return n
 }
 
-// Close stops the engine. Every request already accepted into the pull
-// queue (or in flight in the pipeline) receives a terminal ReasonClosed
-// verdict before Close returns; subsequent submits fail with ErrClosed.
-func (e *Engine) Close() { e.Crash() }
-
-// Crash models the engine being reset out from under the host: identical
-// to Close (the link cannot distinguish them), it stops the loop and
-// delivers terminal verdicts to everything outstanding. Window state is
-// lost; Restart rebases it.
-func (e *Engine) Crash() {
+// Close stops the engine. Every request already accepted into the ring
+// receives a terminal ReasonClosed verdict before Close returns; later
+// Validate and RecordFast calls fail with ErrClosed until a Restart.
+func (e *Engine) Close() {
 	e.life.Lock()
 	defer e.life.Unlock()
-	e.crashLocked()
+	e.closeLocked()
 }
 
-func (e *Engine) crashLocked() {
+func (e *Engine) closeLocked() {
 	p := e.port.Load()
-	select {
-	case <-p.done:
-	default:
-		close(p.done)
-	}
-	p.wake() // unpark a sleeping ring consumer so it can exit
-	p.start.Do(func() { close(p.exited) })
-	<-p.exited // the loop swept its in-flight work on the way out
-	// A combiner that popped a request before done closed still answers it
+	p.stopped.Store(true)
+	// A combiner that popped a request before the stop still answers it
 	// with a real verdict; wait it out so nothing is in flight on return.
 	e.mu.Lock()
 	e.mu.Unlock()
@@ -652,45 +441,19 @@ func (e *Engine) crashLocked() {
 // Restart brings the engine (back) up with an empty window rebased at
 // next: the caller supplies its commit count so future sequence numbers
 // line up with the global commit order. Cumulative statistics survive;
-// window contents do not — crash recovery is indistinguishable from a
-// power cycle. Restart of a running engine crashes it first — unless the
-// restart would change nothing: a live engine whose window is already
-// empty and based at next is left untouched (redundant Restarts must be
-// idempotent, or the recovery prober's per-round Restart followed by the
-// promotion Restart would crash a healthy port — killing in-flight
-// probes — and double-reseed the window).
-func (e *Engine) Restart(next uint64) error {
+// window contents do not. Restart of a running engine closes it first.
+func (e *Engine) Restart(next uint64) {
 	e.life.Lock()
 	defer e.life.Unlock()
-	p := e.port.Load()
-	if p != nil && !e.cfg.CycleLevel {
-		select {
-		case <-p.done:
-		default:
-			e.mu.Lock()
-			clean := e.pl.BaseSeq() == e.pl.NextSeq() &&
-				uint64(e.pl.NextSeq()) == next
-			e.unlock()
-			if clean {
-				return nil
-			}
-		}
-	}
-	e.crashLocked()
+	e.closeLocked()
 
 	e.mu.Lock()
 	e.pl.ResetAt(core.Seq(next))
-	e.rtlBase = core.Seq(next)
 	e.restarts++
 	e.mu.Unlock()
 
 	e.port.Store(newPort(e.cfg.QueueDepth))
-	return nil
 }
-
-// Done returns a channel closed when the engine's current incarnation
-// stops; verdict waiters select on it alongside their reply channel.
-func (e *Engine) Done() <-chan struct{} { return e.port.Load().done }
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
@@ -715,51 +478,6 @@ func (e *Engine) NextSeq() core.Seq {
 	return e.pl.NextSeq()
 }
 
-func (e *Engine) loop(p *port) {
-	defer close(p.exited)
-	if e.cfg.CycleLevel {
-		e.loopRTL(p)
-		return
-	}
-	e.loopRing(p)
-}
-
-// loopRing is the link's batched drain loop: grab everything queued, validate
-// the whole group under one pipeline acquisition (the hardware equivalent: the
-// pipeline ingests back-to-back beats without re-arbitrating the link per
-// request), then publish all verdicts. Publishing happens outside the
-// pipeline lock so woken committers never contend with the next batch.
-func (e *Engine) loopRing(p *port) {
-	batch := make([]Request, 0, e.cfg.QueueDepth)
-	verdicts := make([]Verdict, 0, e.cfg.QueueDepth)
-	for {
-		r, ok := p.recvBlock()
-		if !ok {
-			sweep(p)
-			return
-		}
-		batch = append(batch[:0], r)
-		for len(batch) < cap(batch) {
-			r, ok := p.ring.tryPop()
-			if !ok {
-				break
-			}
-			batch = append(batch, r)
-		}
-		verdicts = verdicts[:0]
-		e.mu.Lock()
-		for i := range batch {
-			verdicts = append(verdicts, e.pl.Process(batch[i]))
-		}
-		e.pl.noteBatch(len(batch), len(batch)+p.ring.size())
-		e.mu.Unlock()
-		for i := range batch {
-			batch[i].Deliver(verdicts[i])
-			batch[i] = Request{} // release footprint references promptly
-		}
-	}
-}
-
 // Process validates one request against the window synchronously, with no
 // queue or slot around it: the pipeline's bare cost, and the reference the
 // combiner's verdict stream is tested against.
@@ -768,11 +486,6 @@ func (e *Engine) Process(r Request) Verdict {
 	defer e.unlock()
 	return e.pl.Process(r)
 }
-
-// ErrCycleLevel is returned by RecordFast on a cycle-level engine: there
-// the RTL model owns the sliding window (e.pl only tracks statistics), so
-// a synchronous direct insert has no sequence authority to claim from.
-var ErrCycleLevel = errors.New("fpga: RecordFast unsupported on a cycle-level engine")
 
 // RecordFast claims the next commit sequence for a transaction validated
 // outside the engine — the hybrid fast path — and inserts its footprint
@@ -789,16 +502,11 @@ var ErrCycleLevel = errors.New("fpga: RecordFast unsupported on a cycle-level en
 // normal Process path, so no engine-validated commit can take a sequence
 // between them.
 func (e *Engine) RecordFast(token uint64, readAddrs, writeAddrs []uint64) (Verdict, error) {
-	if e.cfg.CycleLevel {
-		return Verdict{}, ErrCycleLevel
-	}
-	select {
-	case <-e.port.Load().done:
-		return Verdict{}, ErrClosed
-	default:
-	}
 	e.mu.Lock()
 	defer e.unlock()
+	if e.port.Load().stopped.Load() {
+		return Verdict{}, ErrClosed
+	}
 	v := e.pl.Process(Request{
 		Token:      token,
 		ValidTS:    uint64(e.pl.NextSeq()),
@@ -811,97 +519,4 @@ func (e *Engine) RecordFast(token uint64, readAddrs, writeAddrs []uint64) (Verdi
 		return v, fmt.Errorf("fpga: RecordFast rejected (%s)", v.Reason)
 	}
 	return v, nil
-}
-
-// loopRTL drives the cycle-level pipeline: requests drain from the pull
-// queue into the pipeline as they arrive, overlapping in flight, and the
-// model ticks while anything is outstanding.
-func (e *Engine) loopRTL(p *port) {
-	rtl := NewRTL(e.cfg)
-	e.mu.Lock()
-	rtl.ResetAt(e.rtlBase)
-	e.mu.Unlock()
-	for {
-		if rtl.InFlight() == 0 {
-			r, ok := p.recvBlock()
-			if !ok {
-				sweep(p)
-				return
-			}
-			e.admitRTL(rtl, r)
-		}
-		// Absorb any further queued requests without blocking, then
-		// advance the pipeline one cycle.
-		for {
-			r, ok := p.ring.tryPop()
-			if !ok {
-				break
-			}
-			e.admitRTL(rtl, r)
-		}
-		before := rtl.Retired()
-		rtl.Tick()
-		if d := rtl.Retired() - before; d > 0 {
-			e.mu.Lock()
-			e.pl.stats.Requests += d
-			e.mu.Unlock()
-		}
-		// Let requesters and committers run between cycles (single-CPU
-		// hosts would otherwise starve them against this loop).
-		runtime.Gosched()
-		select {
-		case <-p.done:
-			rtl.Flush()
-			sweep(p)
-			return
-		default:
-		}
-	}
-}
-
-// rtlProxyPool recycles the one-verdict channels admitRTL interposes
-// between the RTL pipeline and the caller's sink; a proxy is always empty
-// when returned (its collector consumed the single verdict).
-var rtlProxyPool = sync.Pool{New: func() any { return make(chan Verdict, 1) }}
-
-// admitRTL interposes a pooled proxy on the caller's sink so engine
-// statistics stay consistent with the behavioral backend. Probes answer
-// immediately: the RTL pipeline has no side-effect-free path, and a
-// probe's job is only to prove the queues and the loop are alive.
-func (e *Engine) admitRTL(rtl *RTL, r Request) {
-	if r.Probe {
-		e.mu.Lock()
-		e.pl.stats.Probes++
-		e.mu.Unlock()
-		r.Deliver(Verdict{Token: r.Token, OK: true, Probe: true})
-		return
-	}
-	orig := r
-	proxy := rtlProxyPool.Get().(chan Verdict)
-	r.Slot = nil
-	r.Gen = 0
-	r.Reply = proxy
-	if err := rtl.Offer(r); err != nil {
-		rtlProxyPool.Put(proxy)
-		orig.Deliver(Verdict{Token: r.Token, Reason: ReasonCycle})
-		return
-	}
-	go func() {
-		v := <-proxy
-		rtlProxyPool.Put(proxy)
-		e.mu.Lock()
-		switch {
-		case v.OK:
-			e.pl.stats.Commits++
-			e.pl.stats.ModelCycles += e.cfg.Model.requestCycles(len(orig.ReadAddrs), len(orig.WriteAddrs))
-		case v.Reason == ReasonWindow:
-			e.pl.stats.WindowAborts++
-		case v.Reason == ReasonClosed:
-			// Crash flush: neither a commit nor a validation abort.
-		default:
-			e.pl.stats.CycleAborts++
-		}
-		e.mu.Unlock()
-		orig.Deliver(v)
-	}()
 }

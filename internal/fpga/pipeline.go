@@ -10,13 +10,8 @@ import (
 
 // Pipeline is the serial behavioral model of the Detector/Manager dataflow:
 // the window, the per-slot signature bookkeeping and the ROCoCo validation,
-// with no queues or goroutines around it. It exists as a standalone type so
-// the same validator can run in two places — inside Engine, under its lock,
-// driven by a combining committer or by the link's loop goroutine, and
-// directly under a host-side mutex as the software fallback path when the
-// engine is unhealthy (rococotm's graceful-degradation mode validates
-// against an identical Pipeline so verdicts keep the exact hardware
-// semantics).
+// with no queues or goroutines around it. Engine runs it under its lock,
+// driven by whichever committer holds the lock.
 //
 // All state is preallocated at construction — the history is a ring of W
 // entries with resident signatures, and per-request signatures are scratch
@@ -196,10 +191,6 @@ func hitSlots(cols []uint64, bitsOf []int32, k int) uint64 {
 
 // Process validates one request against the window.
 func (p *Pipeline) Process(r Request) Verdict {
-	if r.Probe {
-		p.stats.Probes++
-		return Verdict{Token: r.Token, OK: true, Probe: true}
-	}
 	p.stats.Requests++
 
 	cycles := p.cfg.Model.requestCycles(len(r.ReadAddrs), len(r.WriteAddrs))

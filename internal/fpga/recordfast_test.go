@@ -62,33 +62,21 @@ func TestRecordFastVisibleToValidation(t *testing.T) {
 	}
 }
 
-// TestRecordFastRefusals pins the two refusal modes: cycle-level engines
-// have no host-side sequence authority, and a crashed engine is closed.
+// TestRecordFastRefusals pins the refusal mode — a closed engine — and the
+// rebase: after Restart, fast claims resume at the supplied sequence.
 func TestRecordFastRefusals(t *testing.T) {
-	cl, err := Start(Config{CycleLevel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if _, err := cl.RecordFast(1, nil, []uint64{1}); err != ErrCycleLevel {
-		t.Fatalf("cycle-level RecordFast err = %v", err)
-	}
-
 	e, err := Start(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Crash()
+	defer e.Close()
+	e.Close()
 	if _, err := e.RecordFast(1, nil, []uint64{1}); err != ErrClosed {
-		t.Fatalf("crashed RecordFast err = %v", err)
+		t.Fatalf("closed RecordFast err = %v", err)
 	}
-	// Restart rebases: fast claims resume at the supplied sequence.
-	if err := e.Restart(7); err != nil {
-		t.Fatal(err)
-	}
+	e.Restart(7)
 	v, err := e.RecordFast(2, nil, []uint64{1})
 	if err != nil || !v.OK || v.Seq != 7 {
 		t.Fatalf("post-restart RecordFast = %+v, %v", v, err)
 	}
-	e.Close()
 }

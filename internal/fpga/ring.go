@@ -8,8 +8,8 @@ import (
 // ring is the submission side of the batched transport: a bounded MPMC
 // queue of Requests in the style of Vyukov's array queue. Producers are
 // the committers (many); consumers are whoever holds the pipeline at the
-// moment — a combining committer, the link's loop goroutine — plus the
-// crash/close sweeps that run concurrently with their final drains, so
+// moment — a combining committer — plus the close sweeps that run
+// concurrently with its final drain, so
 // dequeue is CAS-based too and every party can drain the same ring without
 // double-delivering a verdict.
 //

@@ -1,6 +1,8 @@
 package fpga
 
 import (
+	"errors"
+
 	"rococotm/internal/core"
 	"rococotm/internal/sig"
 )
@@ -16,9 +18,10 @@ import (
 // folding the new commit into its dependency vectors before its own
 // verdict.
 //
-// rtl_test.go verifies the model verdict-for-verdict against the serial
-// behavioral Engine, and its cycle counter demonstrates the pipelining:
-// N b-beat validations retire in ≈ N·b + depth cycles, not N·(b + depth).
+// It is a standalone model, not an engine backend. rtl_test.go verifies it
+// verdict-for-verdict against the serial behavioral Engine, and its cycle
+// counter demonstrates the pipelining: N b-beat validations retire in
+// ≈ N·b + depth cycles, not N·(b + depth).
 type RTL struct {
 	cfg    Config
 	hasher *sig.Hasher
@@ -70,7 +73,7 @@ func (r *RTL) ResetAt(seq core.Seq) {
 // entered the pipeline is ever silently stranded.
 func (r *RTL) Flush() {
 	for _, t := range r.inflight {
-		t.req.Deliver(Verdict{Token: t.req.Token, Reason: ReasonClosed, Probe: t.req.Probe})
+		t.req.Deliver(Verdict{Token: t.req.Token, Reason: ReasonClosed})
 	}
 	r.inflight = nil
 }
@@ -88,8 +91,8 @@ func (r *RTL) InFlight() int { return len(r.inflight) }
 // verdict sink (a prepared Slot or a buffered Reply channel); its verdict
 // is delivered when the transaction retires.
 func (r *RTL) Offer(req Request) error {
-	if err := req.checkSink(); err != nil {
-		return err
+	if req.Slot == nil && cap(req.Reply) < 1 {
+		return errors.New("fpga: request needs a verdict slot or a buffered reply channel")
 	}
 	t := &rtlTxn{
 		req:    req,

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // VerdictSlot is the push-queue endpoint of the batched transport: a
@@ -21,15 +20,14 @@ import (
 //
 // Prepare bumps the generation and arms phase=pending; the publisher CASes
 // pending→writing for its own generation only, copies the verdict, then
-// releases writing→ready. A verdict for an abandoned generation (the owner
-// timed out and re-armed) fails the CAS and is dropped, which is exactly
-// the at-most-once delivery the old buffered-channel protocol provided via
-// non-blocking sends — late and duplicate verdicts are rejected by
-// construction instead of by channel capacity.
+// releases writing→ready. A verdict for any other generation fails the CAS
+// and is dropped: late and duplicate verdicts are rejected by construction,
+// the at-most-once delivery a buffered channel would give through
+// non-blocking sends.
 //
-// Owner-side waiting is spin-then-park: Wait burns a bounded number of
-// polls (a verdict in the healthy engine arrives in microseconds), then
-// raises the parked flag and sleeps on a one-token wake channel. The
+// Owner-side waiting is spin-then-park (Engine.combine): the waiter burns a
+// bounded number of polls, then raises the parked flag and sleeps on a
+// one-token wake channel. The
 // publisher stores ready before loading parked and the waiter stores parked
 // before re-loading state, so with sequentially consistent atomics at least
 // one side observes the other (the Dekker handshake) and wakeups are never
@@ -58,7 +56,7 @@ const slotSpin = 256
 
 // Prepare arms the slot for one request and returns the generation the
 // caller must carry in Request.Gen. Only the owner calls Prepare, and only
-// when no Wait is outstanding.
+// when no request on the slot is outstanding.
 func (s *VerdictSlot) Prepare() uint64 {
 	if s.wake == nil {
 		s.wake = make(chan struct{}, 1)
@@ -78,8 +76,7 @@ func (s *VerdictSlot) Prepare() uint64 {
 }
 
 // publish delivers v for generation gen. It reports false when the slot
-// has moved on (duplicate delivery, or the owner abandoned the generation
-// and re-armed).
+// has moved on (a duplicate delivery).
 //
 //tm:hotpath
 func (s *VerdictSlot) publish(gen uint64, v Verdict) bool {
@@ -107,53 +104,7 @@ func (s *VerdictSlot) TryTake(gen uint64) (Verdict, bool) {
 	return Verdict{}, false
 }
 
-// Wait blocks until generation gen's verdict arrives. Safe only for
-// requests accepted by the engine, whose terminal-verdict guarantee bounds
-// the wait; deadline-driven hosts use WaitUntil instead.
-//
-//tm:hotpath
-func (s *VerdictSlot) Wait(gen uint64) Verdict {
-	for i := 0; i < slotSpin; i++ {
-		if v, ok := s.TryTake(gen); ok {
-			return v
-		}
-		if i > 32 {
-			runtime.Gosched()
-		}
-	}
-	s.parked.Store(1)
-	defer s.parked.Store(0)
-	for {
-		if v, ok := s.TryTake(gen); ok {
-			return v
-		}
-		<-s.wake // tokens can be stale; re-check on every wake
-	}
-}
-
-// WaitUntil polls for generation gen's verdict until deadline. It never
-// parks — the fault-tolerant host bounds every blocking step and a timer
-// per validation is exactly the allocation this transport removes — but
-// yields the processor between polls so publishers and other committers
-// run.
-func (s *VerdictSlot) WaitUntil(gen uint64, deadline time.Time) (Verdict, bool) {
-	for i := 0; i < slotSpin; i++ {
-		if v, ok := s.TryTake(gen); ok {
-			return v, true
-		}
-	}
-	for i := 1; ; i++ {
-		if v, ok := s.TryTake(gen); ok {
-			return v, true
-		}
-		runtime.Gosched()
-		if i&63 == 0 && time.Now().After(deadline) {
-			return Verdict{}, false
-		}
-	}
-}
-
-// slotPool backs Engine.Validate for callers that pass neither a slot nor
-// a reply channel (tests, probes, one-shot validations): borrowed slots
-// make the convenience path allocation-free in steady state too.
+// slotPool backs Engine.Validate for callers that pass no slot (tests,
+// one-shot validations): borrowed slots make the convenience path
+// allocation-free in steady state too.
 var slotPool = sync.Pool{New: func() any { return new(VerdictSlot) }}

@@ -224,10 +224,10 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 // settles the counters afterwards.
 //
 // Not //tm:hotpath: the publication reaches the engine's claim path, whose
-// cold panic and degradation branches the static hotalloc gate cannot
-// prune. The steady state is still allocation-free — the runtime
-// AllocsPerRun gate (TestHybridZeroAllocFastPath) covers the full
-// Begin/Read/Write/Commit cycle.
+// cold panic and error branches the static hotalloc gate cannot prune. The
+// steady state is still allocation-free — the runtime AllocsPerRun gate
+// (TestHybridZeroAllocFastPath) covers the full Begin/Read/Write/Commit
+// cycle.
 func (x *fastTxn) commit() error {
 	h := x.h
 	if c, st := h.slow.Poll(x.Thread, x.attempt); st != rococotm.Live {
@@ -256,9 +256,8 @@ func (x *fastTxn) commit() error {
 	}
 	code, abort := tm.CodeOf(err)
 	if !abort {
-		// Hard runtime fault (engine closed outside FT mode): the rollback
-		// already happened; the attempt counts as an engine abort and the
-		// error surfaces as-is.
+		// Hard runtime fault (engine closed): the rollback already happened;
+		// the attempt counts as an engine abort and the error surfaces as-is.
 		code = tm.CodeEngine
 	}
 	_ = x.finish(code)

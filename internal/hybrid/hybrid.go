@@ -53,8 +53,8 @@ import (
 // usable default.
 type Config struct {
 	// Slow is the engine-validated runtime's configuration. LineTable is
-	// filled in by New (supplying one is an error); CycleLevel engines and
-	// Durable are rejected by rococotm.New.
+	// filled in by New (supplying one is an error); Durable is rejected by
+	// rococotm.New.
 	Slow rococotm.Config
 
 	// MaxFastWrites bounds the distinct heap words (and so the owned

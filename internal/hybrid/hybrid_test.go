@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"rococotm/internal/audit"
-	"rococotm/internal/fault"
 	"rococotm/internal/hybrid"
 	"rococotm/internal/mem"
 	"rococotm/internal/rococotm"
@@ -330,72 +329,6 @@ func TestHybridIrrevocableCoexistence(t *testing.T) {
 	wg.Wait()
 	if v := heap.Load(a); v != threads*each {
 		t.Fatalf("counter = %d, want %d", v, threads*each)
-	}
-}
-
-// TestHybridChaosFallback: engine link stalls trip the FT degradation
-// machinery while fast and slow traffic keeps flowing. Fast sequence
-// claims bypass the link (RecordFast inserts directly into the window),
-// so the slow-path threads drive the stalls; fast claims must follow the
-// runtime into the software fallback window and no update may be lost
-// across the transitions.
-func TestHybridChaosFallback(t *testing.T) {
-	var link *fault.Link
-	heap := mem.NewHeap(1 << 12)
-	h := hybrid.New(heap, hybrid.Config{
-		Slow: rococotm.Config{
-			MaxThreads:       8,
-			ValidateDeadline: 1500 * time.Microsecond,
-			ProbeInterval:    200 * time.Microsecond,
-			WrapLink: fault.Wrapper(fault.Schedule{
-				Seed:       42,
-				StallEvery: 25,
-				StallFor:   3 * time.Millisecond,
-			}, &link),
-		},
-	})
-	defer h.Close()
-	a := heap.MustAlloc(1)
-	const threads, each = 6, 250
-	slow := h.Slow()
-
-	inc := func(x tm.Txn) error {
-		v, err := x.Read(a)
-		if err != nil {
-			return err
-		}
-		return x.Write(a, v+1)
-	}
-	var wg sync.WaitGroup
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func(th int) {
-			defer wg.Done()
-			var m tm.TM = h
-			if th%2 == 1 {
-				m = slow // engine-validated: every commit crosses the link
-			}
-			for i := 0; i < each; i++ {
-				if err := tm.RunBackoff(m, th, tm.DefaultBackoff, inc); err != nil {
-					t.Errorf("thread %d: %v", th, err)
-					return
-				}
-			}
-		}(th)
-	}
-	wg.Wait()
-	if v := heap.Load(a); v != threads*each {
-		t.Fatalf("counter = %d, want %d (lost across degradation)", v, threads*each)
-	}
-	fs := slow.FaultStats()
-	if fs.FallbackEntries == 0 {
-		t.Error("link stalls never tripped the software fallback")
-	}
-	t.Logf("fallback entries=%d exits=%d fallback validations=%d stalls hit=%d",
-		fs.FallbackEntries, fs.FallbackExits, fs.FallbackValidations, link.Stats().Stalls)
-	s := h.Stats()
-	if s.Starts != s.Commits+s.Aborts {
-		t.Errorf("accounting: starts %d != commits %d + aborts %d", s.Starts, s.Commits, s.Aborts)
 	}
 }
 
@@ -788,7 +721,7 @@ func TestHybridHardEngineErrorIsCounted(t *testing.T) {
 	if err := x.Write(a, 7); err != nil {
 		t.Fatal(err)
 	}
-	h.Slow().Engine().Crash()
+	h.Slow().Engine().Close()
 	err = h.Commit(x)
 	if _, abort := tm.IsAbort(err); err == nil || abort {
 		t.Fatalf("commit on a dead engine: err = %v, want a hard error", err)

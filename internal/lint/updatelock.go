@@ -12,8 +12,7 @@ import (
 // entry and returns holding it (the publication stage's arm) — and every
 // path out of the function must release it: directly (`u.active.Store(0)`),
 // via a defer of that store, or by calling a function that transitively
-// performs the release (the stage's await retracts the entry when it
-// abandons a sequence, for example).
+// performs the release (the stage's disarm, for example).
 // A `return` reached while the entry is still held leaves the write set
 // locked forever: readers of any overlapping address spin until their
 // spin limit and abort, and the thread's slot is poisoned.

@@ -49,16 +49,10 @@ func newAddrSet(cfg sig.Config) addrSet {
 	return addrSet{cfg: cfg, sig: sig.New(cfg), gen: 1}
 }
 
-// reset empties the set. drop discards addrs' backing array instead of
-// reusing it, for a set whose footprint an engine request may still hold
-// (txn.orphaned).
-func (s *addrSet) reset(drop bool) {
+// reset empties the set.
+func (s *addrSet) reset() {
 	s.sig.Reset()
-	if drop {
-		s.addrs = nil
-	} else {
-		s.addrs = s.addrs[:0]
-	}
+	s.addrs = s.addrs[:0]
 	s.indexed = 0
 	if s.gen++; s.gen == 0 {
 		clear(s.index)

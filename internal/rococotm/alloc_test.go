@@ -8,7 +8,6 @@ package rococotm
 
 import (
 	"testing"
-	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/tm"
@@ -107,19 +106,6 @@ func TestCommitPathZeroAllocs(t *testing.T) {
 	runAllocProbe(t, m)
 }
 
-// TestCommitPathZeroAllocsFaultTolerant: the fault-tolerant wait path
-// (deadline-bounded WaitUntil, probe machinery armed) must stay
-// allocation-free too — no timer or channel per validation.
-func TestCommitPathZeroAllocsFaultTolerant(t *testing.T) {
-	m := New(mem.NewHeap(1<<10), Config{
-		MaxThreads:       2,
-		ValidateDeadline: time.Second,
-		ProbeInterval:    time.Hour, // keep the prober quiet during the probe
-	})
-	defer m.Close()
-	runAllocProbe(t, m)
-}
-
 // TestAbortingCommitZeroAllocs: an engine-path abort hands back a preallocated
 // error and counts itself in an array slot, so a commit the engine rejects —
 // here one half of a write skew, a cycle — allocates nothing either.
@@ -207,7 +193,7 @@ func TestGroupReleaseZeroAllocs(t *testing.T) {
 		m.arm(1, s+1, p1.ws)
 		m.publishSlot(s+1, p1.ws, p1) // what await does before it waits
 		m.arm(0, s, p0.ws)
-		if m.await(0, claim{seq: s}, p0) != turnHeld {
+		if !m.await(s, p0) {
 			t.Fatal("holder did not get its turn")
 		}
 		m.publish(s, p0)

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
 	"rococotm/internal/tm"
@@ -21,10 +20,8 @@ const (
 	fObserver    feature = "Observer"
 	fDurable     feature = "Durable"
 	fLineTable   feature = "LineTable"
-	fFaultTol    feature = "ValidateDeadline"
 	fIrrevocable feature = "IrrevocableAfter"
 	fWatchdog    feature = "WatchdogAge"
-	fCycleLevel  feature = "CycleLevel"
 	fSharded     feature = "sharded"
 )
 
@@ -68,15 +65,11 @@ func newCell(t *testing.T, on ...feature) cell {
 			}
 		case fLineTable:
 			cfg.LineTable = mem.NewLineTable(heap.Cap())
-		case fFaultTol:
-			cfg.ValidateDeadline = 10 * time.Second
 		case fIrrevocable:
 			cfg.IrrevocableAfter = 3
 			scfg.IrrevocableAfter = 3
 		case fWatchdog:
 			cfg.WatchdogAge = time.Minute
-		case fCycleLevel:
-			cfg.Engine = fpga.Config{CycleLevel: true}
 		}
 	}
 	if sharded {
@@ -117,13 +110,10 @@ func mustReject(t *testing.T, c cell, names ...feature) {
 // from nowhere else. The rejected set is pinned, so a pair that silently
 // changes side shows up here.
 func TestConfigPairwise(t *testing.T) {
-	features := []feature{fObserver, fDurable, fLineTable, fFaultTol,
-		fIrrevocable, fWatchdog, fCycleLevel, fSharded}
+	features := []feature{fObserver, fDurable, fLineTable, fIrrevocable, fWatchdog, fSharded}
 	rejected := map[[2]feature]bool{
-		{fDurable, fLineTable}:    true,
-		{fLineTable, fCycleLevel}: true,
-		{fLineTable, fSharded}:    true,
-		{fFaultTol, fSharded}:     true,
+		{fDurable, fLineTable}: true,
+		{fLineTable, fSharded}: true,
 	}
 	for i, a := range features {
 		for _, b := range features[i+1:] {

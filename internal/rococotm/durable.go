@@ -18,8 +18,8 @@ import (
 // after the CommitObserver call: the stage runs one commit at a time, in
 // sequence order, before GlobalTS passes it. That makes the WAL
 // publication-ordered by construction — recovery is a single forward replay,
-// no sorting, no holes (degradation reissues abandoned sequences before they
-// ever reach publication, so the stream the hook sees has no gaps). The
+// no sorting, no holes (every claimed sequence reaches publication, a
+// refused one as a no-op, so the stream the hook sees has no gaps). The
 // multi-version store is fed in the same breath, before the commit's own
 // write-back touches the heap, which is what makes its base-value capture
 // sound (see the mvstore package comment).

@@ -20,9 +20,9 @@ import (
 // it reads. At commit it calls PublishFast, which
 //
 //  1. claims the next commit sequence (pipeline.go fastClaim: the footprint
-//     is recorded in whichever validation window owns the sequence space,
-//     so later slow validations see the fast commit's read and write sets
-//     and cross-path write skew is caught);
+//     is recorded in the engine's validation window, so later slow
+//     validations see the fast commit's read and write sets and cross-path
+//     write skew is caught);
 //  2. arms the thread's update-set entry, the same commit-time lock slow
 //     committers use, so later write-backs order WAW against it and slow
 //     readers keep spinning on the footprint;
@@ -82,9 +82,9 @@ type FastFootprint struct {
 // PublishFast publishes one fast-path commit into the global commit order.
 // It returns nil when the commit is published (the eager stores stand), a
 // tm abort error when the attempt must be retried (undo values restored):
-// CodeFallback when an irrevocable transaction holds the gate, CodeEngine
-// when the engine path is unavailable mid-degradation, CodeConflict when
-// validation failed at the turn. Any other error is a hard runtime fault.
+// CodeFallback when an irrevocable transaction holds the gate, CodeConflict
+// when validation failed at the turn. Any other error is a hard runtime
+// fault.
 func (r *TM) PublishFast(f *FastFootprint) error {
 	if r.lt == nil {
 		panic("rococotm: PublishFast without Config.LineTable")
@@ -98,12 +98,11 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	}
 	defer r.gate.RUnlock()
 
-	c, err := r.fastClaim(f)
+	seq, err := r.fastClaim(f)
 	if err != nil {
 		r.restoreFastHeap(f)
 		return err
 	}
-	seq := c.seq
 
 	// Install the update-set entry — the same commit-time lock a slow
 	// committer holds from verdict to write-back completion. From here on,
@@ -116,15 +115,9 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	}
 	r.arm(f.Thread, seq, ws)
 
-	// Await the exact turn. Only an engine-issued sequence in fault-tolerant
-	// mode can be given up. A fallback-issued sequence must ALWAYS reach
-	// publication — promote() waits for the fallback window to drain to
-	// GlobalTS — so it waits unboundedly and publishes the empty signature
-	// even when doomed.
-	if r.await(f.Thread, c, nil) == turnAbandoned {
-		r.restoreFastHeap(f)
-		return tm.AbortCode(tm.CodeEngine)
-	}
+	// Await the exact turn. The sequence must reach publication, so a doomed
+	// attempt still waits and publishes the empty signature.
+	r.await(seq, nil)
 
 	// Serialization point: GlobalTS == seq until release. Reads validated
 	// here are consistent at this very sequence, so the snapshot the sinks
@@ -144,7 +137,6 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	}
 	r.release(seq)
 	r.disarm(f.Thread)
-	r.settle(c)
 	if failed {
 		return tm.AbortCode(tm.CodeConflict)
 	}

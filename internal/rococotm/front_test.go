@@ -3,7 +3,6 @@ package rococotm
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
@@ -11,8 +10,7 @@ import (
 )
 
 // White-box tests of the front half of the commit: extend (agg.go), the claim
-// and its health dispatch (pipeline.go, degrade.go), and the one epilogue's
-// accounting.
+// (pipeline.go), and the one epilogue's accounting.
 
 // The ref* functions are the extension decisions as the four call sites
 // wrote them out before extend existed (admit, Commit, commitCross phases 1
@@ -199,132 +197,12 @@ func TestExtendCallerPolicies(t *testing.T) {
 	}
 }
 
-// TestTrustingRuntimeCarriesNoFaultState: without ValidateDeadline there is
-// no fault model at all, and FaultStats reads as a healthy zero.
-func TestTrustingRuntimeCarriesNoFaultState(t *testing.T) {
-	r := New(mem.NewHeap(1<<10), Config{MaxThreads: 1})
-	defer r.Close()
-	if r.ft != nil {
-		t.Fatal("trusting runtime carries a fault model")
-	}
-	runWrite(t, r, r.Heap().MustAlloc(1))
-	if fs := r.FaultStats(); fs != (FaultStats{State: "healthy"}) {
-		t.Fatalf("FaultStats = %+v, want zero and healthy", fs)
-	}
-}
-
-// TestClaimEndsLeaveNothingBehind: in fault-tolerant mode, every way a claim
-// can end without publishing leaves no inflight reference and no armed
-// update-set entry (TestAbandonLeavesNothingBehind covers the turn-wait
-// deadline).
-func TestClaimEndsLeaveNothingBehind(t *testing.T) {
-	commit := func(t *testing.T, r *TM) error {
-		x, err := r.Begin(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Write(r.Heap().MustAlloc(1), 1); err != nil {
-			t.Fatal(err)
-		}
-		return r.Commit(x)
-	}
-	stub := func(mode int32) func(*Config) {
-		return func(c *Config) {
-			c.DisableFallback = true // the claim ends in an abort, not in the fallback
-			c.WrapLink = func(inner Link) Link { return newStub(inner, fpga.Config{}, mode) }
-		}
-	}
-	for _, tc := range []struct {
-		name  string
-		tweak func(*Config)
-		end   func(t *testing.T, r *TM) error
-		check func(t *testing.T, fs FaultStats)
-	}{
-		{"admission deadline", stub(stubFull), commit, func(t *testing.T, fs FaultStats) {
-			if fs.DeadlineMisses != 1 || fs.EngineErrors != 0 {
-				t.Errorf("%+v, want one deadline miss", fs)
-			}
-		}},
-		{"verdict deadline", stub(stubSwallow), commit, func(t *testing.T, fs FaultStats) {
-			if fs.DeadlineMisses != 1 || fs.EngineErrors != 0 {
-				t.Errorf("%+v, want one deadline miss", fs)
-			}
-		}},
-		{"closed link", stub(stubClosed), commit, func(t *testing.T, fs FaultStats) {
-			if fs.EngineErrors != 1 || fs.DeadlineMisses != 0 {
-				t.Errorf("%+v, want one engine error", fs)
-			}
-		}},
-		{"state change at the turn wait", func(c *Config) {
-			c.ValidateDeadline = time.Minute // only the state change can end the wait
-		}, func(t *testing.T, r *TM) error {
-			// Seq 0 goes to nobody, so the commit waits for a turn that
-			// never comes; degradation starts once it is armed.
-			if v := r.Engine().Process(fpga.Request{}); !v.OK || v.Seq != 0 {
-				t.Fatalf("hole verdict %+v", v)
-			}
-			tripped := make(chan struct{})
-			go func() {
-				defer close(tripped)
-				for r.updates[0].active.Load() == 0 {
-					time.Sleep(50 * time.Microsecond)
-				}
-				r.ft.degrade()
-			}()
-			err := commit(t, r)
-			<-tripped
-			return err
-		}, func(t *testing.T, fs FaultStats) {
-			if fs.Abandoned != 1 || fs.DeadlineMisses != 0 {
-				t.Errorf("%+v, want one abandoned sequence and no miss", fs)
-			}
-		}},
-		{"PublishFast during draining", nil, func(t *testing.T, r *TM) error {
-			r.ft.state.Store(stateDraining)
-			defer r.ft.state.Store(stateHealthy)
-			base := r.Heap().MustAlloc(16)
-			fh := &fastHarness{r: r, lt: r.lt, heap: r.Heap()}
-			err := fh.publish(t, base, base+8, 42)
-			if got := r.Heap().Load(base); got != 0 {
-				t.Errorf("heap = %d after a refused publish, want 0 (restored)", got)
-			}
-			return err
-		}, func(t *testing.T, fs FaultStats) {}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			heap := mem.NewHeap(1 << 10)
-			cfg := Config{MaxThreads: 2, LineTable: mem.NewLineTable(heap.Cap()),
-				ValidateDeadline: 2 * time.Millisecond, ProbeInterval: time.Hour}
-			if tc.tweak != nil {
-				tc.tweak(&cfg)
-			}
-			r := New(heap, cfg)
-			defer r.Close()
-			err := tc.end(t, r)
-			if code, ok := tm.CodeOf(err); !ok || code != tm.CodeEngine {
-				t.Fatalf("err = %v, want an engine abort", err)
-			}
-			tc.check(t, r.FaultStats())
-			if n := r.ft.inflight.Load(); n != 0 {
-				t.Errorf("inflight = %d, want 0", n)
-			}
-			if r.updates[0].active.Load() != 0 {
-				t.Error("the update-set entry is still armed")
-			}
-			if got := r.GlobalTS(); got != 0 {
-				t.Errorf("GlobalTS = %d, want 0 (nothing published)", got)
-			}
-			if st := r.Stats(); st.Starts != st.Commits+st.Aborts {
-				t.Errorf("Starts %d != Commits %d + Aborts %d", st.Starts, st.Commits, st.Aborts)
-			}
-		})
-	}
-}
-
-// TestHardEngineErrorIsCounted: an attempt ended by a hard engine error is an
-// engine abort — Starts == Commits + Aborts survives it — on the runtime, on
-// the sharded front end's single-shard path and on its cross-shard path,
-// which also fills what it had claimed so the surviving shard stays live.
+// TestHardEngineErrorIsCounted: an attempt ended by a hard engine error — a
+// closed engine — is an engine abort, so Starts == Commits + Aborts survives
+// it, and the refused claim leaves nothing behind. This holds on the runtime
+// (Commit, and PublishFast, which also restores the heap), on the sharded
+// front end's single-shard path and on its cross-shard path, which also
+// fills what it had claimed so the surviving shard stays live.
 func TestHardEngineErrorIsCounted(t *testing.T) {
 	check := func(t *testing.T, m tm.TM, err error, live int) {
 		t.Helper()
@@ -343,17 +221,50 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 			t.Errorf("PoolCheck live = %d, want 0", live)
 		}
 	}
+	// nothingBehind checks a runtime after a refused claim on a: no armed
+	// update-set entry, GlobalTS unmoved, a's heap word unwritten.
+	nothingBehind := func(t *testing.T, r *TM, a mem.Addr) {
+		t.Helper()
+		for i := range r.updates {
+			if r.updates[i].active.Load() != 0 {
+				t.Errorf("update-set entry %d is still armed", i)
+			}
+		}
+		if got := r.GlobalTS(); got != 0 {
+			t.Errorf("GlobalTS = %d, want 0 (nothing published)", got)
+		}
+		if got := r.Heap().Load(a); got != 0 {
+			t.Errorf("heap = %d after a refused commit, want 0", got)
+		}
+	}
 	t.Run("TM", func(t *testing.T) {
 		r := New(mem.NewHeap(1<<10), Config{MaxThreads: 1})
 		defer r.Close()
+		a := r.Heap().MustAlloc(1)
 		x, _ := r.Begin(0)
-		if err := x.Write(r.Heap().MustAlloc(1), 1); err != nil {
+		if err := x.Write(a, 1); err != nil {
 			t.Fatal(err)
 		}
-		r.Engine().Crash()
+		r.Engine().Close()
 		err := r.Commit(x)
 		live, _ := r.PoolCheck()
 		check(t, r, err, live)
+		nothingBehind(t, r, a)
+	})
+	t.Run("PublishFast", func(t *testing.T) {
+		heap := mem.NewHeap(1 << 10)
+		r := New(heap, Config{MaxThreads: 1, LineTable: mem.NewLineTable(heap.Cap())})
+		defer r.Close()
+		base := heap.MustAlloc(16)
+		r.Engine().Close()
+		fh := &fastHarness{r: r, lt: r.lt, heap: heap}
+		if err := fh.publish(t, base, base+8, 42); !errors.Is(err, fpga.ErrClosed) {
+			t.Fatalf("publish on a dead engine: err = %v, want a hard fpga.ErrClosed", err)
+		}
+		nothingBehind(t, r, base)
+		if st := r.Stats(); st.Starts != st.Commits+st.Aborts {
+			t.Errorf("Starts %d != Commits %d + Aborts %d", st.Starts, st.Commits, st.Aborts)
+		}
 	})
 	for _, cross := range []bool{false, true} {
 		name := "Sharded single"
@@ -373,7 +284,7 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			s.Shard(1).Engine().Crash()
+			s.Shard(1).Engine().Close()
 			err := s.Commit(x)
 			live, _ := s.PoolCheck()
 			check(t, s, err, live)
@@ -387,5 +298,33 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 				t.Fatalf("surviving shard: %v", err)
 			}
 		})
+	}
+}
+
+// TestEngineAbortsDoNotEscalateToIrrevocable: engine aborts — attempts ended
+// by a closed engine — must not push a thread toward irrevocable mode, which
+// would freeze all commits behind the global gate while the engine is down.
+func TestEngineAbortsDoNotEscalateToIrrevocable(t *testing.T) {
+	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 1, IrrevocableAfter: 2})
+	defer m.Close()
+	a := m.Heap().MustAlloc(1)
+	m.Engine().Close()
+	for i := 0; i < 5; i++ {
+		x, err := m.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Write(a, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(x); !errors.Is(err, fpga.ErrClosed) {
+			t.Fatalf("attempt %d: err = %v, want fpga.ErrClosed", i, err)
+		}
+	}
+	if got := m.consec[0]; got != 0 {
+		t.Fatalf("consec[0] = %d after engine aborts, want 0", got)
+	}
+	if got := m.Stats().Reasons[tm.ReasonEngine]; got != 5 {
+		t.Fatalf("%d %s aborts, want 5", got, tm.ReasonEngine)
 	}
 }

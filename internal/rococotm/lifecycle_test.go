@@ -91,8 +91,8 @@ func TestPanicInsideEscalatedTurnReleasesGate(t *testing.T) {
 }
 
 // An irrevocable commit that dies on a hard engine error (the engine was
-// crashed under it, no fault-tolerant mode) must still release the exclusive
-// gate: every later commit takes it shared and would block forever.
+// closed under it) must still release the exclusive gate: every later commit
+// takes it shared and would block forever.
 func TestIrrevocableEngineErrorReleasesGate(t *testing.T) {
 	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 4})
 	defer m.Close()
@@ -106,10 +106,10 @@ func TestIrrevocableEngineErrorReleasesGate(t *testing.T) {
 	if err := x.Write(a, 1); err != nil {
 		t.Fatal(err)
 	}
-	m.Engine().Crash()
+	m.Engine().Close()
 	err = m.Commit(x)
 	if _, isAbort := tm.IsAbort(err); err == nil || isAbort {
-		t.Fatalf("commit on a crashed engine returned %v, want a hard error", err)
+		t.Fatalf("commit on a closed engine returned %v, want a hard error", err)
 	}
 
 	done := make(chan error, 1)

@@ -1,6 +1,7 @@
 package rococotm
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
@@ -12,10 +13,9 @@ import (
 
 // This file is the commit pipeline from the claim on: claim and fastClaim,
 // the second step of the front half every commit shares (extend, agg.go, is
-// the first; both claims go through the health dispatch in degrade.go), then
-// the ordered-publication stage every holder of a claim enters — TM.Commit,
-// PublishFast, the cross-shard commit and its no-op fills — and the
-// out-of-order write-back phase with its WAW ordering wait.
+// the first), then the ordered-publication stage every holder of a claim
+// enters — TM.Commit, PublishFast, the cross-shard commit and its no-op
+// fills — and the out-of-order write-back phase with its WAW ordering wait.
 //
 // The stage is the paper's §5.3 protocol after the verdict as four
 // functions, one implementation each:
@@ -37,8 +37,8 @@ import (
 // redo log only after every active update-set entry with an earlier sequence
 // and a possibly overlapping write signature has released.
 //
-// The turn hand-off is batched. A committer whose sequence can never be
-// abandoned pre-publishes its queue slot together with a handle to its
+// The turn hand-off is batched. Every claimed sequence reaches publication,
+// so TM.Commit pre-publishes its queue slot together with a handle to its
 // publication record before it waits; the turn-holder publishes itself, then
 // runs publish for every contiguously pre-published successor in sequence
 // order and passes GlobalTS over the whole group with one store, so K
@@ -48,59 +48,52 @@ import (
 // multi-version store still captures base values before that commit's
 // write-back can start (its owner moves on only after GlobalTS passes seq).
 // Entry points that must act at their exact turn (PublishFast, the
-// cross-shard commit) and fault-tolerant mode (a claimed sequence may be
-// abandoned, and a published slot cannot be retracted) do not pre-publish,
-// which is what stops a group at them.
+// cross-shard commit) do not pre-publish, which is what stops a group at
+// them.
 
-// claim is a commit sequence as its holder obtained it. engine marks a
-// sequence the engine issued in fault-tolerant mode: degradation's quiesce
-// waits for it (it holds an inflight reference until settle) and await may
-// give it up. Every other sequence must reach publication.
-type claim struct {
-	seq    uint64
-	engine bool
-}
-
-// claim ships x's snapshot and footprint to the validator (§5.3) and returns
-// the commit sequence it issued. The error is an abort — window, cycle, or
-// engine when the engine is unreachable mid-degradation — or a hard engine
-// error. The footprint is the read and write sets' own address slices; the
-// engine releases its references once the verdict is delivered, and the
-// orphaning rule in reset covers requests that outlive a deadline.
-func (r *TM) claim(x *txn) (claim, error) {
+// claim ships x's snapshot and footprint to the engine (§5.3) and returns
+// the commit sequence it issued. The error is an abort — window or cycle —
+// or a hard engine error. The footprint is the read and write sets' own
+// address slices; the engine releases its references before Validate
+// returns.
+func (r *TM) claim(x *txn) (uint64, error) {
 	timed := r.cfg.MeasureValidation || r.cfg.MeasurePhases
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
-	v, engine, err := r.verdict(fpga.Request{Token: uint64(x.thread), ValidTS: x.validTS,
-		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs}, x)
+	s := &r.slots[x.thread]
+	v, err := r.eng.Validate(fpga.Request{Token: uint64(x.thread), ValidTS: x.validTS,
+		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs, Slot: s, Gen: s.Prepare()})
 	if timed {
 		r.cnt.AddValidation(time.Since(t0))
 	}
-	if engine {
-		// Modeled latency as the CPU would see it: CCI round trip + pipeline
-		// residency. The software fallback has no modeled hardware component.
-		r.cnt.AddModelValidation(r.eng.Config().Model.RoundTripNanos + v.ModelNanos)
-	}
+	// Modeled latency as the CPU would see it: CCI round trip + pipeline
+	// residency.
+	r.cnt.AddModelValidation(r.eng.Config().Model.RoundTripNanos + v.ModelNanos)
 	switch {
-	case err != nil:
-		return claim{}, err
+	case err != nil: // the hard error, wrapped below
 	case v.OK:
-		return claim{uint64(v.Seq), engine && r.ft != nil}, nil
+		return uint64(v.Seq), nil
 	case v.Reason == fpga.ReasonWindow:
-		return claim{}, tm.AbortCode(tm.CodeWindow)
+		return 0, tm.AbortCode(tm.CodeWindow)
+	case v.Reason == fpga.ReasonCycle:
+		return 0, tm.AbortCode(tm.CodeCycle)
+	default: // ReasonClosed: the engine stopped before validating it
+		err = fpga.ErrClosed
 	}
-	return claim{}, tm.AbortCode(tm.CodeCycle)
+	return 0, fmt.Errorf("rococotm: engine: %w", err)
 }
 
 // fastClaim claims the next commit sequence for a fast publication by
-// recording its footprint in whichever validation window owns the sequence
-// space, so later slow validations see the fast commit.
-func (r *TM) fastClaim(f *FastFootprint) (claim, error) {
-	v, engine, err := r.verdict(fpga.Request{Token: uint64(f.Thread),
-		ReadAddrs: f.ReadAddrs, WriteAddrs: f.WriteAddrs64}, nil)
-	return claim{uint64(v.Seq), engine && r.ft != nil}, err
+// recording its footprint in the engine's window, so later slow
+// validations see the fast commit.
+func (r *TM) fastClaim(f *FastFootprint) (uint64, error) {
+	v, err := r.eng.RecordFast(uint64(f.Thread), f.ReadAddrs, f.WriteAddrs64)
+	if err != nil {
+		return 0, fmt.Errorf("rococotm: engine: %w", err)
+	}
+	return uint64(v.Seq), nil
 }
 
 // publication is one commit as the stage sees it: what goes into the commit
@@ -115,15 +108,6 @@ type publication struct {
 	vals          []mem.Word // vals[i] is the value written to writes[i], for the durable sink
 	xid, xshards  uint64     // cross-shard id and touched mask (0: none)
 }
-
-// turn is await's outcome.
-type turn int
-
-const (
-	turnHeld      turn = iota // GlobalTS == seq: the caller publishes and releases
-	turnReleased              // a predecessor published this commit with its group
-	turnAbandoned             // the sequence was given up; the entry is disarmed
-)
 
 // arm installs thread's update-set entry — the commit-time lock on the write
 // set ws, held until the caller's write-back completes. Order matters:
@@ -141,8 +125,7 @@ func (r *TM) arm(thread int, seq uint64, ws sig.Sig) {
 }
 
 // disarm releases thread's update-set entry: the write-back has landed, or
-// the sequence was given up or filled with a no-op and nothing will be
-// written.
+// the sequence was filled with a no-op and nothing will be written.
 //
 //tm:hotpath
 func (r *TM) disarm(thread int) { r.updates[thread].active.Store(0) }
@@ -173,32 +156,21 @@ func (r *TM) slotPublished(seq uint64) bool {
 	return r.commitQ[seq&uint64(r.cfg.CommitQueueSlots-1)].ver.Load() == 2*seq+2
 }
 
-// await waits for the turn of c's sequence in the publication order. A
-// non-nil pre is pre-published first, after which a predecessor may publish
-// the commit with its group (turnReleased). An engine-issued sequence in
-// fault-tolerant mode is bounded: a verdict the link lost below it leaves a
-// hole only degradation can clear, and the quiesce needs the sequence let
-// go, so on a state change or after ValidateDeadline the wait disarms the
-// update-set entry, settles the claim and returns turnAbandoned.
-func (r *TM) await(thread int, c claim, pre *publication) turn {
+// await waits for the turn of seq in the publication order and reports
+// whether the caller holds it (GlobalTS == seq: the caller publishes and
+// releases) or a predecessor already published the commit with its group
+// (GlobalTS > seq). A non-nil pre is pre-published first, which is what
+// lets a predecessor do that.
+func (r *TM) await(seq uint64, pre *publication) (held bool) {
 	if pre != nil {
-		r.publishSlot(c.seq, pre.ws, pre)
-	}
-	var deadline time.Time
-	if c.engine {
-		deadline = time.Now().Add(r.cfg.ValidateDeadline)
+		r.publishSlot(seq, pre.ws, pre)
 	}
 	for spin := 0; ; spin++ {
 		switch ts := r.globalTS.Load(); {
-		case ts == c.seq:
-			return turnHeld
-		case ts > c.seq:
-			return turnReleased
-		}
-		if c.engine && r.ft.lapsed(spin, deadline) {
-			r.disarm(thread)
-			r.settle(c)
-			return turnAbandoned
+		case ts == seq:
+			return true
+		case ts > seq:
+			return false
 		}
 		if spin > 8 {
 			runtime.Gosched()

@@ -110,28 +110,6 @@ type Config struct {
 	// required"). 0 disables it.
 	IrrevocableAfter int
 
-	// ValidateDeadline, when > 0, enables fault-tolerant mode: every
-	// blocking step of an engine validation (queue admission, verdict
-	// wait, commit-turn wait) is bounded by this duration, and a miss — like
-	// an engine error — trips the degradation state machine in degrade.go.
-	// 0 (the default) keeps the trusting commit path that blocks
-	// indefinitely on the engine and carries no fault state. Choose a
-	// deadline comfortably above the modeled round trip (hundreds of
-	// microseconds to milliseconds), or healthy queueing will be misread as
-	// an outage.
-	ValidateDeadline time.Duration
-	// DisableFallback keeps deadline enforcement but never degrades:
-	// commits that miss abort with tm.ReasonEngine and retry against the
-	// engine forever. This is the "hanging baseline" for experiments.
-	DisableFallback bool
-	// ProbeInterval is the recovery prober's period while degraded;
-	// default 500µs.
-	ProbeInterval time.Duration
-	// WrapLink, when set, wraps the engine link before the runtime uses
-	// it — the hook the fault-injection layer (internal/fault) attaches
-	// to. It only takes effect in fault-tolerant mode.
-	WrapLink func(Link) Link
-
 	// WatchdogAge, when > 0, starts a per-TM watchdog goroutine that scans
 	// the threads' liveness words (live.go) every WatchdogAge/4, at least
 	// 100µs, and dooms an attempt — slow or hybrid fast — whose word has
@@ -157,9 +135,7 @@ type Config struct {
 	// per-line versions through this table, slow reads spin past
 	// fast-owned lines via the version seqlock, and slow write-backs bump
 	// the versions of the lines they touch so fast readers revalidate.
-	// The table must cover the runtime's heap. Incompatible with a
-	// cycle-level engine (the RTL model owns the sliding window, so the
-	// host has no sequence authority for direct fast inserts).
+	// The table must cover the runtime's heap.
 	LineTable *mem.LineTable
 }
 
@@ -172,9 +148,6 @@ func (c *Config) fill() {
 	}
 	if c.ReadSpinLimit == 0 {
 		c.ReadSpinLimit = 64
-	}
-	if c.ProbeInterval == 0 {
-		c.ProbeInterval = 500 * time.Microsecond
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -205,11 +178,6 @@ func (c Config) Validate(heap *mem.Heap) error {
 		}
 	}
 	if lt := c.LineTable; lt != nil {
-		if c.Engine.CycleLevel {
-			// The RTL model owns the sliding window, so the host has no
-			// sequence authority for direct fast inserts.
-			return errors.New("rococotm: LineTable is incompatible with a cycle-level engine (Engine.CycleLevel)")
-		}
 		if c.Durable != nil {
 			// The multi-version store captures chain base values from the
 			// live heap at first touch; a fast transaction's uncommitted
@@ -304,8 +272,7 @@ type TM struct {
 
 	// Transport hot-path reuse. scratch holds each thread's recycled
 	// transaction descriptor (owner-only: nil while the thread's txn is
-	// live); slots are the per-thread verdict mailboxes of the push-queue
-	// transport.
+	// live); slots are the per-thread verdict mailboxes of the engine.
 	scratch []*txn
 	slots   []fpga.VerdictSlot
 
@@ -321,13 +288,8 @@ type TM struct {
 	fastSigs     []sig.Sig // per-thread write-sig scratch for PublishFast
 	fastReadSigs []sig.Sig // per-thread read-sig scratch for the drain scan
 
-	// ft is the fault model (degrade.go): the link, the degradation state
-	// machine and the software fallback. nil on a trusting runtime
-	// (Config.ValidateDeadline == 0), which validates by calling the engine.
-	ft *faultModel
-
-	// stop ends the background goroutines (watchdog, degradation/recovery);
-	// bg tracks them so Close can join them before tearing the engine down.
+	// stop ends the watchdog goroutine; bg tracks it so Close can join it
+	// before tearing the engine down.
 	stop chan struct{}
 	once sync.Once
 	bg   sync.WaitGroup
@@ -387,9 +349,7 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 			// (empty — the signatures it would need died with the crash, so
 			// pre-crash snapshots correctly read as out-of-window).
 			r.globalTS.Store(h)
-			if err := eng.Restart(h); err != nil {
-				return nil, fmt.Errorf("rococotm: reseed engine at recovered height: %w", err)
-			}
+			eng.Restart(h)
 		}
 	}
 	if cfg.LineTable != nil {
@@ -399,11 +359,6 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 		for i := range r.fastSigs {
 			r.fastSigs[i] = sig.New(eng.Config().Sig)
 			r.fastReadSigs[i] = sig.New(eng.Config().Sig)
-		}
-	}
-	if cfg.ValidateDeadline > 0 {
-		if r.ft, err = newFaultModel(r); err != nil {
-			return nil, err
 		}
 	}
 	if cfg.WatchdogAge > 0 {
@@ -496,19 +451,14 @@ func (r *TM) Engine() *fpga.Engine { return r.eng }
 // transactions).
 func (r *TM) GlobalTS() uint64 { return r.globalTS.Load() }
 
-// Close shuts down the recovery prober and the FPGA engine. The prober is
-// joined first: it submits probes to the link, which must not race with
-// the link's own teardown. A configured durable log is closed last (final
-// flush + flusher join); a tail that could not be made durable is logged,
-// not fatal — Close models a clean shutdown racing a flaky disk.
+// Close shuts down the watchdog and the FPGA engine. A configured durable
+// log is closed last (final flush + flusher join); a tail that could not be
+// made durable is logged, not fatal — Close models a clean shutdown racing
+// a flaky disk.
 func (r *TM) Close() {
 	r.once.Do(func() { close(r.stop) })
 	r.bg.Wait()
-	if r.ft != nil {
-		r.ft.link.Close()
-	} else {
-		r.eng.Close()
-	}
+	r.eng.Close()
 	if r.dur != nil {
 		if err := r.dur.d.Log.Close(); err != nil {
 			r.cfg.Logf("rococotm: wal close: %v", err)
@@ -539,26 +489,16 @@ type txn struct {
 	tempSig sig.Sig // scratch TempSet
 	oneSig  sig.Sig // scratch for one commit-queue entry
 	aggSig  sig.Sig // scratch for one aggregate-ring segment
-
-	// orphaned marks a descriptor whose footprint slices (reads.addrs,
-	// writes.addrs) may still be referenced by an engine request that timed
-	// out after admission; the next reset drops those slices instead of
-	// reusing their backing arrays, so a late validation never reads a
-	// recycled footprint. It is ownership of those slices, not liveness.
-	orphaned bool
 }
 
 // reset arms a fresh or recycled descriptor for a new attempt at snapshot
-// ts. Signatures, set indexes and the redo log are cleared in place; the
-// address slices keep their backing arrays unless a previous engine request
-// may still hold them.
+// ts. Signatures, set indexes and the redo log are cleared in place.
 func (x *txn) reset(ts uint64) {
 	x.localTS, x.validTS = ts, ts
 	x.missSig.Reset()
 	x.missAny = false
-	x.reads.reset(x.orphaned)
-	x.writes.reset(x.orphaned)
-	x.orphaned = false
+	x.reads.reset()
+	x.writes.reset()
 	x.vals = x.vals[:0]
 }
 
@@ -589,11 +529,10 @@ func tally(cnt *tm.Counters, consec *int32, c tm.Code, irrevocable, readOnly boo
 // finish is the one epilogue of an attempt, whatever ended it: c is committed
 // or the abort code. It counts the outcome, releases the exclusive gate of
 // an irrevocable attempt, ends the attempt in the thread's liveness word and
-// parks the descriptor for the thread's next Begin — unless drop, for an
-// attempt ended by a hard engine error, whose footprint the engine may still
-// reference. Only the owning thread calls it (txns are single-goroutine), so
-// the scratch slot needs no synchronization.
-func (x *txn) finish(c tm.Code, drop bool) {
+// parks the descriptor for the thread's next Begin. Only the owning thread
+// calls it (txns are single-goroutine), so the scratch slot needs no
+// synchronization.
+func (x *txn) finish(c tm.Code) {
 	r := x.r
 	tally(&r.cnt, &r.consec[x.thread], c, x.irrevocable, len(x.vals) == 0)
 	if x.irrevocable {
@@ -601,13 +540,13 @@ func (x *txn) finish(c tm.Code, drop bool) {
 		r.irrevPending.Add(-1)
 	}
 	r.live[x.thread].end()
-	if !drop && r.scratch[x.thread] == nil {
+	if r.scratch[x.thread] == nil {
 		r.scratch[x.thread] = x
 	}
 }
 
 func (x *txn) abort(c tm.Code) error {
-	x.finish(c, false)
+	x.finish(c)
 	return tm.AbortCode(c)
 }
 
@@ -623,14 +562,13 @@ func (x *txn) stop(c tm.Code, st Liveness) error {
 	return tm.AbortCode(c)
 }
 
-// ending is finish's arguments for an attempt that ends on err: an abort's
-// code, or — anything else is a hard engine error — an engine abort whose
-// descriptor is dropped.
-func ending(err error) (c tm.Code, drop bool) {
+// ending is finish's outcome for an attempt that ends on err: an abort's
+// code, or — anything else is a hard engine error — an engine abort.
+func ending(err error) tm.Code {
 	if c, abort := tm.CodeOf(err); abort {
-		return c, false
+		return c
 	}
-	return tm.CodeEngine, true
+	return tm.CodeEngine
 }
 
 // Begin implements tm.TM.
@@ -869,7 +807,7 @@ func (r *TM) Commit(t tm.Txn) error {
 	}
 	if len(x.vals) == 0 {
 		// Read-only fast path: consistent at validTS, commits on CPU.
-		x.finish(committed, false)
+		x.finish(committed)
 		return nil
 	}
 	if !x.irrevocable {
@@ -898,39 +836,30 @@ func (r *TM) Commit(t tm.Txn) error {
 		dExtend = time.Since(pStart)
 	}
 
-	c, err := r.claim(x)
+	seq, err := r.claim(x)
 	if err != nil {
 		x.finish(ending(err))
 		return err
 	}
 
-	// Ordered publication. On a trusting runtime the sequence can no longer
-	// be given up, so the commit pre-publishes and may be released by the
-	// group advance of a predecessor.
+	// Ordered publication. The commit pre-publishes and may be released by
+	// the group advance of a predecessor.
 	x.pub = publication{validTS: x.validTS, ws: x.writes.sig, reads: x.reads.addrs,
 		writes: x.writes.addrs, vals: x.vals}
-	r.arm(x.thread, c.seq, x.writes.sig)
-	var pre *publication
-	if r.ft == nil {
-		pre = &x.pub
-	}
+	r.arm(x.thread, seq, x.writes.sig)
 	if measure {
 		pStart = time.Now()
 	}
-	outcome := r.await(x.thread, c, pre)
-	if outcome == turnAbandoned {
-		return x.abort(tm.CodeEngine)
-	}
+	held := r.await(seq, &x.pub)
 	var dAwait, dPublish time.Duration
 	if measure {
 		dAwait = time.Since(pStart)
 		pStart = time.Now()
 	}
-	if outcome == turnHeld {
-		r.publish(c.seq, &x.pub)
-		r.release(c.seq)
+	if held {
+		r.publish(seq, &x.pub)
+		r.release(seq)
 	}
-	r.settle(c)
 	if measure {
 		dPublish = time.Since(pStart)
 		pStart = time.Now()
@@ -939,19 +868,19 @@ func (r *TM) Commit(t tm.Txn) error {
 	// Out-of-order write-back phase: the update-set entry keeps the write
 	// set locked while the redo log drains concurrently with other
 	// committers' write-backs (WAW pairs excepted — pipeline.go).
-	r.writeBack(x, c.seq)
+	r.writeBack(x, seq)
 	r.disarm(x.thread)
 	if measure {
 		r.cnt.AddCommitPhases(dExtend, dAwait, dPublish, time.Since(pStart))
 	}
 
-	x.finish(committed, false)
+	x.finish(committed)
 	if r.dur != nil && r.dur.d.SyncCommit {
 		// Group-commit wait, outside the ordered section so committers
 		// overlap on one fsync. A failure here does NOT undo the commit —
 		// it is published and visible — it only means durability could not
 		// be confirmed; callers must not retry the transaction.
-		if err := r.dur.d.Log.WaitDurable(c.seq + 1); err != nil {
+		if err := r.dur.d.Log.WaitDurable(seq + 1); err != nil {
 			return fmt.Errorf("%w: %v", ErrNotDurable, err)
 		}
 	}
@@ -963,7 +892,7 @@ func (r *TM) Commit(t tm.Txn) error {
 func (r *TM) Abort(t tm.Txn) {
 	x := t.(*txn)
 	if _, st := x.r.Poll(x.thread, x.attempt); st != Over {
-		x.finish(tm.CodeExplicit, false)
+		x.finish(tm.CodeExplicit)
 	}
 }
 

@@ -557,18 +557,6 @@ func TestHistorySerializableWithReaders(t *testing.T) {
 	tmtest.HistorySerializable(t, factory, tmtest.HistoryOptions{Readers: true, Seed: 5})
 }
 
-func TestRuntimeOnCycleLevelEngine(t *testing.T) {
-	// The whole runtime (and by extension the STAMP suite, which the
-	// integration matrix runs) works unchanged on the cycle-accurate
-	// pipeline backend.
-	mk := func() tm.TM {
-		return New(mem.NewHeap(1<<16), Config{Engine: fpga.Config{CycleLevel: true}})
-	}
-	tmtest.BankInvariant(t, mk, 4, 16, 150)
-	tmtest.CounterHammer(t, mk, 4, 100)
-	tmtest.HistorySerializable(t, mk, tmtest.HistoryOptions{Readers: false, Seed: 9})
-}
-
 // TestSoak is a longer randomized stress run across all the runtime's
 // moving parts (snapshot extension, miss sets, FPGA validation, commit
 // ordering, irrevocability) with a conservation invariant at the end.

@@ -100,10 +100,9 @@ type ShardedConfig struct {
 	// be pure and total; the default is addr mod Shards.
 	Route func(mem.Addr) int
 	// Shard is the per-shard runtime template. Observer, Durable,
-	// IrrevocableAfter, ValidateDeadline and LineTable must be zero:
-	// observers and durability are per-shard (below), escalation is managed
-	// by the front end, and neither fault-tolerant mode nor the hybrid fast
-	// path is supported per shard.
+	// IrrevocableAfter and LineTable must be zero: observers and durability
+	// are per-shard (below), escalation is managed by the front end, and the
+	// hybrid fast path is not supported per shard.
 	Shard Config
 	// Observers, when non-nil, has one CommitObserver per shard (nil
 	// entries allowed). Each observes its shard's merged publication
@@ -199,8 +198,6 @@ func (c ShardedConfig) Validate(heap *mem.Heap) error {
 		return errors.New("rococotm: sharded: set Observers/Durables, not Shard.Observer/Shard.Durable")
 	case t.IrrevocableAfter != 0:
 		return errors.New("rococotm: sharded: escalation is managed by the front end; set IrrevocableAfter, not Shard.IrrevocableAfter")
-	case t.ValidateDeadline != 0:
-		return errors.New("rococotm: sharded: fault-tolerant mode (Shard.ValidateDeadline) is not supported per shard")
 	case t.LineTable != nil:
 		return errors.New("rococotm: sharded: Shard.LineTable: fast publications are not routed by shard")
 	case c.Observers != nil && len(c.Observers) != c.Shards:
@@ -406,8 +403,8 @@ func (x *stxn) sub(i int) (*txn, error) {
 // still live ends with it (one that started the abort itself, or committed
 // through its shard, has ended already); the outcome is counted; an irrevocable
 // attempt releases its exclusive gates; and the descriptor is parked for the
-// thread's next Begin unless drop (a hard engine error).
-func (x *stxn) finish(c tm.Code, drop bool) {
+// thread's next Begin.
+func (x *stxn) finish(c tm.Code) {
 	s := x.s
 	x.dead = true
 	ro := true
@@ -415,7 +412,7 @@ func (x *stxn) finish(c tm.Code, drop bool) {
 		sb := x.subs[i]
 		ro = ro && len(sb.vals) == 0
 		if _, st := sb.r.Poll(sb.thread, sb.attempt); st != Over {
-			sb.finish(c, drop)
+			sb.finish(c)
 		}
 	}
 	tally(&s.cnt, &s.consec[x.thread], c, x.irrevocable, ro)
@@ -424,7 +421,7 @@ func (x *stxn) finish(c tm.Code, drop bool) {
 			sh.gate.Unlock()
 		}
 	}
-	if !drop && s.scratch[x.thread] == nil {
+	if s.scratch[x.thread] == nil {
 		s.scratch[x.thread] = x
 	}
 }
@@ -511,7 +508,7 @@ func (x *stxn) Write(a mem.Addr, v mem.Word) error {
 // Abort implements tm.TM.
 func (s *Sharded) Abort(t tm.Txn) {
 	if x := t.(*stxn); !x.dead {
-		x.finish(tm.CodeExplicit, false)
+		x.finish(tm.CodeExplicit)
 	}
 }
 
@@ -533,10 +530,10 @@ func (s *Sharded) Commit(t tm.Txn) error {
 			return x.fail(err)
 		}
 		s.singleCommits.Add(1)
-		x.finish(committed, false)
+		x.finish(committed)
 		return err
 	case len(x.order) == 0: // touched nothing
-		x.finish(committed, false)
+		x.finish(committed)
 		return nil
 	}
 	return s.commitCross(x)
@@ -567,11 +564,11 @@ func (s *Sharded) commitCross(x *stxn) error {
 	// read-only subs included, so the transaction occupies a slot in every
 	// touched publication order.
 	for _, i := range x.order {
-		c, err := s.shards[i].claim(x.subs[i])
+		seq, err := s.shards[i].claim(x.subs[i])
 		if err != nil {
 			return s.crossFail(x, err)
 		}
-		x.seqs[x.nclaim] = c.seq
+		x.seqs[x.nclaim] = seq
 		x.nclaim++
 	}
 
@@ -592,7 +589,7 @@ func (s *Sharded) commitCross(x *stxn) error {
 	// half-commit.
 	for k, i := range x.order {
 		sh := s.shards[i]
-		sh.await(x.thread, claim{seq: x.seqs[k]}, nil)
+		sh.await(x.seqs[k], nil)
 		if err := x.subs[i].extendStrict(sh.globalTS.Load()); err != nil {
 			return s.crossFail(x, err)
 		}
@@ -634,7 +631,7 @@ func (s *Sharded) commitCross(x *stxn) error {
 	s.token.Unlock()
 	s.drainWriteBacks(x)
 	x.runlockGates()
-	x.finish(committed, false)
+	x.finish(committed)
 	if derr != nil {
 		return fmt.Errorf("%w: %v", ErrNotDurable, derr)
 	}
@@ -690,7 +687,7 @@ func (s *Sharded) fillClaimed(x *stxn) {
 	for k, i := range x.order[:x.nclaim] {
 		sh := s.shards[i]
 		seq := x.seqs[k]
-		sh.await(x.thread, claim{seq: seq}, nil)
+		sh.await(seq, nil)
 		sh.publish(seq, &publication{validTS: seq, ws: sh.zeroSig})
 		// Release the commit-time lock phase 2.5 may have armed, without
 		// writing back.

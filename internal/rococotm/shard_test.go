@@ -750,9 +750,6 @@ func TestShardedConfigValidation(t *testing.T) {
 	mustPanic("irrevocable in template", func() {
 		NewSharded(heap, ShardedConfig{Shard: Config{IrrevocableAfter: 1}})
 	})
-	mustPanic("ft mode", func() {
-		NewSharded(heap, ShardedConfig{Shard: Config{ValidateDeadline: time.Millisecond}})
-	})
 	mustPanic("observers length", func() {
 		NewSharded(heap, ShardedConfig{Shards: 2, Observers: make([]CommitObserver, 3)})
 	})

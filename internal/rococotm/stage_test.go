@@ -4,9 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-	"time"
 
-	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
 	"rococotm/internal/sig"
@@ -59,10 +57,10 @@ func TestGroupReleaseFeedsSinks(t *testing.T) {
 	p1 := stagePub(r, s+1, base+2, base+3, 11)
 
 	// Thread 1 holds seq s+1: it arms, pre-publishes and waits.
-	waiter := make(chan turn, 1)
+	waiter := make(chan bool, 1)
 	go func() {
 		r.arm(1, s+1, p1.ws)
-		waiter <- r.await(1, claim{seq: s + 1}, p1)
+		waiter <- r.await(s+1, p1)
 	}()
 	for !r.slotPublished(s + 1) {
 		runtime.Gosched()
@@ -73,16 +71,16 @@ func TestGroupReleaseFeedsSinks(t *testing.T) {
 
 	// Thread 0 takes the turn at s and releases once.
 	r.arm(0, s, p0.ws)
-	if got := r.await(0, claim{seq: s}, p0); got != turnHeld {
-		t.Fatalf("await(%d) = %v, want turnHeld", s, got)
+	if !r.await(s, p0) {
+		t.Fatalf("await(%d) did not hold the turn", s)
 	}
 	r.publish(s, p0)
 	r.release(s)
 	if got := r.GlobalTS(); got != s+2 {
 		t.Fatalf("GlobalTS = %d after one release, want %d", got, s+2)
 	}
-	if got := <-waiter; got != turnReleased {
-		t.Fatalf("successor's await = %v, want turnReleased", got)
+	if <-waiter {
+		t.Fatal("successor's await held the turn; want released by the group")
 	}
 	r.updates[0].active.Store(0)
 	r.updates[1].active.Store(0)
@@ -196,72 +194,5 @@ func TestSinkInvariance(t *testing.T) {
 	}
 	if uint64(len(obs.calls)) != ts {
 		t.Errorf("observer saw %d commits, GlobalTS %d", len(obs.calls), ts)
-	}
-}
-
-// TestAbandonLeavesNothingBehind: in fault-tolerant mode a commit whose turn
-// never comes (a sequence below it was lost) gives its sequence up at the
-// deadline with no pre-published slot and no armed update-set entry, from
-// Commit and from PublishFast.
-func TestAbandonLeavesNothingBehind(t *testing.T) {
-	for _, fast := range []bool{false, true} {
-		name := "Commit"
-		if fast {
-			name = "PublishFast"
-		}
-		t.Run(name, func(t *testing.T) {
-			heap := mem.NewHeap(1 << 10)
-			lt := mem.NewLineTable(heap.Cap())
-			// The deadline also bounds the verdict wait, which must not
-			// miss under host load (the commit would then land through the
-			// fallback); only the turn wait behind the hole may expire.
-			r := New(heap, Config{MaxThreads: 2, LineTable: lt,
-				ValidateDeadline: 250 * time.Millisecond, ProbeInterval: time.Hour})
-			defer r.Close()
-			base := heap.MustAlloc(16)
-			// The engine hands out seq 0 to nobody: the hole every later
-			// sequence waits behind.
-			if v := r.Engine().Process(fpga.Request{}); !v.OK || v.Seq != 0 {
-				t.Fatalf("hole verdict %+v", v)
-			}
-			var err error
-			if fast {
-				fh := &fastHarness{r: r, lt: lt, heap: heap}
-				err = fh.publish(t, base, base+8, 42)
-				if code, ok := tm.CodeOf(err); !ok || code != tm.CodeEngine {
-					t.Fatalf("abandoned publish err = %v, want CodeEngine", err)
-				}
-				if got := heap.Load(base); got != 0 {
-					t.Fatalf("heap[a] = %d after an abandoned publish, want 0 (restored)", got)
-				}
-			} else {
-				x, berr := r.Begin(0)
-				if berr != nil {
-					t.Fatal(berr)
-				}
-				if err := x.Write(base, 42); err != nil {
-					t.Fatal(err)
-				}
-				err = r.Commit(x)
-				if reason, ok := tm.IsAbort(err); !ok || reason != tm.ReasonEngine {
-					t.Fatalf("abandoned commit err = %v, want a %s abort", err, tm.ReasonEngine)
-				}
-			}
-			if r.slotPublished(1) {
-				t.Error("the abandoned sequence's commit-queue slot is published")
-			}
-			if r.updates[0].active.Load() != 0 {
-				t.Error("the update-set entry is still armed")
-			}
-			if got := r.GlobalTS(); got != 0 {
-				t.Errorf("GlobalTS = %d, want 0", got)
-			}
-			if fs := r.FaultStats(); fs.Abandoned != 1 {
-				t.Errorf("Abandoned = %d, want 1", fs.Abandoned)
-			}
-			if r.ft.inflight.Load() != 0 {
-				t.Error("inflight reference leaked")
-			}
-		})
 	}
 }

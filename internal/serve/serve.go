@@ -4,14 +4,14 @@
 //
 // The problem it solves is the classic saturation collapse: an optimistic
 // TM under 2× its capacity does not degrade gracefully on its own — retry
-// storms multiply the offered load, the validation ring backs up
-// (fpga.ErrFull), tail latency runs away, and goodput falls off a cliff.
+// storms multiply the offered load, validations queue up behind each other,
+// tail latency runs away, and goodput falls off a cliff.
 // The server interposes three mechanisms between clients and the tm retry
 // loop:
 //
 //   - Admission control: a concurrency limit adapted by AIMD from live
-//     pressure signals (windowed p99 drift against the SLO, submission
-//     ring ErrFull rate, watchdog fires, retry-budget exhaustions). Work
+//     pressure signals (windowed p99 drift against the SLO, engine errors,
+//     watchdog fires, retry-budget exhaustions). Work
 //     beyond the limit is shed at the door — cheaply, before it holds any
 //     transactional state.
 //
@@ -149,12 +149,11 @@ type Request struct {
 }
 
 // Signal is a snapshot of cumulative runtime pressure counters sampled by
-// the controller; deltas between ticks feed the AIMD decision. Wire it to
-// rococotm.FaultStats / tm.Stats / fault.Link.Stats as available.
+// the controller; any growth between ticks counts as pressure. Wire it to
+// the runtime's tm.Stats: EngineErrors from Reasons[tm.ReasonEngine],
+// WatchdogFires from WatchdogFires.
 type Signal struct {
-	// ErrFull counts submission-ring admission rejections (backpressure).
-	ErrFull uint64
-	// EngineErrors counts submissions refused or killed by a dead engine.
+	// EngineErrors counts attempts ended by an unavailable engine.
 	EngineErrors uint64
 	// WatchdogFires counts watchdog-detected stuck commits.
 	WatchdogFires uint64
@@ -199,9 +198,6 @@ type Config struct {
 	TargetP99 time.Duration
 	// AdaptEvery is the controller tick. Default 10ms.
 	AdaptEvery time.Duration
-	// ErrFullPerTick is the ring-rejection delta per tick treated as
-	// pressure. Default 8.
-	ErrFullPerTick uint64
 	// TierAfter is how many consecutive pressured ticks at the minimum
 	// limit escalate the degradation tier (and how many calm ticks step
 	// it back). Default 3.
@@ -250,9 +246,6 @@ func (c *Config) fill() {
 	}
 	if c.AdaptEvery <= 0 {
 		c.AdaptEvery = 10 * time.Millisecond
-	}
-	if c.ErrFullPerTick == 0 {
-		c.ErrFullPerTick = 8
 	}
 	if c.TierAfter <= 0 {
 		c.TierAfter = 3
@@ -593,8 +586,7 @@ func (s *Server) controller() {
 		}
 		if s.cfg.Signals != nil {
 			sig := s.cfg.Signals()
-			if sig.ErrFull-prevSig.ErrFull >= s.cfg.ErrFullPerTick ||
-				sig.EngineErrors > prevSig.EngineErrors ||
+			if sig.EngineErrors > prevSig.EngineErrors ||
 				sig.WatchdogFires > prevSig.WatchdogFires {
 				pressure = true
 			}

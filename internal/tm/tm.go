@@ -30,7 +30,7 @@ const (
 	ReasonCapacity = "capacity"   // HTM cache-capacity overflow
 	ReasonSpurious = "spurious"   // HTM micro-architectural abort
 	ReasonFallback = "fallback"   // HTM aborted because the fallback lock was taken
-	ReasonEngine   = "engine"     // validation engine unavailable (deadline miss, crash, recovery)
+	ReasonEngine   = "engine"     // validation engine unavailable (closed)
 	ReasonWatchdog = "watchdog"   // runtime watchdog force-aborted a stuck transaction
 	ReasonExplicit = "user-abort" // application requested abort
 )
@@ -352,7 +352,7 @@ func (c *Counters) Snapshot() Stats {
 //   - hard (window, engine): the transaction fell behind the sliding
 //     window or the validation engine is unavailable — retrying
 //     immediately hits the same wall, so the loop sleeps, doubling up to
-//     SleepCap, giving a degraded engine time to fail over or recover.
+//     SleepCap, giving the engine time to come back.
 type BackoffPolicy struct {
 	// SpinBase is the busy-wait quantum for soft aborts; the k-th retry
 	// spins a random amount up to SpinBase<<k (capped at SpinCap).
