@@ -7,40 +7,56 @@
 // is a consistent LSA snapshot because publication order equals
 // serialization order.
 //
-// # Version chains and the base value
+// # A side table of the heap
 //
-// The store shards a map from heap address to a version chain. A chain
-// holds a base value plus an ascending list of (seq, value) versions newer
-// than it. The base is first captured from the live heap at the moment the
-// chain is created — i.e. at the first ApplyUpdates naming the address.
-// That read is sound because ApplyUpdates runs at publication time,
-// strictly before the publishing commit's own write-back touches the heap
-// (and every earlier commit writing the address would already have a
-// chain), so the heap still holds the value from before any versioned
-// write. Later the fold (below) moves the base forward; a chain is never
-// removed from its shard map.
+// heads holds one word per heap word: the slab index of that address's
+// newest record, 0 if the address was never written since the store
+// opened. A record is one version, {seq, val, next}: seq is the publication
+// sequence + 1, with 0 marking the base (pre-history) value, so a snapshot
+// at height h sees a record iff seq ≤ h; next is the slab index of the next
+// older record. Memory: 4 B per heap word, beside the heap's own 8 B, plus
+// 24 B per live record and a fixed chunk directory.
 //
-// Addresses never written since the store opened have no chain; Snapshot
-// reads fall back to the live heap with a miss → load → re-check-miss
-// double check (see Snapshot.Read) so a concurrent first write cannot leak
-// a future value into an older snapshot.
+// The first write to an address pushes a base record captured from the
+// heap before the version itself. That read is sound because ApplyUpdates
+// runs at publication time, strictly before the publishing commit's own
+// write-back touches the heap (and every earlier commit writing the
+// address would already have given it a head), so the heap still holds
+// the value from before any versioned write.
 //
 // # Applying and folding
 //
 // ApplyUpdates must be called by a single goroutine at a time, in strictly
 // ascending sequence order — in this repository that caller is the ordered
 // publication arm of the commit pipeline (and, during recovery, the WAL
-// replay loop). That goroutine also owns the dirty list: the chains that
-// hold at least one version. Every CompactEvery applies it folds the
-// versions below the minimum pinned snapshot height into the bases of the
-// dirty chains only, in place, and drops the chains left without versions
-// from the list. The fold's cost is the number of chains written since the
-// last fold, not the number of addresses ever written, and a steady-state
-// apply onto existing chains allocates nothing.
+// replay loop). That goroutine owns the slab's growth, its free list and
+// the dirty list: the addresses whose chains hold records above their
+// floor, marked by dirtyBit in their head. Every CompactEvery applies it
+// folds the dirty chains only. A chain's floor is its newest record with
+// seq ≤ min, the minimum pinned snapshot height (the store height when
+// nothing is pinned); the fold cuts the chain below the floor and pushes
+// the cut records onto the free list. A fold costs the records of the
+// chains written since the last one, not the addresses ever written (and
+// nothing while the same pin holds min). An apply reads one cold line per
+// written address, its head: a chain off the dirty list is not read. It
+// takes its records from the free list; the slab grows, one chunk at a
+// time, only when that is empty.
+//
+// # Reading without a lock
+//
+// Snapshot.Read loads the head and walks next until seq ≤ h, so a read
+// visits at most one record more than the address's versions applied
+// after the reader's pin. Record fields are plain words, published by the
+// atomic head store that makes a record reachable. No reader reaches a
+// record the fold frees or reuses: every pinned height is ≥ min, a walk
+// stops at the first record with seq ≤ h, which is at or above the floor,
+// and the fold frees only records below it. The one field the fold writes
+// on a reachable record is the floor's next, which a walk never reads; and
+// ApplyUpdates rewrites a version's val only before the height passes it,
+// when no snapshot can see the record.
 package mvstore
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -49,88 +65,32 @@ import (
 
 // Config sizes a Store.
 type Config struct {
-	// Shards is the number of chain-map shards; it must be a power of two.
-	// 0 means 64.
-	Shards int
 	// CompactEvery is the number of ApplyUpdates calls between folds of
-	// old versions into chain bases. 0 means 4096; negative disables
-	// folding.
+	// old versions. 0 means 4096; negative disables folding.
 	CompactEvery int
 }
 
-func (c *Config) withDefaults() (Config, error) {
-	out := *c
-	if out.Shards == 0 {
-		out.Shards = 64
-	}
-	if out.Shards < 1 || out.Shards&(out.Shards-1) != 0 {
-		return out, fmt.Errorf("mvstore: Shards must be a power of two, got %d", out.Shards)
-	}
-	if out.CompactEvery == 0 {
-		out.CompactEvery = 4096
-	}
-	return out, nil
+const (
+	chunkShift = 12
+	chunkLen   = 1 << chunkShift // records per slab chunk (96 KB)
+	maxChunks  = 1 << 15         // the slab holds at most 2^27 records
+	dirtyBit   = 1 << 31         // head flag: the address is on the dirty list
+)
+
+// record is one version of one address; see the package comment.
+type record struct {
+	seq  uint64
+	val  mem.Word
+	next uint32
 }
 
-// chain is one address's version history: the value visible below the
-// oldest version (base) and the versions in strictly ascending seq order.
-// All three fields are guarded by the shard lock; the fold rewrites them
-// in place, so a reader must hold the lock for every field it reads. addr
-// locates the shard for the fold.
-type chain struct {
-	addr mem.Addr
-	base mem.Word
-	seqs []uint64
-	vals []mem.Word
-}
+// chunk is the slab's unit of growth.
+type chunk [chunkLen]record
 
-// below returns the number of versions with seq < h. Caller holds the
-// shard lock (read or write).
-//
-//tm:hotpath
-func (c *chain) below(h uint64) int {
-	lo, hi := 0, len(c.seqs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.seqs[mid] < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lookup returns the value visible at snapshot height h (the newest
-// version with seq < h, else base). Caller holds the shard lock (read or
-// write).
-//
-//tm:hotpath
-func (c *chain) lookup(h uint64) mem.Word {
-	if n := c.below(h); n > 0 {
-		return c.vals[n-1]
-	}
-	return c.base
-}
-
-// fold makes the newest version below min the base and copies the newer
-// versions down in the same backing arrays. Caller holds the shard write
-// lock.
-func (c *chain) fold(min uint64) {
-	cut := c.below(min)
-	if cut == 0 {
-		return
-	}
-	c.base = c.vals[cut-1]
-	n := copy(c.seqs, c.seqs[cut:])
-	copy(c.vals, c.vals[cut:])
-	c.seqs, c.vals = c.seqs[:n], c.vals[:n]
-}
-
-type shard struct {
-	mu     sync.RWMutex
-	chains map[mem.Addr]*chain
-	_      [24]byte // keep neighbouring shard locks off one cache line
+// pin counts the live snapshots at one height.
+type pin struct {
+	h uint64
+	n int
 }
 
 // Stats is a point-in-time observability snapshot of a Store.
@@ -139,49 +99,49 @@ type Stats struct {
 	Applies     uint64 // ApplyUpdates calls
 	Compactions uint64 // folds run
 	Chains      int    // addresses with a version chain
-	Versions    int    // retained versions across all chains
+	Versions    int    // retained records beyond one per chain
 	Pins        int    // live snapshot pins
 }
 
-// Store is the multi-version map. See the package comment for the
+// Store is the multi-version store. See the package comment for the
 // concurrency contract.
 type Store struct {
-	heap   *mem.Heap
-	shards []shard
-	mask   uint64
+	heap  *mem.Heap
+	heads []atomic.Uint32         // per heap word: newest record | dirtyBit
+	slab  []atomic.Pointer[chunk] // chunk k holds records k·chunkLen…
 
 	height      atomic.Uint64 // next seq to apply; snapshots pin this
-	applies     atomic.Uint64
+	counts      atomic.Uint64 // live records<<32 | chains
 	compactions atomic.Uint64
 
 	cfg Config
 
 	pinMu sync.Mutex
-	pins  map[uint64]int // snapshot height -> refcount
+	pins  []pin // ascending heights, each n > 0
 
 	// Owned by the ApplyUpdates goroutine.
+	used         uint32   // slab indices handed out; index 0 is never a record
+	free         []uint32 // recycled record indices
+	chains       uint32
 	sinceCompact int
-	dirty        []*chain // chains holding at least one version
+	cut          uint64     // min of the last fold
+	dirty        []mem.Addr // addresses with records above their floor
 }
 
 // New returns an empty store over heap. Reads of never-written addresses
 // fall back to the heap, so an already-populated heap is a valid starting
-// state (recovery relies on this).
+// state (recovery relies on this). The error is always nil.
 func New(heap *mem.Heap, cfg Config) (*Store, error) {
-	full, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
+	if cfg.CompactEvery == 0 {
+		cfg.CompactEvery = 4096
 	}
 	s := &Store{
-		heap:   heap,
-		shards: make([]shard, full.Shards),
-		mask:   uint64(full.Shards - 1),
-		cfg:    full,
-		pins:   make(map[uint64]int),
+		heap:  heap,
+		heads: make([]atomic.Uint32, heap.Cap()),
+		slab:  make([]atomic.Pointer[chunk], maxChunks),
+		cfg:   cfg,
 	}
-	for i := range s.shards {
-		s.shards[i].chains = make(map[mem.Addr]*chain)
-	}
+	s.alloc() // index 0: a head of 0 means never written, a next of 0 ends a chain
 	return s, nil
 }
 
@@ -192,28 +152,45 @@ func (s *Store) Height() uint64 { return s.height.Load() }
 // Heap returns the fallback heap the store was opened over.
 func (s *Store) Heap() *mem.Heap { return s.heap }
 
-// Stats sweeps the shards; it is for tests and reporting, not hot paths.
+// Stats reads the store's counters.
 func (s *Store) Stats() Stats {
+	h, c := s.height.Load(), s.counts.Load()
 	st := Stats{
-		Height:      s.height.Load(),
-		Applies:     s.applies.Load(),
+		Height:      h,
+		Applies:     h, // the store opens at height 0 and each apply adds one
 		Compactions: s.compactions.Load(),
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		st.Chains += len(sh.chains)
-		for _, c := range sh.chains {
-			st.Versions += len(c.seqs)
-		}
-		sh.mu.RUnlock()
+		Chains:      int(uint32(c)),
+		Versions:    int(c>>32) - int(uint32(c)),
 	}
 	s.pinMu.Lock()
-	for _, n := range s.pins {
-		st.Pins += n
+	for _, p := range s.pins {
+		st.Pins += p.n
 	}
 	s.pinMu.Unlock()
 	return st
+}
+
+// rec returns the record at slab index i.
+func (s *Store) rec(i uint32) *record {
+	return &s.slab[i>>chunkShift].Load()[i&(chunkLen-1)]
+}
+
+// alloc hands out a record index, recycled if the free list has one. A new
+// chunk comes from append, so the slab allocates once per chunkLen
+// records, never per address.
+func (s *Store) alloc() uint32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		return i
+	}
+	i := s.used
+	if i%chunkLen == 0 {
+		c := append([]chunk(nil), chunk{})
+		s.slab[i>>chunkShift].Store(&c[0])
+	}
+	s.used++
+	return i
 }
 
 // ApplyUpdates installs one committed write-set at its publication
@@ -221,35 +198,34 @@ func (s *Store) Stats() Stats {
 // arrive contiguously and in order, exactly as the ordered publication arm
 // produces them. addrs and vals are parallel; the store copies what it
 // needs, so the caller may reuse both slices.
+//
+//tm:hotpath
 func (s *Store) ApplyUpdates(seq uint64, addrs []mem.Addr, vals []mem.Word) {
-	if h := s.height.Load(); seq != h {
-		panic(fmt.Sprintf("mvstore: ApplyUpdates(%d) at height %d (out-of-order publication)", seq, h))
+	if seq != s.height.Load() {
+		panic("mvstore: ApplyUpdates out of order: seq is not the store height")
 	}
+	tag := seq + 1
 	for i, a := range addrs {
-		sh := &s.shards[uint64(a)&s.mask]
-		sh.mu.Lock()
-		c := sh.chains[a]
-		if c == nil {
+		head := s.heads[a].Load()
+		top := head &^ dirtyBit
+		if head == 0 {
 			// First versioned write to this address: the heap still holds
-			// the pre-history value (write-back for this very commit has
-			// not run yet — apply precedes it).
-			c = &chain{addr: a, base: s.heap.Load(a)}
-			sh.chains[a] = c
+			// the pre-history value (apply precedes write-back).
+			top = s.alloc()
+			*s.rec(top) = record{val: s.heap.Load(a)}
+			s.chains++
+		} else if head&dirtyBit != 0 && s.rec(top).seq == tag {
+			s.rec(top).val = vals[i] // the same commit wrote a twice: last write wins
+			continue
 		}
-		if n := len(c.seqs); n > 0 && c.seqs[n-1] == seq {
-			// Same commit wrote the address twice; last write wins.
-			c.vals[n-1] = vals[i]
-		} else {
-			if n == 0 {
-				s.dirty = append(s.dirty, c)
-			}
-			c.seqs = append(c.seqs, seq)
-			c.vals = append(c.vals, vals[i])
+		if head&dirtyBit == 0 {
+			s.dirty = append(s.dirty, a)
 		}
-		sh.mu.Unlock()
+		n := s.alloc()
+		*s.rec(n) = record{seq: tag, val: vals[i], next: top}
+		s.heads[a].Store(n | dirtyBit)
 	}
-	s.height.Store(seq + 1)
-	s.applies.Add(1)
+	s.height.Store(tag)
 	if s.cfg.CompactEvery > 0 {
 		s.sinceCompact++
 		if s.sinceCompact >= s.cfg.CompactEvery {
@@ -257,32 +233,46 @@ func (s *Store) ApplyUpdates(seq uint64, addrs []mem.Addr, vals []mem.Word) {
 			s.compact()
 		}
 	}
+	s.counts.Store(uint64(s.used-1-uint32(len(s.free)))<<32 | uint64(s.chains))
 }
 
-// compact folds the versions below the minimum pinned height into the
-// bases of the dirty chains and keeps on the list only the chains that
-// still hold versions. Runs on the ApplyUpdates goroutine.
+// compact cuts every dirty chain below its floor, frees the cut records
+// and keeps on the dirty list only the chains with records above their
+// floor. Runs on the ApplyUpdates goroutine.
 func (s *Store) compact() {
+	s.compactions.Add(1)
 	s.pinMu.Lock()
 	min := s.height.Load()
-	for h := range s.pins {
-		if h < min {
-			min = h
-		}
+	if len(s.pins) > 0 {
+		min = s.pins[0].h
 	}
 	s.pinMu.Unlock()
+	if min == s.cut {
+		// Every record applied since the last fold is above min, and that
+		// fold left nothing below a floor: a pin held across folds costs
+		// one lock each, not a walk of the versions it retains.
+		return
+	}
+	s.cut = min
 	keep := s.dirty[:0]
-	for _, c := range s.dirty {
-		sh := &s.shards[uint64(c.addr)&s.mask]
-		sh.mu.Lock()
-		c.fold(min)
-		if len(c.seqs) > 0 {
-			keep = append(keep, c)
+	for _, a := range s.dirty {
+		top := s.heads[a].Load() &^ dirtyBit
+		f, r := top, s.rec(top)
+		for r.seq > min {
+			f = r.next
+			r = s.rec(f)
 		}
-		sh.mu.Unlock()
+		for i := r.next; i != 0; i = s.rec(i).next {
+			s.free = append(s.free, i)
+		}
+		r.next = 0
+		if f == top {
+			s.heads[a].Store(top) // the floor alone: clean
+		} else {
+			keep = append(keep, a)
+		}
 	}
 	s.dirty = keep
-	s.compactions.Add(1)
 }
 
 // Snapshot is a consistent read-only view at a pinned height: it observes
@@ -306,9 +296,13 @@ func (s *Store) RetrieveSnapshot() *Snapshot {
 	// Height is read under pinMu so a concurrent compaction either sees
 	// this pin or ran before it — in which case the height read here is at
 	// least the compaction's fold point and the snapshot is safe either
-	// way.
+	// way. Heights never fall, so the pin list stays sorted.
 	h := s.height.Load()
-	s.pins[h]++
+	if n := len(s.pins); n > 0 && s.pins[n-1].h == h {
+		s.pins[n-1].n++
+	} else {
+		s.pins = append(s.pins, pin{h: h, n: 1})
+	}
 	s.pinMu.Unlock()
 	return &Snapshot{s: s, h: h}
 }
@@ -324,42 +318,40 @@ func (s *Store) ReleaseSnapshot(sn *Snapshot) {
 	}
 	sn.released = true
 	s.pinMu.Lock()
-	n := s.pins[sn.h] - 1
-	if n == 0 {
-		delete(s.pins, sn.h)
-	} else {
-		s.pins[sn.h] = n
+	for i := range s.pins {
+		if p := &s.pins[i]; p.h == sn.h {
+			if p.n--; p.n == 0 {
+				s.pins = append(s.pins[:i], s.pins[i+1:]...)
+			}
+			break
+		}
 	}
 	s.pinMu.Unlock()
 }
 
 // Read returns the word at a as of the snapshot height. It never fails.
 //
-// The no-chain path double-checks: a miss, a live-heap load, then a
-// re-check of the chain map. If the chain is still absent, no write-back
-// has ever touched the address (apply precedes write-back), so the heap
-// load returned the pre-history value, which is correct at every height.
-// If a chain appeared between the checks, all its versions postdate this
-// snapshot's pin, so lookup falls through to the chain's base — the value
-// captured before that first write-back could race the heap load. Either
-// way the chain is read under the shard lock: the fold rewrites it in
-// place.
+// A head of 0 double-checks: a miss, a live-heap load, then a re-check of
+// the head. If it is still 0, no write-back has ever touched the address
+// (apply precedes write-back), so the heap load returned the pre-history
+// value, which is correct at every height. If a chain appeared between the
+// checks, all its versions postdate this snapshot's pin, so the walk ends
+// at its base record — the value captured before that first write-back
+// could race the heap load.
 //
 //tm:hotpath
 func (sn *Snapshot) Read(a mem.Addr) mem.Word {
-	sh := &sn.s.shards[uint64(a)&sn.s.mask]
-	sh.mu.RLock()
-	c := sh.chains[a]
-	if c == nil {
-		sh.mu.RUnlock()
-		v := sn.s.heap.Load(a)
-		sh.mu.RLock()
-		if c = sh.chains[a]; c == nil {
-			sh.mu.RUnlock()
+	s := sn.s
+	head := s.heads[a].Load()
+	if head == 0 {
+		v := s.heap.Load(a)
+		if head = s.heads[a].Load(); head == 0 {
 			return v
 		}
 	}
-	v := c.lookup(sn.h)
-	sh.mu.RUnlock()
-	return v
+	r := s.rec(head &^ dirtyBit)
+	for r.seq > sn.h {
+		r = s.rec(r.next)
+	}
+	return r.val
 }

@@ -2,6 +2,7 @@ package mvstore
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,16 +22,13 @@ func newStore(t *testing.T, heapWords int, cfg Config) (*Store, *mem.Heap) {
 
 func TestConfigValidation(t *testing.T) {
 	h := mem.NewHeap(16)
-	if _, err := New(h, Config{Shards: 3}); err == nil {
-		t.Fatal("Shards=3 accepted")
-	}
-	if _, err := New(h, Config{Shards: 8, CompactEvery: -1}); err != nil {
+	if _, err := New(h, Config{CompactEvery: -1}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestSnapshotSeesExactlyPrefix(t *testing.T) {
-	s, heap := newStore(t, 64, Config{Shards: 4})
+	s, heap := newStore(t, 64, Config{})
 	a := heap.MustAlloc(1)
 	heap.Store(a, 7) // pre-history value
 
@@ -56,7 +54,7 @@ func TestSnapshotSeesExactlyPrefix(t *testing.T) {
 }
 
 func TestNeverWrittenFallsBackToHeap(t *testing.T) {
-	s, heap := newStore(t, 64, Config{Shards: 4})
+	s, heap := newStore(t, 64, Config{})
 	a, b := heap.MustAlloc(1), heap.MustAlloc(1)
 	heap.Store(a, 11)
 	heap.Store(b, 22)
@@ -72,7 +70,7 @@ func TestNeverWrittenFallsBackToHeap(t *testing.T) {
 }
 
 func TestOutOfOrderApplyPanics(t *testing.T) {
-	s, heap := newStore(t, 64, Config{Shards: 4})
+	s, heap := newStore(t, 64, Config{})
 	a := heap.MustAlloc(1)
 	s.ApplyUpdates(0, []mem.Addr{a}, []mem.Word{1})
 	defer func() {
@@ -84,7 +82,7 @@ func TestOutOfOrderApplyPanics(t *testing.T) {
 }
 
 func TestDuplicateAddrLastWins(t *testing.T) {
-	s, heap := newStore(t, 64, Config{Shards: 4})
+	s, heap := newStore(t, 64, Config{})
 	a := heap.MustAlloc(1)
 	s.ApplyUpdates(0, []mem.Addr{a, a}, []mem.Word{1, 2})
 	sn := s.RetrieveSnapshot()
@@ -98,7 +96,7 @@ func TestDuplicateAddrLastWins(t *testing.T) {
 }
 
 func TestCompactionPreservesPinnedViews(t *testing.T) {
-	s, heap := newStore(t, 64, Config{Shards: 4, CompactEvery: 8})
+	s, heap := newStore(t, 64, Config{CompactEvery: 8})
 	a := heap.MustAlloc(1)
 	heap.Store(a, 500)
 
@@ -138,7 +136,7 @@ func TestCompactionPreservesPinnedViews(t *testing.T) {
 }
 
 func TestDoubleReleasePanics(t *testing.T) {
-	s, _ := newStore(t, 64, Config{Shards: 4})
+	s, _ := newStore(t, 64, Config{})
 	sn := s.RetrieveSnapshot()
 	s.ReleaseSnapshot(sn)
 	defer func() {
@@ -156,7 +154,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 func TestConcurrentSnapshotReads(t *testing.T) {
 	const pairs = 8
 	const total = 1000
-	s, heap := newStore(t, 64, Config{Shards: 8, CompactEvery: 64})
+	s, heap := newStore(t, 64, Config{CompactEvery: 64})
 	base := heap.MustAlloc(2 * pairs)
 	for i := 0; i < pairs; i++ {
 		heap.Store(base+mem.Addr(2*i), total)
@@ -240,7 +238,7 @@ func TestFoldMatchesFullHistoryModel(t *testing.T) {
 	)
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		s, heap := newStore(t, 64, Config{Shards: 4, CompactEvery: compactEvery})
+		s, heap := newStore(t, 64, Config{CompactEvery: compactEvery})
 		base := heap.MustAlloc(words)
 		m := &historyModel{initial: make([]mem.Word, words), seqs: make([][]uint64, words), vals: make([][]mem.Word, words)}
 		for i := range m.initial {
@@ -337,13 +335,14 @@ func TestFoldMatchesFullHistoryModel(t *testing.T) {
 // TestSnapshotReadsDuringFirstWritesAndFolds races snapshot readers
 // against a producer whose commits keep creating chains (first writes to
 // fresh addresses) while the store folds every four applies, so the
-// readers' miss → load → re-check path and the in-place fold run at once.
-// Each pair's sum is constant in every commit; under -race the test also
-// checks that every chain access is locked.
+// readers' miss → load → re-check path and the fold's recycling run at
+// once. Each pair's sum is constant in every commit; under -race the test
+// also checks that the head store publishes every record a reader reaches
+// and that no reachable record is rewritten.
 func TestSnapshotReadsDuringFirstWritesAndFolds(t *testing.T) {
 	const pairs = 512
 	const total = 1000
-	s, heap := newStore(t, 4*pairs, Config{Shards: 4, CompactEvery: 4})
+	s, heap := newStore(t, 4*pairs, Config{CompactEvery: 4})
 	base := heap.MustAlloc(2 * pairs)
 	for i := 0; i < pairs; i++ {
 		heap.Store(base+mem.Addr(2*i), total)
@@ -384,8 +383,101 @@ func TestSnapshotReadsDuringFirstWritesAndFolds(t *testing.T) {
 	wg.Wait()
 }
 
+// TestPinnedSnapshotSurvivesRecycling keeps one snapshot pinned across
+// thousands of folds while the producer goes on: hot words take new
+// versions and fresh words their first writes, and every record they take
+// is one the folds freed from the history below the pin. The pinned view
+// must read every word exactly as the full-history model does at its
+// height. Meanwhile a reader goroutine keeps reading the fresh word whose
+// first write and write-back land next: the window the miss path's head
+// re-check guards.
+func TestPinnedSnapshotSurvivesRecycling(t *testing.T) {
+	const (
+		hot   = 64
+		fresh = 1 << 14
+		words = hot + fresh
+		every = 4
+	)
+	rng := rand.New(rand.NewSource(35))
+	s, heap := newStore(t, 2*words, Config{CompactEvery: every})
+	base := heap.MustAlloc(words)
+	m := &historyModel{initial: make([]mem.Word, words), seqs: make([][]uint64, words), vals: make([][]mem.Word, words)}
+	for i := range m.initial {
+		m.initial[i] = mem.Word(rng.Int63())
+		heap.Store(base+mem.Addr(i), m.initial[i])
+	}
+	seq := uint64(0)
+	addrs := make([]mem.Addr, 2)
+	vals := make([]mem.Word, 2)
+	apply := func(i, j int) {
+		for k, w := range [2]int{i, j} {
+			addrs[k], vals[k] = base+mem.Addr(w), mem.Word(rng.Int63())
+			m.seqs[w] = append(m.seqs[w], seq)
+			m.vals[w] = append(m.vals[w], vals[k])
+		}
+		s.ApplyUpdates(seq, addrs, vals)
+		heap.Store(addrs[1], vals[1]) // write-back, after apply
+		heap.Store(addrs[0], vals[0])
+		seq++
+	}
+
+	// History below the pin, held by an older snapshot so that the folds
+	// free it only once the pin is the oldest.
+	old := s.RetrieveSnapshot()
+	for k := 0; k < 2*fresh; k++ {
+		apply(rng.Intn(hot/2), hot/2+rng.Intn(hot/2))
+	}
+	sn := s.RetrieveSnapshot()
+	s.ReleaseSnapshot(old)
+	h := sn.Height()
+	check := func() {
+		t.Helper()
+		for i := 0; i < words; i++ {
+			if got, want := sn.Read(base+mem.Addr(i)), m.at(i, h); got != want {
+				t.Fatalf("seq %d: snapshot at %d reads word %d = %d, model %d", seq, h, i, got, want)
+			}
+		}
+	}
+	check()
+	// The first fold after the release frees the history below the pin.
+	for folds := s.Stats().Compactions; s.Stats().Compactions == folds; {
+		apply(rng.Intn(hot), rng.Intn(hot))
+	}
+	used, folds := s.used, s.Stats().Compactions
+
+	var next atomic.Int64 // the fresh word written next
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for j := next.Load(); j < fresh; j = next.Load() {
+			if v := sn.Read(base + mem.Addr(hot+j)); v != m.initial[hot+j] {
+				t.Errorf("fresh word %d: pinned snapshot read %d during its first write, want %d", hot+j, v, m.initial[hot+j])
+				return
+			}
+		}
+	}()
+	for j := 0; j < fresh; j++ {
+		apply(rng.Intn(hot), hot+j) // the fresh word's head is stored last
+		next.Store(int64(j + 1))
+		if j%1024 == 0 {
+			check()
+			runtime.Gosched()
+		}
+	}
+	wg.Wait()
+	check()
+	if got := s.Stats().Compactions - folds; got < 50 {
+		t.Fatalf("%d folds while pinned, want at least 50", got)
+	}
+	if s.used != used {
+		t.Fatalf("slab grew from %d to %d records while pinned: the applies did not recycle", used, s.used)
+	}
+	s.ReleaseSnapshot(sn)
+}
+
 func TestStatsShape(t *testing.T) {
-	s, heap := newStore(t, 64, Config{Shards: 4})
+	s, heap := newStore(t, 64, Config{})
 	a, b := heap.MustAlloc(1), heap.MustAlloc(1)
 	s.ApplyUpdates(0, []mem.Addr{a, b}, []mem.Word{1, 2})
 	s.ApplyUpdates(1, []mem.Addr{a}, []mem.Word{3})
@@ -397,7 +489,7 @@ func TestStatsShape(t *testing.T) {
 
 func BenchmarkSnapshotRead(b *testing.B) {
 	heap := mem.NewHeap(1 << 16)
-	s, err := New(heap, Config{Shards: 64})
+	s, err := New(heap, Config{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -420,9 +512,43 @@ func BenchmarkSnapshotRead(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkApplyUpdates is the publish stage's store layer: 2-write applies
+// at random addresses of a 65 536-word heap, every address already holding
+// a chain, so most writes find a cold head; folds (every 4 096 applies)
+// included.
+func BenchmarkApplyUpdates(b *testing.B) {
+	heap := mem.NewHeap(1 << 16)
+	s, err := New(heap, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := heap.MustAlloc(1<<16 - 1)
+	addrs := make([]mem.Addr, 2)
+	vals := []mem.Word{1, 2}
+	seq := uint64(0)
+	for a := 0; a < 1<<16-1; a += 2 {
+		addrs[0], addrs[1] = base+mem.Addr(a), base+mem.Addr((a+1)%(1<<16-1))
+		s.ApplyUpdates(seq, addrs, vals)
+		seq++
+	}
+	rng := uint64(88172645463325252)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range addrs {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			addrs[k] = base + mem.Addr(rng%(1<<16-1))
+		}
+		s.ApplyUpdates(seq, addrs, vals)
+		seq++
+	}
+}
+
 func TestSnapshotReadZeroAllocs(t *testing.T) {
 	heap := mem.NewHeap(1 << 10)
-	s, err := New(heap, Config{Shards: 8})
+	s, err := New(heap, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -479,9 +479,10 @@ func (s *Server) execute(thread int, r Request, arrive, start time.Time) (outcom
 	outcome = AbortedFinal
 	defer func() {
 		s.outcomes[outcome].Add(1)
-		end := time.Now()
-		s.lat.Record(end.Sub(arrive)) // sojourn: wait for a thread + service
-		s.observeService(end.Sub(start))
+		// One clock read: time.Since reads only the monotonic clock.
+		sojourn := time.Since(arrive) // wait for a thread + service
+		s.lat.Record(sojourn)
+		s.observeService(sojourn - start.Sub(arrive))
 		s.inflight.Add(-1)
 		s.threads <- thread
 		s.active.Done()

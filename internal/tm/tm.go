@@ -532,7 +532,9 @@ func (b *bound) err() error {
 	if b.ctx != nil {
 		return b.ctx.Err()
 	}
-	if !b.dead.IsZero() && !time.Now().Before(b.dead) {
+	// time.Until reads only the monotonic clock; time.Now would read the
+	// wall clock too.
+	if !b.dead.IsZero() && time.Until(b.dead) <= 0 {
 		return context.DeadlineExceeded
 	}
 	return nil

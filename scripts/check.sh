@@ -40,8 +40,10 @@
 #                    and the liveness-word tests (the transition table,
 #                    the doomer-vs-owner hammer, the watchdog and
 #                    PoolCheck tests: a remote doom CAS racing the
-#                    owner's end), and the serve suite (requests run on
-#                    their callers' goroutines, one tm thread each),
+#                    owner's end), the serve suite (requests run on
+#                    their callers' goroutines, one tm thread each) and
+#                    the multi-version store's lock-free snapshot reads
+#                    against applies, folds and recycled records,
 #                    ten times each under GOMAXPROCS=1 and
 #                    GOMAXPROCS=2: serializability has to hold on two
 #                    processors, and a protocol hole there is silent
@@ -104,12 +106,15 @@ go run ./cmd/tmlint -summary -hotalloc ./...
 echo "== recovery-chaos lane: go test -race -run Chaos -count=2 ./internal/fault/..."
 go test -race -run Chaos -count=2 ./internal/fault/...
 
-echo "== oracle lane: lost-update oracles + liveness word + serve x GOMAXPROCS {1,2} x -count=10"
+echo "== oracle lane: lost-update oracles + liveness word + serve + snapshot reads x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
         -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
         ./internal/rococotm/... ./internal/hybrid/...
     GOMAXPROCS=$procs go test -count=10 -run 'TestServe' ./internal/serve/...
+    GOMAXPROCS=$procs go test -count=10 \
+        -run 'TestSnapshotReads|TestConcurrentSnapshotReads|TestFold|TestPinnedSnapshot' \
+        ./internal/mvstore/...
 done
 
 echo "== go test -race -count=1 ./internal/..."
