@@ -6,30 +6,43 @@ import (
 	"rococotm/internal/bitmat"
 )
 
-// FuzzWindowAgainstOracle drives the W≤64 fast path, the generic window
+// FuzzWindowAgainstOracle drives the W≤64 ring window, the generic window
 // and an explicit-graph acyclicity oracle with the same fuzzer-chosen
 // stream of (f, b) adjacency masks; all three must agree on every
-// decision and the fast path's matrix must stay the exact transitive
-// closure. Run with `go test -fuzz FuzzWindowAgainstOracle ./internal/core`.
+// decision and the ring window's matrix must stay the exact transitive
+// closure. The input picks the window size W ∈ [1, 64] (byte 0) and an
+// optional ResetAt (byte 1: the step, 0 for none; byte 2: the base, so a
+// rebase can land anywhere mod 64); each later 3-byte step places an
+// 8-bit f and b at a fuzzed offset, so long inputs slide the window
+// through ring-slot reuse. Run with
+// `go test -fuzz FuzzWindowAgainstOracle ./internal/core`.
 func FuzzWindowAgainstOracle(f *testing.F) {
-	f.Add([]byte{0x00, 0x00, 0x01, 0x00, 0x00, 0x01, 0x03, 0x01})
-	f.Add([]byte{0xff, 0x00, 0x0f, 0xf0})
+	f.Add([]byte{7, 0, 0, 0, 0x00, 0x00, 0, 0x01, 0x00, 0, 0x00, 0x01, 0, 0x03, 0x01})
+	f.Add([]byte{63, 3, 37, 5, 0xff, 0x00, 9, 0x0f, 0xf0, 2, 0x21, 0x12})
+	f.Add([]byte{0, 1, 200, 1, 1, 1})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const W = 8 // small window so fuzzed bytes cover slides and cycles
+		if len(data) < 3 {
+			return
+		}
+		W := 1 + int(data[0])%64
+		resetStep, resetBase := int(data[1]), Seq(data[2])*257
 		fast := NewWindow(W)
 		big := NewBigWindow(W)
 		o := &oracle{}
 		live := 0 // commits not yet evicted, tracked for the oracle
 
-		for i := 0; i+1 < len(data); i += 2 {
+		for i, step := 3, 1; i+2 < len(data); i, step = i+3, step+1 {
+			if step == resetStep {
+				fast.ResetAt(resetBase)
+				big.ResetAt(resetBase)
+				o, live = &oracle{}, 0
+			}
 			n := fast.Count()
 			mask := uint64(1)<<uint(n) - 1
-			if n == 0 {
-				mask = 0
-			}
-			fm := uint64(data[i]) & mask
-			bm := uint64(data[i+1]) & mask &^ fm // disjoint edges, like real detectors
+			shift := uint(data[i]) % 64
+			fm := uint64(data[i+1]) << shift & mask
+			bm := uint64(data[i+2]) << shift & mask &^ fm // disjoint edges, like real detectors
 
 			var fs, bs []int
 			for j := 0; j < n; j++ {

@@ -27,6 +27,18 @@
 // every vector is a single machine word (mirroring the 64-entry 2-D
 // register file of the hardware), and BigWindow, a bitmat-backed variant
 // for arbitrary W used by the window-size ablation and as a cross-check.
+//
+// Window costs the edges, not the window. Commit q lives in ring slot q&63
+// for as long as it is tracked, so sliding the window clears one slot and
+// shifts nothing, and Window keeps R and its transpose Rᵀ side by side: p
+// ORs the rows selected by f and s ORs the columns selected by b. The cost
+// is per edge — one word operation per bit of f and b to validate, per bit
+// of p and s to commit, and per bit of the evicted entry's row and column
+// to slide — so a transaction with no edges costs O(1) however full the
+// window is.
+// Validate, Insert and Matrix speak window coordinates (bit i is the i-th
+// oldest entry), ValidateRing and InsertRing ring coordinates (bit q&63 is
+// commit q) — the detector's slot-aligned columns need no rotation.
 package core
 
 import (
@@ -45,11 +57,13 @@ type Seq uint64
 // transactions for at most 28 concurrent threads.
 const DefaultW = 64
 
-// Window is the W ≤ 64 ROCoCo reachability window. Row i of the matrix is
-// one uint64 whose bit j is r[i][j] = "slot-i transaction reaches slot-j
-// transaction". Slot 0 holds the oldest tracked transaction; new commits
-// enter at slot Count()-1 (or shift the window when it is full, evicting
-// slot 0 — the paper's discarded bookkeeping h_{W-1}).
+// Window is the W ≤ 64 ROCoCo reachability window. Commit q occupies ring
+// slot q&63 while tracked; rows[i] bit j is r[i][j] = "slot-i transaction
+// reaches slot-j transaction" and cols[j] bit i is the same bit, so R·b and
+// Rᵀ·f are both ORs of selected words. The ring is bit-equivalent to a
+// register file that shifts on every slide: window slot i (0 = oldest) is
+// ring slot (BaseSeq()+i)&63. When full, a commit evicts the oldest entry —
+// the paper's discarded bookkeeping h_{W-1}.
 //
 // Window is not safe for concurrent use; the manager that owns it
 // serializes validations, exactly like the hardware pipeline's one-verdict-
@@ -57,9 +71,10 @@ const DefaultW = 64
 type Window struct {
 	w     int        // capacity (W)
 	n     int        // live entries
-	base  Seq        // seq of slot 0
+	base  Seq        // seq of the oldest entry (window slot 0)
 	next  Seq        // seq the next commit receives
-	rows  [64]uint64 // reachability matrix; rows[i] bit j = r[i][j]
+	rows  [64]uint64 // R, ring slots: rows[i] bit j = r[i][j]
+	cols  [64]uint64 // Rᵀ: cols[j] bit i = r[i][j]
 	stats Stats
 }
 
@@ -112,11 +127,7 @@ func (w *Window) Slot(seq Seq) (int, bool) {
 func (w *Window) Stats() Stats { return w.stats }
 
 // Reset empties the window (sequence numbering continues).
-func (w *Window) Reset() {
-	w.n = 0
-	w.base = w.next
-	w.rows = [64]uint64{}
-}
+func (w *Window) Reset() { w.ResetAt(w.next) }
 
 // ResetAt empties the window and rebases sequence numbering at next: the
 // next committed transaction receives sequence next, and nothing older is
@@ -130,14 +141,16 @@ func (w *Window) ResetAt(next Seq) {
 	w.base = next
 	w.next = next
 	w.rows = [64]uint64{}
+	w.cols = [64]uint64{}
 }
 
-// liveMask returns a mask with one bit per occupied slot.
-func (w *Window) liveMask() uint64 {
-	if w.n == 64 {
-		return ^uint64(0)
-	}
-	return (uint64(1) << uint(w.n)) - 1
+// rot is the ring slot of window slot 0: rotating a window-coordinate
+// vector left by rot gives its ring form.
+func (w *Window) rot() int { return int(w.base & 63) }
+
+// live returns a ring mask with one bit per occupied slot.
+func (w *Window) live() uint64 {
+	return bits.RotateLeft64(uint64(1)<<uint(w.n)-1, w.rot()) // n = 64 wraps to all ones
 }
 
 // Validate computes the proceeding and succeeding vectors for a transaction
@@ -145,22 +158,24 @@ func (w *Window) liveMask() uint64 {
 // whether committing it would keep the window acyclic. It does not modify
 // the window. Bits of f and b beyond Count() are ignored.
 func (w *Window) Validate(f, b uint64) (p, s uint64, ok bool) {
-	w.stats.Validated++
-	live := w.liveMask()
-	f &= live
-	b &= live
+	r := w.rot()
+	p, s, ok = w.ValidateRing(bits.RotateLeft64(f, r), bits.RotateLeft64(b, r))
+	return bits.RotateLeft64(p, -r), bits.RotateLeft64(s, -r), ok
+}
 
-	// p = f ∨ Rᵀ·f : OR together the rows selected by f.
-	p = f
-	for m := f; m != 0; m &= m - 1 {
+// ValidateRing is Validate in ring coordinates: bit q&63 of every vector
+// stands for commit q. Bits of untracked slots are ignored.
+func (w *Window) ValidateRing(f, b uint64) (p, s uint64, ok bool) {
+	w.stats.Validated++
+	live := w.live()
+	p, s = f&live, b&live
+	// p = f ∨ Rᵀ·f and s = b ∨ R·b: OR the rows selected by f and the
+	// columns selected by b.
+	for m := p; m != 0; m &= m - 1 {
 		p |= w.rows[bits.TrailingZeros64(m)]
 	}
-	// s = b ∨ R·b : slot i succeeds t iff row i intersects b.
-	s = b
-	for i := 0; i < w.n; i++ {
-		if w.rows[i]&b != 0 {
-			s |= 1 << uint(i)
-		}
+	for m := s; m != 0; m &= m - 1 {
+		s |= w.cols[bits.TrailingZeros64(m)]
 	}
 	if p&s != 0 {
 		w.stats.Cycles++
@@ -173,51 +188,69 @@ func (w *Window) Validate(f, b uint64) (p, s uint64, ok bool) {
 // sequence number. ok=false means the transaction must abort and the window
 // is unchanged.
 func (w *Window) Insert(f, b uint64) (seq Seq, ok bool) {
-	p, s, ok := w.Validate(f, b)
+	r := w.rot()
+	return w.InsertRing(bits.RotateLeft64(f, r), bits.RotateLeft64(b, r))
+}
+
+// InsertRing is Insert in ring coordinates (see ValidateRing).
+func (w *Window) InsertRing(f, b uint64) (seq Seq, ok bool) {
+	p, s, ok := w.ValidateRing(f, b)
 	if !ok {
 		return 0, false
 	}
-	w.commit(p, s)
+	if w.n == w.w {
+		// Slide: discard the oldest entry. When W = 64 its slot is the one
+		// the new commit takes.
+		old := w.evict()
+		p &^= old
+		s &^= old
+	}
+	// The new entry t reaches itself and p, and is reached by s: set
+	// r[i][j] for every i ∈ s ∪ {t}, j ∈ p ∪ {t}, in R and in Rᵀ.
+	t := uint64(1) << (w.next & 63)
+	p |= t
+	s |= t
+	for m := s; m != 0; m &= m - 1 {
+		w.rows[bits.TrailingZeros64(m)] |= p
+	}
+	for m := p; m != 0; m &= m - 1 {
+		w.cols[bits.TrailingZeros64(m)] |= s
+	}
+	w.n++
 	w.stats.Commits++
 	seq = w.next
 	w.next++
 	return seq, true
 }
 
-// commit installs the validated transaction with proceeding vector p and
-// succeeding vector s as the newest entry, sliding the window if full.
-func (w *Window) commit(p, s uint64) {
-	if w.n == w.w {
-		// Slide: discard slot 0 — shift rows up and columns right.
-		copy(w.rows[:w.w-1], w.rows[1:w.w])
-		w.rows[w.w-1] = 0
-		for i := 0; i < w.w-1; i++ {
-			w.rows[i] >>= 1
-		}
-		p >>= 1
-		s >>= 1
-		w.base++
-		w.n--
-		w.stats.Evictions++
+// evict drops the oldest entry: its bit leaves the columns its row selects
+// and the rows its column selects, then its own row and column clear. It
+// returns the freed slot's bit.
+func (w *Window) evict() uint64 {
+	e := w.base & 63
+	bit := uint64(1) << e
+	for m := w.rows[e]; m != 0; m &= m - 1 {
+		w.cols[bits.TrailingZeros64(m)] &^= bit
 	}
-	slot := w.n
-	newBit := uint64(1) << uint(slot)
-	// Row slot = p plus the reflexive bit; for every predecessor i (s[i]),
-	// absorb p (transitivity) and gain the new column bit.
-	w.rows[slot] = p | newBit
-	for m := s; m != 0; m &= m - 1 {
-		w.rows[bits.TrailingZeros64(m)] |= p | newBit
+	for m := w.cols[e]; m != 0; m &= m - 1 {
+		w.rows[bits.TrailingZeros64(m)] &^= bit
 	}
-	w.n++
+	w.rows[e], w.cols[e] = 0, 0
+	w.base++
+	w.n--
+	w.stats.Evictions++
+	return bit
 }
 
-// Matrix materializes the current reachability matrix (Count()×Count()) for
-// inspection and testing.
+// Matrix materializes the current reachability matrix (Count()×Count(), in
+// window order) for inspection and testing.
 func (w *Window) Matrix() *bitmat.Mat {
 	m := bitmat.NewMat(w.n)
+	r := w.rot()
 	for i := 0; i < w.n; i++ {
+		row := bits.RotateLeft64(w.rows[(r+i)&63], -r)
 		for j := 0; j < w.n; j++ {
-			if w.rows[i]&(1<<uint(j)) != 0 {
+			if row&(1<<uint(j)) != 0 {
 				m.Set(i, j, true)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -261,6 +262,88 @@ func TestBigWindowAgreesWithFastPath(t *testing.T) {
 	}
 }
 
+// sparseEdges returns a random mask over the n live window slots with about
+// two bits set at n = 64.
+func sparseEdges(rng *rand.Rand, n int) uint64 {
+	m := rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+	return m & (uint64(1)<<uint(n) - 1)
+}
+
+// TestRingWindowLongRunMatchesBigWindow runs the ring window far past slot
+// reuse — at least 10 000 commits, with a ResetAt(37) midway so the rebased
+// ring starts off slot 0 — at W ∈ {1, 7, 64}: every decision must agree
+// with BigWindow and Matrix() (window order) must equal BigWindow's.
+func TestRingWindowLongRunMatchesBigWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, W := range []int{1, 7, 64} {
+		ring, big := NewWindow(W), NewBigWindow(W)
+		commits, aborts, reset := 0, 0, false
+		for step := 0; commits < 10000; step++ {
+			if commits == 5000 && !reset {
+				ring.ResetAt(37)
+				big.ResetAt(37)
+				reset = true
+			}
+			n := ring.Count()
+			var f uint64
+			if rng.Intn(2) == 0 {
+				f = sparseEdges(rng, n)
+			}
+			b := sparseEdges(rng, n) &^ f
+			s1, ok1 := ring.Insert(f, b)
+			s2, ok2 := insertBig(big, f, b)
+			if ok1 != ok2 || s1 != s2 || ring.BaseSeq() != big.BaseSeq() || ring.Count() != big.Count() {
+				t.Fatalf("W=%d step %d: ring=(%d,%v) big=(%d,%v)", W, step, s1, ok1, s2, ok2)
+			}
+			if !ok1 {
+				aborts++
+				continue
+			}
+			commits++
+			if !ring.Matrix().Equal(big.Matrix()) {
+				t.Fatalf("W=%d step %d: matrices diverged\nring:\n%s\nbig:\n%s",
+					W, step, ring.Matrix(), big.Matrix())
+			}
+		}
+		if W > 1 && aborts == 0 {
+			t.Fatalf("W=%d: the stream never closed a cycle", W)
+		}
+		if got, want := ring.NextSeq(), Seq(37+5000); got != want {
+			t.Fatalf("W=%d: NextSeq = %d after the rebase, want %d", W, got, want)
+		}
+	}
+}
+
+// TestInsertRingMatchesInsert drives two windows with one stream, one in
+// window coordinates and one in ring coordinates (rotated left by
+// BaseSeq()&63): decisions, sequences and matrices must be identical, and
+// ValidateRing's vectors must be Validate's, rotated.
+func TestInsertRingMatchesInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, W := range []int{1, 7, 64} {
+		win, ring := NewWindow(W), NewWindow(W)
+		win.ResetAt(37)
+		ring.ResetAt(37)
+		for step := 0; step < 3000; step++ {
+			n := win.Count()
+			f := sparseEdges(rng, n)
+			b := sparseEdges(rng, n) &^ f
+			r := int(ring.BaseSeq() & 63)
+			fr, br := bits.RotateLeft64(f, r), bits.RotateLeft64(b, r)
+			p1, s1, ok1 := win.Validate(f, b)
+			p2, s2, ok2 := ring.ValidateRing(fr, br)
+			if ok1 != ok2 || bits.RotateLeft64(p1, r) != p2 || bits.RotateLeft64(s1, r) != s2 {
+				t.Fatalf("W=%d step %d: Validate=(%x,%x,%v) ValidateRing=(%x,%x,%v)", W, step, p1, s1, ok1, p2, s2, ok2)
+			}
+			q1, k1 := win.Insert(f, b)
+			q2, k2 := ring.InsertRing(fr, br)
+			if q1 != q2 || k1 != k2 || !win.Matrix().Equal(ring.Matrix()) {
+				t.Fatalf("W=%d step %d: Insert=(%d,%v) InsertRing=(%d,%v)", W, step, q1, k1, q2, k2)
+			}
+		}
+	}
+}
+
 func TestBigWindowBeyond64(t *testing.T) {
 	w := NewBigWindow(128)
 	for i := 0; i < 200; i++ {
@@ -337,6 +420,18 @@ func BenchmarkInsert64Sliding(b *testing.B) {
 		}
 		if _, ok := w.Insert(0, bb); !ok {
 			b.Fatal("chain aborted")
+		}
+	}
+}
+
+// BenchmarkInsert64Disjoint is the bank-engine shape: a full sliding window
+// and transactions with no edges (f = b = 0), so every insert evicts.
+func BenchmarkInsert64Disjoint(b *testing.B) {
+	w := NewWindow(64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok := w.Insert(0, 0); !ok {
+			b.Fatal("disjoint insert aborted")
 		}
 	}
 }

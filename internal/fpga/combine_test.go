@@ -313,15 +313,19 @@ func TestCombineCrashAnswersQueued(t *testing.T) {
 }
 
 // TestCombineCrashRestartStress cycles Close/Restart under running
-// combiners: every Validate call resolves — a real verdict, a terminal
-// ReasonClosed one, or ErrClosed for a request that was never accepted —
-// and Close leaves nothing behind.
+// committers, direct and combining alike (half of them pass their own
+// unarmed slot, half borrow pooled ones): every Validate call resolves — a
+// real verdict, a terminal ReasonClosed one, or ErrClosed for a request that
+// was never accepted — none hangs, some take the direct path (fewer ring
+// pushes than accepted requests), Close leaves nothing behind, and Validate
+// on the closed engine fails with ErrClosed.
 func TestCombineCrashRestartStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	e, err := Start(Config{W: 8, QueueDepth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ports := []*port{e.port.Load()}
 	var stop atomic.Bool
 	var real, closed atomic.Uint64
 	var wg sync.WaitGroup
@@ -329,10 +333,14 @@ func TestCombineCrashRestartStress(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var slot *VerdictSlot
+			if w%2 == 0 {
+				slot = new(VerdictSlot)
+			}
 			reads := []uint64{uint64(w) << 32}
 			for i := 0; !stop.Load(); i++ {
 				tok := uint64(w)<<32 | uint64(i)
-				v, err := e.Validate(Request{Token: tok, ValidTS: ^uint64(0), ReadAddrs: reads})
+				v, err := e.Validate(Request{Token: tok, ValidTS: ^uint64(0), ReadAddrs: reads, Slot: slot})
 				switch {
 				case errors.Is(err, ErrClosed):
 					runtime.Gosched() // down: wait for the restart
@@ -351,13 +359,33 @@ func TestCombineCrashRestartStress(t *testing.T) {
 		time.Sleep(300 * time.Microsecond)
 		e.Close()
 		e.Restart(0)
+		ports = append(ports, e.port.Load())
 	}
 	for real.Load() == 0 {
 		runtime.Gosched()
 	}
 	stop.Store(true)
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a Validate call hung across Close/Restart")
+	}
 	e.Close()
+	for _, r := range []Request{req(0, nil, nil), {Slot: new(VerdictSlot)}} {
+		if _, err := e.Validate(r); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Validate after Close: err = %v, want ErrClosed", err)
+		}
+	}
 	settleGoroutines(t, baseline)
-	t.Logf("%d validated, %d answered closed", real.Load(), closed.Load())
+	var pushed uint64
+	for _, p := range ports {
+		pushed += p.ring.enq.Load()
+	}
+	accepted := real.Load() + closed.Load()
+	if pushed >= accepted {
+		t.Fatalf("%d requests accepted, %d pushed: no call took the direct path", accepted, pushed)
+	}
+	t.Logf("%d validated (%d in place), %d answered closed", real.Load(), accepted-pushed, closed.Load())
 }

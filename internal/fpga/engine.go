@@ -29,15 +29,17 @@
 // The paper hides the CCI round trip behind asynchronous queues because its
 // validator is a separate device. Here the validator is a function, and a
 // hand-off to a helper goroutine costs more than the validation, so the
-// committer runs it. Engine.Validate pushes the request into the submission
-// ring (ring.go), then TryLocks Engine.mu. Whoever holds the lock drains the
-// ring — at most QueueDepth requests per acquisition, one Stats.Batches tick
-// per drain — and posts every verdict to its owner's VerdictSlot (slot.go);
-// losers poll their own slot, yield, and park only behind the no-stranding
-// handshake documented on combine. The package starts no goroutine, and
+// committer runs it. A lone committer — the ring empty and Engine.mu free —
+// runs Process in place and touches no queue or mailbox. Otherwise
+// Engine.Validate pushes the request into the submission ring (ring.go),
+// then TryLocks Engine.mu. Whoever holds the lock drains the ring — at most
+// QueueDepth requests per acquisition, one Stats.Batches tick per drain —
+// and posts every verdict to its owner's VerdictSlot (slot.go); losers poll
+// their own slot, yield, and park only behind the no-stranding handshake
+// documented on combine. The package starts no goroutine, and
 // nothing on the path allocates in steady state. Batching is what
-// concurrency leaves in the ring, not queueing delay: a lone committer
-// drains batches of one. The modelled clock (Verdict.ModelNanos plus
+// concurrency leaves in the ring, not queueing delay: a direct call counts
+// as a batch of one. The modelled clock (Verdict.ModelNanos plus
 // Model.RoundTripNanos) is charged as if the request had crossed the link.
 //
 // # Failure semantics
@@ -155,10 +157,11 @@ type Request struct {
 	// delivered, which is before Validate returns.
 	ReadAddrs  []uint64
 	WriteAddrs []uint64
-	// Slot, when non-nil, receives the verdict: the caller armed it with
-	// Prepare and carries the returned generation in Gen. This is the
-	// allocation-free push-queue path; Validate borrows a pooled slot for
-	// a request without one.
+	// Slot, when non-nil, is the caller's own verdict mailbox, passed
+	// unarmed. Validate arms it with Prepare, storing the generation in
+	// Gen, only when the request is queued; the direct path never touches
+	// it. A queued request without one borrows a pooled slot. Whoever
+	// posts a queued request's verdict delivers it to Slot at Gen.
 	Slot *VerdictSlot
 	Gen  uint64
 	// Reply receives exactly one verdict when Slot is nil — how the
@@ -304,23 +307,37 @@ func sweep(p *port) {
 	}
 }
 
-// Validate answers one request synchronously. It is a flat-combining
-// validator: the caller enqueues its request, then competes for the
-// pipeline lock; whoever holds the lock validates everything queued and
-// posts each verdict to its owner's slot, so no goroutine switch sits
-// between a committer and its verdict.
+// Validate answers one request synchronously. A caller that finds the
+// ring empty and the pipeline lock free runs Process in place: no slot is
+// armed, nothing is queued, and unlock keeps the no-stranding rule for
+// anyone who queued meanwhile. Otherwise it is a flat-combining validator:
+// the caller enqueues its request, then competes for the pipeline lock;
+// whoever holds the lock validates everything queued and posts each verdict
+// to its owner's slot, so no goroutine switch sits between a committer and
+// its verdict.
 //
-// A request without a slot borrows a pooled one, so the call is
+// A queued request without a slot borrows a pooled one, so the call is
 // allocation-free in steady state. If the engine stops before answering,
 // the request's terminal ReasonClosed verdict is returned; ErrClosed is
 // returned only when the request was never accepted.
 func (e *Engine) Validate(r Request) (Verdict, error) {
 	p := e.port.Load()
+	if p.ring.size() == 0 && e.mu.TryLock() {
+		if p.stopped.Load() {
+			e.unlock()
+			return Verdict{}, ErrClosed
+		}
+		v := e.pl.Process(r)
+		e.pl.noteBatch(1, 1)
+		e.unlock()
+		return v, nil
+	}
 	var pooled *VerdictSlot
 	if r.Slot == nil {
 		pooled = slotPool.Get().(*VerdictSlot)
-		r.Slot, r.Gen = pooled, pooled.Prepare()
+		r.Slot = pooled
 	}
+	r.Gen = r.Slot.Prepare()
 	var v Verdict
 	err := e.enqueue(p, r)
 	if err == nil {

@@ -13,10 +13,9 @@ import (
 // with no queues or goroutines around it. Engine runs it under its lock,
 // driven by whichever committer holds the lock.
 //
-// All state is preallocated at construction — the history is a ring of W
-// entries with resident signatures, and per-request signatures are scratch
-// fields — so Process performs no heap allocation, mirroring the hardware's
-// fixed register/BRAM budget (§5.1: every structure is sized a priori).
+// All state is preallocated at construction, so Process performs no heap
+// allocation in steady state, mirroring the hardware's fixed register/BRAM
+// budget (§5.1: every structure is sized a priori).
 //
 // Pipeline is not safe for concurrent use; callers serialize Process, which
 // is the software equivalent of the one-verdict-per-cycle manager.
@@ -24,17 +23,7 @@ type Pipeline struct {
 	cfg    Config
 	hasher *sig.Hasher
 	win    *core.Window
-
-	// history is a ring of W detector entries, slot-aligned with the
-	// window: the window's slot i is history[(hBase+i)%W]. Entries own
-	// their signatures for the pipeline's lifetime; commits copy signature
-	// words in place instead of allocating.
-	history []entry
-	hBase   int // ring index of window slot 0 (the oldest entry)
-	hLen    int // live entries; always equals win.Count()
-
-	rs, ws sig.Sig // per-request scratch signatures
-	k      int     // hash functions per signature (cfg.Sig.K)
+	k      int // hash functions per signature (cfg.Sig.K)
 
 	// rBits/wBits hold the k bit positions of every request address,
 	// hashed once per request and probed against all W history entries —
@@ -44,26 +33,33 @@ type Pipeline struct {
 
 	// Columnar occupancy — the software form of the hardware's parallel
 	// compare across all window slots in one cycle. readCols/writeCols
-	// hold, for every signature bit position, the 64-bit column of window
-	// slots whose read/write signature contains that bit; the slot of
-	// commit seq is seq&63 (live seqs span < W ≤ 64, so live slots never
-	// collide, and sliding the window shifts nothing). A request address
-	// hits exactly the slots in the AND of its k columns — bit-identical
-	// to probing that address against each entry's signature — so the
-	// O(W) entry scan collapses to k word-ANDs per address plus one
-	// rotation from slot to window coordinates. slotRBits/slotWBits
-	// remember each slot's inserted positions so eviction can clear its
-	// column bits exactly.
+	// hold, for every signature bit position, the 64-bit column of ring
+	// slots whose read/write signature contains that bit; commit seq sits
+	// in slot seq&63, the window's own ring coordinates, so the hit masks
+	// feed InsertRing as they are. A request address hits exactly the
+	// slots in the AND of its k columns — bit-identical to probing that
+	// address against each entry's signature — so the O(W) entry scan
+	// collapses to k word-ANDs per address. slotRBits/slotWBits remember
+	// each slot's inserted positions, so a slot's bits are cleared exactly
+	// when the next commit reuses it; until then an evicted slot's stale
+	// bits are masked off by the window, which ignores untracked slots.
 	readCols, writeCols  []uint64
 	slotRBits, slotWBits [64][]int32
 
 	// Wide-window (W > 64) backend: the word-packed window and the columnar
 	// occupancy above are capped at 64 slots, so the W=128/256 ablation runs
 	// on the bitmat-backed BigWindow with per-entry signature probes
-	// instead. Exactly one of win and bigWin is non-nil. fVec/bVec are the
-	// preallocated adjacency-vector scratch.
+	// instead. Exactly one of win and bigWin is non-nil. The history is a
+	// ring of W entries, slot-aligned with the window: the window's slot i
+	// is history[(hBase+i)%W]; entries own their signatures and commits
+	// copy the scratch signatures rs/ws into them in place. fVec/bVec are
+	// the adjacency-vector scratch.
 	bigWin     *core.BigWindow
 	fVec, bVec bitmat.Vec
+	history    []entry
+	hBase      int // ring index of window slot 0 (the oldest entry)
+	hLen       int // live entries; always equals bigWin.Count()
+	rs, ws     sig.Sig
 
 	stats Stats
 }
@@ -88,29 +84,34 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	}
 	cfg.fill()
 	p := &Pipeline{
-		cfg:     cfg,
-		hasher:  sig.NewHasher(cfg.Sig, cfg.SigSeed),
-		history: make([]entry, cfg.W),
-		rs:      sig.New(cfg.Sig),
-		ws:      sig.New(cfg.Sig),
-		k:       cfg.Sig.K,
-		rBits:   make([]int32, 0, 64),
-		wBits:   make([]int32, 0, 64),
+		cfg:    cfg,
+		hasher: sig.NewHasher(cfg.Sig, cfg.SigSeed),
+		k:      cfg.Sig.K,
+		rBits:  make([]int32, 0, 64),
+		wBits:  make([]int32, 0, 64),
 	}
 	if cfg.W > 64 {
-		p.bigWin = core.NewBigWindow(cfg.W)
-		p.fVec = bitmat.NewVec(cfg.W)
-		p.bVec = bitmat.NewVec(cfg.W)
+		p.useProbes()
 	} else {
 		p.win = core.NewWindow(cfg.W)
 		p.readCols = make([]uint64, cfg.Sig.M)
 		p.writeCols = make([]uint64, cfg.Sig.M)
 	}
-	for i := range p.history {
-		p.history[i].readSig = sig.New(cfg.Sig)
-		p.history[i].writeSig = sig.New(cfg.Sig)
-	}
 	return p, nil
+}
+
+// useProbes switches p to the per-entry probe backend: the bitmat window
+// and a history of resident signatures, probed entry by entry.
+func (p *Pipeline) useProbes() {
+	p.win = nil
+	p.bigWin = core.NewBigWindow(p.cfg.W)
+	p.fVec, p.bVec = bitmat.NewVec(p.cfg.W), bitmat.NewVec(p.cfg.W)
+	p.rs, p.ws = sig.New(p.cfg.Sig), sig.New(p.cfg.Sig)
+	p.history = make([]entry, p.cfg.W)
+	for i := range p.history {
+		p.history[i].readSig = sig.New(p.cfg.Sig)
+		p.history[i].writeSig = sig.New(p.cfg.Sig)
+	}
 }
 
 // Config returns the pipeline's (filled) configuration.
@@ -206,80 +207,49 @@ func (p *Pipeline) Process(r Request) Verdict {
 	// transaction neglects updates of t_{k-W} and must abort. The check
 	// deliberately does not require a non-empty window: after ResetAt the
 	// window is empty but BaseSeq records how much history was lost.
-	if core.Seq(r.ValidTS) < p.win.BaseSeq() {
+	validSeq := core.Seq(r.ValidTS)
+	if validSeq < p.win.BaseSeq() {
 		p.stats.WindowAborts++
 		return Verdict{Token: r.Token, Reason: ReasonWindow, ModelNanos: nanos}
 	}
 
-	// Detector: hash the transaction's addresses exactly once — into the
-	// scratch signatures and into per-address bit-position scratch — then
-	// derive the f/b adjacency vectors with three columnar compares over
-	// all W slots at once. rHitW marks entries whose write signature may
-	// contain a read address (RAW/stale-read edges), wHitR entries whose
-	// read signature may contain a write address (WAR), wHitW write/write
-	// pairs (WAW). One rotation maps the slot masks (bit seq&63) to window
-	// coordinates (bit seq-base); set bits exist only for live slots, so
-	// no further masking is needed.
-	p.rs.Reset()
-	p.ws.Reset()
+	// Detector: hash the transaction's addresses exactly once, then derive
+	// the f/b adjacency vectors with three columnar compares over all W
+	// slots at once. rHitW marks entries whose write signature may contain
+	// a read address (RAW/stale-read edges), wHitR entries whose read
+	// signature may contain a write address (WAR), wHitW write/write pairs
+	// (WAW).
 	p.rBits = p.hasher.AppendBits(p.rBits[:0], r.ReadAddrs)
 	p.wBits = p.hasher.AppendBits(p.wBits[:0], r.WriteAddrs)
-	p.rs.InsertBits(p.rBits)
-	p.ws.InsertBits(p.wBits)
+	rHitW := hitSlots(p.writeCols, p.rBits, p.k)
+	wHitR := hitSlots(p.readCols, p.wBits, p.k)
+	wHitW := hitSlots(p.writeCols, p.wBits, p.k)
 
-	base := p.win.BaseSeq()
-	rot := -int(uint(base) & 63)
-	rHitW := bits.RotateLeft64(hitSlots(p.writeCols, p.rBits, p.k), rot)
-	wHitR := bits.RotateLeft64(hitSlots(p.readCols, p.wBits, p.k), rot)
-	wHitW := bits.RotateLeft64(hitSlots(p.writeCols, p.wBits, p.k), rot)
-
-	// Seen commits (seq < ValidTS, the low window positions): any
-	// dependence points backward. Unseen commits: a stale read orders the
+	// Seen commits (seq < ValidTS): any dependence points backward. Unseen
+	// commits, the ring range [ValidTS, next): a stale read orders the
 	// transaction before them (forward edge); WAR/WAW order it after.
-	validSeq := core.Seq(r.ValidTS)
-	seen := ^uint64(0)
-	if n := int64(validSeq) - int64(base); n < 64 {
-		if n < 0 {
-			n = 0
-		}
-		seen = 1<<uint(n) - 1
+	var unseen uint64
+	if next := p.win.NextSeq(); validSeq < next {
+		unseen = bits.RotateLeft64(uint64(1)<<uint(next-validSeq)-1, int(validSeq&63))
 	}
-	f := rHitW &^ seen
-	b := (rHitW & seen) | wHitR | wHitW
+	f := rHitW & unseen
+	b := rHitW&^unseen | wHitR | wHitW
 
 	// Manager: ROCoCo reachability validation and commit.
-	seq, ok := p.win.Insert(f, b)
+	seq, ok := p.win.InsertRing(f, b)
 	if !ok {
 		p.stats.CycleAborts++
 		return Verdict{Token: r.Token, Reason: ReasonCycle, ModelNanos: nanos}
 	}
-	// Bookkeep the new commit in place: advance the ring with the window
-	// (reuse the evicted slot when full) and copy the scratch signatures
-	// into the slot's resident ones.
-	var ent *entry
-	if p.hLen == p.cfg.W {
-		ent = &p.history[p.hBase]
-		p.hBase = (p.hBase + 1) % p.cfg.W
-		// The departing commit leaves the window: clear exactly the column
-		// bits it set. When W=64 its slot is the one seq is about to
-		// reuse, so clearing must precede the insert below.
-		old := uint(ent.seq) & 63
-		for _, pos := range p.slotRBits[old] {
-			p.readCols[pos] &^= 1 << old
-		}
-		for _, pos := range p.slotWBits[old] {
-			p.writeCols[pos] &^= 1 << old
-		}
-	} else {
-		ent = &p.history[(p.hBase+p.hLen)%p.cfg.W]
-		p.hLen++
-	}
-	copy(ent.readSig.Words(), p.rs.Words())
-	copy(ent.writeSig.Words(), p.ws.Words())
-	ent.reads = len(r.ReadAddrs)
-	ent.writes = len(r.WriteAddrs)
-	ent.seq = seq
+	// Bookkeep the new commit's columns in its ring slot, first clearing
+	// the bits of the commit that held the slot before.
 	slot := uint(seq) & 63
+	for _, pos := range p.slotRBits[slot] {
+		p.readCols[pos] &^= 1 << slot
+	}
+	for _, pos := range p.slotWBits[slot] {
+		p.writeCols[pos] &^= 1 << slot
+	}
 	p.slotRBits[slot] = append(p.slotRBits[slot][:0], p.rBits...)
 	p.slotWBits[slot] = append(p.slotWBits[slot][:0], p.wBits...)
 	for _, pos := range p.rBits {

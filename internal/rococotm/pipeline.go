@@ -62,9 +62,8 @@ func (r *TM) claim(x *txn) (uint64, error) {
 	if timed {
 		t0 = time.Now()
 	}
-	s := &r.slots[x.thread]
 	v, err := r.eng.Validate(fpga.Request{Token: uint64(x.thread), ValidTS: x.validTS,
-		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs, Slot: s, Gen: s.Prepare()})
+		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs, Slot: &r.slots[x.thread]})
 	if timed {
 		r.cnt.AddValidation(time.Since(t0))
 	}

@@ -392,8 +392,8 @@ func (r *TM) watchdog() {
 			if w != seen[i] {
 				seen[i], since[i] = w, now
 			} else if stuck := now.Sub(since[i]); stuck >= age && r.live[i].doom(w, tm.CodeWatchdog) {
-				r.wdFires.Add(1)
 				r.cfg.Logf("rococotm: watchdog: thread %d transaction stuck %v; force-abort at next safe point", i, stuck)
+				r.wdFires.Add(1) // after the log: a counted fire has been logged
 			}
 		}
 	}
