@@ -9,7 +9,7 @@
 // The experiment names — the authoritative list is the experiments table
 // below, which also drives the -exp usage string, the unknown-experiment
 // listing, and the "all" order — are: fig6, fig7, fig9, fig10, fig11,
-// resources, soak, recover, commitphase, shard, serve, hybrid,
+// resources, soak, recover, shard, serve, hybrid,
 // ablation-window, ablation-sig, ablation-contention.
 //
 // Each experiment prints a paper-style text table; EXPERIMENTS.md records
@@ -125,14 +125,6 @@ var experiments = []struct {
 				fatal(verr)
 			}
 		}
-	}},
-	{"commitphase", "commit pipeline phase timing, thread sweep and extension micro", func(c benchCtx) {
-		cfg := bench.CommitPhaseConfig{}
-		if len(c.threads) > 0 {
-			cfg.Threads = c.threads
-		}
-		rep, err := bench.RunCommitPhase(cfg)
-		c.emit(rep, err)
 	}},
 	{"shard", "sharded validation plane scaling and cross-shard cost", func(c benchCtx) {
 		cfg := bench.ShardBenchConfig{}

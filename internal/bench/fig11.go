@@ -77,8 +77,8 @@ func RunFig11(cfg Fig11Config) (*Fig11Report, error) {
 		var rtm *rococotm.TM
 		res, err = stamp.Execute(app, func(h *mem.Heap) tm.TM {
 			rtm = rococotm.New(h, rococotm.Config{
-				MaxThreads:        cfg.Threads + 1,
-				MeasureValidation: true,
+				MaxThreads:    cfg.Threads + 1,
+				MeasurePhases: true,
 			})
 			return rtm
 		}, cfg.Threads)

@@ -34,9 +34,9 @@
 // the per-site policy, a per-thread guard demotes the very next attempt
 // to the slow path after a structural fast abort (capacity, irrevocable
 // gate, engine unavailability) or after ConsecAborts consecutive fast
-// conflict aborts — and the slow path's own escalation (consecutive
-// conflicts → irrevocable turn) then takes over, so a starved site
-// degrades fast → engine → irrevocable exactly like the PR 4 ladder.
+// conflict aborts; the retry loop's escalation (contention aborts past
+// tm.BackoffPolicy.EscalateAfter → Escalate, below) then finishes the
+// ladder, so a starved site degrades fast → engine → irrevocable.
 package hybrid
 
 import (
@@ -182,8 +182,8 @@ func (h *TM) Slow() *rococotm.TM { return h.slow }
 func (h *TM) Close() { h.slow.Close() }
 
 // Escalate implements tm.Escalator: the starved thread's next attempt is
-// forced onto the slow path, where the slow runtime's own escalation
-// (consecutive conflicts → irrevocable turn) finishes the ladder.
+// forced onto the slow path and runs there irrevocably — the last rung of
+// the fast → engine → irrevocable ladder.
 func (h *TM) Escalate(thread int) {
 	h.forceSlow[thread]++
 	h.slow.Escalate(thread)

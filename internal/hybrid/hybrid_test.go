@@ -301,7 +301,7 @@ func TestHybridEscalate(t *testing.T) {
 // update is lost.
 func TestHybridIrrevocableCoexistence(t *testing.T) {
 	h, heap := newHybrid(t, hybrid.Config{
-		Slow: rococotm.Config{MaxThreads: 8, IrrevocableAfter: 2},
+		Slow: rococotm.Config{MaxThreads: 8},
 	})
 	a := heap.MustAlloc(1)
 	const threads, each = 6, 200
@@ -312,7 +312,7 @@ func TestHybridIrrevocableCoexistence(t *testing.T) {
 		go func(th int) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				err := tm.RunBackoff(h, th, tm.DefaultBackoff, func(x tm.Txn) error {
+				err := tm.RunBackoff(h, th, tm.BackoffPolicy{EscalateAfter: 2}, func(x tm.Txn) error {
 					v, err := x.Read(a)
 					if err != nil {
 						return err

@@ -40,31 +40,16 @@ import (
 // still folds the TempSet with the single aggregate union.
 
 // aggLevels returns the number of aggregate levels for a commit ring of
-// the given size under the configured cap: min(cap, log2(slots)-1), so the
-// top level always has at least two slots in its ring.
-func aggLevels(slots, cap int) int {
-	max := bits.TrailingZeros(uint(slots)) - 1
-	if cap < max {
-		max = cap
-	}
-	if max < 0 {
-		max = 0
-	}
-	return max
+// the given size: min(defaultAggLevel, log2(slots)-1), so the top level
+// always has at least two slots in its ring.
+func aggLevels(slots int) int {
+	return max(0, min(defaultAggLevel, bits.TrailingZeros(uint(slots))-1))
 }
 
 // initAgg sizes the aggregate rings. Level 0 is nil (the commit queue
 // plays that role).
 func (r *TM) initAgg(sigWords int) {
-	r.aggMax = 0
-	if r.cfg.MaxAggLevel < 0 {
-		return
-	}
-	capLevel := r.cfg.MaxAggLevel
-	if capLevel == 0 {
-		capLevel = defaultAggLevel
-	}
-	r.aggMax = aggLevels(r.cfg.CommitQueueSlots, capLevel)
+	r.aggMax = aggLevels(r.cfg.CommitQueueSlots)
 	r.agg = make([][]commitSlot, r.aggMax+1)
 	for lvl := 1; lvl <= r.aggMax; lvl++ {
 		ring := make([]commitSlot, r.cfg.CommitQueueSlots>>uint(lvl))

@@ -1,12 +1,22 @@
 package rococotm
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
 	"rococotm/internal/tm"
 )
+
+// ringOff drops r's aggregate signature ring before anything publishes into
+// it, so snapshot extension folds per commit: the control arm of the ring's
+// equivalence test and benchmark.
+func ringOff(r *TM) *TM {
+	r.aggMax, r.agg = 0, nil
+	return r
+}
 
 // TestAggregateBlocksMatchUnions is the white-box correctness check of the
 // aggregate signature ring: after a run of commits, every readable block at
@@ -69,8 +79,11 @@ func TestAggregateBlocksMatchUnions(t *testing.T) {
 // (commit/abort verdicts, final heap state, stats) must be identical: the
 // ring is an accelerator, not a semantic change.
 func TestExtendFoldEquivalence(t *testing.T) {
-	run := func(maxAggLevel int) (vals []mem.Word, commits, aborts uint64) {
-		m := New(mem.NewHeap(1<<14), Config{MaxAggLevel: maxAggLevel})
+	run := func(ring bool) (vals []mem.Word, commits, aborts uint64) {
+		m := New(mem.NewHeap(1<<14), Config{})
+		if !ring {
+			ringOff(m)
+		}
 		defer m.Close()
 		base := m.Heap().MustAlloc(64)
 
@@ -108,8 +121,8 @@ func TestExtendFoldEquivalence(t *testing.T) {
 		return vals, st.Commits, st.Aborts
 	}
 
-	withAgg, c1, a1 := run(0)
-	without, c2, a2 := run(-1)
+	withAgg, c1, a1 := run(true)
+	without, c2, a2 := run(false)
 	if c1 != c2 || a1 != a2 {
 		t.Fatalf("stats diverge: agg commits=%d aborts=%d, no-agg commits=%d aborts=%d", c1, a1, c2, a2)
 	}
@@ -168,5 +181,55 @@ func TestExtendFoldOverlapVerdictThroughAggregates(t *testing.T) {
 		t.Fatal("re-read of a MissSet word succeeded; snapshot would be torn")
 	} else if reason, ok := tm.IsAbort(err); !ok || reason != tm.ReasonConflict {
 		t.Fatalf("re-read aborted with %v, want %s", err, tm.ReasonConflict)
+	}
+}
+
+// BenchmarkExtendLag measures one snapshot extension over a backlog of lag
+// disjoint commits, with the aggregate ring (O(log K) segment folds) and
+// without it (O(K) per-commit folds). Each iteration pins a reader's
+// snapshot, lands lag commits on another thread, and times only the
+// reader's next read — the one that folds the whole backlog — reported as
+// ns/extend; ns/op includes the untimed commits.
+func BenchmarkExtendLag(b *testing.B) {
+	for _, lag := range []int{4, 16, 64} {
+		for _, ring := range []bool{true, false} {
+			arm := "ring"
+			if !ring {
+				arm = "per-commit"
+			}
+			b.Run(fmt.Sprintf("lag=%d/%s", lag, arm), func(b *testing.B) {
+				m := New(mem.NewHeap(1<<14), Config{MaxThreads: 2})
+				if !ring {
+					ringOff(m)
+				}
+				defer m.Close()
+				base := m.Heap().MustAlloc(lag + 2)
+				var folds time.Duration
+				for i := 0; i < b.N; i++ {
+					rd, err := m.Begin(0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := rd.Read(base); err != nil {
+						b.Fatal(err)
+					}
+					for j := 0; j < lag; j++ {
+						if err := tm.Run(m, 1, func(x tm.Txn) error {
+							return x.Write(base+mem.Addr(1+j), 1)
+						}); err != nil {
+							b.Fatal(err)
+						}
+					}
+					start := time.Now()
+					_, err = rd.Read(base + mem.Addr(lag+1))
+					folds += time.Since(start)
+					if err != nil {
+						b.Fatal(err)
+					}
+					m.Abort(rd)
+				}
+				b.ReportMetric(float64(folds.Nanoseconds())/float64(b.N), "ns/extend")
+			})
+		}
 	}
 }

@@ -17,12 +17,11 @@ import (
 type feature string
 
 const (
-	fObserver    feature = "Observer"
-	fDurable     feature = "Durable"
-	fLineTable   feature = "LineTable"
-	fIrrevocable feature = "IrrevocableAfter"
-	fWatchdog    feature = "WatchdogAge"
-	fSharded     feature = "sharded"
+	fObserver  feature = "Observer"
+	fDurable   feature = "Durable"
+	fLineTable feature = "LineTable"
+	fWatchdog  feature = "WatchdogAge"
+	fSharded   feature = "sharded"
 )
 
 // cell is one configuration of the table: validate is its legality function,
@@ -34,8 +33,8 @@ type cell struct {
 
 // newCell turns a feature set on over a fresh heap — on a TM, or on a
 // two-shard Sharded when the set has fSharded, where each feature goes
-// wherever the front end takes it (per-shard observers and durables, its own
-// IrrevocableAfter, the shard template for the rest).
+// wherever the front end takes it (per-shard observers and durables, the
+// shard template for the rest).
 func newCell(t *testing.T, on ...feature) cell {
 	t.Helper()
 	heap := mem.NewHeap(1 << 10)
@@ -65,15 +64,12 @@ func newCell(t *testing.T, on ...feature) cell {
 			}
 		case fLineTable:
 			cfg.LineTable = mem.NewLineTable(heap.Cap())
-		case fIrrevocable:
-			cfg.IrrevocableAfter = 3
-			scfg.IrrevocableAfter = 3
 		case fWatchdog:
 			cfg.WatchdogAge = time.Minute
 		}
 	}
 	if sharded {
-		cfg.Observer, cfg.IrrevocableAfter = nil, 0 // the front end's own fields carry them
+		cfg.Observer = nil // the front end's Observers carry it
 		return cell{func() error { return scfg.Validate(heap) },
 			func() tm.TM { return NewSharded(heap, scfg) }}
 	}
@@ -110,7 +106,7 @@ func mustReject(t *testing.T, c cell, names ...feature) {
 // from nowhere else. The rejected set is pinned, so a pair that silently
 // changes side shows up here.
 func TestConfigPairwise(t *testing.T) {
-	features := []feature{fObserver, fDurable, fLineTable, fIrrevocable, fWatchdog, fSharded}
+	features := []feature{fObserver, fDurable, fLineTable, fWatchdog, fSharded}
 	rejected := map[[2]feature]bool{
 		{fDurable, fLineTable}: true,
 		{fLineTable, fSharded}: true,

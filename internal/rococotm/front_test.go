@@ -3,6 +3,7 @@ package rococotm
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
@@ -123,7 +124,7 @@ func TestExtendCallerPolicies(t *testing.T) {
 				continue // phase 3 runs only after phase 1 found nothing missed
 			}
 			t.Run(h.name+"/"+p.name, func(t *testing.T) {
-				r := New(mem.NewHeap(1<<10), Config{MaxThreads: 3, CommitQueueSlots: h.slots, MaxAggLevel: -1})
+				r := ringOff(New(mem.NewHeap(1<<10), Config{MaxThreads: 3, CommitQueueSlots: h.slots}))
 				defer r.Close()
 				base := r.Heap().MustAlloc(8)
 				write := func(i int) {
@@ -304,27 +305,33 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 // TestEngineAbortsDoNotEscalateToIrrevocable: engine aborts — attempts ended
 // by a closed engine — must not push a thread toward irrevocable mode, which
 // would freeze all commits behind the global gate while the engine is down.
+// The retry loop surfaces each one under an escalation budget of 2, and once
+// the engine is back the thread's next attempt is an ordinary one.
 func TestEngineAbortsDoNotEscalateToIrrevocable(t *testing.T) {
-	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 1, IrrevocableAfter: 2})
+	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 1})
 	defer m.Close()
 	a := m.Heap().MustAlloc(1)
 	m.Engine().Close()
+	pol := tm.BackoffPolicy{EscalateAfter: 2}
 	for i := 0; i < 5; i++ {
-		x, err := m.Begin(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := x.Write(a, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Commit(x); !errors.Is(err, fpga.ErrClosed) {
+		err := tm.RunUntil(time.Now().Add(time.Second), m, 0, pol, func(x tm.Txn) error { return x.Write(a, 1) })
+		if !errors.Is(err, fpga.ErrClosed) {
 			t.Fatalf("attempt %d: err = %v, want fpga.ErrClosed", i, err)
 		}
 	}
-	if got := m.consec[0]; got != 0 {
-		t.Fatalf("consec[0] = %d after engine aborts, want 0", got)
+	if m.escalated[0] {
+		t.Fatal("engine aborts armed an irrevocable turn")
 	}
 	if got := m.Stats().Reasons[tm.ReasonEngine]; got != 5 {
 		t.Fatalf("%d %s aborts, want 5", got, tm.ReasonEngine)
 	}
+	m.Engine().Restart(m.GlobalTS())
+	x, err := m.Begin(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.(*txn).irrevocable {
+		t.Fatal("first attempt after the outage is irrevocable")
+	}
+	m.Abort(x)
 }

@@ -85,30 +85,15 @@ type Config struct {
 	// ReadSpinLimit bounds how long a read waits on in-flight committers
 	// before aborting; default 64 rounds.
 	ReadSpinLimit int
-	// MeasureValidation enables the wall-clock validation timer (Fig. 11).
-	MeasureValidation bool
-	// MeasurePhases enables the per-phase commit latency counters
-	// (extension / validate / await / publish / write-back) behind
-	// tm.Stats.CommitPhase*. It implies the validation timer.
+	// MeasurePhases enables the wall-clock validation timer (Fig. 11) and
+	// the per-phase commit latency counters (extension / validate / await /
+	// publish / write-back) behind tm.Stats.CommitPhase*.
 	MeasurePhases bool
-	// MaxAggLevel caps the aggregate signature ring (agg.go): level L
-	// holds unions of 2^L consecutive commit signatures. 0 selects the
-	// default (min(8, log2(CommitQueueSlots)-1)); negative disables the
-	// ring, making snapshot extension fold per commit again.
-	MaxAggLevel int
 	// WritebackHook, when set, is called before each redo-log word of the
 	// write-back phase with the commit sequence and word index. It exists
 	// for tests that pin write-backs mid-flight; it must not block
 	// indefinitely on the runtime's own progress.
 	WritebackHook func(seq uint64, word int)
-	// IrrevocableAfter, when > 0, re-executes a transaction irrevocably
-	// after that many consecutive conflict aborts on a thread: the
-	// transaction takes a global commit gate, so nothing commits during
-	// its execution and its validation can never find a cycle — the
-	// forward-progress mechanism §4.2 and §5.1 call for ("to ensure long
-	// transactions can eventually commit, irrevocability may be
-	// required"). 0 disables it.
-	IrrevocableAfter int
 
 	// WatchdogAge, when > 0, starts a per-TM watchdog goroutine that scans
 	// the threads' liveness words (live.go) every WatchdogAge/4, at least
@@ -261,9 +246,9 @@ type TM struct {
 	// any attempt's liveness.
 	gate         sync.RWMutex
 	irrevPending atomic.Int32
-	// consec and escalated are owner-only inputs to the thread's next Begin.
-	consec    []int32 // consecutive conflict aborts per thread
-	escalated []bool  // starvation escalation pending per thread
+	// escalated is the owner-only input to the thread's next Begin: a
+	// starvation escalation is pending.
+	escalated []bool
 
 	// live holds each thread's liveness word (live.go). wdFires backs
 	// Stats.WatchdogFires (the kills are the aborts with tm.CodeWatchdog).
@@ -335,7 +320,6 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 	r.sigPW = eng.Config().Sig.PartitionBits() / 64
 	r.zeroSig = sig.New(eng.Config().Sig)
 	r.initAgg(sigWords)
-	r.consec = make([]int32, cfg.MaxThreads)
 	r.escalated = make([]bool, cfg.MaxThreads)
 	r.live = make([]liveWord, cfg.MaxThreads)
 	r.scratch = make([]*txn, cfg.MaxThreads)
@@ -401,7 +385,13 @@ func (r *TM) watchdog() {
 
 // Escalate implements tm.Escalator: the thread's next Begin runs
 // irrevocably (exclusive commit gate), giving a starved transaction one
-// prioritized pessimistic turn that cannot lose validation.
+// prioritized pessimistic turn that cannot lose validation — nothing
+// commits during its execution, so its validation can never find a cycle.
+// It is the forward-progress mechanism §4.2 and §5.1 call for ("to ensure
+// long transactions can eventually commit, irrevocability may be
+// required"), and the only way into an irrevocable turn: tm's retry loop
+// calls it once a transaction's contention aborts reach
+// BackoffPolicy.EscalateAfter.
 func (r *TM) Escalate(thread int) {
 	if thread >= 0 && thread < r.cfg.MaxThreads {
 		r.escalated[thread] = true
@@ -506,22 +496,12 @@ func (x *txn) reset(ts uint64) {
 // the code the attempt aborted with.
 const committed = tm.Code(0xff)
 
-// tally records one attempt's outcome in cnt — so no path can end an attempt
-// uncounted and Starts == Commits + Aborts holds by construction — and
-// settles the thread's escalation streak.
-func tally(cnt *tm.Counters, consec *int32, c tm.Code, irrevocable, readOnly bool) {
-	switch {
-	case c == committed:
-		*consec = 0
+// tally records one attempt's outcome in cnt, so no path can end an attempt
+// uncounted and Starts == Commits + Aborts holds by construction.
+func tally(cnt *tm.Counters, c tm.Code, readOnly bool) {
+	if c == committed {
 		cnt.OnCommit(readOnly)
 		return
-	case irrevocable, c == tm.CodeExplicit, c == tm.CodeEngine, c == tm.CodeWatchdog:
-		// Engine-unavailability and watchdog aborts say nothing about
-		// contention, so they must not escalate a thread toward
-		// irrevocability — an irrevocable transaction would freeze all
-		// commits while itself waiting out the outage.
-	default:
-		*consec++
 	}
 	cnt.OnAbort(c)
 }
@@ -534,7 +514,7 @@ func tally(cnt *tm.Counters, consec *int32, c tm.Code, irrevocable, readOnly boo
 // synchronization.
 func (x *txn) finish(c tm.Code) {
 	r := x.r
-	tally(&r.cnt, &r.consec[x.thread], c, x.irrevocable, len(x.vals) == 0)
+	tally(&r.cnt, c, len(x.vals) == 0)
 	if x.irrevocable {
 		r.gate.Unlock()
 		r.irrevPending.Add(-1)
@@ -581,13 +561,9 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 		return nil, fmt.Errorf("rococotm: thread %d already runs an attempt", thread)
 	}
 	r.cnt.OnStart()
-	escalate := r.escalated[thread]
-	if escalate {
-		r.escalated[thread] = false // one prioritized turn per escalation
-	}
-	irrevocable := escalate || (r.cfg.IrrevocableAfter > 0 &&
-		int(r.consec[thread]) >= r.cfg.IrrevocableAfter)
+	irrevocable := r.escalated[thread]
 	if irrevocable {
+		r.escalated[thread] = false // one prioritized turn per escalation
 		// Exclusive gate: in-flight commits drain, nothing new commits
 		// until this transaction finishes, so its snapshot stays valid
 		// and its validation is trivially acyclic. The pending count goes

@@ -339,7 +339,7 @@ func TestWindowOverflowViaEngine(t *testing.T) {
 }
 
 func TestValidationCounters(t *testing.T) {
-	m := New(mem.NewHeap(1<<12), Config{MeasureValidation: true})
+	m := New(mem.NewHeap(1<<12), Config{MeasurePhases: true})
 	defer m.Close()
 	a := m.Heap().MustAlloc(1)
 	for i := 0; i < 10; i++ {
@@ -424,55 +424,51 @@ func TestThreadRangeChecked(t *testing.T) {
 }
 
 func TestIrrevocableEscalation(t *testing.T) {
-	// With IrrevocableAfter=2, a thread that keeps losing the same cycle
-	// race escalates and must then commit (the gate freezes other
-	// committers).
-	m := New(mem.NewHeap(1<<14), Config{IrrevocableAfter: 2})
+	// With EscalateAfter=2, a thread that keeps losing the same cycle race
+	// escalates and must then commit (the gate freezes other committers).
+	m := New(mem.NewHeap(1<<14), Config{})
 	defer m.Close()
 	xAddr := m.Heap().MustAlloc(1)
 	yAddr := m.Heap().MustAlloc(1)
 
-	loseOnce := func() {
-		t1, _ := m.Begin(0)
-		if _, err := t1.Read(xAddr); err != nil {
-			t.Fatal(err)
-		}
-		if err := tm.Run(m, 1, func(x tm.Txn) error {
-			if err := x.Write(xAddr, 1); err != nil {
-				return err
-			}
-			return x.Write(yAddr, 1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := t1.Write(yAddr, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Commit(t1); err == nil {
-			t.Fatal("expected cycle abort while warming up escalation")
-		}
-	}
-	loseOnce()
-	loseOnce()
-
-	// Third attempt on thread 0 is irrevocable: a concurrent committer on
-	// thread 1 must block until it finishes, and it must commit.
-	t1, err := m.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := t1.Read(xAddr); err != nil {
-		t.Fatal(err)
-	}
+	attempts := 0
 	done := make(chan error, 1)
-	go func() {
-		done <- tm.Run(m, 1, func(x tm.Txn) error { return x.Write(xAddr, 9) })
-	}()
-	if err := t1.Write(yAddr, 7); err != nil {
-		t.Fatal(err)
+	err := tm.RunBackoff(m, 0, tm.BackoffPolicy{EscalateAfter: 2}, func(x tm.Txn) error {
+		attempts++
+		if _, err := x.Read(xAddr); err != nil {
+			return err
+		}
+		if attempts <= 2 {
+			// Warm-up: a committer on thread 1 closes a cycle with this
+			// attempt, which must lose validation.
+			if err := tm.Run(m, 1, func(x tm.Txn) error {
+				if err := x.Write(xAddr, 1); err != nil {
+					return err
+				}
+				return x.Write(yAddr, 1)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return x.Write(yAddr, 2)
+		}
+		// Third attempt is irrevocable: a concurrent committer on thread 1
+		// must block until it finishes, and it must commit.
+		if !x.(*txn).irrevocable {
+			t.Fatal("third attempt not irrevocable after two cycle aborts")
+		}
+		go func() {
+			done <- tm.Run(m, 1, func(x tm.Txn) error { return x.Write(xAddr, 9) })
+		}()
+		return x.Write(yAddr, 7)
+	})
+	if err != nil {
+		t.Fatalf("irrevocable transaction failed: %v", err)
 	}
-	if err := m.Commit(t1); err != nil {
-		t.Fatalf("irrevocable transaction aborted: %v", err)
+	if attempts != 3 {
+		t.Fatalf("%d attempts, want two cycle aborts and an irrevocable commit", attempts)
+	}
+	if got := m.Stats().Reasons[tm.ReasonCycle]; got != 2 {
+		t.Fatalf("%d cycle aborts while warming up escalation, want 2", got)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -485,7 +481,7 @@ func TestIrrevocableEscalation(t *testing.T) {
 func TestIrrevocableHammerTerminates(t *testing.T) {
 	// Maximal-contention counter with escalation enabled: must finish and
 	// conserve. (Without irrevocability this is the §5.1 livelock shape.)
-	m := New(mem.NewHeap(1<<12), Config{IrrevocableAfter: 4})
+	m := New(mem.NewHeap(1<<12), Config{})
 	defer m.Close()
 	a := m.Heap().MustAlloc(1)
 	const threads, per = 6, 150
@@ -495,7 +491,7 @@ func TestIrrevocableHammerTerminates(t *testing.T) {
 		go func(th int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := tm.Run(m, th, func(x tm.Txn) error {
+				if err := tm.RunBackoff(m, th, tm.BackoffPolicy{EscalateAfter: 4}, func(x tm.Txn) error {
 					v, err := x.Read(a)
 					if err != nil {
 						return err
@@ -515,26 +511,16 @@ func TestIrrevocableHammerTerminates(t *testing.T) {
 }
 
 func TestIrrevocableAppAbortReleasesGate(t *testing.T) {
-	m := New(mem.NewHeap(1<<12), Config{IrrevocableAfter: 1})
+	m := New(mem.NewHeap(1<<12), Config{})
 	defer m.Close()
 	a := m.Heap().MustAlloc(1)
-	// Force one conflict abort on thread 0 to arm escalation.
-	t0, _ := m.Begin(0)
-	if _, err := t0.Read(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := tm.Run(m, 1, func(x tm.Txn) error { return x.Write(a, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := t0.Write(a, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Commit(t0); err == nil {
-		t.Fatal("expected conflict")
-	}
+	m.Escalate(0)
 	// Irrevocable attempt aborted by the application: the gate must be
 	// released so others proceed.
 	t1, _ := m.Begin(0)
+	if !t1.(*txn).irrevocable {
+		t.Fatal("escalated Begin not irrevocable")
+	}
 	m.Abort(t1)
 	if err := tm.Run(m, 1, func(x tm.Txn) error { return x.Write(a, 3) }); err != nil {
 		t.Fatalf("gate leaked after app abort: %v", err)
@@ -565,7 +551,7 @@ func TestSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak skipped in -short mode")
 	}
-	m := New(mem.NewHeap(1<<18), Config{IrrevocableAfter: 32})
+	m := New(mem.NewHeap(1<<18), Config{})
 	defer m.Close()
 	const slots = 64
 	const threads = 8
@@ -590,7 +576,7 @@ func TestSoak(t *testing.T) {
 			for i := 0; i < perThread; i++ {
 				from := mem.Addr(next(slots))
 				to := mem.Addr(next(slots))
-				if err := tm.Run(m, th, func(x tm.Txn) error {
+				if err := tm.RunBackoff(m, th, tm.BackoffPolicy{EscalateAfter: 32}, func(x tm.Txn) error {
 					fv, err := x.Read(base + from)
 					if err != nil {
 						return err

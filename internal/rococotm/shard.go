@@ -99,10 +99,9 @@ type ShardedConfig struct {
 	// Route maps an address to its owning shard in [0,Shards). It must
 	// be pure and total; the default is addr mod Shards.
 	Route func(mem.Addr) int
-	// Shard is the per-shard runtime template. Observer, Durable,
-	// IrrevocableAfter and LineTable must be zero: observers and durability
-	// are per-shard (below), escalation is managed by the front end, and the
-	// hybrid fast path is not supported per shard.
+	// Shard is the per-shard runtime template. Observer, Durable and
+	// LineTable must be zero: observers and durability are per-shard
+	// (below), and the hybrid fast path is not supported per shard.
 	Shard Config
 	// Observers, when non-nil, has one CommitObserver per shard (nil
 	// entries allowed). Each observes its shard's merged publication
@@ -114,9 +113,6 @@ type ShardedConfig struct {
 	// when every shard a transaction writes is durable). See
 	// RecoverSharded.
 	Durables []*Durable
-	// IrrevocableAfter escalates a thread to an irrevocable (all-gates)
-	// execution after that many consecutive conflict aborts; 0 disables.
-	IrrevocableAfter int
 	// NextXID seeds the cross-shard transaction id allocator: ids are
 	// allocated strictly above it. After recovery, pass the MaxXID
 	// RecoverSharded returned.
@@ -148,7 +144,6 @@ type Sharded struct {
 	// to take cuts that never split a cross-shard commit.
 	xPubVer atomic.Uint64
 
-	consec    []int32
 	escalated []bool
 	scratch   []*stxn
 
@@ -196,8 +191,6 @@ func (c ShardedConfig) Validate(heap *mem.Heap) error {
 		return fmt.Errorf("rococotm: sharded: Shards %d out of range [1,64]", c.Shards)
 	case t.Observer != nil || t.Durable != nil:
 		return errors.New("rococotm: sharded: set Observers/Durables, not Shard.Observer/Shard.Durable")
-	case t.IrrevocableAfter != 0:
-		return errors.New("rococotm: sharded: escalation is managed by the front end; set IrrevocableAfter, not Shard.IrrevocableAfter")
 	case t.LineTable != nil:
 		return errors.New("rococotm: sharded: Shard.LineTable: fast publications are not routed by shard")
 	case c.Observers != nil && len(c.Observers) != c.Shards:
@@ -231,7 +224,6 @@ func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
 		cfg:       cfg,
 		shards:    make([]*TM, n),
 		route:     cfg.Route,
-		consec:    make([]int32, cfg.MaxThreads),
 		escalated: make([]bool, cfg.MaxThreads),
 		scratch:   make([]*stxn, cfg.MaxThreads),
 	}
@@ -415,7 +407,7 @@ func (x *stxn) finish(c tm.Code) {
 			sb.finish(c)
 		}
 	}
-	tally(&s.cnt, &s.consec[x.thread], c, x.irrevocable, ro)
+	tally(&s.cnt, c, ro)
 	if x.irrevocable {
 		for _, sh := range s.shards {
 			sh.gate.Unlock()
@@ -439,13 +431,9 @@ func (s *Sharded) Begin(thread int) (tm.Txn, error) {
 		return nil, fmt.Errorf("rococotm: thread %d out of range [0,%d)", thread, s.cfg.MaxThreads)
 	}
 	s.cnt.OnStart()
-	escalate := s.escalated[thread]
-	if escalate {
-		s.escalated[thread] = false
-	}
-	irrevocable := escalate || (s.cfg.IrrevocableAfter > 0 &&
-		int(s.consec[thread]) >= s.cfg.IrrevocableAfter)
+	irrevocable := s.escalated[thread]
 	if irrevocable {
+		s.escalated[thread] = false
 		// All gates, ascending — the global lock order. Every shard
 		// drains its in-flight commits; the world is frozen until this
 		// transaction finishes.

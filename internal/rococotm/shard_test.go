@@ -437,7 +437,7 @@ func TestShardedSnapshotVector(t *testing.T) {
 
 func TestShardedIrrevocableEscalation(t *testing.T) {
 	heap := mem.NewHeap(1 << 10)
-	s := NewSharded(heap, ShardedConfig{Shards: 2, IrrevocableAfter: 2})
+	s := NewSharded(heap, ShardedConfig{Shards: 2})
 	defer s.Close()
 	addrs := shardAddrs(t, s, 1)
 	// Direct escalation: the next Begin takes all gates and must still
@@ -746,9 +746,6 @@ func TestShardedConfigValidation(t *testing.T) {
 	}
 	mustPanic("observer in template", func() {
 		NewSharded(heap, ShardedConfig{Shard: Config{Observer: audit.New(audit.Config{})}})
-	})
-	mustPanic("irrevocable in template", func() {
-		NewSharded(heap, ShardedConfig{Shard: Config{IrrevocableAfter: 1}})
 	})
 	mustPanic("observers length", func() {
 		NewSharded(heap, ShardedConfig{Shards: 2, Observers: make([]CommitObserver, 3)})

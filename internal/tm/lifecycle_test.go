@@ -258,7 +258,7 @@ func TestRunUntilAttemptBoundaries(t *testing.T) {
 	}
 }
 
-// After EscalateAfter consecutive aborts the loop must request a
+// After EscalateAfter consecutive conflict aborts the loop must request a
 // prioritized pessimistic turn from an Escalator runtime.
 func TestRunBackoffEscalatesStarvedThread(t *testing.T) {
 	m := newCtlTM()
@@ -279,6 +279,33 @@ func TestRunBackoffEscalatesStarvedThread(t *testing.T) {
 	}
 	if len(m.escalations) != 1 || m.escalations[0] != 7 {
 		t.Fatalf("escalations = %v, want [7]", m.escalations)
+	}
+}
+
+// Only contention aborts count toward EscalateAfter: a run of engine and
+// watchdog aborts — an outage, a stuck attempt — must never ask for an
+// irrevocable turn, which would freeze every committer behind the outage;
+// two conflict aborts then must.
+func TestRunBackoffEscalatesOnContentionOnly(t *testing.T) {
+	m := newCtlTM()
+	script := []Code{CodeEngine, CodeWatchdog, CodeEngine, CodeWatchdog, CodeEngine, CodeConflict, CodeWatchdog, CodeConflict}
+	fails := 0
+	m.onCommit = func() error {
+		if fails == len(script) {
+			return nil
+		}
+		if len(m.escalations) != 0 {
+			t.Fatalf("escalated after %d aborts %v, want only after both conflicts", fails, script[:fails])
+		}
+		fails++
+		return AbortCode(script[fails-1])
+	}
+	pol := BackoffPolicy{SpinBase: 1, SpinCap: 2, SleepBase: time.Microsecond, SleepCap: time.Microsecond, EscalateAfter: 2}
+	if err := RunBackoff(m, 5, pol, func(x Txn) error { return x.Write(0, 1) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.escalations) != 1 || m.escalations[0] != 5 {
+		t.Fatalf("escalations = %v, want [5]", m.escalations)
 	}
 }
 

@@ -368,10 +368,13 @@ type BackoffPolicy struct {
 	// of an engine crash/recover cycle, so a retrying writer re-probes a
 	// few times per outage instead of thousands. Default 2ms.
 	SleepCap time.Duration
-	// EscalateAfter is the starvation budget: after this many consecutive
+	// EscalateAfter is the starvation budget: after this many contention
 	// aborts of one logical transaction the retry loop asks the runtime
 	// (if it implements Escalator) for a prioritized pessimistic turn, so
-	// an abort storm cannot livelock a thread forever. Default 512;
+	// an abort storm cannot livelock a thread forever. Engine and watchdog
+	// aborts do not count: they say nothing about contention, and an
+	// irrevocable turn taken during an engine outage would freeze every
+	// committer while itself waiting the outage out. Default 512;
 	// negative disables escalation.
 	EscalateAfter int
 }
@@ -400,7 +403,7 @@ func (p *BackoffPolicy) fill() {
 // Escalator is implemented by runtimes that offer starved transactions a
 // prioritized pessimistic turn (e.g. ROCoCoTM runs the next attempt of an
 // escalated thread irrevocably, under the global gate). The retry loop
-// calls Escalate after BackoffPolicy.EscalateAfter consecutive aborts;
+// calls Escalate after BackoffPolicy.EscalateAfter contention aborts;
 // the effect applies to that thread's next Begin only.
 type Escalator interface {
 	Escalate(thread int)
@@ -548,8 +551,9 @@ func (b *bound) err() error {
 // transaction.
 func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(Txn) error) error {
 	pol.fill()
-	attempt := 0
-	var rg rng // seeded by wait at the first abort
+	attempt := 0   // drives the backoff exponent
+	contended := 0 // drives escalation: attempt less engine and watchdog aborts
+	var rg rng     // seeded by wait at the first abort
 	esc, canEscalate := m.(Escalator)
 	sr, canSite := m.(SiteRunner)
 	useSite := site.ok && canSite
@@ -564,7 +568,7 @@ func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(
 				return err
 			}
 		}
-		if canEscalate && pol.EscalateAfter > 0 && attempt >= pol.EscalateAfter {
+		if canEscalate && pol.EscalateAfter > 0 && contended >= pol.EscalateAfter {
 			esc.Escalate(thread)
 		}
 		var t Txn
@@ -614,6 +618,9 @@ func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(
 		}
 		// Back off by reason class before retrying.
 		attempt++
+		if code != CodeEngine && code != CodeWatchdog {
+			contended++
+		}
 		pol.wait(&rg, code, attempt)
 	}
 }

@@ -144,4 +144,4 @@ loc() {
     find "$1" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
         ! -path '*/testdata/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 }
-echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga)"
+echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga), internal/bench $(loc internal/bench)"
