@@ -11,49 +11,54 @@ import (
 const subSigAddrs = 8
 
 // addrSet is one access set of a transaction, its read set or its write
-// set, kept in the forms every consumer of it wants, and fed from one hash
-// per access: the caller computes an address's signature indices once
-// (sig.Hasher.Indices) and passes them to find and insert.
+// set. An access costs one probe of a position index and no signature work;
+// the signatures are built only when a consumer needs them — the snapshot
+// extension's overlaps, and claim's write signature — by sign, which hashes
+// the addresses recorded since its last call.
 //
-//   - sig is the whole-set signature: the write signature published into the
-//     commit queue, the read signature extension intersects first.
-//   - subs are the §5.3 sub-signatures: subs[i] holds
-//     addrs[i*subSigAddrs:(i+1)*subSigAddrs]. Spares past the live ones are
-//     recycled across attempts.
 //   - addrs are the distinct addresses in first-access order: the footprint
 //     shipped to the validator and the sinks as is.
 //   - index maps an address to its position in addrs: open addressing with
 //     linear probing over a power-of-two table at most half full, slots
 //     holding gen<<32 | position and live only while gen is the set's
-//     current one, so reset empties it in O(1). It is built lazily: only
-//     addrs[:indexed] are in it, and a find the signature cannot rule out
-//     catches it up first, so a set whose signature never answers "maybe"
-//     never touches it.
+//     current one, so reset empties it in O(1). insert and find keep it
+//     complete.
+//   - sig is the whole-set signature: the write signature published into the
+//     commit queue, the read signature extension intersects first.
+//   - subs are the §5.3 sub-signatures: subs[i] holds
+//     addrs[i*subSigAddrs:(i+1)*subSigAddrs]. Spares past the live ones are
+//     recycled across attempts; insert grows them, so sign never allocates.
+//
+// sig and subs describe addrs[:signed] only, and hold stale bits until the
+// first sign of an attempt resets them: read them after a sign.
 //
 // There is no capacity limit and no second representation: two-address
 // transfers and transactions of thousands of accesses use the same
 // structure, which grows by doubling its index and rehashing addrs.
 type addrSet struct {
-	cfg   sig.Config
-	sig   sig.Sig
-	subs  []sig.Sig
-	addrs []uint64
+	cfg    sig.Config
+	sig    sig.Sig
+	subs   []sig.Sig
+	addrs  []uint64
+	signed int
 
-	index   []uint64
-	gen     uint32
-	shift   uint // 64 - log2(len(index)): the index hash keeps the top bits
-	indexed int
+	index []uint64
+	gen   uint32
+	shift uint // 64 - log2(len(index)): the index hash keeps the top bits
 }
 
+// indexMin is the initial size of a set's index.
+const indexMin = 16
+
 func newAddrSet(cfg sig.Config) addrSet {
-	return addrSet{cfg: cfg, sig: sig.New(cfg), gen: 1}
+	return addrSet{cfg: cfg, sig: sig.New(cfg), gen: 1,
+		index: make([]uint64, indexMin), shift: uint(64 - bits.TrailingZeros(indexMin))}
 }
 
 // reset empties the set.
 func (s *addrSet) reset() {
-	s.sig.Reset()
 	s.addrs = s.addrs[:0]
-	s.indexed = 0
+	s.signed = 0
 	if s.gen++; s.gen == 0 {
 		clear(s.index)
 		s.gen = 1
@@ -64,66 +69,77 @@ func (s *addrSet) reset() {
 // hashing: the top bits of a*fibHash spread consecutive addresses).
 const fibHash = 0x9e3779b97f4a7c15
 
-// find returns the position of a, whose signature indices are idx, in
-// addrs, or -1 if a is not in the set.
-func (s *addrSet) find(a uint64, idx []int) int {
-	if !s.sig.QueryIdx(idx) {
-		return -1
-	}
-	s.catchUp()
+// slot returns a's position in addrs, or -1 and the free index slot where
+// a's probe ended.
+func (s *addrSet) slot(a uint64) (pos, free int) {
 	mask := len(s.index) - 1
 	for i := int(a * fibHash >> s.shift); ; i = (i + 1) & mask {
 		e := s.index[i]
 		if uint32(e>>32) != s.gen {
-			return -1
+			return -1, i
 		}
 		if p := int(uint32(e)); s.addrs[p] == a {
-			return p
+			return p, i
 		}
 	}
 }
 
-// insert adds a, whose signature indices are idx, unless it is in the set
-// already. pos is a's position in addrs; fresh reports that insert added it.
-func (s *addrSet) insert(a uint64, idx []int) (pos int, fresh bool) {
-	if p := s.find(a, idx); p >= 0 {
+// find returns the position of a in addrs, or -1 if a is not in the set.
+func (s *addrSet) find(a uint64) int {
+	p, _ := s.slot(a)
+	return p
+}
+
+// insert adds a unless it is in the set already. pos is a's position in
+// addrs; fresh reports that insert added it.
+func (s *addrSet) insert(a uint64) (pos int, fresh bool) {
+	p, i := s.slot(a)
+	if p >= 0 {
 		return p, false
 	}
 	n := len(s.addrs)
-	k := n / subSigAddrs
-	if n%subSigAddrs == 0 {
-		if k < len(s.subs) {
-			s.subs[k].Reset()
-		} else {
-			s.subs = append(s.subs, sig.New(s.cfg))
-		}
+	if 2*(n+1) > len(s.index) {
+		s.grow()
+		_, i = s.slot(a)
 	}
-	s.subs[k].InsertIdx(idx)
-	s.sig.InsertIdx(idx)
+	s.index[i] = uint64(s.gen)<<32 | uint64(n)
+	if k := n / subSigAddrs; k == len(s.subs) {
+		s.subs = append(s.subs, sig.New(s.cfg))
+	}
 	s.addrs = append(s.addrs, a)
 	return n, true
 }
 
-// catchUp indexes every address not yet in the index, first doubling the
-// index (and rehashing all of addrs into it) if it would pass half full.
-func (s *addrSet) catchUp() {
-	n := len(s.addrs)
-	if 2*n > len(s.index) {
-		size := max(16, 2*len(s.index))
-		for size < 2*n {
-			size *= 2
-		}
-		s.index = make([]uint64, size)
-		s.shift = uint(64 - bits.TrailingZeros(uint(size)))
-		s.indexed = 0
+// grow doubles the index and rehashes addrs into it.
+func (s *addrSet) grow() {
+	s.index = make([]uint64, 2*len(s.index))
+	s.shift--
+	for p, a := range s.addrs {
+		_, i := s.slot(a)
+		s.index[i] = uint64(s.gen)<<32 | uint64(p)
 	}
-	mask := len(s.index) - 1
-	for ; s.indexed < n; s.indexed++ {
-		i := int(s.addrs[s.indexed] * fibHash >> s.shift)
-		for uint32(s.index[i]>>32) == s.gen {
-			i = (i + 1) & mask
+}
+
+// sign brings sig and subs up to date with addrs: it hashes every address
+// recorded since the last sign, once, into its sub-signature, and unions
+// the sub-signatures it touched into sig. The first sign of an attempt
+// resets them.
+//
+//tm:hotpath
+func (s *addrSet) sign(h *sig.Hasher) {
+	if s.signed == 0 {
+		s.sig.Reset()
+	}
+	for s.signed < len(s.addrs) {
+		k := s.signed / subSigAddrs
+		sub := s.subs[k]
+		if s.signed%subSigAddrs == 0 {
+			sub.Reset()
 		}
-		s.index[i] = uint64(s.gen)<<32 | uint64(s.indexed)
+		for end := min((k+1)*subSigAddrs, len(s.addrs)); s.signed < end; s.signed++ {
+			sub.Insert(h, s.addrs[s.signed])
+		}
+		s.sig.Union(sub)
 	}
 }
 
@@ -137,7 +153,11 @@ func (s *addrSet) catchUp() {
 //
 //tm:hotpath
 func (s *addrSet) overlaps(h *sig.Hasher, commit sig.Sig) bool {
-	if len(s.addrs) == 0 || !s.sig.Intersects(commit) {
+	if len(s.addrs) == 0 {
+		return false
+	}
+	s.sign(h)
+	if !s.sig.Intersects(commit) {
 		return false
 	}
 	for lo := 0; lo < len(s.addrs); lo += subSigAddrs {

@@ -179,6 +179,48 @@ func TestReadOnlyPathZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLaggedReadZeroAllocs: a read that finds a commit landed since the
+// previous one extends the snapshot, which signs the reads recorded since
+// the last extension and intersects them with the commit's write signature
+// (addrSet.sign, addrSet.overlaps). Once warm that allocates nothing:
+// sub-signatures are grown by insert, on the access, never by sign. Here
+// another thread's commit lands before every eighth of 40 reads.
+func TestLaggedReadZeroAllocs(t *testing.T) {
+	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 2})
+	defer m.Close()
+	reads := m.Heap().MustAlloc(40)
+	w := m.Heap().MustAlloc(1)
+	cycle := func() {
+		x, err := m.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if i%8 == 7 {
+				if err := tm.Run(m, 1, func(y tm.Txn) error { return y.Write(w, mem.Word(i)) }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := x.Read(reads + mem.Addr(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := m.Commit(x); err != nil {
+			t.Fatal(err)
+		}
+		// The last extension, at read 39, signed the 39 reads before it.
+		if n := x.(*txn).reads.signed; n != 39 {
+			t.Fatalf("extensions signed %d reads, want 39", n)
+		}
+	}
+	for i := 0; i < 128; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("lagged read-only cycle allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestGroupReleaseZeroAllocs: the no-sink publication stage — a turn-holder
 // publishing itself and a pre-published successor, then releasing both —
 // must not allocate.

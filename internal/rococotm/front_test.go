@@ -101,7 +101,7 @@ func TestExtendCallerPolicies(t *testing.T) {
 		ref  func(x *txn, idx []int, g uint64) string
 	}{
 		{"read missed address",
-			func(x *txn, a mem.Addr, idx []int, g uint64) error { return x.admit(a, idx, g) },
+			func(x *txn, a mem.Addr, _ []int, g uint64) error { return x.admit(&probe{a: uint64(a)}, g) },
 			refRead},
 		{"commit",
 			func(x *txn, _ mem.Addr, _ []int, g uint64) error {

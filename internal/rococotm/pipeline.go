@@ -55,8 +55,10 @@ import (
 // the commit sequence it issued. The error is an abort — window or cycle —
 // or a hard engine error. The footprint is the read and write sets' own
 // address slices; the engine releases its references before Validate
-// returns.
+// returns. claim also signs the write set: everything after it — arm,
+// publish, awaitWriters — reads x.writes.sig.
 func (r *TM) claim(x *txn) (uint64, error) {
+	x.writes.sign(r.hasher)
 	timed := r.cfg.MeasurePhases
 	var t0 time.Time
 	if timed {

@@ -593,12 +593,13 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 }
 
 // updateSetHits reports whether any in-flight committer's write signature
-// may contain the address whose hash indices are idx (Algorithm 1 line
-// 5). The caller precomputes idx once per read and reuses it across the
-// spin's probes (and its own MissSet query).
+// may contain the address of p (Algorithm 1 line 5). p hashes the address
+// only once an active entry is found, and at most once across the spin's
+// probes and the read's MissSet query, so a read that meets no committer
+// hashes nothing.
 //
 //tm:hotpath
-func (r *TM) updateSetHits(idx []int, self int) bool {
+func (r *TM) updateSetHits(p *probe, self int) bool {
 	for i := range r.updates {
 		if i == self {
 			continue
@@ -608,7 +609,7 @@ func (r *TM) updateSetHits(idx []int, self int) bool {
 			continue
 		}
 		hit := true
-		for _, bit := range idx {
+		for _, bit := range p.indices(r.hasher) {
 			if u.words[bit>>6].Load()&(1<<uint(bit&63)) == 0 {
 				hit = false
 				break
@@ -619,6 +620,25 @@ func (r *TM) updateSetHits(idx []int, self int) bool {
 		}
 	}
 	return false
+}
+
+// probe is one read's address and its signature indices, computed at most
+// once and only when a consumer asks: an active update-set entry, or a
+// non-empty MissSet.
+type probe struct {
+	a   uint64
+	k   int // len of the computed indices; 0 until hashed
+	idx [16]int
+}
+
+// indices returns a's signature indices, hashing on the first call.
+//
+//tm:hotpath
+func (p *probe) indices(h *sig.Hasher) []int {
+	if p.k == 0 {
+		p.k = len(h.Indices(p.a, p.idx[:]))
+	}
+	return p.idx[:p.k]
 }
 
 // loadCommitSig copies the write signature of commit ts into dst.
@@ -653,19 +673,19 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return 0, x.stop(c, st)
 	}
-	// Hash once: read-your-writes, the spin's update-set probes, the
-	// MissSet query and the read-set insert all use the same indices.
-	var idxBuf [16]int
-	idx := x.r.hasher.Indices(uint64(a), idxBuf[:])
 	// Lines 1-4: read-your-writes from the redo log.
-	if i := x.writes.find(uint64(a), idx); i >= 0 {
+	if i := x.writes.find(uint64(a)); i >= 0 {
 		return x.vals[i], nil
 	}
-	v, g1, err := x.load(a, idx)
+	// The read is hashed only if load meets a committer or admit a
+	// MissSet; the read-set signature is built by the extension that needs
+	// it (addrSet.sign).
+	p := probe{a: uint64(a)}
+	v, g1, err := x.load(a, &p)
 	if err != nil {
 		return 0, err
 	}
-	if err := x.admit(a, idx, g1); err != nil {
+	if err := x.admit(&p, g1); err != nil {
 		return 0, err
 	}
 	return v, nil
@@ -675,7 +695,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 // that may be writing a, then loads it. g1 is the GlobalTS that bracketed
 // the accepted load — v is a's value as of every commit below g1, and says
 // nothing about commits from g1 on.
-func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
+func (x *txn) load(a mem.Addr, p *probe) (v mem.Word, g1 uint64, err error) {
 	r := x.r
 	lt := r.lt
 	line := mem.LineOf(a)
@@ -695,7 +715,7 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 		// committer's entry stays active past its timestamp release, until
 		// its write-back lands). If we are already inconsistent (MissSet
 		// non-empty), waiting cannot help: abort (line 6).
-		if r.updateSetHits(idx, x.thread) {
+		if r.updateSetHits(p, x.thread) {
 			if x.missAny {
 				return 0, 0, x.abort(tm.CodeConflict)
 			}
@@ -727,7 +747,7 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 		v = r.heap.Load(a) // line 8
 		// Re-check: if a committer published or a commit completed while
 		// we read, the value may be torn or from an ambiguous snapshot.
-		if r.updateSetHits(idx, x.thread) || r.globalTS.Load() != g1 {
+		if r.updateSetHits(p, x.thread) || r.globalTS.Load() != g1 {
 			continue
 		}
 		if lt != nil && lt.Version(line) != lv {
@@ -737,9 +757,10 @@ func (x *txn) load(a mem.Addr, idx []int) (v mem.Word, g1 uint64, err error) {
 	}
 }
 
-// admit is Algorithm 1 lines 9-20 for a value of a that load accepted under
-// g1: extend the snapshot or grow the miss set, then record the read.
-func (x *txn) admit(a mem.Addr, idx []int, g1 uint64) error {
+// admit is Algorithm 1 lines 9-20 for a value of p's address that load
+// accepted under g1: extend the snapshot or grow the miss set, then record
+// the read.
+func (x *txn) admit(p *probe, g1 uint64) error {
 	// Lines 9-19, extend (agg.go), unless nothing committed since localTS
 	// (one compare on the common path). The fold stops at g1, not at the
 	// live GlobalTS: a is not in the read set yet, so a commit in
@@ -749,10 +770,10 @@ func (x *txn) admit(a mem.Addr, idx []int, g1 uint64) error {
 	if x.localTS < g1 && !x.extend(g1) {
 		return x.abort(tm.CodeWindow) // snapshot fell out of the commit-queue ring
 	}
-	if x.missAny && x.missSig.QueryIdx(idx) {
+	if x.missAny && x.missSig.QueryIdx(p.indices(x.r.hasher)) {
 		return x.abort(tm.CodeConflict) // line 17: torn snapshot
 	}
-	x.reads.insert(uint64(a), idx) // line 20: record the read
+	x.reads.insert(p.a) // line 20: record the read
 	return nil
 }
 
@@ -761,9 +782,7 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return x.stop(c, st)
 	}
-	var idxBuf [16]int
-	idx := x.r.hasher.Indices(uint64(a), idxBuf[:])
-	if i, fresh := x.writes.insert(uint64(a), idx); fresh {
+	if i, fresh := x.writes.insert(uint64(a)); fresh {
 		x.vals = append(x.vals, v)
 	} else {
 		x.vals[i] = v

@@ -217,9 +217,8 @@ func TestReadFoldStopsAtLoadSnapshot(t *testing.T) {
 
 	t0, _ := m.Begin(0)
 	x := t0.(*txn)
-	var idxBuf [16]int
-	idx := m.hasher.Indices(uint64(a), idxBuf[:])
-	v, g1, err := x.load(a, idx)
+	p := probe{a: uint64(a)}
+	v, g1, err := x.load(a, &p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +228,7 @@ func TestReadFoldStopsAtLoadSnapshot(t *testing.T) {
 	if g := m.globalTS.Load(); g != g1+1 {
 		t.Fatalf("GlobalTS = %d after the conflicting commit, want g1+1 = %d", g, g1+1)
 	}
-	if err = x.admit(a, idx, g1); err == nil {
+	if err = x.admit(&p, g1); err == nil {
 		if x.validTS > g1 {
 			t.Errorf("validTS = %d passed g1 = %d with a stale value of a in hand", x.validTS, g1)
 		}

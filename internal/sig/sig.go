@@ -222,17 +222,6 @@ func (s Sig) QueryBits(bits []int32) bool {
 	return true
 }
 
-// InsertIdx adds the address whose positions are idx, as returned by
-// Hasher.Indices: Insert with the hashing hoisted out, for callers that
-// hash an address once and use the positions several times.
-//
-//tm:hotpath
-func (s Sig) InsertIdx(idx []int) {
-	for _, bit := range idx {
-		s.w[bit>>6] |= 1 << uint(bit&63)
-	}
-}
-
 // QueryIdx is QueryBits for one address's positions as returned by
 // Hasher.Indices — for callers that already hold the []int form.
 func (s Sig) QueryIdx(idx []int) bool {

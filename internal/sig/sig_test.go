@@ -476,18 +476,3 @@ func TestQueryIdxMatchesQuery(t *testing.T) {
 		}
 	}
 }
-
-func TestInsertIdxMatchesInsert(t *testing.T) {
-	h := NewHasher(Default512, 5)
-	a, b := New(Default512), New(Default512)
-	rng := rand.New(rand.NewSource(11))
-	var buf [16]int
-	for i := 0; i < 64; i++ {
-		addr := rng.Uint64()
-		a.Insert(h, addr)
-		b.InsertIdx(h.Indices(addr, buf[:]))
-		if !a.Equal(b) {
-			t.Fatalf("after %d inserts InsertIdx and Insert differ", i+1)
-		}
-	}
-}

@@ -71,12 +71,15 @@
 #                    (benchtime=1x), so perf lanes cannot silently rot;
 #                    the non-race run also picks up the AllocsPerRun
 #                    zero-allocation tests excluded from lane 8    (~30s)
-#  11. window fuzz — go test -fuzz FuzzWindowAgainstOracle for 15s:
-#                    the ring-addressed ROCoCo window against BigWindow
-#                    and an explicit-graph oracle at fuzzed W ∈ [1,64],
-#                    through ring-slot reuse and ResetAt at any base;
-#                    new-input minimization is capped at 1s so the
-#                    bounded run keeps executing                  (~20s)
+#  11. fuzz lane  — go test -fuzz, new-input minimization capped at 1s
+#                    so each bounded run keeps executing:
+#                    FuzzWindowAgainstOracle for 15s, the ring-addressed
+#                    ROCoCo window against BigWindow and an explicit-graph
+#                    oracle at fuzzed W ∈ [1,64], through ring-slot reuse
+#                    and ResetAt at any base; FuzzAddrSetAgainstMap for
+#                    10s, the read/write-set type's insert, find, lazy
+#                    sign, overlaps and reset (generation wrap included)
+#                    against a map model and eager signatures     (~30s)
 #
 # Performance regressions are not gated here: that is BENCHMARK.json +
 # benchmark/, run by the driver against the parent commit. The script ends
@@ -134,8 +137,9 @@ go test -count=1 ./cmd/...
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./internal/..."
 go test -run='ZeroAllocs' -bench=. -benchtime=1x ./internal/...
 
-echo "== window fuzz: go test -fuzz FuzzWindowAgainstOracle -fuzztime 15s ./internal/core/"
+echo "== fuzz lane: FuzzWindowAgainstOracle 15s, FuzzAddrSetAgainstMap 10s"
 go test -run NONE -fuzz FuzzWindowAgainstOracle -fuzztime 15s -fuzzminimizetime 1s ./internal/core/
+go test -run NONE -fuzz FuzzAddrSetAgainstMap -fuzztime 10s -fuzzminimizetime 1s ./internal/rococotm/
 
 echo "== all checks passed"
 
