@@ -25,12 +25,12 @@
 // a commit introduces a backward edge, which keeps the common case at a
 // few index probes per commit.
 //
-// The window is bounded (MaxSpan). Backward edges reach at most as far
-// back as a snapshot can lag, and the runtime's commit queue aborts any
-// transaction lagging more than CommitQueueSlots commits, so with
-// MaxSpan ≥ CommitQueueSlots every possible cycle is contained in the
-// window. A validTS older than the window is still counted
-// (HorizonBreaches) so a misconfigured auditor reports itself.
+// The window is bounded: it tracks the last 4096 commits (maxSpan).
+// Backward edges reach at most as far back as a snapshot can lag, and the
+// runtime's commit queue aborts any transaction lagging more than its 4096
+// slots, so every possible cycle is contained in the window. A validTS
+// older than the window is still counted (HorizonBreaches), so an auditor
+// attached to a deeper history reports itself.
 package audit
 
 import (
@@ -45,27 +45,20 @@ import (
 
 // Config parameterizes an Auditor. The zero value is usable.
 type Config struct {
-	// MaxSpan bounds the audit window (commits tracked at once); it must
-	// be at least the runtime's CommitQueueSlots for the no-missed-cycle
-	// guarantee. Default 4096 (the default commit-queue size).
-	MaxSpan int
-	// KeepViolations bounds retained violation details (counters are
-	// exact regardless). Default 16.
-	KeepViolations int
 	// KeepHistory retains every observed record so History and Trace can
 	// rebuild the full run for the offline checkers. Memory grows without
 	// bound — tests and the self-test only.
 	KeepHistory bool
 }
 
-func (c *Config) fill() {
-	if c.MaxSpan == 0 {
-		c.MaxSpan = 4096
-	}
-	if c.KeepViolations == 0 {
-		c.KeepViolations = 16
-	}
-}
+const (
+	// maxSpan bounds the audit window (commits tracked at once); it is the
+	// runtime's commit-queue size, as the no-missed-cycle guarantee needs.
+	maxSpan = 4096
+	// keepViolations bounds the retained violation details (the counters
+	// are exact regardless).
+	keepViolations = 16
+)
 
 // Record is one observed commit.
 type Record struct {
@@ -113,7 +106,8 @@ type reader struct {
 // rococotm.CommitObserver; all methods are safe for concurrent use (the
 // runtime serializes ObserveCommit calls, but Stats readers race them).
 type Auditor struct {
-	cfg Config
+	cfg  Config
+	span int // maxSpan; tests shrink it to force evictions
 
 	mu      sync.Mutex
 	started bool
@@ -133,9 +127,9 @@ type Auditor struct {
 
 // New builds an Auditor.
 func New(cfg Config) *Auditor {
-	cfg.fill()
 	return &Auditor{
 		cfg:     cfg,
+		span:    maxSpan,
 		writers: map[uint64][]uint64{},
 		readers: map[uint64][]reader{},
 	}
@@ -228,7 +222,7 @@ func (a *Auditor) Observe(rec Record) {
 	}
 
 	a.nodes = append(a.nodes, n)
-	for len(a.nodes) > a.cfg.MaxSpan {
+	for len(a.nodes) > a.span {
 		a.evictLocked()
 	}
 
@@ -236,7 +230,7 @@ func (a *Auditor) Observe(rec Record) {
 		a.stats.Searches++
 		if cyc := a.findCycleLocked(rec.Seq); cyc != nil {
 			a.stats.Violations++
-			if len(a.viol) < a.cfg.KeepViolations {
+			if len(a.viol) < keepViolations {
 				a.viol = append(a.viol, Violation{Seq: rec.Seq, Cycle: cyc})
 			}
 		}
@@ -343,7 +337,7 @@ func (a *Auditor) Stats() Stats {
 }
 
 // Violations returns the retained violation details (up to
-// KeepViolations; the Stats counter is exact).
+// keepViolations; the Stats counter is exact).
 func (a *Auditor) Violations() []Violation {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -376,7 +370,7 @@ func (a *Auditor) Err() error {
 		return fmt.Errorf("audit: %d commit-sequence gap(s) in %d commits", s.Gaps, s.Observed)
 	case s.HorizonBreaches > 0:
 		return fmt.Errorf("audit: %d snapshot(s) older than the %d-commit audit window",
-			s.HorizonBreaches, a.cfg.MaxSpan)
+			s.HorizonBreaches, a.span)
 	}
 	return nil
 }

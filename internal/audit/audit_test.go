@@ -110,7 +110,8 @@ func TestGapRestartsWindow(t *testing.T) {
 // evicted writers; the auditor must report itself unsound rather than
 // certify blindly.
 func TestHorizonBreachCounted(t *testing.T) {
-	a := New(Config{MaxSpan: 2})
+	a := New(Config{})
+	a.span = 2
 	for seq := uint64(0); seq < 5; seq++ {
 		a.Observe(Record{Seq: seq, ValidTS: seq, Writes: []uint64{seq}})
 	}
@@ -127,7 +128,8 @@ func TestHorizonBreachCounted(t *testing.T) {
 // Window eviction keeps long streams cheap without losing the ability to
 // catch a cycle among recent commits.
 func TestEvictionPreservesRecentDetection(t *testing.T) {
-	a := New(Config{MaxSpan: 4})
+	a := New(Config{})
+	a.span = 4
 	seq := uint64(0)
 	for ; seq < 100; seq++ {
 		a.Observe(Record{Seq: seq, ValidTS: seq, Reads: []uint64{seq % 3}, Writes: []uint64{seq % 3}})

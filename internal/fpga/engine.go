@@ -40,7 +40,7 @@
 // nothing on the path allocates in steady state. Batching is what
 // concurrency leaves in the ring, not queueing delay: a direct call counts
 // as a batch of one. The modelled clock (Verdict.ModelNanos plus
-// Model.RoundTripNanos) is charged as if the request had crossed the link.
+// RoundTripNanos) is charged as if the request had crossed the link.
 //
 // # Failure semantics
 //
@@ -93,17 +93,11 @@ type Config struct {
 	W int
 	// Sig is the signature geometry; default sig.Default512.
 	Sig sig.Config
-	// SigSeed seeds the multiply-shift hash constants. The CPU side must
-	// use the same seed for its eager-detection signatures.
-	SigSeed uint64
 	// QueueDepth is the pull-queue buffering; default 64 (one slot per
 	// window entry, like the hardware). Must be at least W when set
 	// explicitly: a pull queue shallower than the window cannot keep a
 	// full window of validations outstanding.
 	QueueDepth int
-	// Model configures the latency/occupancy accounting; zero value uses
-	// the HARP2 calibration.
-	Model LatencyModel
 }
 
 func (c *Config) fill() {
@@ -119,7 +113,6 @@ func (c *Config) fill() {
 			c.QueueDepth = c.W // one pull-queue slot per window entry
 		}
 	}
-	c.Model.fill()
 }
 
 // Validate rejects configurations that would misbehave at runtime with a
@@ -137,9 +130,6 @@ func (c Config) Validate() error {
 	}
 	if c.QueueDepth > 0 && c.QueueDepth < w {
 		return fmt.Errorf("fpga: QueueDepth %d shallower than window W=%d: the pull queue needs one slot per window entry so a full window of validations can be outstanding", c.QueueDepth, w)
-	}
-	if c.Model.ClockMHz < 0 || c.Model.PipelineDepth < 0 || c.Model.AddrsPerBeat < 0 {
-		return fmt.Errorf("fpga: negative latency-model parameter (%+v)", c.Model)
 	}
 	return nil
 }

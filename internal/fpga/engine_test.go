@@ -190,22 +190,20 @@ func TestSubmitAfterClose(t *testing.T) {
 }
 
 func TestLatencyModel(t *testing.T) {
-	var m LatencyModel
-	m.fill()
-	if got := m.requestCycles(0, 0); got != uint64(m.PipelineDepth)+1 {
+	if got := requestCycles(0, 0); got != pipelineDepth+1 {
 		t.Fatalf("empty request cycles = %d", got)
 	}
 	// 8 reads + 8 writes = 2 beats.
-	if got := m.requestCycles(8, 8); got != uint64(m.PipelineDepth)+2 {
+	if got := requestCycles(8, 8); got != pipelineDepth+2 {
 		t.Fatalf("16-address cycles = %d", got)
 	}
 	// 200 MHz → 5 ns per cycle.
-	if got := m.cyclesToNanos(10); got != 50 {
+	if got := cyclesToNanos(10); got != 50 {
 		t.Fatalf("10 cycles = %d ns", got)
 	}
 	// Full validation latency is dominated by the round trip and stays
 	// well under a microsecond for cache-line-sized sets (Figure 11).
-	lat := m.ValidationNanos(8, 8)
+	lat := RoundTripNanos + cyclesToNanos(requestCycles(8, 8))
 	if lat < 600 || lat > 1000 {
 		t.Fatalf("validation latency %d ns out of expected band", lat)
 	}

@@ -25,8 +25,6 @@ func TestConfigValidate(t *testing.T) {
 		{"queue shallower than window", Config{W: 16, QueueDepth: 8}, "shallower"},
 		{"queue shallower than default window", Config{QueueDepth: 32}, "shallower"},
 		{"queue equals window", Config{W: 16, QueueDepth: 16}, ""},
-		{"negative clock", Config{Model: LatencyModel{ClockMHz: -1}}, "latency-model"},
-		{"negative depth", Config{Model: LatencyModel{PipelineDepth: -2}}, "latency-model"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

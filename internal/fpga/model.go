@@ -5,64 +5,41 @@ import (
 	"math"
 )
 
-// LatencyModel converts request shapes to modeled pipeline occupancy. The
-// defaults are calibrated to the paper's HARP2 deployment: a fully
-// pipelined design at 200 MHz whose critical path is the 512-bit bloom
-// filter (§6.5), reached over a CCI channel with a sub-600 ns round trip
-// (§6.2: ~200 ns read-hit to LLC from the FPGA, <400 ns write back).
-type LatencyModel struct {
-	// ClockMHz is the fabric clock; default 200.
-	ClockMHz float64
-	// PipelineDepth is the number of stages a request occupies beyond its
-	// address beats; default 8 (hash, 2×filter, vector, validate, update,
-	// 2×queue).
-	PipelineDepth int
-	// AddrsPerBeat is how many 64-bit addresses stream per cycle; default
-	// 8 (one 512-bit cache line per beat, §5.2's coincidence).
-	AddrsPerBeat int
-	// RoundTripNanos is the CPU↔FPGA queue round trip; default 600.
-	RoundTripNanos uint64
-}
+// The latency model, calibrated to the paper's HARP2 deployment: a fully
+// pipelined design whose critical path is the 512-bit bloom filter (§6.5),
+// reached over a CCI channel with a sub-600 ns round trip (§6.2: ~200 ns
+// read-hit to LLC from the FPGA, <400 ns write back).
+const (
+	// clockMHz is the fabric clock.
+	clockMHz = 200
+	// pipelineDepth is the number of stages a request occupies beyond its
+	// address beats: hash, 2×filter, vector, validate, update, 2×queue.
+	pipelineDepth = 8
+	// addrsPerBeat is how many 64-bit addresses stream per cycle: one
+	// 512-bit cache line per beat, §5.2's coincidence.
+	addrsPerBeat = 8
+	// RoundTripNanos is the CPU↔FPGA queue round trip.
+	RoundTripNanos = 600
+)
 
-func (m *LatencyModel) fill() {
-	if m.ClockMHz == 0 {
-		m.ClockMHz = 200
-	}
-	if m.PipelineDepth == 0 {
-		m.PipelineDepth = 8
-	}
-	if m.AddrsPerBeat == 0 {
-		m.AddrsPerBeat = 8
-	}
-	if m.RoundTripNanos == 0 {
-		m.RoundTripNanos = 600
-	}
-}
+// sigSeed seeds the multiply-shift hash constants of every engine; the CPU
+// side signs with the engine's own Hasher, so both agree.
+const sigSeed = 0
 
 // requestCycles returns the pipeline occupancy of a request with the given
 // footprint: streaming the addresses in line-sized beats plus the fixed
 // stage depth.
-func (m LatencyModel) requestCycles(reads, writes int) uint64 {
-	beats := (reads + m.AddrsPerBeat - 1) / m.AddrsPerBeat
-	beats += (writes + m.AddrsPerBeat - 1) / m.AddrsPerBeat
+func requestCycles(reads, writes int) uint64 {
+	beats := (reads + addrsPerBeat - 1) / addrsPerBeat
+	beats += (writes + addrsPerBeat - 1) / addrsPerBeat
 	if beats == 0 {
 		beats = 1
 	}
-	return uint64(beats + m.PipelineDepth)
+	return uint64(beats + pipelineDepth)
 }
 
-// cyclesToNanos converts cycles at the configured clock.
-func (m LatencyModel) cyclesToNanos(c uint64) uint64 {
-	return uint64(float64(c) * 1000 / m.ClockMHz)
-}
-
-// ValidationNanos returns the full modeled latency of one validation as
-// seen by the CPU: the CCI round trip plus the pipeline residency.
-func (m LatencyModel) ValidationNanos(reads, writes int) uint64 {
-	mm := m
-	mm.fill()
-	return mm.RoundTripNanos + mm.cyclesToNanos(mm.requestCycles(reads, writes))
-}
+// cyclesToNanos converts cycles at the fabric clock.
+func cyclesToNanos(c uint64) uint64 { return c * 1000 / clockMHz }
 
 // ---------------------------------------------------------------------------
 // Resource model (§6.5)

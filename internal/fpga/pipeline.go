@@ -85,7 +85,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	cfg.fill()
 	p := &Pipeline{
 		cfg:    cfg,
-		hasher: sig.NewHasher(cfg.Sig, cfg.SigSeed),
+		hasher: sig.NewHasher(cfg.Sig, sigSeed),
 		k:      cfg.Sig.K,
 		rBits:  make([]int32, 0, 64),
 		wBits:  make([]int32, 0, 64),
@@ -194,9 +194,9 @@ func hitSlots(cols []uint64, bitsOf []int32, k int) uint64 {
 func (p *Pipeline) Process(r Request) Verdict {
 	p.stats.Requests++
 
-	cycles := p.cfg.Model.requestCycles(len(r.ReadAddrs), len(r.WriteAddrs))
+	cycles := requestCycles(len(r.ReadAddrs), len(r.WriteAddrs))
 	p.stats.ModelCycles += cycles
-	nanos := p.cfg.Model.cyclesToNanos(cycles)
+	nanos := cyclesToNanos(cycles)
 
 	if p.bigWin != nil {
 		return p.processBig(r, nanos)

@@ -54,7 +54,7 @@ func NewRTL(cfg Config) *RTL {
 	cfg.fill()
 	return &RTL{
 		cfg:    cfg,
-		hasher: sig.NewHasher(cfg.Sig, cfg.SigSeed),
+		hasher: sig.NewHasher(cfg.Sig, sigSeed),
 		win:    core.NewWindow(cfg.W),
 	}
 }
@@ -138,7 +138,7 @@ func (t *rtlTxn) beatRange(k, perBeat int) (lo, hi int, isRead bool) {
 // whose streaming is complete.
 func (r *RTL) Tick() {
 	r.cycles++
-	perBeat := r.cfg.Model.AddrsPerBeat
+	perBeat := addrsPerBeat
 
 	// Detector stage: one beat per in-flight transaction per cycle.
 	for _, t := range r.inflight {
@@ -212,8 +212,8 @@ func (r *RTL) probe(t *rtlTxn, h *entry, addrs []uint64, isRead bool) {
 // the normal history path).
 func (r *RTL) retire(t *rtlTxn) {
 	v := Verdict{Token: t.req.Token}
-	cycles := r.cfg.Model.requestCycles(t.nReads, len(t.addrs)-t.nReads)
-	v.ModelNanos = r.cfg.Model.cyclesToNanos(cycles)
+	cycles := requestCycles(t.nReads, len(t.addrs)-t.nReads)
+	v.ModelNanos = cyclesToNanos(cycles)
 
 	if core.Seq(t.req.ValidTS) < r.win.BaseSeq() {
 		v.Reason = ReasonWindow
@@ -254,7 +254,7 @@ func (r *RTL) retire(t *rtlTxn) {
 	}
 	// Commit broadcast: followers fold the new entry over their processed
 	// prefix in this cycle.
-	perBeat := r.cfg.Model.AddrsPerBeat
+	perBeat := addrsPerBeat
 	for _, follower := range r.inflight {
 		for k := 0; k < follower.beatsDone; k++ {
 			lo, hi, isRead := follower.beatRange(k, perBeat)

@@ -41,7 +41,7 @@ func randRequests(n int, seed int64) []Request {
 // non-blocking pipeline is maintained", §4.2).
 func TestRTLEquivalentToBehavioralEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		cfg := Config{W: 16, SigSeed: 99}
+		cfg := Config{W: 16}
 		eng, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestRTLEquivalentToBehavioralEngine(t *testing.T) {
 // max(total beats, one retirement per cycle) rather than the serial
 // sum of per-request latencies — initiation interval ≈ 1.
 func TestRTLPipelines(t *testing.T) {
-	cfg := Config{W: 64, SigSeed: 7}
+	cfg := Config{W: 64}
 	rtl := NewRTL(cfg)
 	const n = 200
 	totalBeats := 0

@@ -44,8 +44,6 @@ type Config struct {
 	// WriteCapacityLines is the L1-like bound on written lines; default 512
 	// (32 KiB of 64-byte lines).
 	WriteCapacityLines int
-	// ReadCapacityLines is the bound on read lines; default 4096.
-	ReadCapacityLines int
 	// RetryLimit is the number of consecutive speculative attempts before
 	// falling back to the global lock; default 5 (one initial execution
 	// plus four retries, the paper's best policy on HARP2).
@@ -67,13 +65,14 @@ func (c *Config) fill() {
 	if c.WriteCapacityLines == 0 {
 		c.WriteCapacityLines = 512
 	}
-	if c.ReadCapacityLines == 0 {
-		c.ReadCapacityLines = 4096
-	}
 	if c.RetryLimit == 0 {
 		c.RetryLimit = 5
 	}
 }
+
+// readCapacityLines is the bound on the read lines of one speculative
+// attempt.
+const readCapacityLines = 4096
 
 // Line-state word: bits 0..55 are the reader bitmap (bit t = thread t is a
 // reader); bits 56..63 hold writer+1 (0 = no writer).
@@ -233,7 +232,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	}
 	l := mem.LineOf(a)
 	if !x.rlines[l] && !x.wlines[l] {
-		if len(x.rlines) >= x.h.cfg.ReadCapacityLines {
+		if len(x.rlines) >= readCapacityLines {
 			return 0, x.abortSpec(tm.CodeCapacity)
 		}
 		st := &x.h.lines[l]

@@ -1,8 +1,6 @@
 package hybrid
 
-import "rococotm/internal/tm"
-
-// Routing-state introspection for the black-box tests.
+// Routing-state introspection and fast-path limits for the black-box tests.
 
 const (
 	SiteFastState  = siteFast
@@ -16,5 +14,18 @@ func SiteState(h *TM, id uint64) (state uint32, ewma uint64) {
 	return st.state.Load(), st.ewma.Load()
 }
 
-// Attempt exposes a fast attempt's running word, for rococotm.TM.Poll.
-func Attempt(t tm.Txn) uint64 { return t.(*fastTxn).attempt }
+// Limit sets a fresh runtime's fast-path limits before its first attempt:
+// the write capacity, the consecutive conflict aborts that demote a
+// thread, and a demoted site's base probe interval. Zero keeps a limit.
+func Limit(h *TM, maxFastWrites, consecAborts, probeAfter int) {
+	if maxFastWrites != 0 {
+		h.maxFastWrites = maxFastWrites
+	}
+	if consecAborts != 0 {
+		h.consecAborts = consecAborts
+	}
+	if probeAfter != 0 {
+		h.probeAfter = uint64(probeAfter)
+		h.defSite.probeWait.Store(h.probeAfter)
+	}
+}

@@ -41,16 +41,16 @@ type fastTxn struct {
 func newFastTxn(h *TM, thread int) *fastTxn {
 	return &fastTxn{
 		h:          h,
-		ownedLines: make([]uint64, 0, h.cfg.MaxFastWrites),
+		ownedLines: make([]uint64, 0, h.maxFastWrites),
 		FastFootprint: rococotm.FastFootprint{
 			Thread:       thread,
 			ReadAddrs:    make([]uint64, 0, maxFastReads),
 			ReadLines:    make([]uint64, 0, maxFastReads),
 			ReadVers:     make([]uint64, 0, maxFastReads),
-			WriteOrder:   make([]mem.Addr, 0, h.cfg.MaxFastWrites),
-			OldVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
-			NewVals:      make([]mem.Word, 0, h.cfg.MaxFastWrites),
-			WriteAddrs64: make([]uint64, 0, h.cfg.MaxFastWrites),
+			WriteOrder:   make([]mem.Addr, 0, h.maxFastWrites),
+			OldVals:      make([]mem.Word, 0, h.maxFastWrites),
+			NewVals:      make([]mem.Word, 0, h.maxFastWrites),
+			WriteAddrs64: make([]uint64, 0, h.maxFastWrites),
 		},
 	}
 }
@@ -158,10 +158,10 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 	own := h.lt.Own(line)
 	s := own.Load()
 	if mem.LineWriterOf(s) != x.Thread {
-		if len(x.WriteOrder) >= h.cfg.MaxFastWrites {
+		if len(x.WriteOrder) >= h.maxFastWrites {
 			// Capacity check before acquisition: a full write set means this
 			// new line's ownership would never be used, and appending it
-			// would push ownedLines past its MaxFastWrites capacity — a heap
+			// would push ownedLines past its maxFastWrites capacity — a heap
 			// reallocation on the hot path. (A write to a not-yet-owned line
 			// can never be a repeat: a repeated address implies we already
 			// own its line.)
@@ -207,7 +207,7 @@ func (x *fastTxn) Write(a mem.Addr, v mem.Word) error {
 		h.heap.Store(a, v)
 		return nil
 	}
-	if len(x.WriteOrder) >= h.cfg.MaxFastWrites {
+	if len(x.WriteOrder) >= h.maxFastWrites {
 		return x.fail(tm.CodeCapacity)
 	}
 	x.WriteOrder = append(x.WriteOrder, a)

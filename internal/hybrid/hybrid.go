@@ -29,12 +29,13 @@
 // site keeps an EWMA of its fast-path abort rate and walks a three-state
 // policy: try-fast (route fast until the EWMA crosses the demotion
 // threshold), go-slow (route to the engine path, periodically granting
-// one probing fast attempt), probation (the probe is in flight; a commit
-// re-promotes the site, an abort doubles the probe interval). On top of
-// the per-site policy, a per-thread guard demotes the very next attempt
-// to the slow path after a structural fast abort (capacity, irrevocable
-// gate, engine unavailability) or after ConsecAborts consecutive fast
-// conflict aborts; the retry loop's escalation (contention aborts past
+// one probing fast attempt after 32 slow-routed ones), probation (the
+// probe is in flight; a commit re-promotes the site, an abort doubles the
+// probe interval). On top of the per-site policy, a per-thread guard
+// demotes the very next attempt to the slow path after a structural fast
+// abort (capacity: a 65th distinct written word; the irrevocable gate;
+// engine unavailability) or after 3 consecutive fast conflict aborts;
+// the retry loop's escalation (contention aborts past
 // tm.BackoffPolicy.EscalateAfter → Escalate, below) then finishes the
 // ladder, so a starved site degrades fast → engine → irrevocable.
 package hybrid
@@ -49,41 +50,26 @@ import (
 	"rococotm/internal/tm"
 )
 
-// Config tunes the hybrid runtime. The zero value of every field is a
-// usable default.
+// Config configures the hybrid runtime. The zero value is usable.
 type Config struct {
 	// Slow is the engine-validated runtime's configuration. LineTable is
 	// filled in by New (supplying one is an error); Durable is rejected by
 	// rococotm.New.
 	Slow rococotm.Config
-
-	// MaxFastWrites bounds the distinct heap words (and so the owned
-	// lines) of one fast attempt; beyond it the attempt takes a capacity
-	// abort and falls back. Default 64.
-	MaxFastWrites int
-
-	// ConsecAborts is the per-thread consecutive fast-conflict-abort count
-	// that demotes the next attempt to the slow path. Default 3.
-	ConsecAborts int
-	// ProbeAfter is how many slow-routed attempts a demoted site waits
-	// before granting a probing fast attempt; each failed probe doubles
-	// the wait (capped at 64× the base). Default 32.
-	ProbeAfter int
-}
-
-func (c *Config) fill() {
-	if c.MaxFastWrites == 0 {
-		c.MaxFastWrites = 64
-	}
-	if c.ConsecAborts == 0 {
-		c.ConsecAborts = 3
-	}
-	if c.ProbeAfter == 0 {
-		c.ProbeAfter = 32
-	}
 }
 
 const (
+	// maxFastWrites bounds the distinct heap words (and so the owned lines)
+	// of one fast attempt; beyond it the attempt takes a capacity abort and
+	// falls back.
+	maxFastWrites = 64
+	// consecAborts is the per-thread consecutive fast-conflict-abort count
+	// that demotes the next attempt to the slow path.
+	consecAborts = 3
+	// probeAfter is how many slow-routed attempts a demoted site waits
+	// before granting a probing fast attempt; each failed probe doubles the
+	// wait (capped at 64× the base).
+	probeAfter = 32
 	// maxFastReads bounds the read-address log of one fast attempt. Repeated
 	// reads of one address append repeatedly — the fast path keeps no map —
 	// so this also caps total reads.
@@ -123,7 +109,12 @@ type TM struct {
 	slow *rococotm.TM
 	lt   *mem.LineTable
 	heap *mem.Heap
-	cfg  Config
+
+	// maxFastWrites, consecAborts and probeAfter, as test seams: tests
+	// shrink the capacity or change the ladder before the first attempt.
+	maxFastWrites int
+	consecAborts  int
+	probeAfter    uint64
 
 	sites   sync.Map // site id (uint64) → *siteStats
 	defSite siteStats
@@ -143,7 +134,6 @@ type TM struct {
 // New builds a hybrid runtime over heap. It creates the shared line table
 // and starts the slow runtime with it.
 func New(heap *mem.Heap, cfg Config) *TM {
-	cfg.fill()
 	if cfg.Slow.LineTable != nil {
 		panic("hybrid: Config.Slow.LineTable is owned by hybrid.New")
 	}
@@ -156,15 +146,17 @@ func New(heap *mem.Heap, cfg Config) *TM {
 	lt := mem.NewLineTable(heap.Cap())
 	cfg.Slow.LineTable = lt
 	h := &TM{
-		slow:      rococotm.New(heap, cfg.Slow),
-		lt:        lt,
-		heap:      heap,
-		cfg:       cfg,
-		scratch:   make([]*fastTxn, cfg.Slow.MaxThreads),
-		consec:    make([]int32, cfg.Slow.MaxThreads),
-		forceSlow: make([]int32, cfg.Slow.MaxThreads),
+		slow:          rococotm.New(heap, cfg.Slow),
+		lt:            lt,
+		heap:          heap,
+		maxFastWrites: maxFastWrites,
+		consecAborts:  consecAborts,
+		probeAfter:    probeAfter,
+		scratch:       make([]*fastTxn, cfg.Slow.MaxThreads),
+		consec:        make([]int32, cfg.Slow.MaxThreads),
+		forceSlow:     make([]int32, cfg.Slow.MaxThreads),
 	}
-	h.defSite.probeWait.Store(uint64(cfg.ProbeAfter))
+	h.defSite.probeWait.Store(probeAfter)
 	return h
 }
 
@@ -232,7 +224,7 @@ func (h *TM) site(id uint64) *siteStats {
 		return s.(*siteStats)
 	}
 	s := &siteStats{}
-	s.probeWait.Store(uint64(h.cfg.ProbeAfter))
+	s.probeWait.Store(h.probeAfter)
 	got, _ := h.sites.LoadOrStore(id, s)
 	return got.(*siteStats)
 }
@@ -275,11 +267,11 @@ func (h *TM) onFastOutcome(x *fastTxn, committed, structural bool) {
 
 	if x.probe {
 		if committed {
-			st.probeWait.Store(uint64(h.cfg.ProbeAfter))
+			st.probeWait.Store(h.probeAfter)
 			st.ewma.Store(0)
 			st.state.Store(siteFast)
 		} else {
-			if w := st.probeWait.Load(); w < uint64(h.cfg.ProbeAfter)*64 {
+			if w := st.probeWait.Load(); w < h.probeAfter*64 {
 				st.probeWait.Store(w * 2)
 			}
 			st.state.Store(siteSlow)
@@ -294,7 +286,7 @@ func (h *TM) onFastOutcome(x *fastTxn, committed, structural bool) {
 		// Capacity, irrevocable gate, engine unavailability: retrying fast
 		// cannot help this attempt — route the retry to the slow path.
 		h.forceSlow[x.Thread]++
-	} else if h.consec[x.Thread]++; int(h.consec[x.Thread]) >= h.cfg.ConsecAborts {
+	} else if h.consec[x.Thread]++; int(h.consec[x.Thread]) >= h.consecAborts {
 		h.consec[x.Thread] = 0
 		h.forceSlow[x.Thread]++
 	}

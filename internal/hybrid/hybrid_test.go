@@ -199,9 +199,10 @@ func TestHybridHistorySerializable(t *testing.T) {
 // the demoted site routes slow, then grants a probing fast attempt; the
 // probe commits and re-promotes the site.
 func TestHybridRouterDemotion(t *testing.T) {
-	// ConsecAborts high so the per-thread guard doesn't mask the per-site
-	// policy; ProbeAfter small so the probe arrives quickly.
-	h, heap := newHybrid(t, hybrid.Config{ProbeAfter: 2, ConsecAborts: 100})
+	// consecAborts high so the per-thread guard doesn't mask the per-site
+	// policy; probeAfter small so the probe arrives quickly.
+	h, heap := newHybrid(t, hybrid.Config{})
+	hybrid.Limit(h, 0, 100, 2)
 	a := heap.MustAlloc(1)
 	slow := h.Slow()
 	const site = 9001
@@ -247,7 +248,7 @@ func TestHybridRouterDemotion(t *testing.T) {
 		t.Fatal("no fast aborts recorded")
 	}
 
-	// Demoted: attempts route slow until ProbeAfter of them pass, then one
+	// Demoted: attempts route slow until probeAfter of them pass, then one
 	// probing fast attempt runs uncontended, commits, and re-promotes.
 	fastBefore := s.FastCommits
 	inc := func(x tm.Txn) error {
@@ -460,150 +461,6 @@ func BenchmarkRunReadOnly(b *testing.B) {
 	}
 }
 
-// TestHybridReadOnlyTornSnapshotAborts pins the read-only fast commit's
-// commit-time validation. A slow write-back applies its stores line by
-// line after bumping the publication clock once, so an invisible fast
-// reader that starts mid-drain can collect one already-applied word and
-// one not-yet-applied word without ever seeing the clock move. The
-// WritebackHook freezes the drain between the two stores to build exactly
-// that snapshot deterministically; the read-only commit must refuse it.
-func TestHybridReadOnlyTornSnapshotAborts(t *testing.T) {
-	block := make(chan struct{})
-	reached := make(chan struct{})
-	var once sync.Once
-	h, heap := newHybrid(t, hybrid.Config{Slow: rococotm.Config{
-		MaxThreads: 4,
-		WritebackHook: func(seq uint64, word int) {
-			if word == 1 {
-				once.Do(func() {
-					close(reached)
-					<-block
-				})
-			}
-		},
-	}})
-	base := heap.MustAlloc(16)
-	a, b := base, base+8 // distinct lines
-
-	done := make(chan error, 1)
-	go func() {
-		done <- tm.Run(h.Slow(), 1, func(x tm.Txn) error {
-			if err := x.Write(a, 1); err != nil {
-				return err
-			}
-			return x.Write(b, 1)
-		})
-	}()
-	<-reached // a stored and bumped; b untouched; write-back frozen mid-drain
-
-	xt, err := h.Begin(0) // default site starts in try-fast
-	if err != nil {
-		t.Fatal(err)
-	}
-	va, err := xt.Read(a)
-	if err != nil {
-		t.Fatalf("Read(a): %v", err)
-	}
-	vb, err := xt.Read(b)
-	if err != nil {
-		t.Fatalf("Read(b): %v", err)
-	}
-	if va != 1 || vb != 0 {
-		t.Fatalf("execution snapshot a=%d b=%d, hook should pin a=1 b=0", va, vb)
-	}
-	err = h.Commit(xt)
-	if code, ok := tm.CodeOf(err); !ok || code != tm.CodeConflict {
-		t.Fatalf("read-only commit of torn snapshot a=1 b=0: err=%v, want conflict abort", err)
-	}
-
-	close(block)
-	if err := <-done; err != nil {
-		t.Fatalf("slow writer: %v", err)
-	}
-	// With the write-back retired, a fresh read-only fast commit passes.
-	if err := tm.Run(h, 0, func(x tm.Txn) error {
-		va, err := x.Read(a)
-		if err != nil {
-			return err
-		}
-		vb, err := x.Read(b)
-		if err != nil {
-			return err
-		}
-		if va != 1 || vb != 1 {
-			t.Errorf("post-drain snapshot a=%d b=%d, want 1/1", va, vb)
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("post-drain read-only txn: %v", err)
-	}
-}
-
-// TestHybridIrrevocableReadSpinsOutFastOwner: an irrevocable transaction's
-// Read must never abort, even with a pathologically small ReadSpinLimit
-// and a fast transaction parked on the line it wants. The reader dooms
-// the fast owner and waits it out instead.
-func TestHybridIrrevocableReadSpinsOutFastOwner(t *testing.T) {
-	h, heap := newHybrid(t, hybrid.Config{Slow: rococotm.Config{
-		MaxThreads:    4,
-		ReadSpinLimit: 1,
-	}})
-	a := heap.MustAlloc(1)
-
-	fx, err := h.Begin(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.Write(a, 7); err != nil { // fast path: owns a's line, seqlock odd
-		t.Fatal(err)
-	}
-
-	h.Escalate(1) // next attempt on thread 1 is slow and irrevocable
-	done := make(chan error, 1)
-	vch := make(chan mem.Word, 1)
-	go func() {
-		ix, err := h.Begin(1)
-		if err != nil {
-			done <- err
-			return
-		}
-		v, err := ix.Read(a)
-		if err != nil {
-			done <- fmt.Errorf("irrevocable Read aborted: %w (no-abort contract)", err)
-			return
-		}
-		vch <- v
-		done <- h.Commit(ix)
-	}()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, st := h.Slow().Poll(0, hybrid.Attempt(fx)); st == rococotm.Doomed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("irrevocable reader never doomed the fast line owner")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// The doomed owner's next operation rolls it back and releases the line.
-	_, werr := fx.Read(a)
-	if code, ok := tm.CodeOf(werr); !ok || code != tm.CodeConflict {
-		t.Fatalf("doomed fast owner's Read: err=%v, want conflict abort", werr)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("irrevocable Read still blocked after the fast owner released")
-	}
-	if rv := <-vch; rv != 0 {
-		t.Fatalf("irrevocable Read = %d, want 0 (fast owner's store rolled back)", rv)
-	}
-}
-
 // TestHybridPoolCheckSeesFastAttempt: a live fast attempt is a live attempt
 // to PoolCheck, and is gone once it commits or aborts — so the leak
 // assertions of the other tests can catch a leaked fast attempt.
@@ -682,7 +539,8 @@ func TestHybridWatchdogKillsFastAttempt(t *testing.T) {
 // its preallocated capacity and cycle the line's seqlock for nothing. The
 // untouched version word is the observable.
 func TestHybridFastWriteCapacityPreCheck(t *testing.T) {
-	h, heap := newHybrid(t, hybrid.Config{MaxFastWrites: 2})
+	h, heap := newHybrid(t, hybrid.Config{})
+	hybrid.Limit(h, 2, 0, 0)
 	base := heap.MustAlloc(24)
 	lt := h.Slow().LineTable()
 	over := base + 16

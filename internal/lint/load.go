@@ -213,30 +213,54 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	if len(xtests) > 0 {
 		// The external test package compiles against the sibling package's
 		// test-inclusive view — export_test.go helpers are visible to it —
-		// so seed the import cache with that view for the duration of the
-		// check, restoring the pure entry afterwards.
-		var restore func()
+		// and so does every module package it imports that imports the
+		// sibling (the go tool recompiles those for the test). For the
+		// duration of the check the import cache maps path to that view
+		// and drops the importers of path; afterwards the pure entries
+		// come back.
+		saved := l.pkgs
 		if len(out) > 0 && out[0].Tests {
-			prev, had := l.pkgs[path]
-			l.pkgs[path] = out[0]
-			restore = func() {
-				if had {
-					l.pkgs[path] = prev
-				} else {
-					delete(l.pkgs, path)
+			l.pkgs = map[string]*Package{path: out[0]}
+			for q, p := range saved {
+				if q != path && !imports(p.Pkg, path) {
+					l.pkgs[q] = p
 				}
 			}
 		}
 		p, err := l.check(path+"_test", dir, xtests, true)
-		if restore != nil {
-			restore()
+		for q, p := range l.pkgs {
+			if _, ok := saved[q]; !ok && q != path && !imports(p.Pkg, path) {
+				saved[q] = p
+			}
 		}
+		l.pkgs = saved
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, p)
 	}
 	return out, nil
+}
+
+// imports reports whether pkg imports path, directly or transitively.
+func imports(pkg *types.Package, path string) bool {
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package) bool
+	walk = func(p *types.Package) bool {
+		for _, q := range p.Imports() {
+			if q.Path() == path {
+				return true
+			}
+			if !seen[q] {
+				seen[q] = true
+				if walk(q) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(pkg)
 }
 
 // parseDir parses the .go files of dir into package files, in-package test

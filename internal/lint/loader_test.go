@@ -50,6 +50,36 @@ func TestLoaderBuildTags(t *testing.T) {
 	}
 }
 
+// TestLoaderExternalTestImportsImporter: an external test package that
+// imports a package importing the package under test sees one type, the
+// test-inclusive one, through both paths, as the go tool builds it. The
+// importer is loaded first, so the cache already holds it against the
+// pure package; after the check the pure view is back.
+func TestLoaderExternalTestImportsImporter(t *testing.T) {
+	dir := filepath.Join("testdata", "loader", "xtestdep")
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loader.LoadDir(filepath.Join(dir, "user")); err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := loader.LoadDir(filepath.Join(dir, "base"))
+	if err != nil {
+		t.Fatalf("LoadDir(base): %v", err)
+	}
+	if len(pkgs) != 2 || pkgs[1].Path != loader.Module+"/internal/lint/testdata/loader/xtestdep/base_test" {
+		t.Fatalf("got %d packages, want base and base_test", len(pkgs))
+	}
+	pure, err := loader.Import(loader.Module + "/internal/lint/testdata/loader/xtestdep/base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pure.Scope().Lookup("N") != nil {
+		t.Error("the importable view of base kept the export_test.go helper after the external test's check")
+	}
+}
+
 // TestLoaderIgnoreInCompositeLit: a lint:ignore directive buried inside a
 // composite literal neither panics the directive scan nor suppresses a
 // finding on an unrelated line.

@@ -15,7 +15,7 @@ import (
 // Level 0 is the commit queue itself — one write signature per commit.
 // Level L (1 ≤ L ≤ aggMax) holds, for every naturally aligned block of 2^L
 // commits, the union of their write signatures, in a ring of
-// CommitQueueSlots/2^L seqlock-versioned slots. A block's slot uses the
+// len(commitQ)/2^L seqlock-versioned slots. A block's slot uses the
 // same versioning discipline as commitQ: ver = 2*b+1 while block b is
 // being built, 2*b+2 once its union is final, where b = seq>>L is the
 // absolute block number — so a reader can tell a current block from a
@@ -49,10 +49,10 @@ func aggLevels(slots int) int {
 // initAgg sizes the aggregate rings. Level 0 is nil (the commit queue
 // plays that role).
 func (r *TM) initAgg(sigWords int) {
-	r.aggMax = aggLevels(r.cfg.CommitQueueSlots)
+	r.aggMax = aggLevels(len(r.commitQ))
 	r.agg = make([][]commitSlot, r.aggMax+1)
 	for lvl := 1; lvl <= r.aggMax; lvl++ {
-		ring := make([]commitSlot, r.cfg.CommitQueueSlots>>uint(lvl))
+		ring := make([]commitSlot, len(r.commitQ)>>uint(lvl))
 		for i := range ring {
 			ring[i].words = make([]atomic.Uint64, sigWords)
 		}
@@ -80,9 +80,8 @@ func (r *TM) publishAggregates(seq uint64) {
 		dst := &ring[b&uint64(len(ring)-1)]
 		dst.ver.Store(2*b + 1)
 		if lvl == 1 {
-			mask := uint64(r.cfg.CommitQueueSlots - 1)
-			lo := &r.commitQ[(2*b)&mask]
-			hi := &r.commitQ[(2*b+1)&mask]
+			lo := &r.commitQ[(2*b)&r.qMask]
+			hi := &r.commitQ[(2*b+1)&r.qMask]
 			for i := range dst.words {
 				dst.words[i].Store(lo.words[i].Load() | hi.words[i].Load())
 			}

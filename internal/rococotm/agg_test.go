@@ -23,7 +23,7 @@ func ringOff(r *TM) *TM {
 // every level must equal the bitwise union of the per-commit write
 // signatures it summarizes.
 func TestAggregateBlocksMatchUnions(t *testing.T) {
-	m := New(mem.NewHeap(1<<14), Config{CommitQueueSlots: 64})
+	m := newTM(mem.NewHeap(1<<14), Config{}, 64)
 	defer m.Close()
 	base := m.Heap().MustAlloc(256)
 	for i := 0; i < 200; i++ {

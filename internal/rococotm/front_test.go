@@ -1,6 +1,7 @@
 package rococotm
 
 import (
+	"cmp"
 	"errors"
 	"testing"
 	"time"
@@ -124,7 +125,7 @@ func TestExtendCallerPolicies(t *testing.T) {
 				continue // phase 3 runs only after phase 1 found nothing missed
 			}
 			t.Run(h.name+"/"+p.name, func(t *testing.T) {
-				r := ringOff(New(mem.NewHeap(1<<10), Config{MaxThreads: 3, CommitQueueSlots: h.slots}))
+				r := ringOff(newTM(mem.NewHeap(1<<10), Config{MaxThreads: 3}, cmp.Or(h.slots, commitQueueSlots)))
 				defer r.Close()
 				base := r.Heap().MustAlloc(8)
 				write := func(i int) {

@@ -71,7 +71,7 @@ func (r *TM) claim(x *txn) (uint64, error) {
 	}
 	// Modeled latency as the CPU would see it: CCI round trip + pipeline
 	// residency.
-	r.cnt.AddModelValidation(r.eng.Config().Model.RoundTripNanos + v.ModelNanos)
+	r.cnt.AddModelValidation(fpga.RoundTripNanos + v.ModelNanos)
 	switch {
 	case err != nil: // the hard error, wrapped below
 	case v.OK:
@@ -139,7 +139,7 @@ func (r *TM) disarm(thread int) { r.updates[thread].active.Store(0) }
 //
 //tm:hotpath
 func (r *TM) publishSlot(seq uint64, ws sig.Sig, pre *publication) {
-	at := seq & uint64(r.cfg.CommitQueueSlots-1)
+	at := seq & r.qMask
 	slot := &r.commitQ[at]
 	slot.ver.Store(2*seq + 1)
 	for i, w := range ws.Words() {
@@ -154,7 +154,7 @@ func (r *TM) publishSlot(seq uint64, ws sig.Sig, pre *publication) {
 //
 //tm:hotpath
 func (r *TM) slotPublished(seq uint64) bool {
-	return r.commitQ[seq&uint64(r.cfg.CommitQueueSlots-1)].ver.Load() == 2*seq+2
+	return r.commitQ[seq&r.qMask].ver.Load() == 2*seq+2
 }
 
 // await waits for the turn of seq in the publication order and reports
@@ -212,7 +212,7 @@ func (r *TM) release(seq uint64) {
 	end := seq
 	for end-seq < advanceMax && r.slotPublished(end+1) {
 		end++
-		r.publish(end, r.preQ[end&uint64(r.cfg.CommitQueueSlots-1)].Load())
+		r.publish(end, r.preQ[end&r.qMask].Load())
 	}
 	r.globalTS.Store(end + 1)
 }
@@ -231,7 +231,7 @@ func (r *TM) writeBack(x *txn, seq uint64) {
 		}
 	}
 	r.awaitWriters(seq, x)
-	hook := r.cfg.WritebackHook
+	hook := r.wbHook
 	lt := r.lt
 	if lt != nil {
 		// Announce the publication before any store lands — the LineTable

@@ -13,7 +13,7 @@ import (
 )
 
 // TestPipelinedWritebackNoTornReads is the decoupled-pipeline stress test:
-// a tiny commit queue keeps committers colliding, and a WritebackHook
+// a tiny commit queue keeps committers colliding, and a write-back hook
 // yields between every redo-log word so write-backs are pinned mid-flight
 // while the global timestamp has already moved past them. Writers maintain
 // pair invariants (two words always equal); transactional readers must
@@ -26,16 +26,14 @@ func TestPipelinedWritebackNoTornReads(t *testing.T) {
 		pairs   = 8
 		txns    = 400
 	)
-	m := New(mem.NewHeap(1<<12), Config{
-		CommitQueueSlots: 64,
-		WritebackHook: func(seq uint64, word int) {
-			// Widen the window between timestamp release and heap store:
-			// with the pipeline decoupled this is exactly where a reader
-			// could catch a stale word if the update-set lock were dropped
-			// too early.
-			runtime.Gosched()
-		},
-	})
+	m := newTM(mem.NewHeap(1<<12), Config{}, 64)
+	m.wbHook = func(seq uint64, word int) {
+		// Widen the window between timestamp release and heap store:
+		// with the pipeline decoupled this is exactly where a reader
+		// could catch a stale word if the update-set lock were dropped
+		// too early.
+		runtime.Gosched()
+	}
 	defer m.Close()
 	base := m.Heap().MustAlloc(2 * pairs)
 	lo := func(p int) mem.Addr { return base + mem.Addr(2*p) }
@@ -104,14 +102,13 @@ func TestPinnedWritebackBlocksConflictingReader(t *testing.T) {
 	gate := make(chan struct{})
 	armed := make(chan struct{})
 	var arm atomic.Bool
-	m := New(mem.NewHeap(1<<12), Config{
-		WritebackHook: func(seq uint64, word int) {
-			if arm.CompareAndSwap(true, false) {
-				close(armed)
-				<-gate
-			}
-		},
-	})
+	m := New(mem.NewHeap(1<<12), Config{})
+	m.wbHook = func(seq uint64, word int) {
+		if arm.CompareAndSwap(true, false) {
+			close(armed)
+			<-gate
+		}
+	}
 	defer m.Close()
 	target := m.Heap().MustAlloc(1)
 	other := m.Heap().MustAlloc(1)
@@ -184,11 +181,8 @@ func TestPipelinedSoakAuditorClean(t *testing.T) {
 		t.Fatalf("auditor self-test: %v", err)
 	}
 	auditor := audit.New(audit.Config{})
-	m := New(mem.NewHeap(1<<12), Config{
-		CommitQueueSlots: 128,
-		Observer:         auditor,
-		WritebackHook:    func(seq uint64, word int) { runtime.Gosched() },
-	})
+	m := newTM(mem.NewHeap(1<<12), Config{Observer: auditor}, 128)
+	m.wbHook = func(seq uint64, word int) { runtime.Gosched() }
 	defer m.Close()
 	const threads, addrs = 6, 8
 	base := m.Heap().MustAlloc(addrs)

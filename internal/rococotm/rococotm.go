@@ -78,22 +78,10 @@ type Config struct {
 	// Engine configures the FPGA validation pipeline; zero value uses the
 	// paper's deployment (W=64, 512-bit signatures).
 	Engine fpga.Config
-	// CommitQueueSlots is the size of the commit-queue ring; a transaction
-	// whose snapshot falls more than this many commits behind aborts.
-	// Must be a power of two; default 4096.
-	CommitQueueSlots int
-	// ReadSpinLimit bounds how long a read waits on in-flight committers
-	// before aborting; default 64 rounds.
-	ReadSpinLimit int
 	// MeasurePhases enables the wall-clock validation timer (Fig. 11) and
 	// the per-phase commit latency counters (extension / validate / await /
 	// publish / write-back) behind tm.Stats.CommitPhase*.
 	MeasurePhases bool
-	// WritebackHook, when set, is called before each redo-log word of the
-	// write-back phase with the commit sequence and word index. It exists
-	// for tests that pin write-backs mid-flight; it must not block
-	// indefinitely on the runtime's own progress.
-	WritebackHook func(seq uint64, word int)
 
 	// WatchdogAge, when > 0, starts a per-TM watchdog goroutine that scans
 	// the threads' liveness words (live.go) every WatchdogAge/4, at least
@@ -124,15 +112,19 @@ type Config struct {
 	LineTable *mem.LineTable
 }
 
+const (
+	// commitQueueSlots is the size of the commit-queue ring, a power of
+	// two: a transaction whose snapshot falls more than this many commits
+	// behind aborts with the window reason.
+	commitQueueSlots = 4096
+	// readSpinLimit bounds the rounds a read waits on in-flight committers
+	// before it aborts.
+	readSpinLimit = 64
+)
+
 func (c *Config) fill() {
 	if c.MaxThreads == 0 {
 		c.MaxThreads = 32
-	}
-	if c.CommitQueueSlots == 0 {
-		c.CommitQueueSlots = 4096
-	}
-	if c.ReadSpinLimit == 0 {
-		c.ReadSpinLimit = 64
 	}
 	if c.Logf == nil {
 		c.Logf = log.Printf
@@ -145,9 +137,6 @@ func (c *Config) fill() {
 // composes, or is rejected by a message naming both features. Zero fields
 // are legal (they select defaults).
 func (c Config) Validate(heap *mem.Heap) error {
-	if n := c.CommitQueueSlots; n < 0 || n&(n-1) != 0 {
-		return fmt.Errorf("rococotm: CommitQueueSlots %d not a power of two", n)
-	}
 	if err := c.Engine.Validate(); err != nil {
 		return fmt.Errorf("rococotm: Engine: %w", err)
 	}
@@ -207,6 +196,14 @@ type TM struct {
 	cfg    Config
 	eng    *fpga.Engine
 	hasher *sig.Hasher
+	qMask  uint64 // len(commitQ)-1
+
+	// readSpin is readSpinLimit; wbHook, when set, runs before each
+	// redo-log word of a write-back with the commit sequence and word
+	// index. Both are test seams, set before the first transaction: tests
+	// pin write-backs mid-flight and starve reads with them.
+	readSpin int
+	wbHook   func(seq uint64, word int)
 
 	globalTS atomic.Uint64
 	commitQ  []commitSlot
@@ -283,32 +280,29 @@ type TM struct {
 // New starts a ROCoCoTM runtime (including its FPGA engine) over heap. It
 // panics with Config.Validate's error on an illegal configuration —
 // construction problems are deployment bugs, not runtime conditions.
-func New(heap *mem.Heap, cfg Config) *TM {
-	cfg.fill()
-	r, err := start(heap, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
+func New(heap *mem.Heap, cfg Config) *TM { return newTM(heap, cfg, commitQueueSlots) }
 
-// start is New returning its error.
-func start(heap *mem.Heap, cfg Config) (*TM, error) {
+// newTM is New over a commit queue of slots entries, a power of two; tests
+// shrink it to lap the ring.
+func newTM(heap *mem.Heap, cfg Config, slots int) *TM {
+	cfg.fill()
 	if err := cfg.Validate(heap); err != nil {
-		return nil, err
+		panic(err)
 	}
 	eng, err := fpga.Start(cfg.Engine)
 	if err != nil {
-		return nil, fmt.Errorf("rococotm: %w", err)
+		panic(fmt.Errorf("rococotm: %w", err))
 	}
 	r := &TM{
-		heap:    heap,
-		cfg:     cfg,
-		eng:     eng,
-		hasher:  eng.Hasher(),
-		commitQ: make([]commitSlot, cfg.CommitQueueSlots),
-		preQ:    make([]atomic.Pointer[publication], cfg.CommitQueueSlots),
-		updates: make([]updateSlot, cfg.MaxThreads),
+		heap:     heap,
+		cfg:      cfg,
+		eng:      eng,
+		hasher:   eng.Hasher(),
+		commitQ:  make([]commitSlot, slots),
+		qMask:    uint64(slots - 1),
+		preQ:     make([]atomic.Pointer[publication], slots),
+		updates:  make([]updateSlot, cfg.MaxThreads),
+		readSpin: readSpinLimit,
 	}
 	sigWords := eng.Config().Sig.Words()
 	for i := range r.commitQ {
@@ -349,7 +343,7 @@ func start(heap *mem.Heap, cfg Config) (*TM, error) {
 		r.bg.Add(1)
 		go r.watchdog()
 	}
-	return r, nil
+	return r
 }
 
 // watchdog scans the liveness words and dooms an attempt whose running word
@@ -646,7 +640,7 @@ func (p *probe) indices(h *sig.Hasher) []int {
 //
 //tm:hotpath
 func (r *TM) loadCommitSig(ts uint64, dst sig.Sig) bool {
-	slot := &r.commitQ[ts&uint64(r.cfg.CommitQueueSlots-1)]
+	slot := &r.commitQ[ts&r.qMask]
 	want := 2*ts + 2
 	for {
 		v1 := slot.ver.Load()
@@ -706,7 +700,7 @@ func (x *txn) load(a mem.Addr, p *probe) (v mem.Word, g1 uint64, err error) {
 		// every spin it can be stuck in here resolves — committers drained
 		// when the exclusive gate was taken, and a fast line owner is
 		// doomed below and rolls back promptly.
-		if spins++; spins > r.cfg.ReadSpinLimit && !x.irrevocable {
+		if spins++; spins > r.readSpin && !x.irrevocable {
 			return 0, 0, x.abort(tm.CodeConflict)
 		}
 		g1 = r.globalTS.Load()

@@ -278,9 +278,9 @@ func TestSnapshotExtensionOnDisjointCommits(t *testing.T) {
 }
 
 func TestCommitQueueRingOverflow(t *testing.T) {
-	// A transaction whose snapshot lags more than CommitQueueSlots commits
+	// A transaction whose snapshot lags more than the commit queue's slots
 	// must abort with the window reason when it next reads.
-	m := New(mem.NewHeap(1<<14), Config{CommitQueueSlots: 8})
+	m := newTM(mem.NewHeap(1<<14), Config{}, 8)
 	defer m.Close()
 	a := m.Heap().MustAlloc(64)
 

@@ -17,7 +17,7 @@ import (
 // reachability matrix, submission ring) and its own commit queue and
 // publication order, glued together by an address-partitioned front end.
 //
-// The address space is partitioned by ShardedConfig.Route. A transaction
+// The address space is partitioned by address mod Shards. A transaction
 // whose footprint lands in one shard commits through that shard's
 // ordinary commit path with zero added coordination — the scaling arm of
 // the design: single-shard throughput multiplies with engine count
@@ -96,9 +96,6 @@ type ShardedConfig struct {
 	// Shards is the number of engine instances; 1..64 (the cross-shard
 	// WAL record encodes touched shards as a 64-bit mask). Default 2.
 	Shards int
-	// Route maps an address to its owning shard in [0,Shards). It must
-	// be pure and total; the default is addr mod Shards.
-	Route func(mem.Addr) int
 	// Shard is the per-shard runtime template. Observer, Durable and
 	// LineTable must be zero: observers and durability are per-shard
 	// (below), and the hybrid fast path is not supported per shard.
@@ -129,7 +126,6 @@ type Sharded struct {
 	heap   *mem.Heap
 	cfg    ShardedConfig
 	shards []*TM
-	route  func(mem.Addr) int
 
 	// token serializes cross-shard commits (see the package comment's
 	// phase protocol). It is only ever acquired while holding the
@@ -215,15 +211,10 @@ func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
 	if err := cfg.Validate(heap); err != nil {
 		panic(err)
 	}
-	n := cfg.Shards
-	if cfg.Route == nil {
-		cfg.Route = func(a mem.Addr) int { return int(uint64(a) % uint64(n)) }
-	}
 	s := &Sharded{
 		heap:      heap,
 		cfg:       cfg,
-		shards:    make([]*TM, n),
-		route:     cfg.Route,
+		shards:    make([]*TM, cfg.Shards),
 		escalated: make([]bool, cfg.MaxThreads),
 		scratch:   make([]*stxn, cfg.MaxThreads),
 	}
@@ -233,6 +224,9 @@ func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
 	}
 	return s
 }
+
+// route maps an address to its owning shard: address mod Shards.
+func (s *Sharded) route(a mem.Addr) int { return int(uint64(a) % uint64(len(s.shards))) }
 
 // Name implements tm.TM.
 func (s *Sharded) Name() string { return fmt.Sprintf("rococotm-sharded(%d)", len(s.shards)) }

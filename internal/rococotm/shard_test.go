@@ -733,6 +733,90 @@ func TestShardedNoopFillOnAbort(t *testing.T) {
 	}
 }
 
+// heldObserver parks the first commit it observes — inside that commit's
+// publication, before GlobalTS passes it — until release is closed.
+type heldObserver struct {
+	once     sync.Once
+	entered  chan struct{}
+	released chan struct{}
+}
+
+func (o *heldObserver) ObserveCommit(seq, validTS uint64, reads, writes []uint64) {
+	o.once.Do(func() {
+		close(o.entered)
+		<-o.released
+	})
+}
+
+// TestShardedPhase3AbortDisarms: a writing cross-shard commit that aborts
+// in phase 3 has armed its update-set entries in phase 2.5 on every shard
+// it writes; the no-op fills must disarm them, or every later access to
+// its write set spins on a commit-time lock that nobody holds. The abort
+// is staged deterministically: a single-shard commit overwrites the cross
+// transaction's read on shard 0 and is held inside its publication, so
+// phase 1 finds nothing to fold, the cross transaction claims the sequence
+// behind it, arms, and fails the phase-3 re-extension once the held commit
+// lands.
+func TestShardedPhase3AbortDisarms(t *testing.T) {
+	obs := &heldObserver{entered: make(chan struct{}), released: make(chan struct{})}
+	s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, Observers: []CommitObserver{obs, nil}})
+	defer s.Close()
+	addrs := shardAddrs(t, s, 2) // addrs[0], addrs[2] on shard 0; addrs[1] on shard 1
+	const thread = 0
+
+	x, err := s.Begin(thread)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := x.Read(addrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range addrs[1:3] {
+		if err := x.Write(a, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	single := make(chan error, 1)
+	go func() {
+		single <- tm.Run(s, 1, func(y tm.Txn) error { return y.Write(addrs[0], 100) })
+	}()
+	<-obs.entered // shard 0's seq 0 validated and held mid-publication
+
+	go func() {
+		// Release the held commit once phase 2.5 armed both write shards,
+		// so the cross-shard commit is awaiting seq 0 in phase 3.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+			if s.shards[0].updates[thread].active.Load() == 1 && s.shards[1].updates[thread].active.Load() == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Error("cross-shard commit never armed its update-set entries")
+				break
+			}
+		}
+		close(obs.released)
+	}()
+	err = s.Commit(x)
+	if code, ok := tm.CodeOf(err); !ok || code != tm.CodeConflict {
+		t.Fatalf("cross-shard commit after a held overwrite of its read: err = %v, want a phase-3 conflict abort", err)
+	}
+	if err := <-single; err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range s.shards {
+		if sh.updates[thread].active.Load() != 0 {
+			t.Errorf("shard %d: thread %d's update-set entry still active after its phase-3 abort", i, thread)
+		}
+	}
+	if cs := s.CrossStats(); cs.CrossAborts != 1 || cs.NoopFills != 2 {
+		t.Errorf("CrossStats = %+v, want 1 cross abort and 2 no-op fills", cs)
+	}
+	if got := []mem.Word{s.Heap().Load(addrs[0]), s.Heap().Load(addrs[1]), s.Heap().Load(addrs[2])}; got[0] != 100 || got[1] != 0 || got[2] != 0 {
+		t.Errorf("heap = %v, want [100 0 0]: only the single-shard write lands", got)
+	}
+}
+
 func TestShardedConfigValidation(t *testing.T) {
 	heap := mem.NewHeap(64)
 	mustPanic := func(name string, f func()) {

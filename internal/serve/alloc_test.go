@@ -26,7 +26,7 @@ func TestNoopDoAllocs(t *testing.T) {
 	h := mem.NewHeap(1 << 10)
 	m := rococotm.New(h, rococotm.Config{MaxThreads: 4})
 	defer m.Close()
-	s := serve.New(m, serve.Config{Workers: 1, AdaptEvery: time.Hour})
+	s := serve.NewTuned(m, serve.Config{Workers: 1}, serve.Tuning{AdaptEvery: time.Hour})
 	defer s.Close()
 	req := serve.Request{Class: serve.High, Budget: time.Second, Fn: func(tm.Txn) error { return nil }}
 	do := func() {

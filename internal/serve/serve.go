@@ -9,11 +9,11 @@
 // The server interposes three mechanisms between clients and the tm retry
 // loop:
 //
-//   - Admission control: a concurrency limit adapted by AIMD from live
-//     pressure signals (windowed p99 drift against the SLO, engine errors,
-//     watchdog fires, retry-budget exhaustions). Work
-//     beyond the limit is shed at the door — cheaply, before it holds any
-//     transactional state.
+//   - Admission control: a concurrency limit adapted by AIMD, on a 10ms
+//     controller tick, from live pressure signals (windowed p99 drift
+//     against the SLO, engine errors, watchdog fires, retry-budget
+//     exhaustions). Work beyond the limit is shed at the door — cheaply,
+//     before it holds any transactional state.
 //
 //   - Deadlines: every request carries a latency budget, mapped to a
 //     deadline on tm.RunUntil, which observes it at attempt boundaries:
@@ -32,8 +32,10 @@
 //
 // The server owns a pool of tm threads, not goroutines: an admitted
 // request runs on its caller's goroutine under a thread id from the pool,
-// waited for in arrival order when every id is busy, so nothing is handed
-// off or allocated per request. Close waits for the Do calls in flight.
+// waited for in arrival order when every id is busy (by at most
+// 4×MaxInflight requests), so nothing is handed off or allocated per
+// request. Retries are bounded by 16 attempts per request and a shared
+// retry-token bucket. Close waits for the Do calls in flight.
 //
 // Every admitted request resolves to exactly one outcome — committed,
 // deadline-expired, or finally aborted — and every offered request is
@@ -163,54 +165,25 @@ type Signal struct {
 type Config struct {
 	// Workers is the number of tm threads the server owns, and so the
 	// most requests executing at once. A request runs on its caller's
-	// goroutine under one of the ids ThreadBase … ThreadBase+Workers-1,
-	// so the runtime's MaxThreads must cover ThreadBase+Workers. Default 4.
+	// goroutine under one of the ids 0 … Workers-1, so the runtime's
+	// MaxThreads must cover Workers. Default 4.
 	Workers int
-	// ThreadBase is the first tm thread id the pool uses. Default 0.
-	ThreadBase int
 
 	// MaxInflight caps the concurrency limit (and is its initial value).
+	// At most 4×MaxInflight admitted requests wait for a thread.
 	// Default 2×Workers.
 	MaxInflight int
-	// MinInflight floors the AIMD decrease. Default 1.
-	MinInflight int
-	// QueueCap bounds the admitted requests waiting for a thread.
-	// Default 4×MaxInflight.
-	QueueCap int
 
 	// DefaultBudget applies to requests with a zero Budget. Default 50ms.
 	DefaultBudget time.Duration
 
-	// MaxAttempts caps transactional attempts per request (first try plus
-	// retries). Default 16.
-	MaxAttempts int
-	// RetryTokensPerAdmit is the retry-budget replenishment: each
-	// admitted request earns this many retry tokens for the shared
-	// bucket, and every retry (attempt beyond the first) spends one.
-	// An exhausted bucket finishes the request as AbortedFinal instead of
-	// letting retry storms multiply offered load. Default 3.
-	RetryTokensPerAdmit float64
-	// RetryTokenCap bounds the bucket. Default 64×RetryTokensPerAdmit.
-	RetryTokenCap float64
-
 	// TargetP99 is the tail-latency SLO the controller defends. Windowed
 	// p99 above it is treated as pressure. Default 4×DefaultBudget/5.
 	TargetP99 time.Duration
-	// AdaptEvery is the controller tick. Default 10ms.
-	AdaptEvery time.Duration
-	// TierAfter is how many consecutive pressured ticks at the minimum
-	// limit escalate the degradation tier (and how many calm ticks step
-	// it back). Default 3.
-	TierAfter int
 
 	// Signals, when set, is sampled once per controller tick with
 	// cumulative runtime counters; deltas feed the AIMD decision.
 	Signals func() Signal
-
-	// Backoff is the retry backoff policy for admitted requests.
-	// EscalateAfter is clamped to MaxAttempts (escalation is reserved for
-	// un-deadlined work; a serving request gives up long before).
-	Backoff tm.BackoffPolicy
 }
 
 func (c *Config) fill() {
@@ -220,37 +193,37 @@ func (c *Config) fill() {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 2 * c.Workers
 	}
-	if c.MinInflight <= 0 {
-		c.MinInflight = 1
-	}
-	if c.MinInflight > c.MaxInflight {
-		c.MinInflight = c.MaxInflight
-	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 4 * c.MaxInflight
-	}
 	if c.DefaultBudget <= 0 {
 		c.DefaultBudget = 50 * time.Millisecond
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 16
-	}
-	if c.RetryTokensPerAdmit == 0 {
-		c.RetryTokensPerAdmit = 3
-	}
-	if c.RetryTokenCap == 0 {
-		c.RetryTokenCap = 64 * c.RetryTokensPerAdmit
 	}
 	if c.TargetP99 <= 0 {
 		c.TargetP99 = c.DefaultBudget * 4 / 5
 	}
-	if c.AdaptEvery <= 0 {
-		c.AdaptEvery = 10 * time.Millisecond
-	}
-	if c.TierAfter <= 0 {
-		c.TierAfter = 3
-	}
 }
+
+const (
+	// maxAttempts caps transactional attempts per request (first try plus
+	// retries). It is also the retry loop's escalation budget: escalation
+	// is reserved for un-deadlined work, and a serving request gives up
+	// long before.
+	maxAttempts = 16
+	// retryTokensPerAdmit is the retry-budget replenishment: each admitted
+	// request earns this many retry tokens for the shared bucket, and
+	// every retry (attempt beyond the first) spends one. An exhausted
+	// bucket finishes the request as AbortedFinal instead of letting retry
+	// storms multiply offered load.
+	retryTokensPerAdmit = 3
+	// retryTokenCap bounds the bucket.
+	retryTokenCap = 64 * retryTokensPerAdmit
+	// adaptEvery is the controller tick.
+	adaptEvery = 10 * time.Millisecond
+	// tierAfter is how many consecutive pressured ticks at the minimum
+	// limit escalate the degradation tier (and how many calm ticks step
+	// it back).
+	tierAfter = 3
+	// minInflight floors the AIMD decrease.
+	minInflight = 1
+)
 
 // Stats is a snapshot of the server's outcome accounting and controller
 // state.
@@ -312,6 +285,15 @@ type Server struct {
 
 	retryTokens atomic.Int64 // fixed-point (×1024) retry-token bucket
 
+	// The admission queue's bound (4×MaxInflight), the constants above
+	// (the token rates fixed-point), as test seams set before start.
+	queueCap    int64
+	maxAttempts int
+	tokenRefill int64
+	tokenCap    int64
+	adaptEvery  time.Duration
+	tierAfter   int
+
 	// admitMu serializes admission against Close: Do admits under the
 	// read lock, Close takes the write lock after flipping closed, so
 	// every admitted request is counted in active before Close waits.
@@ -332,27 +314,41 @@ type Server struct {
 const tokenScale = 1024 // fixed-point scale for the retry-token bucket
 
 // New starts a server over runtime m. The runtime must be configured with
-// at least cfg.ThreadBase+cfg.Workers threads.
+// at least cfg.Workers threads.
 func New(m tm.TM, cfg Config) *Server {
+	s := newServer(m, cfg)
+	s.start()
+	return s
+}
+
+// newServer builds a server that start has not yet started.
+func newServer(m tm.TM, cfg Config) *Server {
 	cfg.fill()
-	if cfg.Backoff.EscalateAfter == 0 || cfg.Backoff.EscalateAfter > cfg.MaxAttempts {
-		cfg.Backoff.EscalateAfter = cfg.MaxAttempts
+	return &Server{
+		cfg:         cfg,
+		m:           m,
+		threads:     make(chan int, cfg.Workers),
+		lat:         hist.New(),
+		stopCtl:     make(chan struct{}),
+		queueCap:    4 * int64(cfg.MaxInflight),
+		maxAttempts: maxAttempts,
+		tokenRefill: retryTokensPerAdmit * tokenScale,
+		tokenCap:    retryTokenCap * tokenScale,
+		adaptEvery:  adaptEvery,
+		tierAfter:   tierAfter,
 	}
-	s := &Server{
-		cfg:     cfg,
-		m:       m,
-		threads: make(chan int, cfg.Workers),
-		lat:     hist.New(),
-		stopCtl: make(chan struct{}),
-	}
-	s.limit.Store(int64(cfg.MaxInflight))
-	s.retryTokens.Store(int64(cfg.RetryTokenCap * tokenScale))
-	for i := 0; i < cfg.Workers; i++ {
-		s.threads <- cfg.ThreadBase + i
+}
+
+// start fills the thread pool and the retry-token bucket and starts the
+// controller.
+func (s *Server) start() {
+	s.limit.Store(int64(s.cfg.MaxInflight))
+	s.retryTokens.Store(s.tokenCap)
+	for i := 0; i < s.cfg.Workers; i++ {
+		s.threads <- i
 	}
 	s.ctl.Add(1)
 	go s.controller()
-	return s
 }
 
 // Do offers one request and blocks until it resolves; an admitted request
@@ -418,12 +414,12 @@ func (s *Server) admit(r Request) (int, error) {
 	}
 
 	// Take a free thread without blocking; without one the request waits,
-	// and at most QueueCap requests wait.
+	// and at most queueCap requests wait.
 	thread := -1
 	select {
 	case thread = <-s.threads:
 	default:
-		if s.waiting.Add(1) > int64(s.cfg.QueueCap) {
+		if s.waiting.Add(1) > s.queueCap {
 			s.waiting.Add(-1)
 			return s.reject(&s.shedLimit, errShedQueue)
 		}
@@ -455,10 +451,8 @@ func (s *Server) reject(c *atomic.Uint64, err error) (int, error) {
 
 // retryRefill credits the token bucket for one admission.
 func (s *Server) retryRefill() {
-	add := int64(s.cfg.RetryTokensPerAdmit * tokenScale)
-	ceil := int64(s.cfg.RetryTokenCap * tokenScale)
-	if v := s.retryTokens.Add(add); v > ceil {
-		s.retryTokens.Store(ceil)
+	if v := s.retryTokens.Add(s.tokenRefill); v > s.tokenCap {
+		s.retryTokens.Store(s.tokenCap)
 	}
 }
 
@@ -511,11 +505,11 @@ func (s *Server) execute(thread int, r Request, arrive, start time.Time) (outcom
 func (s *Server) runTxn(thread int, fn func(tm.Txn) error, dead time.Time) (Outcome, error) {
 	attempts := 0
 	budgetDry := false
-	err := tm.RunUntil(dead, s.m, thread, s.cfg.Backoff, func(x tm.Txn) error {
+	err := tm.RunUntil(dead, s.m, thread, tm.BackoffPolicy{EscalateAfter: s.maxAttempts}, func(x tm.Txn) error {
 		attempts++
 		if attempts > 1 {
 			s.retries.Add(1)
-			if attempts > s.cfg.MaxAttempts {
+			if attempts > s.maxAttempts {
 				return errRetryLimit
 			}
 			if !s.retrySpend() {
@@ -562,7 +556,7 @@ func (s *Server) observeService(d time.Duration) {
 // the degradation tier.
 func (s *Server) controller() {
 	defer s.ctl.Done()
-	tick := time.NewTicker(s.cfg.AdaptEvery)
+	tick := time.NewTicker(s.adaptEvery)
 	defer tick.Stop()
 	var prevLat hist.Snapshot
 	var prevSig Signal
@@ -606,13 +600,13 @@ func (s *Server) controller() {
 			pressured++
 			calm = 0
 			next := limit * 7 / 10
-			if next < int64(s.cfg.MinInflight) {
-				next = int64(s.cfg.MinInflight)
+			if next < minInflight {
+				next = minInflight
 			}
 			if next < limit {
 				s.limit.Store(next)
 				s.limitDecreases.Add(1)
-			} else if pressured >= s.cfg.TierAfter && s.tier.Load() < 2 {
+			} else if pressured >= s.tierAfter && s.tier.Load() < 2 {
 				// Limit already at the floor and still pressured: step the
 				// degradation tier instead of collapsing the limit.
 				s.tier.Add(1)
@@ -625,7 +619,7 @@ func (s *Server) controller() {
 			if limit < int64(s.cfg.MaxInflight) {
 				s.limit.Store(limit + 1)
 			}
-			if calm >= s.cfg.TierAfter && s.tier.Load() > 0 {
+			if calm >= s.tierAfter && s.tier.Load() > 0 {
 				s.tier.Add(-1)
 				calm = 0
 			}

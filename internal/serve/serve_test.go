@@ -120,7 +120,7 @@ func TestServeCommitsAndAccounting(t *testing.T) {
 // the accounting identity still balances. Admitted requests wait inside Fn
 // until the rest have been turned away, so the overload does not depend on
 // a commit yielding the processor to the other clients: with the single
-// worker held, at most one executing plus QueueCap queued requests fit.
+// worker held, at most one executing plus queueCap queued requests fit.
 func TestServeOverloadSheds(t *testing.T) {
 	h := mem.NewHeap(1 << 10)
 	m := rococotm.New(h, rococotm.Config{MaxThreads: 8})
@@ -130,13 +130,12 @@ func TestServeOverloadSheds(t *testing.T) {
 		clients  = 64
 		queueCap = 2
 	)
-	s := serve.New(m, serve.Config{
+	s := serve.NewTuned(m, serve.Config{
 		Workers:     1,
 		MaxInflight: 2,
-		QueueCap:    queueCap,
 		// Keep the limit pinned: no signals, generous SLO.
 		TargetP99: time.Second,
-	})
+	}, serve.Tuning{QueueCap: queueCap})
 
 	release := make(chan struct{})
 	held := func(x tm.Txn) error {
@@ -258,14 +257,14 @@ func conflictOnce(m tm.TM, thread int, a mem.Addr) func(tm.Txn) error {
 	}
 }
 
-// TestServeRetryLimit: MaxAttempts 1 plus a guaranteed first-attempt
+// TestServeRetryLimit: an attempt cap of 1 plus a guaranteed first-attempt
 // conflict finishes the request as AbortedFinal via the attempt cap.
 func TestServeRetryLimit(t *testing.T) {
 	h := mem.NewHeap(1 << 10)
 	m := rococotm.New(h, rococotm.Config{MaxThreads: 8})
 	defer m.Close()
 	a := h.MustAlloc(1)
-	s := serve.New(m, serve.Config{Workers: 1, MaxAttempts: 1})
+	s := serve.NewTuned(m, serve.Config{Workers: 1}, serve.Tuning{MaxAttempts: 1})
 	defer s.Close()
 
 	out, err := s.Do(serve.Request{Class: serve.High, Budget: time.Second,
@@ -286,8 +285,7 @@ func TestServeRetryBudgetExhausted(t *testing.T) {
 	m := rococotm.New(h, rococotm.Config{MaxThreads: 8})
 	defer m.Close()
 	a := h.MustAlloc(1)
-	s := serve.New(m, serve.Config{
-		Workers: 1,
+	s := serve.NewTuned(m, serve.Config{Workers: 1}, serve.Tuning{
 		// Bucket capacity under one token: any retry finds it dry.
 		RetryTokensPerAdmit: 0.001,
 		RetryTokenCap:       0.05,
@@ -332,11 +330,9 @@ func TestServeTierDegradation(t *testing.T) {
 	var pressured atomic.Bool
 	var engineErrors atomic.Uint64
 	pressured.Store(true)
-	s := serve.New(m, serve.Config{
+	s := serve.NewTuned(m, serve.Config{
 		Workers:     2,
 		MaxInflight: 4,
-		AdaptEvery:  time.Millisecond,
-		TierAfter:   2,
 		Signals: func() serve.Signal {
 			if pressured.Load() {
 				// Grow the cumulative count every sample so every tick
@@ -345,7 +341,7 @@ func TestServeTierDegradation(t *testing.T) {
 			}
 			return serve.Signal{EngineErrors: engineErrors.Load()}
 		},
-	})
+	}, serve.Tuning{AdaptEvery: time.Millisecond, TierAfter: 2})
 	defer s.Close()
 
 	waitFor := func(what string, cond func() bool) {
@@ -615,7 +611,7 @@ func (e *exclusiveTM) Abort(t tm.Txn) {
 
 // TestServeThreadsExclusive: many clients over a small thread pool never
 // run two attempts on one tm thread at once, and never use a thread
-// outside ThreadBase … ThreadBase+Workers-1.
+// outside 0 … Workers-1.
 func TestServeThreadsExclusive(t *testing.T) {
 	const (
 		clients   = 16
@@ -627,8 +623,8 @@ func TestServeThreadsExclusive(t *testing.T) {
 	inner := hybrid.New(h, hybrid.Config{Slow: rococotm.Config{MaxThreads: 8}})
 	defer inner.Close()
 	a, b := h.MustAlloc(1), h.MustAlloc(1)
-	m := &exclusiveTM{TM: inner, lo: 3, hi: 5}
-	s := serve.New(m, serve.Config{Workers: 2, ThreadBase: 3, MaxInflight: clients, DefaultBudget: time.Minute})
+	m := &exclusiveTM{TM: inner, lo: 0, hi: 2}
+	s := serve.New(m, serve.Config{Workers: 2, MaxInflight: clients, DefaultBudget: time.Minute})
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {

@@ -41,10 +41,11 @@ type Config struct {
 	// MeasureValidation enables the per-commit validation timer used by
 	// the Figure 11 experiment (it costs two time syscalls per commit).
 	MeasureValidation bool
-	// ReadLockRetries bounds how often a read spins on a locked or
-	// mutating stripe before aborting. Default 8.
-	ReadLockRetries int
 }
+
+// readLockRetries bounds how often a read spins on a locked or mutating
+// stripe before aborting.
+const readLockRetries = 8
 
 func (c *Config) fill() {
 	if c.Stripes == 0 {
@@ -52,9 +53,6 @@ func (c *Config) fill() {
 	}
 	if c.Stripes&(c.Stripes-1) != 0 {
 		panic(fmt.Sprintf("tinystm: Stripes %d not a power of two", c.Stripes))
-	}
-	if c.ReadLockRetries == 0 {
-		c.ReadLockRetries = 8
 	}
 }
 
@@ -140,7 +138,7 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	}
 	st := x.s.stripe(a)
 	lk := &x.s.locks[st]
-	for attempt := 0; attempt < x.s.cfg.ReadLockRetries; attempt++ {
+	for attempt := 0; attempt < readLockRetries; attempt++ {
 		l1 := lk.Load()
 		if isLocked(l1) {
 			continue // writer committing; spin briefly

@@ -270,7 +270,7 @@ func TestRunBackoffEscalatesStarvedThread(t *testing.T) {
 		}
 		return nil
 	}
-	pol := BackoffPolicy{SpinBase: 1, SpinCap: 2, EscalateAfter: 3}
+	pol := BackoffPolicy{EscalateAfter: 3}
 	if err := RunBackoff(m, 7, pol, func(x Txn) error { return x.Write(0, 1) }); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestRunBackoffEscalatesOnContentionOnly(t *testing.T) {
 		fails++
 		return AbortCode(script[fails-1])
 	}
-	pol := BackoffPolicy{SpinBase: 1, SpinCap: 2, SleepBase: time.Microsecond, SleepCap: time.Microsecond, EscalateAfter: 2}
+	pol := BackoffPolicy{EscalateAfter: 2}
 	if err := RunBackoff(m, 5, pol, func(x Txn) error { return x.Write(0, 1) }); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestRunBackoffNegativeEscalateAfterDisables(t *testing.T) {
 		}
 		return nil
 	}
-	pol := BackoffPolicy{SpinBase: 1, SpinCap: 2, EscalateAfter: -1}
+	pol := BackoffPolicy{EscalateAfter: -1}
 	if err := RunBackoff(m, 0, pol, func(x Txn) error { return x.Write(0, 1) }); err != nil {
 		t.Fatal(err)
 	}

@@ -339,35 +339,21 @@ func (c *Counters) Snapshot() Stats {
 }
 
 // BackoffPolicy shapes the contention management of the Run retry loop:
-// how long to wait between attempts, as a function of the abort reason and
-// the attempt count. All waits are bounded exponentials with full jitter
-// (the retry wave after a conflict or an engine outage must decorrelate,
-// or every loser retries in lockstep and collides again).
-//
-// Abort reasons fall in two classes:
+// when to escalate a starved transaction. Between attempts the loop waits
+// a bounded exponential with full jitter (the retry wave after a conflict
+// or an engine outage must decorrelate, or every loser retries in lockstep
+// and collides again), shaped by the abort reason:
 //
 //   - soft (conflict, cycle, HTM capacity/spurious/fallback): the conflict
 //     partner is another transaction that finishes in microseconds, so the
-//     loop spins briefly and yields the processor;
+//     loop yields the processor and spins a random amount up to
+//     spinBase<<k, at most spinCap;
 //   - hard (window, engine): the transaction fell behind the sliding
 //     window or the validation engine is unavailable — retrying
-//     immediately hits the same wall, so the loop sleeps, doubling up to
-//     SleepCap, giving the engine time to come back.
+//     immediately hits the same wall, so the loop sleeps a random duration
+//     up to sleepBase<<k, at most sleepCap, giving the engine time to
+//     come back.
 type BackoffPolicy struct {
-	// SpinBase is the busy-wait quantum for soft aborts; the k-th retry
-	// spins a random amount up to SpinBase<<k (capped at SpinCap).
-	// Default 32.
-	SpinBase int
-	// SpinCap bounds a single soft-abort spin. Default 4096.
-	SpinCap int
-	// SleepBase is the first sleep for hard aborts; the k-th consecutive
-	// hard abort sleeps a random duration up to SleepBase<<k (capped at
-	// SleepCap). Default 20µs.
-	SleepBase time.Duration
-	// SleepCap bounds a single hard-abort sleep. Default 2ms — the scale
-	// of an engine crash/recover cycle, so a retrying writer re-probes a
-	// few times per outage instead of thousands. Default 2ms.
-	SleepCap time.Duration
 	// EscalateAfter is the starvation budget: after this many contention
 	// aborts of one logical transaction the retry loop asks the runtime
 	// (if it implements Escalator) for a prioritized pessimistic turn, so
@@ -379,22 +365,20 @@ type BackoffPolicy struct {
 	EscalateAfter int
 }
 
+// Backoff waits: the soft spin quantum and its cap, the first hard sleep
+// and its cap. sleepCap is the scale of an engine crash/recover cycle, so
+// a retrying writer re-probes a few times per outage instead of thousands.
+const (
+	spinBase  = 32
+	spinCap   = 4096
+	sleepBase = 20 * time.Microsecond
+	sleepCap  = 2 * time.Millisecond
+)
+
 // DefaultBackoff is the policy Run uses.
 var DefaultBackoff = BackoffPolicy{}
 
 func (p *BackoffPolicy) fill() {
-	if p.SpinBase == 0 {
-		p.SpinBase = 32
-	}
-	if p.SpinCap == 0 {
-		p.SpinCap = 4096
-	}
-	if p.SleepBase == 0 {
-		p.SleepBase = 20 * time.Microsecond
-	}
-	if p.SleepCap == 0 {
-		p.SleepCap = 2 * time.Millisecond
-	}
 	if p.EscalateAfter == 0 {
 		p.EscalateAfter = 512
 	}
@@ -450,14 +434,14 @@ func (r *rng) int63n(n int64) int64 { return int64(r.next() % uint64(n)) }
 // the next try, drawing jitter from the loop-local generator. It seeds a
 // zero generator before either branch: a zero xorshift state stays zero,
 // and every jitter drawn from it would be 0.
-func (p BackoffPolicy) wait(rg *rng, code Code, attempt int) {
+func wait(rg *rng, code Code, attempt int) {
 	if *rg == 0 {
 		*rg = newRNG()
 	}
 	if code.Hard() {
-		d := p.SleepBase << uint(min(attempt-1, 16))
-		if d > p.SleepCap || d <= 0 {
-			d = p.SleepCap
+		d := sleepBase << uint(min(attempt-1, 16))
+		if d > sleepCap || d <= 0 {
+			d = sleepCap
 		}
 		// Full jitter over (0, d]: decorrelate the retry wave.
 		time.Sleep(time.Duration(1 + rg.int63n(int64(d))))
@@ -469,9 +453,9 @@ func (p BackoffPolicy) wait(rg *rng, code Code, attempt int) {
 	for y := 0; y < attempt && y < 8; y++ {
 		runtime.Gosched()
 	}
-	n := p.SpinBase << uint(min(attempt, 12))
-	if n > p.SpinCap || n <= 0 {
-		n = p.SpinCap
+	n := spinBase << uint(min(attempt, 12))
+	if n > spinCap || n <= 0 {
+		n = spinCap
 	}
 	spin(int(rg.int63n(int64(n))))
 }
@@ -621,7 +605,7 @@ func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(
 		if code != CodeEngine && code != CodeWatchdog {
 			contended++
 		}
-		pol.wait(&rg, code, attempt)
+		wait(&rg, code, attempt)
 	}
 }
 

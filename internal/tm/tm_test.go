@@ -93,20 +93,18 @@ func TestBackoffReasonClasses(t *testing.T) {
 	}
 	// Hard-reason waits sleep a bounded, non-zero duration even at huge
 	// attempt counts (the shift must not overflow into zero or negative).
-	var p BackoffPolicy
-	p.fill()
 	rg := newRNG()
 	for _, attempt := range []int{1, 5, 20, 63, 1000} {
 		start := time.Now()
-		p.wait(&rg, CodeEngine, attempt)
+		wait(&rg, CodeEngine, attempt)
 		if d := time.Since(start); d > time.Second {
-			t.Fatalf("attempt %d slept %v, cap is %v", attempt, d, p.SleepCap)
+			t.Fatalf("attempt %d slept %v, cap is %v", attempt, d, sleepCap)
 		}
 	}
-	// Soft-reason waits never sleep; they spin at most SpinCap.
+	// Soft-reason waits never sleep; they spin at most spinCap.
 	start := time.Now()
 	for attempt := 1; attempt <= 40; attempt++ {
-		p.wait(&rg, CodeConflict, attempt)
+		wait(&rg, CodeConflict, attempt)
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("soft backoff took %v", d)
@@ -116,8 +114,8 @@ func TestBackoffReasonClasses(t *testing.T) {
 	// whichever branch it takes. A zero xorshift state never leaves zero,
 	// so an unseeded loop would draw jitter 0 forever.
 	var hard, soft rng
-	p.wait(&hard, CodeEngine, 1)   // first abort is hard: the sleep branch
-	p.wait(&soft, CodeConflict, 2) // first wait is a soft one past attempt 1: the spin branch
+	wait(&hard, CodeEngine, 1)   // first abort is hard: the sleep branch
+	wait(&soft, CodeConflict, 2) // first wait is a soft one past attempt 1: the spin branch
 	if hard == 0 || soft == 0 {
 		t.Fatalf("generator after a first wait from zero: hard %#x, soft %#x; want both seeded", uint64(hard), uint64(soft))
 	}
@@ -131,8 +129,7 @@ func TestBackoffReasonClasses(t *testing.T) {
 
 func TestRunBackoffCustomPolicy(t *testing.T) {
 	m := &flakyTM{heap: mem.NewHeap(8), failLeft: 2}
-	pol := BackoffPolicy{SpinBase: 1, SpinCap: 2,
-		SleepBase: time.Microsecond, SleepCap: 2 * time.Microsecond}
+	pol := BackoffPolicy{EscalateAfter: 8}
 	if err := RunBackoff(m, 0, pol, func(x Txn) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

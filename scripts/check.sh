@@ -5,7 +5,11 @@
 # is recognizable:
 #
 #   1. gofmt       — formatting is canonical, no exceptions        (~1s)
-#   2. go build    — the whole module compiles                     (~1s warm)
+#   2. go build    — the whole module compiles, and so does the
+#                    benchmark/ module (built and vetted on its own:
+#                    the root build skips the nested module, and a
+#                    root API change must not break the benchmark
+#                    unnoticed)                                    (~3s warm)
 #   3. go vet      — stdlib static checks, plus an explicit
 #                    -atomic -copylocks run: sync/atomic misuse and
 #                    copied locks are the exact bug classes the
@@ -84,7 +88,8 @@
 # Performance regressions are not gated here: that is BENCHMARK.json +
 # benchmark/, run by the driver against the parent commit. The script ends
 # by printing the size of the code (non-test Go lines of the root module),
-# so size sits next to the speed it buys.
+# and the exported field count of rococotm.Config (TestOptionCensus pins
+# every config type), so size sits next to the speed it buys.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -99,6 +104,9 @@ fi
 
 echo "== go build ./..."
 go build ./...
+
+echo "== benchmark module: go build ./... && go vet ./..."
+(cd benchmark && go build -o /dev/null ./... && go vet ./...)
 
 echo "== go vet ./..."
 go vet ./...
@@ -148,4 +156,6 @@ loc() {
     find "$1" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
         ! -path '*/testdata/*' ! -path './.bench_build/*' -exec cat {} + | wc -l
 }
-echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga), internal/bench $(loc internal/bench)"
+# Exported fields of rococotm.Config: one-tab-indented capitalized names.
+cfgfields=$(awk '/^type Config struct/ { body = 1; next } body && /^}/ { exit } body && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n + 0 }' internal/rococotm/rococotm.go)
+echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga), internal/bench $(loc internal/bench); rococotm.Config fields: $cfgfields"
