@@ -1,17 +1,18 @@
 // Package bad is a fixture for the tmlint driver tests: it carries one
-// known atomicmix violation (a field read plainly and updated atomically).
+// known aborterr violation (a Txn.Read error dropped inside an atomic
+// block, so the retry loop never sees the abort).
 package bad
 
-import "sync/atomic"
+import (
+	"rococotm/internal/mem"
+	"rococotm/internal/tm"
+)
 
-type c struct {
-	n uint64
-}
-
-func bump(x *c) {
-	atomic.AddUint64(&x.n, 1)
-}
-
-func peek(x *c) uint64 {
-	return x.n
+func peek(m tm.TM, a mem.Addr) (mem.Word, error) {
+	var v mem.Word
+	err := tm.Run(m, 0, func(x tm.Txn) error {
+		v, _ = x.Read(a)
+		return nil
+	})
+	return v, err
 }

@@ -297,3 +297,18 @@ func TestContentionAblationSmoke(t *testing.T) {
 		t.Fatal("rendering broken")
 	}
 }
+
+// TestSoakHonorsCancellation: the soak's RunCtx closure cancels the caller's
+// context mid-transaction, and each such attempt must end with
+// context.Canceled; a soak that counts no cancellation never exercised the
+// path its report claims.
+func TestSoakHonorsCancellation(t *testing.T) {
+	rep, err := RunSoak(SoakConfig{Threads: 2, Duration: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Cancels == 0 || rep.AuditErr != nil {
+		t.Fatalf("cancellations = %d, audit = %v; want at least one and a clean history\n%s",
+			rep.Cancels, rep.AuditErr, rep)
+	}
+}

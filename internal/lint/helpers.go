@@ -147,3 +147,19 @@ func pathTerminates(stmts []ast.Stmt) bool {
 	}
 	return false
 }
+
+// calleeFunc resolves a call expression to the package-level function or
+// method it invokes, when that is statically evident.
+func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	switch f := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		if fn, ok := info.Uses[f].(*types.Func); ok {
+			return fn
+		}
+	case *ast.SelectorExpr:
+		if fn, ok := info.Uses[f.Sel].(*types.Func); ok {
+			return fn
+		}
+	}
+	return nil
+}

@@ -1,20 +1,18 @@
 // Package lint statically enforces the transactional-memory programming
-// contracts documented in internal/tm: abort errors must propagate, a Txn
-// never escapes its atomic block or outlives an observed abort, and retry
-// closures must be idempotent. It is built exclusively on the standard
-// library (go/ast, go/parser, go/types, go/importer) so the module stays
-// dependency-free.
+// contracts documented in internal/tm — abort errors must propagate, retry
+// closures must be idempotent, a Txn is dead after an observed abort — and
+// two contracts of the lock-free hot path. It is built exclusively on the
+// standard library (go/ast, go/parser, go/types, go/importer) so the module
+// stays dependency-free.
 //
-// Eleven passes are provided. Seven enforce the tm programming model:
+// A pass is kept while it catches a bug no test catches: a true positive
+// in this module's history, or an injected mutant that only the pass
+// flags. Three passes enforce the tm programming model:
 //
 //   - aborterr: an error produced by Txn.Read, Txn.Write, TM.Commit or
 //     tm.Run is discarded, never inspected, or caught by a branch that
 //     swallows it without propagating, terminating or inspecting the
 //     abort reason (tm.IsAbort).
-//   - txnescape: a tm.Txn value escapes its atomic block — stored into a
-//     struct field, package-level variable, map, slice or channel, or
-//     captured by a spawned goroutine. Transactions are single-goroutine
-//     and die with their block.
 //   - retrypure: a closure passed to tm.Run performs a non-idempotent
 //     update (append, ++/+=, map insert) on a variable captured from the
 //     enclosing scope without resetting it at the top of the closure;
@@ -22,40 +20,25 @@
 //   - deadtxn: a Txn method is invoked on a transaction after an abort
 //     was already observed on that same transaction; after the first
 //     AbortError the transaction is dead.
-//   - runctx: a closure passed to tm.RunCtx/tm.RunUntil spins in an
-//     unconditional loop that never crosses a transaction boundary or
-//     consults the context — cancellation (and the watchdog) can never
-//     reach it.
-//   - deadlinectx: a closure passed to tm.RunCtx builds
-//     a fresh root context (context.Background/context.TODO), severing
-//     the caller's deadline and cancellation chain — sub-operations then
-//     outlive the per-request budget the context was meant to enforce.
-//   - updatelock: a function acquires a commit-time update-set entry
-//     (`u.active.Store(1)`, the write-set lock of the decoupled commit
-//     pipeline) and then returns on some path before releasing it —
-//     directly, via defer, or by calling a helper that transitively
-//     performs the release. An entry leaked this way locks its write set
-//     forever.
 //
-// Four are the concurrency-contract passes over the lock-free hot path
-// (atomicmix.go, seqlock.go, spinpark.go, hotalloc.go):
+// Two guard the lock-free hot path (spinpark.go, hotalloc.go):
 //
-//   - atomicmix: a struct field is accessed both through sync/atomic
-//     (atomic.LoadUint64(&x.f), …) and through plain loads/stores outside
-//     constructor or single-owner scopes — the bug class behind torn
-//     seqlock versions and ring sequence cells.
-//   - seqlock: seqlock-style slots (a struct with an atomic `ver` field)
-//     must follow the protocol: writers bracket data mutations with an
-//     odd version store before and the even successor after; readers
-//     load the version, copy the data, and re-check the version.
 //   - spinpark: a spin-wait loop on shared atomic state must yield
 //     (runtime.Gosched, sleep, park, or a lock-free CAS retry) — pure
-//     spinning starves the scheduler the PR 4 watchdog only catches at
+//     spinning starves the scheduler the watchdog only catches at
 //     runtime.
 //   - hotalloc: functions annotated `//tm:hotpath` (and everything they
 //     statically call inside the module) must not heap-allocate; the gate
 //     parses `go build -gcflags=-m` escape diagnostics. It needs the go
 //     toolchain, so it runs as its own mode (HotAlloc), not in Check.
+//
+// The other contracts of the hot path and the tm API are guarded by tests
+// that fail when the bug is injected, not by passes: the update-set release
+// (TestCommitPathsDisarm, TestShardedPhase3AbortDisarms), the seqlock
+// bracket of the signature rings (TestSignatureRingsSeqlock), atomic heap
+// words (the -race lane, TestCompareAndSwapConcurrent), a Txn that stays
+// on its goroutine (the -race lane), and cancellable RunUntil/RunCtx
+// closures (TestServeRetryBudgetExhausted, TestSoakHonorsCancellation).
 //
 // A finding may be suppressed by placing
 //
@@ -106,11 +89,6 @@ var registry = []*Pass{
 		Run:  runAbortErr,
 	},
 	{
-		Name: "txnescape",
-		Doc:  "a tm.Txn must not escape its atomic block or goroutine",
-		Run:  runTxnEscape,
-	},
-	{
 		Name: "retrypure",
 		Doc:  "tm.Run closures re-execute on retry; captured-state updates must be idempotent",
 		Run:  runRetryPure,
@@ -119,31 +97,6 @@ var registry = []*Pass{
 		Name: "deadtxn",
 		Doc:  "no Txn use after an observed abort on that transaction",
 		Run:  runDeadTxn,
-	},
-	{
-		Name: "runctx",
-		Doc:  "tm.RunCtx/tm.RunUntil closures must stay cancellable: no boundary-free unconditional loops",
-		Run:  runRunCtx,
-	},
-	{
-		Name: "deadlinectx",
-		Doc:  "tm.RunCtx closures must not build root contexts (context.Background/TODO) — the caller's deadline governs",
-		Run:  runDeadlineCtx,
-	},
-	{
-		Name: "updatelock",
-		Doc:  "an acquired update-set entry (active.Store(1)) must be released on every return path",
-		Run:  runUpdateLock,
-	},
-	{
-		Name: "atomicmix",
-		Doc:  "a field accessed via sync/atomic must not also see plain loads/stores outside its constructor",
-		Run:  runAtomicMix,
-	},
-	{
-		Name: "seqlock",
-		Doc:  "seqlock slots: writers bracket data with odd/even version stores, readers re-check the version",
-		Run:  runSeqlock,
 	},
 	{
 		Name: "spinpark",

@@ -11,6 +11,8 @@ import (
 
 // TestGolden runs every pass over the testdata packages and compares the
 // findings, line by line, against `// want` annotations in the sources.
+// Each registered per-package pass must have a testdata/src/<pass>
+// directory, and each such directory a registered pass.
 //
 // An annotation holds one or more backtick-quoted regular expressions that
 // must each match a finding rendered as "[pass] message" on the annotated
@@ -19,12 +21,25 @@ import (
 // the flagged line is itself a comment, e.g. a malformed lint:ignore
 // directive). Lines without annotations must produce no findings.
 func TestGolden(t *testing.T) {
-	for _, name := range []string{
-		"aborterr", "txnescape", "retrypure", "deadtxn", "runctx", "deadlinectx",
-		"updatelock", "atomicmix", "seqlock", "spinpark",
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", name)
+	dirs, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, p := range Passes() {
+		registered[p.Name] = true
+	}
+	for _, d := range dirs {
+		if !registered[d.Name()] {
+			t.Errorf("testdata/src/%s has no registered pass", d.Name())
+		}
+	}
+	for _, pass := range Passes() {
+		t.Run(pass.Name, func(t *testing.T) {
+			dir := filepath.Join("testdata", "src", pass.Name)
+			if _, err := os.Stat(dir); err != nil {
+				t.Fatalf("pass %s has no golden data: %v", pass.Name, err)
+			}
 			loader, err := NewLoader(dir)
 			if err != nil {
 				t.Fatal(err)

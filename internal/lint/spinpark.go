@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // runSpinPark flags spin-wait loops that can starve the scheduler: a
@@ -259,8 +260,7 @@ func recvPkgPath(info *types.Info, sel *ast.SelectorExpr) string {
 
 // yieldingFuncs computes, to a fixpoint, the set of same-package
 // functions that yield/park/progress on some path — the transitive
-// closure runSpinPark consults for static same-package callees. The
-// fixpoint mirrors updatelock's releasing-set walk.
+// closure runSpinPark consults for static same-package callees.
 func yieldingFuncs(p *Package) map[*types.Func]bool {
 	bodies := map[*types.Func]*ast.FuncDecl{}
 	for _, file := range p.Files {
@@ -302,4 +302,78 @@ func yieldingFuncs(p *Package) map[*types.Func]bool {
 		}
 	}
 	return yielding
+}
+
+// atomicFuncPrefixes are the sync/atomic package-level operations, keyed by
+// prefix: atomic.LoadUint64, atomic.AddInt32, atomic.CompareAndSwapPointer…
+var atomicFuncPrefixes = []string{
+	"Load", "Store", "Add", "Swap", "CompareAndSwap", "And", "Or",
+}
+
+// atomicReadMethods and atomicWriteMethods are the methods of the typed atomics (atomic.Uint64,
+// atomic.Int32, atomic.Pointer…), split by whether they mutate.
+var (
+	atomicReadMethods  = map[string]bool{"Load": true}
+	atomicWriteMethods = map[string]bool{
+		"Store": true, "Add": true, "Swap": true,
+		"CompareAndSwap": true, "And": true, "Or": true,
+	}
+)
+
+// isAtomicPkgFunc reports whether call invokes a sync/atomic package-level
+// function, returning the operation name.
+func isAtomicPkgFunc(info *types.Info, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	id, ok := ast.Unparen(sel.X).(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	pkg, ok := info.Uses[id].(*types.PkgName)
+	if !ok || pkg.Imported().Path() != "sync/atomic" {
+		return "", false
+	}
+	for _, p := range atomicFuncPrefixes {
+		if strings.HasPrefix(sel.Sel.Name, p) {
+			return sel.Sel.Name, true
+		}
+	}
+	return "", false
+}
+
+// isAtomicType reports whether t is one of sync/atomic's typed atomics
+// (atomic.Uint64, atomic.Uint32, atomic.Int64, atomic.Bool, …).
+func isAtomicType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
+}
+
+// atomicMethodCall reports whether call is a method call on a typed atomic
+// value (x.f.Load(), slot.ver.Store(v)…), returning the receiver
+// expression, the method name, and whether it mutates.
+func atomicMethodCall(info *types.Info, call *ast.CallExpr) (recv ast.Expr, name string, write, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return nil, "", false, false
+	}
+	n := sel.Sel.Name
+	if !atomicReadMethods[n] && !atomicWriteMethods[n] {
+		return nil, "", false, false
+	}
+	if !isAtomicType(info.TypeOf(sel.X)) {
+		return nil, "", false, false
+	}
+	return sel.X, n, atomicWriteMethods[n], true
 }

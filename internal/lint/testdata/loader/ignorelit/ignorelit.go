@@ -3,22 +3,22 @@
 // buried in data suppress findings elsewhere in the file.
 package ignorelit
 
-import "sync/atomic"
-
-type c struct {
-	n uint64
-}
-
-func bump(x *c) {
-	atomic.AddUint64(&x.n, 1)
-}
+import (
+	"rococotm/internal/mem"
+	"rococotm/internal/tm"
+)
 
 var table = []uint64{
 	1,
-	//lint:ignore tmlint/atomicmix directive parked inside a composite literal
+	//lint:ignore tmlint/aborterr directive parked inside a composite literal
 	2,
 }
 
-func peek(x *c) uint64 {
-	return x.n
+func peek(m tm.TM, a mem.Addr) (mem.Word, error) {
+	var v mem.Word
+	err := tm.Run(m, 0, func(x tm.Txn) error {
+		v, _ = x.Read(a)
+		return nil
+	})
+	return v, err
 }

@@ -9,13 +9,10 @@ import (
 // tmAPI holds the contract-bearing objects of the tm package as resolved
 // for one linted package, or nil when the package never imports it.
 type tmAPI struct {
-	pkg      *types.Package
-	txn      types.Type   // the tm.Txn interface (named)
-	tm       types.Type   // the tm.TM interface (named)
-	run      types.Object // func tm.Run
-	runCtx   types.Object // func tm.RunCtx
-	runUntil types.Object // func tm.RunUntil
-	isAbort  types.Object // func tm.IsAbort
+	txn     types.Type   // the tm.Txn interface (named)
+	tm      types.Type   // the tm.TM interface (named)
+	run     types.Object // func tm.Run
+	isAbort types.Object // func tm.IsAbort
 }
 
 // resolveTM locates the tm package among p's imports (or p itself, when
@@ -38,13 +35,11 @@ func resolveTM(p *Package) *tmAPI {
 		if _, ok := txnObj.Type().Underlying().(*types.Interface); !ok {
 			continue
 		}
-		a := &tmAPI{pkg: imp, txn: txnObj.Type()}
+		a := &tmAPI{txn: txnObj.Type()}
 		if tmObj, ok := scope.Lookup("TM").(*types.TypeName); ok {
 			a.tm = tmObj.Type()
 		}
 		a.run = scope.Lookup("Run")
-		a.runCtx = scope.Lookup("RunCtx")
-		a.runUntil = scope.Lookup("RunUntil")
 		a.isAbort = scope.Lookup("IsAbort")
 		return a
 	}
@@ -54,22 +49,6 @@ func resolveTM(p *Package) *tmAPI {
 // isTxn reports whether t is the tm.Txn interface type.
 func (a *tmAPI) isTxn(t types.Type) bool {
 	return t != nil && a.txn != nil && types.Identical(t, a.txn)
-}
-
-// implementsTxn reports whether t (or *t) implements tm.Txn — used to
-// recognize wrapper transactions, which may legitimately hold an inner Txn.
-func (a *tmAPI) implementsTxn(t types.Type) bool {
-	iface, ok := a.txn.Underlying().(*types.Interface)
-	if !ok || t == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
 }
 
 // riskyKind names a call whose error result carries the abort contract.
@@ -116,22 +95,6 @@ func (a *tmAPI) classify(info *types.Info, call *ast.CallExpr) (riskyKind, ast.E
 		}
 	}
 	return kindNone, nil
-}
-
-// boundedRun returns the tm function call invokes when it is one of the
-// cancellable retry loops, tm.RunCtx or tm.RunUntil, else nil.
-func (a *tmAPI) boundedRun(info *types.Info, call *ast.CallExpr) types.Object {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		obj = info.Uses[fun.Sel]
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	}
-	if obj == nil || (obj != a.runCtx && obj != a.runUntil) {
-		return nil
-	}
-	return obj
 }
 
 // isIsAbortCall reports whether call is tm.IsAbort(...).

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,5 +143,30 @@ func TestLineOf(t *testing.T) {
 	}
 	if LineOf(0) != 0 || LineOf(7) != 0 || LineOf(8) != 1 {
 		t.Fatal("line boundaries wrong")
+	}
+}
+
+// TestCompareAndSwapConcurrent: two goroutines on their own processors
+// increment one word through Load + CompareAndSwap retry loops; every
+// increment lands. A check-then-store CompareAndSwap loses some.
+func TestCompareAndSwapConcurrent(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	h := NewHeap(64)
+	a := h.MustAlloc(1)
+	const n = 1000000
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range n {
+				for v := h.Load(a); !h.CompareAndSwap(a, v, v+1); v = h.Load(a) {
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := h.Load(a); got != 2*n {
+		t.Fatalf("word = %d after %d increments", got, 2*n)
 	}
 }

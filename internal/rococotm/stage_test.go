@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
@@ -194,5 +195,125 @@ func TestSinkInvariance(t *testing.T) {
 	}
 	if uint64(len(obs.calls)) != ts {
 		t.Errorf("observer saw %d commits, GlobalTS %d", len(obs.calls), ts)
+	}
+}
+
+// TestCommitPathsDisarm: every path that arms an update-set entry releases
+// it — the slow commit after its write-back, a fast publication after its
+// release and a cross-shard commit after draining each write shard. A
+// leaked entry locks its write set: readers probing it spin and abort.
+func TestCommitPathsDisarm(t *testing.T) {
+	disarmed := func(t *testing.T, rs ...*TM) {
+		t.Helper()
+		for _, r := range rs {
+			for i := range r.updates {
+				if r.updates[i].active.Load() != 0 {
+					t.Errorf("thread %d's update-set entry is still armed", i)
+				}
+			}
+		}
+	}
+	t.Run("Commit", func(t *testing.T) {
+		r := New(mem.NewHeap(1<<10), Config{MaxThreads: 1})
+		defer r.Close()
+		a := r.Heap().MustAlloc(1)
+		if err := tm.Run(r, 0, func(x tm.Txn) error { return x.Write(a, 1) }); err != nil {
+			t.Fatal(err)
+		}
+		disarmed(t, r)
+	})
+	t.Run("PublishFast", func(t *testing.T) {
+		heap := mem.NewHeap(1 << 10)
+		lt := mem.NewLineTable(heap.Cap())
+		r := New(heap, Config{MaxThreads: 1, LineTable: lt})
+		defer r.Close()
+		base := heap.MustAlloc(16)
+		fh := &fastHarness{r: r, lt: lt, heap: heap}
+		if err := fh.publish(t, base, base+8, 1); err != nil {
+			t.Fatal(err)
+		}
+		disarmed(t, r)
+	})
+	t.Run("cross-shard", func(t *testing.T) {
+		s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2})
+		defer s.Close()
+		addrs := shardAddrs(t, s, 1)
+		if err := tm.Run(s, 0, func(x tm.Txn) error {
+			for _, a := range addrs {
+				if err := x.Write(a, 1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if cs := s.CrossStats(); cs.CrossCommits != 1 {
+			t.Fatalf("CrossStats = %+v, want one cross-shard commit", cs)
+		}
+		disarmed(t, s.shards...)
+	})
+}
+
+// TestSignatureRingsSeqlock: a slot of the commit queue or of the aggregate
+// ring read while its writer laps the ring yields a whole signature or a
+// refusal, never a mix of two commits' words — the writers' odd/even version
+// bracket (publishSlot, publishAggregates) and the readers' re-check
+// (loadCommitSig, loadAggSig). Over a four-slot queue, and so a two-slot
+// level-1 ring, the signatures written into one slot alternate between all
+// zeros and all ones, so any torn copy shows. Writer and reader get a
+// processor each whatever GOMAXPROCS says: on one, they interleave only at
+// preemptions.
+func TestSignatureRingsSeqlock(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r := newTM(mem.NewHeap(1<<10), Config{MaxThreads: 1}, 4)
+	defer r.Close()
+	cfg := r.eng.Config().Sig
+	ones := make([]uint64, cfg.Words())
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	pattern := [2]sig.Sig{sig.New(cfg), sig.FromWords(cfg, ones)}
+	// Commits seq and seq+4 share a queue slot; blocks b and b+2 (commits
+	// 2b, 2b+1 and 2b+4, 2b+5) share an aggregate slot.
+	of := func(seq uint64) sig.Sig { return pattern[(seq>>2)&1] }
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for seq := uint64(0); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r.publishSlot(seq, of(seq), nil)
+			r.publishAggregates(seq)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	dst := sig.New(cfg)
+	check := func(ring string, seq uint64) {
+		want := of(seq).Words()
+		for i, w := range dst.Words() {
+			if w != want[i] {
+				t.Fatalf("%s slot of commit %d: signature word %d = %#x, want %#x (torn copy)",
+					ring, seq, i, w, want[i])
+			}
+		}
+	}
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+		if v := r.commitQ[0].ver.Load(); v != 0 && v%2 == 0 {
+			if ts := v/2 - 1; r.loadCommitSig(ts, dst) {
+				check("queue", ts)
+			}
+		}
+		if v := r.agg[1][0].ver.Load(); v != 0 && v%2 == 0 {
+			if lo := 2 * (v/2 - 1); r.loadAggSig(1, lo, dst) {
+				check("aggregate", lo)
+			}
+		}
 	}
 }

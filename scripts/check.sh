@@ -12,11 +12,11 @@
 #                    unnoticed)                                    (~3s warm)
 #   3. go vet      — stdlib static checks, plus an explicit
 #                    -atomic -copylocks run: sync/atomic misuse and
-#                    copied locks are the exact bug classes the
-#                    concurrency passes build on                   (~5s)
-#   4. tmlint      — the TM programming-model contracts plus the
-#                    concurrency contracts of the lock-free hot
-#                    path (atomicmix/seqlock/spinpark); prints a
+#                    copied locks (typed atomics included) are bug
+#                    classes of the lock-free hot path             (~5s)
+#   4. tmlint      — the TM programming-model contracts (aborterr,
+#                    retrypure, deadtxn) plus the spin-wait contract
+#                    of the lock-free hot path (spinpark); prints a
 #                    pass/finding/suppression summary line for
 #                    EXPERIMENTS.md coverage tracking              (~5s)
 #   5. hotalloc    — the //tm:hotpath zero-allocation gate: replays
@@ -87,9 +87,10 @@
 #
 # Performance regressions are not gated here: that is BENCHMARK.json +
 # benchmark/, run by the driver against the parent commit. The script ends
-# by printing the size of the code (non-test Go lines of the root module),
-# and the exported field count of rococotm.Config (TestOptionCensus pins
-# every config type), so size sits next to the speed it buys.
+# by printing the size of the code (non-test Go lines of the root module,
+# the runtime packages and the internal/lint analyzer beside them), and the
+# exported field count of rococotm.Config (TestOptionCensus pins every
+# config type), so size sits next to the speed it buys.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -158,4 +159,4 @@ loc() {
 }
 # Exported fields of rococotm.Config: one-tab-indented capitalized names.
 cfgfields=$(awk '/^type Config struct/ { body = 1; next } body && /^}/ { exit } body && /^\t[A-Z][A-Za-z0-9]* / { n++ } END { print n + 0 }' internal/rococotm/rococotm.go)
-echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga), internal/bench $(loc internal/bench); rococotm.Config fields: $cfgfields"
+echo "== size: non-test Go lines: root module $(loc .), internal/rococotm $(loc internal/rococotm), internal/hybrid $(loc internal/hybrid), internal/fpga $(loc internal/fpga), internal/bench $(loc internal/bench), internal/lint $(loc internal/lint); rococotm.Config fields: $cfgfields"
