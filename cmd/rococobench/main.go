@@ -6,11 +6,9 @@
 //	            [-scale small|medium|large] [-app name] [-threads list] [-dur duration]
 //	            [-cpuprofile file] [-memprofile file]
 //
-// The experiment names — the authoritative list is the experiments table
-// below, which also drives the -exp usage string, the unknown-experiment
-// listing, and the "all" order — are: fig6, fig7, fig9, fig10, fig11,
-// resources, soak, recover, shard, serve, hybrid,
-// ablation-window, ablation-sig, ablation-contention.
+// The experiments table below is the one list of experiment names: it
+// drives the -exp usage string, the unknown-experiment listing and the
+// "all" order.
 //
 // Each experiment prints a paper-style text table; EXPERIMENTS.md records
 // the paper-vs-measured comparison. The profile flags capture pprof data
@@ -99,33 +97,6 @@ var experiments = []struct {
 		rep, err := bench.RunResources(nil)
 		c.emit(rep, err)
 	}},
-	{"soak", "lifecycle soak: cancellations, panics, wedged closures, watchdog, audit", func(c benchCtx) {
-		d := c.dur
-		if d == 0 && c.exp == "all" {
-			d = 5 * time.Second // keep the full sweep tractable
-		}
-		rep, err := bench.RunSoak(bench.SoakConfig{Duration: d})
-		c.emit(rep, err)
-		if err == nil && rep.AuditErr != nil {
-			fatal(rep.AuditErr)
-		}
-	}},
-	{"recover", "crash/recover cycles on a faulty disk: WAL replay and re-serve", func(c benchCtx) {
-		cfg := bench.RecoverBenchConfig{SoakDuration: c.dur}
-		if c.exp == "all" {
-			cfg.Cycles = 10
-			if cfg.SoakDuration == 0 {
-				cfg.SoakDuration = 2 * time.Second
-			}
-		}
-		rep, err := bench.RunRecoverBench(cfg)
-		c.emit(rep, err)
-		if err == nil {
-			if verr := rep.Err(); verr != nil {
-				fatal(verr)
-			}
-		}
-	}},
 	{"shard", "sharded validation plane scaling and cross-shard cost", func(c benchCtx) {
 		cfg := bench.ShardBenchConfig{}
 		if len(c.threads) > 0 {
@@ -137,44 +108,6 @@ var experiments = []struct {
 			cfg.Duration = 100 * time.Millisecond
 		}
 		rep, err := bench.RunShardBench(cfg)
-		c.emit(rep, err)
-	}},
-	{"serve", "overload sweep: admission control, deadlines, shedding, tail SLOs", func(c benchCtx) {
-		cfg := bench.ServeBenchConfig{}
-		if c.threads != nil {
-			cfg.Workers = c.threads[0]
-		}
-		if c.dur != 0 {
-			cfg.Duration = c.dur
-		}
-		if c.exp == "all" {
-			// Keep the full sweep tractable: one fleet size, short cells.
-			cfg.Clients = []int{1_000}
-			cfg.Runtimes = []string{"single"}
-			if cfg.Duration == 0 {
-				cfg.Duration = 150 * time.Millisecond
-			}
-			cfg.Calibrate = 100 * time.Millisecond
-		}
-		rep, err := bench.RunServeBench(cfg)
-		c.emit(rep, err)
-		if err == nil {
-			if cerr := rep.Err(); cerr != nil {
-				fatal(cerr)
-			}
-		}
-	}},
-	{"hybrid", "hybrid fast-path crossover grid: engine-only vs adaptive", func(c benchCtx) {
-		cfg := bench.HybridBenchConfig{}
-		if len(c.threads) > 0 {
-			cfg.Threads = c.threads[0]
-		}
-		if c.dur != 0 {
-			cfg.Duration = c.dur
-		} else if c.exp == "all" {
-			cfg.Duration = 50 * time.Millisecond
-		}
-		rep, err := bench.RunHybridBench(cfg)
 		c.emit(rep, err)
 	}},
 	{"ablation-window", "sliding-window size ablation", func(c benchCtx) {
@@ -229,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	scaleFlag := fs.String("scale", "medium", "STAMP input scale: small, medium, large")
 	app := fs.String("app", "", "restrict fig10/fig11 to one app")
 	threadsFlag := fs.String("threads", "", "comma-separated thread counts for fig10 (default 1,4,8,14,28)")
-	dur := fs.Duration("dur", 0, "wall-clock duration for -exp soak, shard, serve, and the -exp recover snapshot phase (default 60s; \"all\" uses 5s/2s)")
+	dur := fs.Duration("dur", 0, "wall-clock duration of each -exp shard cell (default 300ms; \"all\" uses 100ms)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err != nil {

@@ -56,36 +56,3 @@ func TestEveryExperimentHasDesc(t *testing.T) {
 		}
 	}
 }
-
-// TestSoakExperimentRuns drives the lifecycle soak through the real driver
-// for a moment: host-side chaos on a trusting runtime, with the auditor's
-// verdict deciding the exit code.
-func TestSoakExperimentRuns(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run([]string{"-exp", "soak", "-dur", "50ms"}, &out, &errOut); code != 0 {
-		t.Fatalf("soak experiment failed (code %d): %s", code, errOut.String())
-	}
-	if text := out.String(); !strings.Contains(text, "PASS: history certified acyclic") {
-		t.Errorf("soak report missing the audit verdict:\n%s", text)
-	}
-}
-
-// TestServeExperimentRuns drives the serve experiment end to end through
-// the real driver with a minimal configuration — the overload smoke the
-// CI serve lane relies on.
-func TestServeExperimentRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serve experiment sweep is not short")
-	}
-	var out, errOut strings.Builder
-	code := run([]string{"-exp", "serve", "-dur", "80ms"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("serve experiment failed (code %d): %s", code, errOut.String())
-	}
-	text := out.String()
-	for _, want := range []string{"calibrated capacity", "goodput/s", "knee", "all clean"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("serve report missing %q:\n%s", want, text)
-		}
-	}
-}

@@ -3,7 +3,6 @@ package bench
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
@@ -233,29 +232,6 @@ func TestSigAblationSmoke(t *testing.T) {
 	}
 }
 
-func TestRecoverBenchSmoke(t *testing.T) {
-	rep, err := RunRecoverBench(RecoverBenchConfig{
-		Cycles:          3,
-		ConfirmPerCycle: 4,
-		SoakDuration:    200 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rep.Err(); err != nil {
-		t.Fatalf("acceptance verdict: %v\n%s", err, rep)
-	}
-	if rep.Confirmed == 0 || rep.Replayed == 0 {
-		t.Fatalf("soak exercised too little: %+v", rep)
-	}
-	if rep.SnapshotRuns == 0 || rep.SoakCommits == 0 {
-		t.Fatalf("snapshot phase exercised too little: %+v", rep)
-	}
-	if !strings.Contains(rep.String(), "VERDICT: pass") {
-		t.Fatal("rendering broken")
-	}
-}
-
 func TestNewAppUnknown(t *testing.T) {
 	if _, err := NewApp("bayes", stamp.Small); err == nil {
 		t.Fatal("bayes should be excluded, as in the paper")
@@ -295,20 +271,5 @@ func TestContentionAblationSmoke(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "contention") {
 		t.Fatal("rendering broken")
-	}
-}
-
-// TestSoakHonorsCancellation: the soak's RunCtx closure cancels the caller's
-// context mid-transaction, and each such attempt must end with
-// context.Canceled; a soak that counts no cancellation never exercised the
-// path its report claims.
-func TestSoakHonorsCancellation(t *testing.T) {
-	rep, err := RunSoak(SoakConfig{Threads: 2, Duration: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Cancels == 0 || rep.AuditErr != nil {
-		t.Fatalf("cancellations = %d, audit = %v; want at least one and a clean history\n%s",
-			rep.Cancels, rep.AuditErr, rep)
 	}
 }

@@ -62,13 +62,6 @@ func (h *Heap) Store(a Addr, v Word) {
 	atomic.StoreUint64(&h.words[a], uint64(v))
 }
 
-// CompareAndSwap atomically replaces the word at a if it equals old.
-//
-//tm:hotpath
-func (h *Heap) CompareAndSwap(a Addr, old, new Word) bool {
-	return atomic.CompareAndSwapUint64(&h.words[a], uint64(old), uint64(new))
-}
-
 // Alloc reserves n contiguous words and returns the base address. The
 // memory is zeroed (never previously handed out). Allocation is lock-free
 // and non-transactional: STAMP-style workloads allocate inside transactions

@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -32,20 +31,6 @@ func TestLoadStore(t *testing.T) {
 	}
 	if got := h.Load(4); got != 0 {
 		t.Fatalf("fresh word = %d", got)
-	}
-}
-
-func TestCompareAndSwap(t *testing.T) {
-	h := NewHeap(8)
-	h.Store(1, 5)
-	if !h.CompareAndSwap(1, 5, 6) {
-		t.Fatal("CAS with matching old failed")
-	}
-	if h.CompareAndSwap(1, 5, 7) {
-		t.Fatal("CAS with stale old succeeded")
-	}
-	if h.Load(1) != 6 {
-		t.Fatal("CAS value wrong")
 	}
 }
 
@@ -143,30 +128,5 @@ func TestLineOf(t *testing.T) {
 	}
 	if LineOf(0) != 0 || LineOf(7) != 0 || LineOf(8) != 1 {
 		t.Fatal("line boundaries wrong")
-	}
-}
-
-// TestCompareAndSwapConcurrent: two goroutines on their own processors
-// increment one word through Load + CompareAndSwap retry loops; every
-// increment lands. A check-then-store CompareAndSwap loses some.
-func TestCompareAndSwapConcurrent(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	h := NewHeap(64)
-	a := h.MustAlloc(1)
-	const n = 1000000
-	var wg sync.WaitGroup
-	for range 2 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range n {
-				for v := h.Load(a); !h.CompareAndSwap(a, v, v+1); v = h.Load(a) {
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := h.Load(a); got != 2*n {
-		t.Fatalf("word = %d after %d increments", got, 2*n)
 	}
 }

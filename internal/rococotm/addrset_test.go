@@ -369,7 +369,7 @@ func TestLazySigningMatchesEagerModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		obs := []*recObserver{{}, {}}
-		s := NewSharded(heap, ShardedConfig{Shards: 2, MaxThreads: 2, Shard: Config{Engine: fpga.Config{Sig: scfg}},
+		s := NewSharded(heap, ShardedConfig{Shards: 2, Shard: Config{MaxThreads: 2, Engine: fpga.Config{Sig: scfg}},
 			Observers: []CommitObserver{obs[0], obs[1]}, Durables: rec.Durables})
 		h := &lagHarness{t: t, rt: s, pubs: make([][]pubRecord, 2), vals: map[mem.Addr]mem.Word{},
 			shard: s.route,

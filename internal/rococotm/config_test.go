@@ -45,7 +45,7 @@ func newCell(t *testing.T, on ...feature) cell {
 		}
 		return d
 	}
-	scfg := ShardedConfig{Shards: 2, MaxThreads: 2}
+	scfg := ShardedConfig{Shards: 2, Shard: Config{MaxThreads: 2}}
 	cfg := &scfg.Shard
 	sharded := false
 	for _, f := range on {
@@ -73,7 +73,6 @@ func newCell(t *testing.T, on ...feature) cell {
 		return cell{func() error { return scfg.Validate(heap) },
 			func() tm.TM { return NewSharded(heap, scfg) }}
 	}
-	cfg.MaxThreads = 2
 	return cell{func() error { return cfg.Validate(heap) },
 		func() tm.TM { return New(heap, *cfg) }}
 }

@@ -274,7 +274,7 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 			name = "Sharded cross"
 		}
 		t.Run(name, func(t *testing.T) {
-			s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, MaxThreads: 1})
+			s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, Shard: Config{MaxThreads: 1}})
 			defer s.Close()
 			addrs := shardAddrs(t, s, 1) // one address per shard
 			x, _ := s.Begin(0)

@@ -236,7 +236,7 @@ func TestWatchdogCountersAgree(t *testing.T) {
 	}{
 		{"TM", func() tm.TM { return New(mem.NewHeap(1<<10), cfg) }},
 		{"Sharded", func() tm.TM {
-			return NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, MaxThreads: 2, Shard: cfg})
+			return NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, Shard: cfg})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -98,7 +98,9 @@ type ShardedConfig struct {
 	Shards int
 	// Shard is the per-shard runtime template. Observer, Durable and
 	// LineTable must be zero: observers and durability are per-shard
-	// (below), and the hybrid fast path is not supported per shard.
+	// (below), and the hybrid fast path is not supported per shard. Its
+	// MaxThreads (default 32) also sizes the front end's own per-thread
+	// state.
 	Shard Config
 	// Observers, when non-nil, has one CommitObserver per shard (nil
 	// entries allowed). Each observes its shard's merged publication
@@ -114,10 +116,6 @@ type ShardedConfig struct {
 	// allocated strictly above it. After recovery, pass the MaxXID
 	// RecoverSharded returned.
 	NextXID uint64
-	// MaxThreads mirrors Config.MaxThreads for the front end's own
-	// per-thread state; default 32 (and must match Shard.MaxThreads
-	// after fill).
-	MaxThreads int
 }
 
 // Sharded is the multi-engine front end. It implements tm.TM,
@@ -155,12 +153,7 @@ func (c *ShardedConfig) fill() {
 	if c.Shards == 0 {
 		c.Shards = 2
 	}
-	if c.MaxThreads == 0 {
-		c.MaxThreads = 32
-	}
-	if c.Shard.MaxThreads == 0 {
-		c.Shard.MaxThreads = c.MaxThreads
-	}
+	c.Shard.fill()
 }
 
 // shard returns shard i's runtime configuration: the template with the
@@ -193,8 +186,6 @@ func (c ShardedConfig) Validate(heap *mem.Heap) error {
 		return errors.New("rococotm: sharded: len(Observers) must equal Shards")
 	case c.Durables != nil && len(c.Durables) != c.Shards:
 		return errors.New("rococotm: sharded: len(Durables) must equal Shards")
-	case t.MaxThreads != c.MaxThreads:
-		return errors.New("rococotm: sharded: Shard.MaxThreads must match MaxThreads")
 	}
 	for i := 0; i < c.Shards; i++ {
 		if err := c.shard(i).Validate(heap); err != nil {
@@ -215,8 +206,8 @@ func NewSharded(heap *mem.Heap, cfg ShardedConfig) *Sharded {
 		heap:      heap,
 		cfg:       cfg,
 		shards:    make([]*TM, cfg.Shards),
-		escalated: make([]bool, cfg.MaxThreads),
-		scratch:   make([]*stxn, cfg.MaxThreads),
+		escalated: make([]bool, cfg.Shard.MaxThreads),
+		scratch:   make([]*stxn, cfg.Shard.MaxThreads),
 	}
 	s.xid.Store(cfg.NextXID)
 	for i := range s.shards {
@@ -282,7 +273,7 @@ func (s *Sharded) CrossStats() CrossStats {
 // Escalate implements tm.Escalator: the thread's next Begin runs
 // irrevocably against all shards.
 func (s *Sharded) Escalate(thread int) {
-	if thread >= 0 && thread < s.cfg.MaxThreads {
+	if thread >= 0 && thread < s.cfg.Shard.MaxThreads {
 		s.escalated[thread] = true
 	}
 }
@@ -421,8 +412,8 @@ func (x *stxn) fail(err error) error {
 
 // Begin implements tm.TM.
 func (s *Sharded) Begin(thread int) (tm.Txn, error) {
-	if thread < 0 || thread >= s.cfg.MaxThreads {
-		return nil, fmt.Errorf("rococotm: thread %d out of range [0,%d)", thread, s.cfg.MaxThreads)
+	if thread < 0 || thread >= s.cfg.Shard.MaxThreads {
+		return nil, fmt.Errorf("rococotm: thread %d out of range [0,%d)", thread, s.cfg.Shard.MaxThreads)
 	}
 	s.cnt.OnStart()
 	irrevocable := s.escalated[thread]

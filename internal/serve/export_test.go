@@ -7,9 +7,13 @@ import (
 )
 
 // Tuning overrides the knobs a server derives or fixes, so tests reach
-// queue overflow, the attempt cap, a dry retry bucket and fast controller
-// ticks. A zero field keeps the server's value.
+// a pinned or wide concurrency limit, queue overflow, the attempt cap, a
+// dry retry bucket and fast controller ticks. A zero field keeps the
+// server's value; MaxInflight also sets the queue bound to 4×MaxInflight
+// unless QueueCap is given.
 type Tuning struct {
+	MaxInflight         int
+	TargetP99           time.Duration
 	QueueCap            int
 	MaxAttempts         int
 	RetryTokensPerAdmit float64
@@ -21,6 +25,13 @@ type Tuning struct {
 // NewTuned is New with t applied before the server starts.
 func NewTuned(m tm.TM, cfg Config, t Tuning) *Server {
 	s := newServer(m, cfg)
+	if t.MaxInflight != 0 {
+		s.maxInflight = int64(t.MaxInflight)
+		s.queueCap = 4 * s.maxInflight
+	}
+	if t.TargetP99 != 0 {
+		s.targetP99 = t.TargetP99
+	}
 	if t.QueueCap != 0 {
 		s.queueCap = int64(t.QueueCap)
 	}

@@ -33,7 +33,7 @@
 // The server owns a pool of tm threads, not goroutines: an admitted
 // request runs on its caller's goroutine under a thread id from the pool,
 // waited for in arrival order when every id is busy (by at most
-// 4×MaxInflight requests), so nothing is handed off or allocated per
+// 8×Workers requests), so nothing is handed off or allocated per
 // request. Retries are bounded by 16 attempts per request and a shared
 // retry-token bucket. Close waits for the Do calls in flight.
 //
@@ -150,17 +150,6 @@ type Request struct {
 	Fn func(tm.Txn) error
 }
 
-// Signal is a snapshot of cumulative runtime pressure counters sampled by
-// the controller; any growth between ticks counts as pressure. Wire it to
-// the runtime's tm.Stats: EngineErrors from Reasons[tm.ReasonEngine],
-// WatchdogFires from WatchdogFires.
-type Signal struct {
-	// EngineErrors counts attempts ended by an unavailable engine.
-	EngineErrors uint64
-	// WatchdogFires counts watchdog-detected stuck commits.
-	WatchdogFires uint64
-}
-
 // Config parameterizes a Server. Zero values take the documented defaults.
 type Config struct {
 	// Workers is the number of tm threads the server owns, and so the
@@ -169,35 +158,16 @@ type Config struct {
 	// MaxThreads must cover Workers. Default 4.
 	Workers int
 
-	// MaxInflight caps the concurrency limit (and is its initial value).
-	// At most 4×MaxInflight admitted requests wait for a thread.
-	// Default 2×Workers.
-	MaxInflight int
-
 	// DefaultBudget applies to requests with a zero Budget. Default 50ms.
 	DefaultBudget time.Duration
-
-	// TargetP99 is the tail-latency SLO the controller defends. Windowed
-	// p99 above it is treated as pressure. Default 4×DefaultBudget/5.
-	TargetP99 time.Duration
-
-	// Signals, when set, is sampled once per controller tick with
-	// cumulative runtime counters; deltas feed the AIMD decision.
-	Signals func() Signal
 }
 
 func (c *Config) fill() {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 2 * c.Workers
-	}
 	if c.DefaultBudget <= 0 {
 		c.DefaultBudget = 50 * time.Millisecond
-	}
-	if c.TargetP99 <= 0 {
-		c.TargetP99 = c.DefaultBudget * 4 / 5
 	}
 }
 
@@ -285,8 +255,13 @@ type Server struct {
 
 	retryTokens atomic.Int64 // fixed-point (×1024) retry-token bucket
 
-	// The admission queue's bound (4×MaxInflight), the constants above
-	// (the token rates fixed-point), as test seams set before start.
+	// maxInflight is the concurrency limit's start and ceiling (2×Workers),
+	// targetP99 the windowed p99 the controller defends (4/5 of
+	// DefaultBudget), queueCap the admission queue's bound (4×maxInflight);
+	// they and the constants above (the token rates fixed-point) are test
+	// seams set before start.
+	maxInflight int64
+	targetP99   time.Duration
 	queueCap    int64
 	maxAttempts int
 	tokenRefill int64
@@ -324,13 +299,16 @@ func New(m tm.TM, cfg Config) *Server {
 // newServer builds a server that start has not yet started.
 func newServer(m tm.TM, cfg Config) *Server {
 	cfg.fill()
+	maxInflight := 2 * int64(cfg.Workers)
 	return &Server{
 		cfg:         cfg,
 		m:           m,
 		threads:     make(chan int, cfg.Workers),
 		lat:         hist.New(),
 		stopCtl:     make(chan struct{}),
-		queueCap:    4 * int64(cfg.MaxInflight),
+		maxInflight: maxInflight,
+		targetP99:   cfg.DefaultBudget * 4 / 5,
+		queueCap:    4 * maxInflight,
 		maxAttempts: maxAttempts,
 		tokenRefill: retryTokensPerAdmit * tokenScale,
 		tokenCap:    retryTokenCap * tokenScale,
@@ -342,7 +320,7 @@ func newServer(m tm.TM, cfg Config) *Server {
 // start fills the thread pool and the retry-token bucket and starts the
 // controller.
 func (s *Server) start() {
-	s.limit.Store(int64(s.cfg.MaxInflight))
+	s.limit.Store(s.maxInflight)
 	s.retryTokens.Store(s.tokenCap)
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.threads <- i
@@ -553,16 +531,15 @@ func (s *Server) observeService(d time.Duration) {
 // controller is the AIMD loop: each tick it classifies the window as
 // pressured or calm from the live signals and adjusts the concurrency
 // limit (multiplicative decrease, additive increase) and, at the extremes,
-// the degradation tier.
+// the degradation tier. The runtime's signals are its cumulative counts of
+// attempts ended by an unavailable engine and of watchdog fires; any
+// growth between ticks is pressure.
 func (s *Server) controller() {
 	defer s.ctl.Done()
 	tick := time.NewTicker(s.adaptEvery)
 	defer tick.Stop()
 	var prevLat hist.Snapshot
-	var prevSig Signal
-	if s.cfg.Signals != nil {
-		prevSig = s.cfg.Signals()
-	}
+	prevRT := s.m.Stats()
 	pressured, calm := 0, 0
 	var lastExhaust uint64
 	for {
@@ -576,17 +553,15 @@ func (s *Server) controller() {
 		cur := s.lat.Snapshot()
 		win := cur.Sub(prevLat)
 		prevLat = cur
-		if win.Count() > 0 && win.P99() > s.cfg.TargetP99 {
+		if win.Count() > 0 && win.P99() > s.targetP99 {
 			pressure = true
 		}
-		if s.cfg.Signals != nil {
-			sig := s.cfg.Signals()
-			if sig.EngineErrors > prevSig.EngineErrors ||
-				sig.WatchdogFires > prevSig.WatchdogFires {
-				pressure = true
-			}
-			prevSig = sig
+		rt := s.m.Stats()
+		if rt.Reasons[tm.ReasonEngine] > prevRT.Reasons[tm.ReasonEngine] ||
+			rt.WatchdogFires > prevRT.WatchdogFires {
+			pressure = true
 		}
+		prevRT = rt
 		if exh := s.budgetExhausts.Load(); exh != lastExhaust {
 			// Retry-budget exhaustions this tick: the loop is eating more
 			// retries than admissions replenish — classic metastable
@@ -616,7 +591,7 @@ func (s *Server) controller() {
 		} else {
 			calm++
 			pressured = 0
-			if limit < int64(s.cfg.MaxInflight) {
+			if limit < s.maxInflight {
 				s.limit.Store(limit + 1)
 			}
 			if calm >= s.tierAfter && s.tier.Load() > 0 {

@@ -120,42 +120,51 @@ func TestServeCommitsAndAccounting(t *testing.T) {
 // the accounting identity still balances. Admitted requests wait inside Fn
 // until the rest have been turned away, so the overload does not depend on
 // a commit yielding the processor to the other clients: with the single
-// worker held, at most one executing plus queueCap queued requests fit.
+// worker held, at most the limit's two requests are admitted. The admitted
+// ones are smallbank payments on an audited runtime, so the overload is
+// also certified: the bank's balance is conserved, the serializability
+// auditor accepts the history, and no transaction is left live.
 func TestServeOverloadSheds(t *testing.T) {
-	h := mem.NewHeap(1 << 10)
-	m := rococotm.New(h, rococotm.Config{MaxThreads: 8})
+	h := mem.NewHeap(1 << 12)
+	auditor := audit.New(audit.Config{})
+	m := rococotm.New(h, rococotm.Config{MaxThreads: 8, Observer: auditor})
 	defer m.Close()
-	a := h.MustAlloc(1)
 	const (
 		clients  = 64
 		queueCap = 2
+		accounts = 32
 	)
-	s := serve.NewTuned(m, serve.Config{
-		Workers:     1,
+	b, err := tmds.NewSmallBank(h, accounts, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := serve.NewTuned(m, serve.Config{Workers: 1}, serve.Tuning{
+		// Keep the limit pinned: a healthy runtime raises no signal, and
+		// the SLO is generous.
 		MaxInflight: 2,
-		// Keep the limit pinned: no signals, generous SLO.
-		TargetP99: time.Second,
-	}, serve.Tuning{QueueCap: queueCap})
+		TargetP99:   time.Second,
+		QueueCap:    queueCap,
+	})
 
 	release := make(chan struct{})
-	held := func(x tm.Txn) error {
-		<-release
-		return incrFn(a)(x)
-	}
 	var wg sync.WaitGroup
 	var shed, committed atomic.Uint64
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
-		go func() {
+		go func(c int) {
 			defer wg.Done()
-			out, _ := s.Do(serve.Request{Class: serve.High, Budget: time.Minute, Fn: held})
+			from, to := c%accounts, (c+1)%accounts
+			out, _ := s.Do(serve.Request{Class: serve.High, Budget: time.Minute, Fn: func(x tm.Txn) error {
+				<-release
+				return b.SendPayment(x, from, to, mem.Word(c+1))
+			}})
 			switch out {
 			case serve.Shed:
 				shed.Add(1)
 			case serve.Committed:
 				committed.Add(1)
 			}
-		}()
+		}(c)
 	}
 	for deadline := time.Now().Add(10 * time.Second); s.Stats().Shed < clients-1-queueCap; {
 		if time.Now().After(deadline) {
@@ -178,6 +187,15 @@ func TestServeOverloadSheds(t *testing.T) {
 	}
 	if st.ShedLimit == 0 {
 		t.Errorf("expected limit sheds, got %+v", st)
+	}
+	if err := tm.Run(m, 1, b.CheckConservation); err != nil {
+		t.Errorf("conservation: %v", err)
+	}
+	if err := auditor.Err(); err != nil {
+		t.Errorf("auditor: %v", err)
+	}
+	if live, _ := m.PoolCheck(); live != 0 {
+		t.Errorf("pool leak: %d live txns after Close", live)
 	}
 }
 
@@ -316,32 +334,42 @@ func newDurableTM(t *testing.T, heapWords, maxThreads int) (*rococotm.TM, *mem.H
 	return rococotm.New(heap, rococotm.Config{MaxThreads: maxThreads, Durable: d}), heap
 }
 
+// pressuredTM is a durable runtime whose Stats reports one more engine
+// error at every sample while pressured is set, so every controller tick
+// classifies as pressured. It embeds *rococotm.TM, so the server still
+// sees a Snapshotter, an Escalator and a SiteRunner.
+type pressuredTM struct {
+	*rococotm.TM
+	pressured    atomic.Bool
+	engineErrors atomic.Uint64
+}
+
+func (p *pressuredTM) Stats() tm.Stats {
+	st := p.TM.Stats()
+	n := p.engineErrors.Load()
+	if p.pressured.Load() {
+		n = p.engineErrors.Add(1)
+	}
+	st.Reasons[tm.ReasonEngine] += n
+	return st
+}
+
 // TestServeTierDegradation drives sustained artificial pressure through
-// the Signals hook and asserts the full degradation ladder: the AIMD limit
+// the runtime's engine-error count and asserts the full degradation
+// ladder: the AIMD limit
 // collapses to its floor, the tier escalates, Batch then Normal writes are
 // shed while High writes still commit, read-only traffic is demoted to
 // snapshot service — and when pressure stops, the server climbs back to
 // full service instead of latching degraded.
 func TestServeTierDegradation(t *testing.T) {
-	m, h := newDurableTM(t, 1<<10, 8)
-	defer m.Close()
+	inner, h := newDurableTM(t, 1<<10, 8)
+	defer inner.Close()
 	a := h.MustAlloc(1)
 
-	var pressured atomic.Bool
-	var engineErrors atomic.Uint64
-	pressured.Store(true)
-	s := serve.NewTuned(m, serve.Config{
-		Workers:     2,
-		MaxInflight: 4,
-		Signals: func() serve.Signal {
-			if pressured.Load() {
-				// Grow the cumulative count every sample so every tick
-				// classifies as pressured.
-				return serve.Signal{EngineErrors: engineErrors.Add(1)}
-			}
-			return serve.Signal{EngineErrors: engineErrors.Load()}
-		},
-	}, serve.Tuning{AdaptEvery: time.Millisecond, TierAfter: 2})
+	m := &pressuredTM{TM: inner}
+	m.pressured.Store(true)
+	s := serve.NewTuned(m, serve.Config{Workers: 2},
+		serve.Tuning{MaxInflight: 4, AdaptEvery: time.Millisecond, TierAfter: 2})
 	defer s.Close()
 
 	waitFor := func(what string, cond func() bool) {
@@ -386,7 +414,7 @@ func TestServeTierDegradation(t *testing.T) {
 	}
 
 	// Pressure off: the server must recover to full service.
-	pressured.Store(false)
+	m.pressured.Store(false)
 	waitFor("tier 0", func() bool { return s.Tier() == 0 })
 	waitFor("limit recovery", func() bool { return s.Limit() == 4 })
 	if out, err := s.Do(serve.Request{Class: serve.Batch, Budget: time.Second, Fn: incrFn(a)}); out != serve.Committed {
@@ -401,9 +429,8 @@ func TestServeShardedNewOrder(t *testing.T) {
 	const workers = 4
 	h := mem.NewHeap(1 << 12)
 	m := rococotm.NewSharded(h, rococotm.ShardedConfig{
-		Shards:     2,
-		MaxThreads: workers + 2,
-		Shard:      rococotm.Config{MaxThreads: workers + 2},
+		Shards: 2,
+		Shard:  rococotm.Config{MaxThreads: workers + 2},
 	})
 	defer m.Close()
 	db, err := tmds.NewNewOrderDB(h, 4, 32, 1000)
@@ -624,7 +651,8 @@ func TestServeThreadsExclusive(t *testing.T) {
 	defer inner.Close()
 	a, b := h.MustAlloc(1), h.MustAlloc(1)
 	m := &exclusiveTM{TM: inner, lo: 0, hi: 2}
-	s := serve.New(m, serve.Config{Workers: 2, MaxInflight: clients, DefaultBudget: time.Minute})
+	s := serve.NewTuned(m, serve.Config{Workers: 2, DefaultBudget: time.Minute},
+		serve.Tuning{MaxInflight: clients})
 
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {

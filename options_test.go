@@ -29,29 +29,25 @@ func TestOptionCensus(t *testing.T) {
 			"MaxThreads",    // benchmark/workload.go, internal/bench
 			"Engine",        // internal/bench/ablation.go, internal/bench/shard.go
 			"MeasurePhases", // benchmark/workload.go (--trace 1), internal/bench/fig11.go
-			"WatchdogAge",   // internal/bench/soak.go
-			"Logf",          // internal/bench/soak.go, internal/bench/recover.go
-			"Observer",      // internal/bench/serve.go, internal/bench/soak.go
-			"Durable",       // benchmark/workload.go (bank-full), internal/bench/recover.go
+			"WatchdogAge",   // tests only: internal/fault, internal/hybrid; no seam reaches them
+			"Logf",          // tests only: internal/fault, internal/hybrid; no seam reaches them
+			"Observer",      // internal/bench/shard.go, through NewSharded's per-shard wiring
+			"Durable",       // benchmark/workload.go (bank-full), NewSharded's per-shard wiring
 			"LineTable",     // hybrid.New
 		}},
 		{reflect.TypeOf(rococotm.ShardedConfig{}), []string{
-			"Shards",     // internal/bench/shard.go, internal/bench/serve.go
-			"Shard",      // internal/bench/serve.go
-			"Observers",  // internal/bench/shard.go
-			"Durables",   // internal/bench/shard.go
-			"NextXID",    // the recovery contract: RecoverSharded's MaxXID goes here
-			"MaxThreads", // internal/bench/serve.go
+			"Shards",    // internal/bench/shard.go
+			"Shard",     // internal/bench/shard.go
+			"Observers", // internal/bench/shard.go
+			"Durables",  // internal/bench/shard.go
+			"NextXID",   // the recovery contract: RecoverSharded's MaxXID goes here
 		}},
 		{reflect.TypeOf(hybrid.Config{}), []string{
-			"Slow", // benchmark/workload.go, internal/bench/hybrid.go
+			"Slow", // benchmark/workload.go
 		}},
 		{reflect.TypeOf(serve.Config{}), []string{
-			"Workers",       // benchmark/workload.go, cmd/rococobench
-			"MaxInflight",   // internal/bench/serve.go
-			"DefaultBudget", // benchmark/workload.go, internal/bench/serve.go
-			"TargetP99",     // internal/bench/serve.go
-			"Signals",       // internal/bench/serve.go
+			"Workers",       // benchmark/workload.go, benchmark/probes.go
+			"DefaultBudget", // benchmark/workload.go
 		}},
 		{reflect.TypeOf(fpga.Config{}), []string{
 			"W",          // internal/bench/shard.go

@@ -37,7 +37,12 @@
 #                    interleavings; no acknowledged commit is lost or
 #                    applied twice and every history certifies — the
 #                    one lane with repetition under the race
-#                    detector                                     (~10s)
+#                    detector. The checks of the deleted -exp soak
+#                    and -exp recover drivers run here: the soak's
+#                    cancel/panic/stall schedule under the auditor is
+#                    TestChaosAuditSoak, recover's crash-image cycles,
+#                    durable oracle, certification, snapshot reader
+#                    and PoolCheck are TestChaosRecoverDurable     (~10s)
 #   7. oracle lane — the lost-update oracles (counter hammers, bank
 #                    conservation, soaks, value-reconstructed history
 #                    checks, torn-read probes, the hybrid mixed-path pair)
@@ -66,11 +71,11 @@
 #                    Process and RecordFast, pinned to GOMAXPROCS 1 and 2
 #                    by the test itself)                           (~2min)
 #   9. driver smokes — the experiment drivers through the real binary:
-#                    `rococobench -exp shard` and `-exp hybrid` bounded
-#                    runs, and go test ./cmd/... (the serve overload sweep
-#                    with its accounting/conservation/auditor/pool
-#                    certification footer, flag and exit-status tests)
-#                                                                  (~20s)
+#                    a bounded `rococobench -exp shard` run, and go test
+#                    ./cmd/... (flag and exit-status tests). Serving
+#                    under overload is certified by TestServeOverloadSheds
+#                    (accounting, conservation, auditor, pool) in lanes
+#                    7 and 8                                       (~10s)
 #  10. bench smoke — every benchmark compiles and survives one iteration
 #                    (benchtime=1x), so perf lanes cannot silently rot;
 #                    the non-race run also picks up the AllocsPerRun
@@ -138,9 +143,8 @@ done
 echo "== go test -race -count=1 ./internal/..."
 go test -race -count=1 ./internal/...
 
-echo "== driver smokes: rococobench -exp shard, -exp hybrid, go test ./cmd/..."
+echo "== driver smokes: rococobench -exp shard, go test ./cmd/..."
 go run ./cmd/rococobench -exp shard -dur 50ms >/dev/null
-go run ./cmd/rococobench -exp hybrid -dur 40ms >/dev/null
 go test -count=1 ./cmd/...
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./internal/..."
