@@ -106,6 +106,21 @@ func TestCommitPathZeroAllocs(t *testing.T) {
 	runAllocProbe(t, m)
 }
 
+// TestDurableCommitZeroAllocs: on a durable runtime a warmed 2r/2w commit
+// also appends its log record and applies its versions to the
+// multi-version store, and still allocates nothing.
+func TestDurableCommitZeroAllocs(t *testing.T) {
+	m, _ := newDurableTM(t, 1<<12, false)
+	defer m.Close()
+	commit := transfers(t, m, m.Heap().MustAlloc(64), 64)
+	for i := 0; i < 1024; i++ {
+		commit()
+	}
+	if avg := testing.AllocsPerRun(2000, commit); avg != 0 {
+		t.Fatalf("durable commit allocates %.2f objects/op, want 0", avg)
+	}
+}
+
 // TestAbortingCommitZeroAllocs: an engine-path abort hands back a preallocated
 // error and counts itself in an array slot, so a commit the engine rejects —
 // here one half of a write skew, a cycle — allocates nothing either.

@@ -323,6 +323,52 @@ func twoReads(a, b mem.Addr) func(tm.Txn) error {
 	}
 }
 
+// transfers returns a 2-read/2-write transfer between neighbouring
+// accounts of n at base, committed on thread 0; each call moves one
+// account along.
+func transfers(t testing.TB, m *TM, base mem.Addr, n int) func() {
+	i := 0
+	return func() {
+		from, to := base+mem.Addr(i%n), base+mem.Addr((i+1)%n)
+		i++
+		x, err := m.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := x.Read(from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := x.Read(to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Write(from, a-1); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Write(to, b+1); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Commit(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDurableCommit is one thread's 2r/2w commit on a durable
+// runtime: the commit path plus the log append and the multi-version
+// store's apply, with the group-commit flusher beside it.
+func BenchmarkDurableCommit(b *testing.B) {
+	m, _ := newDurableTM(b, 1<<12, false)
+	defer m.Close()
+	commit := transfers(b, m, m.Heap().MustAlloc(64), 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit()
+	}
+}
+
 // BenchmarkRunReadOnly is the read-only entry on a runtime without a
 // durable store: the snapshot is refused and two reads run as a
 // transaction whose empty write set commits on the CPU.

@@ -6,6 +6,7 @@
 package wal
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -46,5 +47,29 @@ func TestAppendZeroAllocsAcrossFlushes(t *testing.T) {
 	cycle() // grow both buffers
 	if n := testing.AllocsPerRun(20, cycle); n != 0 {
 		t.Fatalf("Append+Sync allocates %v per three flushes", n)
+	}
+}
+
+// TestMemDeviceWritesEachByteOnce: a MemDevice allocates the bytes it
+// stores and little else, so 64 MiB of 8 KiB appends allocate at most
+// 1.05x 64 MiB. A device that regrows one slice by doubling allocates
+// about twice that, and copies the log at every doubling.
+func TestMemDeviceWritesEachByteOnce(t *testing.T) {
+	const total, step = 64 << 20, 8 << 10
+	p := make([]byte, step)
+	dev := NewMemDevice(nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < total; n += step {
+		if err := dev.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if n, _ := dev.Size(); n != total {
+		t.Fatalf("device holds %d bytes, want %d", n, total)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; float64(grew) > 1.05*total {
+		t.Fatalf("appending %d bytes allocated %d bytes (%.2fx)", total, grew, float64(grew)/total)
 	}
 }

@@ -36,6 +36,12 @@
 // group flush covers a contiguous range of sequences, the intact prefix
 // is always a contiguous commit history: a sequence gap inside it is a
 // writer bug, not a crash artifact, and Replay reports it as an error.
+//
+// Devices: a FileDevice flush is one write(2) to a file opened O_APPEND
+// plus the fsync. MemDevice, the disk of the tests and of the benchmark's
+// durable workload, is priced like one: an Append costs O(len(p)) however
+// long the log has grown, since its bytes sit in fixed 1 MiB chunks and
+// are never moved once written.
 package wal
 
 import (
@@ -43,7 +49,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -193,22 +198,51 @@ type Device interface {
 // MemDevice is an in-memory Device for tests, benchmarks, and crash-image
 // replay (fault.Disk.CrashImage produces the bytes a crash would leave;
 // NewMemDevice turns them back into a recoverable device).
+//
+// Its cost model is a disk's: Append costs O(len(p)) whatever the size of
+// the log. The bytes live in fixed-size chunks; an append fills the tail
+// chunk and opens new ones, and a byte once written is never moved (a
+// single growing slice would copy the whole log at every doubling, a cost
+// that grows with the log, not with the record). Contents copies the log
+// once, Size is O(1) and Truncate drops the chunks past the cut.
 type MemDevice struct {
-	mu   sync.Mutex
-	data []byte
+	mu     sync.Mutex
+	chunks [][]byte // each of cap memChunk; all but the last are full
+	size   int64
 }
+
+// memChunk is the size of one MemDevice chunk.
+const memChunk = 1 << 20
 
 // NewMemDevice returns a MemDevice seeded with initial (which may be nil).
 func NewMemDevice(initial []byte) *MemDevice {
-	return &MemDevice{data: append([]byte(nil), initial...)}
+	d := &MemDevice{}
+	d.append(initial)
+	return d
 }
 
 // Append implements Device.
 func (d *MemDevice) Append(p []byte) error {
 	d.mu.Lock()
-	d.data = append(d.data, p...)
+	d.append(p)
 	d.mu.Unlock()
 	return nil
+}
+
+// append copies p into the tail chunk, opening chunks as they fill.
+func (d *MemDevice) append(p []byte) {
+	d.size += int64(len(p))
+	for len(p) > 0 {
+		last := len(d.chunks) - 1
+		if last < 0 || len(d.chunks[last]) == memChunk {
+			d.chunks = append(d.chunks, make([]byte, 0, memChunk))
+			last++
+		}
+		c := d.chunks[last]
+		n := min(len(p), memChunk-len(c))
+		d.chunks[last] = append(c, p[:n]...)
+		p = p[n:]
+	}
 }
 
 // Sync implements Device (memory is "durable" by definition).
@@ -218,17 +252,31 @@ func (d *MemDevice) Sync() error { return nil }
 func (d *MemDevice) Contents() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return append([]byte(nil), d.data...), nil
+	var out []byte // nil when empty, as the copy of an empty slice is
+	if d.size > 0 {
+		out = make([]byte, 0, d.size)
+	}
+	for _, c := range d.chunks {
+		out = append(out, c...)
+	}
+	return out, nil
 }
 
-// Truncate implements Device.
+// Truncate implements Device. A cut inside a chunk keeps the chunk and its
+// capacity; the chunks wholly past the cut are dropped.
 func (d *MemDevice) Truncate(n int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if n < 0 || n > int64(len(d.data)) {
-		return fmt.Errorf("wal: truncate %d out of range [0,%d]", n, len(d.data))
+	if n < 0 || n > d.size {
+		return fmt.Errorf("wal: truncate %d out of range [0,%d]", n, d.size)
 	}
-	d.data = d.data[:n]
+	keep := int((n + memChunk - 1) / memChunk) // chunks holding bytes below n
+	clear(d.chunks[keep:])
+	d.chunks = d.chunks[:keep]
+	if keep > 0 {
+		d.chunks[keep-1] = d.chunks[keep-1][:n-int64(keep-1)*memChunk]
+	}
+	d.size = n
 	return nil
 }
 
@@ -236,20 +284,22 @@ func (d *MemDevice) Truncate(n int64) error {
 func (d *MemDevice) Size() (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return int64(len(d.data)), nil
+	return d.size, nil
 }
 
 // Close implements Device.
 func (d *MemDevice) Close() error { return nil }
 
-// FileDevice is an os.File-backed Device.
+// FileDevice is an os.File-backed Device. The file is opened O_APPEND, so
+// every Append is one write(2) at the current end of file, a truncated one
+// included, with no seek before it.
 type FileDevice struct {
 	f *os.File
 }
 
 // OpenFile opens (creating if absent) a file-backed device at path.
 func OpenFile(path string) (*FileDevice, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -258,9 +308,6 @@ func OpenFile(path string) (*FileDevice, error) {
 
 // Append implements Device.
 func (d *FileDevice) Append(p []byte) error {
-	if _, err := d.f.Seek(0, io.SeekEnd); err != nil {
-		return err
-	}
 	n, err := d.f.Write(p)
 	if err == nil && n != len(p) {
 		return fmt.Errorf("wal: short write (%d of %d bytes)", n, len(p))

@@ -2,7 +2,9 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand/v2"
 	"path/filepath"
 	"testing"
 	"time"
@@ -258,6 +260,111 @@ func TestFileDevice(t *testing.T) {
 			t.Fatalf("file recovery: record %d mismatch", i)
 		}
 	}
+
+	// The file is opened O_APPEND: after a truncation the next append lands
+	// at the cut, not at the old end of file.
+	data, ends := encodeAll(recs)
+	cut := int64(ends[9])
+	if err := dev2.Truncate(cut); err != nil {
+		t.Fatal(err)
+	}
+	tail := []byte("appended after the cut")
+	if err := dev2.Append(tail); err != nil {
+		t.Fatal(err)
+	}
+	got, err := dev2.Contents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := append(data[:cut:cut], tail...); !bytes.Equal(got, want) {
+		t.Fatalf("after Truncate(%d) and a %d-byte append the file holds %d bytes, want %d",
+			cut, len(tail), len(got), len(want))
+	}
+}
+
+// TestMemDeviceAgainstModel drives random Append/Truncate sequences through
+// a MemDevice seeded with more than one chunk and checks Contents and Size
+// against a plain byte slice after every operation. The mix covers empty
+// appends, appends spanning several chunks, and cuts to 0, to chunk
+// boundaries and to Size(); every appended buffer is overwritten right
+// after the call, since a Device may not keep it.
+func TestMemDeviceAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	pool := make([]byte, 4*memChunk)
+	for i := 0; i < len(pool); i += 8 {
+		binary.LittleEndian.PutUint64(pool[i:], rng.Uint64())
+	}
+	fill := func(n int) []byte {
+		off := rng.IntN(len(pool) - n + 1)
+		return append([]byte(nil), pool[off:off+n]...)
+	}
+	initial := fill(memChunk + memChunk/2 + 3)
+	model := append([]byte(nil), initial...)
+	dev := NewMemDevice(initial)
+	clear(initial)
+	check := func(op string) {
+		t.Helper()
+		if n, _ := dev.Size(); n != int64(len(model)) {
+			t.Fatalf("after %s: Size %d, want %d", op, n, len(model))
+		}
+		got, _ := dev.Contents()
+		if !bytes.Equal(got, model) {
+			t.Fatalf("after %s: Contents differ from the model (%d bytes, want %d)", op, len(got), len(model))
+		}
+	}
+	check("NewMemDevice")
+	for i := 0; i < 300; i++ {
+		var op string
+		switch k := rng.IntN(10); {
+		case k < 6:
+			var n int
+			switch rng.IntN(4) {
+			case 0:
+				n = 0
+			case 1:
+				n = rng.IntN(64)
+			case 2:
+				n = rng.IntN(64 << 10)
+			default:
+				n = memChunk + rng.IntN(2*memChunk) // spans two or three chunks
+			}
+			if len(model) > 6*memChunk {
+				n = rng.IntN(64)
+			}
+			p := fill(n)
+			model = append(model, p...)
+			if err := dev.Append(p); err != nil {
+				t.Fatal(err)
+			}
+			clear(p)
+			op = fmt.Sprintf("op %d: Append(%d bytes)", i, n)
+		default:
+			var n int
+			switch rng.IntN(4) {
+			case 0:
+				n = 0
+			case 1:
+				n = rng.IntN(len(model)/memChunk+1) * memChunk // a chunk boundary
+			case 2:
+				n = len(model)
+			default:
+				n = rng.IntN(len(model) + 1)
+			}
+			if err := dev.Truncate(int64(n)); err != nil {
+				t.Fatal(err)
+			}
+			model = model[:n]
+			op = fmt.Sprintf("op %d: Truncate(%d)", i, n)
+		}
+		check(op)
+	}
+	if err := dev.Truncate(int64(len(model)) + 1); err == nil {
+		t.Fatal("Truncate past Size succeeded")
+	}
+	if err := dev.Truncate(-1); err == nil {
+		t.Fatal("Truncate(-1) succeeded")
+	}
+	check("rejected truncations")
 }
 
 func TestConcurrentWaitDurable(t *testing.T) {

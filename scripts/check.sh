@@ -52,7 +52,11 @@
 #                    owner's end), the serve suite (requests run on
 #                    their callers' goroutines, one tm thread each) and
 #                    the multi-version store's lock-free snapshot reads
-#                    against applies, folds and recycled records,
+#                    against applies, folds and recycled records, and the
+#                    durable runtime's oracles (commits land in the log,
+#                    crash-recover-resume, concurrent durable commits
+#                    recovered value for value, snapshot reads that never
+#                    abort beside transfers),
 #                    ten times each under GOMAXPROCS=1 and
 #                    GOMAXPROCS=2: serializability has to hold on two
 #                    processors, and a protocol hole there is silent
@@ -129,12 +133,14 @@ go run ./cmd/tmlint -summary -hotalloc ./...
 echo "== recovery-chaos lane: go test -race -run Chaos -count=2 ./internal/fault/..."
 go test -race -run Chaos -count=2 ./internal/fault/...
 
-echo "== oracle lane: lost-update oracles + liveness word + serve + snapshot reads x GOMAXPROCS {1,2} x -count=10"
+echo "== oracle lane: lost-update oracles + liveness word + serve + durable + snapshot reads x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
         -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
         ./internal/rococotm/... ./internal/hybrid/...
     GOMAXPROCS=$procs go test -count=10 -run 'TestServe' ./internal/serve/...
+    GOMAXPROCS=$procs go test -count=10 -run 'TestDurable|TestSnapshotReadsNeverAbort' \
+        ./internal/rococotm/...
     GOMAXPROCS=$procs go test -count=10 \
         -run 'TestSnapshotReads|TestConcurrentSnapshotReads|TestFold|TestPinnedSnapshot' \
         ./internal/mvstore/...
