@@ -3,7 +3,7 @@
 // Usage:
 //
 //	rococobench -exp <name>|all
-//	            [-scale small|medium|large] [-app name] [-threads list] [-dur duration]
+//	            [-scale small|medium|large] [-app name] [-threads list]
 //	            [-cpuprofile file] [-memprofile file]
 //
 // The experiments table below is the one list of experiment names: it
@@ -25,7 +25,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"rococotm/internal/bench"
 	"rococotm/internal/stamp"
@@ -33,11 +32,9 @@ import (
 
 // benchCtx carries the parsed flags into experiment runners.
 type benchCtx struct {
-	exp     string
 	scale   stamp.Scale
 	app     string
 	threads []int
-	dur     time.Duration
 	stdout  io.Writer
 }
 
@@ -97,19 +94,6 @@ var experiments = []struct {
 		rep, err := bench.RunResources(nil)
 		c.emit(rep, err)
 	}},
-	{"shard", "sharded validation plane scaling and cross-shard cost", func(c benchCtx) {
-		cfg := bench.ShardBenchConfig{}
-		if len(c.threads) > 0 {
-			cfg.Threads = c.threads[0]
-		}
-		if c.dur != 0 {
-			cfg.Duration = c.dur
-		} else if c.exp == "all" {
-			cfg.Duration = 100 * time.Millisecond
-		}
-		rep, err := bench.RunShardBench(cfg)
-		c.emit(rep, err)
-	}},
 	{"ablation-window", "sliding-window size ablation", func(c benchCtx) {
 		rep, err := bench.RunWindowAblation(nil, 16, 16, 25)
 		c.emit(rep, err)
@@ -162,7 +146,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	scaleFlag := fs.String("scale", "medium", "STAMP input scale: small, medium, large")
 	app := fs.String("app", "", "restrict fig10/fig11 to one app")
 	threadsFlag := fs.String("threads", "", "comma-separated thread counts for fig10 (default 1,4,8,14,28)")
-	dur := fs.Duration("dur", 0, "wall-clock duration of each -exp shard cell (default 300ms; \"all\" uses 100ms)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	if err := fs.Parse(args); err != nil {
@@ -188,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err != nil {
 		fatal(err)
 	}
-	ctx := benchCtx{exp: *exp, scale: scale, app: *app, threads: threads, dur: *dur, stdout: stdout}
+	ctx := benchCtx{scale: scale, app: *app, threads: threads, stdout: stdout}
 
 	if *exp != "all" {
 		known := false

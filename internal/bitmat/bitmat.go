@@ -57,9 +57,8 @@ func (v Vec) Set(i int, b bool) {
 	}
 }
 
-// check and sameLen panic with constant messages: both inline into the
-// wide-window validator, which the //tm:hotpath allocation gate covers, and
-// a formatted message would box its operands on every call site.
+// check and sameLen panic with constant messages: both inline into every
+// caller, and a formatted message would box its operands at each call site.
 func (v Vec) check(i int) {
 	if i < 0 || i >= v.n {
 		panic("bitmat: index out of range")

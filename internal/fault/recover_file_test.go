@@ -1,15 +1,12 @@
 package fault_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"rococotm/internal/audit"
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
 	"rococotm/internal/rococotm"
@@ -19,34 +16,9 @@ import (
 
 // These soaks run recovery against real files — wal.FileDevice in a temp
 // dir — instead of MemDevice crash images. They cover the untampered I/O
-// stack (os.File append/sync/truncate, reopening by path) plus two
-// power-loss shapes the in-memory chaos tests model synthetically:
-// garbage bytes past the last sync, and a record torn mid-frame off one
-// shard's log (forcing cross-log reconciliation to physically truncate
-// real files).
-
-// openShardFiles (re)opens one FileDevice per shard under dir.
-func openShardFiles(t *testing.T, dir string, shards int) []*wal.FileDevice {
-	t.Helper()
-	devs := make([]*wal.FileDevice, shards)
-	for i := range devs {
-		d, err := wal.OpenFile(filepath.Join(dir, fmt.Sprintf("shard%d.wal", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		devs[i] = d
-	}
-	return devs
-}
-
-func closeAll(t *testing.T, devs []*wal.FileDevice) {
-	t.Helper()
-	for _, d := range devs {
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
+// stack (os.File append/sync/truncate, reopening by path) plus a
+// power-loss shape the in-memory chaos tests model synthetically: garbage
+// bytes past the last sync.
 
 // TestFileRecoverDurable: single-TM clean-restart cycles against one
 // file, with garbage appended past the synced tail on alternate cycles
@@ -134,150 +106,4 @@ func TestFileRecoverDurable(t *testing.T) {
 	if want == 0 {
 		t.Fatal("soak committed nothing")
 	}
-}
-
-// TestFileRecoverSharded: sharded clean-restart cycles against one file
-// per shard, each cycle ending with exactly one cross-shard commit. On
-// alternate cycles the tail of shard 1's file is torn mid-record — the
-// cross commit's frame — so sharded recovery must truncate real files on
-// BOTH shards (reconciliation cuts the intact twin) and the pair of
-// cross counters regresses together or not at all.
-func TestFileRecoverSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("file-backed recovery soak skipped in -short")
-	}
-	dir := t.TempDir()
-	const (
-		shards = 2
-		cycles = 6
-		single = 10 // single-shard increments per shard per cycle
-	)
-	baseline := runtime.NumGoroutine()
-	// Heap layout is deterministic across incarnations: addrs[0] routes
-	// to shard 0, addrs[1] to shard 1 (modulo route), one single-shard
-	// counter on each, one cross-pair counter on each.
-	var wantSingle, wantCross uint64
-	var nextXID uint64
-	for cycle := 0; cycle < cycles; cycle++ {
-		devs := openShardFiles(t, dir, shards)
-		wdevs := make([]wal.Device, shards)
-		for i, d := range devs {
-			wdevs[i] = d
-		}
-		heap := mem.NewHeap(1 << 12)
-		base := heap.MustAlloc(4)
-		singleA := [2]mem.Addr{base, base + 1}    // base is even: shard 0, shard 1
-		crossA := [2]mem.Addr{base + 2, base + 3} // shard 0, shard 1
-		rec, err := rococotm.RecoverSharded(wdevs, heap,
-			wal.Options{FlushInterval: 200 * time.Microsecond}, mvstore.Config{}, true)
-		if err != nil {
-			t.Fatalf("cycle %d: recover: %v", cycle, err)
-		}
-		if cycle > 0 && cycle%2 == 0 {
-			// Previous cycle tore the cross record off shard 1: its twin
-			// on shard 0 must have been cut as well.
-			if rec.CutRecords != 1 {
-				t.Fatalf("cycle %d: CutRecords = %d, want 1", cycle, rec.CutRecords)
-			}
-			wantCross-- // the torn cross pair regressed, atomically
-		} else if rec.CutRecords != 0 {
-			t.Fatalf("cycle %d: CutRecords = %d, want 0", cycle, rec.CutRecords)
-		}
-		for i := 0; i < shards; i++ {
-			if got := uint64(heap.Load(singleA[i])); got != wantSingle {
-				t.Fatalf("cycle %d: shard %d single counter = %d, want %d", cycle, i, got, wantSingle)
-			}
-			if got := uint64(heap.Load(crossA[i])); got != wantCross {
-				t.Fatalf("cycle %d: shard %d cross counter = %d, want %d", cycle, i, got, wantCross)
-			}
-		}
-		if rec.MaxXID < nextXID {
-			t.Fatalf("cycle %d: MaxXID went backwards: %d < %d", cycle, rec.MaxXID, nextXID)
-		}
-		nextXID = rec.MaxXID
-
-		s := rococotm.NewSharded(heap, rococotm.ShardedConfig{
-			Shards:   shards,
-			Durables: rec.Durables,
-			NextXID:  nextXID,
-		})
-		var wg sync.WaitGroup
-		for sh := 0; sh < shards; sh++ {
-			wg.Add(1)
-			go func(sh int) {
-				defer wg.Done()
-				for i := 0; i < single; i++ {
-					if err := tm.Run(s, sh, func(x tm.Txn) error {
-						v, err := x.Read(singleA[sh])
-						if err != nil {
-							return err
-						}
-						return x.Write(singleA[sh], v+1)
-					}); err != nil {
-						t.Errorf("cycle %d shard %d: %v", cycle, sh, err)
-						return
-					}
-				}
-			}(sh)
-		}
-		wg.Wait()
-		wantSingle += single
-		// Exactly one cross-shard commit, last on both logs.
-		if err := tm.Run(s, 2, func(x tm.Txn) error {
-			v0, err := x.Read(crossA[0])
-			if err != nil {
-				return err
-			}
-			if err := x.Write(crossA[0], v0+1); err != nil {
-				return err
-			}
-			return x.Write(crossA[1], v0+1)
-		}); err != nil {
-			t.Fatalf("cycle %d: cross commit: %v", cycle, err)
-		}
-		wantCross++
-		s.Close()
-
-		// Certify the merged on-disk history before tampering.
-		streams := make([][]audit.ShardRecord, shards)
-		for i, dev := range devs {
-			data, err := dev.Contents()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := wal.Replay(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams[i] = make([]audit.ShardRecord, len(res.Records))
-			for k, r := range res.Records {
-				streams[i][k] = audit.ShardRecord{
-					Record:  audit.Record{Seq: r.Seq, ValidTS: r.ValidTS, Reads: r.Reads, Writes: r.WriteAddrs},
-					XID:     r.XID,
-					XShards: r.XShards,
-				}
-			}
-		}
-		if err := audit.CertifyMerged(streams); err != nil {
-			t.Fatalf("cycle %d: %v", cycle, err)
-		}
-
-		if cycle%2 == 1 {
-			// Tear shard 1's last record mid-frame: power was lost while
-			// the cross commit's final fsync was in flight.
-			last := streams[1][len(streams[1])-1]
-			if last.XID == 0 {
-				t.Fatalf("cycle %d: last shard-1 record is not the cross commit", cycle)
-			}
-			sz, err := devs[1].Size()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := devs[1].Truncate(sz - 5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		closeAll(t, devs)
-	}
-	settleGoroutines(t, baseline)
 }

@@ -80,7 +80,7 @@ func TestCombineNoStrandingHammer(t *testing.T) {
 				iters   = 150
 				depth   = 16 // shallower than the worker count: exercises backpressure
 			)
-			e := startTest(t, Config{W: 8, QueueDepth: depth})
+			e := startTest(t, Config{W: 8}).withDepth(depth)
 			seqs := make([][]uint64, workers)
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
@@ -260,7 +260,7 @@ func TestCombineYieldsToRequestHolder(t *testing.T) {
 // next Validate from the rebased window.
 func TestCombineCrashAnswersQueued(t *testing.T) {
 	const waiters = 12
-	e := startTest(t, Config{W: 8, QueueDepth: 16})
+	e := startTest(t, Config{W: 8}).withDepth(16)
 	if v, err := e.Validate(req(0, nil, []uint64{1})); err != nil || !v.OK {
 		t.Fatalf("warm-up = %+v, %v", v, err)
 	}
@@ -321,10 +321,11 @@ func TestCombineCrashAnswersQueued(t *testing.T) {
 // on the closed engine fails with ErrClosed.
 func TestCombineCrashRestartStress(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	e, err := Start(Config{W: 8, QueueDepth: 8})
+	e, err := Start(Config{W: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.withDepth(8)
 	ports := []*port{e.port.Load()}
 	var stop atomic.Bool
 	var real, closed atomic.Uint64

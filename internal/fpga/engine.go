@@ -33,7 +33,7 @@
 // runs Process in place and touches no queue or mailbox. Otherwise
 // Engine.Validate pushes the request into the submission ring (ring.go),
 // then TryLocks Engine.mu. Whoever holds the lock drains the ring — at most
-// QueueDepth requests per acquisition, one Stats.Batches tick per drain —
+// queueDepth requests per acquisition, one Stats.Batches tick per drain —
 // and posts every verdict to its owner's VerdictSlot (slot.go); losers poll
 // their own slot, yield, and park only behind the no-stranding handshake
 // documented on combine. The package starts no goroutine, and
@@ -77,27 +77,21 @@ const (
 // ErrClosed reports that the engine is not running.
 var ErrClosed = errors.New("fpga: engine closed")
 
-// MaxW is the largest supported sliding-window capacity. Windows up to 64
-// run on the word-packed fast path (one machine word per matrix row, the
-// hardware deployment); larger windows — the W=128/256 ablation — run on
-// the bitmat-backed generic path, which models what a wider BRAM budget
-// would buy at the cost of a slower per-request probe.
-const MaxW = 256
+// MaxW is the largest supported sliding-window capacity: the hardware
+// deployment's 64, one machine word per matrix row.
+const MaxW = 64
+
+// queueDepth is the pull-queue buffering: one slot per entry of the largest
+// window, like the hardware, so a full window of validations can be
+// outstanding.
+const queueDepth = MaxW
 
 // Config parameterizes the engine.
 type Config struct {
-	// W is the sliding-window capacity; 1..MaxW. W ≤ 64 selects the
-	// word-packed fast path (the hardware deployment); 64 < W ≤ MaxW
-	// selects the bitmat-backed wide-window path used by the window-size
-	// ablation. Default core.DefaultW = 64.
+	// W is the sliding-window capacity; 1..MaxW. Default core.DefaultW = 64.
 	W int
 	// Sig is the signature geometry; default sig.Default512.
 	Sig sig.Config
-	// QueueDepth is the pull-queue buffering; default 64 (one slot per
-	// window entry, like the hardware). Must be at least W when set
-	// explicitly: a pull queue shallower than the window cannot keep a
-	// full window of validations outstanding.
-	QueueDepth int
 }
 
 func (c *Config) fill() {
@@ -107,12 +101,6 @@ func (c *Config) fill() {
 	if c.Sig == (sig.Config{}) {
 		c.Sig = sig.Default512
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 64
-		if c.W > c.QueueDepth {
-			c.QueueDepth = c.W // one pull-queue slot per window entry
-		}
-	}
 }
 
 // Validate rejects configurations that would misbehave at runtime with a
@@ -120,16 +108,6 @@ func (c *Config) fill() {
 func (c Config) Validate() error {
 	if c.W < 0 || c.W > MaxW {
 		return fmt.Errorf("fpga: window size W=%d out of range [1,%d] (0 selects the default %d)", c.W, MaxW, core.DefaultW)
-	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("fpga: QueueDepth %d is negative", c.QueueDepth)
-	}
-	w := c.W
-	if w == 0 {
-		w = core.DefaultW
-	}
-	if c.QueueDepth > 0 && c.QueueDepth < w {
-		return fmt.Errorf("fpga: QueueDepth %d shallower than window W=%d: the pull queue needs one slot per window entry so a full window of validations can be outstanding", c.QueueDepth, w)
 	}
 	return nil
 }
@@ -233,6 +211,9 @@ type Engine struct {
 	cfg    Config
 	hasher *sig.Hasher
 	port   atomic.Pointer[port]
+	// depth is queueDepth: the ring capacity and the most requests one
+	// drain answers. A test seam (export_test.go) shrinks it.
+	depth int
 
 	life sync.Mutex // serializes Close/Restart transitions
 
@@ -251,9 +232,10 @@ func Start(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:    pl.Config(),
 		hasher: pl.Hasher(),
+		depth:  queueDepth,
 		pl:     pl,
 	}
-	e.port.Store(newPort(e.cfg.QueueDepth))
+	e.port.Store(newPort(e.depth))
 	return e, nil
 }
 
@@ -400,7 +382,7 @@ func (e *Engine) unlock() {
 	}
 }
 
-// drain validates up to QueueDepth queued requests and posts their
+// drain validates up to depth queued requests and posts their
 // verdicts, returning how many it answered; the caller holds e.mu. On a
 // stopped port it answers with terminal verdicts instead — the window
 // belongs to the next incarnation.
@@ -408,7 +390,7 @@ func (e *Engine) unlock() {
 //tm:hotpath
 func (e *Engine) drain(p *port) int {
 	n := 0
-	for ; n < e.cfg.QueueDepth; n++ {
+	for ; n < e.depth; n++ {
 		r, ok := p.ring.tryPop()
 		if !ok {
 			break
@@ -459,7 +441,7 @@ func (e *Engine) Restart(next uint64) {
 	e.restarts++
 	e.mu.Unlock()
 
-	e.port.Store(newPort(e.cfg.QueueDepth))
+	e.port.Store(newPort(e.depth))
 }
 
 // Stats returns a snapshot of the counters.

@@ -16,15 +16,11 @@ func TestConfigValidate(t *testing.T) {
 		wantErr string // substring; empty means valid
 	}{
 		{"zero value", Config{}, ""},
-		{"paper deployment", Config{W: 64, QueueDepth: 64}, ""},
+		{"paper deployment", Config{W: 64}, ""},
 		{"small window", Config{W: 4}, ""},
 		{"negative W", Config{W: -1}, "out of range"},
-		{"wide window", Config{W: 128, QueueDepth: 128}, ""},
+		{"wide window", Config{W: 65}, "out of range"},
 		{"oversized W", Config{W: MaxW + 1}, "out of range"},
-		{"negative queue", Config{QueueDepth: -1}, "negative"},
-		{"queue shallower than window", Config{W: 16, QueueDepth: 8}, "shallower"},
-		{"queue shallower than default window", Config{QueueDepth: 32}, "shallower"},
-		{"queue equals window", Config{W: 16, QueueDepth: 16}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,9 +41,6 @@ func TestConfigValidate(t *testing.T) {
 func TestStartRejectsInvalidConfig(t *testing.T) {
 	if _, err := Start(Config{W: MaxW + 1}); err == nil {
 		t.Fatalf("Start accepted W=%d", MaxW+1)
-	}
-	if _, err := Start(Config{W: 16, QueueDepth: 4}); err == nil {
-		t.Fatal("Start accepted QueueDepth < W")
 	}
 }
 
@@ -81,10 +74,11 @@ func settleGoroutines(t *testing.T, baseline int) {
 func TestShutdownMidValidation(t *testing.T) {
 	t.Run("behavioral", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
-		e, err := Start(Config{W: 4, QueueDepth: 4})
+		e, err := Start(Config{W: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.withDepth(4)
 		const n = 24
 		results := make(chan error, n)
 		var started sync.WaitGroup
@@ -180,7 +174,7 @@ func TestShutdownMidValidation(t *testing.T) {
 // exactly one ReasonClosed verdict, none is validated, and submissions
 // after the crash fail definitively.
 func TestCrashDeliversTerminalVerdicts(t *testing.T) {
-	e := startTest(t, Config{W: 4, QueueDepth: 8})
+	e := startTest(t, Config{W: 4}).withDepth(8)
 	p := e.port.Load()
 	const pairs = 3
 	var slots [pairs]VerdictSlot

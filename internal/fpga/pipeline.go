@@ -3,7 +3,6 @@ package fpga
 import (
 	"math/bits"
 
-	"rococotm/internal/bitmat"
 	"rococotm/internal/core"
 	"rococotm/internal/sig"
 )
@@ -46,34 +45,7 @@ type Pipeline struct {
 	readCols, writeCols  []uint64
 	slotRBits, slotWBits [64][]int32
 
-	// Wide-window (W > 64) backend: the word-packed window and the columnar
-	// occupancy above are capped at 64 slots, so the W=128/256 ablation runs
-	// on the bitmat-backed BigWindow with per-entry signature probes
-	// instead. Exactly one of win and bigWin is non-nil. The history is a
-	// ring of W entries, slot-aligned with the window: the window's slot i
-	// is history[(hBase+i)%W]; entries own their signatures and commits
-	// copy the scratch signatures rs/ws into them in place. fVec/bVec are
-	// the adjacency-vector scratch.
-	bigWin     *core.BigWindow
-	fVec, bVec bitmat.Vec
-	history    []entry
-	hBase      int // ring index of window slot 0 (the oldest entry)
-	hLen       int // live entries; always equals bigWin.Count()
-	rs, ws     sig.Sig
-
 	stats Stats
-}
-
-// entry is the detector bookkeeping for one committed transaction: exactly
-// what the hardware stores — two signatures per transaction (§5.3), so the
-// resource bound is known a priori — plus set cardinalities for the
-// empty-set fast path.
-type entry struct {
-	readSig  sig.Sig
-	writeSig sig.Sig
-	reads    int
-	writes   int
-	seq      core.Seq
 }
 
 // NewPipeline builds a validator for the given (validated, filled)
@@ -83,35 +55,16 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 		return nil, err
 	}
 	cfg.fill()
-	p := &Pipeline{
-		cfg:    cfg,
-		hasher: sig.NewHasher(cfg.Sig, sigSeed),
-		k:      cfg.Sig.K,
-		rBits:  make([]int32, 0, 64),
-		wBits:  make([]int32, 0, 64),
-	}
-	if cfg.W > 64 {
-		p.useProbes()
-	} else {
-		p.win = core.NewWindow(cfg.W)
-		p.readCols = make([]uint64, cfg.Sig.M)
-		p.writeCols = make([]uint64, cfg.Sig.M)
-	}
-	return p, nil
-}
-
-// useProbes switches p to the per-entry probe backend: the bitmat window
-// and a history of resident signatures, probed entry by entry.
-func (p *Pipeline) useProbes() {
-	p.win = nil
-	p.bigWin = core.NewBigWindow(p.cfg.W)
-	p.fVec, p.bVec = bitmat.NewVec(p.cfg.W), bitmat.NewVec(p.cfg.W)
-	p.rs, p.ws = sig.New(p.cfg.Sig), sig.New(p.cfg.Sig)
-	p.history = make([]entry, p.cfg.W)
-	for i := range p.history {
-		p.history[i].readSig = sig.New(p.cfg.Sig)
-		p.history[i].writeSig = sig.New(p.cfg.Sig)
-	}
+	return &Pipeline{
+		cfg:       cfg,
+		hasher:    sig.NewHasher(cfg.Sig, sigSeed),
+		win:       core.NewWindow(cfg.W),
+		k:         cfg.Sig.K,
+		rBits:     make([]int32, 0, 64),
+		wBits:     make([]int32, 0, 64),
+		readCols:  make([]uint64, cfg.Sig.M),
+		writeCols: make([]uint64, cfg.Sig.M),
+	}, nil
 }
 
 // Config returns the pipeline's (filled) configuration.
@@ -136,32 +89,17 @@ func (p *Pipeline) noteBatch(n, occ int) {
 }
 
 // BaseSeq returns the oldest tracked commit sequence.
-func (p *Pipeline) BaseSeq() core.Seq {
-	if p.bigWin != nil {
-		return p.bigWin.BaseSeq()
-	}
-	return p.win.BaseSeq()
-}
+func (p *Pipeline) BaseSeq() core.Seq { return p.win.BaseSeq() }
 
 // NextSeq returns the sequence the next commit will receive.
-func (p *Pipeline) NextSeq() core.Seq {
-	if p.bigWin != nil {
-		return p.bigWin.NextSeq()
-	}
-	return p.win.NextSeq()
-}
+func (p *Pipeline) NextSeq() core.Seq { return p.win.NextSeq() }
 
 // ResetAt discards all window state and rebases sequence numbering at next
 // — the crash/recovery semantics: whatever the validator knew about the
 // last W commits is gone, so transactions with snapshots older than next
 // will abort with a window verdict until they refresh.
 func (p *Pipeline) ResetAt(next core.Seq) {
-	if p.bigWin != nil {
-		p.bigWin.ResetAt(next)
-	} else {
-		p.win.ResetAt(next)
-	}
-	p.hBase, p.hLen = 0, 0
+	p.win.ResetAt(next)
 	clear(p.readCols)
 	clear(p.writeCols)
 	for i := range p.slotRBits {
@@ -197,10 +135,6 @@ func (p *Pipeline) Process(r Request) Verdict {
 	cycles := requestCycles(len(r.ReadAddrs), len(r.WriteAddrs))
 	p.stats.ModelCycles += cycles
 	nanos := cyclesToNanos(cycles)
-
-	if p.bigWin != nil {
-		return p.processBig(r, nanos)
-	}
 
 	// Window-overflow rule (§4.2): if unseen commits have already been
 	// evicted — by sliding, or wholesale by a crash/ResetAt — the
@@ -258,85 +192,6 @@ func (p *Pipeline) Process(r Request) Verdict {
 	for _, pos := range p.wBits {
 		p.writeCols[pos] |= 1 << slot
 	}
-	p.stats.Commits++
-	return Verdict{Token: r.Token, OK: true, Seq: seq, ModelNanos: nanos}
-}
-
-// queryAny reports whether any request address (k bit positions each in
-// bitsOf) may be a member of s — the per-entry form of the columnar
-// compare, for windows wider than the 64-slot column words.
-func queryAny(s sig.Sig, bitsOf []int32, k int) bool {
-	for off := 0; off+k <= len(bitsOf); off += k {
-		if s.QueryBits(bitsOf[off : off+k]) {
-			return true
-		}
-	}
-	return false
-}
-
-// processBig is the W > 64 validation path: the same detector/manager
-// dataflow as Process, but with the reachability matrix in bitmat form and
-// the f/b vectors derived by probing each history entry's signatures
-// per-address. It models the wider-BRAM ablation, not the shipped
-// hardware, so it trades the columnar compare's constant factor for
-// arbitrary W.
-func (p *Pipeline) processBig(r Request, nanos uint64) Verdict {
-	// Window-overflow rule (§4.2), identical to the fast path.
-	base := p.bigWin.BaseSeq()
-	validSeq := core.Seq(r.ValidTS)
-	if validSeq < base {
-		p.stats.WindowAborts++
-		return Verdict{Token: r.Token, Reason: ReasonWindow, ModelNanos: nanos}
-	}
-
-	p.rs.Reset()
-	p.ws.Reset()
-	p.rBits = p.hasher.AppendBits(p.rBits[:0], r.ReadAddrs)
-	p.wBits = p.hasher.AppendBits(p.wBits[:0], r.WriteAddrs)
-	p.rs.InsertBits(p.rBits)
-	p.ws.InsertBits(p.wBits)
-
-	p.fVec.Clear()
-	p.bVec.Clear()
-	n := p.bigWin.Count()
-	for i := 0; i < n; i++ {
-		ent := &p.history[(p.hBase+i)%p.cfg.W]
-		seen := ent.seq < validSeq
-		if ent.writes > 0 && queryAny(ent.writeSig, p.rBits, p.k) {
-			if seen {
-				p.bVec.Set(i, true) // RAW: read saw the committed write
-			} else {
-				p.fVec.Set(i, true) // stale read orders us before t_i
-			}
-		}
-		if len(r.WriteAddrs) > 0 {
-			if ent.reads > 0 && queryAny(ent.readSig, p.wBits, p.k) {
-				p.bVec.Set(i, true) // WAR
-			}
-			if ent.writes > 0 && queryAny(ent.writeSig, p.wBits, p.k) {
-				p.bVec.Set(i, true) // WAW
-			}
-		}
-	}
-
-	seq, ok := p.bigWin.Insert(p.fVec, p.bVec)
-	if !ok {
-		p.stats.CycleAborts++
-		return Verdict{Token: r.Token, Reason: ReasonCycle, ModelNanos: nanos}
-	}
-	var ent *entry
-	if p.hLen == p.cfg.W {
-		ent = &p.history[p.hBase]
-		p.hBase = (p.hBase + 1) % p.cfg.W
-	} else {
-		ent = &p.history[(p.hBase+p.hLen)%p.cfg.W]
-		p.hLen++
-	}
-	copy(ent.readSig.Words(), p.rs.Words())
-	copy(ent.writeSig.Words(), p.ws.Words())
-	ent.reads = len(r.ReadAddrs)
-	ent.writes = len(r.WriteAddrs)
-	ent.seq = seq
 	p.stats.Commits++
 	return Verdict{Token: r.Token, OK: true, Seq: seq, ModelNanos: nanos}
 }

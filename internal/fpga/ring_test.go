@@ -83,7 +83,7 @@ func TestRingConcurrentPushPop(t *testing.T) {
 // request resolves (a real verdict or ReasonClosed), none hangs, and none
 // is answered twice.
 func TestRingSubmitDrainCrashStress(t *testing.T) {
-	e := startTest(t, Config{W: 8, QueueDepth: 8})
+	e := startTest(t, Config{W: 8}).withDepth(8)
 	const (
 		submitters = 4
 		drainers   = 2

@@ -33,6 +33,18 @@ type RTL struct {
 	retired  uint64
 }
 
+// entry is the detector bookkeeping for one committed transaction: exactly
+// what the hardware stores — two signatures per transaction (§5.3), so the
+// resource bound is known a priori — plus set cardinalities for the
+// empty-set fast path.
+type entry struct {
+	readSig  sig.Sig
+	writeSig sig.Sig
+	reads    int
+	writes   int
+	seq      core.Seq
+}
+
 // rtlTxn is one request in flight.
 type rtlTxn struct {
 	req       Request

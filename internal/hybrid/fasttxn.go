@@ -16,7 +16,7 @@ import (
 // recycled per thread, so a steady fast workload allocates nothing.
 //
 // Doom protocol: the attempt lives in the slow runtime's liveness word for
-// its thread (transition table: DESIGN §8, "Concurrency contracts"). A slow
+// its thread (transition table: DESIGN §7, "Concurrency contracts"). A slow
 // write-back that needs one of our owned lines dooms the word and waits;
 // every operation, every ownership wait and the commit poll it and
 // roll back promptly — holding an owned line while ignoring the doom would

@@ -34,11 +34,11 @@
 //
 // The other contracts of the hot path and the tm API are guarded by tests
 // that fail when the bug is injected, not by passes: the update-set release
-// (TestCommitPathsDisarm, TestShardedPhase3AbortDisarms), the seqlock
-// bracket of the signature rings (TestSignatureRingsSeqlock), atomic heap
-// words (the -race lane, TestCompareAndSwapConcurrent), a Txn that stays
-// on its goroutine (the -race lane), and cancellable RunUntil/RunCtx
-// closures (TestServeRetryBudgetExhausted, TestSoakHonorsCancellation).
+// (TestCommitPathsDisarm), the seqlock bracket of the signature rings
+// (TestSignatureRingsSeqlock), atomic heap words (the -race lane), a Txn
+// that stays on its goroutine (the -race lane), and cancellable
+// RunUntil/RunCtx closures (TestServeRetryBudgetExhausted,
+// TestRunCtxCancellationLeavesRuntimeClean).
 //
 // A finding may be suppressed by placing
 //

@@ -143,7 +143,7 @@ func TestAccessSetsMatchMapModel(t *testing.T) {
 	}
 }
 
-// pubRecord is one publication as a shard's observer and WAL should see it.
+// pubRecord is one publication as the observer and WAL should see it.
 type pubRecord struct{ reads, writes, vals []uint64 }
 
 // eagerSig is the signature of addrs built one Insert per address, the way
@@ -177,15 +177,13 @@ func checkSigned(t *testing.T, what string, s *addrSet, h *sig.Hasher, want []ui
 // 0 runs seeded random transactions over [base, base+span), thread 1 commits
 // single writes into the disjoint [lag, lag+span) between thread 0's
 // accesses in every lagged transaction, and a map model predicts every
-// value, the signatures, and each shard's publications.
+// value, the signatures, and the publications.
 type lagHarness struct {
 	t     *testing.T
-	rt    tm.TM
-	shard func(mem.Addr) int             // the shard that owns an address
-	sub   func(x tm.Txn, shard int) *txn // x's descriptor on shard, nil if untouched
-	pubs  [][]pubRecord                  // per shard, in publication order
-	vals  map[mem.Addr]mem.Word          // committed values
-	stats struct{ extends, quietRO, cross int }
+	rt    *TM
+	pubs  []pubRecord           // in publication order
+	vals  map[mem.Addr]mem.Word // committed values
+	stats struct{ extends, quietRO int }
 }
 
 // lagCommit commits thread 1's write of a random value to a.
@@ -201,8 +199,7 @@ func (h *lagHarness) lagCommit(a mem.Addr, rng *stamp.RNG) {
 		h.t.Fatalf("lagging commit: %v", err)
 	}
 	h.vals[a] = v
-	i := h.shard(a)
-	h.pubs[i] = append(h.pubs[i], pubRecord{writes: []uint64{uint64(a)}, vals: []uint64{uint64(v)}})
+	h.pubs = append(h.pubs, pubRecord{writes: []uint64{uint64(a)}, vals: []uint64{uint64(v)}})
 }
 
 // run drives txns transactions. Transaction n is lagged when n is odd and
@@ -211,12 +208,12 @@ func (h *lagHarness) run(txns int, base, lag mem.Addr, span int, rng *stamp.RNG)
 	t := h.t
 	for n := 0; n < txns; n++ {
 		lagged, update := n%2 == 1, n%4 >= 2
-		x, err := h.rt.Begin(0)
+		tx, err := h.rt.Begin(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards := len(h.pubs)
-		reads, writes := make([][]uint64, shards), make([][]uint64, shards)
+		x := tx.(*txn)
+		var reads, writes []uint64
 		readSeen := map[mem.Addr]bool{}
 		redo := map[mem.Addr]mem.Word{}
 		ops, width := 2+rng.Intn(60), 2+rng.Intn(span-2)
@@ -225,23 +222,18 @@ func (h *lagHarness) run(txns int, base, lag mem.Addr, span int, rng *stamp.RNG)
 				h.lagCommit(lag+mem.Addr(rng.Intn(span)), rng)
 			}
 			a := base + mem.Addr(rng.Intn(width))
-			k := h.shard(a)
 			if update && rng.Intn(3) == 0 {
 				v := mem.Word(rng.Next())
 				if err := x.Write(a, v); err != nil {
 					t.Fatal(err)
 				}
 				if _, seen := redo[a]; !seen {
-					writes[k] = append(writes[k], uint64(a))
+					writes = append(writes, uint64(a))
 				}
 				redo[a] = v
 				continue
 			}
-			var localTS uint64
-			sb := h.sub(x, k)
-			if sb != nil {
-				localTS = sb.localTS
-			}
+			localTS := x.localTS
 			got, err := x.Read(a)
 			if err != nil {
 				t.Fatalf("txn %d op %d: Read: %v", n, i, err)
@@ -253,79 +245,64 @@ func (h *lagHarness) run(txns int, base, lag mem.Addr, span int, rng *stamp.RNG)
 			if got != want {
 				t.Fatalf("txn %d op %d: Read(%d) = %d, model %d", n, i, a, got, want)
 			}
-			if sb != nil && sb.localTS != localTS && len(reads[k]) > 0 {
+			if x.localTS != localTS && len(reads) > 0 {
 				// This read extended the snapshot before recording a: the
 				// extension signed exactly the distinct reads before it.
 				h.stats.extends++
-				checkSigned(t, "read set after an extension", &sb.reads, sb.r.hasher, reads[k])
+				checkSigned(t, "read set after an extension", &x.reads, h.rt.hasher, reads)
 			}
 			if !own && !readSeen[a] {
 				readSeen[a] = true
-				reads[k] = append(reads[k], uint64(a))
-			}
-		}
-		var touched []int
-		for k := 0; k < shards; k++ {
-			if h.sub(x, k) != nil {
-				touched = append(touched, k)
+				reads = append(reads, uint64(a))
 			}
 		}
 		if err := h.rt.Commit(x); err != nil {
 			t.Fatalf("txn %d: Commit: %v", n, err)
 		}
-		cross := len(touched) > 1
-		if cross && lagged {
-			h.stats.cross++
-		}
 		if !lagged && !update {
 			// Nothing landed during the attempt, so no extension had
 			// anything to fold and no read was hashed.
-			for _, k := range touched {
-				if sb := h.sub(x, k); sb.reads.signed != 0 {
-					t.Fatalf("txn %d: quiet read-only attempt signed %d reads on shard %d", n, sb.reads.signed, k)
-				}
+			if x.reads.signed != 0 {
+				t.Fatalf("txn %d: quiet read-only attempt signed %d reads", n, x.reads.signed)
 			}
 			h.stats.quietRO++
 		}
-		for _, k := range touched {
-			sb := h.sub(x, k)
-			if !cross && len(writes[k]) == 0 {
-				continue // a single-shard read-only commit claims nothing
-			}
-			checkSigned(t, "write set after claim", &sb.writes, sb.r.hasher, writes[k])
-			rec := pubRecord{reads: reads[k], writes: writes[k]}
-			for _, a := range writes[k] {
-				v := redo[mem.Addr(a)]
-				h.vals[mem.Addr(a)] = v
-				rec.vals = append(rec.vals, uint64(v))
-			}
-			h.pubs[k] = append(h.pubs[k], rec)
+		if len(writes) == 0 {
+			continue // a read-only commit claims nothing
 		}
+		checkSigned(t, "write set after claim", &x.writes, h.rt.hasher, writes)
+		rec := pubRecord{reads: reads, writes: writes}
+		for _, a := range writes {
+			v := redo[mem.Addr(a)]
+			h.vals[mem.Addr(a)] = v
+			rec.vals = append(rec.vals, uint64(v))
+		}
+		h.pubs = append(h.pubs, rec)
 	}
 }
 
-// check compares shard k's observer calls and WAL records with the model.
-func (h *lagHarness) check(k int, obs *recObserver, dev *wal.MemDevice) {
+// check compares the observer calls and WAL records with the model.
+func (h *lagHarness) check(obs *recObserver, dev *wal.MemDevice) {
 	t := h.t
-	want := h.pubs[k]
+	want := h.pubs
 	if len(obs.calls) != len(want) {
-		t.Fatalf("shard %d: observer saw %d commits, model %d", k, len(obs.calls), len(want))
+		t.Fatalf("observer saw %d commits, model %d", len(obs.calls), len(want))
 	}
 	res, err := wal.Recover(dev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != len(want) {
-		t.Fatalf("shard %d: WAL holds %d records, model %d", k, len(res.Records), len(want))
+		t.Fatalf("WAL holds %d records, model %d", len(res.Records), len(want))
 	}
 	for i, w := range want {
 		if c := obs.calls[i]; !slices.Equal(c.reads, w.reads) || !slices.Equal(c.writes, w.writes) {
-			t.Fatalf("shard %d commit %d: observer footprint %v / %v, model %v / %v", k, i, c.reads, c.writes, w.reads, w.writes)
+			t.Fatalf("commit %d: observer footprint %v / %v, model %v / %v", i, c.reads, c.writes, w.reads, w.writes)
 		}
 		rec := res.Records[i]
 		if !slices.Equal(rec.Reads, w.reads) || !slices.Equal(rec.WriteAddrs, w.writes) || !slices.Equal(rec.WriteVals, w.vals) {
-			t.Fatalf("shard %d WAL record %d: %v, %v = %v, model %v, %v = %v",
-				k, i, rec.Reads, rec.WriteAddrs, rec.WriteVals, w.reads, w.writes, w.vals)
+			t.Fatalf("WAL record %d: %v, %v = %v, model %v, %v = %v",
+				i, rec.Reads, rec.WriteAddrs, rec.WriteVals, w.reads, w.writes, w.vals)
 		}
 	}
 }
@@ -338,8 +315,7 @@ func (h *lagHarness) check(k int, obs *recObserver, dev *wal.MemDevice) {
 // the model's distinct reads; after every claim the write set's equal the
 // eager ones; values, observer footprints, WAL records and the final heap
 // match the model. A read-only attempt that saw no commit land ends with
-// nothing signed. The same driver runs on a TM and on a two-shard Sharded,
-// whose cross-shard commits claim read-only subs too.
+// nothing signed.
 func TestLazySigningMatchesEagerModel(t *testing.T) {
 	const span = 256
 	scfg := sig.Config{M: 256, K: 4}
@@ -352,37 +328,11 @@ func TestLazySigningMatchesEagerModel(t *testing.T) {
 		}
 		obs := &recObserver{}
 		r := New(heap, Config{MaxThreads: 2, Observer: obs, Durable: d, Engine: fpga.Config{Sig: scfg}})
-		h := &lagHarness{t: t, rt: r, pubs: make([][]pubRecord, 1), vals: map[mem.Addr]mem.Word{},
-			shard: func(mem.Addr) int { return 0 },
-			sub:   func(x tm.Txn, _ int) *txn { return x.(*txn) }}
+		h := &lagHarness{t: t, rt: r, vals: map[mem.Addr]mem.Word{}}
 		base, lag := heap.MustAlloc(span), heap.MustAlloc(span)
 		h.run(48, base, lag, span, stamp.NewRNG(40))
 		r.Close()
-		h.check(0, obs, dev)
-		h.checkHeap(heap, base, lag, span)
-	})
-	t.Run("Sharded", func(t *testing.T) {
-		heap := mem.NewHeap(1 << 12)
-		devs := []wal.Device{wal.NewMemDevice(nil), wal.NewMemDevice(nil)}
-		rec, err := RecoverSharded(devs, heap, wal.Options{}, mvstore.Config{}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		obs := []*recObserver{{}, {}}
-		s := NewSharded(heap, ShardedConfig{Shards: 2, Shard: Config{MaxThreads: 2, Engine: fpga.Config{Sig: scfg}},
-			Observers: []CommitObserver{obs[0], obs[1]}, Durables: rec.Durables})
-		h := &lagHarness{t: t, rt: s, pubs: make([][]pubRecord, 2), vals: map[mem.Addr]mem.Word{},
-			shard: s.route,
-			sub:   func(x tm.Txn, k int) *txn { return x.(*stxn).subs[k] }}
-		base, lag := heap.MustAlloc(span), heap.MustAlloc(span)
-		h.run(24, base, lag, span, stamp.NewRNG(41))
-		if h.stats.cross == 0 {
-			t.Fatal("no lagged cross-shard transaction committed")
-		}
-		s.Close()
-		for k, dev := range devs {
-			h.check(k, obs[k], dev.(*wal.MemDevice))
-		}
+		h.check(obs, dev)
 		h.checkHeap(heap, base, lag, span)
 	})
 }
@@ -402,8 +352,8 @@ func (h *lagHarness) checkHeap(heap *mem.Heap, base, lag mem.Addr, span int) {
 		t.Fatalf("%d mid-transaction extensions checked and %d quiet read-only attempts, want both > 0",
 			h.stats.extends, h.stats.quietRO)
 	}
-	t.Logf("%d mid-transaction extensions checked, %d quiet read-only attempts unsigned, %d lagged cross-shard commits",
-		h.stats.extends, h.stats.quietRO, h.stats.cross)
+	t.Logf("%d mid-transaction extensions checked, %d quiet read-only attempts unsigned",
+		h.stats.extends, h.stats.quietRO)
 }
 
 // BenchmarkReadPath measures the instrumented access path one layer below

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"rococotm/internal/sig"
-	"rococotm/internal/tm"
 )
 
 // This file is the aggregate signature ring: a flat segment tree over the
@@ -128,8 +127,7 @@ func (r *TM) loadAggSig(lvl int, lo uint64, dst sig.Sig) bool {
 // ok=false is a window overflow: the snapshot fell out of the commit-queue
 // ring. Callers differ only in what they make of missAny afterwards: a read
 // aborts if its address is in the MissSet, a commit ships regardless (the
-// engine may serialize it before its invalidators), a cross-shard commit
-// treats any staleness as a conflict (extendStrict).
+// engine may serialize it before its invalidators).
 //
 // upto must not exceed GlobalTS, and must not pass any value the caller
 // holds that is not yet in the read set: a folded commit that wrote such an
@@ -153,17 +151,6 @@ func (x *txn) extend(upto uint64) (ok bool) {
 		x.validTS = x.localTS
 	}
 	return true
-}
-
-// extendStrict is extend under the cross-shard policy, returning the abort.
-func (x *txn) extendStrict(upto uint64) error {
-	switch {
-	case !x.extend(upto):
-		return tm.AbortCode(tm.CodeWindow)
-	case x.missAny:
-		return tm.AbortCode(tm.CodeConflict)
-	}
-	return nil
 }
 
 // extendFold folds the write signatures of every commit in [localTS, upto)

@@ -21,7 +21,6 @@ const (
 	fDurable   feature = "Durable"
 	fLineTable feature = "LineTable"
 	fWatchdog  feature = "WatchdogAge"
-	fSharded   feature = "sharded"
 )
 
 // cell is one configuration of the table: validate is its legality function,
@@ -31,50 +30,29 @@ type cell struct {
 	start    func() tm.TM
 }
 
-// newCell turns a feature set on over a fresh heap — on a TM, or on a
-// two-shard Sharded when the set has fSharded, where each feature goes
-// wherever the front end takes it (per-shard observers and durables, the
-// shard template for the rest).
+// newCell turns a feature set on over a fresh heap.
 func newCell(t *testing.T, on ...feature) cell {
 	t.Helper()
 	heap := mem.NewHeap(1 << 10)
-	durable := func() *Durable {
-		d, _, err := RecoverDurable(wal.NewMemDevice(nil), heap, wal.Options{}, mvstore.Config{}, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	scfg := ShardedConfig{Shards: 2, Shard: Config{MaxThreads: 2}}
-	cfg := &scfg.Shard
-	sharded := false
-	for _, f := range on {
-		sharded = sharded || f == fSharded
-	}
+	cfg := Config{MaxThreads: 2}
 	for _, f := range on {
 		switch f {
 		case fObserver:
 			cfg.Observer = &recObserver{}
-			scfg.Observers = []CommitObserver{&recObserver{}, &recObserver{}}
 		case fDurable:
-			if sharded {
-				scfg.Durables = []*Durable{durable(), durable()}
-			} else {
-				cfg.Durable = durable()
+			d, _, err := RecoverDurable(wal.NewMemDevice(nil), heap, wal.Options{}, mvstore.Config{}, false)
+			if err != nil {
+				t.Fatal(err)
 			}
+			cfg.Durable = d
 		case fLineTable:
 			cfg.LineTable = mem.NewLineTable(heap.Cap())
 		case fWatchdog:
 			cfg.WatchdogAge = time.Minute
 		}
 	}
-	if sharded {
-		cfg.Observer = nil // the front end's Observers carry it
-		return cell{func() error { return scfg.Validate(heap) },
-			func() tm.TM { return NewSharded(heap, scfg) }}
-	}
 	return cell{func() error { return cfg.Validate(heap) },
-		func() tm.TM { return New(heap, *cfg) }}
+		func() tm.TM { return New(heap, cfg) }}
 }
 
 // mustReject checks that c is rejected by its Validate with an error naming
@@ -105,10 +83,9 @@ func mustReject(t *testing.T, c cell, names ...feature) {
 // from nowhere else. The rejected set is pinned, so a pair that silently
 // changes side shows up here.
 func TestConfigPairwise(t *testing.T) {
-	features := []feature{fObserver, fDurable, fLineTable, fWatchdog, fSharded}
+	features := []feature{fObserver, fDurable, fLineTable, fWatchdog}
 	rejected := map[[2]feature]bool{
 		{fDurable, fLineTable}: true,
-		{fLineTable, fSharded}: true,
 	}
 	for i, a := range features {
 		for _, b := range features[i+1:] {

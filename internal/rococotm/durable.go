@@ -18,8 +18,8 @@ import (
 // after the CommitObserver call: the stage runs one commit at a time, in
 // sequence order, before GlobalTS passes it. That makes the WAL
 // publication-ordered by construction — recovery is a single forward replay,
-// no sorting, no holes (every claimed sequence reaches publication, a
-// refused one as a no-op, so the stream the hook sees has no gaps). The
+// no sorting, no holes (every claimed sequence reaches publication, so the
+// stream the hook sees has no gaps). The
 // multi-version store is fed in the same breath, before the commit's own
 // write-back touches the heap, which is what makes its base-value capture
 // sound (see the mvstore package comment).
@@ -49,12 +49,9 @@ type Durable struct {
 // survive a crash.
 var ErrNotDurable = errors.New("rococotm: commit published but durability unconfirmed")
 
-// errNoStore and errShardNoStore refuse a snapshot. They are built once:
-// every read-only transaction on a runtime without a store is refused.
-var (
-	errNoStore      = errors.New("rococotm: no durable store configured")
-	errShardNoStore = errors.New("rococotm: sharded: not every shard has a durable store")
-)
+// errNoStore refuses a snapshot. It is built once: every read-only
+// transaction on a runtime without a store is refused.
+var errNoStore = errors.New("rococotm: no durable store configured")
 
 // durableState is the runtime-side binding: the shared scratch is safe
 // because the publication stage runs one commit at a time.
@@ -65,9 +62,7 @@ type durableState struct {
 	vals64 []uint64   // their values, for the WAL record
 }
 
-// durableAppend drains one publication into the log and the store — an
-// ordinary commit, one shard's half of a cross-shard commit (xid and touched
-// mask set, so recovery can tell a torn one) or an empty no-op fill.
+// durableAppend drains one publication into the log and the store.
 func (r *TM) durableAppend(seq uint64, p *publication) {
 	ds := r.dur
 	ds.addrs, ds.vals64 = ds.addrs[:0], ds.vals64[:0]
@@ -75,8 +70,8 @@ func (r *TM) durableAppend(seq uint64, p *publication) {
 		ds.addrs = append(ds.addrs, mem.Addr(a))
 		ds.vals64 = append(ds.vals64, uint64(p.vals[i]))
 	}
-	ds.rec = wal.Record{Seq: seq, ValidTS: p.validTS, XID: p.xid, XShards: p.xshards,
-		Reads: p.reads, WriteAddrs: p.writes, WriteVals: ds.vals64}
+	ds.rec = wal.Record{Seq: seq, ValidTS: p.validTS, Reads: p.reads,
+		WriteAddrs: p.writes, WriteVals: ds.vals64}
 	// The log copies the record into its buffer synchronously, so the
 	// scratch slices are free for reuse when Append returns. A sticky log
 	// failure is surfaced to SyncCommit waiters via WaitDurable; the
@@ -133,13 +128,14 @@ func (r *TM) ReleaseSnapshot(s tm.Snapshot) {
 
 // RecoverDurable rebuilds durable state from dev, as a process restart
 // would: truncate the torn tail off the log, replay every intact record —
-// into the multi-version store first (so base values are captured from the
-// pre-write heap), then into the heap — in publication order, and reopen
-// the log at the next sequence. The returned Durable plugs into
-// Config.Durable; New then reseeds GlobalTS and the engine window at the
-// recovered height. The replay result is returned alongside so callers can
-// certify the recovered commit stream (internal/audit) or assert on the
-// torn tail.
+// into a fresh multi-version store first, then into the heap — in
+// publication order, and reopen the log at the next sequence. Store before
+// heap, record by record: ApplyUpdates captures the pre-write base from the
+// heap, the same ordering the live commit path guarantees. The returned
+// Durable plugs into Config.Durable; New then reseeds GlobalTS and the
+// engine window at the recovered height. The replay result is returned
+// alongside so callers can certify the recovered commit stream
+// (internal/audit) or assert on the torn tail.
 //
 // The heap must be in its pre-crash initial state (recovery replays every
 // write since the log began; log checkpointing is future work, so a log
@@ -153,19 +149,9 @@ func RecoverDurable(dev wal.Device, heap *mem.Heap, opts wal.Options, storeCfg m
 		return nil, nil, fmt.Errorf("rococotm: recover: log starts at seq %d, not 0 (checkpointing unsupported)",
 			res.Records[0].Seq)
 	}
-	d, err := replay(dev, res, heap, opts, storeCfg, syncCommit)
-	return d, res, err
-}
-
-// replay rebuilds one durability binding from the recovered records res of
-// dev: each record goes into a fresh multi-version store and then into the
-// heap, in publication order, and the log reopens at the next sequence.
-// Store before heap, record by record: ApplyUpdates captures the pre-write
-// base from the heap, the same ordering the live commit path guarantees.
-func replay(dev wal.Device, res *wal.ReplayResult, heap *mem.Heap, opts wal.Options, storeCfg mvstore.Config, syncCommit bool) (*Durable, error) {
 	store, err := mvstore.New(heap, storeCfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var addrs []mem.Addr
 	var vals []mem.Word
@@ -182,7 +168,7 @@ func replay(dev wal.Device, res *wal.ReplayResult, heap *mem.Heap, opts wal.Opti
 			heap.Store(a, vals[j])
 		}
 	}
-	return &Durable{Log: wal.Open(dev, res.NextSeq, opts), Store: store, SyncCommit: syncCommit}, nil
+	return &Durable{Log: wal.Open(dev, res.NextSeq, opts), Store: store, SyncCommit: syncCommit}, res, nil
 }
 
 var _ tm.Snapshotter = (*TM)(nil)

@@ -14,10 +14,10 @@ import (
 // White-box tests of the front half of the commit: extend (agg.go), the claim
 // (pipeline.go), and the one epilogue's accounting.
 
-// The ref* functions are the extension decisions as the four call sites
-// wrote them out before extend existed (admit, Commit, commitCross phases 1
-// and 3), kept as the reference extend's callers are compared against. abort
-// is the reason the site aborted with, "" if it did not.
+// The ref* functions are the extension decisions as the call sites wrote
+// them out before extend existed (admit, Commit), kept as the reference
+// extend's callers are compared against. abort is the reason the site
+// aborted with, "" if it did not.
 
 func refFold(x *txn, upto uint64) (tempAny, overlap, ok bool) {
 	before := x.localTS
@@ -63,24 +63,9 @@ func refCommit(x *txn, g uint64) (abort string) {
 	return ""
 }
 
-func refStrict(x *txn, g uint64, phase3 bool) (abort string) {
-	_, overlap, ok := refFold(x, g)
-	if !ok {
-		return tm.ReasonWindow
-	}
-	if overlap || (!phase3 && x.missAny) {
-		return tm.ReasonConflict
-	}
-	if !phase3 {
-		x.validTS = x.localTS
-	}
-	return ""
-}
-
-// TestExtendCallerPolicies drives one commit history through the three
+// TestExtendCallerPolicies drives one commit history through the two
 // policies extend's callers apply — a read aborts only on a missed address,
-// a commit never aborts on staleness, a cross-shard commit aborts on any —
-// and checks validTS, localTS, missAny and the abort reason against what the
+// a commit never aborts on staleness — and checks validTS, localTS, missAny and the abort reason against what the
 // hand-written copies produce from the same starting state.
 func TestExtendCallerPolicies(t *testing.T) {
 	const readers = 3 // addresses each transaction under test reads first
@@ -112,18 +97,9 @@ func TestExtendCallerPolicies(t *testing.T) {
 				return nil
 			},
 			func(x *txn, _ []int, g uint64) string { return refCommit(x, g) }},
-		{"strict",
-			func(x *txn, _ mem.Addr, _ []int, g uint64) error { return x.extendStrict(g) },
-			func(x *txn, _ []int, g uint64) string { return refStrict(x, g, false) }},
-		{"strict re-extension",
-			func(x *txn, _ mem.Addr, _ []int, g uint64) error { return x.extendStrict(g) },
-			func(x *txn, _ []int, g uint64) string { return refStrict(x, g, true) }},
 	}
 	for _, h := range histories {
 		for _, p := range policies {
-			if h.miss && p.name == "strict re-extension" {
-				continue // phase 3 runs only after phase 1 found nothing missed
-			}
 			t.Run(h.name+"/"+p.name, func(t *testing.T) {
 				r := ringOff(newTM(mem.NewHeap(1<<10), Config{MaxThreads: 3}, cmp.Or(h.slots, commitQueueSlots)))
 				defer r.Close()
@@ -179,9 +155,7 @@ func TestExtendCallerPolicies(t *testing.T) {
 				if got != want {
 					t.Fatalf("abort = %q, reference %q", got, want)
 				}
-				// The re-extension site never used validTS again (it
-				// publishes at its sequence); everywhere else it must match.
-				if xs[0].validTS != xs[1].validTS && p.name != "strict re-extension" && got == "" {
+				if xs[0].validTS != xs[1].validTS && got == "" {
 					t.Errorf("validTS = %d, reference %d", xs[0].validTS, xs[1].validTS)
 				}
 				if got == "" && (xs[0].localTS != xs[1].localTS || xs[0].missAny != xs[1].missAny) {
@@ -201,10 +175,8 @@ func TestExtendCallerPolicies(t *testing.T) {
 
 // TestHardEngineErrorIsCounted: an attempt ended by a hard engine error — a
 // closed engine — is an engine abort, so Starts == Commits + Aborts survives
-// it, and the refused claim leaves nothing behind. This holds on the runtime
-// (Commit, and PublishFast, which also restores the heap), on the sharded
-// front end's single-shard path and on its cross-shard path, which also
-// fills what it had claimed so the surviving shard stays live.
+// it, and the refused claim leaves nothing behind. This holds on both
+// commit paths: Commit, and PublishFast, which also restores the heap.
 func TestHardEngineErrorIsCounted(t *testing.T) {
 	check := func(t *testing.T, m tm.TM, err error, live int) {
 		t.Helper()
@@ -268,39 +240,6 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 			t.Errorf("Starts %d != Commits %d + Aborts %d", st.Starts, st.Commits, st.Aborts)
 		}
 	})
-	for _, cross := range []bool{false, true} {
-		name := "Sharded single"
-		if cross {
-			name = "Sharded cross"
-		}
-		t.Run(name, func(t *testing.T) {
-			s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, Shard: Config{MaxThreads: 1}})
-			defer s.Close()
-			addrs := shardAddrs(t, s, 1) // one address per shard
-			x, _ := s.Begin(0)
-			if err := x.Write(addrs[1], 1); err != nil {
-				t.Fatal(err)
-			}
-			if cross {
-				if err := x.Write(addrs[0], 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			s.Shard(1).Engine().Close()
-			err := s.Commit(x)
-			live, _ := s.PoolCheck()
-			check(t, s, err, live)
-			if !cross {
-				return
-			}
-			if cs := s.CrossStats(); cs.CrossAborts != 1 || cs.NoopFills != 1 {
-				t.Errorf("CrossStats = %+v, want one cross abort and one no-op fill", cs)
-			}
-			if err := tm.Run(s, 0, func(x tm.Txn) error { return x.Write(addrs[0], 2) }); err != nil {
-				t.Fatalf("surviving shard: %v", err)
-			}
-		})
-	}
 }
 
 // TestEngineAbortsDoNotEscalateToIrrevocable: engine aborts — attempts ended

@@ -7,7 +7,7 @@ import (
 )
 
 // liveWord says whether a thread's attempt — a slow txn or a hybrid fast-path
-// attempt — is live (DESIGN §8): stamp<<10 | phase<<8 | code, the stamp a
+// attempt — is live (DESIGN §7): stamp<<10 | phase<<8 | code, the stamp a
 // per-thread attempt counter, the code what a doomed attempt aborts with. Only
 // begin and end (the owner's) and doom (a remote CAS) change it; a refused
 // event leaves it unchanged. A stamp is never reused, so a doom can never land

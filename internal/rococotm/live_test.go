@@ -225,40 +225,29 @@ func TestLiveWordHammer(t *testing.T) {
 	}
 }
 
-// TestWatchdogCountersAgree: on the runtime and on the sharded front end, an
-// attempt stuck past WatchdogAge fires the watchdog, and the kill count is the
-// watchdog abort count.
+// TestWatchdogCountersAgree: an attempt stuck past WatchdogAge fires the
+// watchdog, and the kill count is the watchdog abort count.
 func TestWatchdogCountersAgree(t *testing.T) {
 	cfg := Config{MaxThreads: 2, WatchdogAge: 2 * time.Millisecond, Logf: func(string, ...any) {}}
-	for _, tc := range []struct {
-		name string
-		m    func() tm.TM
-	}{
-		{"TM", func() tm.TM { return New(mem.NewHeap(1<<10), cfg) }},
-		{"Sharded", func() tm.TM {
-			return NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2, Shard: cfg})
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			m := tc.m()
-			defer m.Close()
-			a := m.Heap().MustAlloc(1)
-			x, err := m.Begin(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := x.Read(a); err != nil {
-				t.Fatal(err)
-			}
-			awaitWatchdogFire(t, m)
-			_, err = x.Read(a)
-			if code, ok := tm.CodeOf(err); !ok || code != tm.CodeWatchdog {
-				t.Fatalf("stuck read returned %v, want a watchdog abort", err)
-			}
-			st := m.Stats()
-			if st.WatchdogKills != 1 || st.Reasons[tm.ReasonWatchdog] != 1 {
-				t.Errorf("WatchdogKills/Reasons[watchdog] = %d/%d, want 1/1", st.WatchdogKills, st.Reasons[tm.ReasonWatchdog])
-			}
-		})
-	}
+	t.Run("TM", func(t *testing.T) {
+		m := New(mem.NewHeap(1<<10), cfg)
+		defer m.Close()
+		a := m.Heap().MustAlloc(1)
+		x, err := m.Begin(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Read(a); err != nil {
+			t.Fatal(err)
+		}
+		awaitWatchdogFire(t, m)
+		_, err = x.Read(a)
+		if code, ok := tm.CodeOf(err); !ok || code != tm.CodeWatchdog {
+			t.Fatalf("stuck read returned %v, want a watchdog abort", err)
+		}
+		st := m.Stats()
+		if st.WatchdogKills != 1 || st.Reasons[tm.ReasonWatchdog] != 1 {
+			t.Errorf("WatchdogKills/Reasons[watchdog] = %d/%d, want 1/1", st.WatchdogKills, st.Reasons[tm.ReasonWatchdog])
+		}
+	})
 }

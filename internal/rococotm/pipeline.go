@@ -14,8 +14,8 @@ import (
 // This file is the commit pipeline from the claim on: claim and fastClaim,
 // the second step of the front half every commit shares (extend, agg.go, is
 // the first), then the ordered-publication stage every holder of a claim
-// enters — TM.Commit, PublishFast, the cross-shard commit and its no-op
-// fills — and the out-of-order write-back phase with its WAW ordering wait.
+// enters — TM.Commit and PublishFast — and the out-of-order write-back
+// phase with its WAW ordering wait.
 //
 // The stage is the paper's §5.3 protocol after the verdict as four
 // functions, one implementation each:
@@ -47,9 +47,8 @@ import (
 // time with GlobalTS ≤ seq — possibly on a predecessor's goroutine — and the
 // multi-version store still captures base values before that commit's
 // write-back can start (its owner moves on only after GlobalTS passes seq).
-// Entry points that must act at their exact turn (PublishFast, the
-// cross-shard commit) do not pre-publish, which is what stops a group at
-// them.
+// PublishFast, which must act at its exact turn, does not pre-publish,
+// which is what stops a group at it.
 
 // claim ships x's snapshot and footprint to the engine (§5.3) and returns
 // the commit sequence it issued. The error is an abort — window or cycle —
@@ -107,7 +106,6 @@ type publication struct {
 	ws            sig.Sig    // write signature for the commit queue
 	reads, writes []uint64   // footprint in first-access order, for the sinks
 	vals          []mem.Word // vals[i] is the value written to writes[i], for the durable sink
-	xid, xshards  uint64     // cross-shard id and touched mask (0: none)
 }
 
 // arm installs thread's update-set entry — the commit-time lock on the write

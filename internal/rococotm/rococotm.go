@@ -23,8 +23,8 @@
 //     stage (pipeline.go): arm the update-set entry, await the turn at s,
 //     publish the write signature into the commit queue at s (and the
 //     commit into the observer and durability sinks), release GlobalTS past
-//     s. Every other producer of a sequence — the hybrid fast publication,
-//     the cross-shard commit — enters the same stage. The redo-log
+//     s. The other producer of a sequence, the hybrid fast publication,
+//     enters the same stage. The redo-log
 //     write-back is decoupled from it: it runs out of order across
 //     committers, with the update-set entry held active until the last word
 //     lands, so readers spin past unfinished write-backs exactly as they
@@ -222,8 +222,8 @@ type TM struct {
 	sigPW  int
 
 	// zeroSig is the empty write signature published for a sequence that
-	// was claimed but commits nothing (a failed fast publication, a
-	// cross-shard no-op fill). Read-only after construction.
+	// was claimed but commits nothing (a failed fast publication).
+	// Read-only after construction.
 	zeroSig sig.Sig
 
 	// Write-back pipeline occupancy (pipeline.go): current and high-water

@@ -197,10 +197,9 @@ func TestMissSetAbortsTornSnapshot(t *testing.T) {
 // refuses the cycle.
 //
 // The other read/extend pairs were audited against the same shape and need
-// no bound: the final extension in Commit and both cross-shard folds
-// (shard.go phases 1 and 3) run after every value the transaction holds is
-// in its read set (sub-transactions read through txn.Read), so a folded
-// commit that wrote any of them trips overlap; PublishFast and
+// no bound: the final extension in Commit runs after every value the
+// transaction holds is in its read set, so a folded commit that wrote any
+// of them trips overlap; PublishFast and
 // ValidateFastReadOnly extend nothing — they certify every recorded read
 // line by version equality at one serialization point, after the drain scan.
 func TestReadFoldStopsAtLoadSnapshot(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 )
 
 // White-box tests of the ordered-publication stage (pipeline.go): they
-// drive arm/await/publish/release directly, the way Commit, PublishFast and
-// the cross-shard commit do.
+// drive arm/await/publish/release directly, the way Commit and PublishFast
+// do.
 
 // obsCall is one ObserveCommit call, with the footprint copied.
 type obsCall struct {
@@ -199,17 +199,16 @@ func TestSinkInvariance(t *testing.T) {
 }
 
 // TestCommitPathsDisarm: every path that arms an update-set entry releases
-// it — the slow commit after its write-back, a fast publication after its
-// release and a cross-shard commit after draining each write shard. A
-// leaked entry locks its write set: readers probing it spin and abort.
+// it — the slow commit after its write-back, and a fast publication after
+// its release, refused ones (which fill their sequence with a no-op)
+// included. A leaked entry locks its write set: readers probing it spin
+// and abort.
 func TestCommitPathsDisarm(t *testing.T) {
-	disarmed := func(t *testing.T, rs ...*TM) {
+	disarmed := func(t *testing.T, r *TM) {
 		t.Helper()
-		for _, r := range rs {
-			for i := range r.updates {
-				if r.updates[i].active.Load() != 0 {
-					t.Errorf("thread %d's update-set entry is still armed", i)
-				}
+		for i := range r.updates {
+			if r.updates[i].active.Load() != 0 {
+				t.Errorf("thread %d's update-set entry is still armed", i)
 			}
 		}
 	}
@@ -234,24 +233,20 @@ func TestCommitPathsDisarm(t *testing.T) {
 		}
 		disarmed(t, r)
 	})
-	t.Run("cross-shard", func(t *testing.T) {
-		s := NewSharded(mem.NewHeap(1<<10), ShardedConfig{Shards: 2})
-		defer s.Close()
-		addrs := shardAddrs(t, s, 1)
-		if err := tm.Run(s, 0, func(x tm.Txn) error {
-			for _, a := range addrs {
-				if err := x.Write(a, 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
+	t.Run("PublishFast refused", func(t *testing.T) {
+		heap := mem.NewHeap(1 << 10)
+		lt := mem.NewLineTable(heap.Cap())
+		r := New(heap, Config{MaxThreads: 1, LineTable: lt})
+		defer r.Close()
+		base := heap.MustAlloc(16)
+		fh := &fastHarness{r: r, lt: lt, heap: heap}
+		if err := fh.publishStale(t, base, base+8, 1); err == nil {
+			t.Fatal("a stale fast publication committed")
 		}
-		if cs := s.CrossStats(); cs.CrossCommits != 1 {
-			t.Fatalf("CrossStats = %+v, want one cross-shard commit", cs)
+		if ts := r.GlobalTS(); ts != 1 {
+			t.Fatalf("GlobalTS = %d, want 1 (the refused publication fills its sequence)", ts)
 		}
-		disarmed(t, s.shards...)
+		disarmed(t, r)
 	})
 }
 

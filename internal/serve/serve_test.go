@@ -423,15 +423,12 @@ func TestServeTierDegradation(t *testing.T) {
 	mustAccounting(t, s)
 }
 
-// TestServeShardedNewOrder serves a new-order mix on the sharded runtime
-// and certifies the workload invariants plus the outcome accounting.
-func TestServeShardedNewOrder(t *testing.T) {
+// TestServeNewOrder serves a new-order mix and certifies the workload
+// invariants plus the outcome accounting.
+func TestServeNewOrder(t *testing.T) {
 	const workers = 4
 	h := mem.NewHeap(1 << 12)
-	m := rococotm.NewSharded(h, rococotm.ShardedConfig{
-		Shards: 2,
-		Shard:  rococotm.Config{MaxThreads: workers + 2},
-	})
+	m := rococotm.New(h, rococotm.Config{MaxThreads: workers + 2})
 	defer m.Close()
 	db, err := tmds.NewNewOrderDB(h, 4, 32, 1000)
 	if err != nil {

@@ -112,7 +112,8 @@ func (h *Hasher) Indices(addr uint64, out []int) []int {
 // AppendBits appends the k bit positions of every address in addrs to out
 // and returns the extended slice (k*len(addrs) entries, grouped per
 // address). It is the batch form of Indices for hot paths that probe the
-// same addresses against many signatures: hash once, probe with QueryBits.
+// same addresses against many signatures at once: hash once, then test the
+// positions (the validator's columnar compare, internal/fpga).
 func (h *Hasher) AppendBits(out []int32, addrs []uint64) []int32 {
 	for _, addr := range addrs {
 		base := int32(0)
@@ -201,29 +202,9 @@ func (s Sig) Query(h *Hasher, addr uint64) bool {
 	return true
 }
 
-// InsertBits sets the precomputed bit positions (from AppendBits) in the
-// signature. Inserting a batch of addresses this way is equivalent to
-// calling Insert for each.
-func (s Sig) InsertBits(bits []int32) {
-	for _, bit := range bits {
-		s.w[bit>>6] |= 1 << uint(bit&63)
-	}
-}
-
-// QueryBits reports whether the address whose k precomputed bit positions
-// are bits (one address's group from AppendBits) may be in the set. It is
-// Query with the hashing hoisted out.
-func (s Sig) QueryBits(bits []int32) bool {
-	for _, bit := range bits {
-		if s.w[bit>>6]&(1<<uint(bit&63)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// QueryIdx is QueryBits for one address's positions as returned by
-// Hasher.Indices — for callers that already hold the []int form.
+// QueryIdx reports whether the address whose positions are idx, as
+// returned by Hasher.Indices, may be in the set. It is Query with the
+// hashing hoisted out.
 func (s Sig) QueryIdx(idx []int) bool {
 	for _, bit := range idx {
 		if s.w[bit>>6]&(1<<uint(bit&63)) == 0 {

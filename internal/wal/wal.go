@@ -10,18 +10,9 @@
 //	u32 payload length        u32 CRC-32C of payload
 //	payload:
 //	  u64 seq                 u64 validTS
-//	  u64 xid                 u64 xshards
 //	  u32 nReads              u32 nWrites
 //	  nReads  × u64 read address
 //	  nWrites × (u64 write address, u64 value)
-//
-// xid/xshards are zero for ordinary single-shard commits. A sharded
-// deployment (internal/rococotm.Sharded) writes one log per shard; a
-// cross-shard transaction appends a record to every shard log it touched,
-// all carrying the same nonzero xid and the same xshards bitmask of
-// participating shards, so recovery can detect a cross-shard commit torn
-// across logs (present on some shards, lost on others) and cut every
-// shard back to the last globally consistent prefix.
 //
 // The read footprint rides along so a recovered stream can be handed to
 // the serializability auditor (internal/audit), not just replayed into
@@ -58,9 +49,8 @@ import (
 // headerSize is the per-record framing overhead: u32 length + u32 CRC.
 const headerSize = 8
 
-// payloadFixed is the fixed part of a payload: seq, validTS, xid,
-// xshards, two counts.
-const payloadFixed = 8 + 8 + 8 + 8 + 4 + 4
+// payloadFixed is the fixed part of a payload: seq, validTS, two counts.
+const payloadFixed = 8 + 8 + 4 + 4
 
 // MaxRecordBytes bounds a single record's payload; a length header above
 // it is treated as corruption (a torn length field must not send the
@@ -78,14 +68,6 @@ type Record struct {
 	// ValidTS is the snapshot the engine validated the read set against —
 	// retained so recovery can re-certify serializability.
 	ValidTS uint64
-	// XID is the cross-shard transaction id (0 for single-shard commits).
-	// Every shard log a cross-shard transaction touches carries a record
-	// with the same XID.
-	XID uint64
-	// XShards is the bitmask of shard indices participating in XID's
-	// commit; recovery requires the XID present on every shard in the mask
-	// or treats the commit as torn.
-	XShards uint64
 	// Reads is the read footprint (addresses).
 	Reads []uint64
 	// WriteAddrs and WriteVals are the write footprint, index-paired.
@@ -98,11 +80,6 @@ func (r *Record) encodedLen() int {
 	return payloadFixed + 8*len(r.Reads) + 16*len(r.WriteAddrs)
 }
 
-// EncodedSize returns the total on-device size of r (framing header plus
-// payload) — the hook multi-log reconciliation uses to compute the byte
-// offset of a record prefix without re-encoding it.
-func (r *Record) EncodedSize() int { return headerSize + r.encodedLen() }
-
 // appendEncoded appends r's framed encoding (header + payload) to buf.
 func appendEncoded(buf []byte, r *Record) []byte {
 	plen := r.encodedLen()
@@ -111,10 +88,8 @@ func appendEncoded(buf []byte, r *Record) []byte {
 	p := buf[start+headerSize:]
 	binary.LittleEndian.PutUint64(p[0:], r.Seq)
 	binary.LittleEndian.PutUint64(p[8:], r.ValidTS)
-	binary.LittleEndian.PutUint64(p[16:], r.XID)
-	binary.LittleEndian.PutUint64(p[24:], r.XShards)
-	binary.LittleEndian.PutUint32(p[32:], uint32(len(r.Reads)))
-	binary.LittleEndian.PutUint32(p[36:], uint32(len(r.WriteAddrs)))
+	binary.LittleEndian.PutUint32(p[16:], uint32(len(r.Reads)))
+	binary.LittleEndian.PutUint32(p[20:], uint32(len(r.WriteAddrs)))
 	off := payloadFixed
 	for _, a := range r.Reads {
 		binary.LittleEndian.PutUint64(p[off:], a)
@@ -145,15 +120,13 @@ func decodeOne(data []byte, off int) (rec Record, next int, ok bool) {
 	if crc32.Checksum(p, castagnoli) != binary.LittleEndian.Uint32(data[off+4:]) {
 		return Record{}, 0, false
 	}
-	nr := int(binary.LittleEndian.Uint32(p[32:]))
-	nw := int(binary.LittleEndian.Uint32(p[36:]))
+	nr := int(binary.LittleEndian.Uint32(p[16:]))
+	nw := int(binary.LittleEndian.Uint32(p[20:]))
 	if payloadFixed+8*nr+16*nw != plen {
 		return Record{}, 0, false
 	}
 	rec.Seq = binary.LittleEndian.Uint64(p[0:])
 	rec.ValidTS = binary.LittleEndian.Uint64(p[8:])
-	rec.XID = binary.LittleEndian.Uint64(p[16:])
-	rec.XShards = binary.LittleEndian.Uint64(p[24:])
 	cur := payloadFixed
 	if nr > 0 {
 		rec.Reads = make([]uint64, nr)
@@ -618,6 +591,9 @@ type ReplayResult struct {
 // prefix is an error: crashes tear tails, they do not reorder history.
 func Replay(data []byte) (*ReplayResult, error) {
 	res := &ReplayResult{}
+	if n := frames(data); n > 0 {
+		res.Records = make([]Record, 0, n)
+	}
 	off := 0
 	for {
 		rec, next, ok := decodeOne(data, off)
@@ -635,6 +611,24 @@ func Replay(data []byte) (*ReplayResult, error) {
 	res.IntactBytes = int64(off)
 	res.TornBytes = int64(len(data)) - int64(off)
 	return res, nil
+}
+
+// frames counts the frames of data, reading only the length fields: it
+// stops where decodeOne stops on a length (a short header, an implausible
+// length, a truncated payload) but checks no checksum. So it never counts
+// fewer records than Replay decodes, and exactly as many for a log whose
+// tail was cut; a frame whose checksum fails is counted, with whatever
+// frames follow it. Replay sizes its record slice with it once.
+func frames(data []byte) int {
+	n := 0
+	for off := 0; off+headerSize <= len(data); n++ {
+		plen := int(binary.LittleEndian.Uint32(data[off:]))
+		if plen < payloadFixed || plen > MaxRecordBytes || off+headerSize+plen > len(data) {
+			break
+		}
+		off += headerSize + plen
+	}
+	return n
 }
 
 // Recover reads dev, replays the intact prefix, and truncates the torn

@@ -212,6 +212,40 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestReplaySizesRecordsOnce: Replay allocates its record slice once, from
+// a pass over the frame lengths, instead of growing it record by record. On
+// an intact log the capacity is the record count; behind a torn tail — a
+// half-written frame, or a whole frame whose checksum fails — it is at most
+// one more.
+func TestReplaySizesRecordsOnce(t *testing.T) {
+	const n = 10000
+	recs := mkRecords(0, n+1)
+	data, ends := encodeAll(recs)
+	intact := data[:ends[n-1]]
+	badCRC := append([]byte(nil), data...)
+	badCRC[ends[n-1]+4] ^= 0xFF
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		slack int
+	}{
+		{"intact", intact, 0},
+		{"half-written tail", data[:ends[n]-5], 1},
+		{"checksum-failed tail", badCRC, 1},
+	} {
+		res, err := Replay(tc.data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.Records) != n {
+			t.Fatalf("%s: replayed %d records, want %d", tc.name, len(res.Records), n)
+		}
+		if c := cap(res.Records); c < n || c > n+tc.slack {
+			t.Errorf("%s: cap(Records) = %d for %d records, want at most %d", tc.name, c, n, n+tc.slack)
+		}
+	}
+}
+
 func TestAppendSeqGapPanics(t *testing.T) {
 	l := Open(NewMemDevice(nil), 0, Options{})
 	defer l.Close()

@@ -27,20 +27,13 @@ func TestOptionCensus(t *testing.T) {
 	}{
 		{reflect.TypeOf(rococotm.Config{}), []string{
 			"MaxThreads",    // benchmark/workload.go, internal/bench
-			"Engine",        // internal/bench/ablation.go, internal/bench/shard.go
+			"Engine",        // internal/bench/ablation.go
 			"MeasurePhases", // benchmark/workload.go (--trace 1), internal/bench/fig11.go
 			"WatchdogAge",   // tests only: internal/fault, internal/hybrid; no seam reaches them
 			"Logf",          // tests only: internal/fault, internal/hybrid; no seam reaches them
-			"Observer",      // internal/bench/shard.go, through NewSharded's per-shard wiring
-			"Durable",       // benchmark/workload.go (bank-full), NewSharded's per-shard wiring
+			"Observer",      // tests only: internal/fault, internal/hybrid, internal/serve; no seam reaches them
+			"Durable",       // benchmark/workload.go (bank-full)
 			"LineTable",     // hybrid.New
-		}},
-		{reflect.TypeOf(rococotm.ShardedConfig{}), []string{
-			"Shards",    // internal/bench/shard.go
-			"Shard",     // internal/bench/shard.go
-			"Observers", // internal/bench/shard.go
-			"Durables",  // internal/bench/shard.go
-			"NextXID",   // the recovery contract: RecoverSharded's MaxXID goes here
 		}},
 		{reflect.TypeOf(hybrid.Config{}), []string{
 			"Slow", // benchmark/workload.go
@@ -50,9 +43,8 @@ func TestOptionCensus(t *testing.T) {
 			"DefaultBudget", // benchmark/workload.go
 		}},
 		{reflect.TypeOf(fpga.Config{}), []string{
-			"W",          // internal/bench/shard.go
-			"Sig",        // internal/bench/ablation.go
-			"QueueDepth", // internal/bench/shard.go
+			"W",   // tests only: internal/rococotm; no seam reaches them
+			"Sig", // internal/bench/ablation.go
 		}},
 		{reflect.TypeOf(tm.BackoffPolicy{}), []string{
 			"EscalateAfter", // internal/serve

@@ -66,17 +66,15 @@
 #                    detector; OCC code is concurrency code, so the race
 #                    lane is not optional. It is where the lifecycle/
 #                    auditor soak, the crash-recovery chaos and WAL fuzz
-#                    sweeps, the sharded atomicity/recovery suites, the
-#                    serve overload surface and the hybrid mixed-path
-#                    oracles run (they used to be five -run lanes selecting
+#                    sweeps, the serve overload surface and the hybrid
+#                    mixed-path oracles run (they used to be five -run lanes selecting
 #                    subsets of this one), and includes the combining
 #                    validator's no-stranding hammer (internal/fpga
 #                    TestCombine*: committers ≫ processors mixing Validate,
 #                    Process and RecordFast, pinned to GOMAXPROCS 1 and 2
 #                    by the test itself)                           (~2min)
-#   9. driver smokes — the experiment drivers through the real binary:
-#                    a bounded `rococobench -exp shard` run, and go test
-#                    ./cmd/... (flag and exit-status tests). Serving
+#   9. driver smokes — go test ./cmd/...: the drivers' flag and
+#                    exit-status tests through their run functions. Serving
 #                    under overload is certified by TestServeOverloadSheds
 #                    (accounting, conservation, auditor, pool) in lanes
 #                    7 and 8                                       (~10s)
@@ -149,8 +147,7 @@ done
 echo "== go test -race -count=1 ./internal/..."
 go test -race -count=1 ./internal/...
 
-echo "== driver smokes: rococobench -exp shard, go test ./cmd/..."
-go run ./cmd/rococobench -exp shard -dur 50ms >/dev/null
+echo "== driver smokes: go test ./cmd/..."
 go test -count=1 ./cmd/...
 
 echo "== bench smoke: go test -run=NONE -bench=. -benchtime=1x ./internal/..."
