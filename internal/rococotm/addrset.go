@@ -26,8 +26,9 @@ const subSigAddrs = 8
 //   - sig is the whole-set signature: the write signature published into the
 //     commit queue, the read signature extension intersects first.
 //   - subs are the §5.3 sub-signatures: subs[i] holds
-//     addrs[i*subSigAddrs:(i+1)*subSigAddrs]. Spares past the live ones are
-//     recycled across attempts; insert grows them, so sign never allocates.
+//     addrs[i*subSigAddrs:(i+1)*subSigAddrs]. Their words lie back to back
+//     in subWords. Spares past the live ones are recycled across attempts;
+//     insert and add grow them, so sign never allocates.
 //
 // sig and subs describe addrs[:signed] only, and hold stale bits until the
 // first sign of an attempt resets them: read them after a sign.
@@ -35,12 +36,18 @@ const subSigAddrs = 8
 // There is no capacity limit and no second representation: two-address
 // transfers and transactions of thousands of accesses use the same
 // structure, which grows by doubling its index and rehashing addrs.
+//
+// A read-only attempt's read set takes its addresses by add instead: no
+// index, repeats kept. sign and overlaps read addrs alone, and a repeat
+// sets bits that are set already and passes a query that one copy passes,
+// so the signatures and every overlap verdict equal the distinct set's.
 type addrSet struct {
-	cfg    sig.Config
-	sig    sig.Sig
-	subs   []sig.Sig
-	addrs  []uint64
-	signed int
+	cfg      sig.Config
+	sig      sig.Sig
+	subs     []sig.Sig
+	subWords []uint64
+	addrs    []uint64
+	signed   int
 
 	index []uint64
 	gen   uint32
@@ -103,11 +110,40 @@ func (s *addrSet) insert(a uint64) (pos int, fresh bool) {
 		_, i = s.slot(a)
 	}
 	s.index[i] = uint64(s.gen)<<32 | uint64(n)
-	if k := n / subSigAddrs; k == len(s.subs) {
-		s.subs = append(s.subs, sig.New(s.cfg))
+	s.add(a)
+	return n, true
+}
+
+// add appends a to addrs, whether or not it is there already, and leaves the
+// index as it was: the set is a log from then on, for sign and overlaps
+// only, until reset.
+//
+//tm:hotpath
+func (s *addrSet) add(a uint64) {
+	if len(s.addrs) == len(s.subs)*subSigAddrs {
+		s.growSubs()
 	}
 	s.addrs = append(s.addrs, a)
-	return n, true
+}
+
+// growSubs adds one sub-signature. subWords grows by append, and when that
+// moves it, the earlier sub-signatures are re-cut from the new array, which
+// holds their bits.
+//
+//tm:hotpath
+func (s *addrSet) growSubs() {
+	w := s.cfg.Words()
+	old := cap(s.subWords)
+	for range w {
+		s.subWords = append(s.subWords, 0)
+	}
+	if cap(s.subWords) != old {
+		for k := range s.subs {
+			s.subs[k] = sig.FromWords(s.cfg, s.subWords[k*w:(k+1)*w:(k+1)*w])
+		}
+	}
+	n := len(s.subWords)
+	s.subs = append(s.subs, sig.FromWords(s.cfg, s.subWords[n-w:n:n]))
 }
 
 // grow doubles the index and rehashes addrs into it.

@@ -119,11 +119,18 @@ func TestConfigPairwise(t *testing.T) {
 			})
 		}
 	}
-	// The one gate on a single feature: a line table must cover the heap.
+	// The gates on a single field: a line table must cover the heap, and
+	// each thread needs a bit of the update set's armed word.
 	t.Run("LineTable too short", func(t *testing.T) {
 		heap := mem.NewHeap(1 << 10)
 		cfg := Config{LineTable: mem.NewLineTable(8)}
 		mustReject(t, cell{func() error { return cfg.Validate(heap) },
 			func() tm.TM { return New(heap, cfg) }}, fLineTable)
+	})
+	t.Run("MaxThreads 65", func(t *testing.T) {
+		heap := mem.NewHeap(1 << 10)
+		cfg := Config{MaxThreads: 65}
+		mustReject(t, cell{func() error { return cfg.Validate(heap) },
+			func() tm.TM { return New(heap, cfg) }}, "MaxThreads")
 	})
 }

@@ -2,6 +2,7 @@ package rococotm
 
 import (
 	"errors"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
 	"rococotm/internal/tm"
+	"rococotm/internal/tmds"
 	"rococotm/internal/wal"
 )
 
@@ -284,14 +286,14 @@ func TestRunReadOnlyFallbackWithoutSnapshots(t *testing.T) {
 	}); !errors.Is(err, tm.ErrReadOnlyWrite) {
 		t.Fatal("fallback path accepted a write")
 	}
-	// Refusing the snapshot allocates nothing; the one object left is the
-	// write-rejecting Txn handed to the closure.
+	// Refusing the snapshot allocates nothing, and neither does the
+	// read-only attempt BeginReadOnly hands the closure: no wrapper.
 	if avg := testing.AllocsPerRun(200, func() {
 		if err := tm.RunReadOnly(m, 0, twoReads(a, a)); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 1 {
-		t.Errorf("RunReadOnly without a store allocates %.1f objects per call, want 1", avg)
+	}); avg != 0 {
+		t.Errorf("RunReadOnly without a store allocates %.1f objects per call, want 0", avg)
 	}
 }
 
@@ -370,8 +372,8 @@ func BenchmarkDurableCommit(b *testing.B) {
 }
 
 // BenchmarkRunReadOnly is the read-only entry on a runtime without a
-// durable store: the snapshot is refused and two reads run as a
-// transaction whose empty write set commits on the CPU.
+// durable store: the snapshot is refused and two reads run as a read-only
+// attempt (BeginReadOnly) whose empty write set commits on the CPU.
 func BenchmarkRunReadOnly(b *testing.B) {
 	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 2})
 	defer m.Close()
@@ -381,6 +383,47 @@ func BenchmarkRunReadOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := tm.RunReadOnly(m, 0, read); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRunReadOnlyFind is index-engine's read-only operation one
+// layer down: a red-black-tree Find through tm.RunReadOnly on a tree of
+// 2^14 keys (the even ones below 2^15; half the lookups hit), on a runtime
+// without a durable store, so each Find is a read-only attempt of about 30
+// reads.
+func BenchmarkRunReadOnlyFind(b *testing.B) {
+	const keys = 1 << 14
+	m := New(mem.NewHeap(1<<17), Config{MaxThreads: 1})
+	defer m.Close()
+	tree, err := tmds.NewRBTree(m.Heap())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(14))
+	for _, i := range rng.Perm(keys) {
+		k := mem.Word(2 * i)
+		if err := tm.Run(m, 0, func(x tm.Txn) error {
+			_, err := tree.Insert(x, k, k+1)
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var k mem.Word
+	find := func(x tm.Txn) error {
+		v, hit, err := tree.Find(x, k)
+		if err == nil && hit && v != k+1 {
+			b.Fatalf("Find(%d) = %d, want %d", k, v, k+1)
+		}
+		return err
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k = mem.Word(rng.Intn(2 * keys))
+		if err := tm.RunReadOnly(m, 0, find); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package rococotm
 
 import (
 	"math"
+	"math/bits"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/sig"
@@ -29,7 +30,7 @@ import (
 //  3. awaits its exact turn (GlobalTS == seq). It does not pre-publish, so
 //     no predecessor's group advance can pass it: the commit-queue slot
 //     stays unpublished until the turn is taken;
-//  4. at the turn, scans for still-active earlier write-backs that may
+//  4. at the turn, scans for still-armed earlier write-backs that may
 //     overlap its footprint (they could still be storing, with version
 //     bumps in flight) and fails conservatively on any hit — the scan
 //     never waits, so it cannot deadlock with a write-back that is itself
@@ -126,7 +127,7 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	p := publication{validTS: seq, ws: ws, reads: f.ReadAddrs, writes: f.WriteAddrs64}
 	failed := phaseOf(r.live[f.Thread].w.Load()) == phaseDoomed || !r.fastReadsHold(f, seq, ws)
 	if failed {
-		// The lines are still owned and the update-set entry still active,
+		// The lines are still owned and the update-set entry still armed,
 		// so no other path can observe the rollback in flight.
 		r.restoreFastHeap(f)
 		p = publication{validTS: seq, ws: r.zeroSig}
@@ -149,7 +150,7 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 //
 //tm:hotpath
 func (r *TM) fastReadsHold(f *FastFootprint, seq uint64, ws sig.Sig) bool {
-	// Drain scan: an earlier-sequence write-back still active may have
+	// Drain scan: an earlier-sequence write-back still armed may have
 	// stores or version bumps in flight. One that may touch our read lines
 	// could invalidate them after we check; one that may touch our write
 	// lines is (or will be) waiting out our ownership. Either way we fail
@@ -160,12 +161,9 @@ func (r *TM) fastReadsHold(f *FastFootprint, seq uint64, ws sig.Sig) bool {
 	for _, a := range f.ReadAddrs {
 		rs.Insert(r.hasher, a)
 	}
-	for i := range r.updates {
-		if i == f.Thread {
-			continue
-		}
-		u := &r.updates[i]
-		if u.active.Load() != 1 || u.seq.Load() >= seq {
+	for m := r.armed.Load() &^ (1 << uint(f.Thread)); m != 0; m &= m - 1 {
+		u := &r.updates[bits.TrailingZeros64(m)]
+		if u.seq.Load() >= seq {
 			continue
 		}
 		if r.writerMayOverlap(u, rs) || r.writerMayOverlap(u, ws) {
@@ -205,9 +203,9 @@ func (r *TM) restoreFastHeap(f *FastFootprint) {
 //
 // Two checks close that hole, in this order:
 //
-//  1. drain scan — any active update-set entry whose write signature may
+//  1. drain scan — any armed update-set entry whose write signature may
 //     cover a read address is a committer whose write-back may still be
-//     mid-drain; fail conservatively. Every active entry counts (there is
+//     mid-drain; fail conservatively. Every armed entry counts (there is
 //     no own sequence to bound the scan by).
 //  2. version validation — every recorded read-line version must equal
 //     what the read saw. A write-back that retired before the scan bumped

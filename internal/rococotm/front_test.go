@@ -66,7 +66,11 @@ func refCommit(x *txn, g uint64) (abort string) {
 // TestExtendCallerPolicies drives one commit history through the two
 // policies extend's callers apply — a read aborts only on a missed address,
 // a commit never aborts on staleness — and checks validTS, localTS, missAny and the abort reason against what the
-// hand-written copies produce from the same starting state.
+// hand-written copies produce from the same starting state. Its read-only
+// arm runs the read policy in a BeginReadOnly attempt that reads every
+// address twice, so its read set is a log with repeats; it must reach the
+// same validTS, missAny, MissSet and read-set signature as the reference's
+// distinct set.
 func TestExtendCallerPolicies(t *testing.T) {
 	const readers = 3 // addresses each transaction under test reads first
 	histories := []struct {
@@ -82,14 +86,25 @@ func TestExtendCallerPolicies(t *testing.T) {
 		{name: "ring lapped", slots: 4, commits: []int{5, 6, 7, 5, 6, 7}},
 	}
 	policies := []struct {
-		name string
-		got  func(x *txn, a mem.Addr, idx []int, g uint64) error
-		ref  func(x *txn, idx []int, g uint64) string
+		name     string
+		readOnly bool // thread 0 begins read-only and reads each address twice
+		got      func(x *txn, a mem.Addr, idx []int, g uint64) error
+		ref      func(x *txn, idx []int, g uint64) string
 	}{
-		{"read missed address",
+		{"read missed address", false,
 			func(x *txn, a mem.Addr, _ []int, g uint64) error { return x.admit(&probe{a: uint64(a)}, g) },
 			refRead},
-		{"commit",
+		{"read-only read, repeats", true,
+			func(x *txn, a mem.Addr, _ []int, g uint64) error {
+				// readOnlyRead after its load.
+				if err := x.reconcile(&probe{a: uint64(a)}, g); err != nil {
+					return err
+				}
+				x.reads.add(uint64(a))
+				return nil
+			},
+			refRead},
+		{"commit", false,
 			func(x *txn, _ mem.Addr, _ []int, g uint64) error {
 				if !x.extend(g) {
 					return x.abort(tm.CodeWindow)
@@ -113,23 +128,33 @@ func TestExtendCallerPolicies(t *testing.T) {
 				// reference; both start from the same reads.
 				var xs [2]*txn
 				for th := range xs {
-					x, _ := r.Begin(th)
+					begin := r.Begin
+					if th == 0 && p.readOnly {
+						begin = r.BeginReadOnly
+					}
+					x, _ := begin(th)
 					xs[th] = x.(*txn)
 				}
-				for th := range xs {
-					for i := 0; i < readers; i++ {
-						if _, err := xs[th].Read(base + mem.Addr(i)); err != nil {
-							t.Fatal(err)
+				// read reads a on every thread, twice on a read-only one.
+				read := func(a mem.Addr) {
+					for th, x := range xs {
+						reps := 1
+						if x.readOnly {
+							reps = 2
+						}
+						for n := 0; n < reps; n++ {
+							if _, err := x.Read(a); err != nil {
+								t.Fatalf("thread %d: %v", th, err)
+							}
 						}
 					}
+				}
+				for i := 0; i < readers; i++ {
+					read(base + mem.Addr(i))
 				}
 				if h.miss {
 					write(2)
-					for th := range xs {
-						if _, err := xs[th].Read(base + 4); err != nil { // folds the overlap: missAny
-							t.Fatal(err)
-						}
-					}
+					read(base + 4) // folds the overlap: missAny
 					if !xs[0].missAny {
 						t.Fatal("setup: transaction not stale")
 					}
@@ -164,6 +189,20 @@ func TestExtendCallerPolicies(t *testing.T) {
 				}
 				if got == "" && xs[0].missAny && !xs[0].missSig.Equal(xs[1].missSig) {
 					t.Error("MissSet differs from the reference")
+				}
+				if xs[0].readOnly && len(xs[0].reads.addrs) <= len(xs[1].reads.addrs) {
+					t.Errorf("read-only read log holds %d addresses, the distinct set %d: no repeats kept",
+						len(xs[0].reads.addrs), len(xs[1].reads.addrs))
+				}
+				if p.readOnly && got == "" {
+					// The reference has not recorded a; the arm has.
+					xs[1].reads.insert(uint64(a))
+					for _, x := range xs {
+						x.reads.sign(r.hasher)
+					}
+					if !xs[0].reads.sig.Equal(xs[1].reads.sig) {
+						t.Error("read-set signature differs from the reference")
+					}
 				}
 				for _, x := range xs {
 					r.Abort(x) // a no-op on an attempt that already ended
@@ -200,7 +239,7 @@ func TestHardEngineErrorIsCounted(t *testing.T) {
 	nothingBehind := func(t *testing.T, r *TM, a mem.Addr) {
 		t.Helper()
 		for i := range r.updates {
-			if r.updates[i].active.Load() != 0 {
+			if r.armed.Load()&(1<<uint(i)) != 0 {
 				t.Errorf("update-set entry %d is still armed", i)
 			}
 		}

@@ -162,6 +162,50 @@ func TestEscalateGrantsOneIrrevocableTurn(t *testing.T) {
 	m.Abort(x2)
 }
 
+// TestEscalatedReadOnlyTurnIsIrrevocable: BeginReadOnly takes an escalation
+// as Begin does — the attempt runs irrevocably, holding the exclusive gate
+// until it commits, and the next one does not.
+func TestEscalatedReadOnlyTurnIsIrrevocable(t *testing.T) {
+	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 4})
+	defer m.Close()
+	a := m.Heap().MustAlloc(1)
+
+	m.Escalate(3)
+	x1, err := m.BeginReadOnly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x := x1.(*txn); !x.irrevocable || !x.readOnly {
+		t.Fatalf("escalated BeginReadOnly: irrevocable %v, read-only %v; want both", x.irrevocable, x.readOnly)
+	}
+	if m.gate.TryRLock() {
+		m.gate.RUnlock()
+		t.Fatal("the irrevocable read-only attempt does not hold the exclusive gate")
+	}
+	if _, err := x1.Read(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Commit(x1); err != nil {
+		t.Fatal(err)
+	}
+	if !m.gate.TryLock() {
+		t.Fatal("the gate was not released by the irrevocable read-only commit")
+	}
+	m.gate.Unlock()
+
+	x2, err := m.BeginReadOnly(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x2.(*txn).irrevocable {
+		t.Fatal("escalation was not consumed by the first BeginReadOnly")
+	}
+	m.Abort(x2)
+	if live, _ := m.PoolCheck(); live != 0 {
+		t.Errorf("PoolCheck live = %d, want 0", live)
+	}
+}
+
 // The watchdog must flag a transaction stuck past WatchdogAge and kill it
 // at its next safe point, without touching healthy successors.
 func TestWatchdogKillsStuckTransaction(t *testing.T) {

@@ -2,6 +2,7 @@ package rococotm
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
@@ -20,7 +21,7 @@ import (
 // The stage is the paper's §5.3 protocol after the verdict as four
 // functions, one implementation each:
 //
-//	arm      install the thread's update-set entry (seq, words, active);
+//	arm      install the thread's update-set entry (seq, words, armed bit);
 //	await    wait for the turn in commit-sequence order;
 //	publish  commit-queue signature, aggregate blocks, then the sinks
 //	         (CommitObserver, WAL + multi-version store);
@@ -28,13 +29,13 @@ import (
 //
 // Publication is strictly ordered; the redo-log drain is not. The
 // update-set entry is a commit-time lock that outlives the timestamp
-// release: active=1 is set before the commit-queue slot is published and
-// cleared only after write-back completes, so a reader that could observe a
-// pre-write-back heap word for a commit ≤ its snapshot necessarily sees the
-// active signature (or a changed GlobalTS) in its line-5-7 probe and retries
-// — exactly the spin it always ran. Write-after-write ordering between
+// release: its armed bit is set before the commit-queue slot is published
+// and cleared only after write-back completes, so a reader that could
+// observe a pre-write-back heap word for a commit ≤ its snapshot
+// necessarily sees the armed signature (or a changed GlobalTS) in its
+// line-5-7 probe and retries — exactly the spin it always ran. Write-after-write ordering between
 // concurrent write-backs is restored by awaitWriters: a committer drains its
-// redo log only after every active update-set entry with an earlier sequence
+// redo log only after every armed update-set entry with an earlier sequence
 // and a possibly overlapping write signature has released.
 //
 // The turn hand-off is batched. Every claimed sequence reaches publication,
@@ -110,8 +111,9 @@ type publication struct {
 
 // arm installs thread's update-set entry — the commit-time lock on the write
 // set ws, held until the caller's write-back completes. Order matters:
-// sequence, then words, then active, so awaitWriters on other threads can
-// key WAW ordering off a consistent entry.
+// sequence, then words, then the thread's bit of the armed word, so
+// awaitWriters on other threads can key WAW ordering off a consistent
+// entry.
 //
 //tm:hotpath
 func (r *TM) arm(thread int, seq uint64, ws sig.Sig) {
@@ -120,14 +122,32 @@ func (r *TM) arm(thread int, seq uint64, ws sig.Sig) {
 	for i, w := range ws.Words() {
 		u.words[i].Store(w)
 	}
-	u.active.Store(1)
+	r.setArmed(thread, true)
 }
 
 // disarm releases thread's update-set entry: the write-back has landed, or
 // the sequence was filled with a no-op and nothing will be written.
 //
 //tm:hotpath
-func (r *TM) disarm(thread int) { r.updates[thread].active.Store(0) }
+func (r *TM) disarm(thread int) { r.setArmed(thread, false) }
+
+// setArmed sets or clears thread's bit of the armed word: one
+// compare-and-swap unless another thread arms or disarms in between.
+//
+//tm:hotpath
+func (r *TM) setArmed(thread int, on bool) {
+	bit := uint64(1) << uint(thread)
+	for {
+		m := r.armed.Load()
+		n := m &^ bit
+		if on {
+			n |= bit
+		}
+		if r.armed.CompareAndSwap(m, n) {
+			return
+		}
+	}
+}
 
 // publishSlot publishes ws as commit seq's write signature in the
 // commit-queue ring (seqlock: ver 2seq+1 while writing, 2seq+2 final). pre
@@ -298,23 +318,20 @@ func (r *TM) lockLineSlow(line uint64) {
 // awaitWriters blocks until no in-flight write-back with an earlier
 // sequence may touch x's write set — the write-after-write half of
 // commit-time locking. Publication order guarantees every such entry was
-// fully published (sequence, then words, then active) before our own
+// fully published (sequence, then words, then armed bit) before our own
 // timestamp release, so the scan can never miss an earlier writer; an
 // entry that re-arms mid-scan carries a later sequence and is skipped.
 // Waiting only on strictly smaller sequences keeps the wait graph acyclic,
-// so the spin cannot deadlock: the smallest active sequence waits on
+// so the spin cannot deadlock: the smallest armed sequence waits on
 // nobody and always completes.
 //
 //tm:hotpath
 func (r *TM) awaitWriters(seq uint64, x *txn) {
 	for {
 		wait := false
-		for i := range r.updates {
-			if i == x.thread {
-				continue
-			}
-			u := &r.updates[i]
-			if u.active.Load() != 1 || u.seq.Load() >= seq {
+		for m := r.armed.Load() &^ (1 << uint(x.thread)); m != 0; m &= m - 1 {
+			u := &r.updates[bits.TrailingZeros64(m)]
+			if u.seq.Load() >= seq {
 				continue
 			}
 			if r.writerMayOverlap(u, x.writes.sig) {

@@ -26,7 +26,7 @@
 //     s. The other producer of a sequence, the hybrid fast publication,
 //     enters the same stage. The redo-log
 //     write-back is decoupled from it: it runs out of order across
-//     committers, with the update-set entry held active until the last word
+//     committers, with the update-set entry held armed until the last word
 //     lands, so readers spin past unfinished write-backs exactly as they
 //     spin past unreleased committers.
 //   - snapshot extension folds lagged commits through an aggregate
@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -72,8 +73,8 @@ type CommitObserver interface {
 
 // Config parameterizes the runtime.
 type Config struct {
-	// MaxThreads bounds thread ids (per-thread update-set slots);
-	// default 32.
+	// MaxThreads bounds thread ids (per-thread update-set slots, one bit
+	// each in the armed word); default 32, at most 64.
 	MaxThreads int
 	// Engine configures the FPGA validation pipeline; zero value uses the
 	// paper's deployment (W=64, 512-bit signatures).
@@ -120,6 +121,8 @@ const (
 	// readSpinLimit bounds the rounds a read waits on in-flight committers
 	// before it aborts.
 	readSpinLimit = 64
+	// maxThreads is the width of the armed word: one bit per thread.
+	maxThreads = 64
 )
 
 func (c *Config) fill() {
@@ -137,6 +140,9 @@ func (c *Config) fill() {
 // composes, or is rejected by a message naming both features. Zero fields
 // are legal (they select defaults).
 func (c Config) Validate(heap *mem.Heap) error {
+	if c.MaxThreads > maxThreads {
+		return fmt.Errorf("rococotm: MaxThreads %d exceeds %d, the bits of the update set's armed word", c.MaxThreads, maxThreads)
+	}
 	if err := c.Engine.Validate(); err != nil {
 		return fmt.Errorf("rococotm: Engine: %w", err)
 	}
@@ -178,16 +184,16 @@ type commitSlot struct {
 // updateSlot is one per-thread entry of the update set: the write
 // signature of a transaction between its FPGA verdict and the end of its
 // write-back — the commit-time lock of the decoupled pipeline, held
-// across the GlobalTS release. Readers probe individual bits with atomic
-// loads, so a slot being reinstalled can only yield a spurious hit (a
-// retry), never a torn miss: the owner stores seq and the new words
-// before flipping active to 1. seq orders concurrent write-backs
-// (pipeline.go awaitWriters keys WAW waits off it).
+// across the GlobalTS release. The entry counts while the thread's bit of
+// TM.armed is set. Readers probe individual bits with atomic loads, so a
+// slot being reinstalled can only yield a spurious hit (a retry), never a
+// torn miss: the owner stores seq and the new words before it sets its
+// bit. seq orders concurrent write-backs (pipeline.go awaitWriters keys
+// WAW waits off it).
 type updateSlot struct {
-	active atomic.Uint32
-	seq    atomic.Uint64
-	words  []atomic.Uint64
-	_      [5]uint64 // pad to keep hot slots off each other's cache line
+	seq   atomic.Uint64
+	words []atomic.Uint64
+	_     [4]uint64 // pad to 64 B: hot slots off each other's cache line
 }
 
 // TM is the ROCoCoTM runtime.
@@ -206,8 +212,12 @@ type TM struct {
 	wbHook   func(seq uint64, word int)
 
 	globalTS atomic.Uint64
-	commitQ  []commitSlot
-	updates  []updateSlot
+	// armed has bit i set while thread i's update-set entry is armed
+	// (pipeline.go arm, disarm): a probe that meets no committer loads this
+	// one word and visits no slot.
+	armed   atomic.Uint64
+	commitQ []commitSlot
+	updates []updateSlot
 	// preQ parallels commitQ: the handle a pre-publishing committer leaves
 	// for its releaser (pipeline.go publishSlot). Kept out of commitSlot so
 	// the slots readers scan stay two to a cache line.
@@ -454,8 +464,11 @@ type txn struct {
 	r       *TM
 	thread  int
 	attempt uint64 // this attempt's running word: live while r.live[thread] holds it
-	// irrevocable is the attempt's mode, fixed at Begin — not its liveness.
+	// irrevocable and readOnly are the attempt's modes, fixed at Begin —
+	// not its liveness. A read-only attempt (BeginReadOnly) writes nothing
+	// and keeps its read set as an append-only log.
 	irrevocable bool
+	readOnly    bool
 
 	localTS uint64 // commit-queue scan position
 	validTS uint64 // snapshot at which all reads are known consistent
@@ -467,6 +480,8 @@ type txn struct {
 	// pub is this commit as the publication stage sees it, filled once the
 	// verdict is in; a releasing predecessor may read it (pipeline.go).
 	pub publication
+
+	p probe // the current read's probe (Read, readOnlyRead)
 
 	missSig sig.Sig // MissSet
 	missAny bool
@@ -546,7 +561,19 @@ func ending(err error) tm.Code {
 }
 
 // Begin implements tm.TM.
-func (r *TM) Begin(thread int) (tm.Txn, error) {
+func (r *TM) Begin(thread int) (tm.Txn, error) { return r.begin(thread, false) }
+
+// BeginReadOnly implements tm.ReadOnlyBeginner: Begin for an attempt that
+// only reads. Its reads take Algorithm 1's steps and nothing else — no
+// redo-log lookup, and the read set is an address log with repeats kept,
+// since it never leaves the descriptor (the extension's signatures and
+// overlap verdicts are the same for a multiset) — its Write returns
+// tm.ErrReadOnlyWrite, and its Commit is the empty write set's.
+func (r *TM) BeginReadOnly(thread int) (tm.Txn, error) { return r.begin(thread, true) }
+
+// begin is Begin and BeginReadOnly: the liveness word, the escalation to an
+// irrevocable turn, and the recycled descriptor.
+func (r *TM) begin(thread int, readOnly bool) (tm.Txn, error) {
 	if thread < 0 || thread >= r.cfg.MaxThreads {
 		return nil, fmt.Errorf("rococotm: thread %d out of range [0,%d)", thread, r.cfg.MaxThreads)
 	}
@@ -581,27 +608,30 @@ func (r *TM) Begin(thread int) (tm.Txn, error) {
 		}
 	}
 	r.scratch[thread] = nil
-	x.irrevocable, x.attempt = irrevocable, attempt
+	x.irrevocable, x.readOnly, x.attempt = irrevocable, readOnly, attempt
 	x.reset(r.globalTS.Load())
 	return x, nil
 }
 
 // updateSetHits reports whether any in-flight committer's write signature
-// may contain the address of p (Algorithm 1 line 5). p hashes the address
-// only once an active entry is found, and at most once across the spin's
-// probes and the read's MissSet query, so a read that meets no committer
-// hashes nothing.
+// may contain the address of p (Algorithm 1 line 5). It visits only the
+// entries armed in the armed word and set in others, the reader's mask of
+// every thread but itself. p hashes the address only once it meets one,
+// and at most once across the spin's probes and the read's MissSet query,
+// so a read that meets no committer loads one word and hashes nothing.
 //
 //tm:hotpath
-func (r *TM) updateSetHits(p *probe, self int) bool {
-	for i := range r.updates {
-		if i == self {
-			continue
-		}
-		u := &r.updates[i]
-		if u.active.Load() != 1 {
-			continue
-		}
+func (r *TM) updateSetHits(p *probe, others uint64) bool {
+	m := r.armed.Load() & others
+	return m != 0 && r.armedHits(p, m)
+}
+
+// armedHits is updateSetHits over the entries whose bits are set in m.
+//
+//tm:hotpath
+func (r *TM) armedHits(p *probe, m uint64) bool {
+	for ; m != 0; m &= m - 1 {
+		u := &r.updates[bits.TrailingZeros64(m)]
 		hit := true
 		for _, bit := range p.indices(r.hasher) {
 			if u.words[bit>>6].Load()&(1<<uint(bit&63)) == 0 {
@@ -617,12 +647,21 @@ func (r *TM) updateSetHits(p *probe, self int) bool {
 }
 
 // probe is one read's address and its signature indices, computed at most
-// once and only when a consumer asks: an active update-set entry, or a
+// once and only when a consumer asks: an armed update-set entry, or a
 // non-empty MissSet.
 type probe struct {
 	a   uint64
 	k   int // len of the computed indices; 0 until hashed
 	idx [16]int
+}
+
+// probe returns the descriptor's probe, reset to a. It is reused, not built
+// per read: a fresh one would clear its indices on every read.
+//
+//tm:hotpath
+func (x *txn) probe(a mem.Addr) *probe {
+	x.p.a, x.p.k = uint64(a), 0
+	return &x.p
 }
 
 // indices returns a's signature indices, hashing on the first call.
@@ -664,6 +703,9 @@ func (r *TM) loadCommitSig(ts uint64, dst sig.Sig) bool {
 
 // Read implements tm.Txn — Algorithm 1, TM_READ.
 func (x *txn) Read(a mem.Addr) (mem.Word, error) {
+	if x.readOnly {
+		return x.readOnlyRead(a)
+	}
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return 0, x.stop(c, st)
 	}
@@ -674,14 +716,35 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 	// The read is hashed only if load meets a committer or admit a
 	// MissSet; the read-set signature is built by the extension that needs
 	// it (addrSet.sign).
-	p := probe{a: uint64(a)}
-	v, g1, err := x.load(a, &p)
+	p := x.probe(a)
+	v, g1, err := x.load(a, p)
 	if err != nil {
 		return 0, err
 	}
-	if err := x.admit(&p, g1); err != nil {
+	if err := x.admit(p, g1); err != nil {
 		return 0, err
 	}
+	return v, nil
+}
+
+// readOnlyRead is Read in a read-only attempt: Algorithm 1's steps alone.
+// There is no redo log to look up, and line 20 appends the address to the
+// read set's log.
+//
+//tm:hotpath
+func (x *txn) readOnlyRead(a mem.Addr) (mem.Word, error) {
+	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
+		return 0, x.stop(c, st)
+	}
+	p := x.probe(a)
+	v, g1, err := x.load(a, p)
+	if err != nil {
+		return 0, err
+	}
+	if err := x.reconcile(p, g1); err != nil {
+		return 0, err
+	}
+	x.reads.add(p.a)
 	return v, nil
 }
 
@@ -689,10 +752,13 @@ func (x *txn) Read(a mem.Addr) (mem.Word, error) {
 // that may be writing a, then loads it. g1 is the GlobalTS that bracketed
 // the accepted load — v is a's value as of every commit below g1, and says
 // nothing about commits from g1 on.
+//
+//tm:hotpath
 func (x *txn) load(a mem.Addr, p *probe) (v mem.Word, g1 uint64, err error) {
 	r := x.r
 	lt := r.lt
 	line := mem.LineOf(a)
+	others := ^(uint64(1) << uint(x.thread))
 	spins := 0
 	for {
 		// An irrevocable transaction is exempt from the spin limit: its
@@ -706,10 +772,10 @@ func (x *txn) load(a mem.Addr, p *probe) (v mem.Word, g1 uint64, err error) {
 		g1 = r.globalTS.Load()
 		// Line 5-7: commit-time locking — wait out committers that may be
 		// writing this address back (with the decoupled pipeline, a
-		// committer's entry stays active past its timestamp release, until
+		// committer's entry stays armed past its timestamp release, until
 		// its write-back lands). If we are already inconsistent (MissSet
 		// non-empty), waiting cannot help: abort (line 6).
-		if r.updateSetHits(p, x.thread) {
+		if r.updateSetHits(p, others) {
 			if x.missAny {
 				return 0, 0, x.abort(tm.CodeConflict)
 			}
@@ -741,7 +807,7 @@ func (x *txn) load(a mem.Addr, p *probe) (v mem.Word, g1 uint64, err error) {
 		v = r.heap.Load(a) // line 8
 		// Re-check: if a committer published or a commit completed while
 		// we read, the value may be torn or from an ambiguous snapshot.
-		if r.updateSetHits(p, x.thread) || r.globalTS.Load() != g1 {
+		if r.updateSetHits(p, others) || r.globalTS.Load() != g1 {
 			continue
 		}
 		if lt != nil && lt.Version(line) != lv {
@@ -752,9 +818,32 @@ func (x *txn) load(a mem.Addr, p *probe) (v mem.Word, g1 uint64, err error) {
 }
 
 // admit is Algorithm 1 lines 9-20 for a value of p's address that load
-// accepted under g1: extend the snapshot or grow the miss set, then record
-// the read.
+// accepted under g1: reconcile, then record the read in the read set.
 func (x *txn) admit(p *probe, g1 uint64) error {
+	if err := x.reconcile(p, g1); err != nil {
+		return err
+	}
+	x.reads.insert(p.a) // line 20: record the read
+	return nil
+}
+
+// reconcile is Algorithm 1 lines 9-19 for a value of p's address that load
+// accepted under g1: extend the snapshot or grow the miss set, and abort if
+// the address is in it.
+//
+//tm:hotpath
+func (x *txn) reconcile(p *probe, g1 uint64) error {
+	if x.localTS >= g1 && !x.missAny {
+		return nil // nothing committed since localTS, nothing missed
+	}
+	return x.reconcileLagged(p, g1)
+}
+
+// reconcileLagged is reconcile for a transaction whose snapshot lags g1 or
+// that has missed a commit.
+//
+//tm:hotpath
+func (x *txn) reconcileLagged(p *probe, g1 uint64) error {
 	// Lines 9-19, extend (agg.go), unless nothing committed since localTS
 	// (one compare on the common path). The fold stops at g1, not at the
 	// live GlobalTS: a is not in the read set yet, so a commit in
@@ -767,12 +856,15 @@ func (x *txn) admit(p *probe, g1 uint64) error {
 	if x.missAny && x.missSig.QueryIdx(p.indices(x.r.hasher)) {
 		return x.abort(tm.CodeConflict) // line 17: torn snapshot
 	}
-	x.reads.insert(p.a) // line 20: record the read
 	return nil
 }
 
-// Write implements tm.Txn — Algorithm 1, TM_WRITE.
+// Write implements tm.Txn — Algorithm 1, TM_WRITE. A read-only attempt
+// refuses it.
 func (x *txn) Write(a mem.Addr, v mem.Word) error {
+	if x.readOnly {
+		return tm.ErrReadOnlyWrite
+	}
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
 		return x.stop(c, st)
 	}
@@ -886,6 +978,7 @@ func (r *TM) Abort(t tm.Txn) {
 }
 
 var (
-	_ tm.TM        = (*TM)(nil)
-	_ tm.Escalator = (*TM)(nil)
+	_ tm.TM               = (*TM)(nil)
+	_ tm.Escalator        = (*TM)(nil)
+	_ tm.ReadOnlyBeginner = (*TM)(nil)
 )

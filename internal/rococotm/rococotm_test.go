@@ -1,13 +1,19 @@
 package rococotm
 
 import (
+	"fmt"
+	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rococotm/internal/fpga"
 	"rococotm/internal/mem"
 	"rococotm/internal/tm"
 	"rococotm/internal/tm/tmtest"
+	"rococotm/internal/tmds"
 )
 
 func factory() tm.TM {
@@ -539,6 +545,91 @@ func TestHistorySerializableWithReaders(t *testing.T) {
 	// into the commit order, so this passes too; it would only diverge
 	// under blind-write reorderings (documented in DESIGN.md).
 	tmtest.HistorySerializable(t, factory, tmtest.HistoryOptions{Readers: true, Seed: 5})
+}
+
+// TestReadOnlyScansConserve is the value oracle of the read-only attempt:
+// tm.RunReadOnly conservation scans of a smallbank race SendPayment writers
+// on a runtime without snapshots, at GOMAXPROCS 1 and 2, so every scan runs
+// as a BeginReadOnly attempt against live commits. A scan that reaches its
+// end commits, so each one must see the conserved total; every scan must
+// terminate, and no attempt may be left live.
+func TestReadOnlyScansConserve(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprint("procs", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			const (
+				accounts = 16
+				writers  = 2
+				scanners = 2
+				scans    = 1000
+			)
+			m := New(mem.NewHeap(1<<10), Config{MaxThreads: writers + scanners})
+			defer m.Close()
+			bank, err := tmds.NewSmallBank(m.Heap(), accounts, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stop atomic.Bool
+			var wrote atomic.Uint64
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(th int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(th) + 1))
+					for !stop.Load() {
+						from, to := rng.Intn(accounts), rng.Intn(accounts)
+						amt := mem.Word(rng.Intn(20) + 1)
+						if err := tm.Run(m, th, func(x tm.Txn) error {
+							return bank.SendPayment(x, from, to, amt)
+						}); err != nil {
+							t.Errorf("writer %d: %v", th, err)
+							return
+						}
+						wrote.Add(1)
+					}
+				}(w)
+			}
+			scan := func(x tm.Txn) error {
+				if !x.(*txn).readOnly {
+					t.Error("RunReadOnly did not begin a read-only attempt")
+				}
+				return bank.CheckConservation(x)
+			}
+			var scanning sync.WaitGroup
+			for s := 0; s < scanners; s++ {
+				scanning.Add(1)
+				go func(th int) {
+					defer scanning.Done()
+					for i := 0; i < scans; i++ {
+						if err := tm.RunReadOnly(m, th, scan); err != nil {
+							t.Errorf("scan %d on thread %d: %v", i, th, err)
+							return
+						}
+					}
+				}(writers + s)
+			}
+			done := make(chan struct{})
+			go func() { scanning.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(time.Minute):
+				stop.Store(true)
+				t.Fatal("read-only scans did not terminate within a minute")
+			}
+			stop.Store(true)
+			wg.Wait()
+			if wrote.Load() == 0 {
+				t.Error("no writer committed while the scans ran")
+			}
+			if live, _ := m.PoolCheck(); live != 0 {
+				t.Errorf("PoolCheck live = %d, want 0", live)
+			}
+			if st := m.Stats(); st.Starts != st.Commits+st.Aborts {
+				t.Errorf("Starts %d != Commits %d + Aborts %d", st.Starts, st.Commits, st.Aborts)
+			}
+		})
+	}
 }
 
 // TestSoak is a longer randomized stress run across all the runtime's

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rococotm/internal/mem"
 	"rococotm/internal/mvstore"
@@ -83,8 +84,8 @@ func TestGroupReleaseFeedsSinks(t *testing.T) {
 	if <-waiter {
 		t.Fatal("successor's await held the turn; want released by the group")
 	}
-	r.updates[0].active.Store(0)
-	r.updates[1].active.Store(0)
+	r.disarm(0)
+	r.disarm(1)
 
 	want := []obsCall{
 		{s, p0.validTS, p0.reads, p0.writes},
@@ -207,7 +208,7 @@ func TestCommitPathsDisarm(t *testing.T) {
 	disarmed := func(t *testing.T, r *TM) {
 		t.Helper()
 		for i := range r.updates {
-			if r.updates[i].active.Load() != 0 {
+			if r.armed.Load()&(1<<uint(i)) != 0 {
 				t.Errorf("thread %d's update-set entry is still armed", i)
 			}
 		}
@@ -248,6 +249,20 @@ func TestCommitPathsDisarm(t *testing.T) {
 		}
 		disarmed(t, r)
 	})
+}
+
+// TestHotSlotsFillCacheLines: the per-thread entries other threads poll —
+// update-set slots and liveness words — are whole multiples of a 64-byte
+// line, so neighbouring threads' entries never share one.
+func TestHotSlotsFillCacheLines(t *testing.T) {
+	for name, size := range map[string]uintptr{
+		"updateSlot": unsafe.Sizeof(updateSlot{}),
+		"liveWord":   unsafe.Sizeof(liveWord{}),
+	} {
+		if size%64 != 0 {
+			t.Errorf("%s is %d B, not a multiple of 64", name, size)
+		}
+	}
 }
 
 // TestSignatureRingsSeqlock: a slot of the commit queue or of the aggregate

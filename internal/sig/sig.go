@@ -298,10 +298,12 @@ func (s Sig) Equal(o Sig) bool {
 func (s Sig) Words() []uint64 { return s.w }
 
 // FromWords wraps an existing word slice as a signature for cfg (aliased,
-// not copied). len(w) must equal cfg.Words().
+// not copied). len(w) must equal cfg.Words(). The panic message is a
+// constant for sameLen's reason: rococotm's read path cuts sub-signatures
+// with it.
 func FromWords(cfg Config, w []uint64) Sig {
 	if len(w) != cfg.Words() {
-		panic(fmt.Sprintf("sig: FromWords got %d words, want %d", len(w), cfg.Words()))
+		panic("sig: FromWords got a word count that is not the geometry's")
 	}
 	return Sig{pw: cfg.PartitionBits() / 64, w: w}
 }

@@ -138,10 +138,10 @@ func autoSite(m TM, skip int) siteID {
 // RunSite is Run with an explicit site ID. On runtimes without SiteRunner
 // the site is ignored and RunSite behaves exactly like Run.
 func RunSite(m TM, thread int, site uint64, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, siteID{id: site, ok: true}, DefaultBackoff, fn)
+	return runLoop(bound{}, m, thread, siteID{id: site, ok: true}, nil, DefaultBackoff, fn)
 }
 
 // RunSiteBackoff is RunSite with an explicit backoff policy.
 func RunSiteBackoff(m TM, thread int, site uint64, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, siteID{id: site, ok: true}, pol, fn)
+	return runLoop(bound{}, m, thread, siteID{id: site, ok: true}, nil, pol, fn)
 }

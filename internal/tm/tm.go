@@ -113,17 +113,28 @@ type Snapshotter interface {
 // abort, so the run fails instead of retrying.
 var ErrReadOnlyWrite = errors.New("tm: write inside a read-only transaction")
 
+// ReadOnlyBeginner is implemented by runtimes with a native read-only
+// attempt (ROCoCoTM: Algorithm 1's read path with nothing kept for a
+// commit it will never validate). BeginReadOnly is Begin for an attempt
+// whose Write returns ErrReadOnlyWrite; escalation and lifecycle are
+// Begin's.
+type ReadOnlyBeginner interface {
+	BeginReadOnly(thread int) (Txn, error)
+}
+
 // RunReadOnly executes fn as a read-only transaction. On runtimes that
 // implement Snapshotter, fn runs against a pinned snapshot: its reads can
 // never conflict, never spin on in-flight committers, and never abort, and
 // the execution never enters the validation engine — it returns exactly
 // fn's error, with no retry loop at all. Otherwise fn runs in the retry
-// loop as an ordinary transaction (whose empty write set commits on the
-// CPU fast path). Either way, a Write inside fn fails the run with
-// ErrReadOnlyWrite.
+// loop as an ordinary transaction whose empty write set commits on the
+// CPU fast path: begun by BeginReadOnly on a ReadOnlyBeginner, by Begin
+// (through one shared site on a SiteRunner) elsewhere. Either way, a
+// Write inside fn fails the run with ErrReadOnlyWrite.
 //
-// Cost beyond fn's reads and the runtime's own work: one allocation, the
-// Txn handed to fn, and no stack walk. On a SiteRunner every fallback
+// Cost beyond fn's reads and the runtime's own work: nothing on a
+// ReadOnlyBeginner; elsewhere one allocation, the write-rejecting Txn
+// handed to fn. There is no stack walk. On a SiteRunner every fallback
 // routes through one shared site, the entry PC of RunReadOnly;
 // applications that want read-only work routed per call site use RunSite.
 func RunReadOnly(m TM, thread int, fn func(Txn) error) error {
@@ -134,7 +145,10 @@ func RunReadOnly(m TM, thread int, fn func(Txn) error) error {
 			return fn(&x)
 		}
 	}
-	return runLoop(bound{}, m, thread, siteID{id: roSite, ok: true}, DefaultBackoff, func(t Txn) error {
+	if rb, ok := m.(ReadOnlyBeginner); ok {
+		return runLoop(bound{}, m, thread, siteID{}, rb, DefaultBackoff, fn)
+	}
+	return runLoop(bound{}, m, thread, siteID{id: roSite, ok: true}, nil, DefaultBackoff, func(t Txn) error {
 		return fn(roTxn{t})
 	})
 }
@@ -159,8 +173,9 @@ func (x *snapTxn) Read(a mem.Addr) (mem.Word, error) { return x.s.Read(a), nil }
 // Write always fails: the transaction is read-only.
 func (x *snapTxn) Write(mem.Addr, mem.Word) error { return ErrReadOnlyWrite }
 
-// roTxn is the transactional fallback's write-rejecting wrapper, keeping
-// RunReadOnly semantics identical on runtimes without snapshots.
+// roTxn is the write-rejecting wrapper RunReadOnly hands fn on runtimes
+// with neither snapshots nor BeginReadOnly, keeping its semantics
+// identical there.
 type roTxn struct{ t Txn }
 
 func (x roTxn) Read(a mem.Addr) (mem.Word, error) { return x.t.Read(a) }
@@ -473,12 +488,12 @@ func wait(rg *rng, code Code, attempt int) {
 // without SiteRunner; on one with it, a one-frame stack read for the
 // caller's PC (autoSite), which allocates nothing.
 func Run(m TM, thread int, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, autoSite(m, 2), DefaultBackoff, fn)
+	return runLoop(bound{}, m, thread, autoSite(m, 2), nil, DefaultBackoff, fn)
 }
 
 // RunBackoff is Run with an explicit backoff policy.
 func RunBackoff(m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, autoSite(m, 2), pol, fn)
+	return runLoop(bound{}, m, thread, autoSite(m, 2), nil, pol, fn)
 }
 
 // RunCtx is Run with cancellation: the context's deadline/cancel is
@@ -492,7 +507,7 @@ func RunCtx(ctx context.Context, m TM, thread int, fn func(Txn) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return runLoop(bound{ctx: ctx}, m, thread, autoSite(m, 2), DefaultBackoff, fn)
+	return runLoop(bound{ctx: ctx}, m, thread, autoSite(m, 2), nil, DefaultBackoff, fn)
 }
 
 // RunUntil is Run with a deadline and an explicit backoff policy. The
@@ -503,7 +518,7 @@ func RunCtx(ctx context.Context, m TM, thread int, fn func(Txn) error) error {
 // context.DeadlineExceeded is returned; as with RunCtx, a committed
 // attempt is never undone.
 func RunUntil(dead time.Time, m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(bound{dead: dead}, m, thread, autoSite(m, 2), pol, fn)
+	return runLoop(bound{dead: dead}, m, thread, autoSite(m, 2), nil, pol, fn)
 }
 
 // bound is what ends a retry loop early: a context (RunCtx, observed at
@@ -527,13 +542,14 @@ func (b *bound) err() error {
 	return nil
 }
 
-// runLoop is the shared retry loop behind Run, RunCtx and RunUntil. The
-// zero bound means no cancellation (plain Run): the hot path then carries
-// no cancellation checks. site routes every attempt of this loop through
-// SiteRunner.BeginSite when both the site and the runtime support it, so
-// per-site statistics see the whole retry history of one logical
-// transaction.
-func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(Txn) error) error {
+// runLoop is the shared retry loop behind Run, RunCtx, RunUntil and
+// RunReadOnly. The zero bound means no cancellation (plain Run): the hot
+// path then carries no cancellation checks. A non-nil ro begins every
+// attempt of this loop read-only through it (m's own BeginReadOnly);
+// otherwise site routes every attempt through SiteRunner.BeginSite when
+// both the site and the runtime support it, so per-site statistics see the
+// whole retry history of one logical transaction.
+func runLoop(b bound, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol BackoffPolicy, fn func(Txn) error) error {
 	pol.fill()
 	attempt := 0   // drives the backoff exponent
 	contended := 0 // drives escalation: attempt less engine and watchdog aborts
@@ -557,9 +573,12 @@ func runLoop(b bound, m TM, thread int, site siteID, pol BackoffPolicy, fn func(
 		}
 		var t Txn
 		var err error
-		if useSite {
+		switch {
+		case ro != nil:
+			t, err = ro.BeginReadOnly(thread)
+		case useSite:
 			t, err = sr.BeginSite(thread, site.id)
-		} else {
+		default:
 			t, err = m.Begin(thread)
 		}
 		if err != nil {

@@ -45,7 +45,9 @@
 #                    and PoolCheck are TestChaosRecoverDurable     (~10s)
 #   7. oracle lane — the lost-update oracles (counter hammers, bank
 #                    conservation, soaks, value-reconstructed history
-#                    checks, torn-read probes, the hybrid mixed-path pair)
+#                    checks, torn-read probes, the hybrid mixed-path pair,
+#                    read-only attempts' conservation scans against live
+#                    writers)
 #                    and the liveness-word tests (the transition table,
 #                    the doomer-vs-owner hammer, the watchdog and
 #                    PoolCheck tests: a remote doom CAS racing the
@@ -131,10 +133,10 @@ go run ./cmd/tmlint -summary -hotalloc ./...
 echo "== recovery-chaos lane: go test -race -run Chaos -count=2 ./internal/fault/..."
 go test -race -run Chaos -count=2 ./internal/fault/...
 
-echo "== oracle lane: lost-update oracles + liveness word + serve + durable + snapshot reads x GOMAXPROCS {1,2} x -count=10"
+echo "== oracle lane: lost-update oracles + read-only scans + liveness word + serve + durable + snapshot reads x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
-        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
+        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestReadOnlyScansConserve|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
         ./internal/rococotm/... ./internal/hybrid/...
     GOMAXPROCS=$procs go test -count=10 -run 'TestServe' ./internal/serve/...
     GOMAXPROCS=$procs go test -count=10 -run 'TestDurable|TestSnapshotReadsNeverAbort' \
