@@ -24,54 +24,49 @@
 // round trip would cost, so the timing harness can charge them without the
 // host actually sleeping.
 //
-// # Who runs the pipeline: the committer
+// # Who runs the pipeline: the committer, under one lock
 //
 // The paper hides the CCI round trip behind asynchronous queues because its
 // validator is a separate device. Here the validator is a function, and a
 // hand-off to a helper goroutine costs more than the validation, so the
-// committer runs it. A lone committer — the ring empty and Engine.mu free —
-// runs Process in place and touches no queue or mailbox. Otherwise
-// Engine.Validate pushes the request into the submission ring (ring.go),
-// then TryLocks Engine.mu. Whoever holds the lock drains the ring — at most
-// queueDepth requests per acquisition, one Stats.Batches tick per drain —
-// and posts every verdict to its owner's VerdictSlot (slot.go); losers poll
-// their own slot, yield, and park only behind the no-stranding handshake
-// documented on combine. The package starts no goroutine, and
-// nothing on the path allocates in steady state. Batching is what
-// concurrency leaves in the ring, not queueing delay: a direct call counts
-// as a batch of one. The modelled clock (Verdict.ModelNanos plus
-// RoundTripNanos) is charged as if the request had crossed the link.
+// committer runs it: Engine.Validate takes Engine.mu, runs Process and
+// releases the lock. Validation is a critical section; a committer that
+// finds it held waits in sync.Mutex, which spins briefly and then parks.
+// There is no queue and no mailbox between a committer and its verdict, the
+// package starts no goroutine, and nothing on the path allocates in steady
+// state. The modelled clock (Verdict.ModelNanos plus RoundTripNanos) is
+// charged as if the request had crossed the link.
 //
 // # Failure semantics
 //
-// Close stops the engine: every request already accepted into the ring
-// receives a terminal ReasonClosed verdict before Close returns — none is
-// silently stranded — and later calls fail with ErrClosed. Restart brings
-// the engine back with an *empty* window rebased at a caller-supplied
-// sequence (window state does not survive; the host supplies its commit
-// count so verdicts re-align with the global commit order). Transactions
-// whose snapshots predate the rebased window abort with a window verdict,
-// which keeps serializability across the gap.
+// Close stops the engine. It takes Engine.mu, so a validation in progress
+// finishes with a real verdict before Close returns; later Validate and
+// RecordFast calls fail with ErrClosed. With no queue, no request is ever
+// accepted and left unanswered, so the engine never issues ReasonClosed
+// (the cycle-level RTL model still does, for requests its Flush drops from
+// the pipeline). Restart brings the engine back with an *empty* window
+// rebased at a caller-supplied sequence (window state does not survive;
+// the host supplies its commit count so verdicts re-align with the global
+// commit order). Transactions whose snapshots predate the rebased window
+// abort with a window verdict, which keeps serializability across the gap.
 package fpga
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"rococotm/internal/core"
 	"rococotm/internal/sig"
 )
 
-// Verdict reasons. An engine verdict carries exactly one of these when
-// !OK; ReasonClosed additionally marks the terminal verdicts delivered to
-// requests stranded by Close.
+// Verdict reasons. An engine verdict carries ReasonCycle or ReasonWindow
+// when !OK; ReasonClosed marks the terminal verdicts RTL.Flush delivers to
+// requests it drops from its pipeline.
 const (
 	ReasonCycle  = "cycle"  // ROCoCo validation found a dependency cycle
 	ReasonWindow = "window" // snapshot predates the tracked window (§4.2)
-	ReasonClosed = "closed" // engine stopped before validating the request
+	ReasonClosed = "closed" // pipeline flushed before validating the request
 )
 
 // ErrClosed reports that the engine is not running.
@@ -81,22 +76,19 @@ var ErrClosed = errors.New("fpga: engine closed")
 // deployment's 64, one machine word per matrix row.
 const MaxW = 64
 
-// queueDepth is the pull-queue buffering: one slot per entry of the largest
-// window, like the hardware, so a full window of validations can be
-// outstanding.
-const queueDepth = MaxW
-
 // Config parameterizes the engine.
 type Config struct {
-	// W is the sliding-window capacity; 1..MaxW. Default core.DefaultW = 64.
-	W int
+	// w is the sliding-window capacity; 1..MaxW, zero selects
+	// core.DefaultW = 64, the paper's deployment. Only this package's tests
+	// shrink it.
+	w int
 	// Sig is the signature geometry; default sig.Default512.
 	Sig sig.Config
 }
 
 func (c *Config) fill() {
-	if c.W == 0 {
-		c.W = core.DefaultW
+	if c.w == 0 {
+		c.w = core.DefaultW
 	}
 	if c.Sig == (sig.Config{}) {
 		c.Sig = sig.Default512
@@ -106,8 +98,8 @@ func (c *Config) fill() {
 // Validate rejects configurations that would misbehave at runtime with a
 // descriptive error. Zero fields are legal (they select defaults).
 func (c Config) Validate() error {
-	if c.W < 0 || c.W > MaxW {
-		return fmt.Errorf("fpga: window size W=%d out of range [1,%d] (0 selects the default %d)", c.W, MaxW, core.DefaultW)
+	if c.w < 0 || c.w > MaxW {
+		return fmt.Errorf("fpga: window size W=%d out of range [1,%d] (0 selects the default %d)", c.w, MaxW, core.DefaultW)
 	}
 	return nil
 }
@@ -121,40 +113,12 @@ type Request struct {
 	// sequence < ValidTS were visible to its reads.
 	ValidTS uint64
 	// ReadAddrs and WriteAddrs are the transaction's footprint. The engine
-	// only reads them and releases its references once the verdict is
-	// delivered, which is before Validate returns.
+	// only reads them and keeps no reference once Validate returns.
 	ReadAddrs  []uint64
 	WriteAddrs []uint64
-	// Slot, when non-nil, is the caller's own verdict mailbox, passed
-	// unarmed. Validate arms it with Prepare, storing the generation in
-	// Gen, only when the request is queued; the direct path never touches
-	// it. A queued request without one borrows a pooled slot. Whoever
-	// posts a queued request's verdict delivers it to Slot at Gen.
-	Slot *VerdictSlot
-	Gen  uint64
-	// Reply receives exactly one verdict when Slot is nil — how the
-	// standalone cycle-level model (rtl.go) answers. Must have capacity
-	// ≥ 1. Validate ignores it.
+	// Reply receives exactly one verdict from the standalone cycle-level
+	// model (rtl.go); it must have capacity ≥ 1. Validate ignores it.
 	Reply chan Verdict
-}
-
-// Deliver routes v to the request's verdict sink — the armed slot
-// generation when Slot is set, the buffered Reply channel otherwise. It
-// reports whether the sink accepted the verdict; false means the verdict
-// is a duplicate (the waiter already got one) and has been dropped, which
-// is the transport's at-most-once contract.
-func (r *Request) Deliver(v Verdict) bool {
-	if r.Slot != nil {
-		return r.Slot.publish(r.Gen, v)
-	}
-	if r.Reply != nil {
-		select {
-		case r.Reply <- v:
-			return true
-		default:
-		}
-	}
-	return false
 }
 
 // Verdict is the engine's decision for one request.
@@ -176,50 +140,29 @@ type Stats struct {
 	Commits      uint64
 	CycleAborts  uint64
 	WindowAborts uint64
-	// Probes counted health-check requests. The engine has none, so it
-	// stays 0; the field is kept for the readers of this struct.
-	Probes uint64
 	// ModelCycles is the total modeled pipeline occupancy.
 	ModelCycles uint64
 	// Restarts counts Restart calls (Engine only; a Restart resets the
 	// window but keeps cumulative counters).
 	Restarts uint64
-	// Batches counts drain groups (one per combiner lock acquisition that
-	// validated anything); Requests over Batches is the mean batch
-	// occupancy. MaxBatch is the largest single group.
-	Batches  uint64
-	MaxBatch uint64
-	// QueuePeak is the high-water submission-queue occupancy observed at
-	// drain time (batch taken plus what was still queued behind it) — the
-	// host-side view of pipeline pressure.
+	// Probes, Batches and QueuePeak described health checks and the
+	// submission queue's drain groups. The engine has neither, so they
+	// stay 0; the fields are kept for the readers of this struct.
+	Probes    uint64
+	Batches   uint64
 	QueuePeak uint64
 }
-
-// port is one incarnation of the engine's submission ring. Close stops it;
-// Restart installs a fresh one, so a request accepted by a stopped
-// incarnation is never validated against the next one's window.
-type port struct {
-	ring    *ring
-	stopped atomic.Bool
-}
-
-func newPort(depth int) *port { return &port{ring: newRing(depth)} }
 
 // Engine is the running validation pipeline. Create with Start, stop with
 // Close, bring back with Restart.
 type Engine struct {
 	cfg    Config
 	hasher *sig.Hasher
-	port   atomic.Pointer[port]
-	// depth is queueDepth: the ring capacity and the most requests one
-	// drain answers. A test seam (export_test.go) shrinks it.
-	depth int
 
-	life sync.Mutex // serializes Close/Restart transitions
-
-	mu       sync.Mutex // guards pl (and serializes direct Process calls)
+	mu       sync.Mutex // guards the fields below; one Process at a time
 	pl       *Pipeline
 	restarts uint64
+	stopped  bool
 }
 
 // Start builds the engine. It fails if the configuration is invalid (see
@@ -229,14 +172,7 @@ func Start(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:    pl.Config(),
-		hasher: pl.Hasher(),
-		depth:  queueDepth,
-		pl:     pl,
-	}
-	e.port.Store(newPort(e.depth))
-	return e, nil
+	return &Engine{cfg: pl.Config(), hasher: pl.Hasher(), pl: pl}, nil
 }
 
 // Config returns the engine's (filled) configuration.
@@ -246,208 +182,47 @@ func (e *Engine) Config() Config { return e.cfg }
 // sides compute identical signatures.
 func (e *Engine) Hasher() *sig.Hasher { return e.hasher }
 
-// enqueue pushes r onto the port's ring, yielding while the ring is full.
-// The pushing committers themselves consume the ring, so the wait is
-// bounded. A push that lands after Close's final sweep is swept here, so
-// the request still receives its terminal verdict; sinks reject duplicate
-// deliveries and the ring dequeue is CAS-based, so concurrent sweeps are
-// safe.
-func (e *Engine) enqueue(p *port, r Request) error {
-	for {
-		if p.stopped.Load() {
-			return ErrClosed
-		}
-		if p.ring.tryPush(r) {
-			if p.stopped.Load() {
-				sweep(p)
-			}
-			return nil
-		}
-		runtime.Gosched()
-	}
-}
-
-// sweep drains whatever sits in a stopped port's queue, answering each
-// request with a terminal closed verdict.
-func sweep(p *port) {
-	for {
-		r, ok := p.ring.tryPop()
-		if !ok {
-			return
-		}
-		r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed})
-	}
-}
-
-// Validate answers one request synchronously. A caller that finds the
-// ring empty and the pipeline lock free runs Process in place: no slot is
-// armed, nothing is queued, and unlock keeps the no-stranding rule for
-// anyone who queued meanwhile. Otherwise it is a flat-combining validator:
-// the caller enqueues its request, then competes for the pipeline lock;
-// whoever holds the lock validates everything queued and posts each verdict
-// to its owner's slot, so no goroutine switch sits between a committer and
-// its verdict.
+// Validate answers one request synchronously: the caller runs the pipeline
+// under the engine lock. It fails with ErrClosed on a stopped engine.
 //
-// A queued request without a slot borrows a pooled one, so the call is
-// allocation-free in steady state. If the engine stops before answering,
-// the request's terminal ReasonClosed verdict is returned; ErrClosed is
-// returned only when the request was never accepted.
+//tm:hotpath
 func (e *Engine) Validate(r Request) (Verdict, error) {
-	p := e.port.Load()
-	if p.ring.size() == 0 && e.mu.TryLock() {
-		if p.stopped.Load() {
-			e.unlock()
-			return Verdict{}, ErrClosed
-		}
-		v := e.pl.Process(r)
-		e.pl.noteBatch(1, 1)
-		e.unlock()
-		return v, nil
-	}
-	var pooled *VerdictSlot
-	if r.Slot == nil {
-		pooled = slotPool.Get().(*VerdictSlot)
-		r.Slot = pooled
-	}
-	r.Gen = r.Slot.Prepare()
-	var v Verdict
-	err := e.enqueue(p, r)
-	if err == nil {
-		v = e.combine(p, r.Slot, r.Gen)
-	}
-	if pooled != nil {
-		slotPool.Put(pooled)
-	}
-	return v, err
-}
-
-// combine waits for generation gen's verdict on s, running the pipeline
-// itself whenever the lock is free. The caller has already enqueued its
-// request on p.
-//
-// No request is stranded. A waiter that loses TryLock observed a holder;
-// every holder re-checks the ring after unlocking (unlock), and the
-// waiter's push precedes its failed TryLock, so that re-check sees the
-// request. A waiter that wins the lock and finds the ring empty has had its
-// request popped by a sweep that has not delivered yet — Close and a
-// committer racing it pop without the lock — and must give that sweeper the
-// processor rather than spin on the free lock. Either way a waiter parks
-// only after raising s.parked and coming up empty once more: whoever holds
-// its request publishes the verdict and — the slot's Dekker handshake —
-// either the waiter's TryTake sees it or the publisher sees parked and
-// wakes the waiter.
-//
-//tm:hotpath
-func (e *Engine) combine(p *port, s *VerdictSlot, gen uint64) Verdict {
-	for spin := 0; ; spin++ {
-		if v, ok := s.TryTake(gen); ok {
-			return v
-		}
-		park := spin >= slotSpin
-		if park {
-			s.parked.Store(1)
-		}
-		idle := true
-		if e.mu.TryLock() {
-			idle = e.drain(p) == 0
-			e.unlock()
-		}
-		switch {
-		case !idle: // validated something, maybe our own: poll again
-		case park:
-			if _, ok := s.TryTake(gen); !ok {
-				<-s.wake // tokens can be stale; the loop re-checks
-			}
-		case spin > 32:
-			runtime.Gosched()
-		}
-		if park {
-			s.parked.Store(0)
-		}
-	}
-}
-
-// unlock releases the pipeline lock and keeps the combiner's no-stranding
-// rule on behalf of every holder, combining or not: a committer may have
-// enqueued and lost TryLock while the lock was held, so the ring is
-// re-checked after the release and drained if anything is there.
-//
-//tm:hotpath
-func (e *Engine) unlock() {
-	e.mu.Unlock()
-	p := e.port.Load()
-	for p.ring.size() > 0 && e.mu.TryLock() {
-		e.drain(p)
-		e.mu.Unlock()
-	}
-}
-
-// drain validates up to depth queued requests and posts their
-// verdicts, returning how many it answered; the caller holds e.mu. On a
-// stopped port it answers with terminal verdicts instead — the window
-// belongs to the next incarnation.
-//
-//tm:hotpath
-func (e *Engine) drain(p *port) int {
-	n := 0
-	for ; n < e.depth; n++ {
-		r, ok := p.ring.tryPop()
-		if !ok {
-			break
-		}
-		if p.stopped.Load() {
-			r.Deliver(Verdict{Token: r.Token, Reason: ReasonClosed})
-			sweep(p)
-			return n + 1
-		}
-		r.Deliver(e.pl.Process(r))
-	}
-	if n > 0 {
-		e.pl.noteBatch(n, n+p.ring.size())
-	}
-	return n
-}
-
-// Close stops the engine. Every request already accepted into the ring
-// receives a terminal ReasonClosed verdict before Close returns; later
-// Validate and RecordFast calls fail with ErrClosed until a Restart.
-func (e *Engine) Close() {
-	e.life.Lock()
-	defer e.life.Unlock()
-	e.closeLocked()
-}
-
-func (e *Engine) closeLocked() {
-	p := e.port.Load()
-	p.stopped.Store(true)
-	// A combiner that popped a request before the stop still answers it
-	// with a real verdict; wait it out so nothing is in flight on return.
 	e.mu.Lock()
+	if e.stopped {
+		e.mu.Unlock()
+		return Verdict{}, ErrClosed
+	}
+	v := e.pl.Process(r)
 	e.mu.Unlock()
-	sweep(p) // catch requests that raced past the final drains
+	return v, nil
+}
+
+// Close stops the engine. A validation in progress finishes before Close
+// returns; later Validate and RecordFast calls fail with ErrClosed until a
+// Restart.
+func (e *Engine) Close() {
+	e.mu.Lock()
+	e.stopped = true
+	e.mu.Unlock()
 }
 
 // Restart brings the engine (back) up with an empty window rebased at
 // next: the caller supplies its commit count so future sequence numbers
 // line up with the global commit order. Cumulative statistics survive;
-// window contents do not. Restart of a running engine closes it first.
+// window contents do not. Restart of a running engine flushes its window
+// the same way.
 func (e *Engine) Restart(next uint64) {
-	e.life.Lock()
-	defer e.life.Unlock()
-	e.closeLocked()
-
 	e.mu.Lock()
 	e.pl.ResetAt(core.Seq(next))
 	e.restarts++
+	e.stopped = false
 	e.mu.Unlock()
-
-	e.port.Store(newPort(e.depth))
 }
 
 // Stats returns a snapshot of the counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	defer e.unlock()
+	defer e.mu.Unlock()
 	st := e.pl.Stats()
 	st.Restarts = e.restarts
 	return st
@@ -456,23 +231,23 @@ func (e *Engine) Stats() Stats {
 // BaseSeq returns the oldest tracked commit sequence (for tests).
 func (e *Engine) BaseSeq() core.Seq {
 	e.mu.Lock()
-	defer e.unlock()
+	defer e.mu.Unlock()
 	return e.pl.BaseSeq()
 }
 
 // NextSeq returns the sequence the next commit will receive.
 func (e *Engine) NextSeq() core.Seq {
 	e.mu.Lock()
-	defer e.unlock()
+	defer e.mu.Unlock()
 	return e.pl.NextSeq()
 }
 
-// Process validates one request against the window synchronously, with no
-// queue or slot around it: the pipeline's bare cost, and the reference the
-// combiner's verdict stream is tested against.
+// Process validates one request against the window under the engine lock,
+// whether or not the engine is stopped: the pipeline's bare cost, and the
+// reference Validate's verdict stream is tested against.
 func (e *Engine) Process(r Request) Verdict {
 	e.mu.Lock()
-	defer e.unlock()
+	defer e.mu.Unlock()
 	return e.pl.Process(r)
 }
 
@@ -488,12 +263,12 @@ func (e *Engine) Process(r Request) Verdict {
 // they moved): a current-as-of-claim snapshot means ValidTS = NextSeq, the
 // new node has no forward dependencies, and the window insert cannot
 // reject it. Claim and insert happen in one critical section with the
-// normal Process path, so no engine-validated commit can take a sequence
+// normal Validate path, so no engine-validated commit can take a sequence
 // between them.
 func (e *Engine) RecordFast(token uint64, readAddrs, writeAddrs []uint64) (Verdict, error) {
 	e.mu.Lock()
-	defer e.unlock()
-	if e.port.Load().stopped.Load() {
+	defer e.mu.Unlock()
+	if e.stopped {
 		return Verdict{}, ErrClosed
 	}
 	v := e.pl.Process(Request{

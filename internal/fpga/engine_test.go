@@ -114,7 +114,7 @@ func TestTransitiveCycleThroughWindow(t *testing.T) {
 }
 
 func TestWindowOverflowAborts(t *testing.T) {
-	e := startTest(t, Config{W: 4})
+	e := startTest(t, Config{w: 4})
 	for i := 0; i < 6; i++ {
 		if v, _ := e.Validate(req(uint64(i), nil, []uint64{uint64(10 * i)})); !v.OK {
 			t.Fatalf("filler %d rejected", i)
@@ -173,7 +173,7 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestSubmitAfterClose: a closed engine's submission ring refuses new work
+// TestSubmitAfterClose: a closed engine refuses new work
 // with ErrClosed on both entries, Validate and RecordFast.
 func TestSubmitAfterClose(t *testing.T) {
 	e, err := Start(Config{})

@@ -10,7 +10,7 @@ import (
 // Pipeline is the serial behavioral model of the Detector/Manager dataflow:
 // the window, the per-slot signature bookkeeping and the ROCoCo validation,
 // with no queues or goroutines around it. Engine runs it under its lock,
-// driven by whichever committer holds the lock.
+// on the committer's goroutine.
 //
 // All state is preallocated at construction, so Process performs no heap
 // allocation in steady state, mirroring the hardware's fixed register/BRAM
@@ -58,7 +58,7 @@ func NewPipeline(cfg Config) (*Pipeline, error) {
 	return &Pipeline{
 		cfg:       cfg,
 		hasher:    sig.NewHasher(cfg.Sig, sigSeed),
-		win:       core.NewWindow(cfg.W),
+		win:       core.NewWindow(cfg.w),
 		k:         cfg.Sig.K,
 		rBits:     make([]int32, 0, 64),
 		wBits:     make([]int32, 0, 64),
@@ -75,18 +75,6 @@ func (p *Pipeline) Hasher() *sig.Hasher { return p.hasher }
 
 // Stats returns a copy of the counters.
 func (p *Pipeline) Stats() Stats { return p.stats }
-
-// noteBatch records one drain group of n requests taken from a submission
-// queue that held occ (the group included) at drain time.
-func (p *Pipeline) noteBatch(n, occ int) {
-	p.stats.Batches++
-	if uint64(n) > p.stats.MaxBatch {
-		p.stats.MaxBatch = uint64(n)
-	}
-	if uint64(occ) > p.stats.QueuePeak {
-		p.stats.QueuePeak = uint64(occ)
-	}
-}
 
 // BaseSeq returns the oldest tracked commit sequence.
 func (p *Pipeline) BaseSeq() core.Seq { return p.win.BaseSeq() }

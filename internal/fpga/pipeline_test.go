@@ -30,13 +30,13 @@ func newProbePipeline(cfg Config) *probePipeline {
 	p := &probePipeline{
 		cfg:    cfg,
 		hasher: sig.NewHasher(cfg.Sig, sigSeed),
-		bigWin: core.NewBigWindow(cfg.W),
-		fVec:   bitmat.NewVec(cfg.W),
-		bVec:   bitmat.NewVec(cfg.W),
+		bigWin: core.NewBigWindow(cfg.w),
+		fVec:   bitmat.NewVec(cfg.w),
+		bVec:   bitmat.NewVec(cfg.w),
 		rs:     sig.New(cfg.Sig),
 		ws:     sig.New(cfg.Sig),
 	}
-	p.history = make([]entry, cfg.W)
+	p.history = make([]entry, cfg.w)
 	for i := range p.history {
 		p.history[i].readSig = sig.New(cfg.Sig)
 		p.history[i].writeSig = sig.New(cfg.Sig)
@@ -81,7 +81,7 @@ func (p *probePipeline) Process(r Request) Verdict {
 	p.bVec.Clear()
 	n := p.bigWin.Count()
 	for i := 0; i < n; i++ {
-		ent := &p.history[(p.hBase+i)%p.cfg.W]
+		ent := &p.history[(p.hBase+i)%p.cfg.w]
 		seen := ent.seq < validSeq
 		if ent.writes > 0 && p.queryAny(ent.writeSig, r.ReadAddrs) {
 			if seen {
@@ -105,11 +105,11 @@ func (p *probePipeline) Process(r Request) Verdict {
 		return Verdict{Token: r.Token, Reason: ReasonCycle, ModelNanos: nanos}
 	}
 	var ent *entry
-	if p.hLen == p.cfg.W {
+	if p.hLen == p.cfg.w {
 		ent = &p.history[p.hBase]
-		p.hBase = (p.hBase + 1) % p.cfg.W
+		p.hBase = (p.hBase + 1) % p.cfg.w
 	} else {
-		ent = &p.history[(p.hBase+p.hLen)%p.cfg.W]
+		ent = &p.history[(p.hBase+p.hLen)%p.cfg.w]
 		p.hLen++
 	}
 	copy(ent.readSig.Words(), p.rs.Words())
@@ -128,7 +128,7 @@ func (p *probePipeline) Process(r Request) Verdict {
 // request for request.
 func TestRingPathMatchesEntryProbes(t *testing.T) {
 	for _, w := range []int{1, 7, 64} {
-		ring, err := NewPipeline(Config{W: w})
+		ring, err := NewPipeline(Config{w: w})
 		if err != nil {
 			t.Fatal(err)
 		}

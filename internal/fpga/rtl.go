@@ -67,7 +67,7 @@ func NewRTL(cfg Config) *RTL {
 	return &RTL{
 		cfg:    cfg,
 		hasher: sig.NewHasher(cfg.Sig, sigSeed),
-		win:    core.NewWindow(cfg.W),
+		win:    core.NewWindow(cfg.w),
 	}
 }
 
@@ -85,7 +85,7 @@ func (r *RTL) ResetAt(seq core.Seq) {
 // entered the pipeline is ever silently stranded.
 func (r *RTL) Flush() {
 	for _, t := range r.inflight {
-		t.req.Deliver(Verdict{Token: t.req.Token, Reason: ReasonClosed})
+		t.req.deliver(Verdict{Token: t.req.Token, Reason: ReasonClosed})
 	}
 	r.inflight = nil
 }
@@ -100,11 +100,11 @@ func (r *RTL) Retired() uint64 { return r.retired }
 func (r *RTL) InFlight() int { return len(r.inflight) }
 
 // Offer inserts a request into the pipeline. The request must carry a
-// verdict sink (a prepared Slot or a buffered Reply channel); its verdict
-// is delivered when the transaction retires.
+// buffered Reply channel; its verdict is delivered there when the
+// transaction retires.
 func (r *RTL) Offer(req Request) error {
-	if req.Slot == nil && cap(req.Reply) < 1 {
-		return errors.New("fpga: request needs a verdict slot or a buffered reply channel")
+	if cap(req.Reply) < 1 {
+		return errors.New("fpga: request needs a buffered reply channel")
 	}
 	t := &rtlTxn{
 		req:    req,
@@ -229,7 +229,7 @@ func (r *RTL) retire(t *rtlTxn) {
 
 	if core.Seq(t.req.ValidTS) < r.win.BaseSeq() {
 		v.Reason = ReasonWindow
-		t.req.Deliver(v)
+		t.req.deliver(v)
 		r.retired++
 		return
 	}
@@ -247,7 +247,7 @@ func (r *RTL) retire(t *rtlTxn) {
 	seq, ok := r.win.Insert(f, b)
 	if !ok {
 		v.Reason = ReasonCycle
-		t.req.Deliver(v)
+		t.req.deliver(v)
 		r.retired++
 		return
 	}
@@ -258,7 +258,7 @@ func (r *RTL) retire(t *rtlTxn) {
 		reads: t.nReads, writes: len(t.addrs) - t.nReads,
 		seq: seq,
 	}
-	if len(r.hist) == r.cfg.W {
+	if len(r.hist) == r.cfg.w {
 		copy(r.hist, r.hist[1:])
 		r.hist[len(r.hist)-1] = ent
 	} else {
@@ -275,8 +275,18 @@ func (r *RTL) retire(t *rtlTxn) {
 			}
 		}
 	}
-	t.req.Deliver(v)
+	t.req.deliver(v)
 	r.retired++
+}
+
+// deliver sends v on the request's Reply channel. A full channel already
+// holds the request's verdict, so a duplicate is dropped: at-most-once
+// delivery.
+func (req *Request) deliver(v Verdict) {
+	select {
+	case req.Reply <- v:
+	default:
+	}
 }
 
 // Drain ticks until the pipeline is empty and returns the cycle count.

@@ -41,7 +41,7 @@ func randRequests(n int, seed int64) []Request {
 // non-blocking pipeline is maintained", §4.2).
 func TestRTLEquivalentToBehavioralEngine(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
-		cfg := Config{W: 16}
+		cfg := Config{w: 16}
 		eng, err := Start(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestRTLEquivalentToBehavioralEngine(t *testing.T) {
 // max(total beats, one retirement per cycle) rather than the serial
 // sum of per-request latencies — initiation interval ≈ 1.
 func TestRTLPipelines(t *testing.T) {
-	cfg := Config{W: 64}
+	cfg := Config{w: 64}
 	rtl := NewRTL(cfg)
 	const n = 200
 	totalBeats := 0
@@ -133,7 +133,7 @@ func TestRTLEmptyFootprint(t *testing.T) {
 }
 
 func TestRTLWindowOverflow(t *testing.T) {
-	cfg := Config{W: 2}
+	cfg := Config{w: 2}
 	rtl := NewRTL(cfg)
 	var replies []chan Verdict
 	for i := 0; i < 4; i++ {

@@ -54,9 +54,9 @@ import (
 // claim ships x's snapshot and footprint to the engine (§5.3) and returns
 // the commit sequence it issued. The error is an abort — window or cycle —
 // or a hard engine error. The footprint is the read and write sets' own
-// address slices; the engine releases its references before Validate
-// returns. claim also signs the write set: everything after it — arm,
-// publish, awaitWriters — reads x.writes.sig.
+// address slices; the engine keeps no reference once Validate returns.
+// claim also signs the write set: everything after it — arm, publish,
+// awaitWriters — reads x.writes.sig.
 func (r *TM) claim(x *txn) (uint64, error) {
 	x.writes.sign(r.hasher)
 	timed := r.cfg.MeasurePhases
@@ -65,7 +65,7 @@ func (r *TM) claim(x *txn) (uint64, error) {
 		t0 = time.Now()
 	}
 	v, err := r.eng.Validate(fpga.Request{Token: uint64(x.thread), ValidTS: x.validTS,
-		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs, Slot: &r.slots[x.thread]})
+		ReadAddrs: x.reads.addrs, WriteAddrs: x.writes.addrs})
 	if timed {
 		r.cnt.AddValidation(time.Since(t0))
 	}
@@ -80,7 +80,8 @@ func (r *TM) claim(x *txn) (uint64, error) {
 		return 0, tm.AbortCode(tm.CodeWindow)
 	case v.Reason == fpga.ReasonCycle:
 		return 0, tm.AbortCode(tm.CodeCycle)
-	default: // ReasonClosed: the engine stopped before validating it
+	default: // unreachable: a stopped engine refuses with ErrClosed and
+		// never answers ReasonClosed; reported as ErrClosed all the same
 		err = fpga.ErrClosed
 	}
 	return 0, fmt.Errorf("rococotm: engine: %w", err)

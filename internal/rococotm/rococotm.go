@@ -262,11 +262,9 @@ type TM struct {
 	live    []liveWord
 	wdFires atomic.Uint64
 
-	// Transport hot-path reuse. scratch holds each thread's recycled
-	// transaction descriptor (owner-only: nil while the thread's txn is
-	// live); slots are the per-thread verdict mailboxes of the engine.
+	// scratch holds each thread's recycled transaction descriptor
+	// (owner-only: nil while the thread's txn is live).
 	scratch []*txn
-	slots   []fpga.VerdictSlot
 
 	cnt tm.Counters
 
@@ -327,7 +325,6 @@ func newTM(heap *mem.Heap, cfg Config, slots int) *TM {
 	r.escalated = make([]bool, cfg.MaxThreads)
 	r.live = make([]liveWord, cfg.MaxThreads)
 	r.scratch = make([]*txn, cfg.MaxThreads)
-	r.slots = make([]fpga.VerdictSlot, cfg.MaxThreads)
 	r.stop = make(chan struct{})
 	if d := cfg.Durable; d != nil {
 		r.dur = &durableState{d: d}
@@ -425,14 +422,9 @@ func (r *TM) Name() string { return "rococotm" }
 // Heap implements tm.TM.
 func (r *TM) Heap() *mem.Heap { return r.heap }
 
-// Stats implements tm.TM; batch-occupancy fields come from the engine's
-// transport counters.
+// Stats implements tm.TM.
 func (r *TM) Stats() tm.Stats {
 	s := r.cnt.Snapshot()
-	es := r.eng.Stats()
-	s.ValidationBatches = es.Batches
-	s.ValidationBatchMax = es.MaxBatch
-	s.ValidationQueuePeak = es.QueuePeak
 	s.WatchdogFires = r.wdFires.Load()
 	s.CommitPipelinePeak = r.wbPeak.Load()
 	return s

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"rococotm/internal/fpga"
+	"rococotm/internal/core"
 	"rococotm/internal/mem"
 	"rococotm/internal/tm"
 	"rococotm/internal/tm/tmtest"
@@ -306,25 +306,27 @@ func TestCommitQueueRingOverflow(t *testing.T) {
 }
 
 func TestWindowOverflowViaEngine(t *testing.T) {
-	// With a tiny FPGA window, a transaction whose ValidTS lags beyond the
-	// window base gets a window abort from the engine.
-	m := New(mem.NewHeap(1<<14), Config{Engine: fpga.Config{W: 2}})
+	// A transaction whose ValidTS lags beyond the FPGA window's base gets a
+	// window abort from the engine: enough commits slide the default
+	// 64-entry window past it.
+	m := New(mem.NewHeap(1<<14), Config{})
 	defer m.Close()
-	a := m.Heap().MustAlloc(64)
+	const commits = core.DefaultW + 2
+	a := m.Heap().MustAlloc(2 * commits)
 
 	t1, _ := m.Begin(0)
 	// t1 reads a location that concurrent commits overwrite, so its
 	// snapshot cannot be extended past them; enough commits then slide
-	// the tiny window beyond t1's ValidTS.
-	if _, err := t1.Read(a + 40); err != nil {
+	// the window beyond t1's ValidTS.
+	if _, err := t1.Read(a + 2*commits - 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := t1.Write(a+41, 1); err != nil {
+	if err := t1.Write(a+2*commits-2, 1); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < commits; i++ {
 		if err := tm.Run(m, 1, func(x tm.Txn) error {
-			if err := x.Write(a+40, mem.Word(i)); err != nil {
+			if err := x.Write(a+2*commits-1, mem.Word(i)); err != nil {
 				return err
 			}
 			return x.Write(a+mem.Addr(i), 1)
@@ -339,6 +341,9 @@ func TestWindowOverflowViaEngine(t *testing.T) {
 	}
 	if m.Stats().Reasons[tm.ReasonWindow] != 1 {
 		t.Fatalf("window abort not counted: %v", m.Stats().Reasons)
+	}
+	if n := m.Engine().Stats().WindowAborts; n != 1 {
+		t.Fatalf("engine counted %d window aborts, want 1", n)
 	}
 }
 

@@ -195,13 +195,6 @@ type Stats struct {
 	// latency (pipeline cycles + CCI round trip) where a runtime offloads
 	// validation; zero for pure-software runtimes.
 	ModelValidationNanos uint64
-	// ValidationBatches and ValidationBatchMax describe the validation
-	// transport's drain-group occupancy where a runtime batches requests
-	// to its engine: how many groups the engine drained and the largest
-	// single group. Zero for runtimes (or transports) that submit one
-	// request at a time.
-	ValidationBatches  uint64
-	ValidationBatchMax uint64
 	// WatchdogFires counts transactions the runtime watchdog observed
 	// stuck past the configured age; WatchdogKills (Reasons["watchdog"])
 	// counts how many of those were force-aborted at their next safe
@@ -220,11 +213,9 @@ type Stats struct {
 	CommitWritebackNanos uint64
 	// CommitPipelinePeak is the high-water count of commits simultaneously
 	// inside the write-back phase — >1 only when the runtime decouples
-	// write-back from timestamp release. ValidationQueuePeak is the
-	// high-water occupancy of the validation engine's submission queue at
-	// drain time. Zero for runtimes without those pipelines.
-	CommitPipelinePeak  uint64
-	ValidationQueuePeak uint64
+	// write-back from timestamp release. Zero for runtimes without that
+	// pipeline.
+	CommitPipelinePeak uint64
 	// Per-path routing counters, populated by hybrid runtimes. A fast
 	// attempt ends as exactly one FastCommit or FastAbort; SlowFallbacks
 	// counts the fast aborts whose *next* attempt was routed to the slow

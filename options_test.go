@@ -43,7 +43,6 @@ func TestOptionCensus(t *testing.T) {
 			"DefaultBudget", // benchmark/workload.go
 		}},
 		{reflect.TypeOf(fpga.Config{}), []string{
-			"W",   // tests only: internal/rococotm; no seam reaches them
 			"Sig", // internal/bench/ablation.go
 		}},
 		{reflect.TypeOf(tm.BackoffPolicy{}), []string{

@@ -70,11 +70,11 @@
 #                    auditor soak, the crash-recovery chaos and WAL fuzz
 #                    sweeps, the serve overload surface and the hybrid
 #                    mixed-path oracles run (they used to be five -run lanes selecting
-#                    subsets of this one), and includes the combining
-#                    validator's no-stranding hammer (internal/fpga
-#                    TestCombine*: committers ≫ processors mixing Validate,
-#                    Process and RecordFast, pinned to GOMAXPROCS 1 and 2
-#                    by the test itself)                           (~2min)
+#                    subsets of this one), and includes the engine
+#                    lock's hammer (internal/fpga TestValidateHammer:
+#                    committers ≫ processors mixing Validate, Process,
+#                    RecordFast, Stats and NextSeq, pinned to GOMAXPROCS
+#                    1 and 2 by the test itself)                   (~2min)
 #   9. driver smokes — go test ./cmd/...: the drivers' flag and
 #                    exit-status tests through their run functions. Serving
 #                    under overload is certified by TestServeOverloadSheds
