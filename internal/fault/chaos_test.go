@@ -1,7 +1,6 @@
 package fault_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -209,9 +208,12 @@ func TestChaosRecoveryRoundTrip(t *testing.T) {
 	}
 }
 
+// errChaosApp is the application error the soak's failing closures return.
+var errChaosApp = errors.New("chaos: application error")
+
 // TestChaosAuditSoak is the acceptance soak in miniature: engine crashes
-// plus lifecycle chaos from the host side — cancellations, injected closure
-// panics, and closures that wedge past the watchdog age — while the runtime
+// plus lifecycle chaos from the host side — closures that fail with an
+// application error, injected closure panics, and closures that wedge past the watchdog age — while the runtime
 // serializability auditor certifies every committed history window. The
 // auditor's own self-test (a seeded wrong verdict that must be flagged
 // exactly once) gates the run, so "0 violations" is a meaningful verdict
@@ -237,7 +239,7 @@ func TestChaosAuditSoak(t *testing.T) {
 	base := h.MustAlloc(16)
 
 	const workers = 6
-	type tally struct{ commits, cancels, panics, stuck, refused uint64 }
+	type tally struct{ commits, rollbacks, panics, stuck, refused uint64 }
 	tallies := make([]tally, workers)
 	var wg sync.WaitGroup
 	stop := time.Now().Add(dur)
@@ -250,16 +252,15 @@ func TestChaosAuditSoak(t *testing.T) {
 				var err error
 				switch {
 				case i%37 == 13:
-					// Cancellation mid-transaction.
-					ctx, cancel := context.WithCancel(context.Background())
-					err = tm.RunCtx(ctx, m, th, func(x tm.Txn) error {
-						cancel()
-						_, err := x.Read(base + mem.Addr(i%16))
-						return err
+					// Application error mid-transaction: rolled back.
+					err = tm.Run(m, th, func(x tm.Txn) error {
+						if _, err := x.Read(base + mem.Addr(i%16)); err != nil {
+							return err
+						}
+						return errChaosApp
 					})
-					cancel()
-					if errors.Is(err, context.Canceled) {
-						tl.cancels++
+					if errors.Is(err, errChaosApp) {
+						tl.rollbacks++
 						err = nil
 					}
 				case i%53 == 29:
@@ -323,12 +324,12 @@ func TestChaosAuditSoak(t *testing.T) {
 	var total tally
 	for _, tl := range tallies {
 		total.commits += tl.commits
-		total.cancels += tl.cancels
+		total.rollbacks += tl.rollbacks
 		total.panics += tl.panics
 		total.stuck += tl.stuck
 		total.refused += tl.refused
 	}
-	if total.commits == 0 || total.cancels == 0 || total.panics == 0 {
+	if total.commits == 0 || total.rollbacks == 0 || total.panics == 0 {
 		t.Fatalf("soak exercised too little: %+v", total)
 	}
 	if err := auditor.Err(); err != nil {
@@ -338,9 +339,9 @@ func TestChaosAuditSoak(t *testing.T) {
 	if st.Observed == 0 {
 		t.Fatal("auditor observed no commits")
 	}
-	t.Logf("soak: %d commits, %d cancels, %d panics, %d watchdog-retried, %d refused across %d engine crashes; "+
+	t.Logf("soak: %d commits, %d rollbacks, %d panics, %d watchdog-retried, %d refused across %d engine crashes; "+
 		"audit: %d observed, %d edges, %d back-edges, %d violations",
-		total.commits, total.cancels, total.panics, total.stuck, total.refused, crashes,
+		total.commits, total.rollbacks, total.panics, total.stuck, total.refused, crashes,
 		st.Observed, st.Edges, st.BackEdges, st.Violations)
 
 	if live, _ := m.PoolCheck(); live != 0 {

@@ -36,9 +36,9 @@
 // that fail when the bug is injected, not by passes: the update-set release
 // (TestCommitPathsDisarm), the seqlock bracket of the signature rings
 // (TestSignatureRingsSeqlock), atomic heap words (the -race lane), a Txn
-// that stays on its goroutine (the -race lane), and cancellable
-// RunUntil/RunCtx closures (TestServeRetryBudgetExhausted,
-// TestRunCtxCancellationLeavesRuntimeClean).
+// that stays on its goroutine (the -race lane), and RunUntil closures that
+// end cleanly at their deadline (TestServeRetryBudgetExhausted,
+// TestRunUntilLeavesRuntimeClean).
 //
 // A finding may be suppressed by placing
 //

@@ -21,8 +21,8 @@ import (
 // lapped or mid-build one with a single load.
 //
 // Blocks are completed by whoever publishes the last commit of the block
-// (the ordered publication phase of Commit, or the turn-holder batching a
-// group advance): publication is strictly ordered, so when commit seq with
+// (pipeline.go publish, inside the ordered section of Commit or
+// PublishFast): publication is strictly ordered, so when commit seq with
 // (seq+1) ≡ 0 (mod 2^L) publishes, every child of block seq>>L is final
 // and the union can be built bottom-up without synchronization beyond the
 // version stores. Aggregates are always built before GlobalTS advances

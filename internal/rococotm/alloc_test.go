@@ -235,33 +235,3 @@ func TestLaggedReadZeroAllocs(t *testing.T) {
 		t.Fatalf("lagged read-only cycle allocates %.2f objects/op, want 0", avg)
 	}
 }
-
-// TestGroupReleaseZeroAllocs: the no-sink publication stage — a turn-holder
-// publishing itself and a pre-published successor, then releasing both —
-// must not allocate.
-func TestGroupReleaseZeroAllocs(t *testing.T) {
-	m := New(mem.NewHeap(1<<10), Config{MaxThreads: 2})
-	defer m.Close()
-	base := m.Heap().MustAlloc(4)
-	p0 := stagePub(m, 0, base, base+1, 10)
-	p1 := stagePub(m, 0, base+2, base+3, 11)
-	cycle := func() {
-		s := m.GlobalTS()
-		m.arm(1, s+1, p1.ws)
-		m.publishSlot(s+1, p1.ws, p1) // what await does before it waits
-		m.arm(0, s, p0.ws)
-		if !m.await(s, p0) {
-			t.Fatal("holder did not get its turn")
-		}
-		m.publish(s, p0)
-		m.release(s)
-		m.disarm(0)
-		m.disarm(1)
-		if m.GlobalTS() != s+2 {
-			t.Fatal("group was not released")
-		}
-	}
-	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
-		t.Fatalf("group release allocates %.2f objects/op, want 0", avg)
-	}
-}

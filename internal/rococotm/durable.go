@@ -14,12 +14,12 @@ import (
 // transaction is drained, at its ordered publication point, into a
 // group-commit write-ahead log and a multi-version store.
 //
-// The hook is a sink of the publication stage (pipeline.go publish), right
-// after the CommitObserver call: the stage runs one commit at a time, in
-// sequence order, before GlobalTS passes it. That makes the WAL
-// publication-ordered by construction — recovery is a single forward replay,
-// no sorting, no holes (every claimed sequence reaches publication, so the
-// stream the hook sees has no gaps). The
+// The hook is a sink of the ordered section (pipeline.go publish), right
+// after the CommitObserver call: the committer holds TM.order, so the hook
+// runs for one commit at a time, in sequence order, with GlobalTS == seq.
+// That makes the WAL publication-ordered by construction — recovery is a
+// single forward replay, no sorting, no holes (every claimed sequence
+// reaches publication, so the stream the hook sees has no gaps). The
 // multi-version store is fed in the same breath, before the commit's own
 // write-back touches the heap, which is what makes its base-value capture
 // sound (see the mvstore package comment).
@@ -54,7 +54,7 @@ var ErrNotDurable = errors.New("rococotm: commit published but durability unconf
 var errNoStore = errors.New("rococotm: no durable store configured")
 
 // durableState is the runtime-side binding: the shared scratch is safe
-// because the publication stage runs one commit at a time.
+// because the ordered section runs one commit at a time.
 type durableState struct {
 	d      *Durable
 	rec    wal.Record

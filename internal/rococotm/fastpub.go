@@ -27,22 +27,21 @@ import (
 //  2. arms the thread's update-set entry, the same commit-time lock slow
 //     committers use, so later write-backs order WAW against it and slow
 //     readers keep spinning on the footprint;
-//  3. awaits its exact turn (GlobalTS == seq). It does not pre-publish, so
-//     no predecessor's group advance can pass it: the commit-queue slot
-//     stays unpublished until the turn is taken;
-//  4. at the turn, scans for still-armed earlier write-backs that may
-//     overlap its footprint (they could still be storing, with version
-//     bumps in flight) and fails conservatively on any hit — the scan
-//     never waits, so it cannot deadlock with a write-back that is itself
-//     waiting out one of our owned lines;
+//  3. needs no wait for its turn: steps 1 to 6 run inside the ordered
+//     section (TM.order), so GlobalTS == seq from the claim on and no other
+//     commit publishes until this one has;
+//  4. scans for still-armed earlier write-backs that may overlap its
+//     footprint (they could still be storing, with version bumps in
+//     flight) and fails conservatively on any hit — the scan never waits,
+//     so it cannot deadlock with a write-back that is itself waiting out
+//     one of our owned lines;
 //  5. validates every recorded read-line version by equality — any slow
 //     write-back or fast commit that touched a read line since the read
 //     moved the version and fails us;
-//  6. publishes and releases through the stage every commit uses
-//     (pipeline.go): the real write signature and footprint on success, the
-//     empty ones on failure (the sequence is consumed either way — the
-//     engine window already holds the footprint, which is
-//     conservative-safe). On failure the undo values are restored first,
+//  6. publishes as every commit does (pipeline.go publish): the real
+//     write signature and footprint on success, the empty ones on failure
+//     (the sequence is consumed either way — the engine window already
+//     holds the footprint, which is conservative-safe). On failure the undo values are restored first,
 //     while the lines are still owned and the update-set entry still held,
 //     so the rollback is invisible to every other path.
 //
@@ -99,31 +98,32 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 	}
 	defer r.gate.RUnlock()
 
-	seq, err := r.fastClaim(f)
-	if err != nil {
-		r.restoreFastHeap(f)
-		return err
-	}
-
-	// Install the update-set entry — the same commit-time lock a slow
-	// committer holds from verdict to write-back completion. From here on,
-	// later-sequence write-backs WAW-order behind us and slow readers
-	// probing our footprint keep spinning.
+	// The write signature is built before the ordered section, which every
+	// committer waits for, so the section holds only the ordered work.
 	ws := r.fastSigs[f.Thread]
 	ws.Reset()
 	for _, a := range f.WriteAddrs64 {
 		ws.Insert(r.hasher, a)
 	}
+
+	r.order.Lock()
+	seq, err := r.fastClaim(f)
+	if err != nil {
+		r.order.Unlock()
+		r.restoreFastHeap(f)
+		return err
+	}
+	// Install the update-set entry — the same commit-time lock a slow
+	// committer holds from verdict to write-back completion. From here on,
+	// later-sequence write-backs WAW-order behind us and slow readers
+	// probing our footprint keep spinning.
 	r.arm(f.Thread, seq, ws)
 
-	// Await the exact turn. The sequence must reach publication, so a doomed
-	// attempt still waits and publishes the empty signature.
-	r.await(seq, nil)
-
-	// Serialization point: GlobalTS == seq until release. Reads validated
+	// Serialization point: GlobalTS == seq until publish. Reads validated
 	// here are consistent at this very sequence, so the snapshot the sinks
-	// record is the commit's own position. A doomed attempt fails even when
-	// its reads hold.
+	// record is the commit's own position. The sequence must reach
+	// publication, so a doomed attempt publishes the empty signature; it
+	// fails even when its reads hold.
 	p := publication{validTS: seq, ws: ws, reads: f.ReadAddrs, writes: f.WriteAddrs64}
 	failed := phaseOf(r.live[f.Thread].w.Load()) == phaseDoomed || !r.fastReadsHold(f, seq, ws)
 	if failed {
@@ -131,12 +131,11 @@ func (r *TM) PublishFast(f *FastFootprint) error {
 		// so no other path can observe the rollback in flight.
 		r.restoreFastHeap(f)
 		p = publication{validTS: seq, ws: r.zeroSig}
-	}
-	r.publish(seq, &p)
-	if !failed {
+	} else {
 		r.lt.BumpClock()
 	}
-	r.release(seq)
+	r.publish(seq, &p)
+	r.order.Unlock()
 	r.disarm(f.Thread)
 	if failed {
 		return tm.AbortCode(tm.CodeConflict)

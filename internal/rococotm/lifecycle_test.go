@@ -343,56 +343,60 @@ func TestWatchdogLeavesHealthyTransactionsAlone(t *testing.T) {
 	}
 }
 
-// RunCtx against the real runtime: cancellation at each boundary leaves
-// the lifecycle clean (no live transaction, thread reusable).
-func TestRunCtxCancellationLeavesRuntimeClean(t *testing.T) {
+// An attempt that ends early against the real runtime — an application
+// error after a read or a write, a deadline that passes before validation —
+// leaves the lifecycle clean (no live transaction, thread reusable).
+func TestRunUntilLeavesRuntimeClean(t *testing.T) {
 	m := New(mem.NewHeap(1<<12), Config{MaxThreads: 4})
 	defer m.Close()
 	a := m.Heap().MustAlloc(2)
+	errApp := errors.New("application error")
+	never := time.Now().Add(time.Hour)
 
 	boundaries := []struct {
 		name string
-		fn   func(ctx context.Context, cancel context.CancelFunc) error
+		want error
+		run  func() error
 	}{
-		{"read", func(ctx context.Context, cancel context.CancelFunc) error {
-			return tm.RunCtx(ctx, m, 0, func(x tm.Txn) error {
-				cancel()
-				_, err := x.Read(a)
-				return err
+		{"read", errApp, func() error {
+			return tm.RunUntil(never, m, 0, tm.DefaultBackoff, func(x tm.Txn) error {
+				if _, err := x.Read(a); err != nil {
+					return err
+				}
+				return errApp
 			})
 		}},
-		{"write", func(ctx context.Context, cancel context.CancelFunc) error {
-			return tm.RunCtx(ctx, m, 0, func(x tm.Txn) error {
-				cancel()
-				return x.Write(a, 9)
-			})
-		}},
-		{"pre-validate", func(ctx context.Context, cancel context.CancelFunc) error {
-			return tm.RunCtx(ctx, m, 0, func(x tm.Txn) error {
+		{"write", errApp, func() error {
+			return tm.RunUntil(never, m, 0, tm.DefaultBackoff, func(x tm.Txn) error {
 				if err := x.Write(a, 9); err != nil {
 					return err
 				}
-				cancel()
+				return errApp
+			})
+		}},
+		{"pre-validate", context.DeadlineExceeded, func() error {
+			return tm.RunUntil(time.Now().Add(time.Millisecond), m, 0, tm.DefaultBackoff, func(x tm.Txn) error {
+				if err := x.Write(a, 9); err != nil {
+					return err
+				}
+				time.Sleep(5 * time.Millisecond)
 				return nil
 			})
 		}},
 	}
 	for _, b := range boundaries {
-		ctx, cancel := context.WithCancel(context.Background())
-		err := b.fn(ctx, cancel)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("%s boundary: err = %v, want context.Canceled", b.name, err)
+		if err := b.run(); !errors.Is(err, b.want) {
+			t.Fatalf("%s boundary: err = %v, want %v", b.name, err, b.want)
 		}
 		if live, _ := m.PoolCheck(); live != 0 {
-			t.Fatalf("%s boundary: live = %d after cancellation", b.name, live)
+			t.Fatalf("%s boundary: live = %d after the rollback", b.name, live)
 		}
 	}
 	if got := m.Heap().Load(a); got != 0 {
-		t.Fatalf("canceled attempt's write reached the heap: %d", got)
+		t.Fatalf("rolled-back attempt's write reached the heap: %d", got)
 	}
 	if st := m.Stats(); st.Commits != 0 {
-		t.Fatalf("commits = %d; every attempt was canceled", st.Commits)
+		t.Fatalf("commits = %d; every attempt was rolled back", st.Commits)
 	}
 	// The thread is fully reusable afterwards.
 	if err := tm.Run(m, 0, func(x tm.Txn) error { return x.Write(a, 1) }); err != nil {

@@ -14,18 +14,26 @@ import (
 
 // This file is the commit pipeline from the claim on: claim and fastClaim,
 // the second step of the front half every commit shares (extend, agg.go, is
-// the first), then the ordered-publication stage every holder of a claim
-// enters — TM.Commit and PublishFast — and the out-of-order write-back
-// phase with its WAW ordering wait.
+// the first), then the ordered section every holder of a claim runs —
+// TM.Commit and PublishFast — and the out-of-order write-back phase with
+// its WAW ordering wait.
 //
-// The stage is the paper's §5.3 protocol after the verdict as four
-// functions, one implementation each:
+// The ordered section is the paper's §5.3 commit as one step, under one
+// mutex, TM.order:
 //
+//	claim    the validator's verdict and commit sequence seq (fastClaim
+//	         for a fast publication);
 //	arm      install the thread's update-set entry (seq, words, armed bit);
-//	await    wait for the turn in commit-sequence order;
-//	publish  commit-queue signature, aggregate blocks, then the sinks
-//	         (CommitObserver, WAL + multi-version store);
-//	release  advance GlobalTS — the only store to it after construction.
+//	publish  commit-queue signature, aggregate blocks, the sinks
+//	         (CommitObserver, WAL + multi-version store), then GlobalTS
+//	         past seq — the only store to it after construction.
+//
+// Lock order is publication order: the engine issues sequences one at a
+// time under its own lock, which nests inside TM.order and is never
+// contended there, so the holder of TM.order always finds GlobalTS == seq
+// and nobody waits for a turn. The section never waits on a line, a
+// write-back or the commit gate (gate.RLock/TryRLock is taken before it),
+// so it cannot deadlock.
 //
 // Publication is strictly ordered; the redo-log drain is not. The
 // update-set entry is a commit-time lock that outlives the timestamp
@@ -33,32 +41,18 @@ import (
 // and cleared only after write-back completes, so a reader that could
 // observe a pre-write-back heap word for a commit ≤ its snapshot
 // necessarily sees the armed signature (or a changed GlobalTS) in its
-// line-5-7 probe and retries — exactly the spin it always ran. Write-after-write ordering between
-// concurrent write-backs is restored by awaitWriters: a committer drains its
-// redo log only after every armed update-set entry with an earlier sequence
-// and a possibly overlapping write signature has released.
-//
-// The turn hand-off is batched. Every claimed sequence reaches publication,
-// so TM.Commit pre-publishes its queue slot together with a handle to its
-// publication record before it waits; the turn-holder publishes itself, then
-// runs publish for every contiguously pre-published successor in sequence
-// order and passes GlobalTS over the whole group with one store, so K
-// waiters are released by one writer instead of K serialized hand-offs.
-// Sinks therefore still see gapless, strictly increasing sequences one at a
-// time with GlobalTS ≤ seq — possibly on a predecessor's goroutine — and the
-// multi-version store still captures base values before that commit's
-// write-back can start (its owner moves on only after GlobalTS passes seq).
-// PublishFast, which must act at its exact turn, does not pre-publish,
-// which is what stops a group at it.
+// line-5-7 probe and retries — exactly the spin it always ran.
+// Write-after-write ordering between concurrent write-backs is restored by
+// awaitWriters: a committer drains its redo log only after every armed
+// update-set entry with an earlier sequence and a possibly overlapping
+// write signature has released.
 
 // claim ships x's snapshot and footprint to the engine (§5.3) and returns
 // the commit sequence it issued. The error is an abort — window or cycle —
 // or a hard engine error. The footprint is the read and write sets' own
 // address slices; the engine keeps no reference once Validate returns.
-// claim also signs the write set: everything after it — arm, publish,
-// awaitWriters — reads x.writes.sig.
+// The caller holds TM.order.
 func (r *TM) claim(x *txn) (uint64, error) {
-	x.writes.sign(r.hasher)
 	timed := r.cfg.MeasurePhases
 	var t0 time.Time
 	if timed {
@@ -89,7 +83,7 @@ func (r *TM) claim(x *txn) (uint64, error) {
 
 // fastClaim claims the next commit sequence for a fast publication by
 // recording its footprint in the engine's window, so later slow
-// validations see the fast commit.
+// validations see the fast commit. The caller holds TM.order.
 func (r *TM) fastClaim(f *FastFootprint) (uint64, error) {
 	v, err := r.eng.RecordFast(uint64(f.Thread), f.ReadAddrs, f.WriteAddrs64)
 	if err != nil {
@@ -98,11 +92,9 @@ func (r *TM) fastClaim(f *FastFootprint) (uint64, error) {
 	return uint64(v.Seq), nil
 }
 
-// publication is one commit as the stage sees it: what goes into the commit
-// queue and what the sinks record. A pre-published record is read by the
-// releasing predecessor, so its owner must not touch what it references
-// (validTS, the footprint, the redo log) until GlobalTS has passed its
-// sequence.
+// publication is one commit as the ordered section sees it: what goes into
+// the commit queue and what the sinks record. It lives on the committer's
+// stack for the length of publish.
 type publication struct {
 	validTS       uint64     // snapshot the reads were validated at
 	ws            sig.Sig    // write signature for the commit queue
@@ -151,64 +143,27 @@ func (r *TM) setArmed(thread int, on bool) {
 }
 
 // publishSlot publishes ws as commit seq's write signature in the
-// commit-queue ring (seqlock: ver 2seq+1 while writing, 2seq+2 final). pre
-// is the handle a pre-publishing committer leaves for its releaser (nil at
-// an exact turn); it is stored before the final version and loaded only
-// after observing it.
+// commit-queue ring (seqlock: ver 2seq+1 while writing, 2seq+2 final).
 //
 //tm:hotpath
-func (r *TM) publishSlot(seq uint64, ws sig.Sig, pre *publication) {
-	at := seq & r.qMask
-	slot := &r.commitQ[at]
+func (r *TM) publishSlot(seq uint64, ws sig.Sig) {
+	slot := &r.commitQ[seq&r.qMask]
 	slot.ver.Store(2*seq + 1)
 	for i, w := range ws.Words() {
 		slot.words[i].Store(w)
 	}
-	r.preQ[at].Store(pre)
 	slot.ver.Store(2*seq + 2)
 }
 
-// slotPublished reports whether commit seq's queue slot holds its final
-// signature.
-//
-//tm:hotpath
-func (r *TM) slotPublished(seq uint64) bool {
-	return r.commitQ[seq&r.qMask].ver.Load() == 2*seq+2
-}
-
-// await waits for the turn of seq in the publication order and reports
-// whether the caller holds it (GlobalTS == seq: the caller publishes and
-// releases) or a predecessor already published the commit with its group
-// (GlobalTS > seq). A non-nil pre is pre-published first, which is what
-// lets a predecessor do that.
-func (r *TM) await(seq uint64, pre *publication) (held bool) {
-	if pre != nil {
-		r.publishSlot(seq, pre.ws, pre)
-	}
-	for spin := 0; ; spin++ {
-		switch ts := r.globalTS.Load(); {
-		case ts == seq:
-			return true
-		case ts > seq:
-			return false
-		}
-		if spin > 8 {
-			runtime.Gosched()
-		}
-	}
-}
-
 // publish makes commit seq part of the committed history: its commit-queue
-// slot (unless pre-published), the aggregate blocks it completes, then the
-// sinks. The caller holds the turn — GlobalTS == seq, or ≤ seq for a group
-// member published by its predecessor — so calls are serial and in sequence
-// order, which is the whole contract the sinks rely on: the WAL is
-// publication-ordered and gapless by construction, and the store is fed
-// before the commit's own write-back can touch the heap.
+// slot, the aggregate blocks it completes, the sinks, and last GlobalTS
+// past seq. The caller holds TM.order and GlobalTS == seq, so calls are
+// serial, in sequence order and on the committer's own goroutine, which is
+// the whole contract the sinks rely on: the WAL is publication-ordered and
+// gapless by construction, and the store is fed before the commit's own
+// write-back can touch the heap.
 func (r *TM) publish(seq uint64, p *publication) {
-	if !r.slotPublished(seq) {
-		r.publishSlot(seq, p.ws, nil)
-	}
+	r.publishSlot(seq, p.ws)
 	r.publishAggregates(seq)
 	if r.cfg.Observer != nil {
 		r.cfg.Observer.ObserveCommit(seq, p.validTS, p.reads, p.writes)
@@ -216,39 +171,14 @@ func (r *TM) publish(seq uint64, p *publication) {
 	if r.dur != nil {
 		r.durableAppend(seq, p)
 	}
-}
-
-// advanceMax bounds how many successors one turn-holder publishes in a
-// single group: the cap keeps the holder's time at the head of the chain
-// bounded, so its own write-back is not starved by an endless stream of
-// pre-published peers.
-const advanceMax = 128
-
-// release passes GlobalTS over commit seq, which the caller has published,
-// and over every contiguously pre-published successor, publishing each on
-// its owner's behalf first.
-func (r *TM) release(seq uint64) {
-	end := seq
-	for end-seq < advanceMax && r.slotPublished(end+1) {
-		end++
-		r.publish(end, r.preQ[end&r.qMask].Load())
-	}
-	r.globalTS.Store(end + 1)
+	r.globalTS.Store(seq + 1)
 }
 
 // writeBack drains x's redo log into the heap — the unordered phase of the
-// pipeline — preceded by the WAW wait. wbInflight/wbPeak track how many
-// write-backs overlap (Stats.CommitPipelinePeak).
+// pipeline — preceded by the WAW wait.
 //
 //tm:hotpath
 func (r *TM) writeBack(x *txn, seq uint64) {
-	n := uint64(r.wbInflight.Add(1))
-	for {
-		peak := r.wbPeak.Load()
-		if n <= peak || r.wbPeak.CompareAndSwap(peak, n) {
-			break
-		}
-	}
 	r.awaitWriters(seq, x)
 	hook := r.wbHook
 	lt := r.lt
@@ -288,7 +218,6 @@ func (r *TM) writeBack(x *txn, seq uint64) {
 		lt.Bump(line)
 		lt.Release(line)
 	}
-	r.wbInflight.Add(-1)
 }
 
 // lockLineSlow takes a line's write ownership with the reserved slow-path
@@ -318,10 +247,10 @@ func (r *TM) lockLineSlow(line uint64) {
 
 // awaitWriters blocks until no in-flight write-back with an earlier
 // sequence may touch x's write set — the write-after-write half of
-// commit-time locking. Publication order guarantees every such entry was
-// fully published (sequence, then words, then armed bit) before our own
-// timestamp release, so the scan can never miss an earlier writer; an
-// entry that re-arms mid-scan carries a later sequence and is skipped.
+// commit-time locking. Every such entry was armed (sequence, then words,
+// then armed bit) inside an earlier ordered section than ours, so the scan
+// can never miss an earlier writer; an entry that re-arms mid-scan carries
+// a later sequence and is skipped.
 // Waiting only on strictly smaller sequences keeps the wait graph acyclic,
 // so the spin cannot deadlock: the smallest armed sequence waits on
 // nobody and always completes.

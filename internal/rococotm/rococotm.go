@@ -18,14 +18,14 @@
 //   - the update set holds the write signatures of transactions currently
 //     writing back; reads spin past them (commit-time locking, line 5);
 //   - a read-only transaction commits immediately; a write transaction
-//     ships its read/write addresses and ValidTS to the FPGA and, on an
-//     OK verdict with commit sequence s, enters the ordered-publication
-//     stage (pipeline.go): arm the update-set entry, await the turn at s,
-//     publish the write signature into the commit queue at s (and the
-//     commit into the observer and durability sinks), release GlobalTS past
-//     s. The other producer of a sequence, the hybrid fast publication,
-//     enters the same stage. The redo-log
-//     write-back is decoupled from it: it runs out of order across
+//     commits in one critical section, TM.order (pipeline.go): it ships
+//     its read/write addresses and ValidTS to the FPGA and, on an OK
+//     verdict with commit sequence s, arms its update-set entry, publishes
+//     its write signature into the commit queue at s (and the commit into
+//     the observer and durability sinks) and moves GlobalTS past s. Lock
+//     order is publication order, so no commit waits for a turn. The other
+//     producer of a sequence, the hybrid fast publication, runs the same
+//     section. The redo-log write-back runs after it, out of order across
 //     committers, with the update-set entry held armed until the last word
 //     lands, so readers spin past unfinished write-backs exactly as they
 //     spin past unreleased committers.
@@ -58,14 +58,13 @@ import (
 )
 
 // CommitObserver receives every committed write transaction at its
-// serialization point: calls arrive in strictly increasing seq order, one
-// at a time, before GlobalTS passes seq; the call may run on a
-// predecessor's goroutine (the turn-holder publishes the group waiting
-// behind it). validTS is the snapshot the engine validated the read set
-// against; reads and writes are the transaction's footprint. The slices are
-// the runtime's recycled scratch — an observer must copy what it keeps and
-// must be fast (it runs inside the ordered publication stage, serializing
-// all committers behind it). The audit recorder in internal/audit is the
+// serialization point: calls arrive in strictly increasing, gapless seq
+// order, one at a time, each on the committer's own goroutine with
+// GlobalTS == seq. validTS is the snapshot the engine validated the read
+// set against; reads and writes are the transaction's footprint. The
+// slices are the runtime's recycled scratch — an observer must copy what
+// it keeps and must be fast (it runs inside the ordered section, TM.order,
+// serializing all committers behind it). The audit recorder in internal/audit is the
 // intended implementation.
 type CommitObserver interface {
 	ObserveCommit(seq, validTS uint64, reads, writes []uint64)
@@ -80,8 +79,9 @@ type Config struct {
 	// paper's deployment (W=64, 512-bit signatures).
 	Engine fpga.Config
 	// MeasurePhases enables the wall-clock validation timer (Fig. 11) and
-	// the per-phase commit latency counters (extension / validate / await /
-	// publish / write-back) behind tm.Stats.CommitPhase*.
+	// the per-phase commit latency counters (extension / validate / await
+	// — the wait for TM.order — / publish / write-back) behind
+	// tm.Stats.CommitPhase*.
 	MeasurePhases bool
 
 	// WatchdogAge, when > 0, starts a per-TM watchdog goroutine that scans
@@ -211,6 +211,9 @@ type TM struct {
 	readSpin int
 	wbHook   func(seq uint64, word int)
 
+	// order is the ordered section (pipeline.go): claim, arm and publish
+	// run under it, so lock order is publication order.
+	order    sync.Mutex
 	globalTS atomic.Uint64
 	// armed has bit i set while thread i's update-set entry is armed
 	// (pipeline.go arm, disarm): a probe that meets no committer loads this
@@ -218,10 +221,6 @@ type TM struct {
 	armed   atomic.Uint64
 	commitQ []commitSlot
 	updates []updateSlot
-	// preQ parallels commitQ: the handle a pre-publishing committer leaves
-	// for its releaser (pipeline.go publishSlot). Kept out of commitSlot so
-	// the slots readers scan stay two to a cache line.
-	preQ []atomic.Pointer[publication]
 
 	// Aggregate signature ring (agg.go): agg[L] unions 2^L consecutive
 	// commit signatures per slot; aggMax is the top level (0 = disabled).
@@ -235,11 +234,6 @@ type TM struct {
 	// was claimed but commits nothing (a failed fast publication).
 	// Read-only after construction.
 	zeroSig sig.Sig
-
-	// Write-back pipeline occupancy (pipeline.go): current and high-water
-	// count of commits inside the write-back phase.
-	wbInflight atomic.Int64
-	wbPeak     atomic.Uint64
 
 	// gate serializes commits against irrevocable execution: regular
 	// commits hold it shared for their validate/write-back span; an
@@ -308,7 +302,6 @@ func newTM(heap *mem.Heap, cfg Config, slots int) *TM {
 		hasher:   eng.Hasher(),
 		commitQ:  make([]commitSlot, slots),
 		qMask:    uint64(slots - 1),
-		preQ:     make([]atomic.Pointer[publication], slots),
 		updates:  make([]updateSlot, cfg.MaxThreads),
 		readSpin: readSpinLimit,
 	}
@@ -426,7 +419,6 @@ func (r *TM) Heap() *mem.Heap { return r.heap }
 func (r *TM) Stats() tm.Stats {
 	s := r.cnt.Snapshot()
 	s.WatchdogFires = r.wdFires.Load()
-	s.CommitPipelinePeak = r.wbPeak.Load()
 	return s
 }
 
@@ -468,10 +460,6 @@ type txn struct {
 	reads  addrSet    // the read set
 	writes addrSet    // the write set; its signature is the commit's
 	vals   []mem.Word // the redo log: vals[i] is the value for writes.addrs[i]
-
-	// pub is this commit as the publication stage sees it, filled once the
-	// verdict is in; a releasing predecessor may read it (pipeline.go).
-	pub publication
 
 	p probe // the current read's probe (Read, readOnlyRead)
 
@@ -868,11 +856,11 @@ func (x *txn) Write(a mem.Addr, v mem.Word) error {
 	return nil
 }
 
-// Commit implements tm.TM (§5.3 commit protocol): the front half every
-// commit shares — extend to the present, claim a sequence from the validator
-// — then the ordered-publication stage (signature + timestamp, strict
-// verdict-seq order) and a decoupled write-back phase that runs out of order
-// across committers under the update-set lock (pipeline.go).
+// Commit implements tm.TM (§5.3 commit protocol): extend to the present,
+// then the ordered section — claim a sequence from the validator, arm the
+// update-set entry, publish (signature, sinks, GlobalTS) — under TM.order,
+// and a decoupled write-back phase that runs out of order across committers
+// under the update-set lock (pipeline.go).
 func (r *TM) Commit(t tm.Txn) error {
 	x := t.(*txn)
 	if c, st := x.r.Poll(x.thread, x.attempt); st != Live {
@@ -904,35 +892,35 @@ func (r *TM) Commit(t tm.Txn) error {
 	if !x.extend(r.globalTS.Load()) {
 		return x.abort(tm.CodeWindow)
 	}
-	var dExtend time.Duration
+	var dExtend, dAwait, dPublish time.Duration
 	if measure {
 		dExtend = time.Since(pStart)
 	}
+	// The write signature — arm, publish and awaitWriters read it — is
+	// built before the ordered section, which every committer waits for,
+	// so the section holds only the ordered work.
+	x.writes.sign(r.hasher)
+	if measure {
+		pStart = time.Now()
+	}
 
+	r.order.Lock()
+	if measure {
+		dAwait = time.Since(pStart)
+	}
 	seq, err := r.claim(x)
 	if err != nil {
+		r.order.Unlock()
 		x.finish(ending(err))
 		return err
 	}
-
-	// Ordered publication. The commit pre-publishes and may be released by
-	// the group advance of a predecessor.
-	x.pub = publication{validTS: x.validTS, ws: x.writes.sig, reads: x.reads.addrs,
-		writes: x.writes.addrs, vals: x.vals}
+	if measure {
+		pStart = time.Now()
+	}
 	r.arm(x.thread, seq, x.writes.sig)
-	if measure {
-		pStart = time.Now()
-	}
-	held := r.await(seq, &x.pub)
-	var dAwait, dPublish time.Duration
-	if measure {
-		dAwait = time.Since(pStart)
-		pStart = time.Now()
-	}
-	if held {
-		r.publish(seq, &x.pub)
-		r.release(seq)
-	}
+	r.publish(seq, &publication{validTS: x.validTS, ws: x.writes.sig,
+		reads: x.reads.addrs, writes: x.writes.addrs, vals: x.vals})
+	r.order.Unlock()
 	if measure {
 		dPublish = time.Since(pStart)
 		pStart = time.Now()

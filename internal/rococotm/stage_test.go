@@ -1,8 +1,10 @@
 package rococotm
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -15,9 +17,8 @@ import (
 	"rococotm/internal/wal"
 )
 
-// White-box tests of the ordered-publication stage (pipeline.go): they
-// drive arm/await/publish/release directly, the way Commit and PublishFast
-// do.
+// White-box tests of the ordered section (pipeline.go) and of the sinks it
+// feeds.
 
 // obsCall is one ObserveCommit call, with the footprint copied.
 type obsCall struct {
@@ -32,86 +33,156 @@ func (o *recObserver) ObserveCommit(seq, validTS uint64, reads, writes []uint64)
 		append([]uint64(nil), reads...), append([]uint64(nil), writes...)})
 }
 
-// stagePub builds the publication of a transaction that read `read` and
-// wrote val to `write`.
-func stagePub(r *TM, validTS uint64, read, write mem.Addr, val mem.Word) *publication {
-	ws := sig.New(r.eng.Config().Sig)
-	ws.Insert(r.hasher, uint64(write))
-	return &publication{validTS: validTS, ws: ws,
-		reads: []uint64{uint64(read)}, writes: []uint64{uint64(write)}, vals: []mem.Word{val}}
+// seqObserver checks the ordered section from inside each sink call: the
+// sequence is the one after the previous call's, and the caller holds it —
+// GlobalTS == seq. The ordered section serializes the calls.
+type seqObserver struct {
+	r    *TM
+	seqs []uint64
+	bad  string // the first violation
 }
 
-// TestGroupReleaseFeedsSinks: a pre-published successor is published — slot,
-// observer, WAL, store — by the turn-holder, in sequence order, before the
-// one GlobalTS store that releases both.
-func TestGroupReleaseFeedsSinks(t *testing.T) {
-	heap := mem.NewHeap(1 << 10)
-	dev := wal.NewMemDevice(nil)
-	d, _, err := RecoverDurable(dev, heap, wal.Options{}, mvstore.Config{}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := &recObserver{}
-	r := New(heap, Config{MaxThreads: 2, Observer: obs, Durable: d})
-	base := heap.MustAlloc(4)
-	s := r.GlobalTS()
-	p0 := stagePub(r, s, base, base+1, 10)
-	p1 := stagePub(r, s+1, base+2, base+3, 11)
-
-	// Thread 1 holds seq s+1: it arms, pre-publishes and waits.
-	waiter := make(chan bool, 1)
-	go func() {
-		r.arm(1, s+1, p1.ws)
-		waiter <- r.await(s+1, p1)
-	}()
-	for !r.slotPublished(s + 1) {
-		runtime.Gosched()
-	}
-	if got := r.GlobalTS(); got != s {
-		t.Fatalf("GlobalTS = %d before the holder of %d released", got, s)
-	}
-
-	// Thread 0 takes the turn at s and releases once.
-	r.arm(0, s, p0.ws)
-	if !r.await(s, p0) {
-		t.Fatalf("await(%d) did not hold the turn", s)
-	}
-	r.publish(s, p0)
-	r.release(s)
-	if got := r.GlobalTS(); got != s+2 {
-		t.Fatalf("GlobalTS = %d after one release, want %d", got, s+2)
-	}
-	if <-waiter {
-		t.Fatal("successor's await held the turn; want released by the group")
-	}
-	r.disarm(0)
-	r.disarm(1)
-
-	want := []obsCall{
-		{s, p0.validTS, p0.reads, p0.writes},
-		{s + 1, p1.validTS, p1.reads, p1.writes},
-	}
-	if !reflect.DeepEqual(obs.calls, want) {
-		t.Fatalf("observer saw %+v, want %+v", obs.calls, want)
-	}
-	if h := d.Store.Height(); h != s+2 {
-		t.Fatalf("store height %d, want %d", h, s+2)
-	}
-	r.Close()
-	res, err := wal.Recover(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Records) != 2 {
-		t.Fatalf("WAL holds %d records, want 2", len(res.Records))
-	}
-	for i, p := range []*publication{p0, p1} {
-		rec := res.Records[i]
-		if rec.Seq != s+uint64(i) || rec.ValidTS != p.validTS ||
-			!reflect.DeepEqual(rec.Reads, p.reads) || !reflect.DeepEqual(rec.WriteAddrs, p.writes) ||
-			rec.WriteVals[0] != uint64(p.vals[0]) {
-			t.Fatalf("WAL record %d = %+v, want publication %+v", i, rec, p)
+func (o *seqObserver) ObserveCommit(seq, validTS uint64, reads, writes []uint64) {
+	if o.bad == "" {
+		if want := uint64(len(o.seqs)); seq != want {
+			o.bad = fmt.Sprintf("call %d carries seq %d", want, seq)
+		} else if ts := o.r.GlobalTS(); ts != seq {
+			o.bad = fmt.Sprintf("seq %d observed at GlobalTS %d", seq, ts)
 		}
+	}
+	o.seqs = append(o.seqs, seq)
+}
+
+// check reports a violation, and a call count that is not GlobalTS.
+func (o *seqObserver) check(t *testing.T) {
+	t.Helper()
+	if o.bad != "" {
+		t.Fatal(o.bad)
+	}
+	if n, ts := uint64(len(o.seqs)), o.r.GlobalTS(); n != ts || n == 0 {
+		t.Fatalf("observer saw %d commits, GlobalTS %d", n, ts)
+	}
+}
+
+// fastPublish is one hand-driven fast commit on thread th, the hybrid fast
+// path's steps: own a's line, store val eagerly, publish with b read,
+// release. A refused publication (its drain scan met an armed write-back)
+// still fills its sequence.
+func fastPublish(t *testing.T, r *TM, th int, a, b mem.Addr, val mem.Word) {
+	lt := r.LineTable()
+	la, lb := mem.LineOf(a), mem.LineOf(b)
+	vb := lt.Version(lb)
+	own := lt.Own(la)
+	for s := own.Load(); mem.LineWriterOf(s) != -1 || !own.CompareAndSwap(s, mem.LineWithWriter(s, th)); s = own.Load() {
+		runtime.Gosched() // a slow write-back's sentinel, briefly
+	}
+	lt.BeginApply(la)
+	old := r.heap.Load(a)
+	r.heap.Store(a, val)
+	err := r.PublishFast(&FastFootprint{Thread: th,
+		ReadAddrs: []uint64{uint64(b)}, WriteAddrs64: []uint64{uint64(a)},
+		WriteOrder: []mem.Addr{a}, NewVals: []mem.Word{val}, OldVals: []mem.Word{old},
+		ReadLines: []uint64{lb}, ReadVers: []uint64{vb}})
+	lt.EndApply(la)
+	lt.Release(la)
+	if _, abort := tm.IsAbort(err); err != nil && !abort {
+		t.Error(err)
+	}
+}
+
+// TestOrderedSectionFeedsSinks: concurrent committers reach the sinks one at
+// a time, in gapless sequence order, each while it holds its turn — through
+// Commit on a durable runtime, whose WAL must hold the same order, and
+// through Commit and PublishFast side by side on a LineTable runtime.
+func TestOrderedSectionFeedsSinks(t *testing.T) {
+	const workers, commits = 4, 300
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			t.Run("Commit+WAL", func(t *testing.T) {
+				heap := mem.NewHeap(1 << 10)
+				dev := wal.NewMemDevice(nil)
+				d, _, err := RecoverDurable(dev, heap, wal.Options{}, mvstore.Config{}, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obs := &seqObserver{}
+				r := New(heap, Config{MaxThreads: workers, Observer: obs, Durable: d})
+				obs.r = r
+				base := heap.MustAlloc(workers + 1)
+				var wg sync.WaitGroup
+				for th := 0; th < workers; th++ {
+					wg.Add(1)
+					go func(th int) {
+						defer wg.Done()
+						for i := 0; i < commits; i++ {
+							// Own word and a shared counter: disjoint
+							// commits and conflicting ones.
+							err := tm.Run(r, th, func(x tm.Txn) error {
+								v, err := x.Read(base + workers)
+								if err != nil {
+									return err
+								}
+								if err := x.Write(base+mem.Addr(th), mem.Word(i)); err != nil {
+									return err
+								}
+								return x.Write(base+workers, v+1)
+							})
+							if err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}(th)
+				}
+				wg.Wait()
+				obs.check(t)
+				r.Close()
+				res, err := wal.Recover(dev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Records) != len(obs.seqs) {
+					t.Fatalf("WAL holds %d records, observer saw %d", len(res.Records), len(obs.seqs))
+				}
+				for i, rec := range res.Records {
+					if rec.Seq != obs.seqs[i] {
+						t.Fatalf("WAL record %d has seq %d, observer saw %d", i, rec.Seq, obs.seqs[i])
+					}
+				}
+			})
+			t.Run("Commit+PublishFast", func(t *testing.T) {
+				heap := mem.NewHeap(1 << 12)
+				obs := &seqObserver{}
+				r := New(heap, Config{MaxThreads: workers, Observer: obs,
+					LineTable: mem.NewLineTable(heap.Cap())})
+				defer r.Close()
+				obs.r = r
+				// One line per thread to write, one more every fast commit
+				// reads.
+				base := heap.MustAlloc((workers + 1) << mem.LineShift)
+				line := func(i int) mem.Addr { return base + mem.Addr(i<<mem.LineShift) }
+				var wg sync.WaitGroup
+				for th := 0; th < workers; th++ {
+					wg.Add(1)
+					go func(th int) {
+						defer wg.Done()
+						for i := 0; i < commits; i++ {
+							if th%2 == 1 {
+								fastPublish(t, r, th, line(th), line(workers), mem.Word(i))
+								continue
+							}
+							if err := tm.Run(r, th, func(x tm.Txn) error { return x.Write(line(th), mem.Word(i)) }); err != nil {
+								t.Error(err)
+								return
+							}
+						}
+					}(th)
+				}
+				wg.Wait()
+				obs.check(t)
+			})
+		})
 	}
 }
 
@@ -298,7 +369,7 @@ func TestSignatureRingsSeqlock(t *testing.T) {
 				return
 			default:
 			}
-			r.publishSlot(seq, of(seq), nil)
+			r.publishSlot(seq, of(seq))
 			r.publishAggregates(seq)
 		}
 	}()

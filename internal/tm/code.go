@@ -3,6 +3,7 @@ package tm
 import (
 	"errors"
 	"runtime"
+	"time"
 )
 
 // Code is the structured form of an abort reason. The string Reason
@@ -138,10 +139,10 @@ func autoSite(m TM, skip int) siteID {
 // RunSite is Run with an explicit site ID. On runtimes without SiteRunner
 // the site is ignored and RunSite behaves exactly like Run.
 func RunSite(m TM, thread int, site uint64, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, siteID{id: site, ok: true}, nil, DefaultBackoff, fn)
+	return runLoop(time.Time{}, m, thread, siteID{id: site, ok: true}, nil, DefaultBackoff, fn)
 }
 
 // RunSiteBackoff is RunSite with an explicit backoff policy.
 func RunSiteBackoff(m TM, thread int, site uint64, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, siteID{id: site, ok: true}, nil, pol, fn)
+	return runLoop(time.Time{}, m, thread, siteID{id: site, ok: true}, nil, pol, fn)
 }

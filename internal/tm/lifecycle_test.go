@@ -98,138 +98,11 @@ func TestRunGoexitAbortsInFlightAttempt(t *testing.T) {
 	}
 }
 
-func TestRunCtxCanceledBeforeBegin(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	err := RunCtx(ctx, m, 0, func(x Txn) error { return nil })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.begins != 0 {
-		t.Fatalf("begins = %d; a canceled context must not start an attempt", m.begins)
-	}
-}
-
-// Cancellation at the read boundary: the wrapped Txn returns ctx.Err()
-// from Read, and the loop rolls back and propagates it.
-func TestRunCtxCancelAtReadBoundary(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithCancel(context.Background())
-	err := RunCtx(ctx, m, 0, func(x Txn) error {
-		cancel()
-		_, err := x.Read(0)
-		return err
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.begins != 1 || m.aborts != 1 || m.commits != 0 {
-		t.Fatalf("begins/aborts/commits = %d/%d/%d, want 1/1/0",
-			m.begins, m.aborts, m.commits)
-	}
-}
-
-func TestRunCtxCancelAtWriteBoundary(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithCancel(context.Background())
-	err := RunCtx(ctx, m, 0, func(x Txn) error {
-		cancel()
-		return x.Write(0, 1)
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.aborts != 1 || m.commits != 0 {
-		t.Fatalf("aborts/commits = %d/%d, want 1/0", m.aborts, m.commits)
-	}
-}
-
-// Cancellation at the pre-validate boundary: the closure succeeded, but
-// the context died before Commit — the attempt must be rolled back, never
-// validated.
-func TestRunCtxCancelPreValidate(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithCancel(context.Background())
-	err := RunCtx(ctx, m, 0, func(x Txn) error {
-		if err := x.Write(0, 1); err != nil {
-			return err
-		}
-		cancel()
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.commits != 0 {
-		t.Fatal("a canceled attempt was committed")
-	}
-	if m.aborts != 1 {
-		t.Fatalf("aborts = %d, want 1", m.aborts)
-	}
-}
-
-// Cancellation at the post-verdict boundary: the commit lost validation
-// (runtime already rolled back) and the context died — the loop must
-// return ctx.Err() instead of retrying.
-func TestRunCtxCancelPostVerdict(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithCancel(context.Background())
-	m.onCommit = func() error {
-		cancel()
-		return AbortCode(CodeConflict)
-	}
-	err := RunCtx(ctx, m, 0, func(x Txn) error { return x.Write(0, 1) })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m.begins != 1 {
-		t.Fatalf("begins = %d; the canceled loop must not retry", m.begins)
-	}
-	if m.aborts != 0 {
-		t.Fatal("loop aborted an attempt the runtime had already rolled back")
-	}
-}
-
-// A commit that wins the race against cancellation is reported as success.
-func TestRunCtxCommitWinsCancelRace(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	m.onCommit = func() error {
-		cancel() // fires between the pre-validate check and the commit point
-		return nil
-	}
-	if err := RunCtx(ctx, m, 0, func(x Txn) error { return x.Write(0, 1) }); err != nil {
-		t.Fatalf("committed attempt reported %v", err)
-	}
-	if m.commits != 1 {
-		t.Fatalf("commits = %d, want 1", m.commits)
-	}
-}
-
-func TestRunCtxDeadline(t *testing.T) {
-	m := newCtlTM()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	failures := 0
-	m.onCommit = func() error {
-		failures++
-		return AbortCode(CodeWindow) // hard reason: the loop sleeps between tries
-	}
-	err := RunCtx(ctx, m, 0, func(x Txn) error { return x.Write(0, 1) })
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if failures == 0 {
-		t.Fatal("commit path never ran before the deadline")
-	}
-}
-
 // RunUntil observes its deadline at the three attempt boundaries: a
 // deadline already past begins nothing; a closure that returns past it is
 // rolled back before validation; an attempt that lost validation past it
-// is not retried. Reads and writes inside the closure never see it.
+// is not retried (and not aborted twice). Reads and writes inside the
+// closure never see it, and a commit that completes past it is a success.
 func TestRunUntilAttemptBoundaries(t *testing.T) {
 	m := newCtlTM()
 	err := RunUntil(time.Now().Add(-time.Second), m, 0, BackoffPolicy{}, func(x Txn) error { return nil })
@@ -255,6 +128,29 @@ func TestRunUntilAttemptBoundaries(t *testing.T) {
 	err = RunUntil(time.Now().Add(time.Millisecond), m, 0, BackoffPolicy{}, func(x Txn) error { return x.Write(0, 1) })
 	if !errors.Is(err, context.DeadlineExceeded) || failures == 0 {
 		t.Fatalf("retrying: err = %v after %d commit attempts, want DeadlineExceeded after at least one", err, failures)
+	}
+
+	// Post-verdict: the attempt lost validation (the runtime rolled it
+	// back) after the deadline passed — no retry, and no second abort.
+	m = newCtlTM()
+	m.onCommit = func() error {
+		time.Sleep(5 * time.Millisecond)
+		return AbortCode(CodeConflict)
+	}
+	err = RunUntil(time.Now().Add(time.Millisecond), m, 0, BackoffPolicy{}, func(x Txn) error { return x.Write(0, 1) })
+	if !errors.Is(err, context.DeadlineExceeded) || m.begins != 1 || m.aborts != 0 {
+		t.Fatalf("lost validation: err = %v begins = %d aborts = %d, want DeadlineExceeded, 1, 0", err, m.begins, m.aborts)
+	}
+
+	// A commit that completes after the deadline passed wins the race.
+	m = newCtlTM()
+	m.onCommit = func() error {
+		time.Sleep(5 * time.Millisecond)
+		return nil
+	}
+	err = RunUntil(time.Now().Add(time.Millisecond), m, 0, BackoffPolicy{}, func(x Txn) error { return x.Write(0, 1) })
+	if err != nil || m.commits != 1 {
+		t.Fatalf("commit past the deadline: err = %v commits = %d, want nil, 1", err, m.commits)
 	}
 }
 

@@ -146,9 +146,9 @@ func RunReadOnly(m TM, thread int, fn func(Txn) error) error {
 		}
 	}
 	if rb, ok := m.(ReadOnlyBeginner); ok {
-		return runLoop(bound{}, m, thread, siteID{}, rb, DefaultBackoff, fn)
+		return runLoop(time.Time{}, m, thread, siteID{}, rb, DefaultBackoff, fn)
 	}
-	return runLoop(bound{}, m, thread, siteID{id: roSite, ok: true}, nil, DefaultBackoff, func(t Txn) error {
+	return runLoop(time.Time{}, m, thread, siteID{id: roSite, ok: true}, nil, DefaultBackoff, func(t Txn) error {
 		return fn(roTxn{t})
 	})
 }
@@ -203,19 +203,14 @@ type Stats struct {
 	WatchdogKills uint64
 	// CommitPhase* break a write commit's wall-clock into the runtime's
 	// pipeline phases (validation itself is ValidationNanos): final
-	// snapshot extension, the wait for the commit turn, ordered
-	// publication (signature + timestamp release), and the redo-log
+	// snapshot extension, the wait to enter the ordered commit section,
+	// ordered publication (signature + timestamp release), and the redo-log
 	// write-back. Populated only when the runtime measures phases; zero
 	// otherwise.
 	CommitExtendNanos    uint64
 	CommitAwaitNanos     uint64
 	CommitPublishNanos   uint64
 	CommitWritebackNanos uint64
-	// CommitPipelinePeak is the high-water count of commits simultaneously
-	// inside the write-back phase — >1 only when the runtime decouples
-	// write-back from timestamp release. Zero for runtimes without that
-	// pipeline.
-	CommitPipelinePeak uint64
 	// Per-path routing counters, populated by hybrid runtimes. A fast
 	// attempt ends as exactly one FastCommit or FastAbort; SlowFallbacks
 	// counts the fast aborts whose *next* attempt was routed to the slow
@@ -479,26 +474,12 @@ func wait(rg *rng, code Code, attempt int) {
 // without SiteRunner; on one with it, a one-frame stack read for the
 // caller's PC (autoSite), which allocates nothing.
 func Run(m TM, thread int, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, autoSite(m, 2), nil, DefaultBackoff, fn)
+	return runLoop(time.Time{}, m, thread, autoSite(m, 2), nil, DefaultBackoff, fn)
 }
 
 // RunBackoff is Run with an explicit backoff policy.
 func RunBackoff(m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(bound{}, m, thread, autoSite(m, 2), nil, pol, fn)
-}
-
-// RunCtx is Run with cancellation: the context's deadline/cancel is
-// observed at every transactional boundary — before each attempt begins,
-// at each Read and Write inside fn, before validation (pre-commit), and
-// after an aborted attempt before the retry. On cancellation the in-flight
-// attempt is rolled back and ctx.Err() is returned; a committed attempt is
-// never undone (cancellation between the commit point and return is
-// reported as success, matching context convention: commit wins the race).
-func RunCtx(ctx context.Context, m TM, thread int, fn func(Txn) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return runLoop(bound{ctx: ctx}, m, thread, autoSite(m, 2), nil, DefaultBackoff, fn)
+	return runLoop(time.Time{}, m, thread, autoSite(m, 2), nil, pol, fn)
 }
 
 // RunUntil is Run with a deadline and an explicit backoff policy. The
@@ -506,41 +487,22 @@ func RunCtx(ctx context.Context, m TM, thread int, fn func(Txn) error) error {
 // attempt begins, after fn returns but before validation, and after a lost
 // validation — never inside fn, so it costs two clock reads per attempt
 // and no timer. Past the deadline the in-flight attempt is rolled back and
-// context.DeadlineExceeded is returned; as with RunCtx, a committed
-// attempt is never undone.
+// context.DeadlineExceeded is returned; a committed attempt is never
+// undone (a deadline that passes during the commit is reported as
+// success: commit wins the race).
 func RunUntil(dead time.Time, m TM, thread int, pol BackoffPolicy, fn func(Txn) error) error {
-	return runLoop(bound{dead: dead}, m, thread, autoSite(m, 2), nil, pol, fn)
+	return runLoop(dead, m, thread, autoSite(m, 2), nil, pol, fn)
 }
 
-// bound is what ends a retry loop early: a context (RunCtx, observed at
-// every boundary, Read and Write included) or a deadline (RunUntil,
-// observed at attempt boundaries). The zero bound never ends it.
-type bound struct {
-	ctx  context.Context
-	dead time.Time
-}
-
-// err returns the error that ends the loop now, or nil.
-func (b *bound) err() error {
-	if b.ctx != nil {
-		return b.ctx.Err()
-	}
-	// time.Until reads only the monotonic clock; time.Now would read the
-	// wall clock too.
-	if !b.dead.IsZero() && time.Until(b.dead) <= 0 {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
-// runLoop is the shared retry loop behind Run, RunCtx, RunUntil and
-// RunReadOnly. The zero bound means no cancellation (plain Run): the hot
-// path then carries no cancellation checks. A non-nil ro begins every
-// attempt of this loop read-only through it (m's own BeginReadOnly);
+// runLoop is the shared retry loop behind Run, RunUntil and RunReadOnly.
+// A zero dead means no deadline (plain Run): the hot path then carries no
+// clock reads; otherwise dead is checked with time.Until, which reads only
+// the monotonic clock. A non-nil ro begins every attempt of this loop
+// read-only through it (m's own BeginReadOnly);
 // otherwise site routes every attempt through SiteRunner.BeginSite when
 // both the site and the runtime support it, so per-site statistics see the
 // whole retry history of one logical transaction.
-func runLoop(b bound, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol BackoffPolicy, fn func(Txn) error) error {
+func runLoop(dead time.Time, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol BackoffPolicy, fn func(Txn) error) error {
 	pol.fill()
 	attempt := 0   // drives the backoff exponent
 	contended := 0 // drives escalation: attempt less engine and watchdog aborts
@@ -548,16 +510,10 @@ func runLoop(b bound, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol Ba
 	esc, canEscalate := m.(Escalator)
 	sr, canSite := m.(SiteRunner)
 	useSite := site.ok && canSite
-	bounded := b.ctx != nil || !b.dead.IsZero()
-	var wrapper *ctxTxn
-	if b.ctx != nil {
-		wrapper = &ctxTxn{ctx: b.ctx, done: b.ctx.Done()}
-	}
+	bounded := !dead.IsZero()
 	for {
-		if bounded {
-			if err := b.err(); err != nil {
-				return err
-			}
+		if bounded && time.Until(dead) <= 0 {
+			return context.DeadlineExceeded
 		}
 		if canEscalate && pol.EscalateAfter > 0 && contended >= pol.EscalateAfter {
 			esc.Escalate(thread)
@@ -575,20 +531,13 @@ func runLoop(b bound, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol Ba
 		if err != nil {
 			return fmt.Errorf("tm: begin: %w", err)
 		}
-		arg := t
-		if wrapper != nil {
-			wrapper.t = t
-			arg = wrapper
-		}
-		err = protect(m, t, fn, arg)
+		err = protect(m, t, fn)
 		if err == nil {
-			if bounded {
+			if bounded && time.Until(dead) <= 0 {
 				// Pre-validate boundary: the write set is complete but
-				// nothing is published; cancelling here rolls back.
-				if cerr := b.err(); cerr != nil {
-					m.Abort(t)
-					return cerr
-				}
+				// nothing is published; a deadline here rolls back.
+				m.Abort(t)
+				return context.DeadlineExceeded
 			}
 			err = m.Commit(t)
 			if err == nil {
@@ -597,18 +546,15 @@ func runLoop(b bound, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol Ba
 		}
 		code, ok := CodeOf(err)
 		if !ok {
-			// Application failure (including a cancellation error surfaced
-			// by a ctxTxn boundary): roll back and propagate.
+			// Application failure: roll back and propagate.
 			m.Abort(t)
 			return err
 		}
 		// Transactional abort: the runtime already rolled back.
-		if bounded {
+		if bounded && time.Until(dead) <= 0 {
 			// Post-verdict boundary: the attempt lost validation and is
-			// gone; honor cancellation instead of retrying.
-			if cerr := b.err(); cerr != nil {
-				return cerr
-			}
+			// gone; honor the deadline instead of retrying.
+			return context.DeadlineExceeded
 		}
 		// Back off by reason class before retrying.
 		attempt++
@@ -619,50 +565,22 @@ func runLoop(b bound, m TM, thread int, site siteID, ro ReadOnlyBeginner, pol Ba
 	}
 }
 
-// protect invokes fn(arg) and guarantees the runtime transaction t is
+// protect invokes fn(t) and guarantees the runtime transaction t is
 // rolled back if fn never returns — a panic or runtime.Goexit unwinding
 // through the closure. The abort runs first (discarding the redo log,
 // recycling the txn and its scratch/sub-signature state, releasing any
 // in-flight engine slot), then the panic resumes naturally; Goexit is
 // likewise not swallowed.
-func protect(m TM, t Txn, fn func(Txn) error, arg Txn) (err error) {
+func protect(m TM, t Txn, fn func(Txn) error) (err error) {
 	completed := false
 	defer func() {
 		if !completed {
 			m.Abort(t)
 		}
 	}()
-	err = fn(arg)
+	err = fn(t)
 	completed = true
 	return err
-}
-
-// ctxTxn decorates a runtime Txn with cancellation checks at the read and
-// write boundaries. One wrapper per RunCtx loop, reused across attempts.
-type ctxTxn struct {
-	t    Txn
-	ctx  context.Context
-	done <-chan struct{}
-}
-
-// Read observes cancellation, then delegates.
-func (c *ctxTxn) Read(a mem.Addr) (mem.Word, error) {
-	select {
-	case <-c.done:
-		return 0, c.ctx.Err()
-	default:
-	}
-	return c.t.Read(a)
-}
-
-// Write observes cancellation, then delegates.
-func (c *ctxTxn) Write(a mem.Addr, v mem.Word) error {
-	select {
-	case <-c.done:
-		return c.ctx.Err()
-	default:
-	}
-	return c.t.Write(a, v)
 }
 
 // spin burns a few cycles without yielding the scheduler entirely.

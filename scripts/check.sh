@@ -47,7 +47,7 @@
 #                    conservation, soaks, value-reconstructed history
 #                    checks, torn-read probes, the hybrid mixed-path pair,
 #                    read-only attempts' conservation scans against live
-#                    writers)
+#                    writers, the ordered section feeding its sinks)
 #                    and the liveness-word tests (the transition table,
 #                    the doomer-vs-owner hammer, the watchdog and
 #                    PoolCheck tests: a remote doom CAS racing the
@@ -136,7 +136,7 @@ go test -race -run Chaos -count=2 ./internal/fault/...
 echo "== oracle lane: lost-update oracles + read-only scans + liveness word + serve + durable + snapshot reads x GOMAXPROCS {1,2} x -count=10"
 for procs in 1 2; do
     GOMAXPROCS=$procs go test -count=10 \
-        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestReadOnlyScansConserve|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
+        -run 'TestCounterHammer|TestBankInvariant|TestSoak|TestHistorySerializable|TestPipelinedWritebackNoTornReads|TestReadOnlyScansConserve|TestOrderedSectionFeedsSinks|TestHybridLostUpdate|TestHybridHistorySerializable|TestLiveWord|Watchdog|PoolCheck' \
         ./internal/rococotm/... ./internal/hybrid/...
     GOMAXPROCS=$procs go test -count=10 -run 'TestServe' ./internal/serve/...
     GOMAXPROCS=$procs go test -count=10 -run 'TestDurable|TestSnapshotReadsNeverAbort' \
